@@ -5,8 +5,6 @@ HOST_JSON := /tmp/lrpc_bench_host_smoke.json
 SCALE_JSON := /tmp/lrpc_fig2_scale_smoke.json
 OPENLOOP_JSON := /tmp/lrpc_openloop_smoke.json
 OVERLOAD_JSON := /tmp/lrpc_overload_smoke.json
-ENGINE_D1_JSON := /tmp/lrpc_engine_d1_smoke.json
-ENGINE_D2_JSON := /tmp/lrpc_engine_d2_smoke.json
 NUMA_JSON := /tmp/lrpc_numa_smoke.json
 NUMA_CHAOS_JSON := /tmp/lrpc_numa_chaos_smoke.json
 TRANSPORT_JSON := /tmp/lrpc_transport_smoke.json
@@ -24,12 +22,11 @@ CHAOS_DIGEST := 5eeba0661c190ff27d10f0b0154ef27c
 T45_DIGEST := 8da7f56177c9c5c4908222de5c262ccd
 
 .PHONY: check build test smoke pipeline-smoke fault-smoke fault-stress \
-  fig2-scale-smoke openloop-smoke overload-smoke engine-parallel-smoke \
-  numa-smoke transport-smoke bench-pipeline bench-host bench-host-full clean
+  fig2-scale-smoke openloop-smoke overload-smoke numa-smoke transport-smoke \
+  bench-pipeline bench-host bench-host-full clean
 
 check: build test smoke pipeline-smoke fault-smoke fig2-scale-smoke \
-  openloop-smoke overload-smoke engine-parallel-smoke numa-smoke \
-  transport-smoke bench-host
+  openloop-smoke overload-smoke numa-smoke transport-smoke bench-host
 
 build:
 	dune build
@@ -153,32 +150,6 @@ overload-smoke: build
 	    'shed count must grow with offered load: %s' % sheds; \
 	  assert all(p['shed'] == 0 for p in off['points'])"
 	@echo "overload smoke OK"
-
-# End-to-end: sharding one simulated machine across host domains must
-# not change a byte of simulated output. Two probes: the chaos soak via
-# the CLI (--engine-domains is clamped to the host's cores, so on a
-# small machine this checks the flag plumbing and the clamp warning),
-# and the unclamped 1-vs-2-vs-4-domain digest suite in test_harness,
-# which always spawns real domains. Also pins the exit-2 contract for a
-# non-positive --engine-domains.
-engine-parallel-smoke: build
-	dune exec bin/lrpc_chaos.exe -- --calls 1500 --engine-domains 1 \
-	  --out $(ENGINE_D1_JSON) > /dev/null
-	dune exec bin/lrpc_chaos.exe -- --calls 1500 --engine-domains 2 \
-	  --out $(ENGINE_D2_JSON) > /dev/null 2>&1
-	@python3 -c "import json; \
-	  d1 = json.load(open('$(ENGINE_D1_JSON)')); \
-	  d2 = json.load(open('$(ENGINE_D2_JSON)')); \
-	  assert d1['digest'] == d2['digest'], \
-	    'digest differs: %s vs %s' % (d1['digest'], d2['digest'])"
-	@dune exec bin/lrpc_chaos.exe -- --engine-domains 0 > /dev/null 2>&1; \
-	  test $$? -eq 2 || { echo "FAIL: --engine-domains 0 must exit 2"; exit 1; }
-	@dune exec bin/lrpc_experiments.exe -- t1 --quick --engine-domains=-1 \
-	  > /dev/null 2>&1; \
-	  test $$? -eq 2 || { echo "FAIL: negative --engine-domains must exit 2"; exit 1; }
-	dune exec test/test_harness.exe -- test 'engine domains' > /dev/null
-	dune exec test/test_sim.exe -- test 'partitioned engine' > /dev/null
-	@echo "engine-parallel smoke OK"
 
 # End-to-end: the locality study's JSON must cover all four placements
 # at every ladder rung, the distance-ordered victim rings must actually

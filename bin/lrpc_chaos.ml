@@ -13,25 +13,10 @@
 
 module Plan = Lrpc_fault.Plan
 module Soak = Lrpc_fault.Soak
-module Parallel = Lrpc_harness.Parallel
 
-let run seed calls clients engine_domains out replay =
-  if engine_domains <= 0 then begin
-    Printf.eprintf "lrpc_chaos: --engine-domains must be positive (got %d)\n"
-      engine_domains;
-    exit 2
-  end;
-  let engine_domains =
-    Parallel.clamp_engine_domains ~bin:"lrpc_chaos" ~jobs:1 ~engine_domains
-  in
+let run seed calls clients out replay =
   let cfg =
-    {
-      Soak.default with
-      Soak.seed = Int64.of_int seed;
-      calls;
-      clients;
-      engine_domains;
-    }
+    { Soak.default with Soak.seed = Int64.of_int seed; calls; clients }
   in
   let report = Soak.run cfg in
   let json = Soak.report_to_json report in
@@ -88,17 +73,6 @@ let clients_arg =
     & opt int Soak.default.Soak.clients
     & info [ "clients" ] ~doc:"Number of client threads.")
 
-let engine_domains_arg =
-  Arg.(
-    value
-    & opt int Soak.default.Soak.engine_domains
-    & info [ "engine-domains" ] ~docv:"N"
-        ~doc:
-          "Shard the simulated machine across $(docv) host domains. The \
-           report (digest included) is bit-identical to --engine-domains 1; \
-           non-positive values exit 2, and values beyond the host core count \
-           are clamped with a warning.")
-
 let out_arg =
   Arg.(
     value
@@ -116,8 +90,7 @@ let cmd =
     (Cmd.info "lrpc_chaos" ~version:"1.0"
        ~doc:"Chaos-soak the LRPC call path under a deterministic fault plan.")
     Term.(
-      const run $ seed_arg $ calls_arg $ clients_arg $ engine_domains_arg
-      $ out_arg $ replay_arg)
+      const run $ seed_arg $ calls_arg $ clients_arg $ out_arg $ replay_arg)
 
 (* Exit 2 on CLI misuse (non-integer --seed, unknown flags) with
    cmdliner's usage line on stderr — distinct from exit 1, which means

@@ -6,20 +6,7 @@
 module Suite = Lrpc_experiments.Suite
 module Parallel = Lrpc_harness.Parallel
 
-let run names seed quick jobs engine_domains json shedding =
-  if engine_domains <= 0 then begin
-    Printf.eprintf
-      "lrpc_experiments: --engine-domains must be positive (got %d)\n"
-      engine_domains;
-    exit 2
-  end;
-  let engine_domains =
-    Parallel.clamp_engine_domains ~bin:"lrpc_experiments" ~jobs ~engine_domains
-  in
-  (* A global default rather than a per-call argument: every artifact's
-     engine picks it up at [Engine.create] time. Set before the fan-out
-     so worker domains observe it. *)
-  Lrpc_sim.Engine.set_default_domains engine_domains;
+let run names seed quick jobs json shedding =
   let names = if names = [] || names = [ "all" ] then Suite.names else names in
   (match List.filter (fun n -> not (Suite.mem n)) names with
   | [] -> ()
@@ -92,16 +79,6 @@ let jobs_arg =
     & opt int (Parallel.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let engine_domains_arg =
-  let doc =
-    "Shard each simulated machine's processors across $(docv) host domains \
-     (the partitioned engine). Simulated output is bit-identical to \
-     --engine-domains 1; non-positive values are an error (exit code 2), and \
-     the product with --jobs is clamped to the host core count with a \
-     warning."
-  in
-  Arg.(value & opt int 1 & info [ "engine-domains" ] ~docv:"N" ~doc)
-
 let shedding_arg =
   let doc =
     "Run the overload-control ablation of the open-loop study instead: \
@@ -128,7 +105,7 @@ let cmd =
   Cmd.v
     (Cmd.info "lrpc_experiments" ~version:"1.0" ~doc)
     Term.(
-      const run $ names_arg $ seed_arg $ quick_arg $ jobs_arg
-      $ engine_domains_arg $ json_arg $ shedding_arg)
+      const run $ names_arg $ seed_arg $ quick_arg $ jobs_arg $ json_arg
+      $ shedding_arg)
 
 let () = exit (Cmd.eval cmd)

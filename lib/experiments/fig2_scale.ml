@@ -45,13 +45,13 @@ let ladder max_cpus =
 let rung_horizon ~horizon n =
   if n <= 32 then horizon else Time.scale horizon (32.0 /. float_of_int n)
 
-let run ?(max_cpus = 32) ?(horizon = Time.ms 250) ?engine_domains () =
+let run ?(max_cpus = 32) ?(horizon = Time.ms 250) () =
   let raw =
     List.map
       (fun n ->
         let horizon = rung_horizon ~horizon n in
         let config =
-          { Driver.Config.default with Driver.Config.processors = n; engine_domains }
+          { Driver.Config.default with Driver.Config.processors = n }
         in
         let l = Driver.lrpc_scale ~config ~clients:n ~horizon () in
         (* Same workload, pathological submission: every caller enters on

@@ -53,16 +53,11 @@ type result = {
   horizon : Lrpc_sim.Time.t;
 }
 
-val run :
-  ?max_cpus:int -> ?horizon:Lrpc_sim.Time.t -> ?engine_domains:int -> unit ->
-  result
+val run : ?max_cpus:int -> ?horizon:Lrpc_sim.Time.t -> unit -> result
 (** Defaults: 32 CPUs, 250 ms horizon. The ladder is
     [{1,2,4,8,16,32,64,128,256}] truncated to [max_cpus]; rungs above 32
     taper the measurement window inversely with the rung (calls/s is a
-    rate, so points stay comparable) to keep host cost bounded.
-    [engine_domains] shards each simulated machine across that many host
-    domains (see {!Lrpc_sim.Engine.create}); simulated results are
-    bit-identical for any value. *)
+    rate, so points stay comparable) to keep host cost bounded. *)
 
 val speedup_at : result -> int -> float option
 (** LRPC speedup at exactly [n] CPUs, when that rung was measured. *)

@@ -57,7 +57,7 @@ let series_of (s : Driver.scale_stats) =
     sr_far = s.Driver.ss_steals_far;
   }
 
-let run ?(max_cpus = 32) ?(horizon = Time.ms 100) ?engine_domains () =
+let run ?(max_cpus = 32) ?(horizon = Time.ms 100) () =
   let points =
     List.map
       (fun n ->
@@ -73,7 +73,6 @@ let run ?(max_cpus = 32) ?(horizon = Time.ms 100) ?engine_domains () =
                    Driver.Config.default with
                    Driver.Config.processors = n;
                    cost_model = cm;
-                   engine_domains;
                  }
                ~clients:(3 * n / 2) ~horizon ())
         in

@@ -35,12 +35,7 @@ type result = {
   horizon : Lrpc_sim.Time.t;
 }
 
-val run :
-  ?max_cpus:int ->
-  ?horizon:Lrpc_sim.Time.t ->
-  ?engine_domains:int ->
-  unit ->
-  result
+val run : ?max_cpus:int -> ?horizon:Lrpc_sim.Time.t -> unit -> result
 (** Ladder of 4–32 processors (clusters of 4, 4x cross-cluster
     migration), 100 ms horizon by default. Deterministic: a pure
     function of its arguments. *)

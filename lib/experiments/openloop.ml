@@ -50,10 +50,9 @@ type params = {
   fractions : float list;
   capacity_clients : int;
   capacity_horizon : Time.t;
-  engine_domains : int option;
 }
 
-let params ~seed ~quick ~engine_domains =
+let params ~seed ~quick =
   if quick then
     {
       seed;
@@ -65,7 +64,6 @@ let params ~seed ~quick ~engine_domains =
       fractions = [ 0.25; 0.55; 0.85; 1.1; 1.35 ];
       capacity_clients = 64;
       capacity_horizon = Time.ms 100;
-      engine_domains;
     }
   else
     {
@@ -78,7 +76,6 @@ let params ~seed ~quick ~engine_domains =
       fractions = [ 0.2; 0.4; 0.6; 0.75; 0.85; 0.95; 1.05; 1.25 ];
       capacity_clients = 64;
       capacity_horizon = Time.ms 250;
-      engine_domains;
     }
 
 (* A system under test, reduced to what the open-loop generator needs:
@@ -92,11 +89,7 @@ type world = {
 }
 
 let config_of p =
-  {
-    Driver.Config.default with
-    Driver.Config.processors = p.processors;
-    engine_domains = p.engine_domains;
-  }
+  { Driver.Config.default with Driver.Config.processors = p.processors }
 
 (* LRPC: one server domain exporting the Bench interface, sessions
    spread over [session_domains] client domains. Sessions in the same
@@ -389,8 +382,8 @@ let systems =
     ("netrpc_erpc", netrpc_erpc_world, Ol.Poisson);
   ]
 
-let run ?(seed = 1989L) ?(quick = false) ?engine_domains () =
-  let p = params ~seed ~quick ~engine_domains in
+let run ?(seed = 1989L) ?(quick = false) () =
+  let p = params ~seed ~quick in
   let curves =
     List.map
       (fun (name, make, process) ->
@@ -454,8 +447,8 @@ let shed_budget = Time.ms 5
 let shed_fractions ~quick =
   if quick then [ 0.85; 1.25; 1.5 ] else [ 0.85; 1.05; 1.25; 1.5 ]
 
-let run_shedding ?(seed = 1989L) ?(quick = false) ?engine_domains () =
-  let p = params ~seed ~quick ~engine_domains in
+let run_shedding ?(seed = 1989L) ?(quick = false) () =
+  let p = params ~seed ~quick in
   let p = { p with fractions = shed_fractions ~quick } in
   (* One capacity anchor for both arms (the shed-off world — admission
      has zero cost when nothing sheds, and the anchor must be common

@@ -16,8 +16,7 @@
     capacity (measured first, on a fresh world, by the usual
     tight-loop drivers) from well-idle to past saturation, and the
     knee is detected as the first sweep point whose p99 doubles the
-    idle-load p99. Runs are bit-identical for a given seed, including
-    across [--engine-domains] counts. *)
+    idle-load p99. Runs are bit-identical for a given seed. *)
 
 type point = {
   op_offered_cps : float;  (** offered load, calls per simulated second *)
@@ -56,16 +55,13 @@ type result = {
   or_curves : curve list;
 }
 
-val run : ?seed:int64 -> ?quick:bool -> ?engine_domains:int -> unit -> result
+val run : ?seed:int64 -> ?quick:bool -> unit -> result
 (** Full mode: 2000 sessions over 200 client domains on 4 processors,
     1 s horizon with a 200 ms warmup, eight sweep points from 0.2 to
     1.25 of capacity. [quick] shrinks all of it for smoke runs (400
-    sessions, 5 points, 250 ms). [engine_domains] is forwarded to
-    {!Lrpc_workload.Driver.Config.engine_domains} — the results are
-    bit-identical for any value. *)
+    sessions, 5 points, 250 ms). *)
 
-val run_shedding :
-  ?seed:int64 -> ?quick:bool -> ?engine_domains:int -> unit -> result
+val run_shedding : ?seed:int64 -> ?quick:bool -> unit -> result
 (** The overload-control ablation ([lrpc_experiments openloop
     --shedding]): the LRPC world swept past saturation (0.85x to 1.5x
     of one shared closed-loop capacity anchor), once with no overload

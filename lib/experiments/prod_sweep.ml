@@ -40,8 +40,7 @@ let run ?(quick = false) ?(seed = 1989L) () =
                     Driver.Config.default with
                     Driver.Config.processors = 4;
                     domain_caching = true;
-                    prod_half_life_us = Some h;
-                    prod_margin = Some m;
+                    prod = Some (h, m);
                   }
                 ~clients:8 ~horizon ()
             in
@@ -52,8 +51,7 @@ let run ?(quick = false) ?(seed = 1989L) () =
                   Soak.seed;
                   calls = soak_calls;
                   domain_caching = true;
-                  prod_half_life_us = Some h;
-                  prod_margin = Some m;
+                  prod = Some (h, m);
                 }
             in
             {

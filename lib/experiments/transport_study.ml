@@ -265,7 +265,7 @@ let run ?(seed = 1989L) ?(quick = false) () =
     Driver.netrpc_latency ~warmup:3 ~calls:20 w ~proc:"null" ~args:[]
   in
   let tr_null_classic_us = null_of Driver.Config.Classic in
-  let tr_null_erpc_us = null_of (Driver.Config.Erpc None) in
+  let tr_null_erpc_us = null_of (Driver.Config.Erpc Erpc.default_params) in
   (* Ablations: the Arcalis binding-context cache at 64 B, and the
      zero-copy handoff against a staged copy at the largest size. *)
   let tr_cache_off_us =

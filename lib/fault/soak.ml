@@ -16,21 +16,15 @@ type config = {
   calls : int;
   clients : int;
   processors : int;
-  engine_domains : int;
   spec : Plan.spec;
   remote_share : float;
   async_share : float;
   deadline_share : float;
   trace_capacity : int;
   retry_budget : float option;
-  dedup_capacity : int option;
   cost_model : Lrpc_sim.Cost_model.t option;
   domain_caching : bool;
-  prod_half_life_us : float option;
-  prod_margin : float option;
-  adaptive_prod : bool;
-  adaptive_reshard : bool;
-  reshard : Lrpc_core.Rt.reshard option;
+  prod : (float * float) option;
 }
 
 let default =
@@ -39,7 +33,6 @@ let default =
     calls = 6_000;
     clients = 8;
     processors = 4;
-    engine_domains = 1;
     spec =
       {
         Plan.none with
@@ -58,14 +51,9 @@ let default =
     deadline_share = 0.1;
     trace_capacity = 1 lsl 16;
     retry_budget = None;
-    dedup_capacity = None;
     cost_model = None;
     domain_caching = false;
-    prod_half_life_us = None;
-    prod_margin = None;
-    adaptive_prod = false;
-    adaptive_reshard = false;
-    reshard = None;
+    prod = None;
   }
 
 type report = {
@@ -155,14 +143,9 @@ let run cfg =
         cost_model =
           Option.value cfg.cost_model
             ~default:Driver.Config.default.Driver.Config.cost_model;
-        engine_domains = Some cfg.engine_domains;
         trace_capacity = Some cfg.trace_capacity;
         domain_caching = cfg.domain_caching;
-        prod_half_life_us = cfg.prod_half_life_us;
-        prod_margin = cfg.prod_margin;
-        adaptive_prod = cfg.adaptive_prod;
-        adaptive_reshard = cfg.adaptive_reshard;
-        reshard = cfg.reshard;
+        prod = cfg.prod;
         install_faults =
           Some (Plan.install (Plan.make { cfg.spec with Plan.seed = cfg.seed }));
       }
@@ -186,9 +169,8 @@ let run cfg =
   let b_a = Api.import rt ~domain:app ~interface:"ChaosA" in
   let b_b = Api.import rt ~domain:app ~interface:"ChaosB" in
   let b_net =
-    Lrpc_net.Netrpc.import_remote ?retry_budget:cfg.retry_budget
-      ?dedup_capacity:cfg.dedup_capacity rt ~client:app ~server:srv_net
-      remote_iface ~impls:remote_impls
+    Lrpc_net.Netrpc.import_remote ?retry_budget:cfg.retry_budget rt
+      ~client:app ~server:srv_net remote_iface ~impls:remote_impls
   in
   (* The workload streams must not collide with the plan's (both are
      split off the seed), so the workload root is perturbed first. *)

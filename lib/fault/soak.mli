@@ -16,10 +16,6 @@ type config = {
   calls : int;  (** total calls across all clients *)
   clients : int;  (** client threads *)
   processors : int;
-  engine_domains : int;
-      (** host domains the engine shards over (see
-          {!Lrpc_sim.Engine.create}); the report — digest included — is
-          bit-identical for any value *)
   spec : Plan.spec;  (** fault probabilities; [spec.seed] is overridden
                          by [seed] above *)
   remote_share : float;  (** fraction of calls taking the network path *)
@@ -30,9 +26,6 @@ type config = {
       (** client-side retry budget for the remote binding (see
           {!Lrpc_net.Netrpc.import_remote}); [None] retries without a
           budget *)
-  dedup_capacity : int option;
-      (** bound on the remote binding's at-most-once dedup cache;
-          [None] leaves it unbounded *)
   cost_model : Lrpc_sim.Cost_model.t option;
       (** machine timing model; [None] is the Driver default (C-VAX
           Firefly, no topology). A {!Lrpc_sim.Cost_model.clustered}
@@ -42,16 +35,9 @@ type config = {
   domain_caching : bool;
       (** §3.4 idle-processor context caching (default off — matches
           the historical soak world) *)
-  prod_half_life_us : float option;  (** prod-policy override, see
-                                         {!Lrpc_kernel.Kernel.set_prod_tuning} *)
-  prod_margin : float option;
-  adaptive_prod : bool;  (** online prod-policy adaptation (default off) *)
-  adaptive_reshard : bool;
-      (** adaptive A-stack re-sharding (default off) *)
-  reshard : Lrpc_core.Rt.reshard option;
-      (** explicit re-shard policy; overrides the default one that
-          [adaptive_reshard] installs. Under any policy, pools start
-          single-sharded and only the controller grows them *)
+  prod : (float * float) option;
+      (** [(half_life_us, margin)] prod-policy override, see
+          {!Lrpc_workload.Driver.Config.prod} *)
 }
 
 val default : config

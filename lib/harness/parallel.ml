@@ -10,28 +10,6 @@
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Shared CLI guard: [jobs] harness domains each driving an engine
-   sharded over [engine_domains] host domains multiplies out, and past
-   the core count the extra domains only add scheduler churn (simulated
-   results are domain-count-invariant, so clamping is safe). *)
-let clamp_engine_domains ~bin ~jobs ~engine_domains =
-  let cores = default_jobs () in
-  if engine_domains > 1 && jobs * engine_domains > cores then begin
-    let clamped = max 1 (cores / max 1 jobs) in
-    Printf.eprintf
-      "%s: %d job%s x %d engine domains oversubscribes %d host core%s; \
-       clamping to %d engine domain%s\n\
-       %!"
-      bin jobs
-      (if jobs = 1 then "" else "s")
-      engine_domains cores
-      (if cores = 1 then "" else "s")
-      clamped
-      (if clamped = 1 then "" else "s");
-    clamped
-  end
-  else engine_domains
-
 type 'b slot = Empty | Value of 'b | Raised of exn * Printexc.raw_backtrace
 
 let map ?jobs f items =

@@ -9,15 +9,6 @@
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the [--jobs] default. *)
 
-val clamp_engine_domains : bin:string -> jobs:int -> engine_domains:int -> int
-(** Oversubscription guard shared by the CLIs: when
-    [jobs * engine_domains] exceeds the host core count, print a
-    one-line warning to stderr (prefixed with [bin]) and return
-    [engine_domains] clamped so the product fits (at least 1).
-    Otherwise returns [engine_domains] unchanged. Safe because
-    simulated results are engine-domain-count-invariant — only host
-    scheduling changes. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f items] evaluates [f] on every item across [jobs]
     domains (clamped to [1 .. length items]; default

@@ -50,13 +50,9 @@ type t = {
   c_idle_retags : Metrics.counter;
   h_prod_hit : Metrics.histogram;
   mutable half_life_us : float;
-      (* miss-EWMA half-life; per-kernel so it can be swept and adapted *)
+      (* miss-EWMA half-life; per-kernel so it can be swept *)
   mutable margin : float; (* required EWMA gap before any retag *)
   mutable retag_factor : float; (* idle-consult hysteresis multiplier *)
-  mutable adapt_prod : bool; (* online knob adaptation enabled *)
-  mutable ap_misses : int; (* misses since the last adaptation review *)
-  mutable ap_last_prods : int;
-  mutable ap_last_hits : int;
   mutable hooks : hook list; (* reversed *)
   mutable next_hook : int;
   linkages : (int, int) Hashtbl.t; (* tid -> outstanding linkage records *)
@@ -65,7 +61,7 @@ type t = {
 
 (* Swept defaults for the idle-prod policy knobs (EXPERIMENTS.md
    "Prod-policy calibration"): the values live on [t] so they can be
-   swept per-world and adapted online ({!enable_adaptive_prod}). *)
+   swept per-world. *)
 let default_half_life_us = 1000.0
 let default_prod_margin = 0.5
 let default_idle_retag_factor = 2.0
@@ -105,10 +101,6 @@ let boot engine =
     half_life_us = default_half_life_us;
     margin = default_prod_margin;
     retag_factor = default_idle_retag_factor;
-    adapt_prod = false;
-    ap_misses = 0;
-    ap_last_prods = 0;
-    ap_last_hits = 0;
     hooks = [];
     next_hook = 1;
     linkages = Hashtbl.create 64;
@@ -354,57 +346,6 @@ let context_miss_ewma t d = ewma_of_id t ~now:(Engine.now t.engine) d.Pdomain.id
 let prods t = Metrics.Counter.value t.c_prods
 let idle_retags t = Metrics.Counter.value t.c_idle_retags
 
-(* --- online prod-knob adaptation -----------------------------------------
-
-   A closed loop over the kernel's own evidence, reviewed every
-   [adapt_review_misses] context misses (activity-driven: no timers, so
-   a quiescing engine still quiesces):
-
-   - The prod *hit ratio* (prod retags that were hit, from the
-     [prod_to_hit_us] sample count, over retags issued) steers the
-     margin: mostly-wasted prods mean the policy fires too eagerly —
-     widen the gap; mostly-hit prods mean it can afford to fire sooner.
-     No prods at all (margin starved the policy, or no CPU was ever
-     idle) nudges the margin back down.
-   - The observed median prod-to-hit latency steers the half-life: a
-     context prefetched now should still look warm when it pays off, so
-     the half-life tracks ~2x the median payoff gap (smoothed, clamped
-     to [100 us, 10 ms]).
-
-   Enabled per-world via [Driver.Config.adaptive_prod]; off by default,
-   leaving the swept static defaults untouched. *)
-
-let adapt_review_misses = 64
-
-let adaptive_prod_enabled t = t.adapt_prod
-let enable_adaptive_prod t = t.adapt_prod <- true
-
-let adapt_prod_review t =
-  t.ap_misses <- 0;
-  let p = Metrics.Counter.value t.c_prods in
-  let h = Metrics.Histo.count t.h_prod_hit in
-  let dp = p - t.ap_last_prods and dh = h - t.ap_last_hits in
-  t.ap_last_prods <- p;
-  t.ap_last_hits <- h;
-  (if dp = 0 then t.margin <- Float.max (t.margin *. 0.75) 0.125
-   else
-     let ratio = float_of_int dh /. float_of_int dp in
-     if ratio < 0.25 then t.margin <- Float.min (t.margin *. 1.5) 4.0
-     else if ratio > 0.75 then t.margin <- Float.max (t.margin /. 1.5) 0.125);
-  if dh > 0 then begin
-    let p50 = float_of_int (Metrics.Histo.percentile t.h_prod_hit 50.0) in
-    if p50 > 0.0 then begin
-      let target = Float.max 100.0 (Float.min (2.0 *. p50) 10_000.0) in
-      t.half_life_us <- 0.5 *. (t.half_life_us +. target)
-    end
-  end
-
-let note_adapt_miss t =
-  if t.adapt_prod then begin
-    t.ap_misses <- t.ap_misses + 1;
-    if t.ap_misses >= adapt_review_misses then adapt_prod_review t
-  end
-
 (* Re-tag the idle processor [c] to [d]: the idle processor loads the
    domain's context off the critical path; nobody is charged. *)
 let prod t ~now c d =
@@ -415,7 +356,6 @@ let prod t ~now c d =
 
 let note_context_miss t d =
   Metrics.Counter.incr (miss_counter t d);
-  note_adapt_miss t;
   let now = Engine.now t.engine in
   let st = miss_stat t d in
   st.ms_ewma <- decayed t ~now st +. 1.0;

@@ -129,11 +129,10 @@ val idle_retags : t -> int
 
     The three policy knobs live per-kernel. The defaults were chosen by
     the swept calibration in EXPERIMENTS.md ("Prod-policy calibration");
-    {!set_prod_tuning} overrides them for a sweep or a specific world,
-    and {!enable_adaptive_prod} closes the loop online. Under a
-    {!Lrpc_sim.Cost_model.topology} the policy additionally weights a
-    domain's miss EWMA by the prod-distance multiplier between the
-    candidate idle CPU and the CPU the domain's misses arrive on. *)
+    {!set_prod_tuning} overrides them for a sweep or a specific world.
+    Under a {!Lrpc_sim.Cost_model.topology} the policy additionally
+    weights a domain's miss EWMA by the prod-distance multiplier between
+    the candidate idle CPU and the CPU the domain's misses arrive on. *)
 
 val default_half_life_us : float
 (** 1000 us: how long a miss keeps counting. *)
@@ -153,16 +152,6 @@ val set_prod_tuning :
 (** Override any subset of the knobs.
     @raise Invalid_argument on a non-positive half-life, negative
     margin, or retag factor below 1. *)
-
-val enable_adaptive_prod : t -> unit
-(** Let the kernel adapt the margin and half-life online from its own
-    counters, reviewed every 64 context misses: the prod hit ratio
-    (from the ["kernel.prod_to_hit_us"] sample count over prods issued)
-    steers the margin, and the median prod-to-hit latency steers the
-    half-life (clamped to [100 us, 10 ms]). Off by default; exposed as
-    [Driver.Config.adaptive_prod]. *)
-
-val adaptive_prod_enabled : t -> bool
 
 (** {1 Termination (paper §5.3)} *)
 

@@ -43,7 +43,7 @@ type params = {
           hits instead of the full mediation *)
   rto_us : float;  (** per-packet retransmission timeout *)
   max_pkt_attempts : int;  (** attempts per packet before the call fails *)
-  window : int;  (** hard cap on the credit window, packets *)
+  credit_cap : int;  (** hard cap on the credit window, packets *)
   init_cwnd : float;  (** initial congestion window, packets *)
   min_cwnd : float;  (** congestion-window floor *)
   ai_pkts : float;  (** additive increase per below-threshold RTT sample *)
@@ -70,7 +70,7 @@ let default_params =
     cache_hit_us = 1.0;
     rto_us = 400.0;
     max_pkt_attempts = 8;
-    window = 32;
+    credit_cap = 32;
     init_cwnd = 8.0;
     min_cwnd = 1.0;
     ai_pkts = 0.5;
@@ -94,8 +94,9 @@ let import_remote ?(params = default_params) ?(window = 8)
   let p = params in
   if p.mtu <= p.header_bytes then
     invalid_arg "Erpc.import_remote: mtu must exceed header_bytes";
-  if p.window < 1 || p.max_pkt_attempts < 1 then
-    invalid_arg "Erpc.import_remote: window and max_pkt_attempts must be >= 1";
+  if p.credit_cap < 1 || p.max_pkt_attempts < 1 then
+    invalid_arg
+      "Erpc.import_remote: credit_cap and max_pkt_attempts must be >= 1";
   if dedup_capacity < 1 then
     invalid_arg "Erpc.import_remote: dedup_capacity must be at least 1";
   let engine = Lrpc_core.Api.engine rt in
@@ -123,10 +124,12 @@ let import_remote ?(params = default_params) ?(window = 8)
   Metrics.Gauge.set cwnd_gauge !cwnd;
   let cur_window () =
     let w = int_of_float !cwnd in
-    max 1 (min p.window w)
+    max 1 (min p.credit_cap w)
   in
   let md () = cwnd := Float.max p.min_cwnd (!cwnd *. p.md_factor) in
-  let ai () = cwnd := Float.min (float_of_int p.window) (!cwnd +. p.ai_pkts) in
+  let ai () =
+    cwnd := Float.min (float_of_int p.credit_cap) (!cwnd +. p.ai_pkts)
+  in
   let note_cwnd () = Metrics.Gauge.set cwnd_gauge !cwnd in
   let take_credit () =
     incr inflight;

@@ -52,7 +52,7 @@ type params = {
           hits instead of the full mediation *)
   rto_us : float;  (** per-packet retransmission timeout *)
   max_pkt_attempts : int;  (** attempts per packet before the call fails *)
-  window : int;  (** hard cap on the credit window, packets *)
+  credit_cap : int;  (** hard cap on the credit window, packets *)
   init_cwnd : float;  (** initial congestion window, packets *)
   min_cwnd : float;  (** congestion-window floor *)
   ai_pkts : float;  (** additive increase per below-threshold RTT sample *)
@@ -95,7 +95,7 @@ val import_remote :
     packet-granular transport. Drop-in for {!Netrpc.import_remote}:
     the returned Binding Object has its remote bit set, [window]
     (default 8) bounds in-flight {e messages} exactly as on the
-    classic path (the credit window bounds in-flight {e packets}
+    classic path ([params.credit_cap] bounds in-flight {e packets}
     within the session), and ["net.remote_calls"] counts logical
     calls. At-most-once: one procedure execution per sequence number,
     with a bounded ([dedup_capacity], default

@@ -276,8 +276,8 @@ let perq_accent =
    The paper machines additionally couple *every* concurrently executing
    processor through the shared-bus dilation factor, which is read at the
    moment a delay is issued — an interaction with zero latency. Their
-   effective lookahead is therefore zero and their multi-domain runs are
-   merged serially (see Engine). A model declares itself free of that
+   effective lookahead is therefore zero and they always run as one
+   partition (see Engine). A model declares itself free of that
    coupling by setting [bus_alpha = 0] and a positive
    [parallel_lookahead], which then overrides the derivation. *)
 

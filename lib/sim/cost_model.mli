@@ -79,8 +79,8 @@ type t = {
       (** minimum latency of {e any} cross-processor interaction under
           this model, as promised by the model author. Zero (all paper
           machines) means "derive it, but the shared-bus dilation couples
-          every processor instantaneously, so multi-domain runs must be
-          merged serially". A positive value (legal only with
+          every processor instantaneously, so the machine runs as one
+          partition". A positive value (legal only with
           [bus_alpha = 0], see {!isolated}) licenses the engine to run
           partitions of processors genuinely in parallel inside windows
           of this width. *)

@@ -146,8 +146,8 @@ type t = {
       (* how many leading entries of each ring are same-cluster *)
   mutable on_barrier : unit -> unit;
       (* called after every parallel-window barrier commit (and never
-         under the serial/merge loops): a quiescent point where no
-         partition is executing. Adaptive controllers hang here. *)
+         under the serial loop): a quiescent point where no partition
+         is executing. Adaptive controllers hang here. *)
 }
 
 type _ Effect.t +=
@@ -217,28 +217,21 @@ let emit_at t ~tid ~cpu kind =
 
 (* --- construction ------------------------------------------------------ *)
 
-let default_domains_ref = ref 1
-
-let set_default_domains n =
-  if n < 1 then invalid_arg "Engine.set_default_domains: must be >= 1";
-  default_domains_ref := n
-
-let default_domains () = !default_domains_ref
-
 let ncats = List.length Category.all
 
-let create ?(processors = 1) ?domains cm =
+let create ?(processors = 1) ?(domains = 1) cm =
   assert (processors > 0);
-  let domains =
-    match domains with Some d -> d | None -> !default_domains_ref
-  in
   if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
-  let nparts = min domains processors in
   let isolated = cm.Cost_model.parallel_lookahead > Time.zero in
   if isolated && cm.Cost_model.bus_alpha <> 0.0 then
     invalid_arg
       "Engine.create: a positive parallel_lookahead requires bus_alpha = 0 \
        (the bus dilation couples all processors with zero latency)";
+  if domains > 1 && not isolated then
+    invalid_arg
+      "Engine.create: domains > 1 requires an isolated cost model (a \
+       bus-coupled machine has zero lookahead and runs as one partition)";
+  let nparts = min domains processors in
   let cpus_ =
     Array.init processors (fun idx ->
         {
@@ -454,9 +447,8 @@ let stuck_threads t =
    Every heap entry carries a key assigned here, making (time, key) a
    single total order across all partition heaps.
 
-   Standard models execute under one executor whatever the domain
-   count, so a plain global counter reproduces the old single-heap
-   insertion order exactly — domain count cannot change a digest.
+   Standard models always run as one partition, so a plain global
+   counter is the single heap's insertion order.
 
    Isolated models execute partitions concurrently, so a global counter
    would be racy and, worse, partition-layout-dependent. Keys are drawn
@@ -966,17 +958,10 @@ let exec t th =
 
 (* --- run loops ---------------------------------------------------------
 
-   Three, by machine shape:
+   Two, by machine shape:
 
    - [run_serial]: one partition. The original tight loop, allocation-
-     free per event; the default and the only loop the paper artifacts'
-     hot path ever sees.
-
-   - [run_merge]: several partitions, standard (bus-coupled) model.
-     One executor drains all partition heaps in global (time, key)
-     order via {!Window.select}; execution order — and therefore every
-     output byte — is identical to [run_serial] by construction. This
-     is the honest mode for models whose effective lookahead is zero.
+     free per event; every bus-coupled (paper) model runs here.
 
    - [run_parallel]: several partitions, isolated model. Conservative
      windows of width [lookahead]: each partition's events inside the
@@ -1004,38 +989,6 @@ let run_serial t limit =
                 (* Stale event: the thread moved on (e.g. it was
                    killed while waiting and already discontinued). *)
                 ())
-        | Fire tmr ->
-            if not tmr.t_cancelled then begin
-              tmr.t_cancelled <- true;
-              t.exec_cpu_ <- tmr.t_cpu;
-              tmr.t_fn ()
-            end
-      end
-    end
-  done;
-  t.exec_cpu_ <- -1
-
-let part_heaps t = Array.map (fun p -> p.p_heap) t.parts
-
-let run_merge t limit =
-  let heaps = part_heaps t in
-  let continue_ = ref true in
-  while !continue_ do
-    let pi = Window.select heaps in
-    if pi < 0 then continue_ := false
-    else begin
-      let h = heaps.(pi) in
-      let tm = Heap.top_time h in
-      if tm > limit then continue_ := false
-      else begin
-        t.now_ <- tm;
-        match Heap.take h with
-        | Run th -> (
-            match th.state with
-            | Running ->
-                t.exec_cpu_ <- th.cpu;
-                exec t th
-            | Embryo | Ready | Blocked | Spinning | Done | Failed -> ())
         | Fire tmr ->
             if not tmr.t_cancelled then begin
               tmr.t_cancelled <- true;
@@ -1137,7 +1090,7 @@ let barrier_commit t =
 
 let run_parallel t limit =
   let np = t.nparts in
-  let heaps = part_heaps t in
+  let heaps = Array.map (fun p -> p.p_heap) t.parts in
   let mu = Mutex.create () in
   let cv_go = Condition.create () and cv_done = Condition.create () in
   let epoch = ref 0 and done_count = ref 0 and stop = ref false in
@@ -1216,9 +1169,7 @@ let run ?until t =
       t.exec_cpu_ <- -1;
       flush_accounting t)
     (fun () ->
-      if t.nparts = 1 then run_serial t limit
-      else if t.isolated then run_parallel t limit
-      else run_merge t limit)
+      if t.nparts = 1 then run_serial t limit else run_parallel t limit)
 
 (* --- in-thread operations ---------------------------------------------- *)
 

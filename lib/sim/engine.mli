@@ -21,19 +21,18 @@
     this reproduces Figure 2's sub-linear 3.7x speedup at four C-VAX
     processors.
 
-    {b Partitioned execution.} The simulated processors are sharded into
-    [domains] contiguous partitions, each owning its own event heap;
-    every event carries an engine-assigned (time, key) pair forming one
-    global total order across partitions, so the merged execution order
-    — and therefore every output byte — is independent of the domain
-    count. Models whose bus dilation couples all processors (every paper
-    machine) have zero effective lookahead and are executed by a single
-    merging executor whatever the domain count; models constructed with
-    {!Cost_model.isolated} declare a positive lookahead, and their
-    partitions execute genuinely in parallel on separate host domains
-    inside conservative time windows of that width, exchanging cross-
-    partition effects as timestamped mailbox messages applied in exact
-    global order. See DESIGN.md "Partitioned engine". *)
+    {b Partitioned execution.} Models whose bus dilation couples all
+    processors (every paper machine) have zero effective lookahead and
+    always run as one partition. Models constructed with
+    {!Cost_model.isolated} declare a positive lookahead; their simulated
+    processors may be sharded into [domains] contiguous partitions, each
+    owning its own event heap and executing genuinely in parallel on a
+    separate host domain inside conservative time windows of that width.
+    Every event carries an engine-assigned (time, key) pair forming one
+    global total order across partitions, and cross-partition effects
+    travel as timestamped mailbox messages applied in exact global
+    order, so every output byte is independent of the domain count. See
+    DESIGN.md "Partitioned engine". *)
 
 type t
 
@@ -86,18 +85,12 @@ exception Cross_partition_interaction of string
 val create : ?processors:int -> ?domains:int -> Cost_model.t -> t
 (** [create cm] builds a machine with [processors] (default 1) CPUs, each
     with a cold TLB per [cm], sharded across [domains] partitions
-    (default {!default_domains}, clamped to [processors]). The simulated
-    output is bit-identical for every [domains] value; only host
-    wall-clock may differ. @raise Invalid_argument on [domains < 1] or
-    an isolated model with nonzero [bus_alpha]. *)
-
-val set_default_domains : int -> unit
-(** Process-wide default for {!create}'s [domains] (initially 1) — the
-    [--engine-domains] CLI knob sets it once before constructing any
-    machine, so every experiment inherits it without plumbing. Not
-    synchronized: set it before fanning work across host domains. *)
-
-val default_domains : unit -> int
+    (default 1, clamped to [processors]). Only an isolated model may
+    take [domains > 1]; its simulated output is bit-identical for every
+    [domains] value, only host wall-clock may differ.
+    @raise Invalid_argument on [domains < 1], on [domains > 1] with a
+    bus-coupled (non-isolated) model, or on an isolated model with
+    nonzero [bus_alpha]. *)
 
 val domains : t -> int
 (** Number of partitions actually in use ([min domains processors]). *)
@@ -245,7 +238,7 @@ val victim_ring : t -> int -> int array
 val set_barrier_hook : t -> (unit -> unit) -> unit
 (** Install a callback run after every parallel-window barrier commit —
     a quiescent point where no partition is executing. Never called by
-    the serial or merge loops (use a timer there). Default: ignore. *)
+    the serial loop (use a timer there). Default: ignore. *)
 
 val interrupt : t -> thread -> exn -> unit
 (** Arrange for [exn] to be raised inside the thread at its next

@@ -1,15 +1,7 @@
-(** Deterministic merge order over per-partition event heaps.
+(** Conservative time-window bounds for the partitioned engine.
 
-    Pure selection helpers for the partitioned engine's conservative
-    time-window synchronization. Keys are assigned globally by the
-    engine, so picking the heap with the least (time, key) head yields
-    the same total order as one heap holding every event — sharding is
-    invisible in the output. *)
-
-val select : 'a Heap.t array -> int
-(** Index of the heap whose head has the smallest (time, key), or -1
-    when every heap is empty. Popping the selected head repeatedly
-    drains the union in global (time, key) order. *)
+    Pure helpers for the isolated engine's window synchronization: the
+    base of the next window and its exclusive upper bound. *)
 
 val min_time : 'a Heap.t array -> Time.t option
 (** Earliest head time across all heaps — the base of the next

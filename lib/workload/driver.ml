@@ -70,9 +70,8 @@ let mpass_bench_impls =
 module Config = struct
   (* Which cross-machine transport [make_netrpc] wires up. [Classic]
      is the default and leaves every published number byte-identical;
-     [Erpc None] selects the packet-granular transport with its
-     default parameters. *)
-  type transport = Classic | Erpc of Lrpc_net.Erpc.params option
+     [Erpc params] selects the packet-granular transport. *)
+  type transport = Classic | Erpc of Lrpc_net.Erpc.params
 
   type t = {
     cost_model : Cost_model.t;
@@ -80,21 +79,11 @@ module Config = struct
     engine_domains : int option;
     runtime : Lrpc_core.Rt.config option;
     domain_caching : bool;
-    defensive_copies : bool;
     install_faults : (Api.t -> unit) option;
     trace_capacity : int option;
-    net_window : int option;
-    net_rto : Time.t option;
-    net_max_attempts : int option;
     admission : Lrpc_core.Rt.admission option;
-    net_retry_budget : float option;
-    net_dedup_capacity : int option;
     net_transport : transport;
-    prod_half_life_us : float option;
-    prod_margin : float option;
-    adaptive_prod : bool;
-    adaptive_reshard : bool;
-    reshard : Lrpc_core.Rt.reshard option;
+    prod : (float * float) option;
   }
 
   let default =
@@ -104,21 +93,11 @@ module Config = struct
       engine_domains = None;
       runtime = None;
       domain_caching = false;
-      defensive_copies = false;
       install_faults = None;
       trace_capacity = None;
-      net_window = None;
-      net_rto = None;
-      net_max_attempts = None;
       admission = None;
-      net_retry_budget = None;
-      net_dedup_capacity = None;
       net_transport = Classic;
-      prod_half_life_us = None;
-      prod_margin = None;
-      adaptive_prod = false;
-      adaptive_reshard = false;
-      reshard = None;
+      prod = None;
     }
 end
 
@@ -144,25 +123,18 @@ let boot (c : Config.t) =
   | Some tracer -> Engine.set_tracer bt_engine (Some tracer));
   let bt_kernel = Kernel.boot bt_engine in
   Kernel.set_domain_caching bt_kernel c.Config.domain_caching;
-  (match (c.Config.prod_half_life_us, c.Config.prod_margin) with
-  | None, None -> ()
-  | half_life_us, margin -> Kernel.set_prod_tuning ?half_life_us ?margin bt_kernel);
-  if c.Config.adaptive_prod then Kernel.enable_adaptive_prod bt_kernel;
+  (match c.Config.prod with
+  | None -> ()
+  | Some (half_life_us, margin) ->
+      Kernel.set_prod_tuning ~half_life_us ~margin bt_kernel);
   let bt_rt = Api.init ?config:c.Config.runtime bt_kernel in
   (match c.Config.admission with
   | None -> ()
   | Some a -> Api.set_admission bt_rt (Some a));
-  (match (c.Config.adaptive_reshard, c.Config.reshard) with
-  | false, None -> ()
-  | _, (Some _ as r) -> Api.set_reshard bt_rt r
-  | true, None -> Api.set_reshard bt_rt (Some (Lrpc_core.Rt.reshard_policy ())));
   (match c.Config.install_faults with
   | None -> ()
   | Some install -> install bt_rt);
   { bt_engine; bt_kernel; bt_rt; bt_tracer }
-
-let export_options (c : Config.t) =
-  { Api.Options.default with defensive_copies = c.Config.defensive_copies }
 
 (* --- LRPC world ---------------------------------------------------------- *)
 
@@ -180,8 +152,7 @@ let make_lrpc ?(config = Config.default) () =
   let lw_server = Kernel.create_domain b.bt_kernel ~name:"bench-server" in
   let lw_client = Kernel.create_domain b.bt_kernel ~name:"bench-client" in
   ignore
-    (Api.export b.bt_rt ~domain:lw_server ~options:(export_options config)
-       bench_interface ~impls:bench_impls);
+    (Api.export b.bt_rt ~domain:lw_server bench_interface ~impls:bench_impls);
   {
     lw_engine = b.bt_engine;
     lw_kernel = b.bt_kernel;
@@ -227,7 +198,6 @@ type scale_stats = {
   ss_spin_us : float array;
   ss_lock_contended : int;
   ss_shard_contended : int;
-  ss_reshards : int;
 }
 
 (* Post-run reads only: collecting the stats perturbs nothing, so the
@@ -249,7 +219,6 @@ let scale_stats_of engine ~count ~horizon =
     ss_spin_us = Array.map (fun c -> Time.to_us c.Engine.lock_spin) cpus;
     ss_lock_contended = summed "sim.lock_contended";
     ss_shard_contended = summed "lrpc.astack_shard_contended";
-    ss_reshards = summed "lrpc.astack_reshards";
   }
 
 let lrpc_scale ?home ?(yield_between = false) ?(config = Config.default)
@@ -262,8 +231,7 @@ let lrpc_scale ?home ?(yield_between = false) ?(config = Config.default)
   let engine = b.bt_engine and kernel = b.bt_kernel and rt = b.bt_rt in
   let server = Kernel.create_domain kernel ~name:"server" in
   ignore
-    (Api.export rt ~domain:server ~options:(export_options config)
-       bench_interface ~impls:bench_impls);
+    (Api.export rt ~domain:server bench_interface ~impls:bench_impls);
   let count = ref 0 in
   for i = 0 to clients - 1 do
     let client =
@@ -396,18 +364,11 @@ let make_netrpc ?(config = Config.default) () =
   let nw_binding =
     match config.Config.net_transport with
     | Config.Classic ->
-        Netrpc.import_remote ?window:config.Config.net_window
-          ?rto:config.Config.net_rto
-          ?max_attempts:config.Config.net_max_attempts
-          ?retry_budget:config.Config.net_retry_budget
-          ?dedup_capacity:config.Config.net_dedup_capacity b.bt_rt
-          ~client:nw_client ~server:nw_server bench_interface
-          ~impls:mpass_bench_impls
+        Netrpc.import_remote b.bt_rt ~client:nw_client ~server:nw_server
+          bench_interface ~impls:mpass_bench_impls
     | Config.Erpc params ->
-        Lrpc_net.Erpc.import_remote ?params ?window:config.Config.net_window
-          ?dedup_capacity:config.Config.net_dedup_capacity b.bt_rt
-          ~client:nw_client ~server:nw_server bench_interface
-          ~impls:mpass_bench_impls
+        Lrpc_net.Erpc.import_remote ~params b.bt_rt ~client:nw_client
+          ~server:nw_server bench_interface ~impls:mpass_bench_impls
   in
   {
     nw_engine = b.bt_engine;
@@ -435,48 +396,3 @@ let netrpc_latency ?(warmup = 5) ?(calls = 50) w ~proc ~args =
            /. float_of_int calls));
   run_all w.nw_engine;
   !out
-
-(* --- deprecated pre-Config constructors ---------------------------------- *)
-
-module Legacy = struct
-  let cfg ?(cost_model = Cost_model.cvax_firefly) ?(processors = 1)
-      ?engine_domains ?runtime ?(defensive = false) ?(domain_caching = false)
-      () =
-    {
-      Config.default with
-      Config.cost_model;
-      processors;
-      engine_domains;
-      runtime;
-      defensive_copies = defensive;
-      domain_caching;
-    }
-
-  let make_lrpc ?cost_model ?processors ?engine_domains ?config ?defensive
-      ?domain_caching () =
-    make_lrpc
-      ~config:
-        (cfg ?cost_model ?processors ?engine_domains ?runtime:config
-           ?defensive ?domain_caching ())
-      ()
-
-  let lrpc_scale ?cost_model ?domain_caching ?engine_domains ?home ~processors
-      ~clients ~horizon () =
-    lrpc_scale ?home
-      ~config:(cfg ?cost_model ~processors ?engine_domains ?domain_caching ())
-      ~clients ~horizon ()
-
-  let lrpc_throughput ?cost_model ?domain_caching ?engine_domains ~processors
-      ~clients ~horizon () =
-    (lrpc_scale ?cost_model ?domain_caching ?engine_domains ~processors
-       ~clients ~horizon ())
-      .ss_cps
-
-  let mpass_scale ?engine_domains profile ~processors ~clients ~horizon =
-    mpass_scale
-      ~config:(cfg ~processors ?engine_domains ())
-      profile ~clients ~horizon
-
-  let mpass_throughput ?engine_domains profile ~processors ~clients ~horizon =
-    (mpass_scale ?engine_domains profile ~processors ~clients ~horizon).ss_cps
-end

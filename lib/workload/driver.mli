@@ -35,15 +35,15 @@ val mpass_bench_impls : (string * Lrpc_msgrpc.Mpass.impl) list
 
 (** Everything a measurement world is made of. One record shared by the
     lrpc/mpass/netrpc constructors; fields irrelevant to a given
-    constructor (e.g. [net_window] for a local world) are ignored. *)
+    constructor (e.g. [net_transport] for a local world) are ignored. *)
 module Config : sig
   (** Which cross-machine transport {!make_netrpc} wires up. [Classic]
       (the default) is the whole-message era-appropriate
-      {!Lrpc_net.Netrpc} path — selecting it keeps every published
-      number byte-identical. [Erpc params] is the packet-granular
-      {!Lrpc_net.Erpc} transport; [Erpc None] uses
-      {!Lrpc_net.Erpc.default_params}. *)
-  type transport = Classic | Erpc of Lrpc_net.Erpc.params option
+      {!Lrpc_net.Netrpc} path with its default window, RTO and retry
+      bound — selecting it keeps every published number byte-identical.
+      [Erpc params] is the packet-granular {!Lrpc_net.Erpc} transport,
+      usually with {!Lrpc_net.Erpc.default_params}. *)
+  type transport = Classic | Erpc of Lrpc_net.Erpc.params
 
   type t = {
     cost_model : Lrpc_sim.Cost_model.t;
@@ -51,19 +51,16 @@ module Config : sig
             overrides it with the profile's [hw]. *)
     processors : int;  (** simulated CPUs (default 1) *)
     engine_domains : int option;
-        (** forwarded to {!Lrpc_sim.Engine.create}'s [domains]: how many
-            host domains the machine's processors shard across.
-            Simulated results are bit-identical for any value;
-            [None] uses {!Lrpc_sim.Engine.default_domains}. *)
+        (** forwarded to {!Lrpc_sim.Engine.create}'s [domains]. Every
+            paper machine is bus-coupled and runs as one partition, so
+            only [None] or [Some 1] is accepted for it; [Some n > 1]
+            needs an isolated cost model. *)
     runtime : Lrpc_core.Rt.config option;
         (** LRPC runtime tuning (A-stack pool sizes, E-stack policy);
             [None] is {!Lrpc_core.Rt.default_config}. *)
     domain_caching : bool;
         (** §3.4 idle-processor context caching (default off, Figure
             2's setup where every call context-switches) *)
-    defensive_copies : bool;
-        (** exported server stubs copy interpreted arguments off the
-            A-stack (paper §3.5) *)
     install_faults : (Lrpc_core.Api.t -> unit) option;
         (** run against the freshly built runtime before any domains or
             threads exist — the hook for
@@ -71,47 +68,24 @@ module Config : sig
     trace_capacity : int option;
         (** attach a {!Lrpc_obs.Trace.t} ring of this capacity to the
             engine (default: no tracer) *)
-    net_window : int option;
-        (** Netrpc in-flight window ({!make_netrpc} only) *)
-    net_rto : Lrpc_sim.Time.t option;  (** Netrpc retransmit timeout *)
-    net_max_attempts : int option;  (** Netrpc retry bound *)
     admission : Lrpc_core.Rt.admission option;
         (** overload-control policy installed on the runtime at boot
             (see {!Lrpc_core.Api.set_admission}); [None] — the default —
             does no admission work on the call path *)
-    net_retry_budget : float option;
-        (** Netrpc client-side retry budget, tokens accrued per logical
-            call (see {!Lrpc_net.Netrpc.import_remote}) *)
-    net_dedup_capacity : int option;
-        (** bound on Netrpc's at-most-once dedup cache *)
     net_transport : transport;
         (** cross-machine transport model ({!make_netrpc} only);
-            default [Classic]. Under [Erpc _] the [net_rto],
-            [net_max_attempts] and [net_retry_budget] knobs are ignored
-            (per-packet reliability lives in
-            {!Lrpc_net.Erpc.params}). *)
-    prod_half_life_us : float option;
-        (** override {!Lrpc_kernel.Kernel.default_half_life_us} — the
-            idle-prod miss-EWMA half-life — for this world *)
-    prod_margin : float option;
-        (** override {!Lrpc_kernel.Kernel.default_prod_margin} *)
-    adaptive_prod : bool;
-        (** let the kernel adapt margin and half-life online from its
-            prod-to-hit feedback (default off; see
-            {!Lrpc_kernel.Kernel.enable_adaptive_prod}) *)
-    adaptive_reshard : bool;
-        (** install the default adaptive A-stack re-shard policy
-            (default off; see {!Lrpc_core.Api.set_reshard}) *)
-    reshard : Lrpc_core.Rt.reshard option;
-        (** explicit re-shard policy; takes precedence over
-            [adaptive_reshard]'s default when both are given *)
+            default [Classic] *)
+    prod : (float * float) option;
+        (** [(half_life_us, margin)] overriding
+            {!Lrpc_kernel.Kernel.default_half_life_us} and
+            {!Lrpc_kernel.Kernel.default_prod_margin} — the idle-prod
+            policy knobs — for this world; [None] keeps the defaults *)
   }
 
   val default : t
-  (** One C-VAX Firefly processor, default runtime, no caching, no
-      defensive copies, no faults, no tracer, Netrpc defaults, no
-      admission policy, no retry budget, default prod tuning, no
-      adaptive controllers. *)
+  (** One C-VAX Firefly processor on one partition, default runtime, no
+      caching, no faults, no tracer, no admission policy, classic
+      transport, default prod tuning. *)
 end
 
 (** The machine layers every world shares, built by {!boot}. *)
@@ -141,8 +115,7 @@ type lrpc_world = {
 
 val make_lrpc : ?config:Config.t -> unit -> lrpc_world
 (** A booted machine with the Bench interface exported from a server
-    domain (honouring [config.defensive_copies]) and an unbound client
-    domain. *)
+    domain and an unbound client domain. *)
 
 val run_all : Lrpc_sim.Engine.t -> unit
 (** Run the engine to quiescence; raise [Failure] if any simulated
@@ -181,9 +154,6 @@ type scale_stats = {
   ss_shard_contended : int;
       (** A-stack checkouts that fell back to the direct-grant path
           because every free A-stack sat behind a held shard lock *)
-  ss_reshards : int;
-      (** adaptive shard-count growths applied (0 unless the re-shard
-          controller is enabled) *)
 }
 
 val lrpc_scale :
@@ -250,8 +220,7 @@ type netrpc_world = {
   nw_client : Lrpc_kernel.Pdomain.t;  (** lives on machine 0 *)
   nw_binding : Lrpc_core.Rt.binding;
       (** remote Binding Object — calls through it take the network
-          path (honours [config.net_window]/[net_rto]/
-          [net_max_attempts]) *)
+          path of [config.net_transport] *)
   nw_tracer : Lrpc_obs.Trace.t option;
 }
 
@@ -265,63 +234,3 @@ val netrpc_latency :
   args:Lrpc_idl.Value.t list -> float
 (** Steady-state per-call latency in simulated microseconds through the
     remote binding (dominated by the ~2.66 ms Firefly wire time). *)
-
-(** {1 Deprecated}
-
-    The pre-{!Config} constructors, kept for one release as thin
-    forwards so external callers migrate on their own schedule. New
-    code should build a {!Config.t}. *)
-
-module Legacy : sig
-  val make_lrpc :
-    ?cost_model:Lrpc_sim.Cost_model.t ->
-    ?processors:int ->
-    ?engine_domains:int ->
-    ?config:Lrpc_core.Rt.config ->
-    ?defensive:bool ->
-    ?domain_caching:bool ->
-    unit ->
-    lrpc_world
-  (** @deprecated Use {!Driver.make_lrpc} with a {!Config.t}. *)
-
-  val lrpc_scale :
-    ?cost_model:Lrpc_sim.Cost_model.t ->
-    ?domain_caching:bool ->
-    ?engine_domains:int ->
-    ?home:(int -> int) ->
-    processors:int ->
-    clients:int ->
-    horizon:Lrpc_sim.Time.t ->
-    unit ->
-    scale_stats
-  (** @deprecated Use {!Driver.lrpc_scale}. *)
-
-  val lrpc_throughput :
-    ?cost_model:Lrpc_sim.Cost_model.t ->
-    ?domain_caching:bool ->
-    ?engine_domains:int ->
-    processors:int ->
-    clients:int ->
-    horizon:Lrpc_sim.Time.t ->
-    unit ->
-    float
-  (** @deprecated Use {!Driver.lrpc_throughput}. *)
-
-  val mpass_scale :
-    ?engine_domains:int ->
-    Lrpc_msgrpc.Profile.t ->
-    processors:int ->
-    clients:int ->
-    horizon:Lrpc_sim.Time.t ->
-    scale_stats
-  (** @deprecated Use {!Driver.mpass_scale}. *)
-
-  val mpass_throughput :
-    ?engine_domains:int ->
-    Lrpc_msgrpc.Profile.t ->
-    processors:int ->
-    clients:int ->
-    horizon:Lrpc_sim.Time.t ->
-    float
-  (** @deprecated Use {!Driver.mpass_throughput}. *)
-end

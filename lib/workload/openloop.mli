@@ -12,11 +12,10 @@
 
     Determinism: the per-session streams are {!Lrpc_util.Prng.split}
     from one master seed in session order, and every timestamp comes
-    from the engine clock, so a run is bit-identical for a given seed —
-    including across [--engine-domains] counts (the engine's own
-    contract). Latencies are recorded into {!Lrpc_util.Qsketch} shards
-    merged exactly at the end, so the reported quantiles do not depend
-    on completion interleaving either. *)
+    from the engine clock, so a run is bit-identical for a given seed.
+    Latencies are recorded into {!Lrpc_util.Qsketch} shards merged
+    exactly at the end, so the reported quantiles do not depend on
+    completion interleaving either. *)
 
 module Time = Lrpc_sim.Time
 

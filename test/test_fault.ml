@@ -161,29 +161,18 @@ let test_soak_replay_identical () =
   Alcotest.(check bool) "different seed diverges" true
     (Fault_soak.ok r3 && r3.Fault_soak.r_digest <> r1.Fault_soak.r_digest)
 
-(* Same seed, same report — digest included — no matter how many host
-   domains the engine shards over, with the locality topology (rings,
-   distance premiums, near/far counters) live. *)
-let test_soak_clustered_domains_identical () =
+(* The soak on a clustered machine — rings, distance premiums and
+   near/far counters live — still holds every invariant, and the
+   topology actually steers steals. *)
+let test_soak_clustered () =
   let clu = Cost_model.clustered ~cluster_size:2 ~name:"clu2" cm in
-  let cfg d =
-    {
-      Fault_soak.default with
-      Fault_soak.calls = 1500;
-      cost_model = Some clu;
-      engine_domains = d;
-    }
+  let r =
+    Fault_soak.run
+      { Fault_soak.default with Fault_soak.calls = 1500; cost_model = Some clu }
   in
-  let r1 = Fault_soak.run (cfg 1) in
-  let r2 = Fault_soak.run (cfg 2) in
-  let r4 = Fault_soak.run (cfg 4) in
-  Alcotest.(check bool) "invariants hold" true (Fault_soak.ok r1);
+  Alcotest.(check bool) "invariants hold" true (Fault_soak.ok r);
   Alcotest.(check bool) "topology steals happened" true
-    (r1.Fault_soak.r_steals_near + r1.Fault_soak.r_steals_far > 0);
-  Alcotest.(check string) "domains 2 digest"
-    r1.Fault_soak.r_digest r2.Fault_soak.r_digest;
-  Alcotest.(check string) "domains 4 digest"
-    r1.Fault_soak.r_digest r4.Fault_soak.r_digest
+    (r.Fault_soak.r_steals_near + r.Fault_soak.r_steals_far > 0)
 
 (* The tuning loop: under a re-shard policy pools start single-sharded.
    A contended soak — every client hammering one procedure's pool from
@@ -730,7 +719,7 @@ let () =
           Alcotest.test_case "replay identical" `Quick
             test_soak_replay_identical;
           Alcotest.test_case "clustered engine domains" `Quick
-            test_soak_clustered_domains_identical;
+            test_soak_clustered;
           Alcotest.test_case "adaptive reshard" `Quick
             test_adaptive_reshard_reduces_contention;
         ] );

@@ -6,10 +6,6 @@
 module Parallel = Lrpc_harness.Parallel
 module Suite = Lrpc_experiments.Suite
 module Soak = Lrpc_fault.Soak
-module Engine = Lrpc_sim.Engine
-module Heap = Lrpc_sim.Heap
-module Window = Lrpc_sim.Window
-module Time = Lrpc_sim.Time
 
 let test_map_preserves_order () =
   let out = Parallel.map ~jobs:4 (fun x -> x * x) [ 1; 2; 3; 4; 5; 6; 7 ] in
@@ -68,95 +64,6 @@ let test_soak_serial_vs_jobs4 () =
   Alcotest.(check (list string))
     "soak trace digests byte-identical" (soak_digests 1) (soak_digests 4)
 
-(* --- engine-domain digests ---------------------------------------------- *)
-
-(* The partitioned engine's contract is stronger than the harness's:
-   not only may fanning artifacts across domains not change output,
-   sharding ONE simulated machine across host domains may not either.
-   Same artifacts and soaks, engine domains 1 vs 2 vs 4. *)
-
-let with_default_domains d f =
-  let old = Engine.default_domains () in
-  Engine.set_default_domains d;
-  Fun.protect ~finally:(fun () -> Engine.set_default_domains old) f
-
-let artifact_digest_domains d =
-  (* Serial Parallel.map: the global default-domains knob must not be
-     flipped while harness workers are constructing engines. *)
-  with_default_domains d (fun () ->
-      let outputs = List.map (fun n -> Suite.run ~quick:true n) [ "t5"; "f2" ] in
-      Digest.to_hex (Digest.string (String.concat "\x00" outputs)))
-
-let test_artifacts_across_engine_domains () =
-  let base = artifact_digest_domains 1 in
-  List.iter
-    (fun d ->
-      Alcotest.(check string)
-        (Printf.sprintf "t5+fig2 digest, %d engine domains" d)
-        base (artifact_digest_domains d))
-    [ 2; 4 ]
-
-let soak_digest_domains ~seed d =
-  let r =
-    Soak.run { Soak.default with Soak.seed; calls = 800; engine_domains = d }
-  in
-  r.Soak.r_digest
-
-let test_soak_across_engine_domains () =
-  List.iter
-    (fun seed ->
-      let base = soak_digest_domains ~seed 1 in
-      List.iter
-        (fun d ->
-          Alcotest.(check string)
-            (Printf.sprintf "soak digest, seed %Ld, %d engine domains" seed d)
-            base
-            (soak_digest_domains ~seed d))
-        [ 2; 4 ])
-    [ 0xC0FFEEL; 7L ]
-
-(* --- windowed merge order (property) ------------------------------------ *)
-
-(* The ordering fact the whole design rests on: a (time, key) stream
-   sharded across any number of heaps and drained through Window.select
-   pops in exactly the order one big heap gives. Keys are unique (the
-   engine assigns them from disjoint counters), times collide freely. *)
-let merge_matches_serial_prop =
-  QCheck.Test.make ~count:300 ~name:"windowed merge = serial heap order"
-    QCheck.(
-      pair (int_range 1 6)
-        (small_list (pair (int_range 0 7) (int_range 0 40))))
-    (fun (nparts, events) ->
-      let shards = Array.init nparts (fun _ -> Heap.create ()) in
-      let serial = Heap.create () in
-      List.iteri
-        (fun i (shard, t) ->
-          let time = Time.us t in
-          (* i doubles as the unique tiebreak key and the payload. *)
-          Heap.push_key shards.(shard mod nparts) ~time ~key:i i;
-          Heap.push_key serial ~time ~key:i i)
-        events;
-      let drain_merged () =
-        let out = ref [] in
-        let rec go () =
-          match Window.select shards with
-          | -1 -> ()
-          | p ->
-              out := Heap.take shards.(p) :: !out;
-              go ()
-        in
-        go ();
-        List.rev !out
-      in
-      let drain_serial () =
-        let out = ref [] in
-        while not (Heap.is_empty serial) do
-          out := Heap.take serial :: !out
-        done;
-        List.rev !out
-      in
-      drain_merged () = drain_serial ())
-
 let () =
   Alcotest.run "lrpc_harness"
     [
@@ -174,13 +81,5 @@ let () =
             test_artifacts_serial_vs_jobs4;
           Alcotest.test_case "chaos soak serial vs --jobs 4" `Slow
             test_soak_serial_vs_jobs4;
-        ] );
-      ( "engine domains",
-        [
-          Alcotest.test_case "artifacts, engine domains 1/2/4" `Slow
-            test_artifacts_across_engine_domains;
-          Alcotest.test_case "chaos soaks, engine domains 1/2/4" `Slow
-            test_soak_across_engine_domains;
-          QCheck_alcotest.to_alcotest merge_matches_serial_prop;
         ] );
     ]

@@ -182,7 +182,7 @@ let test_erpc_binding_cache_ablation () =
 
 (* qcheck: under any seeded drop/dup/delay plan, per-session credit
    accounting never goes negative and in-flight packets stay within the
-   hard window cap. [net.erpc.credit_underflow] is incremented by the
+   hard credit cap. [net.erpc.credit_underflow] is incremented by the
    transport itself whenever the invariant would break. *)
 let erpc_credit_invariant (seed, drop, dup, delay, calls) =
   let engine, kernel, rt, client, server = make_world () in
@@ -218,7 +218,7 @@ let erpc_credit_invariant (seed, drop, dup, delay, calls) =
   && ctr engine "net.erpc.credit_underflow" = 0
   && !completed + !failed = 4 * calls
   && int_of_float (gauge engine "net.erpc.inflight_max")
-     <= Erpc.default_params.Erpc.window
+     <= Erpc.default_params.Erpc.credit_cap
 
 let test_erpc_credit_qcheck () =
   let gen =

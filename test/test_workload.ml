@@ -359,23 +359,6 @@ let test_counters_fresh_across_boots () =
   Alcotest.(check int) "fresh tlb" 0
     (Engine.total_tlb_misses b.Driver.bt_engine)
 
-(* --- Legacy constructors forward to the Config path ----------------------- *)
-
-let test_legacy_wrappers_equivalent () =
-  let modern =
-    let w =
-      Driver.make_lrpc
-        ~config:{ Driver.Config.default with Driver.Config.processors = 2 }
-        ()
-    in
-    Driver.lrpc_latency ~calls:50 w ~proc:"null" ~args:[]
-  in
-  let legacy =
-    let w = Driver.Legacy.make_lrpc ~processors:2 () in
-    Driver.lrpc_latency ~calls:50 w ~proc:"null" ~args:[]
-  in
-  Alcotest.(check (float 1e-9)) "same latency" modern legacy
-
 let () =
   Alcotest.run "lrpc_workload"
     [
@@ -409,7 +392,6 @@ let () =
           Alcotest.test_case "failures surface" `Quick test_driver_failure_propagates;
           Alcotest.test_case "counters fresh across boots" `Quick
             test_counters_fresh_across_boots;
-          Alcotest.test_case "legacy wrappers" `Quick test_legacy_wrappers_equivalent;
         ] );
       ( "openloop",
         [
