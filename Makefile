@@ -236,8 +236,6 @@ bench-host: build
 	          'transport_sweep_wallclock_sec', 'erpc_vs_classic_speedup', \
 	          'chaos_calls_per_sec', 'suite_serial_sec', 'suite_jobs_sec', \
 	          'suite_speedup', 'suite_efficiency', 'jobs', 'host_cores', \
-	          'engine_domains', 'engine_serial_sec', 'engine_domains_sec', \
-	          'engine_domains_speedup', 'engine_domains_efficiency', \
 	          'fig2_numa_wallclock_sec', 'numa_cluster_size', \
 	          'numa_cross_mult', 'numa_max_cpus', \
 	          'numa_aware_recovery', 'numa_blind_recovery']; \

@@ -20,16 +20,12 @@
      suite_jobs_sec              same artifacts fanned across domains
      suite_speedup               serial / jobs
      suite_efficiency            speedup / usable cores (min jobs cores)
-     engine_serial_sec           partitioned-engine workload, 1 domain
-     engine_domains_sec          same workload, engine_domains domains
-     engine_domains_speedup      serial / domains
-     engine_domains_efficiency   speedup / usable cores
 
    The environment keys host_cores and ocaml_version pin down what
    machine and toolchain produced the numbers, so cross-commit diffs of
    BENCH_host.json are interpretable — a speedup below 1.0 on a 1-core
-   host is the expected domain-scheduling overhead, which is why the
-   efficiency keys normalize by usable cores rather than by the domain
+   host is the expected domain-scheduling overhead, which is why
+   suite_efficiency normalizes by usable cores rather than by the job
    count requested.
 
    `--quick` shrinks every sample size for the `make check` smoke run;
@@ -64,12 +60,6 @@ let jobs = arg_value "--jobs" (Parallel.default_jobs ()) (fun s ->
     match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
 
 let out_path = arg_value "--out" "BENCH_host.json" (fun s -> Some s)
-
-let engine_domains =
-  arg_value "--engine-domains"
-    (max 2 (min 4 (Domain.recommended_domain_count ())))
-    (fun s ->
-      match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -140,37 +130,6 @@ let openloop_sweep_wallclock_sec () =
 let transport_wallclock () =
   wall (fun () -> Lrpc_experiments.Transport_study.run ~quick ())
 
-(* Partitioned-engine benchmark: an isolated-model workload (positive
-   lookahead, no shared bus) on one engine sharded over 1 vs
-   [engine_domains] host domains. One pinned thread per simulated CPU in
-   a tight delay loop keeps every event partition-local, so the parallel
-   windows genuinely run concurrently when cores allow; the simulated
-   end time must be identical in both runs (the engine's determinism
-   contract), which is asserted. *)
-let engine_domains_times () =
-  let procs = 8 in
-  let n = if quick then 25_000 else 250_000 in
-  let model =
-    Cost_model.isolated ~name:"bench-isolated" Cost_model.cvax_firefly
-  in
-  let run_with domains =
-    let e = Engine.create ~processors:procs ~domains model in
-    for c = 0 to procs - 1 do
-      ignore
-        (Engine.spawn e ~home:c ~domain:0 (fun () ->
-             for _ = 1 to n do
-               Engine.delay e (Time.ns 10)
-             done))
-    done;
-    let (), dt = wall (fun () -> Engine.run e) in
-    (Engine.now e, dt)
-  in
-  let end_serial, serial_dt = run_with 1 in
-  let end_fanned, fanned_dt = run_with engine_domains in
-  if end_serial <> end_fanned then
-    failwith "engine end time differs across domain counts";
-  (serial_dt, fanned_dt)
-
 (* The soak at its stress tier: the headroom reclaimed by the hot-path
    work pays for a call count well past the smoke configuration. *)
 let chaos_calls_per_sec () =
@@ -219,7 +178,6 @@ let () =
     Lrpc_experiments.Transport_study.speedup_at_64 transport_result
   in
   let chaos = chaos_calls_per_sec () in
-  let engine_serial, engine_fanned = engine_domains_times () in
   let suite_serial, suite_jobs = suite_times () in
   let host_cores = Domain.recommended_domain_count () in
   (* Speedup can't exceed the cores actually available to the fan-out;
@@ -227,7 +185,6 @@ let () =
      host" on any machine, including a 1-core CI container. *)
   let efficiency ~ways speedup = speedup /. float_of_int (min ways host_cores) in
   let suite_speedup = suite_serial /. suite_jobs in
-  let engine_speedup = engine_serial /. engine_fanned in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"bench\": \"host\",\n";
@@ -254,12 +211,6 @@ let () =
   Printf.bprintf buf "  \"transport_sweep_wallclock_sec\": %.3f,\n" transport_dt;
   Printf.bprintf buf "  \"erpc_vs_classic_speedup\": %.2f,\n" erpc_speedup;
   Printf.bprintf buf "  \"chaos_calls_per_sec\": %.0f,\n" chaos;
-  Printf.bprintf buf "  \"engine_domains\": %d,\n" engine_domains;
-  Printf.bprintf buf "  \"engine_serial_sec\": %.3f,\n" engine_serial;
-  Printf.bprintf buf "  \"engine_domains_sec\": %.3f,\n" engine_fanned;
-  Printf.bprintf buf "  \"engine_domains_speedup\": %.2f,\n" engine_speedup;
-  Printf.bprintf buf "  \"engine_domains_efficiency\": %.2f,\n"
-    (efficiency ~ways:engine_domains engine_speedup);
   Printf.bprintf buf "  \"suite_serial_sec\": %.3f,\n" suite_serial;
   Printf.bprintf buf "  \"suite_jobs_sec\": %.3f,\n" suite_jobs;
   Printf.bprintf buf "  \"suite_speedup\": %.2f,\n" suite_speedup;

@@ -92,19 +92,7 @@ let abort rt h ~reason = Call.abort rt h ~reason
 
 let set_admission (rt : t) a = rt.Rt.admission <- a
 
-let set_reshard (rt : t) r =
-  rt.Rt.reshard <- r;
-  (* Under the partitioned engine, checkouts inside a parallel window
-     defer their review to the window barrier — a quiescent point. *)
-  match r with
-  | Some _ ->
-      Lrpc_sim.Engine.set_barrier_hook
-        (Lrpc_kernel.Kernel.engine rt.Rt.kernel)
-        (fun () -> Astack.review_pools rt)
-  | None ->
-      Lrpc_sim.Engine.set_barrier_hook
-        (Lrpc_kernel.Kernel.engine rt.Rt.kernel)
-        ignore
+let set_reshard (rt : t) r = rt.Rt.reshard <- r
 
 (* Graceful degradation: the typed LRPC failures become a [result];
    caller bugs ([Not_in_thread], [Already_awaited], [Invalid_argument])

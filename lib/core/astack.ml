@@ -132,8 +132,7 @@ let free_count pool =
    more concurrent callers than shards; doubling the shard count (up to
    one per processor) spreads them over more locks. Re-sharding moves
    every A-stack to a new home shard, so it only runs at a quiescent
-   point: no shard lock held (checked here) and no parallel engine
-   window executing (checked by the callers). Checked-out A-stacks are
+   point: no shard lock held (checked here). Checked-out A-stacks are
    re-homed too — their check-in lands on the new shard — and free-list
    membership is preserved exactly, so simulated call results are
    unchanged; only future lock-contention outcomes differ. *)
@@ -172,14 +171,6 @@ let review_pool rt rs pool =
     pool.ap_contended <- 0;
     if ratio > rs.rs_threshold then ignore (reshard_pool rt pool)
   end
-
-(* Review every pool — the quiescent-point entry used from the engine's
-   window-barrier hook under the partitioned engine (where checkouts
-   inside a parallel window must not re-shard). No-op with no policy. *)
-let review_pools rt =
-  match rt.reshard with
-  | None -> ()
-  | Some rs -> List.iter (review_pool rt rs) rt.pools
 
 (* Hand [a] to the longest-waiting live waiter, returning the thread to
    wake, or [None] when nobody (live) is waiting. The grant is written
@@ -374,15 +365,12 @@ let checkout ?admit rt pb ~client ~server =
   let e = engine rt in
   (* Re-shard review first (one pointer test with no policy installed):
      resizing before the scan keeps this checkout's view of the shard
-     array consistent. Inside a parallel engine window the review is
-     deferred to the window barrier (see [review_pools]). *)
+     array consistent. *)
   (match rt.reshard with
   | None -> ()
   | Some rs ->
       pool.ap_checkouts <- pool.ap_checkouts + 1;
-      if
-        pool.ap_checkouts >= rs.rs_window && not (Engine.parallel_phase e)
-      then review_pool rt rs pool);
+      review_pool rt rs pool);
   let nsh = Array.length pool.ap_shards in
   (* Home shard follows the calling processor, so steady-state checkouts
      on different processors touch different locks and free lists. *)

@@ -106,12 +106,6 @@ val reshard_pool : Rt.runtime -> Rt.astack_pool -> bool
     when already at the shard cap or when any shard lock is held (not a
     quiescent point). Bumps ["lrpc.astack_reshards"] on success. *)
 
-val review_pools : Rt.runtime -> unit
-(** Run the re-shard review over every pool whose window is full — the
-    quiescent-point entry installed as the engine's window-barrier hook
-    under the partitioned engine (checkouts inside a parallel window
-    never re-shard inline). No-op when no policy is installed. *)
-
 val free_count : Rt.astack_pool -> int
 (** A-stacks currently free, summed across shards. Engine-level safe. *)
 

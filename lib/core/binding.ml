@@ -189,7 +189,7 @@ let make_remote_binding ?(window = 8) rt ~client ~server iface ~transport =
             r_transport = transport;
             r_window = max 1 window;
             r_in_flight = 0;
-            r_wait = Waitq.create ~name:"remote-window" (engine rt);
+            r_wait = Waitq.create (engine rt);
           };
     }
   in

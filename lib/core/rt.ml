@@ -194,9 +194,8 @@ let admission_policy ?max_inflight ?max_queue ?target_sojourn
    window that hit the contended-fallback path; when it exceeds the
    threshold the pool's shard count is doubled at the next quiescent
    point (no shard lock held — checked at the review itself, which runs
-   either from a checkout outside any parallel engine phase or from the
-   engine's window barrier). Same zero-cost-when-off shape as
-   [admission]: one pointer test on the checkout path. *)
+   from a checkout). Same zero-cost-when-off shape as [admission]: one
+   pointer test on the checkout path. *)
 type reshard = {
   rs_threshold : float;
       (** contended/checkouts ratio above which a pool is re-sharded *)

@@ -11,16 +11,18 @@ module Server_ctx = Lrpc_core.Server_ctx
 module I = Lrpc_idl.Types
 module V = Lrpc_idl.Value
 
+(* Fixed shape of the soak world; [config] carries what callers vary. *)
+let processors = 4
+let async_share = 0.5 (* fraction of calls issued as pipelined batches *)
+let deadline_share = 0.1 (* fraction issued with a tight deadline *)
+let trace_capacity = 1 lsl 16 (* tracer ring size for the digest *)
+
 type config = {
   seed : int64;
   calls : int;
   clients : int;
-  processors : int;
   spec : Plan.spec;
   remote_share : float;
-  async_share : float;
-  deadline_share : float;
-  trace_capacity : int;
   retry_budget : float option;
   cost_model : Lrpc_sim.Cost_model.t option;
   domain_caching : bool;
@@ -32,7 +34,6 @@ let default =
     seed = 0xC0FFEEL;
     calls = 6_000;
     clients = 8;
-    processors = 4;
     spec =
       {
         Plan.none with
@@ -47,9 +48,6 @@ let default =
         crashes = [ (60_000.0, "srv-b") ];
       };
     remote_share = 0.15;
-    async_share = 0.5;
-    deadline_share = 0.1;
-    trace_capacity = 1 lsl 16;
     retry_budget = None;
     cost_model = None;
     domain_caching = false;
@@ -139,11 +137,11 @@ let run cfg =
     Driver.boot
       {
         Driver.Config.default with
-        Driver.Config.processors = cfg.processors;
+        Driver.Config.processors;
         cost_model =
           Option.value cfg.cost_model
             ~default:Driver.Config.default.Driver.Config.cost_model;
-        trace_capacity = Some cfg.trace_capacity;
+        trace_capacity = Some trace_capacity;
         domain_caching = cfg.domain_caching;
         prod = cfg.prod;
         install_faults =
@@ -223,7 +221,7 @@ let run cfg =
         (b, proc, args, Time.us (30 + Prng.int prng 150))
     in
     let options dl =
-      if Prng.bernoulli prng ~p:cfg.deadline_share then
+      if Prng.bernoulli prng ~p:deadline_share then
         Some { Api.Options.default with deadline = Some dl }
       else None
     in
@@ -244,7 +242,7 @@ let run cfg =
           None
     in
     while !issued < cfg.calls do
-      if Prng.bernoulli prng ~p:cfg.async_share then begin
+      if Prng.bernoulli prng ~p:async_share then begin
         (* A pipelined batch on one procedure of a binding this client
            owns, sized within its A-stack pool, then drained handle by
            handle whatever each one's fate. *)

@@ -3,25 +3,21 @@
 
     The world is two local server domains (one of which the default
     plan crashes mid-run), a remote server on another machine behind
-    the lossy {!Lrpc_net.Netrpc} wire, and a pool of client threads
-    issuing synchronous, pipelined and deadline-bearing calls whose
-    outcomes are collected with [Api.call_result] /
-    [Api.await_all_results] — no outcome is allowed to escape as an
-    exception. Everything stochastic derives from [config.seed], so a
-    report (including its trace digest) is a pure function of the
-    config: two same-seed runs are bit-identical. *)
+    the lossy {!Lrpc_net.Netrpc} wire, and a pool of client threads on
+    four processors. Half of the calls are issued as pipelined batches
+    and a tenth carry a tight deadline. Every outcome is collected with
+    [Api.call_result] / [Api.await_all_results] — no outcome is allowed
+    to escape as an exception. Everything stochastic derives from
+    [config.seed], so a report (including its trace digest) is a pure
+    function of the config: two same-seed runs are bit-identical. *)
 
 type config = {
   seed : int64;  (** drives the workload PRNG {e and} the fault plan *)
   calls : int;  (** total calls across all clients *)
   clients : int;  (** client threads *)
-  processors : int;
   spec : Plan.spec;  (** fault probabilities; [spec.seed] is overridden
                          by [seed] above *)
   remote_share : float;  (** fraction of calls taking the network path *)
-  async_share : float;  (** fraction issued as pipelined batches *)
-  deadline_share : float;  (** fraction issued with a tight deadline *)
-  trace_capacity : int;  (** tracer ring size for the digest *)
   retry_budget : float option;
       (** client-side retry budget for the remote binding (see
           {!Lrpc_net.Netrpc.import_remote}); [None] retries without a

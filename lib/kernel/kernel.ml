@@ -429,13 +429,7 @@ let note_context_miss t d =
    the context of the domain whose miss EWMA is hottest, provided it
    clearly out-misses whatever the processor already holds. *)
 let on_cpu_idle t (c : Engine.cpu) =
-  (* Domain safety: the prod policy reads and retags global CPU state,
-     so it may only run under the serial (merged) executor. The engine
-     already skips the idle hook for isolated models; this guard keeps
-     the invariant locally checkable. *)
-  if (not (Engine.parallel_phase t.engine)) && t.caching
-     && c.Engine.running = None
-  then begin
+  if t.caching && c.Engine.running = None then begin
     let now = Engine.now t.engine in
     let topo = Engine.topology t.engine in
     (* Under a topology a domain's heat is discounted by the distance

@@ -120,7 +120,7 @@ let import_remote ?(params = default_params) ?(window = 8)
   (* --- per-session (per-binding) state ---------------------------------- *)
   let cwnd = ref p.init_cwnd in
   let inflight = ref 0 in
-  let credit_q = Waitq.create ~name:"erpc-credits" engine in
+  let credit_q = Waitq.create engine in
   Metrics.Gauge.set cwnd_gauge !cwnd;
   let cur_window () =
     let w = int_of_float !cwnd in

@@ -1,11 +1,8 @@
 module H = Lrpc_util.Histogram
 
-(* Counters are atomic: under the partitioned engine a counter owned by
-   one lock or kernel policy may be bumped from whichever host domain is
-   executing that partition's window, and totals must be exact, not
-   racy. Gauges and histograms stay plain — they are written only from
-   serial (merged) execution, documented in the mli. *)
-type counter = { c_key : string; c_cell : int Atomic.t }
+(* Plain mutable cells: a registry belongs to one engine, and an engine
+   runs on one host domain. *)
+type counter = { c_key : string; mutable c_value : int }
 
 type gauge = { g_key : string; mutable g_value : float }
 
@@ -39,7 +36,7 @@ let counter ?(labels = []) t name =
   | Some (Counter c) -> c
   | Some _ -> kind_error k "wanted a counter"
   | None ->
-      let c = { c_key = k; c_cell = Atomic.make 0 } in
+      let c = { c_key = k; c_value = 0 } in
       Hashtbl.replace t.table k (Counter c);
       c
 
@@ -64,10 +61,10 @@ let histogram ?(labels = []) ?(bin_width = 4) ?(max_value = 4096) t name =
       h
 
 module Counter = struct
-  let incr c = Atomic.incr c.c_cell
-  let add c n = ignore (Atomic.fetch_and_add c.c_cell n)
-  let value c = Atomic.get c.c_cell
-  let reset c = Atomic.set c.c_cell 0
+  let incr c = c.c_value <- c.c_value + 1
+  let add c n = c.c_value <- c.c_value + n
+  let value c = c.c_value
+  let reset c = c.c_value <- 0
   let name c = c.c_key
 end
 
@@ -110,7 +107,7 @@ let snapshot t =
   let counters = ref [] and gauges = ref [] and histograms = ref [] in
   Hashtbl.iter
     (fun k -> function
-      | Counter c -> counters := (k, Atomic.get c.c_cell) :: !counters
+      | Counter c -> counters := (k, c.c_value) :: !counters
       | Gauge g -> gauges := (k, g.g_value) :: !gauges
       | Histogram h ->
           let s =

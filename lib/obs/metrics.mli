@@ -1,8 +1,10 @@
 (** The metrics registry: named counters, gauges, and latency histograms.
 
-    One registry per simulated machine (owned by the engine). Instruments
-    are identified by a name plus a label set, Prometheus-style — e.g.
-    [counter m ~labels:[("domain", "3")] "kernel.context_misses"] — and
+    One registry per simulated machine, owned by the engine and, like
+    it, confined to one host domain: instruments are plain mutable
+    cells. Instruments are identified by a name plus a label set,
+    Prometheus-style — e.g. [counter m ~labels:[("domain", "3")]
+    "kernel.context_misses"] — and
     repeated registration of the same (name, labels) pair returns the
     same instrument, so call sites need not thread instrument handles
     around. Scoping per domain or per binding is done with labels.
@@ -35,8 +37,6 @@ val histogram :
     an overflow bin — sized for microsecond-scale call latencies).
     [bin_width]/[max_value] are only consulted on first registration. *)
 
-(** Counters are atomic: safe to bump from any host domain (the
-    partitioned engine's parallel windows do), and totals are exact. *)
 module Counter : sig
   val incr : counter -> unit
   val add : counter -> int -> unit
@@ -45,8 +45,6 @@ module Counter : sig
   val name : counter -> string
 end
 
-(** Gauges are single-writer: set them only from serial (merged)
-    execution, never inside a parallel window. *)
 module Gauge : sig
   val set : gauge -> float -> unit
   val value : gauge -> float

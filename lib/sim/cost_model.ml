@@ -56,7 +56,6 @@ type t = {
   coherency_per_byte : Time.t;
   bus_alpha : float;
   spin_quantum : Time.t;
-  parallel_lookahead : Time.t;
   topology : topology option;
 }
 
@@ -175,7 +174,6 @@ let cvax_firefly =
     coherency_per_byte = Time.ns 62;
     bus_alpha = 0.027;
     spin_quantum = Time.ns 500;
-    parallel_lookahead = Time.zero;
     topology = None;
   }
 
@@ -232,7 +230,6 @@ let m68020 =
     coherency_per_byte = Time.ns 80;
     bus_alpha = 0.03;
     spin_quantum = Time.ns 500;
-    parallel_lookahead = Time.zero;
     topology = None;
   }
 
@@ -259,41 +256,8 @@ let perq_accent =
     coherency_per_byte = Time.ns 150;
     bus_alpha = 0.03;
     spin_quantum = Time.ns 500;
-    parallel_lookahead = Time.zero;
     topology = None;
   }
-
-(* --- conservative-parallelism lookahead ---------------------------------
-
-   The partitioned engine may only execute two processors' events on
-   different host domains when no interaction can connect them within the
-   current time window. The soonest one simulated CPU can affect another
-   is bounded below by the cheapest cross-processor mechanism the model
-   prices: re-dispatching a thread elsewhere costs at least a VM reload,
-   and the idle-processor optimization costs a processor exchange. That
-   minimum is the derived lookahead.
-
-   The paper machines additionally couple *every* concurrently executing
-   processor through the shared-bus dilation factor, which is read at the
-   moment a delay is issued — an interaction with zero latency. Their
-   effective lookahead is therefore zero and they always run as one
-   partition (see Engine). A model declares itself free of that
-   coupling by setting [bus_alpha = 0] and a positive
-   [parallel_lookahead], which then overrides the derivation. *)
-
-let min_cross_cpu_latency t = min t.vm_reload t.processor_exchange
-
-let lookahead t =
-  if t.parallel_lookahead > Time.zero then t.parallel_lookahead
-  else min_cross_cpu_latency t
-
-let isolated ?lookahead ~name base =
-  let parallel_lookahead =
-    match lookahead with Some l -> l | None -> min_cross_cpu_latency base
-  in
-  if parallel_lookahead <= Time.zero then
-    invalid_arg "Cost_model.isolated: lookahead must be positive";
-  { base with name; bus_alpha = 0.0; parallel_lookahead }
 
 let null_minimum t =
   let open Time in

@@ -75,15 +75,6 @@ type t = {
       (** memory-bus dilation per additional concurrently-executing
           processor (fitted to Figure 2's 3.7x speedup at 4 CPUs) *)
   spin_quantum : Time.t;  (** granularity of spin-wait re-checks *)
-  parallel_lookahead : Time.t;
-      (** minimum latency of {e any} cross-processor interaction under
-          this model, as promised by the model author. Zero (all paper
-          machines) means "derive it, but the shared-bus dilation couples
-          every processor instantaneously, so the machine runs as one
-          partition". A positive value (legal only with
-          [bus_alpha = 0], see {!isolated}) licenses the engine to run
-          partitions of processors genuinely in parallel inside windows
-          of this width. *)
   topology : topology option;
       (** CPU locality model; [None] (all published machines) means flat
           costs and bit-identical pre-topology behaviour. *)
@@ -122,22 +113,6 @@ val return_side_tlb_misses : int
 
 val scaled : t -> factor:float -> name:string -> t
 (** Uniformly scale all time constants (used to derive slower machines). *)
-
-val min_cross_cpu_latency : t -> Time.t
-(** Cheapest mechanism by which one simulated processor can affect
-    another: [min vm_reload processor_exchange]. Lower bound used to
-    derive the conservative synchronization window. *)
-
-val lookahead : t -> Time.t
-(** The time-window width the partitioned engine synchronizes on:
-    [parallel_lookahead] when the model declares one, otherwise
-    {!min_cross_cpu_latency}. *)
-
-val isolated : ?lookahead:Time.t -> name:string -> t -> t
-(** Derive a bus-decoupled variant of [base]: [bus_alpha] forced to zero
-    and [parallel_lookahead] set (default {!min_cross_cpu_latency}),
-    making the model eligible for genuine multi-domain execution.
-    @raise Invalid_argument when [lookahead] is not positive. *)
 
 val clustered :
   ?same_mult:float ->

@@ -4,8 +4,6 @@ module Metrics = Lrpc_obs.Metrics
 exception Thread_killed
 exception Not_in_thread
 
-exception Cross_partition_interaction of string
-
 type state = Embryo | Ready | Running | Blocked | Spinning | Done | Failed
 
 (* The continuation slot folds the old [cont option] into one variant so
@@ -32,14 +30,7 @@ type thread = {
 
 and cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
 
-and timer = {
-  t_fn : unit -> unit;
-  mutable t_cancelled : bool;
-  t_cpu : int;
-      (* processor context the callback executes under: decides the
-         partition that owns the event and the tiebreak-key space its
-         own pushes draw from (-1 = engine level / coordinator) *)
-}
+and timer = { t_fn : unit -> unit; mutable t_cancelled : bool }
 
 and event = Run of thread | Fire of timer
 
@@ -55,62 +46,15 @@ type cpu = {
   mutable steals_near : int;
   mutable steals_far : int;
   mutable lock_spin : Time.t;
-  mutable key_seq : int;
-      (* isolated models only: per-CPU tiebreak counter, so keys do not
-         depend on how CPUs are sharded across domains *)
-  mutable rq_stamp : int;
-      (* isolated models only: per-queue enqueue stamp (stealing is off,
-         so stamps never compare across queues) *)
-}
-
-(* A trace event emitted inside a parallel window, staged per partition
-   and merged deterministically at the barrier. *)
-type staged = {
-  s_at : Time.t;
-  s_key : int;
-  s_intra : int;
-  s_tid : int;
-  s_cpu : int;
-  s_kind : Event.t;
-}
-
-type partition = {
-  p_idx : int;
-  p_lo : int; (* inclusive first owned CPU *)
-  p_hi : int; (* inclusive last owned CPU *)
-  p_heap : event Heap.t;
-  p_out : event Mailbox.t;
-  mutable pt_now : Time.t;
-  mutable pt_current : thread option;
-  mutable pt_exec_cpu : int;
-  mutable pt_key : int; (* key of the event being executed *)
-  mutable pt_intra : int; (* trace emissions so far within that event *)
-  pt_cat : int array; (* charged ns by Category.index, merged on flush *)
-  mutable pt_tlb : int;
-  mutable pt_exn : exn option;
-  mutable pt_failures : (thread * exn) list;
-  pt_trace : staged Queue.t;
 }
 
 type t = {
   cm : Cost_model.t;
   cpus_ : cpu array;
-  parts : partition array;
-  cpu_part : int array; (* cpu index -> owning partition index *)
-  nparts : int;
-  isolated : bool;
-      (* positive model lookahead and no bus coupling: partitions may
-         genuinely run in parallel, cross-CPU effects take >= lookahead *)
-  lookahead : Time.t;
-  mutable par_phase : bool; (* a parallel window is executing right now *)
-  mutable window_id : int;
-  mutable key_seq : int;
-      (* global tiebreak counter (standard models), or the coordinator's
-         engine-level key space (isolated models) *)
+  heap : event Heap.t;
   mutable ready_seq : int; (* global enqueue stamp: cross-queue FIFO age *)
   mutable rr_next : int; (* round-robin target for unpinned enqueues *)
   mutable now_ : Time.t;
-  mutable exec_cpu_ : int; (* serial loops: CPU context of current event *)
   mutable next_tid : int;
   mutable current : thread option;
   mutable failures_ : (thread * exn) list;
@@ -129,9 +73,7 @@ type t = {
       (* consulted when a processor finds no runnable thread anywhere
          (own queue and steal scan both empty); the kernel hangs its
          idle-processor prod policy here. Runs at engine level: it may
-         retag contexts but must not perform effects. Standard models
-         only — isolated models skip it (the hook reads global CPU
-         state, which is not partition-local). *)
+         retag contexts but must not perform effects. *)
   c_steals : Metrics.counter;
   c_steals_tagged : Metrics.counter;
   c_steals_near : Metrics.counter;
@@ -144,94 +86,33 @@ type t = {
          topology): own cluster first, then the rest of the machine *)
   victims_near : int array;
       (* how many leading entries of each ring are same-cluster *)
-  mutable on_barrier : unit -> unit;
-      (* called after every parallel-window barrier commit (and never
-         under the serial loop): a quiescent point where no partition
-         is executing. Adaptive controllers hang here. *)
 }
 
 type _ Effect.t +=
   | Delay : Category.t * Time.t -> unit Effect.t
   | Suspend : (thread -> unit) -> unit Effect.t
 
-(* --- domain-local partition context ------------------------------------
-
-   During a parallel window each participating host domain records which
-   partition it is executing, so context accessors ([self], [now],
-   [charge], trace staging) resolve against that partition's state
-   instead of the engine-global fields. Outside parallel windows the
-   slot is -1 and never consulted. *)
-
-let cur_part_key : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref (-1))
-
-let[@inline] cur_part () = !(Domain.DLS.get cur_part_key)
-let set_cur_part p = Domain.DLS.get cur_part_key := p
-
-let[@inline] my_part t = t.parts.(cur_part ())
-
-(* The partition accumulators are engine-global sums; outside parallel
-   windows every charge lands on partition 0 regardless of which CPU it
-   concerns, which keeps the serial hot path a plain int-array add. *)
-let[@inline] acc_part t = if t.par_phase then my_part t else t.parts.(0)
-
 let[@inline] tracing t =
   match t.tracer with None -> false | Some _ -> true
 
-let now t = if t.par_phase then (my_part t).pt_now else t.now_
-
-let[@inline] get_current t =
-  if t.par_phase then (my_part t).pt_current else t.current
-
-let[@inline] set_current t v =
-  if t.par_phase then (my_part t).pt_current <- v else t.current <- v
-
-let[@inline] exec_cpu t =
-  if t.par_phase then (my_part t).pt_exec_cpu else t.exec_cpu_
+let now t = t.now_
 
 (* Non-optional-argument emit for the engine's own hot call sites: no
    [Some tid] wrappers, and callers guard with [tracing] so the event
-   payload is never even constructed when detached. Inside a parallel
-   window the event is staged on the executing partition keyed by
-   (time, event key, intra-event ordinal) and merged at the barrier. *)
+   payload is never even constructed when detached. *)
 let emit_at t ~tid ~cpu kind =
   match t.tracer with
   | None -> ()
-  | Some tr ->
-      if t.par_phase then begin
-        let p = my_part t in
-        let i = p.pt_intra in
-        p.pt_intra <- i + 1;
-        Queue.push
-          {
-            s_at = p.pt_now;
-            s_key = p.pt_key;
-            s_intra = i;
-            s_tid = tid;
-            s_cpu = cpu;
-            s_kind = kind;
-          }
-          p.pt_trace
-      end
-      else Trace.emit tr ~at:t.now_ ~tid ~cpu kind
+  | Some tr -> Trace.emit tr ~at:t.now_ ~tid ~cpu kind
 
 (* --- construction ------------------------------------------------------ *)
 
-let ncats = List.length Category.all
-
 let create ?(processors = 1) ?(domains = 1) cm =
   assert (processors > 0);
-  if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
-  let isolated = cm.Cost_model.parallel_lookahead > Time.zero in
-  if isolated && cm.Cost_model.bus_alpha <> 0.0 then
+  if domains <> 1 then
     invalid_arg
-      "Engine.create: a positive parallel_lookahead requires bus_alpha = 0 \
-       (the bus dilation couples all processors with zero latency)";
-  if domains > 1 && not isolated then
-    invalid_arg
-      "Engine.create: domains > 1 requires an isolated cost model (a \
-       bus-coupled machine has zero lookahead and runs as one partition)";
-  let nparts = min domains processors in
+      "Engine.create: domains must be 1 (the engine is one event loop on \
+       one host domain)";
   let cpus_ =
     Array.init processors (fun idx ->
         {
@@ -246,39 +127,6 @@ let create ?(processors = 1) ?(domains = 1) cm =
           steals_near = 0;
           steals_far = 0;
           lock_spin = Time.zero;
-          key_seq = 0;
-          rq_stamp = 0;
-        })
-  in
-  (* Contiguous CPU blocks, remainder spread over the first partitions. *)
-  let cpu_part = Array.make processors 0 in
-  let parts =
-    let base = processors / nparts and rem = processors mod nparts in
-    let lo = ref 0 in
-    Array.init nparts (fun i ->
-        let count = base + if i < rem then 1 else 0 in
-        let p_lo = !lo in
-        let p_hi = p_lo + count - 1 in
-        lo := p_hi + 1;
-        for c = p_lo to p_hi do
-          cpu_part.(c) <- i
-        done;
-        {
-          p_idx = i;
-          p_lo;
-          p_hi;
-          p_heap = Heap.create ();
-          p_out = Mailbox.create ();
-          pt_now = Time.zero;
-          pt_current = None;
-          pt_exec_cpu = -1;
-          pt_key = 0;
-          pt_intra = 0;
-          pt_cat = Array.make ncats 0;
-          pt_tlb = 0;
-          pt_exn = None;
-          pt_failures = [];
-          pt_trace = Queue.create ();
         })
   in
   let metrics_ = Metrics.create () in
@@ -296,18 +144,10 @@ let create ?(processors = 1) ?(domains = 1) cm =
     {
       cm;
       cpus_;
-      parts;
-      cpu_part;
-      nparts;
-      isolated;
-      lookahead = Cost_model.lookahead cm;
-      par_phase = false;
-      window_id = 0;
-      key_seq = 0;
+      heap = Heap.create ();
       ready_seq = 0;
       rr_next = 0;
       now_ = Time.zero;
-      exec_cpu_ = -1;
       next_tid = 0;
       current = None;
       failures_ = [];
@@ -348,44 +188,24 @@ let create ?(processors = 1) ?(domains = 1) cm =
                   min processors (lo + topo.Cost_model.cluster_size)
                 in
                 hi - lo - 1));
-      on_barrier = ignore;
     }
   in
   t.fn_spin <-
     (fun th ->
       th.state <- Spinning;
-      th.spin_start <- now t);
+      th.spin_start <- t.now_);
   t
 
 let set_tracer t tracer = t.tracer <- tracer
 
-(* Flush the per-partition accounting accumulators into the metrics
-   counters, summing in partition order. Idempotent between events. *)
-let flush_accounting t =
-  Array.iter
-    (fun p ->
-      for i = 0 to ncats - 1 do
-        if p.pt_cat.(i) <> 0 then begin
-          Metrics.Counter.add t.cat_time.(i) p.pt_cat.(i);
-          p.pt_cat.(i) <- 0
-        end
-      done;
-      if p.pt_tlb <> 0 then begin
-        Metrics.Counter.add t.tlb_miss_count p.pt_tlb;
-        p.pt_tlb <- 0
-      end)
-    t.parts
-
-let metrics t =
-  flush_accounting t;
-  t.metrics_
+let metrics t = t.metrics_
 
 let emit ?tid ?cpu t kind =
   match t.tracer with
   | None -> ()
   | Some _ ->
       let dtid, dcpu =
-        match get_current t with
+        match t.current with
         | Some th -> (th.tid, th.cpu)
         | None -> (-1, -1)
       in
@@ -395,19 +215,10 @@ let emit ?tid ?cpu t kind =
 
 let cost_model t = t.cm
 let cpus t = t.cpus_
-let domains t = t.nparts
-let lookahead t = t.lookahead
-let parallel_phase t = t.par_phase
-let executing_partition _t = cur_part ()
-let window_id t = t.window_id
 
-let charge t cat d =
-  let p = acc_part t in
-  let i = Category.index cat in
-  p.pt_cat.(i) <- p.pt_cat.(i) + d
+let charge t cat d = Metrics.Counter.add t.cat_time.(Category.index cat) d
 
 let breakdown t =
-  flush_accounting t;
   List.filter_map
     (fun cat ->
       match Metrics.Counter.value t.cat_time.(Category.index cat) with
@@ -415,9 +226,7 @@ let breakdown t =
       | ns -> Some (cat, ns))
     Category.all
 
-let reset_breakdown t =
-  flush_accounting t;
-  Array.iter Metrics.Counter.reset t.cat_time
+let reset_breakdown t = Array.iter Metrics.Counter.reset t.cat_time
 
 let total_tlb_misses t =
   Array.fold_left (fun acc c -> acc + Tlb.miss_count c.tlb) 0 t.cpus_
@@ -441,70 +250,6 @@ let stuck_threads t =
       | Blocked | Spinning | Ready | Embryo -> true
       | Running | Done | Failed -> false)
     t.threads
-
-(* --- event keys and routed pushes --------------------------------------
-
-   Every heap entry carries a key assigned here, making (time, key) a
-   single total order across all partition heaps.
-
-   Standard models always run as one partition, so a plain global
-   counter is the single heap's insertion order.
-
-   Isolated models execute partitions concurrently, so a global counter
-   would be racy and, worse, partition-layout-dependent. Keys are drawn
-   instead from the event's CPU context: [(cpu << shift) | per-cpu
-   counter]. A given CPU's events always execute in (time, key) order
-   among themselves whatever the sharding, so the counter values — and
-   hence all keys — are invariant under the domain count. Engine-level
-   pushes (no CPU context) use the coordinator space, ordered after
-   every CPU at equal times. *)
-
-let cpu_key_shift = 36
-let coord_key_base = 1 lsl 52
-
-let[@inline] next_key t =
-  if not t.isolated then begin
-    let k = t.key_seq in
-    t.key_seq <- k + 1;
-    k
-  end
-  else
-    let c = exec_cpu t in
-    if c < 0 then begin
-      let k = t.key_seq in
-      t.key_seq <- k + 1;
-      coord_key_base lor k
-    end
-    else begin
-      let cpu = t.cpus_.(c) in
-      let k = cpu.key_seq in
-      cpu.key_seq <- k + 1;
-      (c lsl cpu_key_shift) lor k
-    end
-
-let[@inline] part_of_cpu t c = if c < 0 then 0 else t.cpu_part.(c)
-
-(* Push an event owned by processor context [cpu] (or -1 for engine
-   level). Inside a parallel window a foreign partition's heap may not
-   be touched; the event travels as a mailbox message instead and the
-   barrier delivers it. *)
-let push_to t ~cpu ~time ev =
-  let key = next_key t in
-  let pi = part_of_cpu t cpu in
-  if t.par_phase then begin
-    let me = my_part t in
-    if pi = me.p_idx then Heap.push_key me.p_heap ~time ~key ev
-    else Mailbox.post me.p_out ~target:pi ~time ~key ev
-  end
-  else Heap.push_key t.parts.(pi).p_heap ~time ~key ev
-
-(* Schedule [fn] to run at [time] under processor context [target_cpu]:
-   the deferred-effect primitive behind cross-CPU wakes and interrupts
-   in isolated models. Application happens as a heap event, so it lands
-   in exact global (time, key) order, not "sometime at the barrier". *)
-let defer t ~target_cpu ~time fn =
-  push_to t ~cpu:target_cpu ~time
-    (Fire { t_fn = fn; t_cancelled = false; t_cpu = target_cpu })
 
 (* --- dispatch machinery ------------------------------------------------ *)
 
@@ -597,7 +342,7 @@ let place ?(stolen = false) ?(victim = -1) t th c =
     emit_at t ~tid:th.tid ~cpu:c.idx
       (Event.Dispatch
          { thread = th.name; domain = th.domain; switched = cost <> Time.zero });
-  push_to t ~cpu:c.idx ~time:(Time.add (now t) cost) th.run_ev
+  Heap.push t.heap ~time:(Time.add t.now_ cost) th.run_ev
 
 let free_cpu_of t th =
   if th.cpu >= 0 then begin
@@ -609,14 +354,11 @@ let free_cpu_of t th =
 
 (* First free processor, preferring home then last-run: returns the cpu
    index, or -1 when none is free (no option/closure traffic — this runs
-   on every wake and dispatch). Isolated models never scan: placement
-   beyond the home processor would depend on which CPUs share a
-   partition, and home pinning is enforced at spawn anyway. *)
+   on every wake and dispatch). *)
 let pick_cpu_idx t th =
   let cpus = t.cpus_ in
   let n = Array.length cpus in
   if th.home >= 0 && th.home < n && cpu_free cpus.(th.home) then th.home
-  else if t.isolated then -1
   else if th.last_cpu >= 0 && th.last_cpu < n && cpu_free cpus.(th.last_cpu)
   then th.last_cpu
   else begin
@@ -640,12 +382,7 @@ let pick_cpu_idx t th =
    domain matches its loaded context (no retag, preserving the §3.4
    domain-caching semantics) and otherwise taking the oldest thread
    anywhere. Stolen threads are invalidated in place via the stamp; the
-   ghost queue cell is skipped when reached.
-
-   Isolated models disable stealing entirely (a steal is a zero-latency
-   cross-CPU interaction) and stamp queues per-CPU: the values then only
-   ever serve the ghost-equality check within one queue, so they carry
-   no cross-partition meaning. *)
+   ghost queue cell is skipped when reached. *)
 
 let[@inline] entry_runnable th =
   match th.state with Embryo | Ready -> true | _ -> false
@@ -661,21 +398,10 @@ let ready_push t th =
       r
     end
   in
-  let c = t.cpus_.(i) in
-  let seq =
-    if t.isolated then begin
-      let s = c.rq_stamp in
-      c.rq_stamp <- s + 1;
-      s
-    end
-    else begin
-      let s = t.ready_seq in
-      t.ready_seq <- s + 1;
-      s
-    end
-  in
+  let seq = t.ready_seq in
+  t.ready_seq <- seq + 1;
   th.rq_seq <- seq;
-  Queue.push (seq, th) c.rq
+  Queue.push (seq, th) t.cpus_.(i).rq
 
 (* Oldest live entry of a processor's own queue, discarding ghosts and
    stale entries as they surface at the head. *)
@@ -796,36 +522,20 @@ let steal t c =
 let dispatch_cpu t c =
   match pop_own c.rq with
   | Some th -> place t th c
-  | None ->
-      if not t.isolated then begin
-        match steal t c with
-        | Some (th, victim) -> place ~stolen:true ~victim t th c
-        | None -> t.on_idle c
-      end
+  | None -> (
+      match steal t c with
+      | Some (th, victim) -> place ~stolen:true ~victim t th c
+      | None -> t.on_idle c)
 
-(* Offer every free processor a dispatch. Inside a parallel window only
-   the executing partition's processors are scanned; that loses nothing
-   because a processor is never left free with a live queue entry — the
-   event that frees a processor always runs on its own partition and
-   redispatches it here before the window proceeds. *)
+(* Offer every free processor a dispatch. *)
 let try_dispatch t =
-  let lo, hi =
-    if t.par_phase then
-      let p = my_part t in
-      (p.p_lo, p.p_hi)
-    else (0, Array.length t.cpus_ - 1)
-  in
   let cpus = t.cpus_ in
-  for i = lo to hi do
+  for i = 0 to Array.length cpus - 1 do
     let c = cpus.(i) in
     if cpu_free c then dispatch_cpu t c
   done
 
 let spawn ?(name = "thread") ?(home = -1) t ~domain body =
-  if t.par_phase then
-    raise (Cross_partition_interaction "spawn inside a parallel window");
-  if t.isolated && home < 0 then
-    invalid_arg "Engine.spawn: isolated cost models require ~home pinning";
   let rec th =
     {
       tid = t.next_tid;
@@ -862,12 +572,7 @@ let finish t th fail =
          });
   th.state <- (match fail with None -> Done | Some _ -> Failed);
   (match fail with
-  | Some e ->
-      if t.par_phase then begin
-        let p = my_part t in
-        p.pt_failures <- (th, e) :: p.pt_failures
-      end
-      else t.failures_ <- (th, e) :: t.failures_
+  | Some e -> t.failures_ <- (th, e) :: t.failures_
   | None -> ());
   th.cont <- No_cont;
   th.body <- None;
@@ -895,9 +600,7 @@ let handle_delay t th cat d k =
   assert (th.cpu >= 0);
   let d' =
     (* Alone on the bus (or no bus model): the factor is exactly 1.0 and
-       [Time.scale d 1.0 = d], so skip the float round-trip entirely.
-       Checking alpha first also keeps isolated models from reading the
-       global running set, which is not partition-local. *)
+       [Time.scale d 1.0 = d], so skip the float round-trip entirely. *)
     let alpha = t.cm.Cost_model.bus_alpha in
     if alpha = 0.0 then d
     else
@@ -911,7 +614,7 @@ let handle_delay t th cat d k =
   let c = t.cpus_.(th.cpu) in
   c.busy <- Time.add c.busy d';
   th.cont <- k;
-  push_to t ~cpu:th.cpu ~time:(Time.add (now t) d') th.run_ev
+  Heap.push t.heap ~time:(Time.add t.now_ d') th.run_ev
 
 let start t th body =
   Effect.Deep.match_with body ()
@@ -938,7 +641,7 @@ let start t th body =
     }
 
 let exec t th =
-  set_current t (Some th);
+  t.current <- Some th;
   (match th.pending_exn with
   | Some e when th.body <> None ->
       (* Killed before first instruction. *)
@@ -954,23 +657,15 @@ let exec t th =
           th.body <- None;
           start t th body
       | None -> Effect.Deep.continue (take_cont th) ()));
-  set_current t None
+  t.current <- None
 
-(* --- run loops ---------------------------------------------------------
+(* --- the event loop ------------------------------------------------------
 
-   Two, by machine shape:
-
-   - [run_serial]: one partition. The original tight loop, allocation-
-     free per event; every bus-coupled (paper) model runs here.
-
-   - [run_parallel]: several partitions, isolated model. Conservative
-     windows of width [lookahead]: each partition's events inside the
-     window execute concurrently on its own host domain; cross-
-     partition effects travel as mailbox messages timestamped at least
-     [lookahead] away and are merged at the barrier. *)
+   One heap, drained in (time, insertion) order; allocation-free per
+   event. *)
 
 let run_serial t limit =
-  let h = t.parts.(0).p_heap in
+  let h = t.heap in
   let continue_ = ref true in
   while !continue_ do
     if Heap.is_empty h then continue_ := false
@@ -982,9 +677,7 @@ let run_serial t limit =
         match Heap.take h with
         | Run th -> (
             match th.state with
-            | Running ->
-                t.exec_cpu_ <- th.cpu;
-                exec t th
+            | Running -> exec t th
             | Embryo | Ready | Blocked | Spinning | Done | Failed ->
                 (* Stale event: the thread moved on (e.g. it was
                    killed while waiting and already discontinued). *)
@@ -992,191 +685,26 @@ let run_serial t limit =
         | Fire tmr ->
             if not tmr.t_cancelled then begin
               tmr.t_cancelled <- true;
-              t.exec_cpu_ <- tmr.t_cpu;
               tmr.t_fn ()
             end
       end
     end
-  done;
-  t.exec_cpu_ <- -1
-
-(* Drain one partition's events strictly below [w_end]. Runs on the
-   partition's own host domain; exceptions are parked for the barrier
-   (they would otherwise unwind a worker loop). *)
-let run_partition_window t p w_end =
-  (try
-     let h = p.p_heap in
-     let continue_ = ref true in
-     while !continue_ do
-       if Heap.is_empty h then continue_ := false
-       else begin
-         let tm = Heap.top_time h in
-         if tm >= w_end then continue_ := false
-         else begin
-           let key = Heap.top_key h in
-           p.pt_now <- tm;
-           match Heap.take h with
-           | Run th ->
-               if th.state = Running then begin
-                 p.pt_exec_cpu <- th.cpu;
-                 p.pt_key <- key;
-                 p.pt_intra <- 0;
-                 exec t th
-               end
-           | Fire tmr ->
-               if not tmr.t_cancelled then begin
-                 tmr.t_cancelled <- true;
-                 p.pt_exec_cpu <- tmr.t_cpu;
-                 p.pt_key <- key;
-                 p.pt_intra <- 0;
-                 tmr.t_fn ()
-               end
-         end
-       end
-     done
-   with e -> p.pt_exn <- Some e);
-  p.pt_exec_cpu <- -1
-
-(* Barrier: deliver mailbox messages into target heaps (heap order
-   restores global (time, key) order, so drain order is irrelevant),
-   merge staged trace events deterministically, collect failures in
-   partition order, and advance engine time. *)
-let barrier_commit t =
-  Array.iter
-    (fun p ->
-      Mailbox.drain p.p_out (fun ~target ~time ~key ev ->
-          Heap.push_key t.parts.(target).p_heap ~time ~key ev))
-    t.parts;
-  (match t.tracer with
-  | None -> ()
-  | Some tr ->
-      let acc = ref [] in
-      Array.iter
-        (fun p ->
-          while not (Queue.is_empty p.pt_trace) do
-            acc := Queue.pop p.pt_trace :: !acc
-          done)
-        t.parts;
-      if !acc <> [] then begin
-        let buf = Array.of_list !acc in
-        Array.sort
-          (fun a b ->
-            if a.s_at <> b.s_at then compare a.s_at b.s_at
-            else if a.s_key <> b.s_key then compare a.s_key b.s_key
-            else compare a.s_intra b.s_intra)
-          buf;
-        Array.iter
-          (fun s -> Trace.emit tr ~at:s.s_at ~tid:s.s_tid ~cpu:s.s_cpu s.s_kind)
-          buf
-      end);
-  Array.iter
-    (fun p ->
-      if p.pt_failures <> [] then begin
-        t.failures_ <- List.rev_append (List.rev p.pt_failures) t.failures_;
-        p.pt_failures <- []
-      end;
-      if p.pt_now > t.now_ then t.now_ <- p.pt_now)
-    t.parts;
-  (* Re-raise the first (by partition order) parked exception after the
-     engine state has been made consistent. *)
-  Array.iter
-    (fun p ->
-      match p.pt_exn with
-      | Some e ->
-          p.pt_exn <- None;
-          raise e
-      | None -> ())
-    t.parts
-
-let run_parallel t limit =
-  let np = t.nparts in
-  let heaps = Array.map (fun p -> p.p_heap) t.parts in
-  let mu = Mutex.create () in
-  let cv_go = Condition.create () and cv_done = Condition.create () in
-  let epoch = ref 0 and done_count = ref 0 and stop = ref false in
-  let w_end = ref Time.zero in
-  let worker p () =
-    set_cur_part p;
-    let seen = ref 0 in
-    let running = ref true in
-    while !running do
-      Mutex.lock mu;
-      while (not !stop) && !epoch = !seen do
-        Condition.wait cv_go mu
-      done;
-      if !stop then begin
-        Mutex.unlock mu;
-        running := false
-      end
-      else begin
-        seen := !epoch;
-        let we = !w_end in
-        Mutex.unlock mu;
-        run_partition_window t t.parts.(p) we;
-        Mutex.lock mu;
-        incr done_count;
-        Condition.signal cv_done;
-        Mutex.unlock mu
-      end
-    done;
-    set_cur_part (-1)
-  in
-  let doms = Array.init (np - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock mu;
-      stop := true;
-      Condition.broadcast cv_go;
-      Mutex.unlock mu;
-      Array.iter Domain.join doms;
-      t.par_phase <- false)
-    (fun () ->
-      let continue_ = ref true in
-      while !continue_ do
-        match Window.min_time heaps with
-        | None -> continue_ := false
-        | Some w when w > limit -> continue_ := false
-        | Some w ->
-            t.window_id <- t.window_id + 1;
-            let we = Window.window_end ~start:w ~lookahead:t.lookahead ~limit in
-            t.par_phase <- true;
-            Mutex.lock mu;
-            w_end := we;
-            done_count := 0;
-            incr epoch;
-            Condition.broadcast cv_go;
-            Mutex.unlock mu;
-            set_cur_part 0;
-            run_partition_window t t.parts.(0) we;
-            set_cur_part (-1);
-            Mutex.lock mu;
-            while !done_count < np - 1 do
-              Condition.wait cv_done mu
-            done;
-            Mutex.unlock mu;
-            t.par_phase <- false;
-            barrier_commit t;
-            t.on_barrier ()
-      done)
+  done
 
 let run ?until t =
   if t.running_host then invalid_arg "Engine.run: re-entrant call";
   t.running_host <- true;
   let limit = match until with Some u -> u | None -> max_int in
   Fun.protect
-    ~finally:(fun () ->
-      t.running_host <- false;
-      t.exec_cpu_ <- -1;
-      flush_accounting t)
-    (fun () ->
-      if t.nparts = 1 then run_serial t limit else run_parallel t limit)
+    ~finally:(fun () -> t.running_host <- false)
+    (fun () -> run_serial t limit)
 
 (* --- in-thread operations ---------------------------------------------- *)
 
 let self t =
-  match get_current t with Some th -> th | None -> raise Not_in_thread
+  match t.current with Some th -> th | None -> raise Not_in_thread
 
-let self_opt t = get_current t
+let self_opt t = t.current
 
 let current_cpu t =
   let th = self t in
@@ -1196,17 +724,7 @@ let yield t = suspend t t.fn_yield
 
 let spin_suspend t = suspend t t.fn_spin
 
-(* Direct processor handoffs move a thread onto the donor's processor
-   with zero latency — inherently cross-CPU coupling, so isolated
-   models reject them outright rather than silently racing. *)
-let reject_if_isolated t what =
-  if t.isolated then
-    raise
-      (Cross_partition_interaction
-         (what ^ ": zero-latency handoff unavailable under isolated models"))
-
 let handoff t ~to_ =
-  reject_if_isolated t "handoff";
   suspend t (fun me ->
       assert (to_.state = Blocked);
       me.state <- Blocked;
@@ -1215,7 +733,6 @@ let handoff t ~to_ =
       place t to_ c)
 
 let yield_to t ~to_ =
-  reject_if_isolated t "yield_to";
   suspend t (fun me ->
       assert (to_.state = Blocked);
       me.state <- Ready;
@@ -1229,8 +746,7 @@ let touch_pages t ~pages =
   let c = current_cpu t in
   let misses = Tlb.access c.tlb ~domain:th.domain ~pages in
   if misses > 0 then begin
-    let p = acc_part t in
-    p.pt_tlb <- p.pt_tlb + misses;
+    Metrics.Counter.add t.tlb_miss_count misses;
     delay ~category:Category.Tlb_miss t
       (Time.scale t.cm.Cost_model.tlb_miss (float_of_int misses))
   end
@@ -1253,7 +769,6 @@ let switch_self_context t ~domain =
   else th.domain <- domain
 
 let exchange_processors t ~target =
-  reject_if_isolated t "exchange_processors";
   let th = self t in
   assert (cpu_free target);
   if tracing t then
@@ -1269,7 +784,7 @@ let exchange_processors t ~target =
 
 (* --- cross-thread operations ------------------------------------------- *)
 
-let wake_now t th =
+let wake t th =
   match th.state with
   | Blocked ->
       if tracing t then
@@ -1285,45 +800,21 @@ let wake_now t th =
         emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Wake { thread = th.name });
       th.state <- Running;
       let c = t.cpus_.(th.cpu) in
-      let spun = Time.sub (now t) th.spin_start in
+      let spun = Time.sub t.now_ th.spin_start in
       c.busy <- Time.add c.busy spun;
       c.lock_spin <- Time.add c.lock_spin spun;
       charge t Category.Lock spun;
       if spun <> Time.zero && tracing t then
         emit_at t ~tid:th.tid ~cpu:th.cpu
           (Event.Slice { category = Category.Lock; dur = spun });
-      push_to t ~cpu:th.cpu ~time:(now t) th.run_ev
+      Heap.push t.heap ~time:t.now_ th.run_ev
   | Embryo | Ready | Running | Done | Failed -> ()
 
-(* Under an isolated model a wake that crosses CPUs — or originates at
-   engine level, e.g. from a timer — takes effect one lookahead later,
-   as a deferred heap event under the target CPU's context. This is a
-   uniform model rule, applied identically at every domain count, which
-   is exactly what makes the outputs domain-count-invariant; it is also
-   what licenses the conservative window (nothing can affect a foreign
-   partition sooner than [lookahead]). Same-CPU wakes (a releaser
-   waking the next spinner on its own processor) stay immediate. *)
-let wake t th =
-  if not t.isolated then wake_now t th
-  else
-    match th.state with
-    | Blocked | Spinning ->
-        let target = if th.state = Spinning then th.cpu else th.home in
-        let origin = exec_cpu t in
-        if origin = target && origin >= 0 then wake_now t th
-        else
-          defer t ~target_cpu:target
-            ~time:(Time.add (now t) t.lookahead)
-            (fun () -> wake_now t th)
-    | Embryo | Ready | Running | Done | Failed -> ()
-
 let place_on t th c =
-  reject_if_isolated t "place_on";
   assert (th.state = Blocked);
   place t th c
 
 let ready_enqueue t th =
-  reject_if_isolated t "ready_enqueue";
   match th.state with
   | Blocked ->
       th.state <- Ready;
@@ -1332,7 +823,6 @@ let ready_enqueue t th =
   | Embryo | Ready | Running | Spinning | Done | Failed -> ()
 
 let set_idle_hook t f = t.on_idle <- f
-let set_barrier_hook t f = t.on_barrier <- f
 let topology t = t.topo
 
 let victim_ring t cpu =
@@ -1348,7 +838,7 @@ let total_steals_near t =
 let total_steals_far t =
   Array.fold_left (fun acc c -> acc + c.steals_far) 0 t.cpus_
 
-let interrupt_now t th e =
+let interrupt t th e =
   match th.state with
   | Done | Failed -> ()
   | _ -> (
@@ -1357,34 +847,15 @@ let interrupt_now t th e =
       | Blocked | Spinning -> wake t th
       | Embryo | Ready | Running | Done | Failed -> ())
 
-let interrupt t th e =
-  if not t.isolated then interrupt_now t th e
-  else
-    match th.state with
-    | Done | Failed -> ()
-    | _ ->
-        (* Route the whole delivery to the target's CPU context, one
-           lookahead out, like a cross-CPU wake: [pending_exn] must only
-           be touched by the partition executing the thread. A stale
-           state read here merely defers a delivery that will no-op. *)
-        let target = if th.cpu >= 0 then th.cpu else th.home in
-        let origin = exec_cpu t in
-        if origin = target && origin >= 0 then interrupt_now t th e
-        else
-          defer t ~target_cpu:target
-            ~time:(Time.add (now t) t.lookahead)
-            (fun () -> interrupt_now t th e)
-
 let kill t th = interrupt t th Thread_killed
 
 (* --- timers ------------------------------------------------------------- *)
 
 let at t time fn =
-  let tmr = { t_fn = fn; t_cancelled = false; t_cpu = exec_cpu t } in
+  let tmr = { t_fn = fn; t_cancelled = false } in
   (* Never schedule into the past: the heap would rewind [now_]. *)
-  let now_ = now t in
-  let time = if Time.compare time now_ < 0 then now_ else time in
-  push_to t ~cpu:tmr.t_cpu ~time (Fire tmr);
+  let time = if Time.compare time t.now_ < 0 then t.now_ else time in
+  Heap.push t.heap ~time (Fire tmr);
   tmr
 
 let cancel_timer _t tmr = tmr.t_cancelled <- true

@@ -21,18 +21,11 @@
     this reproduces Figure 2's sub-linear 3.7x speedup at four C-VAX
     processors.
 
-    {b Partitioned execution.} Models whose bus dilation couples all
-    processors (every paper machine) have zero effective lookahead and
-    always run as one partition. Models constructed with
-    {!Cost_model.isolated} declare a positive lookahead; their simulated
-    processors may be sharded into [domains] contiguous partitions, each
-    owning its own event heap and executing genuinely in parallel on a
-    separate host domain inside conservative time windows of that width.
-    Every event carries an engine-assigned (time, key) pair forming one
-    global total order across partitions, and cross-partition effects
-    travel as timestamped mailbox messages applied in exact global
-    order, so every output byte is independent of the domain count. See
-    DESIGN.md "Partitioned engine". *)
+    All simulated processors share one event heap drained by one loop
+    on one host domain. The bus couples every processor with zero
+    latency, so there is nothing to run apart; host parallelism comes
+    from running independent simulations side by side (the [--jobs]
+    artifact fan-out). See DESIGN.md "One event loop". *)
 
 type t
 
@@ -58,12 +51,6 @@ type cpu = {
           {!Cost_model.topology} (otherwise 0) *)
   mutable steals_far : int;  (** steals from a foreign cluster's queue *)
   mutable lock_spin : Time.t;  (** cumulative spin-wait time on this CPU *)
-  mutable key_seq : int;
-      (** isolated models: per-CPU event-key counter, invariant under the
-          partition layout (internal) *)
-  mutable rq_stamp : int;
-      (** isolated models: per-queue enqueue stamp (internal; stealing is
-          disabled, so stamps never compare across queues) *)
 }
 
 exception Thread_killed
@@ -72,31 +59,13 @@ exception Thread_killed
 exception Not_in_thread
 (** Raised by in-thread operations invoked outside any simulated thread. *)
 
-exception Cross_partition_interaction of string
-(** Raised when an operation would couple two partitions with zero
-    simulated latency under an isolated (genuinely parallel) model —
-    direct handoffs, spawning inside a parallel window, or (via the
-    {!Spinlock}/{!Waitq} ownership checks) two partitions touching one
-    synchronization object within the same window. Loud failure instead
-    of a silent host-level race. *)
-
 (** {1 Construction and execution} *)
 
 val create : ?processors:int -> ?domains:int -> Cost_model.t -> t
 (** [create cm] builds a machine with [processors] (default 1) CPUs, each
-    with a cold TLB per [cm], sharded across [domains] partitions
-    (default 1, clamped to [processors]). Only an isolated model may
-    take [domains > 1]; its simulated output is bit-identical for every
-    [domains] value, only host wall-clock may differ.
-    @raise Invalid_argument on [domains < 1], on [domains > 1] with a
-    bus-coupled (non-isolated) model, or on an isolated model with
-    nonzero [bus_alpha]. *)
-
-val domains : t -> int
-(** Number of partitions actually in use ([min domains processors]). *)
-
-val lookahead : t -> Time.t
-(** Synchronization-window width: {!Cost_model.lookahead} of the model. *)
+    with a cold TLB per [cm]. [domains] is the number of host domains
+    the event loop runs on; only 1 (the default) is accepted.
+    @raise Invalid_argument when [domains <> 1]. *)
 
 val cost_model : t -> Cost_model.t
 val now : t -> Time.t
@@ -107,8 +76,7 @@ val spawn : ?name:string -> ?home:int -> t -> domain:int -> (unit -> unit) -> th
     dispatched to a free processor ([home] is preferred when free) or
     queued. The body runs as a coroutine; any exception it does not catch
     marks the thread failed (see {!failures}) without aborting the
-    simulation. Isolated models require [home] pinning (placement is
-    partition-local) and forbid spawning inside a parallel window. *)
+    simulation. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Process events until the queue empties or the next event would be
@@ -235,11 +203,6 @@ val victim_ring : t -> int -> int array
 (** A copy of the distance-ordered steal scan order for the given CPU
     (near cluster first); [[||]] when the model has no topology. *)
 
-val set_barrier_hook : t -> (unit -> unit) -> unit
-(** Install a callback run after every parallel-window barrier commit —
-    a quiescent point where no partition is executing. Never called by
-    the serial loop (use a timer there). Default: ignore. *)
-
 val interrupt : t -> thread -> exn -> unit
 (** Arrange for [exn] to be raised inside the thread at its next
     scheduling point (immediately if it is waiting). *)
@@ -304,24 +267,4 @@ val emit : ?tid:int -> ?cpu:int -> t -> Lrpc_obs.Event.t -> unit
     the current simulated time. [tid]/[cpu] default to the currently
     executing thread's, or -1 outside any thread. Used by the kernel and
     runtime layers for traps, copies, binding, termination and network
-    events. Inside a parallel window the event is staged on the
-    executing partition and merged into the tracer in deterministic
-    (time, event key, emission ordinal) order at the barrier, so trace
-    digests are domain-count-invariant. *)
-
-(** {1 Parallel-window introspection}
-
-    Used by {!Spinlock}/{!Waitq} to detect two partitions touching one
-    synchronization object inside the same window — an interaction the
-    isolated-model contract forbids — and by tests. *)
-
-val parallel_phase : t -> bool
-(** True while a parallel window is executing (isolated models, several
-    domains); engine-global state must not be assumed coherent. *)
-
-val executing_partition : t -> int
-(** Partition index the calling host domain is executing, or -1 outside
-    a parallel window. *)
-
-val window_id : t -> int
-(** Monotonic counter of synchronization windows started. *)
+    events. *)

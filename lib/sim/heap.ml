@@ -91,22 +91,9 @@ let push t ~time payload =
   t.size <- i + 1;
   sift_up t i
 
-let push_key t ~time ~key payload =
-  grow t;
-  let i = t.size in
-  t.times.(i) <- time;
-  t.seqs.(i) <- key;
-  t.data.(i) <- payload;
-  t.size <- i + 1;
-  sift_up t i
-
 let top_time t =
   if t.size = 0 then invalid_arg "Heap.top_time: empty heap";
   t.times.(0)
-
-let top_key t =
-  if t.size = 0 then invalid_arg "Heap.top_key: empty heap";
-  t.seqs.(0)
 
 let take t =
   if t.size = 0 then invalid_arg "Heap.take: empty heap";

@@ -19,21 +19,8 @@ val size : 'a t -> int
 val push : 'a t -> time:Time.t -> 'a -> unit
 (** Insertion order among equal times is preserved on [pop]/[take]. *)
 
-val push_key : 'a t -> time:Time.t -> key:int -> 'a -> unit
-(** Like {!push} but with a caller-chosen tiebreak key instead of the
-    internal insertion sequence. The partitioned engine assigns keys
-    centrally so that the (time, key) order is a {e global} total order
-    across several per-partition heaps — the merged pop order is then
-    independent of how events were sharded. Callers must keep keys
-    unique among coexisting equal-time entries and should not mix
-    [push] and [push_key] on one heap. *)
-
 val top_time : 'a t -> Time.t
 (** Time of the earliest event, without allocating.
-    @raise Invalid_argument on an empty heap. *)
-
-val top_key : 'a t -> int
-(** Tiebreak key of the earliest event, without allocating.
     @raise Invalid_argument on an empty heap. *)
 
 val take : 'a t -> 'a

@@ -10,26 +10,7 @@ type t = {
   waiters : Engine.thread Queue.t;
   c_contended : Metrics.counter;
   c_acquires : Metrics.counter;
-  (* Partition-ownership stamp: the last (window, partition) that
-     touched this lock inside a parallel window. A second partition
-     touching it in the same window is a zero-latency cross-partition
-     interaction the isolated-model contract forbids — raise rather
-     than race on [holder]/[waiters] across host domains. *)
-  mutable own_window : int;
-  mutable own_part : int;
 }
-
-let ownership_check t =
-  let e = t.engine in
-  if Engine.parallel_phase e then begin
-    let w = Engine.window_id e and p = Engine.executing_partition e in
-    if t.own_window = w && t.own_part <> p then
-      raise
-        (Engine.Cross_partition_interaction
-           ("spinlock " ^ t.name ^ ": touched by two partitions in one window"));
-    t.own_window <- w;
-    t.own_part <- p
-  end
 
 let create ?(name = "lock") ?(overhead = Time.zero) ?(category = Category.Lock)
     engine =
@@ -44,12 +25,9 @@ let create ?(name = "lock") ?(overhead = Time.zero) ?(category = Category.Lock)
     waiters = Queue.create ();
     c_contended = Metrics.counter m ~labels "sim.lock_contended";
     c_acquires = Metrics.counter m ~labels "sim.lock_acquires";
-    own_window = -1;
-    own_part = -1;
   }
 
 let acquire t =
-  ownership_check t;
   let me = Engine.self t.engine in
   Metrics.Counter.incr t.c_acquires;
   let traced = Engine.tracing t.engine in
@@ -71,7 +49,6 @@ let acquire t =
     Engine.delay ~category:t.category t.engine t.overhead
 
 let release t =
-  ownership_check t;
   (match t.holder with
   | Some th when th == Engine.self t.engine -> ()
   | _ -> invalid_arg (t.name ^ ": release by non-holder"));

@@ -4,34 +4,11 @@
    by an interrupt can never swallow a signal meant for a live waiter. *)
 type cell = { th : Engine.thread; mutable active : bool }
 
-type t = {
-  name : string;
-  engine : Engine.t;
-  waiters : cell Queue.t;
-  (* Same partition-ownership stamp as Spinlock: two partitions using
-     one wait queue inside one parallel window would race on [waiters]
-     across host domains — fail loudly instead. *)
-  mutable own_window : int;
-  mutable own_part : int;
-}
+type t = { engine : Engine.t; waiters : cell Queue.t }
 
-let create ?(name = "waitq") engine =
-  { name; engine; waiters = Queue.create (); own_window = -1; own_part = -1 }
-
-let ownership_check t =
-  let e = t.engine in
-  if Engine.parallel_phase e then begin
-    let w = Engine.window_id e and p = Engine.executing_partition e in
-    if t.own_window = w && t.own_part <> p then
-      raise
-        (Engine.Cross_partition_interaction
-           ("waitq " ^ t.name ^ ": touched by two partitions in one window"));
-    t.own_window <- w;
-    t.own_part <- p
-  end
+let create engine = { engine; waiters = Queue.create () }
 
 let wait t =
-  ownership_check t;
   let cell = { th = Engine.self t.engine; active = true } in
   Queue.push cell t.waiters;
   Fun.protect
@@ -49,7 +26,6 @@ let rec take_live t =
   | None -> None
 
 let signal t =
-  ownership_check t;
   match take_live t with
   | Some th ->
       Engine.wake t.engine th;
@@ -57,7 +33,6 @@ let signal t =
   | None -> false
 
 let broadcast t =
-  ownership_check t;
   let n = ref 0 in
   let rec drain () =
     match take_live t with
@@ -74,7 +49,6 @@ let waiting t =
   Queue.fold (fun acc c -> if c.active then acc + 1 else acc) 0 t.waiters
 
 let signal_handoff t =
-  ownership_check t;
   match take_live t with
   | Some th ->
       Engine.handoff t.engine ~to_:th;
@@ -82,7 +56,6 @@ let signal_handoff t =
   | None -> false
 
 let wait_handoff t ~to_ =
-  ownership_check t;
   let cell = { th = Engine.self t.engine; active = true } in
   Queue.push cell t.waiters;
   Fun.protect

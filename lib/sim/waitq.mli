@@ -6,7 +6,7 @@
 
 type t
 
-val create : ?name:string -> Engine.t -> t
+val create : Engine.t -> t
 
 val wait : t -> unit
 (** Release the processor and sleep until signalled. *)

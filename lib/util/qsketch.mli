@@ -9,9 +9,8 @@
     Because the layout is fixed by [sub_bits] alone, two sketches with
     the same [sub_bits] merge by summing bucket counts — [merge a b]
     is {e exactly} the sketch of the concatenated samples, making
-    per-partition sketches safe to combine at window barriers or across
-    load-generator shards with no quantile drift beyond the bucket
-    error already paid at [add] time.
+    sketches from separate runs or workers safe to combine with no
+    quantile drift beyond the bucket error already paid at [add] time.
 
     Quantiles are reported as the inclusive upper bound of the bucket
     holding the target rank, so a reported quantile never understates

@@ -51,10 +51,9 @@ module Config : sig
             overrides it with the profile's [hw]. *)
     processors : int;  (** simulated CPUs (default 1) *)
     engine_domains : int option;
-        (** forwarded to {!Lrpc_sim.Engine.create}'s [domains]. Every
-            paper machine is bus-coupled and runs as one partition, so
-            only [None] or [Some 1] is accepted for it; [Some n > 1]
-            needs an isolated cost model. *)
+        (** forwarded to {!Lrpc_sim.Engine.create}'s [domains]: the
+            engine is one event loop on one host domain, so only [None]
+            or [Some 1] is accepted *)
     runtime : Lrpc_core.Rt.config option;
         (** LRPC runtime tuning (A-stack pool sizes, E-stack policy);
             [None] is {!Lrpc_core.Rt.default_config}. *)
@@ -83,7 +82,7 @@ module Config : sig
   }
 
   val default : t
-  (** One C-VAX Firefly processor on one partition, default runtime, no
+  (** One C-VAX Firefly processor on one host domain, default runtime, no
       caching, no faults, no tracer, no admission policy, classic
       transport, default prod tuning. *)
 end

@@ -13,9 +13,9 @@
     Determinism: the per-session streams are {!Lrpc_util.Prng.split}
     from one master seed in session order, and every timestamp comes
     from the engine clock, so a run is bit-identical for a given seed.
-    Latencies are recorded into {!Lrpc_util.Qsketch} shards merged
-    exactly at the end, so the reported quantiles do not depend on
-    completion interleaving either. *)
+    Latencies are recorded into one {!Lrpc_util.Qsketch}, whose bucket
+    counts do not depend on completion order, so the reported quantiles
+    do not depend on completion interleaving either. *)
 
 module Time = Lrpc_sim.Time
 

@@ -290,6 +290,83 @@ let test_erpc_dedup_eviction () =
   Alcotest.(check int) "credit accounting balanced" 0
     (ctr engine "net.erpc.credit_underflow")
 
+(* --- eRPC parameter boundaries ----------------------------------------- *)
+
+(* Zero / one / just-out-of-range cases for [Erpc.params]: the smallest
+   legal fragment (one payload byte), a one-packet credit window, a
+   single attempt per packet, and each value one step below its legal
+   range. *)
+
+let tiny_mtu =
+  {
+    Erpc.default_params with
+    Erpc.mtu = Erpc.default_params.Erpc.header_bytes + 1;
+  }
+
+(* Echo a 7-byte blob under [params]; returns the engine for counters. *)
+let erpc_blob_echo params =
+  let engine, kernel, rt, client, server = make_world () in
+  let b = Erpc.import_remote ~params rt ~client ~server iface ~impls in
+  let echoed = ref "" in
+  ignore
+    (Kernel.spawn kernel client (fun () ->
+         match Api.call rt b ~proc:"blob" [ V.bytes (Bytes.of_string "seven b") ] with
+         | [ V.Bytes r ] -> echoed := Bytes.to_string r
+         | _ -> ()));
+  Engine.run engine;
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures engine);
+  Alcotest.(check string) "payload echoed" "seven b" !echoed;
+  engine
+
+let test_erpc_one_byte_fragments () =
+  let engine = erpc_blob_echo tiny_mtu in
+  (* One payload byte per fragment: seven each way. *)
+  Alcotest.(check int) "14 packets" 14 (ctr engine "net.erpc.pkts_sent")
+
+let test_erpc_one_credit () =
+  let engine = erpc_blob_echo { tiny_mtu with Erpc.credit_cap = 1 } in
+  Alcotest.(check int) "14 packets" 14 (ctr engine "net.erpc.pkts_sent");
+  Alcotest.(check (float 0.0)) "one packet in flight at most" 1.0
+    (gauge engine "net.erpc.inflight_max");
+  Alcotest.(check int) "credit accounting balanced" 0
+    (ctr engine "net.erpc.credit_underflow")
+
+let test_erpc_single_attempt () =
+  let engine, kernel, rt, client, server = make_world () in
+  Fault_plan.install
+    (Fault_plan.make { Fault_plan.none with Fault_plan.pkt_drop = 1.0 })
+    rt;
+  let params = { Erpc.default_params with Erpc.max_pkt_attempts = 1 } in
+  let b = Erpc.import_remote ~params rt ~client ~server iface ~impls in
+  let outcome = ref None in
+  ignore
+    (Kernel.spawn kernel client (fun () ->
+         outcome := Some (Api.call_result rt b ~proc:"echo" [ V.int 1 ])));
+  Engine.run engine;
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures engine);
+  (match !outcome with
+  | Some (Error (Api.Failed _)) -> ()
+  | _ -> Alcotest.fail "expected a typed Failed error");
+  Alcotest.(check int) "one packet, no retransmission" 1
+    (ctr engine "net.erpc.pkts_sent");
+  Alcotest.(check int) "credit accounting balanced" 0
+    (ctr engine "net.erpc.credit_underflow")
+
+let test_erpc_params_below_range () =
+  let rejects what ?dedup_capacity params =
+    let _, _, rt, client, server = make_world () in
+    match
+      Erpc.import_remote ~params ?dedup_capacity rt ~client ~server iface ~impls
+    with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  let d = Erpc.default_params in
+  rejects "mtu = header_bytes" { d with Erpc.mtu = d.Erpc.header_bytes };
+  rejects "credit_cap = 0" { d with Erpc.credit_cap = 0 };
+  rejects "max_pkt_attempts = 0" { d with Erpc.max_pkt_attempts = 0 };
+  rejects "dedup_capacity = 0" ~dedup_capacity:0 d
+
 let () =
   Alcotest.run "lrpc_net"
     [
@@ -318,5 +395,14 @@ let () =
           Alcotest.test_case "credit invariant (qcheck)" `Quick
             test_erpc_credit_qcheck;
           Alcotest.test_case "dedup eviction" `Quick test_erpc_dedup_eviction;
+        ] );
+      ( "erpc boundaries",
+        [
+          Alcotest.test_case "one-byte fragments" `Quick
+            test_erpc_one_byte_fragments;
+          Alcotest.test_case "one credit" `Quick test_erpc_one_credit;
+          Alcotest.test_case "single attempt" `Quick test_erpc_single_attempt;
+          Alcotest.test_case "below range rejected" `Quick
+            test_erpc_params_below_range;
         ] );
     ]

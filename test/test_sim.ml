@@ -651,174 +651,17 @@ let test_engine_yield_to () =
     [ "producer-before"; "consumer"; "producer-after" ]
     (List.rev !order)
 
-(* --- Partitioned engine -------------------------------------------------- *)
+(* --- Engine domains ------------------------------------------------------ *)
 
-let test_isolated_cost_model () =
-  let iso = Cost_model.isolated ~name:"iso" cm in
-  Alcotest.(check (float 0.0)) "bus off" 0.0 iso.Cost_model.bus_alpha;
-  Alcotest.(check bool)
-    "positive lookahead" true
-    (Cost_model.lookahead iso > Time.zero);
-  check_time "default lookahead = min cross-CPU latency"
-    (Cost_model.min_cross_cpu_latency cm)
-    (Cost_model.lookahead iso);
-  check_time "explicit lookahead" (Time.us 7)
-    (Cost_model.lookahead (Cost_model.isolated ~lookahead:(Time.us 7) ~name:"iso7" cm));
-  Alcotest.check_raises "zero lookahead rejected"
-    (Invalid_argument "Cost_model.isolated: lookahead must be positive")
-    (fun () ->
-      ignore (Cost_model.isolated ~lookahead:Time.zero ~name:"bad" cm))
-
+(* The engine is one event loop on one host domain, so [~domains]
+   accepts only 1, on every model. *)
 let test_engine_create_domain_validation () =
-  (match Engine.create ~processors:2 ~domains:0 cm with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "domains:0 accepted");
-  (* A model claiming isolation while keeping the shared bus would let
-     partitions read remote CPU state at zero latency. *)
-  (match
-     Engine.create ~processors:2 ~domains:2
-       { cm with Cost_model.parallel_lookahead = Time.us 10 }
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "isolated model with live bus accepted");
-  (* A bus-coupled machine has zero lookahead: it runs as one partition
-     and refuses more. *)
-  (match Engine.create ~processors:2 ~domains:2 Cost_model.cvax_firefly with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bus-coupled model accepted domains:2");
-  (* An isolated model with more domains than processors clamps. *)
-  let iso = Cost_model.isolated ~name:"iso" cm in
-  let e = Engine.create ~processors:2 ~domains:8 iso in
-  Alcotest.(check int) "clamped to processors" 2 (Engine.domains e)
-
-(* One pinned thread per CPU; cross-CPU wakes along a ring. Everything a
-   run produces — completion times, final clock, the full metrics
-   snapshot and the trace stream — must be bit-identical whether the
-   4 CPUs share one host domain or are sharded across 2 or 4. *)
-let isolated_ring_run domains =
-  let iso = Cost_model.isolated ~lookahead:(Time.us 5) ~name:"iso" cm in
-  let e = Engine.create ~processors:4 ~domains iso in
-  let tracer = Lrpc_obs.Trace.create ~capacity:(1 lsl 14) () in
-  Engine.set_tracer e (Some tracer);
-  let finished = Array.make 4 0 in
-  let threads =
-    Array.init 4 (fun c ->
-        Engine.spawn e ~domain:c ~home:c ~name:(Printf.sprintf "ring%d" c)
-          (fun () ->
-            for _ = 1 to 3 do
-              Engine.delay e (Time.us (1 + c));
-              Engine.block e
-            done;
-            finished.(c) <- Engine.now e))
-  in
-  ignore
-    (Engine.spawn e ~domain:9 ~home:0 ~name:"driver" (fun () ->
-         for round = 1 to 3 do
-           for c = 0 to 3 do
-             Engine.delay e (Time.us 10);
-             (* Cross-CPU wake: deferred by the lookahead, carried by a
-                mailbox when CPU [c] lives in another partition. *)
-             Engine.wake e threads.(c)
-           done;
-           ignore round
-         done));
-  Engine.run e;
-  let snap = Lrpc_obs.Metrics.render (Lrpc_obs.Metrics.snapshot (Engine.metrics e)) in
-  ( Array.to_list finished,
-    Engine.now e,
-    snap,
-    Digest.to_hex (Digest.string (Lrpc_obs.Trace.dump tracer)) )
-
-let test_isolated_domains_identical () =
-  let base = isolated_ring_run 1 in
-  List.iter
-    (fun d ->
-      let times, now, snap, trace = isolated_ring_run d in
-      let b_times, b_now, b_snap, b_trace = base in
-      Alcotest.(check (list int))
-        (Printf.sprintf "completion times, %d domains" d)
-        b_times times;
-      check_time (Printf.sprintf "final clock, %d domains" d) b_now now;
-      Alcotest.(check string)
-        (Printf.sprintf "metrics, %d domains" d)
-        b_snap snap;
-      Alcotest.(check string)
-        (Printf.sprintf "trace digest, %d domains" d)
-        b_trace trace)
-    [ 2; 4 ]
-
-let test_isolated_wake_deferred () =
-  (* The +lookahead wake rule is uniform across domain counts — it
-     applies even in the serial run, or times would depend on D. *)
-  let iso = Cost_model.isolated ~lookahead:(Time.us 5) ~name:"iso" cm in
   List.iter
     (fun domains ->
-      let e = Engine.create ~processors:2 ~domains iso in
-      let woken_at = ref 0 and same_cpu_at = ref 0 in
-      let sleeper =
-        Engine.spawn e ~domain:0 ~home:1 (fun () ->
-            Engine.block e;
-            woken_at := Engine.now e)
-      in
-      let local =
-        Engine.spawn e ~domain:0 ~home:0 (fun () ->
-            Engine.block e;
-            same_cpu_at := Engine.now e)
-      in
-      ignore
-        (Engine.spawn e ~domain:0 ~home:0 (fun () ->
-             Engine.delay e (Time.us 50);
-             Engine.wake e sleeper;
-             Engine.wake e local));
-      Engine.run e;
-      check_time
-        (Printf.sprintf "cross-CPU wake deferred (%d domains)" domains)
-        (Time.us 55) !woken_at;
-      check_time
-        (Printf.sprintf "same-CPU wake immediate (%d domains)" domains)
-        (Time.us 50) !same_cpu_at)
-    [ 1; 2 ]
-
-let test_isolated_rejects_zero_latency_coupling () =
-  let iso = Cost_model.isolated ~name:"iso" cm in
-  let e = Engine.create ~processors:2 ~domains:2 iso in
-  let peer = Engine.spawn e ~domain:0 ~home:1 (fun () -> Engine.block e) in
-  ignore
-    (Engine.spawn e ~domain:0 ~home:0 (fun () ->
-         Engine.delay e (Time.us 1);
-         (* A direct processor handoff is a zero-latency cross-CPU
-            interaction — exactly what an isolated model forswears. *)
-         Engine.handoff e ~to_:peer));
-  Engine.run e;
-  (match
-     List.find_opt
-       (fun (_, exn) ->
-         match exn with Engine.Cross_partition_interaction _ -> true | _ -> false)
-       (Engine.failures e)
-   with
-  | Some _ -> ()
-  | None -> Alcotest.fail "handoff under an isolated model did not raise");
-  (* Placement is partition-local, so isolated spawns must be pinned. *)
-  let e2 = Engine.create ~processors:2 ~domains:2 iso in
-  match Engine.spawn e2 ~domain:0 (fun () -> ()) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unpinned spawn accepted under isolated model"
-
-let test_window_helpers () =
-  let mk entries =
-    let h = Heap.create () in
-    List.iter (fun (t, k) -> Heap.push_key h ~time:t ~key:k ()) entries;
-    h
-  in
-  let a = mk [ (10, 3) ] and b = mk [ (12, 2) ] and c = Heap.create () in
-  Alcotest.(check (option int)) "min_time" (Some 10) (Window.min_time [| a; b |]);
-  Alcotest.(check (option int)) "min_time empty" None (Window.min_time [| c |]);
-  check_time "window spans lookahead" 15
-    (Window.window_end ~start:10 ~lookahead:5 ~limit:max_int);
-  check_time "window capped by limit" 13
-    (Window.window_end ~start:10 ~lookahead:5 ~limit:12);
-  check_time "zero lookahead still advances" 11
-    (Window.window_end ~start:10 ~lookahead:0 ~limit:max_int)
+      match Engine.create ~processors:2 ~domains Cost_model.cvax_firefly with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "domains:%d accepted" domains)
+    [ 0; 2 ]
 
 (* --- Counter hygiene ------------------------------------------------------ *)
 
@@ -957,13 +800,7 @@ let () =
         ] );
       ( "partitioned engine",
         [
-          Alcotest.test_case "isolated cost model" `Quick test_isolated_cost_model;
           Alcotest.test_case "create validation" `Quick test_engine_create_domain_validation;
-          Alcotest.test_case "domains 1/2/4 identical" `Quick test_isolated_domains_identical;
-          Alcotest.test_case "cross-CPU wake deferred" `Quick test_isolated_wake_deferred;
-          Alcotest.test_case "zero-latency coupling rejected" `Quick
-            test_isolated_rejects_zero_latency_coupling;
-          Alcotest.test_case "window helpers" `Quick test_window_helpers;
         ] );
       ( "trace",
         [
