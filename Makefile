@@ -75,6 +75,10 @@ fault-smoke: build
 	  test $$? -eq 2 || { echo "FAIL: bad --seed must exit 2"; exit 1; }
 	@dune exec bin/lrpc_chaos.exe -- --no-such-flag > /dev/null 2>&1; \
 	  test $$? -eq 2 || { echo "FAIL: unknown flag must exit 2"; exit 1; }
+	@dune exec bin/lrpc_chaos.exe -- --calls 0 > /dev/null 2>&1; \
+	  test $$? -eq 2 || { echo "FAIL: --calls 0 must exit 2"; exit 1; }
+	@dune exec bin/lrpc_chaos.exe -- --clients=-3 > /dev/null 2>&1; \
+	  test $$? -eq 2 || { echo "FAIL: --clients=-3 must exit 2"; exit 1; }
 	@echo "fault smoke OK"
 
 # End-to-end: the multiprocessor scaling study's JSON rendering must

@@ -9,7 +9,7 @@
 
    Exits 1 when any quiescence invariant is violated or the replay
    digests differ — the `make fault-smoke` gate — and 2 on CLI misuse
-   (unknown flags, non-integer --seed). *)
+   (unknown flags, non-integer --seed, --calls or --clients below 1). *)
 
 module Plan = Lrpc_fault.Plan
 module Soak = Lrpc_fault.Soak
@@ -61,17 +61,30 @@ let seed_arg =
     & info [ "seed" ] ~docv:"SEED"
         ~doc:"Seed for the fault plan and the workload (one knob replays both).")
 
+(* A count of at least 1: with no calls or no clients the soak would
+   pass every invariant vacuously. *)
+let positive =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > 0 -> Ok n
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let calls_arg =
   Arg.(
     value
-    & opt int Soak.default.Soak.calls
-    & info [ "calls" ] ~doc:"Total number of calls across all clients.")
+    & opt positive Soak.default.Soak.calls
+    & info [ "calls" ]
+        ~doc:"Total number of calls across all clients (at least 1).")
 
 let clients_arg =
   Arg.(
     value
-    & opt int Soak.default.Soak.clients
-    & info [ "clients" ] ~doc:"Number of client threads.")
+    & opt positive Soak.default.Soak.clients
+    & info [ "clients" ] ~doc:"Number of client threads (at least 1).")
 
 let out_arg =
   Arg.(
@@ -92,9 +105,9 @@ let cmd =
     Term.(
       const run $ seed_arg $ calls_arg $ clients_arg $ out_arg $ replay_arg)
 
-(* Exit 2 on CLI misuse (non-integer --seed, unknown flags) with
-   cmdliner's usage line on stderr — distinct from exit 1, which means
-   the soak itself failed an invariant. *)
+(* Exit 2 on CLI misuse (non-integer --seed, unknown flags, counts
+   below 1) with cmdliner's usage line on stderr — distinct from exit 1,
+   which means the soak itself failed an invariant. *)
 let () =
   match Cmd.eval_value cmd with
   | Ok (`Ok ()) | Ok `Help | Ok `Version -> exit 0

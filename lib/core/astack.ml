@@ -32,6 +32,7 @@ let allocate_batch rt ~client ~server ~proc ~size ~count ~primary =
         a_shard = 0;
         a_estack = None;
         a_last_used = Time.zero;
+        a_footprint = None;
       })
 
 (* One shard per processor, capped by the A-stack count (no point in

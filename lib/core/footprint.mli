@@ -5,7 +5,12 @@
     about 25% of the Null call (paper §4). These functions enumerate the
     pages touched after each switch; the working sets (25 pages after
     the call-side switch, 18 after the return-side one, 43 total for the
-    Null call) are derived in DESIGN.md §4 and asserted by tests. *)
+    Null call) are derived in DESIGN.md §4 and asserted by tests.
+
+    Neither side is rebuilt per call: the call side is kept on the
+    A-stack for the E-stack it is associated with, the return side on the
+    binding. Only an out-of-band argument segment, fresh each call, gets
+    a fresh call-side list. *)
 
 val call_side :
   Rt.runtime ->

@@ -236,6 +236,10 @@ and astack = {
           shard of the checkout that allocated them) *)
   mutable a_estack : estack option;
   mutable a_last_used : Time.t;
+  mutable a_footprint : (estack * int list) option;
+      (** the call-side TLB footprint ({!Footprint.call_side}) and the
+          E-stack it was built for; rebuilt when the association
+          changes *)
 }
 
 (* Per-binding call statistics, kept in the engine's metrics registry
@@ -324,6 +328,9 @@ and binding = {
   b_export : export;
   b_procs : (string * proc_binding) list;
   b_client_stub_pages : int list;
+  mutable b_return_pages : int list;
+      (** the return-side TLB footprint ({!Footprint.return_side}), built
+          on the first return; empty until then *)
   b_stats : call_stats;
   mutable b_inflight : int;
       (** calls issued through this binding and not yet landed — always

@@ -75,7 +75,40 @@ type t = {
   mutable t_timers : Engine.timer list;
 }
 
+(* NaN fails both comparisons, so it is rejected with the rest. *)
+let validate s =
+  let reject field v why =
+    invalid_arg (Printf.sprintf "Plan.make: %s = %g %s" field v why)
+  in
+  List.iter
+    (fun (field, p) ->
+      if not (p >= 0.0 && p <= 1.0) then reject field p "is not in [0, 1]")
+    [
+      ("wire_drop", s.wire_drop);
+      ("wire_reply_drop", s.wire_reply_drop);
+      ("wire_duplicate", s.wire_duplicate);
+      ("wire_delay", s.wire_delay);
+      ("server_exn", s.server_exn);
+      ("starvation", s.starvation);
+      ("storm_reply_drop", s.storm_reply_drop);
+      ("pkt_drop", s.pkt_drop);
+      ("pkt_ecn", s.pkt_ecn);
+      ("pkt_dup", s.pkt_dup);
+      ("pkt_delay", s.pkt_delay);
+    ];
+  List.iter
+    (fun (field, x) -> if not (x >= 0.0) then reject field x "is negative")
+    (("wire_delay_mean_us", s.wire_delay_mean_us)
+    :: ("starvation_us", s.starvation_us)
+    :: ("pkt_delay_mean_us", s.pkt_delay_mean_us)
+    :: List.map
+         (fun (t_us, name) -> ("crash time of " ^ name, t_us))
+         s.crashes);
+  if not (s.storm_until_us >= s.storm_from_us) then
+    reject "storm_until_us" s.storm_until_us "is before storm_from_us"
+
 let make spec =
+  validate spec;
   let root = Prng.create ~seed:spec.seed in
   let t_wire = Prng.split root in
   let _t_jitter = Prng.split root in

@@ -71,7 +71,10 @@ type t
 
 val make : spec -> t
 (** Derive the per-family PRNG streams from [spec.seed]. A fresh [make]
-    of an equal spec replays the same fault sequence. *)
+    of an equal spec replays the same fault sequence.
+    @raise Invalid_argument when a probability is outside [\[0, 1\]] or
+    NaN, when a mean, [starvation_us] or a crash time is negative or
+    NaN, or when [storm_until_us < storm_from_us]. *)
 
 val spec : t -> spec
 

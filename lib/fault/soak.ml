@@ -129,6 +129,12 @@ let remote_impls =
   ]
 
 let run cfg =
+  (* A soak of no calls, or no clients to issue them, would pass every
+     invariant vacuously. *)
+  if cfg.calls <= 0 || cfg.clients <= 0 then
+    invalid_arg
+      (Printf.sprintf "Soak.run: calls (%d) and clients (%d) must be positive"
+         cfg.calls cfg.clients);
   (* One Driver.Config instead of hand-built engine/tracer/kernel/rt.
      The fault plan installs from the boot hook — before any domain
      exists — which is safe because crash timers resolve their victim

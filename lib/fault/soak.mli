@@ -79,6 +79,9 @@ type report = {
 }
 
 val run : config -> report
+(** @raise Invalid_argument when [calls <= 0] or [clients <= 0] (every
+    invariant would hold vacuously), or from {!Plan.make} when [spec] is
+    out of range. *)
 
 val ok : report -> bool
 (** All seven invariant fields true. *)

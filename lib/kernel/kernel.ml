@@ -56,6 +56,7 @@ type t = {
   mutable hooks : hook list; (* reversed *)
   mutable next_hook : int;
   linkages : (int, int) Hashtbl.t; (* tid -> outstanding linkage records *)
+  mutable linkages_total : int; (* sum of [linkages] *)
   g_linkages : Metrics.gauge;
 }
 
@@ -104,6 +105,7 @@ let boot engine =
     hooks = [];
     next_hook = 1;
     linkages = Hashtbl.create 64;
+    linkages_total = 0;
     g_linkages = Metrics.gauge (Engine.metrics engine) "kernel.linkages_outstanding";
   }
 
@@ -196,14 +198,14 @@ let trap t =
    single thread may hold several at once (they no longer nest like
    procedure calls), so this is a count, not a stack depth. *)
 
-let total_linkages t =
-  Hashtbl.fold (fun _ n acc -> acc + n) t.linkages 0
+let total_linkages t = t.linkages_total
 
 let linkage_claimed t th =
   let tid = Engine.thread_id th in
   let n = match Hashtbl.find_opt t.linkages tid with Some n -> n | None -> 0 in
   Hashtbl.replace t.linkages tid (n + 1);
-  Metrics.Gauge.set t.g_linkages (float_of_int (total_linkages t))
+  t.linkages_total <- t.linkages_total + 1;
+  Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
 
 let linkage_released t th =
   let tid = Engine.thread_id th in
@@ -211,7 +213,8 @@ let linkage_released t th =
   | Some 1 -> Hashtbl.remove t.linkages tid
   | Some n when n > 1 -> Hashtbl.replace t.linkages tid (n - 1)
   | Some _ | None -> invalid_arg "Kernel.linkage_released: none outstanding");
-  Metrics.Gauge.set t.g_linkages (float_of_int (total_linkages t))
+  t.linkages_total <- t.linkages_total - 1;
+  Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
 
 let outstanding_linkages t th =
   match Hashtbl.find_opt t.linkages (Engine.thread_id th) with

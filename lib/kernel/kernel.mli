@@ -66,7 +66,9 @@ val trap : t -> unit
     call handles a single thread may hold several at once — outstanding
     calls no longer nest like procedure calls — so the kernel keeps a
     per-thread count (mirrored in the ["kernel.linkages_outstanding"]
-    gauge), which the termination collector and tests consult. *)
+    gauge), which the termination collector and tests consult. Claims
+    and releases also keep a running total, so {!total_linkages} and the
+    gauge cost O(1) however many threads there are. *)
 
 val linkage_claimed : t -> Lrpc_sim.Engine.thread -> unit
 val linkage_released : t -> Lrpc_sim.Engine.thread -> unit
@@ -74,6 +76,7 @@ val linkage_released : t -> Lrpc_sim.Engine.thread -> unit
 
 val outstanding_linkages : t -> Lrpc_sim.Engine.thread -> int
 val total_linkages : t -> int
+(** Sum of {!outstanding_linkages} over all threads, in O(1). *)
 
 (** {1 Idle-processor management (LRPC/MP, paper §3.4)} *)
 

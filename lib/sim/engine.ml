@@ -53,6 +53,11 @@ type t = {
   cpus_ : cpu array;
   heap : event Heap.t;
   mutable ready_seq : int; (* global enqueue stamp: cross-queue FIFO age *)
+  mutable executing : int;
+      (* threads on a processor in state [Running] (spinners excluded):
+         the bus factor's load, kept by [place], [wake] of a spinner,
+         [fn_block]/[fn_yield]/[fn_spin], [handoff]/[yield_to] and
+         [finish] *)
   mutable rr_next : int; (* round-robin target for unpinned enqueues *)
   mutable now_ : Time.t;
   mutable next_tid : int;
@@ -146,6 +151,7 @@ let create ?(processors = 1) ?(domains = 1) cm =
       cpus_;
       heap = Heap.create ();
       ready_seq = 0;
+      executing = 0;
       rr_next = 0;
       now_ = Time.zero;
       next_tid = 0;
@@ -193,6 +199,7 @@ let create ?(processors = 1) ?(domains = 1) cm =
   t.fn_spin <-
     (fun th ->
       th.state <- Spinning;
+      t.executing <- t.executing - 1;
       th.spin_start <- t.now_);
   t
 
@@ -273,6 +280,7 @@ let place ?(stolen = false) ?(victim = -1) t th c =
   th.cpu <- c.idx;
   th.last_cpu <- c.idx;
   th.state <- Running;
+  t.executing <- t.executing + 1;
   let differs =
     match c.context with Some d -> d <> th.domain | None -> true
   in
@@ -562,6 +570,9 @@ let spawn ?(name = "thread") ?(home = -1) t ~domain body =
 
 (* --- execution --------------------------------------------------------- *)
 
+(* Only the executing thread finishes (its body returned or raised, or
+   [exec] found it killed before its first instruction), so it leaves
+   [Running] here. *)
 let finish t th fail =
   if tracing t then
     emit_at t ~tid:th.tid ~cpu:th.cpu
@@ -571,6 +582,7 @@ let finish t th fail =
            error = Option.map Printexc.to_string fail;
          });
   th.state <- (match fail with None -> Done | Some _ -> Failed);
+  t.executing <- t.executing - 1;
   (match fail with
   | Some e -> t.failures_ <- (th, e) :: t.failures_
   | None -> ());
@@ -586,16 +598,6 @@ let take_cont th =
       k
   | No_cont -> assert false
 
-let executing_count t =
-  let cpus = t.cpus_ in
-  let n = ref 0 in
-  for i = 0 to Array.length cpus - 1 do
-    match cpus.(i).running with
-    | Some th when th.state = Running -> incr n
-    | _ -> ()
-  done;
-  !n
-
 let handle_delay t th cat d k =
   assert (th.cpu >= 0);
   let d' =
@@ -604,7 +606,7 @@ let handle_delay t th cat d k =
     let alpha = t.cm.Cost_model.bus_alpha in
     if alpha = 0.0 then d
     else
-      let execn = executing_count t in
+      let execn = t.executing in
       if execn <= 1 then d
       else Time.scale d (1.0 +. (alpha *. float_of_int (execn - 1)))
   in
@@ -728,6 +730,7 @@ let handoff t ~to_ =
   suspend t (fun me ->
       assert (to_.state = Blocked);
       me.state <- Blocked;
+      t.executing <- t.executing - 1;
       let c = t.cpus_.(me.cpu) in
       free_cpu_of t me;
       place t to_ c)
@@ -736,6 +739,7 @@ let yield_to t ~to_ =
   suspend t (fun me ->
       assert (to_.state = Blocked);
       me.state <- Ready;
+      t.executing <- t.executing - 1;
       let c = t.cpus_.(me.cpu) in
       free_cpu_of t me;
       ready_push t me;
@@ -799,6 +803,7 @@ let wake t th =
       if tracing t then
         emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Wake { thread = th.name });
       th.state <- Running;
+      t.executing <- t.executing + 1;
       let c = t.cpus_.(th.cpu) in
       let spun = Time.sub t.now_ th.spin_start in
       c.busy <- Time.add c.busy spun;
@@ -868,11 +873,13 @@ let bind_fns t =
       if tracing t then
         emit_at t ~tid:th.tid ~cpu:th.last_cpu (Event.Block { thread = th.name });
       th.state <- Blocked;
+      t.executing <- t.executing - 1;
       free_cpu_of t th;
       try_dispatch t);
   t.fn_yield <-
     (fun th ->
       th.state <- Ready;
+      t.executing <- t.executing - 1;
       free_cpu_of t th;
       ready_push t th;
       try_dispatch t)

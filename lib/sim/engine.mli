@@ -19,7 +19,14 @@
     A crude shared-memory-bus model dilates every delay by
     [1 + bus_alpha * (executing_processors - 1)]; with the fitted alpha
     this reproduces Figure 2's sub-linear 3.7x speedup at four C-VAX
-    processors.
+    processors. The executing count (threads in state [Running] on a
+    processor; spinners do not count) is a field read in O(1), not a
+    scan of the processors. It rises whenever a thread is dispatched
+    onto a processor and when {!wake} resumes a spinner; it falls when
+    a thread blocks, yields, starts spinning, hands its processor over
+    ({!handoff}, {!yield_to}) or finishes (including a kill before its
+    first instruction). {!exchange_processors} leaves it unchanged: the
+    thread stays [Running].
 
     All simulated processors share one event heap drained by one loop
     on one host domain. The bus couples every processor with zero

@@ -245,6 +245,271 @@ let test_adaptive_reshard_reduces_contention () =
   Alcotest.(check int) "all calls completed" (8 * 400) inert_done;
   Alcotest.(check int) "same call results" inert_done live_done
 
+(* A soak of no calls or no clients would hold every invariant
+   vacuously, so it is refused. *)
+let test_soak_rejects_empty () =
+  List.iter
+    (fun (calls, clients) ->
+      match
+        Fault_soak.run { Fault_soak.default with Fault_soak.calls; clients }
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "calls %d, clients %d accepted" calls clients)
+    [ (0, 8); (-5, 8); (100, 0); (100, -3) ]
+
+(* The kernel's running linkage total against the two views it sums up:
+   the gauge it publishes and the per-thread counts over every domain's
+   threads. Checked every 50 us while deadlines abort calls inside the
+   server and, at 2 ms, the server domain crashes with calls in
+   flight. *)
+let test_linkage_total_mid_soak () =
+  let w = make_world ~processors:4 () in
+  let gauge =
+    Lrpc_obs.Metrics.gauge (Engine.metrics w.engine)
+      "kernel.linkages_outstanding"
+  in
+  let checks = ref 0 and busiest = ref 0 in
+  let check () =
+    let total = Kernel.total_linkages w.kernel in
+    let per_thread =
+      List.fold_left
+        (fun acc d ->
+          List.fold_left
+            (fun acc th -> acc + Kernel.outstanding_linkages w.kernel th)
+            acc d.Pdomain.threads)
+        0 (Kernel.domains w.kernel)
+    in
+    Alcotest.(check int) "total = gauge" total
+      (int_of_float (Lrpc_obs.Metrics.Gauge.value gauge));
+    Alcotest.(check int) "total = per-thread sum" total per_thread;
+    incr checks;
+    busiest := max !busiest total;
+    total
+  in
+  let rec tick at =
+    ignore
+      (Engine.at w.engine at (fun () ->
+           ignore (check ());
+           if at < Time.ms 20 then tick (Time.add at (Time.us 50))))
+  in
+  tick Time.zero;
+  let at_crash = ref 0 in
+  ignore
+    (Engine.at w.engine (Time.ms 2) (fun () ->
+         at_crash := check ();
+         Kernel.terminate_domain w.kernel w.server));
+  let deadlines = ref 0 in
+  let tight = { Api.Options.default with deadline = Some (Time.us 300) } in
+  for i = 1 to 4 do
+    ignore
+      (Kernel.spawn w.kernel w.client ~name:(Printf.sprintf "client-%d" i)
+         (fun () ->
+           let b = import w in
+           for j = 1 to 40 do
+             let options, proc =
+               match j mod 3 with
+               | 0 -> (tight, "hang")
+               | 1 -> (tight, "slow")
+               | _ -> (Api.Options.default, "slow")
+             in
+             let outcome = Api.call_result ~options w.rt b ~proc [ V.int j ] in
+             match outcome with
+             | Error (Api.Deadline _) -> incr deadlines
+             | Ok _ | Error _ -> ()
+           done))
+  done;
+  run_world w;
+  Alcotest.(check bool) "checked throughout" true (!checks > 100);
+  Alcotest.(check bool) "deadlines aborted calls" true (!deadlines > 0);
+  Alcotest.(check bool) "crash hit calls in flight" true (!at_crash > 0);
+  Alcotest.(check bool) "several linkages at once" true (!busiest > 1);
+  ignore (check ());
+  check_quiescent w
+
+(* --- fault-plan specs ------------------------------------------------------
+
+   Boundary values in the zero / one / max style: every probability at 0
+   and 1, every mean, duration and crash time at 0 and max_float, an
+   empty storm window; and each field just outside its range. *)
+
+let test_plan_spec_bounds () =
+  let n = Fault_plan.none in
+  let verdict spec =
+    match Fault_plan.make spec with
+    | _ -> Ok ()
+    | exception Invalid_argument m -> Error m
+  in
+  let accepts what spec =
+    match verdict spec with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "%s rejected: %s" what m
+  in
+  let rejects what spec =
+    match verdict spec with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s accepted" what
+  in
+  let probabilities =
+    [
+      ("wire_drop", fun p -> { n with Fault_plan.wire_drop = p });
+      ("wire_reply_drop", fun p -> { n with Fault_plan.wire_reply_drop = p });
+      ("wire_duplicate", fun p -> { n with Fault_plan.wire_duplicate = p });
+      ("wire_delay", fun p -> { n with Fault_plan.wire_delay = p });
+      ("server_exn", fun p -> { n with Fault_plan.server_exn = p });
+      ("starvation", fun p -> { n with Fault_plan.starvation = p });
+      ("storm_reply_drop", fun p -> { n with Fault_plan.storm_reply_drop = p });
+      ("pkt_drop", fun p -> { n with Fault_plan.pkt_drop = p });
+      ("pkt_ecn", fun p -> { n with Fault_plan.pkt_ecn = p });
+      ("pkt_dup", fun p -> { n with Fault_plan.pkt_dup = p });
+      ("pkt_delay", fun p -> { n with Fault_plan.pkt_delay = p });
+    ]
+  in
+  let magnitudes =
+    [
+      ( "wire_delay_mean_us",
+        fun x -> { n with Fault_plan.wire_delay_mean_us = x } );
+      ("starvation_us", fun x -> { n with Fault_plan.starvation_us = x });
+      ( "pkt_delay_mean_us",
+        fun x -> { n with Fault_plan.pkt_delay_mean_us = x } );
+      ("crash time", fun x -> { n with Fault_plan.crashes = [ (x, "srv") ] });
+    ]
+  in
+  let check_all fields ~ok ~bad =
+    List.iter
+      (fun (field, set) ->
+        let what v = Printf.sprintf "%s = %g" field v in
+        List.iter (fun v -> accepts (what v) (set v)) ok;
+        List.iter (fun v -> rejects (what v) (set v)) bad)
+      fields
+  in
+  check_all probabilities ~ok:[ 0.0; 0.5; 1.0 ]
+    ~bad:
+      [
+        -0.01; -.min_float; 1.01; Float.nan; Float.infinity; Float.neg_infinity;
+      ];
+  check_all magnitudes ~ok:[ 0.0; 1.0; max_float ]
+    ~bad:[ -1.0; -.min_float; Float.nan; Float.neg_infinity ];
+  let storm from until =
+    { n with Fault_plan.storm_from_us = from; storm_until_us = until }
+  in
+  accepts "empty storm window" (storm 5.0 5.0);
+  accepts "storm window" (storm 0.0 1e12);
+  rejects "storm ends before it starts" (storm 10.0 5.0);
+  rejects "storm until NaN" (storm 0.0 Float.nan);
+  accepts "Soak.default" Fault_soak.default.Fault_soak.spec
+
+(* Plan.none installed under a soak injects nothing. *)
+let test_plan_none_inert () =
+  let r =
+    Fault_soak.run
+      {
+        Fault_soak.default with
+        Fault_soak.calls = 1500;
+        spec = Fault_plan.none;
+      }
+  in
+  Alcotest.(check bool) "invariants hold" true (Fault_soak.ok r);
+  List.iter
+    (fun (what, v) -> Alcotest.(check int) what 0 v)
+    [
+      ("crashes", r.Fault_soak.r_crashes);
+      ("starvations", r.Fault_soak.r_starvations);
+      ("stub exceptions", r.Fault_soak.r_stub);
+      ("retries", r.Fault_soak.r_retries);
+      ("duplicates suppressed", r.Fault_soak.r_dups_suppressed);
+    ];
+  (* The counters the report leaves out, on a small world of local and
+     remote calls. *)
+  let w = make_world ~processors:2 () in
+  let rb, executed = add_remote w in
+  Fault_plan.install (Fault_plan.make Fault_plan.none) w.rt;
+  in_client w (fun () ->
+      let b = import w in
+      for i = 1 to 20 do
+        (match Api.call_result w.rt b ~proc:"add" [ V.int i; V.int 1 ] with
+        | Ok [ V.Int v ] when v = i + 1 -> ()
+        | _ -> Alcotest.fail "local call failed under Plan.none");
+        match Api.call_result w.rt rb ~proc:"recho" [ V.int i ] with
+        | Ok [ V.Int v ] when v = i -> ()
+        | _ -> Alcotest.fail "remote call failed under Plan.none"
+      done);
+  Alcotest.(check int) "remote executions" 20 !executed;
+  List.iter
+    (fun name -> Alcotest.(check int) name 0 (ctr w name))
+    [
+      "fault.wire_faults";
+      "fault.server_exns";
+      "fault.crashes";
+      "fault.astack_starvations";
+      "net.retries";
+    ];
+  check_quiescent w
+
+(* server_exn = 1.0: every local call, synchronous or pipelined, surfaces
+   as Stub_raised. *)
+let test_plan_every_server_exn () =
+  let w = make_world ~processors:2 () in
+  Fault_plan.install
+    (Fault_plan.make
+       { Fault_plan.none with Fault_plan.seed = 5L; server_exn = 1.0 })
+    w.rt;
+  let b = import w in
+  let outcomes = ref [] in
+  in_client w (fun () ->
+      for i = 1 to 12 do
+        let proc, args =
+          match i mod 3 with
+          | 0 -> ("null", [])
+          | 1 -> ("add", [ V.int i; V.int 1 ])
+          | _ -> ("slow", [ V.int i ])
+        in
+        outcomes := Api.call_result w.rt b ~proc args :: !outcomes
+      done;
+      let hs =
+        List.init 3 (fun i -> Api.call_async w.rt b ~proc:"slow" [ V.int i ])
+      in
+      outcomes := Api.await_all_results w.rt hs @ !outcomes);
+  List.iter
+    (function
+      | Error (Api.Stub_raised _) -> ()
+      | Ok _ -> Alcotest.fail "a call escaped the injected exception"
+      | Error f -> Alcotest.failf "wrong failure: %s" (Api.failure_to_string f))
+    !outcomes;
+  Alcotest.(check int) "every call injected" 15 (ctr w "fault.server_exns");
+  Alcotest.(check bool) "pool balanced" true (pool_balanced b "slow");
+  check_quiescent w
+
+(* wire_drop = 1.0: every classic remote call fails after its attempts,
+   and the server never executes. *)
+let test_plan_every_request_dropped () =
+  let w = make_world ~processors:2 () in
+  let rb, executed = add_remote ~max_attempts:2 w in
+  Fault_plan.install
+    (Fault_plan.make
+       { Fault_plan.none with Fault_plan.seed = 6L; wire_drop = 1.0 })
+    w.rt;
+  let failed = ref 0 in
+  in_client w (fun () ->
+      for i = 1 to 10 do
+        match Api.call_result w.rt rb ~proc:"recho" [ V.int i ] with
+        | Error (Api.Failed msg) ->
+            let sub = "after 2 attempts" in
+            let n = String.length msg and m = String.length sub in
+            let rec scan i =
+              i + m <= n && (String.sub msg i m = sub || scan (i + 1))
+            in
+            if scan 0 then incr failed
+            else Alcotest.failf "unexpected failure message: %s" msg
+        | Ok _ -> Alcotest.fail "a request got through"
+        | Error f ->
+            Alcotest.failf "wrong failure: %s" (Api.failure_to_string f)
+      done);
+  Alcotest.(check int) "every call failed" 10 !failed;
+  Alcotest.(check int) "server never executed" 0 !executed;
+  Alcotest.(check int) "one retry per call" 10 (ctr w "net.retries");
+  Alcotest.(check int) "every attempt faulted" 20 (ctr w "fault.wire_faults");
+  check_quiescent w
+
 (* --- deadlines ------------------------------------------------------------ *)
 
 let test_deadline_at_issue () =
@@ -722,6 +987,19 @@ let () =
             test_soak_clustered;
           Alcotest.test_case "adaptive reshard" `Quick
             test_adaptive_reshard_reduces_contention;
+          Alcotest.test_case "empty soak rejected" `Quick
+            test_soak_rejects_empty;
+          Alcotest.test_case "linkage total mid-soak" `Quick
+            test_linkage_total_mid_soak;
+        ] );
+      ( "plan specs",
+        [
+          Alcotest.test_case "field bounds" `Quick test_plan_spec_bounds;
+          Alcotest.test_case "none is inert" `Quick test_plan_none_inert;
+          Alcotest.test_case "every server exn" `Quick
+            test_plan_every_server_exn;
+          Alcotest.test_case "every request dropped" `Quick
+            test_plan_every_request_dropped;
         ] );
       ( "deadlines",
         [

@@ -199,6 +199,172 @@ let test_tlb_lru_eviction () =
   Alcotest.(check bool) "1 stays" true (Tlb.resident tlb ~domain:0 ~page:1);
   Alcotest.(check bool) "2 evicted" false (Tlb.resident tlb ~domain:0 ~page:2)
 
+(* The TLB as it was before its int-array representation: a table from
+   (domain, page) to last-use stamp, evicting the minimum stamp. Kept as
+   the reference model the real one must match access for access. *)
+module Ref_tlb = struct
+  type key = int * int (* domain, page; domain is 0 when untagged *)
+
+  type t = {
+    capacity : int;
+    tagged : bool;
+    entries : (key, int) Hashtbl.t; (* key -> last-use stamp *)
+    mutable clock : int;
+    mutable misses : int;
+    mutable flushes : int;
+  }
+
+  let create ~capacity ~tagged =
+    {
+      capacity;
+      tagged;
+      entries = Hashtbl.create 64;
+      clock = 0;
+      misses = 0;
+      flushes = 0;
+    }
+
+  let invalidate t =
+    if (not t.tagged) && Hashtbl.length t.entries > 0 then begin
+      Hashtbl.reset t.entries;
+      t.flushes <- t.flushes + 1
+    end
+
+  let key t ~domain ~page = if t.tagged then (domain, page) else (0, page)
+
+  let evict_lru t =
+    let victim = ref None in
+    Hashtbl.iter
+      (fun k stamp ->
+        match !victim with
+        | Some (_, s) when s <= stamp -> ()
+        | _ -> victim := Some (k, stamp))
+      t.entries;
+    match !victim with
+    | Some (k, _) -> Hashtbl.remove t.entries k
+    | None -> ()
+
+  let touch t k =
+    t.clock <- t.clock + 1;
+    match Hashtbl.find_opt t.entries k with
+    | Some _ ->
+        Hashtbl.replace t.entries k t.clock;
+        false
+    | None ->
+        if Hashtbl.length t.entries >= t.capacity then evict_lru t;
+        Hashtbl.replace t.entries k t.clock;
+        true
+
+  let access t ~domain ~pages =
+    let misses = ref 0 in
+    List.iter
+      (fun page -> if touch t (key t ~domain ~page) then incr misses)
+      pages;
+    t.misses <- t.misses + !misses;
+    !misses
+
+  let resident t ~domain ~page = Hashtbl.mem t.entries (key t ~domain ~page)
+  let miss_count t = t.misses
+  let flush_count t = t.flushes
+end
+
+type tlb_op = Access of int * int list | Invalidate
+
+let print_tlb_op = function
+  | Access (d, pages) ->
+      Printf.sprintf "access d%d [%s]" d
+        (String.concat ";" (List.map string_of_int pages))
+  | Invalidate -> "invalidate"
+
+(* Capacity 1-8, pages 0-15, domains 0-3: small enough that eviction,
+   re-reference and cross-domain aliasing all happen often. *)
+let prop_tlb_matches_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 5,
+            map2
+              (fun d pages -> Access (d, pages))
+              (int_range 0 3)
+              (list_size (int_range 0 6) (int_range 0 15)) );
+          (1, return Invalidate);
+        ])
+  in
+  QCheck.Test.make ~name:"tlb matches its hashtable reference" ~count:500
+    QCheck.(
+      triple (int_range 1 8) bool
+        (make
+           ~print:(fun ops -> String.concat ", " (List.map print_tlb_op ops))
+           Gen.(list_size (int_range 0 40) op)))
+    (fun (capacity, tagged, ops) ->
+      let t = Tlb.create ~capacity ~tagged in
+      let r = Ref_tlb.create ~capacity ~tagged in
+      let same_residency () =
+        List.for_all
+          (fun domain ->
+            List.for_all
+              (fun page ->
+                Tlb.resident t ~domain ~page = Ref_tlb.resident r ~domain ~page)
+              (List.init 16 Fun.id))
+          [ 0; 1; 2; 3 ]
+      in
+      List.for_all
+        (fun op ->
+          let same_result =
+            match op with
+            | Access (domain, pages) ->
+                Tlb.access t ~domain ~pages = Ref_tlb.access r ~domain ~pages
+            | Invalidate ->
+                Tlb.invalidate t;
+                Ref_tlb.invalidate r;
+                true
+          in
+          same_result
+          && Tlb.miss_count t = Ref_tlb.miss_count r
+          && Tlb.flush_count t = Ref_tlb.flush_count r
+          && same_residency ())
+        ops)
+
+(* The Null LRPC's 43-page refill after a flush, on a warm TLB of the
+   paper's 64 entries, allocates nothing, tagged or not. *)
+let test_tlb_access_allocates_nothing () =
+  List.iter
+    (fun tagged ->
+      let tlb = Tlb.create ~capacity:64 ~tagged in
+      let pages = List.init 43 (fun i -> 100 + i) in
+      ignore (Tlb.access tlb ~domain:3 ~pages);
+      let minor_words f =
+        let before = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. before
+      in
+      let empty = minor_words (fun () -> ()) in
+      let used =
+        minor_words (fun () ->
+            for _ = 1 to 1000 do
+              Tlb.invalidate tlb;
+              ignore (Tlb.access tlb ~domain:3 ~pages)
+            done)
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "tagged=%b: minor words of 1000 refills" tagged)
+        empty used)
+    [ false; true ]
+
+let test_tlb_tagged_key_range () =
+  let tlb = Tlb.create ~capacity:4 ~tagged:true in
+  List.iter
+    (fun (domain, page) ->
+      match Tlb.access tlb ~domain ~pages:[ page ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "domain %d page %d accepted" domain page)
+    [ (-1, 0); (0, -1); (1 lsl 23, 0); (0, 1 lsl 40) ];
+  Alcotest.(check int) "largest key misses once" 1
+    (Tlb.access tlb ~domain:((1 lsl 23) - 1) ~pages:[ (1 lsl 40) - 1 ]);
+  Alcotest.(check bool) "and is distinct from domain 0" false
+    (Tlb.resident tlb ~domain:0 ~page:((1 lsl 40) - 1))
+
 (* --- Engine basics ------------------------------------------------------ *)
 
 let test_delay_advances_time () =
@@ -405,19 +571,129 @@ let test_exchange_processors () =
   in
   check_time "no reload" Time.zero ctx
 
-let test_bus_contention_dilates () =
-  let e = Engine.create ~processors:2 { cm with Cost_model.bus_alpha = 0.5 } in
-  let done_at = Array.make 2 0 in
-  for i = 0 to 1 do
+(* --- Bus contention -------------------------------------------------------
+
+   With alpha = 0.5, a delay that starts while n threads execute (state
+   [Running] on a processor; spinners excluded) lasts 1 + 0.5 (n - 1)
+   times its nominal length. Each scenario below takes another CPU's
+   thread through one state transition and then times a delay, so a
+   transition that stopped updating the engine's executing count would
+   move an exact completion time. *)
+
+let bus_cm = { cm with Cost_model.bus_alpha = 0.5 }
+
+(* [n] threads delaying together, on 2..4 CPUs. *)
+let check_bus_all_executing n =
+  let e = Engine.create ~processors:n bus_cm in
+  let done_at = Array.make n 0 in
+  for i = 0 to n - 1 do
     ignore
       (Engine.spawn e ~domain:i ~home:i (fun () ->
            Engine.delay e (Time.us 100);
            done_at.(i) <- Engine.now e))
   done;
   Engine.run e;
-  (* Both threads execute concurrently: factor 1.5. *)
-  check_time "dilated" (Time.us 150) done_at.(0);
-  check_time "dilated" (Time.us 150) done_at.(1)
+  let expected = Time.us (100 + (50 * (n - 1))) in
+  Array.iter (check_time (Printf.sprintf "%d executing" n) expected) done_at
+
+(* Time a 100 us delay on CPU 0 after [other] has run first on CPU 1. *)
+let bus_probe_after other =
+  let e = Engine.create ~processors:2 bus_cm in
+  let th = Engine.spawn e ~domain:0 ~home:1 ~name:"other" (other e) in
+  let probe_done = ref 0 in
+  ignore
+    (Engine.spawn e ~domain:0 ~home:0 ~name:"probe" (fun () ->
+         Engine.delay e (Time.us 100);
+         probe_done := Engine.now e;
+         if Engine.alive th then Engine.wake e th));
+  (e, th, probe_done)
+
+let test_bus_contention_dilates () =
+  List.iter check_bus_all_executing [ 2; 3; 4 ];
+  (* Blocked, finished, or killed before its first instruction: the
+     other CPU's thread no longer executes, so the probe runs alone. *)
+  List.iter
+    (fun (what, other, kill) ->
+      let e, th, probe_done = bus_probe_after other in
+      if kill then Engine.kill e th;
+      Engine.run e;
+      check_time what (Time.us 100) !probe_done)
+    [
+      ("blocked", (fun e () -> Engine.block e), false);
+      ("finished", (fun _ () -> ()), false);
+      ("killed before running", (fun _ () -> Alcotest.fail "ran"), true);
+    ];
+  (* A spinner is not executing; waking it makes it so. The holder's
+     1 us runs beside the spinner-to-be, its 100 us beside a spinner,
+     and its last 100 us beside the woken acquirer. *)
+  let e = Engine.create ~processors:2 bus_cm in
+  let lk = Spinlock.create e in
+  let holder_done = ref 0 and spinner_done = ref 0 in
+  ignore
+    (Engine.spawn e ~domain:0 ~home:1 ~name:"holder" (fun () ->
+         Spinlock.acquire lk;
+         Engine.delay e (Time.us 1);
+         Engine.delay e (Time.us 100);
+         Spinlock.release lk;
+         Engine.delay e (Time.us 100);
+         holder_done := Engine.now e));
+  ignore
+    (Engine.spawn e ~domain:0 ~home:0 ~name:"spinner" (fun () ->
+         Spinlock.acquire lk;
+         Engine.delay e (Time.us 100);
+         spinner_done := Engine.now e));
+  Engine.run e;
+  check_time "holder beside a spinner" (1_500 + 100_000 + 150_000) !holder_done;
+  check_time "woken spinner" (1_500 + 100_000 + 150_000) !spinner_done;
+  (* Handoff, yield_to and yield swap the thread on CPU 0 for the
+     server: two threads execute while the probe on CPU 1 delays. *)
+  List.iter
+    (fun (what, transfer) ->
+      let e = Engine.create ~processors:2 bus_cm in
+      let server_done = ref 0 and probe_done = ref 0 in
+      let server =
+        Engine.spawn e ~domain:0 ~home:0 ~name:"server" (fun () ->
+            Engine.block e;
+            Engine.delay e (Time.us 100);
+            server_done := Engine.now e)
+      in
+      ignore
+        (Engine.spawn e ~domain:0 ~home:1 ~name:"probe" (fun () ->
+             Engine.delay e (Time.us 1);
+             Engine.delay e (Time.us 100);
+             probe_done := Engine.now e));
+      ignore
+        (Engine.spawn e ~domain:0 ~home:0 ~name:"client" (fun () ->
+             transfer e server));
+      Engine.run e;
+      check_time (what ^ ": server") (Time.us 150) !server_done;
+      check_time (what ^ ": probe") (1_500 + 150_000) !probe_done)
+    [
+      ("handoff", fun e server -> Engine.handoff e ~to_:server);
+      ("yield_to", fun e server -> Engine.yield_to e ~to_:server);
+      ( "yield",
+        fun e server ->
+          Engine.wake e server;
+          Engine.yield e );
+    ];
+  (* exchange_processors moves an executing thread to a free CPU; it
+     never leaves [Running]. Its 17 us exchange and the probe's 1 us
+     both run beside the other thread. *)
+  let e = Engine.create ~processors:3 bus_cm in
+  let mover_done = ref 0 and probe_done = ref 0 in
+  ignore
+    (Engine.spawn e ~domain:0 ~home:0 ~name:"mover" (fun () ->
+         Engine.exchange_processors e ~target:(Engine.cpus e).(2);
+         Engine.delay e (Time.us 100);
+         mover_done := Engine.now e));
+  ignore
+    (Engine.spawn e ~domain:0 ~home:1 ~name:"probe" (fun () ->
+         Engine.delay e (Time.us 1);
+         Engine.delay e (Time.us 100);
+         probe_done := Engine.now e));
+  Engine.run e;
+  check_time "exchange: mover" (25_500 + 150_000) !mover_done;
+  check_time "exchange: probe" (1_500 + 150_000) !probe_done
 
 let test_run_until_horizon () =
   let e = Engine.create ~processors:1 cm_no_bus in
@@ -747,6 +1023,7 @@ let () =
       [
         prop_heap_sorted;
         prop_heap_model;
+        prop_tlb_matches_reference;
         prop_victim_ring_covers;
         prop_engine_deterministic;
       ]
@@ -777,6 +1054,10 @@ let () =
           Alcotest.test_case "tagged survives" `Quick test_tlb_tagged_survives;
           Alcotest.test_case "untagged shares" `Quick test_tlb_untagged_shares_pages;
           Alcotest.test_case "lru eviction" `Quick test_tlb_lru_eviction;
+          Alcotest.test_case "access allocates nothing" `Quick
+            test_tlb_access_allocates_nothing;
+          Alcotest.test_case "tagged key range" `Quick
+            test_tlb_tagged_key_range;
         ] );
       ( "engine",
         [
