@@ -11,8 +11,8 @@ TRANSPORT_JSON := /tmp/lrpc_transport_smoke.json
 TRANSPORT_CHAOS_JSON := /tmp/lrpc_transport_chaos_smoke.json
 TRANSPORT_T45_TXT := /tmp/lrpc_transport_t45_smoke.txt
 
-# Seeded chaos-soak trace digest with the classic transport selected
-# (the default). Pinned so any change to the published fault-injection
+# Seeded chaos-soak trace digest (the soak's remote binding is classic
+# Netrpc). Pinned so any change to the published fault-injection
 # behaviour is a conscious re-pin, not silent drift. Re-derived in this
 # tree by the per-binding retry-jitter streams (Plan.make splits a
 # jitter root per binding id instead of sharing one stream).
@@ -182,33 +182,18 @@ numa-smoke: build
 	    'flat-topology digest drifted: %s' % d['digest']"
 	@echo "numa smoke OK"
 
-# End-to-end: the three-way transport study's JSON must have the
-# expected shape, the eRPC-style transport must beat classic Netrpc
-# throughput at 64 B, and 1% packet loss must degrade eRPC goodput
-# gracefully (no collapse). The other half of the contract: with the
-# classic transport still the default, the seeded chaos digest and the
-# Table 4/5 renderings must match their pins byte-for-byte — the
-# packet-granular path has to be invisible until selected.
+# End-to-end: the three-way transport study's CLI must emit parseable
+# JSON. Its bounds (eRPC beats classic at 64 B, 1% packet loss degrades
+# eRPC goodput gracefully, the ablations point the right way) are
+# checked on the typed result by test_experiments "transport", under
+# `dune runtest`. The other half of the contract: the seeded chaos
+# digest and the Table 4/5 renderings must match their pins
+# byte-for-byte — the packet-granular path has to be invisible until
+# selected.
 transport-smoke: build
 	dune exec bin/lrpc_experiments.exe -- transport --quick --json > $(TRANSPORT_JSON)
 	@python3 -c "import json; d = json.load(open('$(TRANSPORT_JSON)')); \
-	  assert d['experiment'] == 'transport'; \
-	  systems = {s['system']: s['points'] for s in d['systems']}; \
-	  assert set(systems) == {'lrpc', 'netrpc', 'erpc'}; \
-	  assert all(p['bytes'] > 0 and p['latency_us'] > 0 and p['cps'] > 0 \
-	             for ps in systems.values() for p in ps); \
-	  assert d['erpc_vs_classic_speedup_64b'] >= 1.0, \
-	    'eRPC must beat classic at 64 B: %s' % d['erpc_vs_classic_speedup_64b']; \
-	  assert d['null_erpc_us'] < d['null_classic_us']; \
-	  loss = sorted(d['loss'], key=lambda p: p['loss']); \
-	  base, worst = loss[0], loss[-1]; \
-	  assert base['loss'] == 0.0 and worst['loss'] >= 0.01; \
-	  assert worst['erpc_cps'] >= 0.4 * base['erpc_cps'], \
-	    'eRPC goodput collapsed under loss: %s vs %s' \
-	    % (worst['erpc_cps'], base['erpc_cps']); \
-	  assert worst['erpc_retransmits'] > 0, 'loss must trigger retransmits'; \
-	  assert d['cache_on_us'] < d['cache_off_us']; \
-	  assert d['staged_copy_us'] > d['zero_copy_us']"
+	  assert d['experiment'] == 'transport'"
 	dune exec bin/lrpc_chaos.exe -- --out $(TRANSPORT_CHAOS_JSON) > /dev/null
 	@python3 -c "import json; d = json.load(open('$(TRANSPORT_CHAOS_JSON)')); \
 	  assert d['digest'] == '$(CHAOS_DIGEST)', \

@@ -63,12 +63,7 @@ let throughput ~processors ~pipelined ~calls =
          let ms = Time.to_us (Time.sub (Engine.now engine) t0) /. 1000.0 in
          result := float_of_int calls /. ms));
   Engine.run engine;
-  (match Engine.failures engine with
-  | [] -> ()
-  | (th, exn) :: _ ->
-      Printf.eprintf "bench thread %s died: %s\n" (Engine.thread_name th)
-        (Printexc.to_string exn);
-      exit 1);
+  Engine.check_failures ~what:"bench thread" engine;
   !result
 
 let () =

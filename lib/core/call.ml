@@ -362,33 +362,37 @@ let complete_local rt h lc =
       crash_cleanup ();
       raise exn
 
+let remote_of b = match b.b_remote with Some r -> r | None -> assert false
+
+(* Return the window slot claimed at issue, waking the longest-blocked
+   issuer. Idempotent. *)
+let release_slot r rc =
+  if rc.rc_slot_held then begin
+    rc.rc_slot_held <- false;
+    r.r_in_flight <- r.r_in_flight - 1;
+    ignore (Waitq.signal r.r_wait)
+  end
+
 (* §5.1: the conventional network path, behind the remote bit. The
-   window slot claimed at issue is returned when the reply lands, waking
-   the longest-blocked issuer. *)
-let complete_remote _rt h rc =
-  let b = h.ch_binding in
-  let r =
-    match b.b_remote with Some r -> r | None -> assert false
-  in
-  let release_slot () =
-    if rc.rc_slot_held then begin
-      rc.rc_slot_held <- false;
-      r.r_in_flight <- r.r_in_flight - 1;
-      ignore (Waitq.signal r.r_wait)
-    end
-  in
-  Fun.protect ~finally:release_slot (fun () ->
-      try
-        rc.rc_results <- r.r_transport ~proc:h.ch_proc rc.rc_args;
-        Ok ()
-      with
-      | Engine.Thread_killed as exn -> raise exn
-      | exn -> Error exn)
+   window slot is returned however the transport call ends. *)
+let complete_remote h rc =
+  let r = remote_of h.ch_binding in
+  match r.r_transport ~proc:h.ch_proc rc.rc_args with
+  | results ->
+      rc.rc_results <- results;
+      release_slot r rc;
+      Ok ()
+  | exception (Engine.Thread_killed as exn) ->
+      release_slot r rc;
+      raise exn
+  | exception exn ->
+      release_slot r rc;
+      Error exn
 
 let complete_body rt h =
   match h.ch_kind with
   | Ck_local lc -> complete_local rt h lc
-  | Ck_remote rc -> complete_remote rt h rc
+  | Ck_remote rc -> complete_remote h rc
 
 (* Send home whatever the issue half claimed — the A-stack (and any
    out-of-band region) of a local call, the window slot of a remote one
@@ -404,15 +408,7 @@ let reclaim_issue rt h =
         lc.lc_released <- true;
         Astack.checkin rt lc.lc_pb lc.lc_astack
       end
-  | Ck_remote rc ->
-      if rc.rc_slot_held then begin
-        let r =
-          match h.ch_binding.b_remote with Some r -> r | None -> assert false
-        in
-        rc.rc_slot_held <- false;
-        r.r_in_flight <- r.r_in_flight - 1;
-        ignore (Waitq.signal r.r_wait)
-      end
+  | Ck_remote rc -> release_slot (remote_of h.ch_binding) rc
 
 (* Run the completion half on the current thread and land the handle.
    Never lets an exception other than [Thread_killed] escape: failures
@@ -593,6 +589,27 @@ let issue_local ?audit ?admit rt b ~proc args =
       lc_t_server = t_marshal;
     }
 
+(* The remote stub's call side: the same argument checks the local stub
+   makes while planning its A-stack slots, against the interface the
+   Binding Object names. Errors raise here, before a window slot or a
+   sequence number is taken. *)
+let check_remote_args b ~proc args =
+  let p =
+    match I.find_proc b.b_export.ex_iface proc with
+    | Some p -> p
+    | None -> raise (Bad_binding ("no such procedure: " ^ proc))
+  in
+  let inputs =
+    List.filter
+      (fun (prm : I.param) -> prm.I.mode = I.In || prm.I.mode = I.In_out)
+      p.I.params
+  in
+  if List.length inputs <> List.length args then
+    raise
+      (Layout.Arity_mismatch
+         (Printf.sprintf "%s: expected %d arguments" proc (List.length inputs)));
+  List.iter2 (fun (prm : I.param) v -> V.check_exn prm.I.ty v) inputs args
+
 (* Abort an unlanded call — the deadline/timeout path. §5.3 discipline:
    a vehicle inside the server cannot be forced home, so its linkage is
    marked abandoned (the kernel destroys the thread and reclaims the
@@ -720,6 +737,7 @@ let issue_guarded ?audit ?deadline ~vehicle rt b ~proc args =
            branches to the conventional network RPC path — here gated by
            the binding's in-flight window, the wire analogue of the
            A-stack pool bound. *)
+        check_remote_args b ~proc args;
         while r.r_in_flight >= r.r_window do
           Waitq.wait r.r_wait
         done;

@@ -216,11 +216,13 @@ let mpass_world p ~sessions =
         | None -> assert false);
   }
 
-(* Netrpc: server domain on machine 1, client domains on machine 0,
-   one remote binding per client domain with the in-flight window
-   sized to the sessions sharing it (so the window is back-pressure,
-   not an artificial serializer). *)
-let netrpc_world p ~sessions =
+(* A remote world: server domain on machine 1, client domains on
+   machine 0, one remote binding per client domain with the in-flight
+   window sized to the sessions sharing it (so the window is
+   back-pressure, not an artificial serializer). [import] binds over the
+   transport under study, so the classic and packet-granular curves
+   differ only in the wire model. *)
+let remote_world import p ~sessions =
   let b = Driver.boot (config_of p) in
   let kernel = b.Driver.bt_kernel and rt = b.Driver.bt_rt in
   let server = Kernel.create_domain kernel ~machine:1 ~name:"ol-server" in
@@ -233,8 +235,8 @@ let netrpc_world p ~sessions =
   let bindings =
     Array.map
       (fun client ->
-        Netrpc.import_remote ~window:per_domain rt ~client ~server
-          Driver.bench_interface ~impls:Driver.mpass_bench_impls)
+        import ~window:per_domain rt ~client ~server Driver.bench_interface
+          ~impls:Driver.mpass_bench_impls)
       domains
   in
   {
@@ -269,49 +271,6 @@ let lrpc_clustered_world p ~sessions =
   lrpc_world ~cost_model:cm ~home_of:(fun session -> session mod cluster_size)
     p ~sessions
 
-(* Netrpc over the packet-granular (eRPC-style) transport: same
-   machine split and per-domain binding fan-out as [netrpc_world], so
-   the two curves differ only in the transport model. *)
-let netrpc_erpc_world p ~sessions =
-  let b = Driver.boot (config_of p) in
-  let kernel = b.Driver.bt_kernel and rt = b.Driver.bt_rt in
-  let server = Kernel.create_domain kernel ~machine:1 ~name:"ol-server" in
-  let n_domains = min p.session_domains sessions in
-  let per_domain = (sessions + n_domains - 1) / n_domains in
-  let domains =
-    Array.init n_domains (fun d ->
-        Kernel.create_domain kernel ~name:(Printf.sprintf "ol-client%d" d))
-  in
-  let bindings =
-    Array.map
-      (fun client ->
-        Lrpc_net.Erpc.import_remote ~window:per_domain rt ~client ~server
-          Driver.bench_interface ~impls:Driver.mpass_bench_impls)
-      domains
-  in
-  {
-    w_engine = b.Driver.bt_engine;
-    w_spawn =
-      (fun ~session body ->
-        ignore
-          (Kernel.spawn kernel
-             domains.(session mod n_domains)
-             ~name:(Printf.sprintf "ol-session%d" session)
-             body));
-    w_call =
-      (fun ~session ~lateness_us:_ ->
-        ignore (Api.call rt bindings.(session mod n_domains) ~proc:"null" []);
-        `Ok);
-  }
-
-let check_failures engine what =
-  match Engine.failures engine with
-  | [] -> ()
-  | (th, exn) :: _ ->
-      failwith
-        (Printf.sprintf "%s %s died: %s" what (Engine.thread_name th)
-           (Printexc.to_string exn))
-
 (* The capacity anchor: the usual closed-loop tight-loop callers, on a
    fresh world from the same constructor, so the sweep's "fraction of
    capacity" axis is anchored to what this exact topology can do. *)
@@ -328,7 +287,7 @@ let capacity p make =
         done)
   done;
   Engine.run ~until:p.capacity_horizon w.w_engine;
-  check_failures w.w_engine "capacity caller";
+  Engine.check_failures ~what:"capacity caller" w.w_engine;
   float_of_int !count /. Time.to_s p.capacity_horizon
 
 let sweep_point p make ~process offered =
@@ -378,8 +337,14 @@ let systems =
     ("lrpc_bursty", (fun p -> lrpc_world p), bursty);
     ("lrpc_clustered", lrpc_clustered_world, Ol.Poisson);
     ("src_rpc", mpass_world, Ol.Poisson);
-    ("netrpc", netrpc_world, Ol.Poisson);
-    ("netrpc_erpc", netrpc_erpc_world, Ol.Poisson);
+    ( "netrpc",
+      remote_world (fun ~window rt ~client ~server ->
+          Netrpc.import_remote ~window rt ~client ~server),
+      Ol.Poisson );
+    ( "netrpc_erpc",
+      remote_world (fun ~window rt ~client ~server ->
+          Lrpc_net.Erpc.import_remote ~window rt ~client ~server),
+      Ol.Poisson );
   ]
 
 let run ?(seed = 1989L) ?(quick = false) () =

@@ -1,6 +1,6 @@
 (* Every paper artifact by short name — the single list shared by the
-   [lrpc_experiments] CLI, [bench/main] and [bench/host], so the entry
-   points cannot drift apart in names, seeds or sample sizes.
+   [lrpc_experiments] CLI and [bench/host], so the entry points cannot
+   drift apart in names, seeds or sample sizes.
 
    [run] is a pure function of [(seed, quick, name)]: each artifact
    builds its own engine and PRNGs, so the renderings are bit-identical

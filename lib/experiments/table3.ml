@@ -59,9 +59,7 @@ let lrpc_cell ~defensive =
               ~options:{ Api.Options.default with audit = Some audit }
               rt b ~proc:"echo" [ V.int 7 ])));
   Engine.run engine;
-  (match Engine.failures engine with
-  | [] -> ()
-  | (_, exn) :: _ -> failwith (Printexc.to_string exn));
+  Engine.check_failures engine;
   split_cell audit !split
 
 let mpass_cell profile =
@@ -86,9 +84,7 @@ let mpass_cell profile =
          let conn = Mpass.connect server ~client in
          ignore (Mpass.call ~audit conn ~proc:"echo" [ V.int 7 ])));
   Engine.run engine;
-  (match Engine.failures engine with
-  | [] -> ()
-  | (_, exn) :: _ -> failwith (Printexc.to_string exn));
+  Engine.check_failures engine;
   split_cell audit !split
 
 let run () =

@@ -41,8 +41,8 @@ type result = {
   tr_horizon : Time.t;
   tr_sizes : size_curve list;
   tr_loss : loss_point list;
-  tr_null_classic_us : float;  (** Driver.make_netrpc, classic transport *)
-  tr_null_erpc_us : float;  (** Driver.make_netrpc, eRPC transport *)
+  tr_null_classic_us : float;  (** Bench Null, one caller, classic *)
+  tr_null_erpc_us : float;  (** Bench Null, one caller, eRPC *)
   tr_cache_off_us : float;  (** eRPC 64 B latency, full kernel mediation *)
   tr_cache_on_us : float;  (** same with the Arcalis binding cache *)
   tr_zero_copy_us : float;  (** eRPC 6000 B latency, zero-copy *)
@@ -80,12 +80,18 @@ let echo_local =
         | _ -> invalid_arg "echo" );
   ]
 
+(* What a world serves: an interface with its LRPC and remote impls.
+   The study's own echo, and the paper's Bench suite for the Null pair. *)
+let echo = (iface, echo_local, echo_remote)
+let bench = (Driver.bench_interface, Driver.bench_impls, Driver.mpass_bench_impls)
+
 (* One measurement world: [clients] caller domains on machine 0, the
-   echo server local (machine 0, LRPC) or remote (machine 1) behind
-   the selected transport, one binding per caller domain. *)
+   server local (machine 0, LRPC) or remote (machine 1) behind the
+   selected transport, one binding per caller domain. *)
 type system = Lrpc | Classic | Erpc_sys of Erpc.params
 
-let world ?install_faults ~processors ~clients system =
+let world ?install_faults ?(service = echo) ~processors ~clients system =
+  let iface, local_impls, remote_impls = service in
   let config =
     {
       Driver.Config.default with
@@ -103,54 +109,51 @@ let world ?install_faults ~processors ~clients system =
     match system with
     | Lrpc ->
         let server = Kernel.create_domain kernel ~name:"tr-server" in
-        ignore (Api.export rt ~domain:server iface ~impls:echo_local);
+        ignore (Api.export rt ~domain:server iface ~impls:local_impls);
         Array.map
-          (fun d -> Api.import rt ~domain:d ~interface:"Transport")
+          (fun d -> Api.import rt ~domain:d ~interface:iface.I.interface_name)
           clients_d
     | Classic ->
         let server = Kernel.create_domain kernel ~machine:1 ~name:"tr-server" in
         Array.map
           (fun client ->
-            Netrpc.import_remote rt ~client ~server iface ~impls:echo_remote)
+            Netrpc.import_remote rt ~client ~server iface ~impls:remote_impls)
           clients_d
     | Erpc_sys params ->
         let server = Kernel.create_domain kernel ~machine:1 ~name:"tr-server" in
         Array.map
           (fun client ->
             Erpc.import_remote ~params rt ~client ~server iface
-              ~impls:echo_remote)
+              ~impls:remote_impls)
           clients_d
   in
   (b, kernel, rt, clients_d, bindings)
 
-let check_failures engine what =
-  match Engine.failures engine with
-  | [] -> ()
-  | (th, exn) :: _ ->
-      failwith
-        (Printf.sprintf "%s %s died: %s" what (Engine.thread_name th)
-           (Printexc.to_string exn))
+(* A call the latency driver repeats: the service it needs, then the
+   procedure and its arguments. *)
+let echo_call bytes = (echo, "echo", [ V.bytes (Bytes.create bytes) ])
+let null_call = (bench, "null", [])
 
 (* Steady-state latency: one caller, fault-free. *)
-let latency_of ?(warmup = 3) ?(calls = 20) ~processors system ~bytes =
+let latency_of ?(warmup = 3) ?(calls = 20) ~processors system
+    (service, proc, args) =
   let b, kernel, rt, clients_d, bindings =
-    world ~processors ~clients:1 system
+    world ~service ~processors ~clients:1 system
   in
   let engine = b.Driver.bt_engine in
-  let args = [ V.bytes (Bytes.create bytes) ] in
   let out = ref 0.0 in
   ignore
     (Kernel.spawn kernel clients_d.(0) ~name:"tr-latency" (fun () ->
          for _ = 1 to warmup do
-           ignore (Api.call rt bindings.(0) ~proc:"echo" args)
+           ignore (Api.call rt bindings.(0) ~proc args)
          done;
          let t0 = Engine.now engine in
          for _ = 1 to calls do
-           ignore (Api.call rt bindings.(0) ~proc:"echo" args)
+           ignore (Api.call rt bindings.(0) ~proc args)
          done;
          out := Time.to_us (Time.sub (Engine.now engine) t0) /. float_of_int calls));
   Engine.run engine;
-  check_failures engine "latency caller";
+  Engine.check_failures ~what:"latency caller" engine;
   !out
 
 (* Closed-loop goodput: [clients] tight-loop callers for [horizon];
@@ -175,7 +178,7 @@ let throughput_of ?install_faults ~processors ~clients ~horizon system ~bytes =
            done))
   done;
   Engine.run ~until:horizon engine;
-  check_failures engine "throughput caller";
+  Engine.check_failures ~what:"throughput caller" engine;
   let cps = float_of_int !ok /. Time.to_s horizon in
   let ctr name =
     Metrics.Counter.value (Metrics.counter (Engine.metrics engine) name)
@@ -192,7 +195,7 @@ let run ?(seed = 1989L) ?(quick = false) () =
       sc_points =
         List.map
           (fun bytes ->
-            let lat = latency_of ~processors system ~bytes in
+            let lat = latency_of ~processors system (echo_call bytes) in
             let cps, _, _, _ =
               throughput_of ~processors ~clients ~horizon system ~bytes
             in
@@ -251,39 +254,29 @@ let run ?(seed = 1989L) ?(quick = false) () =
         })
       (losses ~quick)
   in
-  (* Headline Null pair through the Driver.Config transport knob. *)
-  let null_of transport =
-    let w =
-      Driver.make_netrpc
-        ~config:
-          {
-            Driver.Config.default with
-            Driver.Config.net_transport = transport;
-          }
-        ()
-    in
-    Driver.netrpc_latency ~warmup:3 ~calls:20 w ~proc:"null" ~args:[]
+  (* Headline Null pair: one caller on one processor, the Bench suite. *)
+  let tr_null_classic_us = latency_of ~processors:1 Classic null_call in
+  let tr_null_erpc_us =
+    latency_of ~processors:1 (Erpc_sys Erpc.default_params) null_call
   in
-  let tr_null_classic_us = null_of Driver.Config.Classic in
-  let tr_null_erpc_us = null_of (Driver.Config.Erpc Erpc.default_params) in
   (* Ablations: the Arcalis binding-context cache at 64 B, and the
      zero-copy handoff against a staged copy at the largest size. *)
   let tr_cache_off_us =
-    latency_of ~processors (Erpc_sys Erpc.default_params) ~bytes:64
+    latency_of ~processors (Erpc_sys Erpc.default_params) (echo_call 64)
   in
   let tr_cache_on_us =
     latency_of ~processors
       (Erpc_sys { Erpc.default_params with Erpc.binding_cache = true })
-      ~bytes:64
+      (echo_call 64)
   in
   let big = if quick then 1_500 else 6_000 in
   let tr_zero_copy_us =
-    latency_of ~processors (Erpc_sys Erpc.default_params) ~bytes:big
+    latency_of ~processors (Erpc_sys Erpc.default_params) (echo_call big)
   in
   let tr_staged_copy_us =
     latency_of ~processors
       (Erpc_sys { Erpc.default_params with Erpc.zero_copy = false })
-      ~bytes:big
+      (echo_call big)
   in
   {
     tr_seed = seed;

@@ -10,9 +10,8 @@
     path (per-packet [pkt_drop]) at the same rate — the degradation
     story. {b Ablations}: the Arcalis-style binding-context cache at
     64 B and zero-copy vs staged copy at the largest size, plus a
-    headline Null pair driven through {!Lrpc_workload.Driver.Config}'s
-    [net_transport] knob so the study also exercises the workload-layer
-    selection path.
+    headline Null pair: one caller on one processor calling the
+    paper's Bench suite over each transport.
 
     Deterministic: every world is freshly built per measurement and
     every fault plan is seeded, so the result is a pure function of
@@ -42,8 +41,8 @@ type result = {
   tr_horizon : Lrpc_sim.Time.t;
   tr_sizes : size_curve list;  (** systems [lrpc], [netrpc], [erpc] *)
   tr_loss : loss_point list;
-  tr_null_classic_us : float;  (** Driver Null latency, classic transport *)
-  tr_null_erpc_us : float;  (** Driver Null latency, eRPC transport *)
+  tr_null_classic_us : float;  (** Bench Null latency, classic transport *)
+  tr_null_erpc_us : float;  (** Bench Null latency, eRPC transport *)
   tr_cache_off_us : float;  (** eRPC 64 B latency, full kernel mediation *)
   tr_cache_on_us : float;  (** same with the Arcalis binding cache *)
   tr_zero_copy_us : float;  (** eRPC largest-size latency, zero-copy *)

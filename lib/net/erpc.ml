@@ -4,9 +4,6 @@ module Category = Lrpc_sim.Category
 module Waitq = Lrpc_sim.Waitq
 module Event = Lrpc_obs.Event
 module Metrics = Lrpc_obs.Metrics
-module Pdomain = Lrpc_kernel.Pdomain
-module I = Lrpc_idl.Types
-module V = Lrpc_idl.Value
 
 (* An eRPC-style packet-granular transport ("Datacenter RPCs can be
    General and Fast", NSDI '19) next to the classic whole-message
@@ -82,26 +79,21 @@ let default_params =
     binding_cache = false;
   }
 
-let default_dedup_capacity = 1_024
-
-let import_remote ?(params = default_params) ?(window = 8)
-    ?(dedup_capacity = default_dedup_capacity) rt ~client ~server iface ~impls =
-  if Pdomain.is_local client server then
-    invalid_arg "Erpc.import_remote: domains share a machine; bind locally";
-  (match I.validate iface with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Erpc.import_remote: " ^ m));
+let import_remote ?(params = default_params) ?(window = 8) rt ~client ~server
+    iface ~impls =
+  let s =
+    Remote.create ~who:"Erpc.import_remote" ~duplicates:"net.erpc.dup_suppressed"
+      ~live:"net.erpc.dedup_entries" ~peak:"net.erpc.dedup_peak" rt ~client
+      ~server iface ~impls
+  in
   let p = params in
   if p.mtu <= p.header_bytes then
     invalid_arg "Erpc.import_remote: mtu must exceed header_bytes";
   if p.credit_cap < 1 || p.max_pkt_attempts < 1 then
     invalid_arg
       "Erpc.import_remote: credit_cap and max_pkt_attempts must be >= 1";
-  if dedup_capacity < 1 then
-    invalid_arg "Erpc.import_remote: dedup_capacity must be at least 1";
   let engine = Lrpc_core.Api.engine rt in
   let m = Engine.metrics engine in
-  let remote_calls = Metrics.counter m "net.remote_calls" in
   let pkts_sent = Metrics.counter m "net.erpc.pkts_sent" in
   let retransmits = Metrics.counter m "net.erpc.retransmits" in
   let ecn_marks = Metrics.counter m "net.erpc.ecn_marks" in
@@ -114,8 +106,6 @@ let import_remote ?(params = default_params) ?(window = 8)
   let copied_bytes = Metrics.counter m "net.erpc.copied_bytes" in
   let cwnd_gauge = Metrics.gauge m "net.erpc.cwnd" in
   let inflight_max = Metrics.gauge m "net.erpc.inflight_max" in
-  let dedup_gauge = Metrics.gauge m "net.erpc.dedup_entries" in
-  let dedup_peak = Metrics.gauge m "net.erpc.dedup_peak" in
   let rtt_hist = Metrics.histogram m "net.erpc.rtt_us" in
   (* --- per-session (per-binding) state ---------------------------------- *)
   let cwnd = ref p.init_cwnd in
@@ -145,58 +135,24 @@ let import_remote ?(params = default_params) ?(window = 8)
     end;
     ignore (Waitq.signal credit_q : bool)
   in
-  (* At-most-once at packet granularity: results of completed sequence
-     numbers are cached (bounded, insertion-order eviction) so a late
-     duplicate fragment of an already-executed message is answered by
-     suppression, never by re-execution. *)
-  let next_seq = ref 0 in
-  let executed : (int, V.t list) Hashtbl.t = Hashtbl.create 16 in
-  let dedup_order : int Queue.t = Queue.create () in
-  let note_dedup_size () =
-    let n = float_of_int (Hashtbl.length executed) in
-    Metrics.Gauge.set dedup_gauge n;
-    if n > Metrics.Gauge.value dedup_peak then Metrics.Gauge.set dedup_peak n
-  in
-  let dedup_insert seq results =
-    Hashtbl.replace executed seq results;
-    Queue.push seq dedup_order;
-    while Hashtbl.length executed > dedup_capacity
-          && not (Queue.is_empty dedup_order) do
-      Hashtbl.remove executed (Queue.pop dedup_order)
-    done;
-    note_dedup_size ()
-  in
-  let dedup_ack seq =
-    Hashtbl.remove executed seq;
-    note_dedup_size ()
-  in
   let payload_cap = p.mtu - p.header_bytes in
   let frags_of bytes = max 1 ((bytes + payload_cap - 1) / payload_cap) in
   let bcache_warm = ref false in
-  let transport ~proc args =
-    let pr =
-      match I.find_proc iface proc with
-      | Some pr -> pr
-      | None -> raise (Lrpc_core.Rt.Bad_binding ("no such procedure: " ^ proc))
-    in
-    let impl =
-      match List.assoc_opt proc impls with
-      | Some impl -> impl
-      | None -> raise (Lrpc_core.Rt.Bad_binding ("no remote impl: " ^ proc))
-    in
-    let inputs =
-      List.filter
-        (fun (prm : I.param) -> prm.I.mode = I.In || prm.I.mode = I.In_out)
-        pr.I.params
-    in
-    if List.length inputs <> List.length args then
-      raise
-        (Lrpc_idl.Layout.Arity_mismatch
-           (Printf.sprintf "%s: expected %d arguments" proc (List.length inputs)));
-    List.iter2 (fun (prm : I.param) v -> V.check_exn prm.I.ty v) inputs args;
-    let seq = !next_seq in
-    incr next_seq;
-    Metrics.Counter.incr remote_calls;
+  let staged_copy bytes =
+    if bytes > 0 then
+      if p.zero_copy then Metrics.Counter.add zerocopy_bytes bytes
+      else begin
+        Metrics.Counter.add copied_bytes bytes;
+        if Engine.tracing engine then
+          Engine.emit engine (Event.Copy { label = "B"; bytes });
+        Engine.delay ~category:Category.Network engine
+          (Time.ns (bytes * p.copy_ns_per_byte))
+      end
+  in
+  (* One message exchange per transport call: the request's fragments
+     are reassembled, the call's at-most-once cell runs the procedure,
+     and the response's fragments come back on the same credits. *)
+  let exchange c =
     let self_th = Engine.self engine in
     (* Per-call completion state, flipped from timer context; the
        engine never preempts between delays, so flag-then-block loops
@@ -211,16 +167,18 @@ let import_remote ?(params = default_params) ?(window = 8)
     let check_failed () =
       match !failure with
       | Some why ->
-          dedup_ack seq;
           raise
             (Lrpc_core.Rt.Call_failed
-               (Printf.sprintf "%s: %s (seq %d)" proc why seq))
+               (Printf.sprintf "%s: %s (seq %d)" (Remote.proc c) why
+                  (Remote.seq c)))
       | None -> ()
     in
     let fault ~pkt ~attempt =
       match rt.Lrpc_core.Rt.faults with
       | None -> Lrpc_core.Rt.packet_ok
-      | Some f -> f.Lrpc_core.Rt.f_packet ~proc ~seq ~pkt ~attempt
+      | Some f ->
+          f.Lrpc_core.Rt.f_packet ~proc:(Remote.proc c) ~seq:(Remote.seq c) ~pkt
+            ~attempt
     in
     (* One reliable packet: draw the per-attempt fault verdict, emit the
        injection event, and either schedule delivery + ack or arm the
@@ -233,7 +191,12 @@ let import_remote ?(params = default_params) ?(window = 8)
       if Engine.tracing engine then
         Engine.emit engine
           (Event.Net_packet
-             { seq; pkt; bytes = frag_bytes; retransmit = attempt > 1 });
+             {
+               seq = Remote.seq c;
+               pkt;
+               bytes = frag_bytes;
+               retransmit = attempt > 1;
+             });
       if pf.Lrpc_core.Rt.pf_lost then begin
         if attempt >= p.max_pkt_attempts then begin
           return_credit ();
@@ -317,17 +280,6 @@ let import_remote ?(params = default_params) ?(window = 8)
       done;
       check_failed ()
     in
-    let staged_copy bytes =
-      if bytes > 0 then
-        if p.zero_copy then Metrics.Counter.add zerocopy_bytes bytes
-        else begin
-          Metrics.Counter.add copied_bytes bytes;
-          if Engine.tracing engine then
-            Engine.emit engine (Event.Copy { label = "B"; bytes });
-          Engine.delay ~category:Category.Network engine
-            (Time.ns (bytes * p.copy_ns_per_byte))
-        end
-    in
     (* Per-call kernel mediation, short-circuited by the opt-in
        Arcalis-style binding-context cache after the first call. *)
     (if p.binding_cache then
@@ -345,9 +297,7 @@ let import_remote ?(params = default_params) ?(window = 8)
      else
        Engine.delay ~category:Category.Kernel_transfer engine
          (Time.us_f p.kernel_mediation_us));
-    let arg_bytes =
-      List.fold_left (fun acc v -> acc + V.payload_bytes v) 0 args
-    in
+    let arg_bytes = Remote.arg_bytes c in
     if Engine.tracing engine then
       Engine.emit engine (Event.Net_send { bytes = arg_bytes });
     (* Marshal: zero-copy hands the payload straight to the pinned
@@ -372,21 +322,9 @@ let import_remote ?(params = default_params) ?(window = 8)
         : int);
     await req_done;
     (* Receiver runs to completion: the last fragment's handler executes
-       the procedure body directly, no thread switch. At-most-once: one
-       execution per sequence number, ever. *)
-    let results =
-      match Hashtbl.find_opt executed seq with
-      | Some results ->
-          Metrics.Counter.incr dup_suppressed;
-          results
-      | None ->
-          let results = impl args in
-          dedup_insert seq results;
-          results
-    in
-    let result_bytes =
-      List.fold_left (fun acc v -> acc + V.payload_bytes v) 0 results
-    in
+       the procedure body directly, no thread switch. *)
+    let results = Remote.execute c in
+    let result_bytes = Remote.payload_bytes results in
     staged_copy result_bytes;
     (* Response direction, same session credits. *)
     let resp_frags = frags_of result_bytes in
@@ -409,8 +347,6 @@ let import_remote ?(params = default_params) ?(window = 8)
     await resp_done;
     if Engine.tracing engine then
       Engine.emit engine (Event.Net_recv { bytes = result_bytes });
-    dedup_ack seq;
     results
   in
-  Lrpc_core.Binding.make_remote_binding ~window rt ~client ~server iface
-    ~transport
+  Remote.bind ~window s exchange

@@ -79,12 +79,9 @@ val default_params : params
     signals (injected delay, ECN, loss) cross the high threshold —
     zero-copy on, binding cache off. *)
 
-val default_dedup_capacity : int
-
 val import_remote :
   ?params:params ->
   ?window:int ->
-  ?dedup_capacity:int ->
   Lrpc_core.Api.t ->
   client:Lrpc_kernel.Pdomain.t ->
   server:Lrpc_kernel.Pdomain.t ->
@@ -98,7 +95,9 @@ val import_remote :
     classic path ([params.credit_cap] bounds in-flight {e packets}
     within the session), and ["net.remote_calls"] counts logical
     calls. At-most-once: one procedure execution per sequence number,
-    with a bounded ([dedup_capacity], default
-    {!default_dedup_capacity}) insertion-order-evicting dedup cache
-    answering late duplicate fragments. A packet lost
-    [max_pkt_attempts] times surfaces as [Rt.Call_failed]. *)
+    held in the call's {!Remote} cell, which lives only until the
+    transport call exits. Live cells are bounded by [window] and
+    gauged by [net.erpc.dedup_entries]; nothing is kept per completed
+    call. Unknown procedures and ill-typed arguments raise at issue.
+    A packet lost [max_pkt_attempts] times surfaces as
+    [Rt.Call_failed]. *)

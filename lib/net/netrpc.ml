@@ -3,8 +3,6 @@ module Time = Lrpc_sim.Time
 module Category = Lrpc_sim.Category
 module Event = Lrpc_obs.Event
 module Metrics = Lrpc_obs.Metrics
-module Pdomain = Lrpc_kernel.Pdomain
-module I = Lrpc_idl.Types
 module V = Lrpc_idl.Value
 
 let ethernet_mtu = 1_500
@@ -22,51 +20,31 @@ let wire_time ~bytes =
     (Time.add (Time.us_f null_network_us) (Time.ns (bytes * per_byte_ns)))
     (Time.scale per_extra_packet (float_of_int (packets - 1)))
 
-(* The counter's single home is the runtime engine's metrics registry:
-   one count per simulated machine set, not per process. *)
-let remote_counter rt =
-  Metrics.counter
-    (Engine.metrics (Lrpc_core.Api.engine rt))
-    "net.remote_calls"
-
-let remote_calls rt = Metrics.Counter.value (remote_counter rt)
-let reset_remote_calls rt = Metrics.Counter.reset (remote_counter rt)
+let remote_calls = Remote.remote_calls
+let reset_remote_calls = Remote.reset_remote_calls
 
 let default_rto = Time.us 4_000
 let default_max_attempts = 5
 let retry_budget_cap = 10.0
 
 let import_remote ?(window = 8) ?(rto = default_rto)
-    ?(max_attempts = default_max_attempts) ?retry_budget ?dedup_capacity rt
-    ~client ~server iface ~impls =
-  if Pdomain.is_local client server then
-    invalid_arg "Netrpc.import_remote: domains share a machine; bind locally";
-  (match I.validate iface with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Netrpc.import_remote: " ^ m));
+    ?(max_attempts = default_max_attempts) ?retry_budget rt ~client ~server
+    iface ~impls =
+  let s =
+    Remote.create ~who:"Netrpc.import_remote"
+      ~duplicates:"net.duplicates_suppressed" ~live:"net.dedup_cache_entries"
+      ~peak:"net.dedup_cache_peak" rt ~client ~server iface ~impls
+  in
   if max_attempts < 1 then
     invalid_arg "Netrpc.import_remote: max_attempts must be at least 1";
   (match retry_budget with
   | Some r when r < 0.0 ->
       invalid_arg "Netrpc.import_remote: retry_budget must be non-negative"
   | _ -> ());
-  (match dedup_capacity with
-  | Some c when c < 1 ->
-      invalid_arg "Netrpc.import_remote: dedup_capacity must be at least 1"
-  | _ -> ());
   let engine = Lrpc_core.Api.engine rt in
   let retry_counter = Metrics.counter (Engine.metrics engine) "net.retries" in
   let suppressed_counter =
     Metrics.counter (Engine.metrics engine) "net.retries_suppressed"
-  in
-  let dup_counter =
-    Metrics.counter (Engine.metrics engine) "net.duplicates_suppressed"
-  in
-  let dedup_gauge =
-    Metrics.gauge (Engine.metrics engine) "net.dedup_cache_entries"
-  in
-  let dedup_peak_gauge =
-    Metrics.gauge (Engine.metrics engine) "net.dedup_cache_peak"
   in
   (* Client-side retry budget (off unless [retry_budget] is given): a
      token bucket per binding accrues [retry_budget] tokens per logical
@@ -75,81 +53,12 @@ let import_remote ?(window = 8) ?(rto = default_rto)
      slowdown cannot snowball into a metastable retry storm. The bucket
      starts full so isolated bursts still get their retries. *)
   let tokens = ref retry_budget_cap in
-  (* At-most-once machinery (per binding): each transport call gets a
-     sequence number; the server side keeps the results of executions
-     whose reply may have been lost, so a retransmitted request is
-     answered from the cache instead of re-running the procedure. *)
-  let next_seq = ref 0 in
-  let executed : (int, V.t list) Hashtbl.t = Hashtbl.create 16 in
-  (* Insertion order of live dedup entries, for capacity eviction. Seqs
-     already removed by the normal ack path are skipped when popped. *)
-  let dedup_order : int Queue.t = Queue.create () in
-  let note_dedup_size () =
-    let n = float_of_int (Hashtbl.length executed) in
-    Metrics.Gauge.set dedup_gauge n;
-    if n > Metrics.Gauge.value dedup_peak_gauge then
-      Metrics.Gauge.set dedup_peak_gauge n
-  in
-  let dedup_insert seq results =
-    Hashtbl.replace executed seq results;
-    (match dedup_capacity with
-    | None -> ()
-    | Some cap ->
-        Queue.push seq dedup_order;
-        while
-          Hashtbl.length executed > cap && not (Queue.is_empty dedup_order)
-        do
-          Hashtbl.remove executed (Queue.pop dedup_order)
-        done);
-    note_dedup_size ()
-  in
-  let dedup_ack seq =
-    Hashtbl.remove executed seq;
-    note_dedup_size ()
-  in
-  (* Set once the binding exists (below); the transport closure only
-     runs through the binding, so it always observes the real id. The
-     id keys the fault plan's per-binding jitter stream. *)
-  let binding_id = ref (-1) in
-  let transport ~proc args =
-    let p =
-      match I.find_proc iface proc with
-      | Some p -> p
-      | None -> raise (Lrpc_core.Rt.Bad_binding ("no such procedure: " ^ proc))
-    in
-    let impl =
-      match List.assoc_opt proc impls with
-      | Some impl -> impl
-      | None -> raise (Lrpc_core.Rt.Bad_binding ("no remote impl: " ^ proc))
-    in
-    (* Conformance-check the arguments like a real stub would. *)
-    let inputs =
-      List.filter
-        (fun (prm : I.param) -> prm.I.mode = I.In || prm.I.mode = I.In_out)
-        p.I.params
-    in
-    if List.length inputs <> List.length args then
-      raise
-        (Lrpc_idl.Layout.Arity_mismatch
-           (Printf.sprintf "%s: expected %d arguments" proc (List.length inputs)));
-    List.iter2 (fun (prm : I.param) v -> V.check_exn prm.I.ty v) inputs args;
-    let seq = !next_seq in
-    incr next_seq;
-    Metrics.Counter.incr (remote_counter rt);
-    let arg_bytes =
-      List.fold_left (fun acc v -> acc + V.payload_bytes v) 0 args
-    in
-    (* One server-side execution per sequence number, ever. *)
-    let execute () =
-      match Hashtbl.find_opt executed seq with
-      | Some results ->
-          Metrics.Counter.incr dup_counter;
-          results
-      | None ->
-          let results = impl args in
-          dedup_insert seq results;
-          results
-    in
+  (* One whole-message exchange per attempt. A retransmitted request, or
+     a request the wire delivered twice, reaches the call's at-most-once
+     cell, which answers it without re-running the procedure. *)
+  let exchange c =
+    let proc = Remote.proc c and seq = Remote.seq c in
+    let arg_bytes = Remote.arg_bytes c in
     let fault ~attempt =
       match rt.Lrpc_core.Rt.faults with
       | None -> Lrpc_core.Rt.wire_ok
@@ -159,7 +68,7 @@ let import_remote ?(window = 8) ?(rto = default_rto)
       match rt.Lrpc_core.Rt.faults with
       | None -> 0.0
       | Some f ->
-          f.Lrpc_core.Rt.f_backoff_jitter ~binding:!binding_id ~attempt
+          f.Lrpc_core.Rt.f_backoff_jitter ~binding:(Remote.binding c) ~attempt
     in
     let rec attempt n =
       let wf = fault ~attempt:n in
@@ -168,34 +77,29 @@ let import_remote ?(window = 8) ?(rto = default_rto)
       if wf.Lrpc_core.Rt.wf_request_lost then
         retry n "request lost"
       else begin
-        let results = execute () in
+        let results = Remote.execute c in
         if wf.Lrpc_core.Rt.wf_duplicate then
-          (* The network delivered the request twice; the dedup cache
-             answers the second copy without re-running the procedure. *)
-          ignore (execute () : V.t list);
+          (* The network delivered the request twice; the cell answers
+             the second copy without re-running the procedure. *)
+          ignore (Remote.execute c : V.t list);
         if wf.Lrpc_core.Rt.wf_reply_lost then retry n "reply lost"
         else begin
-          let result_bytes =
-            List.fold_left (fun acc v -> acc + V.payload_bytes v) 0 results
-          in
+          let result_bytes = Remote.payload_bytes results in
           Engine.delay ~category:Category.Network engine
             (Time.add
                (wire_time ~bytes:(arg_bytes + result_bytes))
                wf.Lrpc_core.Rt.wf_extra_delay);
           if Engine.tracing engine then
             Engine.emit engine (Event.Net_recv { bytes = result_bytes });
-          dedup_ack seq;
           results
         end
       end
     and retry n why =
-      if n >= max_attempts then begin
-        dedup_ack seq;
+      if n >= max_attempts then
         raise
           (Lrpc_core.Rt.Call_failed
              (Printf.sprintf "%s: remote call failed after %d attempts (%s; seq %d)"
                 proc n why seq))
-      end
       else begin
         let backoff =
           Time.scale rto (float_of_int (1 lsl (n - 1)) *. (1.0 +. jitter ~attempt:n))
@@ -206,7 +110,6 @@ let import_remote ?(window = 8) ?(rto = default_rto)
                The backoff that would have been slept is the client's
                retry-after hint. *)
             Metrics.Counter.incr suppressed_counter;
-            dedup_ack seq;
             raise
               (Lrpc_core.Rt.Overloaded
                  {
@@ -230,9 +133,4 @@ let import_remote ?(window = 8) ?(rto = default_rto)
     | None -> ());
     attempt 1
   in
-  let b =
-    Lrpc_core.Binding.make_remote_binding ~window rt ~client ~server iface
-      ~transport
-  in
-  binding_id := b.Lrpc_core.Rt.bid;
-  b
+  Remote.bind ~window s exchange

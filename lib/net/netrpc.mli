@@ -28,7 +28,6 @@ val import_remote :
   ?rto:Lrpc_sim.Time.t ->
   ?max_attempts:int ->
   ?retry_budget:float ->
-  ?dedup_capacity:int ->
   Lrpc_core.Api.t ->
   client:Lrpc_kernel.Pdomain.t ->
   server:Lrpc_kernel.Pdomain.t ->
@@ -45,10 +44,14 @@ val import_remote :
     the reply when it lands.
 
     The wire is {e at-most-once}: every transport call carries a
-    per-binding sequence number, and a retransmission whose original
-    request did execute (reply lost, or a duplicated packet) is answered
-    from a dedup cache instead of re-running the procedure (the
-    ["net.duplicates_suppressed"] counter records each suppression).
+    per-binding sequence number and one {!Remote} cell, and a
+    retransmission whose original request did execute (reply lost, or a
+    duplicated packet) is answered from the cell instead of re-running
+    the procedure (the ["net.duplicates_suppressed"] counter records
+    each suppression). The cell lives until the transport call exits, so
+    live cells never exceed [window]; ["net.dedup_cache_entries"]
+    gauges them and ["net.dedup_cache_peak"] keeps their high-water
+    mark. Nothing is kept per completed call.
     Lost packets — injected by an installed fault plan
     ([Lrpc_fault.Plan]); the fault-free wire never drops — are retried
     with bounded exponential backoff: attempt [n] waits
@@ -74,14 +77,8 @@ val import_remote :
     a server slowdown the retry storm decays instead of sustaining
     itself (metastable failure).
 
-    [dedup_capacity] (unbounded by default) caps the at-most-once dedup
-    cache: entries are acked off the cache when a reply is delivered or
-    the call gives up, and when the cache still outgrows the cap the
-    oldest live entries are evicted first. ["net.dedup_cache_entries"]
-    gauges the live size and ["net.dedup_cache_peak"] its high-water
-    mark. An evicted entry weakens at-most-once to at-most-once-per-
-    cache-lifetime for that seq — size the cap above the in-flight
-    retry window (window × max_attempts is safe). *)
+    Unknown procedures and ill-typed arguments raise at issue, before
+    a window slot or a sequence number is taken (see {!Remote}). *)
 
 val remote_calls : Lrpc_core.Api.t -> int
 (** Count of network RPCs performed through this runtime, read from

@@ -250,6 +250,13 @@ let has_pending_interrupt th = th.pending_exn <> None
 
 let failures t = t.failures_
 
+let check_failures ?(what = "simulated thread") t =
+  match t.failures_ with
+  | [] -> ()
+  | (th, exn) :: _ ->
+      failwith
+        (Printf.sprintf "%s %s died: %s" what th.name (Printexc.to_string exn))
+
 let stuck_threads t =
   List.filter
     (fun th ->

@@ -106,6 +106,11 @@ val failures : t -> (thread * exn) list
 (** Threads that died with an uncaught exception other than
     [Thread_killed], most recent first. *)
 
+val check_failures : ?what:string -> t -> unit
+(** Raise [Failure "<what> <thread name> died: <exception>"] for the
+    most recent of {!failures}, if there is one. [what] names the kind
+    of thread (default ["simulated thread"]). *)
+
 val stuck_threads : t -> thread list
 (** Threads still waiting (blocked, spinning or queued) — useful to assert
     quiescence in tests. *)

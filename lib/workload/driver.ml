@@ -10,7 +10,6 @@ module Api = Lrpc_core.Api
 module Server_ctx = Lrpc_core.Server_ctx
 module Mpass = Lrpc_msgrpc.Mpass
 module Profile = Lrpc_msgrpc.Profile
-module Netrpc = Lrpc_net.Netrpc
 
 type test = { test_name : string; proc : string; args : V.t list }
 
@@ -68,11 +67,6 @@ let mpass_bench_impls =
 (* --- unified construction ----------------------------------------------- *)
 
 module Config = struct
-  (* Which cross-machine transport [make_netrpc] wires up. [Classic]
-     is the default and leaves every published number byte-identical;
-     [Erpc params] selects the packet-granular transport. *)
-  type transport = Classic | Erpc of Lrpc_net.Erpc.params
-
   type t = {
     cost_model : Cost_model.t;
     processors : int;
@@ -82,7 +76,6 @@ module Config = struct
     install_faults : (Api.t -> unit) option;
     trace_capacity : int option;
     admission : Lrpc_core.Rt.admission option;
-    net_transport : transport;
     prod : (float * float) option;
   }
 
@@ -96,7 +89,6 @@ module Config = struct
       install_faults = None;
       trace_capacity = None;
       admission = None;
-      net_transport = Classic;
       prod = None;
     }
 end
@@ -164,12 +156,7 @@ let make_lrpc ?(config = Config.default) () =
 
 let run_all engine =
   Engine.run engine;
-  match Engine.failures engine with
-  | [] -> ()
-  | (th, exn) :: _ ->
-      failwith
-        (Printf.sprintf "simulated thread %s died: %s" (Engine.thread_name th)
-           (Printexc.to_string exn))
+  Engine.check_failures engine
 
 let lrpc_latency ?(warmup = 5) ?(calls = 200) w ~proc ~args =
   let out = ref 0.0 in
@@ -252,12 +239,7 @@ let lrpc_scale ?home ?(yield_between = false) ?(config = Config.default)
            done))
   done;
   Engine.run ~until:horizon engine;
-  (match Engine.failures engine with
-  | [] -> ()
-  | (th, exn) :: _ ->
-      failwith
-        (Printf.sprintf "caller %s died: %s" (Engine.thread_name th)
-           (Printexc.to_string exn)));
+  Engine.check_failures ~what:"caller" engine;
   scale_stats_of engine ~count:!count ~horizon
 
 let lrpc_throughput ?config ~clients ~horizon () =
@@ -332,67 +314,8 @@ let mpass_scale ?(config = Config.default) profile ~clients ~horizon =
            done))
   done;
   Engine.run ~until:horizon engine;
-  (match Engine.failures engine with
-  | [] -> ()
-  | (th, exn) :: _ ->
-      failwith
-        (Printf.sprintf "caller %s died: %s" (Engine.thread_name th)
-           (Printexc.to_string exn)));
+  Engine.check_failures ~what:"caller" engine;
   scale_stats_of engine ~count:!count ~horizon
 
 let mpass_throughput ?config profile ~clients ~horizon =
   (mpass_scale ?config profile ~clients ~horizon).ss_cps
-
-(* --- cross-machine Netrpc world ------------------------------------------ *)
-
-type netrpc_world = {
-  nw_engine : Engine.t;
-  nw_kernel : Kernel.t;
-  nw_rt : Api.t;
-  nw_server : Lrpc_kernel.Pdomain.t;
-  nw_client : Lrpc_kernel.Pdomain.t;
-  nw_binding : Lrpc_core.Rt.binding;
-  nw_tracer : Trace.t option;
-}
-
-let make_netrpc ?(config = Config.default) () =
-  let b = boot config in
-  let nw_server =
-    Kernel.create_domain b.bt_kernel ~machine:1 ~name:"bench-server"
-  in
-  let nw_client = Kernel.create_domain b.bt_kernel ~name:"bench-client" in
-  let nw_binding =
-    match config.Config.net_transport with
-    | Config.Classic ->
-        Netrpc.import_remote b.bt_rt ~client:nw_client ~server:nw_server
-          bench_interface ~impls:mpass_bench_impls
-    | Config.Erpc params ->
-        Lrpc_net.Erpc.import_remote ~params b.bt_rt ~client:nw_client
-          ~server:nw_server bench_interface ~impls:mpass_bench_impls
-  in
-  {
-    nw_engine = b.bt_engine;
-    nw_kernel = b.bt_kernel;
-    nw_rt = b.bt_rt;
-    nw_server;
-    nw_client;
-    nw_binding;
-    nw_tracer = b.bt_tracer;
-  }
-
-let netrpc_latency ?(warmup = 5) ?(calls = 50) w ~proc ~args =
-  let out = ref 0.0 in
-  ignore
-    (Kernel.spawn w.nw_kernel w.nw_client ~name:"latency-driver" (fun () ->
-         for _ = 1 to warmup do
-           ignore (Api.call w.nw_rt w.nw_binding ~proc args)
-         done;
-         let t0 = Engine.now w.nw_engine in
-         for _ = 1 to calls do
-           ignore (Api.call w.nw_rt w.nw_binding ~proc args)
-         done;
-         out :=
-           Time.to_us (Time.sub (Engine.now w.nw_engine) t0)
-           /. float_of_int calls));
-  run_all w.nw_engine;
-  !out

@@ -8,11 +8,11 @@
     (simulated) time divided by the count — and throughput as completed
     calls per simulated second across concurrent callers.
 
-    {b Construction.} Every world — LRPC ({!make_lrpc}), message-pass
-    baseline ({!make_mpass}), cross-machine Netrpc ({!make_netrpc}) —
-    and every scale/throughput driver is parameterized by one
-    {!Config.t} record instead of per-function optional-argument
-    sprawl; build one with a record update on {!Config.default}:
+    {b Construction.} Every world — LRPC ({!make_lrpc}) and the
+    message-pass baseline ({!make_mpass}) — and every scale/throughput
+    driver is parameterized by one {!Config.t} record instead of
+    per-function optional-argument sprawl; build one with a record
+    update on {!Config.default}:
 
     {[
       let w =
@@ -34,17 +34,11 @@ val mpass_bench_impls : (string * Lrpc_msgrpc.Mpass.impl) list
 (** {1 Unified construction} *)
 
 (** Everything a measurement world is made of. One record shared by the
-    lrpc/mpass/netrpc constructors; fields irrelevant to a given
-    constructor (e.g. [net_transport] for a local world) are ignored. *)
+    lrpc and mpass constructors, {!boot} and the scale drivers. Remote
+    worlds add their domains on top of {!boot} and bind with
+    {!Lrpc_net.Netrpc.import_remote} or {!Lrpc_net.Erpc.import_remote},
+    whose per-binding knobs are arguments of those functions. *)
 module Config : sig
-  (** Which cross-machine transport {!make_netrpc} wires up. [Classic]
-      (the default) is the whole-message era-appropriate
-      {!Lrpc_net.Netrpc} path with its default window, RTO and retry
-      bound — selecting it keeps every published number byte-identical.
-      [Erpc params] is the packet-granular {!Lrpc_net.Erpc} transport,
-      usually with {!Lrpc_net.Erpc.default_params}. *)
-  type transport = Classic | Erpc of Lrpc_net.Erpc.params
-
   type t = {
     cost_model : Lrpc_sim.Cost_model.t;
         (** machine timing model (default C-VAX Firefly). {!make_mpass}
@@ -71,9 +65,6 @@ module Config : sig
         (** overload-control policy installed on the runtime at boot
             (see {!Lrpc_core.Api.set_admission}); [None] — the default —
             does no admission work on the call path *)
-    net_transport : transport;
-        (** cross-machine transport model ({!make_netrpc} only);
-            default [Classic] *)
     prod : (float * float) option;
         (** [(half_life_us, margin)] overriding
             {!Lrpc_kernel.Kernel.default_half_life_us} and
@@ -83,8 +74,8 @@ module Config : sig
 
   val default : t
   (** One C-VAX Firefly processor on one host domain, default runtime, no
-      caching, no faults, no tracer, no admission policy, classic
-      transport, default prod tuning. *)
+      caching, no faults, no tracer, no admission policy, default prod
+      tuning. *)
 end
 
 (** The machine layers every world shares, built by {!boot}. *)
@@ -208,28 +199,3 @@ val mpass_throughput :
   clients:int ->
   horizon:Lrpc_sim.Time.t ->
   float
-
-(** {1 Cross-machine Netrpc} *)
-
-type netrpc_world = {
-  nw_engine : Lrpc_sim.Engine.t;
-  nw_kernel : Lrpc_kernel.Kernel.t;
-  nw_rt : Lrpc_core.Api.t;
-  nw_server : Lrpc_kernel.Pdomain.t;  (** lives on machine 1 *)
-  nw_client : Lrpc_kernel.Pdomain.t;  (** lives on machine 0 *)
-  nw_binding : Lrpc_core.Rt.binding;
-      (** remote Binding Object — calls through it take the network
-          path of [config.net_transport] *)
-  nw_tracer : Lrpc_obs.Trace.t option;
-}
-
-val make_netrpc : ?config:Config.t -> unit -> netrpc_world
-(** The Bench interface served across the simulated Ethernet: server
-    domain on machine 1, client domain (with the binding already
-    imported) on machine 0. *)
-
-val netrpc_latency :
-  ?warmup:int -> ?calls:int -> netrpc_world -> proc:string ->
-  args:Lrpc_idl.Value.t list -> float
-(** Steady-state per-call latency in simulated microseconds through the
-    remote binding (dominated by the ~2.66 ms Firefly wire time). *)

@@ -190,12 +190,7 @@ let run cfg ~engine ~spawn ~call =
     spawn ~session:i (fun () -> session i)
   done;
   Engine.run ~until:cfg.ol_horizon engine;
-  (match Engine.failures engine with
-  | [] -> ()
-  | (th, exn) :: _ ->
-      failwith
-        (Printf.sprintf "open-loop session %s died: %s"
-           (Engine.thread_name th) (Printexc.to_string exn)));
+  Engine.check_failures ~what:"open-loop session" engine;
   let measured = Qsketch.count sketch in
   let window_s = (horizon_us -. warmup_us) /. 1e6 in
   {

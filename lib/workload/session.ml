@@ -103,9 +103,7 @@ let run ?(seed = 1989L) ?(operations = 20_000) model =
          done;
          elapsed := Time.sub (Engine.now engine) t0));
   Engine.run engine;
-  (match Engine.failures engine with
-  | [] -> ()
-  | (_, exn) :: _ -> failwith ("session thread died: " ^ Printexc.to_string exn));
+  Engine.check_failures ~what:"session thread" engine;
   let network_time =
     List.assoc_opt Category.Network (Engine.breakdown engine)
     |> Option.value ~default:Time.zero

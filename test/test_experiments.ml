@@ -295,6 +295,44 @@ let test_openloop_json_render () =
   Alcotest.(check bool) "text render substantial" true
     (String.length (E.Openloop.render r) > 200)
 
+(* --- Transport study --------------------------------------------------------- *)
+
+(* The quick three-way study against the bounds `make transport-smoke`
+   used to check on its JSON: every system measured, eRPC ahead of
+   classic at 64 B and on Null, graceful degradation under 1 % loss,
+   and both ablations pointing the right way. *)
+let test_transport_smoke () =
+  let module T = E.Transport_study in
+  let r = T.run ~quick:true () in
+  Alcotest.(check (list string)) "three systems" [ "erpc"; "lrpc"; "netrpc" ]
+    (List.sort compare (List.map (fun c -> c.T.sc_system) r.T.tr_sizes));
+  List.iter
+    (fun c ->
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %d B point positive" c.T.sc_system p.T.sp_bytes)
+            true
+            (p.T.sp_bytes > 0 && p.T.sp_latency_us > 0.0 && p.T.sp_cps > 0.0))
+        c.T.sc_points)
+    r.T.tr_sizes;
+  Alcotest.(check bool) "eRPC beats classic at 64 B" true
+    (T.speedup_at_64 r >= 1.0);
+  Alcotest.(check bool) "Null on eRPC below Null on classic" true
+    (r.T.tr_null_erpc_us < r.T.tr_null_classic_us);
+  let loss = List.sort (fun a b -> compare a.T.lp_loss b.T.lp_loss) r.T.tr_loss in
+  let base = List.hd loss and worst = List.hd (List.rev loss) in
+  Alcotest.(check bool) "loss-free baseline and >= 1 % loss" true
+    (base.T.lp_loss = 0.0 && worst.T.lp_loss >= 0.01);
+  Alcotest.(check bool) "eRPC goodput keeps 0.4x under loss" true
+    (worst.T.lp_erpc_cps >= 0.4 *. base.T.lp_erpc_cps);
+  Alcotest.(check bool) "loss triggers retransmits" true
+    (worst.T.lp_erpc_retx > 0);
+  Alcotest.(check bool) "binding cache helps" true
+    (r.T.tr_cache_on_us < r.T.tr_cache_off_us);
+  Alcotest.(check bool) "staged copy costs" true
+    (r.T.tr_staged_copy_us > r.T.tr_zero_copy_us)
+
 (* renders should never raise and always mention the paper *)
 let test_renders () =
   let nonempty name s =
@@ -334,5 +372,6 @@ let () =
           Alcotest.test_case "knee detected" `Slow test_openloop_knee_detected;
           Alcotest.test_case "renders" `Slow test_openloop_json_render;
         ] );
+      ("transport", [ Alcotest.test_case "smoke bounds" `Quick test_transport_smoke ]);
       ("rendering", [ Alcotest.test_case "renders" `Quick test_renders ]);
     ]

@@ -21,8 +21,8 @@ let impls =
     ("blob", fun args -> match args with [ V.Bytes b ] -> [ V.bytes b ] | _ -> assert false);
   ]
 
-let make_world () =
-  let engine = Engine.create Cost_model.cvax_firefly in
+let make_world ?processors () =
+  let engine = Engine.create ?processors Cost_model.cvax_firefly in
   let kernel = Kernel.boot engine in
   let rt = Api.init kernel in
   let client = Kernel.create_domain kernel ~name:"client" in
@@ -234,10 +234,11 @@ let test_erpc_credit_qcheck () =
     (QCheck.Test.make ~count:12 ~name:"credit accounting invariant" arb
        erpc_credit_invariant)
 
-(* Packet-granularity dedup-cache eviction: many concurrent lossy calls
-   hold their at-most-once entries across selective retransmissions,
-   yet live entries never exceed the configured capacity — and every
-   procedure still executes exactly once per call. *)
+(* Packet-granularity at-most-once under loss: many concurrent lossy
+   calls hold their cells across selective retransmissions, yet live
+   cells never exceed the window or the number of concurrent callers,
+   they all come home at quiescence, and every procedure still executes
+   exactly once per call. *)
 let test_erpc_dedup_eviction () =
   let engine, kernel, rt, client, server = make_world () in
   let plan =
@@ -260,8 +261,7 @@ let test_erpc_dedup_eviction () =
     ]
   in
   let b =
-    Erpc.import_remote ~dedup_capacity:3 ~window:8 rt ~client ~server iface
-      ~impls:counted_impls
+    Erpc.import_remote ~window:8 rt ~client ~server iface ~impls:counted_impls
   in
   let calls_per_client = 6 and clients = 4 in
   let completed = ref 0 in
@@ -285,10 +285,161 @@ let test_erpc_dedup_eviction () =
     (clients * calls_per_client)
     !executed;
   let peak = int_of_float (gauge engine "net.erpc.dedup_peak") in
-  Alcotest.(check bool) "cache was exercised" true (peak >= 1);
-  Alcotest.(check bool) "live entries bounded by capacity" true (peak <= 3);
+  Alcotest.(check bool) "cells were exercised" true (peak >= 1);
+  Alcotest.(check bool) "live cells within the window and the callers" true
+    (peak <= min 8 clients);
+  Alcotest.(check (float 0.0)) "no live cell at quiescence" 0.0
+    (gauge engine "net.erpc.dedup_entries");
   Alcotest.(check int) "credit accounting balanced" 0
     (ctr engine "net.erpc.credit_underflow")
+
+(* --- the shared remote-call path ----------------------------------------- *)
+
+(* Both transports, bound the same way, with their gauges of live
+   at-most-once cells (current, peak). *)
+let transports =
+  [
+    ( "netrpc",
+      ("net.dedup_cache_entries", "net.dedup_cache_peak"),
+      fun ?window rt ~client ~server impls ->
+        Netrpc.import_remote ?window rt ~client ~server iface ~impls );
+    ( "erpc",
+      ("net.erpc.dedup_entries", "net.erpc.dedup_peak"),
+      fun ?window rt ~client ~server impls ->
+        Erpc.import_remote ?window rt ~client ~server iface ~impls );
+  ]
+
+let on_both_transports test () =
+  List.iter (fun (name, gauges, import) -> test name gauges import) transports
+
+let bad_calls =
+  [
+    ( "unknown procedure",
+      "missing",
+      [ V.int 1 ],
+      function Rt.Bad_binding _ -> true | _ -> false );
+    ( "ill-typed argument",
+      "echo",
+      [ V.bool true ],
+      function V.Conformance_error _ -> true | _ -> false );
+    ( "wrong arity",
+      "echo",
+      [ V.int 1; V.int 2 ],
+      function Lrpc_idl.Layout.Arity_mismatch _ -> true | _ -> false );
+  ]
+
+(* The remote stub checks its arguments at issue, like the local one:
+   through [call] and [call_async] alike, a bad call raises before it
+   holds a window slot or reaches the wire, and counts as rejected. *)
+let test_args_rejected_at_issue =
+  on_both_transports (fun name _ import ->
+      let engine, kernel, rt, client, server = make_world () in
+      let b = import ~window:1 rt ~client ~server impls in
+      let issues =
+        [
+          ("call", fun proc args -> ignore (Api.call rt b ~proc args));
+          ("call_async", fun proc args -> ignore (Api.call_async rt b ~proc args));
+        ]
+      in
+      let raised = ref [] and echoed = ref [] in
+      ignore
+        (Kernel.spawn kernel client (fun () ->
+             List.iter
+               (fun (what, proc, args, expected) ->
+                 List.iter
+                   (fun (how, issue) ->
+                     let ok =
+                       match issue proc args with
+                       | () -> false
+                       | exception e -> expected e
+                     in
+                     raised := (what ^ " via " ^ how, ok) :: !raised)
+                   issues)
+               bad_calls;
+             echoed :=
+               Api.await rt (Api.call_async rt b ~proc:"echo" [ V.int 9 ])));
+      Engine.run engine;
+      Alcotest.(check (list pass)) "no failures" [] (Engine.failures engine);
+      List.iter
+        (fun (what, ok) ->
+          Alcotest.(check bool) (name ^ ": " ^ what ^ " raises at issue") true ok)
+        !raised;
+      Alcotest.(check int) (name ^ ": every bad call rejected") 6
+        (ctr engine "lrpc.calls_rejected");
+      Alcotest.(check int) (name ^ ": no bad call failed late") 0
+        (ctr engine "lrpc.calls_failed");
+      Alcotest.(check int) (name ^ ": only the valid call reached the wire") 1
+        (Netrpc.remote_calls rt);
+      Alcotest.(check bool) (name ^ ": the valid call proceeds") true
+        (!echoed = [ V.int 9 ]))
+
+(* A client domain terminated while two of its calls are on the wire:
+   the killed carriers release their at-most-once cells on the way out,
+   so the live gauge comes back to zero with the calls. *)
+let test_killed_caller_releases_cells =
+  on_both_transports (fun name (live, peak) import ->
+      let engine, kernel, rt, client, server = make_world ~processors:4 () in
+      let executed = ref 0 in
+      let counted =
+        [
+          ( "echo",
+            fun args ->
+              incr executed;
+              args );
+        ]
+      in
+      let b = import rt ~client ~server counted in
+      ignore
+        (Kernel.spawn kernel client (fun () ->
+             let hs =
+               List.map
+                 (fun i -> Api.call_async rt b ~proc:"echo" [ V.int i ])
+                 [ 1; 2 ]
+             in
+             ignore (Api.await_all rt hs)));
+      (* Both requests have executed by 150 us on either wire, and
+         neither reply is home: eRPC's echo round trip takes ~210 us,
+         the classic wire 2.66 ms. *)
+      ignore
+        (Engine.at engine (Time.us 150) (fun () ->
+             Api.terminate_domain rt client)
+          : Engine.timer);
+      Engine.run engine;
+      Alcotest.(check (list pass)) "no failures" [] (Engine.failures engine);
+      Alcotest.(check int) (name ^ ": both procedures ran") 2 !executed;
+      Alcotest.(check (float 0.0)) (name ^ ": both cells were live") 2.0
+        (gauge engine peak);
+      Alcotest.(check int) (name ^ ": no call in flight") 0
+        (Api.calls_in_flight rt);
+      Alcotest.(check (float 0.0)) (name ^ ": no live cell") 0.0
+        (gauge engine live))
+
+(* Nothing is kept per completed call: a binding's live heap after a
+   full major GC is the same after 2000 more calls. *)
+let test_erpc_no_heap_growth () =
+  let engine, kernel, rt, client, server = make_world () in
+  let b = Erpc.import_remote rt ~client ~server iface ~impls in
+  let growth = ref 0 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore
+    (Kernel.spawn kernel client (fun () ->
+         let calls n =
+           for i = 1 to n do
+             ignore (Api.call rt b ~proc:"echo" [ V.int i ])
+           done
+         in
+         calls 200;
+         let before = live_words () in
+         calls 2000;
+         growth := live_words () - before));
+  Engine.run engine;
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures engine);
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %d words over 2000 calls" !growth)
+    true (!growth < 500)
 
 (* --- eRPC parameter boundaries ----------------------------------------- *)
 
@@ -353,19 +504,16 @@ let test_erpc_single_attempt () =
     (ctr engine "net.erpc.credit_underflow")
 
 let test_erpc_params_below_range () =
-  let rejects what ?dedup_capacity params =
+  let rejects what params =
     let _, _, rt, client, server = make_world () in
-    match
-      Erpc.import_remote ~params ?dedup_capacity rt ~client ~server iface ~impls
-    with
+    match Erpc.import_remote ~params rt ~client ~server iface ~impls with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s accepted" what
   in
   let d = Erpc.default_params in
   rejects "mtu = header_bytes" { d with Erpc.mtu = d.Erpc.header_bytes };
   rejects "credit_cap = 0" { d with Erpc.credit_cap = 0 };
-  rejects "max_pkt_attempts = 0" { d with Erpc.max_pkt_attempts = 0 };
-  rejects "dedup_capacity = 0" ~dedup_capacity:0 d
+  rejects "max_pkt_attempts = 0" { d with Erpc.max_pkt_attempts = 0 }
 
 let () =
   Alcotest.run "lrpc_net"
@@ -395,6 +543,14 @@ let () =
           Alcotest.test_case "credit invariant (qcheck)" `Quick
             test_erpc_credit_qcheck;
           Alcotest.test_case "dedup eviction" `Quick test_erpc_dedup_eviction;
+        ] );
+      ( "remote path",
+        [
+          Alcotest.test_case "args rejected at issue" `Quick
+            test_args_rejected_at_issue;
+          Alcotest.test_case "killed caller releases cells" `Quick
+            test_killed_caller_releases_cells;
+          Alcotest.test_case "no heap growth" `Quick test_erpc_no_heap_growth;
         ] );
       ( "erpc boundaries",
         [
