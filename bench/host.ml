@@ -3,7 +3,7 @@
    JSON object (BENCH_host.json when regenerated with `make
    bench-host-full`) whose numbers are tracked across commits:
 
-     engine_events_per_sec       raw event-loop rate, tight delay loop
+     engine_events_per_sec       delays/sec of a lone thread (run-ahead path)
      fig1_synthesis_calls_per_sec  Fig.1 traffic synthesis throughput
      fig2_wallclock_sec          the 4-CPU throughput experiment, wall
      fig2_scale_wallclock_sec    the 1-256 CPU scaling study, wall
@@ -66,9 +66,10 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Raw event-loop rate: one thread, a tight delay loop, no tracer. Each
-   delay is one timed event through the heap plus one dispatch, so this
-   is events/sec of the engine hot path in isolation. *)
+(* Delay rate of one thread in a tight loop, no tracer. With nothing
+   else queued, each delay ends before every queued event and is charged
+   in place (Engine.delay's run-ahead path): no effect, no heap push or
+   pop. So this measures that path, not the heap. *)
 let engine_events_per_sec () =
   let n = if quick then 200_000 else 2_000_000 in
   let e = Engine.create ~processors:1 Cost_model.cvax_firefly in

@@ -180,8 +180,23 @@ type admission = {
           slot to miss their deadline anyway *)
 }
 
+(* Each bound, when given, must admit something: at least one call in
+   flight, a queue of zero or more waiters (0 sheds every checkout that
+   would queue, but none that finds a free A-stack), and a positive
+   sojourn target (the backoff hint is twice it). *)
 let admission_policy ?max_inflight ?max_queue ?target_sojourn
     ?(deadline_aware = false) () =
+  (match max_inflight with
+  | Some n when n < 1 ->
+      invalid_arg "Rt.admission_policy: max_inflight must be >= 1"
+  | _ -> ());
+  (match max_queue with
+  | Some n when n < 0 -> invalid_arg "Rt.admission_policy: max_queue must be >= 0"
+  | _ -> ());
+  (match target_sojourn with
+  | Some t when t <= Time.zero ->
+      invalid_arg "Rt.admission_policy: target_sojourn must be > 0"
+  | _ -> ());
   {
     adm_max_inflight = max_inflight;
     adm_max_queue = max_queue;

@@ -60,6 +60,7 @@ type t = {
          [finish] *)
   mutable rr_next : int; (* round-robin target for unpinned enqueues *)
   mutable now_ : Time.t;
+  mutable limit : Time.t; (* [until] of the [run] in progress *)
   mutable next_tid : int;
   mutable current : thread option;
   mutable failures_ : (thread * exn) list;
@@ -154,6 +155,7 @@ let create ?(processors = 1) ?(domains = 1) cm =
       executing = 0;
       rr_next = 0;
       now_ = Time.zero;
+      limit = max_int;
       next_tid = 0;
       current = None;
       failures_ = [];
@@ -605,25 +607,31 @@ let take_cont th =
       k
   | No_cont -> assert false
 
+(* Bus dilation of a delay: [1 + bus_alpha * (executing - 1)]. Alone on
+   the bus (or no bus model) the factor is exactly 1.0 and
+   [Time.scale d 1.0 = d], so skip the float round-trip entirely. *)
+let[@inline] dilate t d =
+  let alpha = t.cm.Cost_model.bus_alpha in
+  if alpha = 0.0 then d
+  else
+    let execn = t.executing in
+    if execn <= 1 then d
+    else Time.scale d (1.0 +. (alpha *. float_of_int (execn - 1)))
+
+(* Charge the already-dilated [d] to [cat] and to [th]'s processor; the
+   caller moves the clock or schedules the resumption. *)
+let[@inline] charge_slice t th cat d =
+  charge t cat d;
+  if tracing t then
+    emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Slice { category = cat; dur = d });
+  let c = t.cpus_.(th.cpu) in
+  c.busy <- Time.add c.busy d
+
 let handle_delay t th cat d k =
   assert (th.cpu >= 0);
-  let d' =
-    (* Alone on the bus (or no bus model): the factor is exactly 1.0 and
-       [Time.scale d 1.0 = d], so skip the float round-trip entirely. *)
-    let alpha = t.cm.Cost_model.bus_alpha in
-    if alpha = 0.0 then d
-    else
-      let execn = t.executing in
-      if execn <= 1 then d
-      else Time.scale d (1.0 +. (alpha *. float_of_int (execn - 1)))
-  in
-  charge t cat d';
-  if tracing t then
-    emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Slice { category = cat; dur = d' });
-  let c = t.cpus_.(th.cpu) in
-  c.busy <- Time.add c.busy d';
+  charge_slice t th cat d;
   th.cont <- k;
-  Heap.push t.heap ~time:(Time.add t.now_ d') th.run_ev
+  Heap.push t.heap ~time:(Time.add t.now_ d) th.run_ev
 
 let start t th body =
   Effect.Deep.match_with body ()
@@ -673,8 +681,8 @@ let exec t th =
    One heap, drained in (time, insertion) order; allocation-free per
    event. *)
 
-let run_serial t limit =
-  let h = t.heap in
+let run_serial t =
+  let h = t.heap and limit = t.limit in
   let continue_ = ref true in
   while !continue_ do
     if Heap.is_empty h then continue_ := false
@@ -703,10 +711,10 @@ let run_serial t limit =
 let run ?until t =
   if t.running_host then invalid_arg "Engine.run: re-entrant call";
   t.running_host <- true;
-  let limit = match until with Some u -> u | None -> max_int in
+  t.limit <- (match until with Some u -> u | None -> max_int);
   Fun.protect
     ~finally:(fun () -> t.running_host <- false)
-    (fun () -> run_serial t limit)
+    (fun () -> run_serial t)
 
 (* --- in-thread operations ---------------------------------------------- *)
 
@@ -719,8 +727,29 @@ let current_cpu t =
   let th = self t in
   if th.cpu < 0 then raise Not_in_thread else t.cpus_.(th.cpu)
 
-let delay ?(category = Category.Other) _t d =
-  Effect.perform (Delay (category, d))
+(* Run-ahead: when the delaying thread would be the next event anyway,
+   charge the slice in place and move the clock, with no effect,
+   continuation or heap traffic. Three conditions make that exact. The
+   caller is the current thread with no pending interrupt (the general
+   path delivers one on resumption). The delay ends within the [run] in
+   progress (the general path would stop before resuming it). And it
+   ends strictly before every queued event: nothing else runs while a
+   thread delays and the heap orders by (time, monotone sequence), so a
+   skipped push reorders nothing, while a queued event at an equal time
+   holds the lower sequence and must run first. *)
+let delay ?(category = Category.Other) t d =
+  let d = dilate t d in
+  (* [Time.t] is [int]. Plain addition keeps this test free of a call
+     into another module: dune's dev profile compiles with -opaque, so
+     [Time.add] would not be inlined. *)
+  let until = t.now_ + d in
+  match t.current with
+  | Some ({ pending_exn = None; _ } as th)
+    when until <= t.limit
+         && (Heap.is_empty t.heap || Heap.top_time t.heap > until) ->
+      charge_slice t th category d;
+      t.now_ <- until
+  | _ -> Effect.perform (Delay (category, d))
 
 let suspend _t f = Effect.perform (Suspend f)
 
@@ -821,18 +850,6 @@ let wake t th =
           (Event.Slice { category = Category.Lock; dur = spun });
       Heap.push t.heap ~time:t.now_ th.run_ev
   | Embryo | Ready | Running | Done | Failed -> ()
-
-let place_on t th c =
-  assert (th.state = Blocked);
-  place t th c
-
-let ready_enqueue t th =
-  match th.state with
-  | Blocked ->
-      th.state <- Ready;
-      ready_push t th;
-      try_dispatch t
-  | Embryo | Ready | Running | Spinning | Done | Failed -> ()
 
 let set_idle_hook t f = t.on_idle <- f
 let topology t = t.topo

@@ -128,15 +128,17 @@ val self_opt : t -> thread option
 
 val delay : ?category:Category.t -> t -> Time.t -> unit
 (** Consume simulated CPU time on the current processor, dilated by the
-    bus-contention factor and charged to [category] (default [Other]). *)
+    bus-contention factor and charged to [category] (default [Other]).
+
+    A delay that ends before every queued event, within the limit of
+    the {!run} in progress, and on a thread with no pending interrupt
+    is charged in place: the clock moves without the thread leaving the
+    processor or passing through the event queue. This is unobservable —
+    the thread would have been the next event, at the same time, either
+    way. *)
 
 val block : t -> unit
 (** Release the processor and sleep until {!wake}. *)
-
-val suspend : t -> (thread -> unit) -> unit
-(** Low-level: capture the continuation, then run the callback (at engine
-    level — it must not perform effects) to decide what to do with the
-    thread and its processor. Building block for wait queues and locks. *)
 
 val yield : t -> unit
 (** Go to the back of the ready queue. *)
@@ -179,15 +181,6 @@ val wake : t -> thread -> unit
 (** Make a blocked thread runnable (dispatching it to a free processor if
     any, preferring the one it last ran on), or resume a spinning thread
     on the processor it is holding. No-op on running/ready/dead threads. *)
-
-val place_on : t -> thread -> cpu -> unit
-(** Hand a blocked thread the given free processor directly, bypassing the
-    ready queue (handoff scheduling). Charges a context switch if the
-    processor's loaded context differs from the thread's domain. *)
-
-val ready_enqueue : t -> thread -> unit
-(** Make a blocked thread runnable via the general ready queue only,
-    without immediate dispatch (models the slow scheduling path). *)
 
 val set_idle_hook : t -> (cpu -> unit) -> unit
 (** Install the callback run when a processor looks for work and finds

@@ -30,7 +30,6 @@ let create () =
   { times = [||]; seqs = [||]; data = [||]; size = 0; next_seq = 0 }
 
 let is_empty t = t.size = 0
-let size t = t.size
 
 let[@inline] less t i j =
   let ti = Array.unsafe_get t.times i and tj = Array.unsafe_get t.times j in
@@ -117,8 +116,6 @@ let pop t =
     let payload = take t in
     Some (time, payload)
   end
-
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
 
 let clear t =
   (* Null every retained slot, not just [0, size): popped entries left

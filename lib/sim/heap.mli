@@ -14,8 +14,6 @@ val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
-val size : 'a t -> int
-
 val push : 'a t -> time:Time.t -> 'a -> unit
 (** Insertion order among equal times is preserved on [pop]/[take]. *)
 
@@ -31,8 +29,6 @@ val take : 'a t -> 'a
 val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest event (allocating convenience form of
     {!top_time} + {!take}). *)
-
-val peek_time : 'a t -> Time.t option
 
 val clear : 'a t -> unit
 (** Empty the heap, releasing every payload reference it holds. *)

@@ -390,6 +390,50 @@ let test_admission_deadline_aware () =
       | Ok [ V.Int 3 ] -> ()
       | _ -> Alcotest.fail "achievable deadline must be admitted")
 
+(* Policy bounds in the zero / one / max style: the smallest admitting
+   value of each bound and max_int are accepted, and each value one
+   step below its range (and min_int) is rejected. *)
+let test_admission_policy_bounds () =
+  let accepts what f =
+    match f () with
+    | (_ : Rt.admission) -> ()
+    | exception Invalid_argument m -> Alcotest.failf "%s rejected: %s" what m
+  in
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  accepts "no bounds" (fun () -> Rt.admission_policy ());
+  accepts "max_inflight 1" (fun () -> Rt.admission_policy ~max_inflight:1 ());
+  accepts "max_inflight max_int" (fun () ->
+      Rt.admission_policy ~max_inflight:max_int ());
+  accepts "max_queue 0" (fun () -> Rt.admission_policy ~max_queue:0 ());
+  accepts "max_queue 1" (fun () -> Rt.admission_policy ~max_queue:1 ());
+  accepts "max_queue max_int" (fun () -> Rt.admission_policy ~max_queue:max_int ());
+  accepts "target_sojourn 1 ns" (fun () ->
+      Rt.admission_policy ~target_sojourn:(Time.ns 1) ());
+  accepts "target_sojourn max_int" (fun () ->
+      Rt.admission_policy ~target_sojourn:max_int ());
+  List.iter
+    (fun n ->
+      rejects (Printf.sprintf "max_inflight %d" n) (fun () ->
+          Rt.admission_policy ~max_inflight:n ()))
+    [ 0; -1; min_int ];
+  List.iter
+    (fun n ->
+      rejects (Printf.sprintf "max_queue %d" n) (fun () ->
+          Rt.admission_policy ~max_queue:n ()))
+    [ -1; min_int ];
+  List.iter
+    (fun t ->
+      rejects (Printf.sprintf "target_sojourn %d ns" t) (fun () ->
+          Rt.admission_policy ~target_sojourn:t ()))
+    [ Time.zero; -1; min_int ];
+  (* One bad bound rejects the policy whatever the others say. *)
+  rejects "good max_queue, bad max_inflight" (fun () ->
+      Rt.admission_policy ~max_inflight:0 ~max_queue:4 ~target_sojourn:(Time.us 40) ())
+
 (* Satellite: a deadline expiring while the call is queued in the
    A-stack FIFO must remove the waiter, surface Deadline_exceeded, and
    leak nothing — later callers still get the A-stack. *)
@@ -529,6 +573,7 @@ let () =
             test_deadline_expires_while_queued;
           Alcotest.test_case "off by default" `Quick
             test_admission_off_rejects_nothing;
+          Alcotest.test_case "policy bounds" `Quick test_admission_policy_bounds;
         ] );
       ( "pipelining",
         [

@@ -721,6 +721,64 @@ let test_ready_queue_overflow_threads () =
   (* 10 threads x 10us over 2 cpus = 50us of makespan. *)
   check_time "makespan" (Time.us 50) (Engine.now e)
 
+(* --- Run-ahead delays ------------------------------------------------------
+
+   A delay that ends strictly before every queued event, within the
+   limit of the run in progress, on a thread with no pending interrupt,
+   is charged in place instead of through the event heap. Each test
+   below sits on the edge of one condition and fails if it is dropped;
+   the determinism property's stepped runs cover the limit. *)
+
+(* A timer armed for exactly the instant a delay ends holds the lower
+   heap sequence, so it fires before the delaying thread resumes; one
+   armed a little later lets the thread run ahead. *)
+let test_delay_equal_time_timer_first () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let log = ref [] in
+  let note what = log := (what, Engine.now e) :: !log in
+  ignore
+    (Engine.spawn e ~domain:0 (fun () ->
+         Engine.delay e (Time.us 1);
+         ignore (Engine.at e (Time.us 6) (fun () -> note "timer"));
+         ignore (Engine.at e (Time.us 12) (fun () -> note "later timer"));
+         Engine.delay e (Time.us 5);
+         note "thread";
+         Engine.delay e (Time.us 5);
+         note "thread again"));
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "equal-time timer first"
+    [
+      ("timer", Time.us 6);
+      ("thread", Time.us 6);
+      ("thread again", Time.us 11);
+      ("later timer", Time.us 12);
+    ]
+    (List.rev !log)
+
+(* A thread that interrupts itself gets the exception from the
+   resumption that ends its next delay: at now + d' (bus-dilated, with
+   the time charged), and the statement after the delay never runs. *)
+let test_self_interrupt_then_delay () =
+  let e = Engine.create ~processors:2 bus_cm in
+  let after = ref false and caught_at = ref (-1) in
+  ignore
+    (Engine.spawn e ~domain:1 ~home:1 ~name:"other" (fun () ->
+         Engine.delay e (Time.ms 1)));
+  ignore
+    (Engine.spawn e ~domain:0 ~home:0 ~name:"self" (fun () ->
+         Engine.interrupt e (Engine.self e) (Failure "self");
+         try
+           Engine.delay e (Time.us 10);
+           after := true
+         with Failure _ -> caught_at := Engine.now e));
+  Engine.run e;
+  Alcotest.(check bool) "statement after the delay skipped" false !after;
+  (* Two threads execute, so d' = 1.5 d. *)
+  check_time "delivered at now + d'" (Time.us 15) !caught_at;
+  check_time "d' charged to the cpu" (Time.us 15) (Engine.cpus e).(0).Engine.busy;
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
+
 (* --- Spinlock ----------------------------------------------------------- *)
 
 let test_spinlock_mutual_exclusion () =
@@ -995,27 +1053,113 @@ let prop_victim_ring_covers =
       done;
       !ok)
 
-(* --- Determinism property ------------------------------------------------ *)
+(* --- Determinism property ------------------------------------------------
+
+   Random programs of delays, blocks, wakes and timers on 1-4 CPUs give
+   the same log, trace and accounting whether run once or stepped by
+   [run ~until] every k us, and no step moves the clock past its limit:
+   a delay charged in place must stay within the run in progress. *)
+
+type op = Delay of int | Block | Wake of int | Timer of int * int
+
+let gen_program st nthreads =
+  Array.init nthreads (fun _ ->
+      List.init
+        (4 + Random.State.int st 9)
+        (fun _ ->
+          match Random.State.int st 10 with
+          | 0 | 1 -> Block
+          | 2 | 3 -> Wake (Random.State.int st nthreads)
+          | 4 -> Timer (Random.State.int st 30, Random.State.int st nthreads)
+          | _ -> Delay (1 + Random.State.int st 20)))
+
+(* Run [prog]; [step] steps the run every that many us up to a bound
+   past the last possible event, then runs to the end. Returns whether
+   every step kept [now <= until], and everything the run observed. *)
+let run_program ~cpus ?step prog =
+  let e = Engine.create ~processors:cpus cm in
+  let tr = Trace.create ~capacity:(1 lsl 14) () in
+  Engine.set_tracer e (Some tr);
+  let log = Buffer.create 256 in
+  let note i what =
+    Buffer.add_string log (Printf.sprintf "%d%c@%d;" i what (Engine.now e))
+  in
+  let ths = ref [||] in
+  ths :=
+    Array.mapi
+      (fun i ops ->
+        Engine.spawn e ~domain:(i mod 3) ~name:(string_of_int i) (fun () ->
+            List.iter
+              (function
+                | Delay n ->
+                    Engine.delay e (Time.us n);
+                    note i 'd'
+                | Block ->
+                    note i 'b';
+                    Engine.block e;
+                    note i 'w'
+                | Wake j ->
+                    Engine.wake e !ths.(j);
+                    note i 'k'
+                | Timer (n, j) ->
+                    ignore
+                      (Engine.at e
+                         (Time.add (Engine.now e) (Time.us n))
+                         (fun () ->
+                           note j 't';
+                           Engine.wake e !ths.(j))))
+              ops))
+      prog;
+  let within = ref true in
+  (match step with
+  | None -> Engine.run e
+  | Some k ->
+      let bound =
+        Array.fold_left
+          (List.fold_left (fun acc op ->
+               acc
+               + match op with Delay n | Timer (n, _) -> (2 * n) + 50 | _ -> 50))
+          0 prog
+      in
+      let until = ref (Time.us k) in
+      while !until <= Time.us bound do
+        Engine.run ~until:!until e;
+        if Engine.now e > !until then within := false;
+        until := Time.add !until (Time.us k)
+      done;
+      Engine.run e);
+  let busy =
+    Array.to_list (Array.map (fun c -> string_of_int c.Engine.busy) (Engine.cpus e))
+  in
+  ( !within,
+    String.concat "|"
+      [
+        Buffer.contents log;
+        Trace.dump tr;
+        string_of_int (Engine.now e);
+        String.concat "," busy;
+        string_of_int (List.length (Engine.stuck_threads e));
+        String.concat ","
+          (List.map
+             (fun (c, ns) -> Category.slug c ^ "=" ^ string_of_int ns)
+             (Engine.breakdown e));
+      ] )
 
 let prop_engine_deterministic =
-  QCheck.Test.make ~name:"simulation runs are reproducible" ~count:20
-    QCheck.(pair (int_range 1 4) (int_range 1 20))
-    (fun (cpus, nthreads) ->
-      let trace () =
-        let e = Engine.create ~processors:cpus cm in
-        let log = Buffer.create 128 in
-        for i = 0 to nthreads - 1 do
-          ignore
-            (Engine.spawn e ~domain:(i mod 3) (fun () ->
-                 for _ = 1 to 5 do
-                   Engine.delay e (Time.us ((i mod 7) + 1));
-                   Buffer.add_string log (Printf.sprintf "%d@%d;" i (Engine.now e))
-                 done))
-        done;
-        Engine.run e;
-        Buffer.contents log
-      in
-      String.equal (trace ()) (trace ()))
+  QCheck.Test.make ~name:"simulation runs are reproducible" ~count:200
+    (* No shrinker: shrinking would leave these ranges (a 0 us step). *)
+    (QCheck.make
+       ~print:(fun (cpus, nthreads, k, seed) ->
+         Printf.sprintf "cpus=%d threads=%d step=%dus seed=%d" cpus nthreads k
+           seed)
+       QCheck.Gen.(
+         quad (int_range 1 4) (int_range 1 8) (int_range 1 40)
+           (int_bound 1_000_000)))
+    (fun (cpus, nthreads, k, seed) ->
+      let prog = gen_program (Random.State.make [| seed |]) nthreads in
+      let _, once = run_program ~cpus prog in
+      let within, stepped = run_program ~cpus ~step:k prog in
+      within && String.equal once stepped)
 
 let () =
   let qsuite =
@@ -1076,6 +1220,10 @@ let () =
           Alcotest.test_case "bus contention" `Quick test_bus_contention_dilates;
           Alcotest.test_case "run until" `Quick test_run_until_horizon;
           Alcotest.test_case "more threads than cpus" `Quick test_ready_queue_overflow_threads;
+          Alcotest.test_case "equal-time timer first" `Quick
+            test_delay_equal_time_timer_first;
+          Alcotest.test_case "self interrupt then delay" `Quick
+            test_self_interrupt_then_delay;
           Alcotest.test_case "fresh counters zero" `Quick
             test_fresh_engine_counters_zero;
         ] );
