@@ -102,57 +102,25 @@ fig2-scale-smoke: build
 	  assert ps[-1]['unbal_steals'] == ps[-1]['cpus'] - 1"
 	@echo "fig2-scale smoke OK"
 
-# End-to-end: the open-loop load study's JSON must cover all three
-# systems with a monotone offered-load sweep, ordered quantiles at
-# every point, and a detected saturation knee per system (the quick
-# sweep deliberately runs past capacity).
+# End-to-end: the open-loop load study's CLI must emit parseable JSON.
+# Its bounds (all three systems, a strictly increasing offered load,
+# ordered quantiles and a saturation knee per system) are checked on
+# the typed result by test_experiments "openloop", under `dune runtest`.
 openloop-smoke: build
 	dune exec bin/lrpc_experiments.exe -- openloop --quick --json > $(OPENLOOP_JSON)
 	@python3 -c "import json; d = json.load(open('$(OPENLOOP_JSON)')); \
-	  systems = d['systems']; \
-	  assert d['experiment'] == 'openloop'; \
-	  assert {'lrpc', 'src_rpc', 'netrpc'} <= {s['system'] for s in systems}; \
-	  loads = {s['system']: [p['offered_cps'] for p in s['points']] for s in systems}; \
-	  assert all(all(a < b for a, b in zip(l, l[1:])) for l in loads.values()), \
-	    'offered load not strictly increasing: %s' % loads; \
-	  assert all(p['p50_us'] <= p['p99_us'] <= p['p999_us'] \
-	             for s in systems for p in s['points']), 'quantiles unordered'; \
-	  assert all(p['measured'] <= p['completed'] <= p['issued'] \
-	             for s in systems for p in s['points']); \
-	  knees = {s['system']: s['knee_cps'] for s in systems}; \
-	  assert all(k is not None and k > 0 for k in knees.values()), \
-	    'missing saturation knee: %s' % knees"
+	  assert d['experiment'] == 'openloop'"
 	@echo "openloop smoke OK"
 
-# End-to-end: the overload-control ablation must degrade gracefully.
-# With shedding on, goodput at and past the knee stays within ~10-15%
-# of the shared capacity anchor and the admitted calls' p99 stays
-# bounded (the 5 ms deadline budget plus queueing), while the shed-off
-# baseline's p99 collapses by an order of magnitude; the shed count
-# grows with offered load and is exactly zero with the policy off.
+# End-to-end: the overload-control ablation's CLI must emit parseable
+# JSON. Its bounds (one capacity anchor, shed-on goodput and p99 past
+# the knee, the shed-off collapse, monotone sheds, none with the policy
+# off) are checked by test_experiments "shedding bounds".
 overload-smoke: build
 	dune exec bin/lrpc_experiments.exe -- openloop --quick --shedding --json \
 	  > $(OVERLOAD_JSON)
 	@python3 -c "import json; d = json.load(open('$(OVERLOAD_JSON)')); \
-	  assert d['experiment'] == 'openloop_shed'; \
-	  s = {c['system']: c for c in d['systems']}; \
-	  assert set(s) == {'lrpc_shed_off', 'lrpc_shed_on'}; \
-	  off, on = s['lrpc_shed_off'], s['lrpc_shed_on']; \
-	  cap = on['capacity_cps']; \
-	  assert cap == off['capacity_cps'], 'arms must share the capacity anchor'; \
-	  assert len(on['points']) == len(off['points']) >= 3; \
-	  past_knee = [p for p in on['points'] if p['offered_cps'] > cap]; \
-	  assert past_knee, 'sweep must run past capacity'; \
-	  assert all(p['achieved_cps'] >= 0.85 * cap for p in past_knee), \
-	    'shed-on goodput collapsed: %s' % [p['achieved_cps'] for p in past_knee]; \
-	  assert all(p['p99_us'] <= 30000 for p in past_knee), \
-	    'shed-on p99 unbounded: %s' % [p['p99_us'] for p in past_knee]; \
-	  assert off['points'][-1]['p99_us'] >= 3 * on['points'][-1]['p99_us'], \
-	    'shed-off baseline did not collapse'; \
-	  sheds = [p['shed'] for p in on['points']]; \
-	  assert all(a <= b for a, b in zip(sheds, sheds[1:])) and sheds[-1] > 0, \
-	    'shed count must grow with offered load: %s' % sheds; \
-	  assert all(p['shed'] == 0 for p in off['points'])"
+	  assert d['experiment'] == 'openloop_shed'"
 	@echo "overload smoke OK"
 
 # End-to-end: the locality study's JSON must cover all four placements

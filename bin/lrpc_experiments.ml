@@ -51,9 +51,9 @@ let names_arg =
      (ablations incl. a6 register passing), lat (supplementary latency), f2s \
      (multiprocessor scaling beyond Fig.2), openloop (open-loop \
      latency-vs-load curves), numa (placement quality on a clustered \
-     topology), prodsweep (idle-prod policy calibration grid), transport \
-     (LRPC vs classic Netrpc vs eRPC-style packet-granular transport), or \
-     'all'. Unknown names are an error (exit code 2)."
+     topology), transport (LRPC vs classic Netrpc vs eRPC-style \
+     packet-granular transport), or 'all'. Unknown names are an error \
+     (exit code 2)."
   in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
 

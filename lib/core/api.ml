@@ -92,8 +92,6 @@ let abort rt h ~reason = Call.abort rt h ~reason
 
 let set_admission (rt : t) a = rt.Rt.admission <- a
 
-let set_reshard (rt : t) r = rt.Rt.reshard <- r
-
 (* Graceful degradation: the typed LRPC failures become a [result];
    caller bugs ([Not_in_thread], [Already_awaited], [Invalid_argument])
    and thread death still raise, and anything else that escaped the

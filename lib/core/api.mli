@@ -185,16 +185,6 @@ val set_admission : t -> Rt.admission option -> unit
     (the default), the call path does no admission work and its delay
     sequence is bit-identical to pre-admission builds. *)
 
-val set_reshard : t -> Rt.reshard option -> unit
-(** Install (or clear, with [None]) the adaptive A-stack re-shard
-    policy. With a policy installed, a pool whose contended-checkout
-    fraction exceeds the threshold over a review window has its shard
-    count doubled (capped at one shard per processor); re-sharding
-    preserves free-list membership and re-homes checked-out A-stacks,
-    so simulated call results are unchanged. With no policy installed (the default), the
-    checkout path does one pointer test and is bit-identical to
-    pre-reshard builds. *)
-
 val call_result :
   ?options:Options.t ->
   t ->

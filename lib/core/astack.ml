@@ -45,12 +45,7 @@ let make_pool rt ~client ~server ~proc ~size ~count =
   let astacks =
     allocate_batch rt ~client ~server ~proc ~size ~count ~primary:true
   in
-  (* Under a re-shard policy the pool starts with a single shard and
-     earns more only when the controller observes contention — the
-     conservative end of the tuning loop. Without one (the default,
-     and every published configuration) the historical one-shard-per-
-     processor layout is kept bit-identical. *)
-  let nsh = match rt.reshard with None -> shard_count rt count | Some _ -> 1 in
+  let nsh = shard_count rt count in
   List.iteri (fun i a -> a.a_shard <- i mod nsh) astacks;
   let shards =
     Array.init nsh (fun si ->
@@ -62,18 +57,12 @@ let make_pool rt ~client ~server ~proc ~size ~count =
           ash_free = List.filter (fun a -> a.a_shard = si) astacks;
         })
   in
-  let pool =
-    {
-      ap_bytes = size;
-      ap_shards = shards;
-      ap_checkouts = 0;
-      ap_contended = 0;
-      ap_waiters = Queue.create ();
-      ap_all = astacks;
-    }
-  in
-  rt.pools <- pool :: rt.pools;
-  pool
+  {
+    ap_bytes = size;
+    ap_shards = shards;
+    ap_waiters = Queue.create ();
+    ap_all = astacks;
+  }
 
 let lock_hold rt = (cost_model rt).Lrpc_sim.Cost_model.astack_lock
 
@@ -125,53 +114,6 @@ let pop_free_any pool =
 
 let free_count pool =
   Array.fold_left (fun acc sh -> acc + List.length sh.ash_free) 0 pool.ap_shards
-
-(* --- Adaptive re-shard controller (tuning loop, off unless a
-   [Rt.reshard] policy is installed) ---
-
-   A pool whose checkouts keep tripping the contended-fallback path has
-   more concurrent callers than shards; doubling the shard count (up to
-   one per processor) spreads them over more locks. Re-sharding moves
-   every A-stack to a new home shard, so it only runs at a quiescent
-   point: no shard lock held (checked here). Checked-out A-stacks are
-   re-homed too — their check-in lands on the new shard — and free-list
-   membership is preserved exactly, so simulated call results are
-   unchanged; only future lock-contention outcomes differ. *)
-
-let shards_quiescent pool =
-  Array.for_all (fun sh -> Spinlock.holder sh.ash_lock = None) pool.ap_shards
-
-let reshard_pool rt pool =
-  let nsh = Array.length pool.ap_shards in
-  let nsh' = min (shard_count rt (List.length pool.ap_all)) (2 * nsh) in
-  if nsh' <= nsh || not (shards_quiescent pool) then false
-  else begin
-    let free =
-      Array.fold_left (fun acc sh -> acc @ sh.ash_free) [] pool.ap_shards
-    in
-    List.iteri (fun i a -> a.a_shard <- i mod nsh') pool.ap_all;
-    pool.ap_shards <-
-      Array.init nsh' (fun si ->
-          {
-            ash_lock = Spinlock.create ~name:"astack-q-resharded" (engine rt);
-            ash_free =
-              List.filter
-                (fun a -> a.a_shard = si && List.memq a free)
-                pool.ap_all;
-          });
-    Metrics.Counter.incr rt.c_reshards;
-    true
-  end
-
-let review_pool rt rs pool =
-  if pool.ap_checkouts >= rs.rs_window then begin
-    let ratio =
-      float_of_int pool.ap_contended /. float_of_int pool.ap_checkouts
-    in
-    pool.ap_checkouts <- 0;
-    pool.ap_contended <- 0;
-    if ratio > rs.rs_threshold then ignore (reshard_pool rt pool)
-  end
 
 (* Hand [a] to the longest-waiting live waiter, returning the thread to
    wake, or [None] when nobody (live) is waiting. The grant is written
@@ -364,14 +306,6 @@ let checkout ?admit rt pb ~client ~server =
       a
   | None -> (
   let e = engine rt in
-  (* Re-shard review first (one pointer test with no policy installed):
-     resizing before the scan keeps this checkout's view of the shard
-     array consistent. *)
-  (match rt.reshard with
-  | None -> ()
-  | Some rs ->
-      pool.ap_checkouts <- pool.ap_checkouts + 1;
-      review_pool rt rs pool);
   let nsh = Array.length pool.ap_shards in
   (* Home shard follows the calling processor, so steady-state checkouts
      on different processors touch different locks and free lists. *)
@@ -387,8 +321,7 @@ let checkout ?admit rt pb ~client ~server =
      own instruction cost runs before the lock is taken, so a whole
      round of same-instant checkouts passes the check and then queues
      inside [Spinlock.acquire]); the spinlock's contended-acquire
-     counter catches exactly those, and feeds the same re-shard
-     signal. *)
+     counter catches exactly those. *)
   let try_shard si =
     let sh = pool.ap_shards.(si) in
     if Spinlock.holder sh.ash_lock <> None then begin
@@ -397,11 +330,8 @@ let checkout ?admit rt pb ~client ~server =
     else if sh.ash_free <> [] then begin
       let waited = Spinlock.contended_acquires sh.ash_lock in
       Spinlock.acquire sh.ash_lock;
-      if Spinlock.contended_acquires sh.ash_lock > waited then begin
+      if Spinlock.contended_acquires sh.ash_lock > waited then
         Metrics.Counter.incr rt.c_shard_contended;
-        if rt.reshard <> None then
-          pool.ap_contended <- pool.ap_contended + 1
-      end;
       (match sh.ash_free with
       | a :: rest ->
           sh.ash_free <- rest;
@@ -446,7 +376,6 @@ let checkout ?admit rt pb ~client ~server =
       (* Every free A-stack (if any) sits behind a held shard lock: fall
          back to the FIFO direct-grant path rather than spin. *)
       Metrics.Counter.incr rt.c_shard_contended;
-      if rt.reshard <> None then pool.ap_contended <- pool.ap_contended + 1;
       let a = timed_grant_wait ?admit rt pool (lock_hold rt) in
       a.a_last_used <- Engine.now e;
       a

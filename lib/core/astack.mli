@@ -19,18 +19,6 @@
     to finish or allocates extra A-stacks; extras live outside the
     primary contiguous region and take slightly longer to validate. *)
 
-val allocate_batch :
-  Rt.runtime ->
-  client:Lrpc_kernel.Pdomain.t ->
-  server:Lrpc_kernel.Pdomain.t ->
-  proc:Lrpc_idl.Types.proc ->
-  size:int ->
-  count:int ->
-  primary:bool ->
-  Rt.astack list
-(** Pair-wise allocate [count] A-stacks of [size] bytes (plus linkage
-    records). Bind-time operation: no simulated time is charged. *)
-
 val make_pool :
   Rt.runtime ->
   client:Lrpc_kernel.Pdomain.t ->
@@ -39,10 +27,13 @@ val make_pool :
   size:int ->
   count:int ->
   Rt.astack_pool
-(** An A-stack set with per-processor locked shards and a shared FIFO
-    wait queue — owned by one procedure, or shared among same-sized
-    procedures under A-stack sharing (§3.1). A-stacks are dealt to
-    shards round-robin at creation. *)
+(** Pair-wise allocate [count] A-stacks of [size] bytes, each with its
+    linkage record, into a set with per-processor locked shards and a
+    shared FIFO wait queue — owned by one procedure, or shared among
+    same-sized procedures under A-stack sharing (§3.1). The set has
+    [min processors count] shards (at least one), fixed for its
+    lifetime; A-stacks are dealt to them round-robin. Bind-time
+    operation: no simulated time is charged. *)
 
 type admit = {
   ad_binding : Rt.binding;
@@ -88,23 +79,6 @@ val checkin : Rt.runtime -> Rt.proc_binding -> Rt.astack -> unit
 
 val waiting : Rt.astack_pool -> int
 (** Callers currently blocked on pool exhaustion. *)
-
-(** {2 Adaptive re-sharding}
-
-    The tuning loop over the shard layout: per pool, the runtime counts
-    checkouts and contended-fallback hits in a review window; when the
-    contended fraction exceeds the installed {!Rt.reshard} policy's
-    threshold, the pool's shard count is doubled (capped at one shard
-    per processor) at a quiescent point. Off — and a single pointer test
-    per checkout — until a policy is installed on the runtime. *)
-
-val reshard_pool : Rt.runtime -> Rt.astack_pool -> bool
-(** Double the pool's shard count now, re-homing every A-stack
-    (checked-out ones included — their check-in lands on the new shard)
-    and preserving free-list membership exactly, so simulated call
-    results are unchanged. Returns [false] without touching anything
-    when already at the shard cap or when any shard lock is held (not a
-    quiescent point). Bumps ["lrpc.astack_reshards"] on success. *)
 
 val free_count : Rt.astack_pool -> int
 (** A-stacks currently free, summed across shards. Engine-level safe. *)

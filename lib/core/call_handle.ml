@@ -8,7 +8,6 @@ let id h = h.ch_id
 let proc h = h.ch_proc
 let binding h = h.ch_binding
 let issuer h = h.ch_issuer
-let issued_at h = h.ch_issued_at
 let carrier h = h.ch_carrier
 
 let state h : state =
@@ -18,9 +17,6 @@ let state h : state =
   | Landed (Ok ()) -> `Landed_ok
   | Landed (Error _) -> `Landed_error
   | Consumed -> `Consumed
-
-let is_landed h =
-  match h.ch_state with Landed _ | Consumed -> true | Issued | In_flight -> false
 
 let is_consumed h =
   match h.ch_state with Consumed -> true | _ -> false

@@ -22,8 +22,6 @@ val binding : t -> Rt.binding
 val issuer : t -> Lrpc_sim.Engine.thread
 (** The thread that issued the call. *)
 
-val issued_at : t -> Lrpc_sim.Time.t
-
 val carrier : t -> Lrpc_sim.Engine.thread option
 (** The carrier thread executing a pipelined call's completion half;
     [None] for inline (synchronous) handles. This is the thread to
@@ -31,7 +29,6 @@ val carrier : t -> Lrpc_sim.Engine.thread option
     the server. *)
 
 val state : t -> state
-val is_landed : t -> bool
 val is_consumed : t -> bool
 
 val is_remote : t -> bool

@@ -204,25 +204,6 @@ let admission_policy ?max_inflight ?max_queue ?target_sojourn
     adm_deadline_aware = deadline_aware;
   }
 
-(* Adaptive re-shard policy (off unless installed via the runtime). The
-   controller watches, per pool, the fraction of checkouts in a review
-   window that hit the contended-fallback path; when it exceeds the
-   threshold the pool's shard count is doubled at the next quiescent
-   point (no shard lock held — checked at the review itself, which runs
-   from a checkout). Same zero-cost-when-off shape as [admission]: one
-   pointer test on the checkout path. *)
-type reshard = {
-  rs_threshold : float;
-      (** contended/checkouts ratio above which a pool is re-sharded *)
-  rs_window : int;  (** minimum checkouts per pool between reviews *)
-}
-
-let reshard_policy ?(threshold = 0.25) ?(window = 64) () =
-  if not (threshold > 0.0) then
-    invalid_arg "Rt.reshard_policy: threshold must be > 0";
-  if window < 1 then invalid_arg "Rt.reshard_policy: window must be >= 1";
-  { rs_threshold = threshold; rs_window = window }
-
 type linkage = {
   l_region : Vm.region;  (** kernel-private page holding the record *)
   mutable l_in_use : bool;
@@ -300,17 +281,11 @@ and astack_shard = {
 
 and astack_pool = {
   ap_bytes : int;  (** A-stack size; the largest procedure in the group *)
-  mutable ap_shards : astack_shard array;
+  ap_shards : astack_shard array;
       (** the free list, sharded per processor (capped by the A-stack
           count; exactly one shard on a uniprocessor): a checkout prefers
           the shard indexed by its current processor, so concurrent
-          callers of one size class stop serializing on a single lock.
-          Mutable so the adaptive re-shard controller can grow a hot
-          pool's shard count at a quiescent point *)
-  mutable ap_checkouts : int;
-      (** checkouts since the last re-shard review (window counter) *)
-  mutable ap_contended : int;
-      (** of those, checkouts that hit the contended-fallback path *)
+          callers of one size class stop serializing on a single lock *)
   ap_waiters : astack_waiter Queue.t;
       (** callers blocked on pool exhaustion or shard contention, FIFO; a
           check-in grants the A-stack directly to the head waiter so the
@@ -496,15 +471,6 @@ and runtime = {
   mutable admission : admission option;
       (** installed admission policy; [None] (the default) keeps every
           overload consultation down to one pointer test *)
-  c_reshards : Metrics.counter;
-      (** ["lrpc.astack_reshards"]: adaptive shard-count growths applied *)
-  mutable reshard : reshard option;
-      (** adaptive re-shard policy; [None] (the default) keeps the
-          checkout fast path down to one pointer test *)
-  mutable pools : astack_pool list;
-      (** every pool built by this runtime (reversed), deduplicated —
-          shared same-size pools appear once; the re-shard controller's
-          review set *)
   mutable faults : faults option;
       (** installed fault plan; [None] (the default) keeps every fault
           consultation down to one pointer test *)
@@ -526,6 +492,9 @@ let create ?(config = default_config) kernel =
       ~name:"lrpc-binding-table" ~bytes:(2 * 512) ~mapped:[]
   in
   let take n pages = List.filteri (fun i _ -> i < n) pages in
+  (* Never bumped: lrpcbench's digests hash Metrics.to_json, zeros too. *)
+  ignore
+    (Metrics.counter (Engine.metrics (Kernel.engine kernel)) "lrpc.astack_reshards");
   {
     kernel;
     config;
@@ -570,11 +539,6 @@ let create ?(config = default_config) kernel =
       Metrics.counter (Engine.metrics (Kernel.engine kernel))
         "lrpc.calls_admitted";
     admission = None;
-    c_reshards =
-      Metrics.counter (Engine.metrics (Kernel.engine kernel))
-        "lrpc.astack_reshards";
-    reshard = None;
-    pools = [];
     faults = None;
   }
 

@@ -59,9 +59,6 @@ val run : ?max_cpus:int -> ?horizon:Lrpc_sim.Time.t -> unit -> result
     taper the measurement window inversely with the rung (calls/s is a
     rate, so points stay comparable) to keep host cost bounded. *)
 
-val speedup_at : result -> int -> float option
-(** LRPC speedup at exactly [n] CPUs, when that rung was measured. *)
-
 val render : result -> string
 
 val to_json : result -> string

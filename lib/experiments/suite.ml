@@ -9,7 +9,7 @@
 
 let paper = [ "t1"; "f1"; "t2"; "t3"; "t4"; "t5"; "f2" ]
 let ablations = [ "a1"; "a2"; "a3"; "a4"; "a5"; "a6" ]
-let supplementary = [ "lat"; "f2s"; "openloop"; "numa"; "prodsweep"; "transport" ]
+let supplementary = [ "lat"; "f2s"; "openloop"; "numa"; "transport" ]
 let names = paper @ ablations @ supplementary
 
 let mem name = List.mem name names
@@ -66,7 +66,6 @@ let run ?(seed = 1989L) ?(quick = false) ?(shedding = false) name =
   | "lat" -> Latency.render (Latency.run ~horizon ())
   | "f2s" -> Fig2_scale.render (fig2_scale_result ~quick)
   | "numa" -> Numa_study.render (numa_result ~quick)
-  | "prodsweep" -> Prod_sweep.render (Prod_sweep.run ~quick ~seed ())
   | "transport" -> Transport_study.render (Transport_study.run ~seed ~quick ())
   | "openloop" when shedding ->
       Openloop.render (Openloop.run_shedding ~seed ~quick ())

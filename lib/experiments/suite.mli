@@ -8,9 +8,10 @@ val ablations : string list
 (** ["a1"] … ["a6"] — the DESIGN.md ablations. *)
 
 val supplementary : string list
-(** ["lat"; "f2s"; "openloop"] — supplementary measurements (latency
-    distribution, the beyond-Figure-2 multiprocessor scaling study, and
-    the open-loop latency-vs-load study). *)
+(** ["lat"; "f2s"; "openloop"; "numa"; "transport"] — supplementary
+    measurements (latency distribution, the beyond-Figure-2
+    multiprocessor scaling study, the open-loop latency-vs-load study,
+    placement on a clustered topology, and the transport study). *)
 
 val names : string list
 (** [paper @ ablations @ supplementary]. *)
@@ -20,7 +21,7 @@ val mem : string -> bool
 
 val json_names : string list
 (** Artifacts that also have a machine-checkable JSON rendering
-    (currently ["f2s"] and ["openloop"]). *)
+    (["f2s"], ["openloop"], ["numa"] and ["transport"]). *)
 
 val json : ?seed:int64 -> ?quick:bool -> ?shedding:bool -> string -> string
 (** The JSON rendering of an artifact in {!json_names} — same

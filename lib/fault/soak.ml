@@ -25,8 +25,6 @@ type config = {
   remote_share : float;
   retry_budget : float option;
   cost_model : Lrpc_sim.Cost_model.t option;
-  domain_caching : bool;
-  prod : (float * float) option;
 }
 
 let default =
@@ -50,8 +48,6 @@ let default =
     remote_share = 0.15;
     retry_budget = None;
     cost_model = None;
-    domain_caching = false;
-    prod = None;
   }
 
 type report = {
@@ -70,7 +66,6 @@ type report = {
   r_crashes : int;
   r_starvations : int;
   r_shard_contended : int;
-  r_reshards : int;
   r_steals_near : int;
   r_steals_far : int;
   r_all_resolved : bool;
@@ -128,6 +123,34 @@ let remote_impls =
         | _ -> [ V.int 0 ] );
   ]
 
+let ok r =
+  r.r_all_resolved && r.r_failure_accounting && r.r_pool_balanced
+  && r.r_linkages_zero && r.r_in_flight_zero && r.r_no_stuck && r.r_no_failures
+
+(* Why an invariant failed, on stderr: the threads that died or hung,
+   and what every pool holds. *)
+let explain engine rt =
+  List.iter
+    (fun (th, exn) ->
+      Printf.eprintf "FAILED %s: %s\n%!" (Engine.thread_name th)
+        (Printexc.to_string exn))
+    (Engine.failures engine);
+  List.iter
+    (fun th -> Printf.eprintf "STUCK %s\n%!" (Engine.thread_name th))
+    (Engine.stuck_threads engine);
+  Hashtbl.iter
+    (fun _ b ->
+      List.iter
+        (fun (pn, pb) ->
+          let p = pb.Rt.pb_pool in
+          Printf.eprintf "POOL b%d %s: free=%d all=%d waiters=%d\n%!" b.Rt.bid
+            pn
+            (Lrpc_core.Astack.free_count p)
+            (List.length p.Rt.ap_all)
+            (Lrpc_core.Astack.waiting p))
+        b.Rt.b_procs)
+    rt.Rt.bindings
+
 let run cfg =
   (* A soak of no calls, or no clients to issue them, would pass every
      invariant vacuously. *)
@@ -148,8 +171,6 @@ let run cfg =
           Option.value cfg.cost_model
             ~default:Driver.Config.default.Driver.Config.cost_model;
         trace_capacity = Some trace_capacity;
-        domain_caching = cfg.domain_caching;
-        prod = cfg.prod;
         install_faults =
           Some (Plan.install (Plan.make { cfg.spec with Plan.seed = cfg.seed }));
       }
@@ -180,7 +201,7 @@ let run cfg =
      split off the seed), so the workload root is perturbed first. *)
   let master = Prng.create ~seed:(Int64.logxor cfg.seed 0x9E3779B97F4A7C15L) in
   let issued = ref 0 in
-  let ok = ref 0
+  let succeeded = ref 0
   and failed = ref 0
   and aborted = ref 0
   and deadline = ref 0
@@ -188,7 +209,7 @@ let run cfg =
   and overloaded = ref 0
   and stub = ref 0 in
   let resolve = function
-    | Ok _ -> incr ok
+    | Ok _ -> incr succeeded
     | Error (Api.Failed _) -> incr failed
     | Error (Api.Aborted _) -> incr aborted
     | Error (Api.Deadline _) -> incr deadline
@@ -288,30 +309,6 @@ let run cfg =
          (client_body prng my_a my_b))
   done;
   Engine.run engine;
-  (if Sys.getenv_opt "LRPC_SOAK_DEBUG" <> None then begin
-     List.iter
-       (fun (th, exn) ->
-         Printf.eprintf "FAILED %s: %s\n%!" (Engine.thread_name th)
-           (Printexc.to_string exn))
-       (Engine.failures engine);
-     List.iter
-       (fun th -> Printf.eprintf "STUCK %s\n%!" (Engine.thread_name th))
-       (Engine.stuck_threads engine);
-     Hashtbl.iter
-       (fun _ b ->
-         List.iter
-           (fun (pn, pb) ->
-             let p = pb.Rt.pb_pool in
-             Printf.eprintf "POOL b%d %s: free=%d all=%d waiters=%d\n%!"
-               b.Rt.bid pn
-               (Lrpc_core.Astack.free_count p)
-               (List.length p.Rt.ap_all)
-               (Queue.fold
-                  (fun acc c -> if c.Rt.aw_active then acc + 1 else acc)
-                  0 p.Rt.ap_waiters))
-           b.Rt.b_procs)
-       rt.Rt.bindings
-   end);
   (* --- quiescence invariants ------------------------------------------ *)
   let pools =
     Hashtbl.fold
@@ -330,7 +327,7 @@ let run cfg =
       pools
   in
   let resolved =
-    !ok + !failed + !aborted + !deadline + !rejected + !overloaded + !stub
+    !succeeded + !failed + !aborted + !deadline + !rejected + !overloaded + !stub
   in
   let m = Engine.metrics engine in
   let counter name = Metrics.Counter.value (Metrics.counter m name) in
@@ -344,38 +341,37 @@ let run cfg =
   let failure_accounting =
     typed_failures = counter "lrpc.calls_failed" + counter "lrpc.calls_rejected"
   in
-  {
-    r_seed = cfg.seed;
-    r_calls = !issued;
-    r_ok = !ok;
-    r_failed = !failed;
-    r_aborted = !aborted;
-    r_deadline = !deadline;
-    r_rejected = !rejected;
-    r_overloaded = !overloaded;
-    r_stub = !stub;
-    r_retries = counter "net.retries";
-    r_retries_suppressed = counter "net.retries_suppressed";
-    r_dups_suppressed = counter "net.duplicates_suppressed";
-    r_crashes = counter "fault.crashes";
-    r_starvations = counter "fault.astack_starvations";
-    r_shard_contended = counter "lrpc.astack_shard_contended";
-    r_reshards = counter "lrpc.astack_reshards";
-    r_steals_near = Engine.total_steals_near engine;
-    r_steals_far = Engine.total_steals_far engine;
-    r_all_resolved = resolved = !issued;
-    r_failure_accounting = failure_accounting;
-    r_pool_balanced = pool_balanced;
-    r_linkages_zero = Kernel.total_linkages kernel = 0;
-    r_in_flight_zero = Api.calls_in_flight rt = 0;
-    r_no_stuck = Engine.stuck_threads engine = [];
-    r_no_failures = Engine.failures engine = [];
-    r_digest = Digest.to_hex (Digest.string (Trace.dump tracer));
-  }
-
-let ok r =
-  r.r_all_resolved && r.r_failure_accounting && r.r_pool_balanced
-  && r.r_linkages_zero && r.r_in_flight_zero && r.r_no_stuck && r.r_no_failures
+  let r =
+    {
+      r_seed = cfg.seed;
+      r_calls = !issued;
+      r_ok = !succeeded;
+      r_failed = !failed;
+      r_aborted = !aborted;
+      r_deadline = !deadline;
+      r_rejected = !rejected;
+      r_overloaded = !overloaded;
+      r_stub = !stub;
+      r_retries = counter "net.retries";
+      r_retries_suppressed = counter "net.retries_suppressed";
+      r_dups_suppressed = counter "net.duplicates_suppressed";
+      r_crashes = counter "fault.crashes";
+      r_starvations = counter "fault.astack_starvations";
+      r_shard_contended = counter "lrpc.astack_shard_contended";
+      r_steals_near = Engine.total_steals_near engine;
+      r_steals_far = Engine.total_steals_far engine;
+      r_all_resolved = resolved = !issued;
+      r_failure_accounting = failure_accounting;
+      r_pool_balanced = pool_balanced;
+      r_linkages_zero = Kernel.total_linkages kernel = 0;
+      r_in_flight_zero = Api.calls_in_flight rt = 0;
+      r_no_stuck = Engine.stuck_threads engine = [];
+      r_no_failures = Engine.failures engine = [];
+      r_digest = Digest.to_hex (Digest.string (Trace.dump tracer));
+    }
+  in
+  if not (ok r) then explain engine rt;
+  r
 
 let report_to_json r =
   Printf.sprintf
@@ -385,8 +381,8 @@ let report_to_json r =
     \ \"faults\": {\"net_retries\": %d, \"net_retries_suppressed\": %d, \
      \"net_duplicates_suppressed\": %d, \"crashes\": %d, \
      \"astack_starvations\": %d},\n\
-    \ \"locality\": {\"shard_contended\": %d, \"reshards\": %d, \
-     \"steals_near\": %d, \"steals_far\": %d},\n\
+    \ \"locality\": {\"shard_contended\": %d, \"steals_near\": %d, \
+     \"steals_far\": %d},\n\
     \ \"invariants\": {\"all_resolved\": %b, \"failure_accounting\": %b, \
      \"pool_balanced\": %b, \"linkages_zero\": %b, \"in_flight_zero\": %b, \
      \"no_stuck_threads\": %b, \"no_thread_failures\": %b},\n\
@@ -394,6 +390,6 @@ let report_to_json r =
     r.r_seed r.r_calls r.r_ok r.r_failed r.r_aborted r.r_deadline r.r_rejected
     r.r_overloaded r.r_stub r.r_retries r.r_retries_suppressed
     r.r_dups_suppressed r.r_crashes r.r_starvations r.r_shard_contended
-    r.r_reshards r.r_steals_near r.r_steals_far r.r_all_resolved
+    r.r_steals_near r.r_steals_far r.r_all_resolved
     r.r_failure_accounting r.r_pool_balanced r.r_linkages_zero
     r.r_in_flight_zero r.r_no_stuck r.r_no_failures r.r_digest

@@ -28,12 +28,6 @@ type config = {
           model here soaks the locality-aware paths; with [None] the
           report — digest included — is bit-identical to pre-topology
           builds *)
-  domain_caching : bool;
-      (** §3.4 idle-processor context caching (default off — matches
-          the historical soak world) *)
-  prod : (float * float) option;
-      (** [(half_life_us, margin)] prod-policy override, see
-          {!Lrpc_workload.Driver.Config.prod} *)
 }
 
 val default : config
@@ -60,7 +54,6 @@ type report = {
   r_crashes : int;  (** ["fault.crashes"] delivered *)
   r_starvations : int;  (** ["fault.astack_starvations"] *)
   r_shard_contended : int;  (** ["lrpc.astack_shard_contended"] *)
-  r_reshards : int;  (** ["lrpc.astack_reshards"] applied *)
   r_steals_near : int;  (** within-cluster steals (0 with no topology) *)
   r_steals_far : int;  (** cross-cluster steals *)
   r_all_resolved : bool;  (** every call landed in exactly one tally *)
@@ -79,7 +72,10 @@ type report = {
 }
 
 val run : config -> report
-(** @raise Invalid_argument when [calls <= 0] or [clients <= 0] (every
+(** When an invariant fails, the threads that died or hung and every
+    pool's free, total and waiting counts are printed to stderr; a
+    passing run prints nothing.
+    @raise Invalid_argument when [calls <= 0] or [clients <= 0] (every
     invariant would hold vacuously), or from {!Plan.make} when [spec] is
     out of range. *)
 
@@ -89,6 +85,6 @@ val ok : report -> bool
 val report_to_json : report -> string
 (** One-object JSON rendering: ["seed"], ["calls"], an ["outcomes"]
     object, a ["faults"] object, a ["locality"] object (shard
-    contention, reshards, near/far steals), an ["invariants"] object
+    contention, near/far steals), an ["invariants"] object
     (all seven booleans) and ["digest"]. Hand-built; stable key
     order. *)

@@ -18,8 +18,6 @@ type stub_listing = {
   language : [ `Assembly | `Modula2plus ];
 }
 
-val generate_proc : Types.interface -> Types.proc -> stub_listing
-
 val generate : Types.interface -> stub_listing list
 
 val total_instructions : stub_listing -> int

@@ -93,7 +93,3 @@ let immutable_copy_slots plan =
       | Some p, Some _ -> not p.Types.uninterpreted
       | _ -> false)
     plan.slots
-
-let arg_values_bytes _proc ~args ~results =
-  List.fold_left (fun acc v -> acc + Value.payload_bytes v) 0 args
-  + List.fold_left (fun acc v -> acc + Value.payload_bytes v) 0 results

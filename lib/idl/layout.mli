@@ -54,7 +54,3 @@ val immutable_copy_slots : plan -> slot list
 (** Input slots whose parameter the server interprets (not flagged
     [uninterpreted]): when immutability matters these are the ones the
     server stub defensively copies (copy E; paper §3.5). *)
-
-val arg_values_bytes : Types.proc -> args:Value.t list -> results:Value.t list -> int
-(** Total argument + result payload bytes of one call, the quantity
-    Figure 1 histograms. *)

@@ -101,19 +101,3 @@ let rec pp_base ppf = function
            ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
            (fun ppf (name, ty) -> Format.fprintf ppf "%s: %a" name pp_base ty))
         fields
-
-let pp_proc ppf p =
-  let pp_param ppf prm =
-    Format.fprintf ppf "%s%s: %a"
-      (match prm.mode with In -> "" | Out -> "out " | In_out -> "inout ")
-      prm.pname pp_base prm.ty
-  in
-  Format.fprintf ppf "proc %s(%a)%a" p.proc_name
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       pp_param)
-    p.params
-    (fun ppf -> function
-      | None -> ()
-      | Some ty -> Format.fprintf ppf ": %a" pp_base ty)
-    p.result

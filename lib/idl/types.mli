@@ -72,4 +72,3 @@ val validate : interface -> (unit, string) result
     zero A-stack counts. *)
 
 val pp_base : Format.formatter -> base -> unit
-val pp_proc : Format.formatter -> proc -> unit

@@ -12,7 +12,7 @@ type hook_handle = int
 
 (* Decaying per-domain context-miss average: [ms_ewma] is the value as of
    [ms_at]; reads decay it forward to the current instant. A miss adds 1
-   and the whole thing halves every [ewma_half_life_us] of quiet, so the
+   and the whole thing halves every [half_life_us] of quiet, so the
    prod policy chases domains that are missing *now*, not domains that
    were busy long ago (raw counters never forget). *)
 type miss_stat = {
@@ -49,10 +49,6 @@ type t = {
   c_prods : Metrics.counter;
   c_idle_retags : Metrics.counter;
   h_prod_hit : Metrics.histogram;
-  mutable half_life_us : float;
-      (* miss-EWMA half-life; per-kernel so it can be swept *)
-  mutable margin : float; (* required EWMA gap before any retag *)
-  mutable retag_factor : float; (* idle-consult hysteresis multiplier *)
   mutable hooks : hook list; (* reversed *)
   mutable next_hook : int;
   linkages : (int, int) Hashtbl.t; (* tid -> outstanding linkage records *)
@@ -60,12 +56,11 @@ type t = {
   g_linkages : Metrics.gauge;
 }
 
-(* Swept defaults for the idle-prod policy knobs (EXPERIMENTS.md
-   "Prod-policy calibration"): the values live on [t] so they can be
-   swept per-world. *)
-let default_half_life_us = 1000.0
-let default_prod_margin = 0.5
-let default_idle_retag_factor = 2.0
+(* The idle-prod policy's constants. A sweep of half-life x margin came
+   out flat (EXPERIMENTS.md, "Prod-policy calibration"). *)
+let half_life_us = 1000.0 (* miss-EWMA half-life *)
+let prod_margin = 0.5 (* required EWMA gap before any retag *)
+let idle_retag_factor = 2.0 (* idle-consult hysteresis multiplier *)
 
 let boot engine =
   let kernel_domain =
@@ -99,9 +94,6 @@ let boot engine =
     c_idle_retags =
       Metrics.counter (Engine.metrics engine) "kernel.idle_retags";
     h_prod_hit = Metrics.histogram (Engine.metrics engine) "kernel.prod_to_hit_us";
-    half_life_us = default_half_life_us;
-    margin = default_prod_margin;
-    retag_factor = default_idle_retag_factor;
     hooks = [];
     next_hook = 1;
     linkages = Hashtbl.create 64;
@@ -290,34 +282,12 @@ let note_context_hit ?cpu t d =
    past a clear hysteresis margin, so the steady-state exchange ping-pong
    (both contexts equally warm, every call a hit) is never perturbed. *)
 
-let prod_tuning t = (t.half_life_us, t.margin, t.retag_factor)
-
-let set_prod_tuning ?half_life_us ?margin ?idle_retag_factor t =
-  (match half_life_us with
-  | Some h ->
-      if not (h > 0.0) then
-        invalid_arg "Kernel.set_prod_tuning: half_life_us must be positive";
-      t.half_life_us <- h
-  | None -> ());
-  (match margin with
-  | Some m ->
-      if m < 0.0 then
-        invalid_arg "Kernel.set_prod_tuning: margin must be >= 0";
-      t.margin <- m
-  | None -> ());
-  match idle_retag_factor with
-  | Some f ->
-      if not (f >= 1.0) then
-        invalid_arg "Kernel.set_prod_tuning: idle_retag_factor must be >= 1";
-      t.retag_factor <- f
-  | None -> ()
-
-let decayed t ~now st =
+let decayed ~now st =
   if st.ms_ewma = 0.0 then 0.0
   else
     let dt = Time.to_us (Time.sub now st.ms_at) in
     if dt <= 0.0 then st.ms_ewma
-    else st.ms_ewma *. (0.5 ** (dt /. t.half_life_us))
+    else st.ms_ewma *. (0.5 ** (dt /. half_life_us))
 
 let miss_stat t d =
   match Hashtbl.find_opt t.ewmas d.Pdomain.id with
@@ -341,7 +311,7 @@ let ewma_gauge t d =
 
 let ewma_of_id t ~now id =
   match Hashtbl.find_opt t.ewmas id with
-  | Some st -> decayed t ~now st
+  | Some st -> decayed ~now st
   | None -> 0.0
 
 let context_miss_ewma t d = ewma_of_id t ~now:(Engine.now t.engine) d.Pdomain.id
@@ -361,7 +331,7 @@ let note_context_miss t d =
   Metrics.Counter.incr (miss_counter t d);
   let now = Engine.now t.engine in
   let st = miss_stat t d in
-  st.ms_ewma <- decayed t ~now st +. 1.0;
+  st.ms_ewma <- decayed ~now st +. 1.0;
   st.ms_at <- now;
   (match Engine.self_opt t.engine with
   | Some th -> (
@@ -385,7 +355,7 @@ let note_context_miss t d =
                 | Some id -> ewma_of_id t ~now id
                 | None -> neg_infinity (* untagged: always the best victim *)
               in
-              if ctx +. t.margin < mine && ctx < !candidate_ewma then begin
+              if ctx +. prod_margin < mine && ctx < !candidate_ewma then begin
                 candidate := Some c;
                 candidate_ewma := ctx
               end
@@ -414,7 +384,7 @@ let note_context_miss t d =
                 else Cost_model.prod_mult topo st.ms_cpu c.Engine.idx
               in
               if
-                ctx +. t.margin < mine /. mult
+                ctx +. prod_margin < mine /. mult
                 && (mult < !candidate_mult
                    || (mult = !candidate_mult && ctx < !candidate_ewma))
               then begin
@@ -448,7 +418,7 @@ let on_cpu_idle t (c : Engine.cpu) =
     let best_id = ref (-1) and best_e = ref 0.0 in
     Hashtbl.iter
       (fun id st ->
-        let e = weighted st (decayed t ~now st) in
+        let e = weighted st (decayed ~now st) in
         if e > !best_e || (e = !best_e && !best_id >= 0 && id < !best_id) then begin
           best_id := id;
           best_e := e
@@ -464,7 +434,7 @@ let on_cpu_idle t (c : Engine.cpu) =
           | Some id -> ewma_of_id t ~now id
           | None -> 0.0
         in
-        if !best_e > (t.retag_factor *. cur) +. t.margin then
+        if !best_e > (idle_retag_factor *. cur) +. prod_margin then
           match find_domain t !best_id with
           | Some d when Pdomain.active d ->
               Metrics.Counter.incr t.c_idle_retags;

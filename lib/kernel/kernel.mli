@@ -102,7 +102,12 @@ val note_context_miss : t -> Pdomain.t -> unit
     installed at {!boot}): the idle processor preloads the hottest
     domain's context, but only when it out-misses the held context by a
     2x hysteresis margin, so a warm steady state is never perturbed
-    (those retags are counted in ["kernel.idle_retags"]). *)
+    (those retags are counted in ["kernel.idle_retags"]). The half-life,
+    0.5 margin and 2x factor are constants: a sweep of half-life x margin
+    came out flat (EXPERIMENTS.md, "Prod-policy calibration"). Under a
+    {!Lrpc_sim.Cost_model.topology} a domain's miss EWMA is divided by
+    the prod-distance multiplier between the candidate idle CPU and the
+    CPU the domain's misses arrive on. *)
 
 val context_misses : t -> Pdomain.t -> int
 (** Reads ["kernel.context_misses{domain=<id>}"] from the engine's
@@ -127,34 +132,6 @@ val prods : t -> int
 
 val idle_retags : t -> int
 (** Idle-consult retags performed (["kernel.idle_retags"]). *)
-
-(** {2 Prod-policy tuning}
-
-    The three policy knobs live per-kernel. The defaults were chosen by
-    the swept calibration in EXPERIMENTS.md ("Prod-policy calibration");
-    {!set_prod_tuning} overrides them for a sweep or a specific world.
-    Under a {!Lrpc_sim.Cost_model.topology} the policy additionally
-    weights a domain's miss EWMA by the prod-distance multiplier between
-    the candidate idle CPU and the CPU the domain's misses arrive on. *)
-
-val default_half_life_us : float
-(** 1000 us: how long a miss keeps counting. *)
-
-val default_prod_margin : float
-(** 0.5: required EWMA gap before any retag. *)
-
-val default_idle_retag_factor : float
-(** 2.0: idle-consult hysteresis (candidate must out-miss the held
-    context by this factor plus the margin). *)
-
-val prod_tuning : t -> float * float * float
-(** Current [(half_life_us, margin, idle_retag_factor)]. *)
-
-val set_prod_tuning :
-  ?half_life_us:float -> ?margin:float -> ?idle_retag_factor:float -> t -> unit
-(** Override any subset of the knobs.
-    @raise Invalid_argument on a non-positive half-life, negative
-    margin, or retag factor below 1. *)
 
 (** {1 Termination (paper §5.3)} *)
 

@@ -12,11 +12,6 @@
     negligible against the millisecond-scale remote call, which the
     transparency test asserts. *)
 
-val ethernet_mtu : int
-
-val null_network_us : float
-(** Round-trip Null RPC time between two Fireflies, microseconds. *)
-
 val wire_time : bytes:int -> Lrpc_sim.Time.t
 (** Protocol + wire time for a round trip moving [bytes] of argument and
     result data: the Null constant plus serialization at 10 Mbit/s plus a

@@ -82,7 +82,6 @@ module Histo = struct
 
   let count h = H.count h.h_hist
   let percentile h p = H.percentile h.h_hist p
-  let underlying h = h.h_hist
   let name h = h.h_key
 end
 

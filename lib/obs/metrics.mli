@@ -64,7 +64,6 @@ module Histo : sig
   (** [percentile h p] for [p] in [0..100]. An empty histogram has no
       order statistics; every percentile of one is defined as 0. *)
 
-  val underlying : histogram -> Lrpc_util.Histogram.t
   val name : histogram -> string
 end
 

@@ -37,7 +37,5 @@ val find : t -> kind:string -> event list
 
 val clear : t -> unit
 
-val pp_event : Format.formatter -> event -> unit
-
 val dump : t -> string
 (** One line per retained event, same line shape as the pre-typed trace. *)

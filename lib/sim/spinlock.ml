@@ -67,4 +67,3 @@ let with_lock t ~hold f =
 
 let holder t = t.holder
 let contended_acquires t = Metrics.Counter.value t.c_contended
-let total_acquires t = Metrics.Counter.value t.c_acquires

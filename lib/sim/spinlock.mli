@@ -38,5 +38,3 @@ val holder : t -> Engine.thread option
 
 val contended_acquires : t -> int
 (** Number of acquires that had to wait (for this lock's name). *)
-
-val total_acquires : t -> int

@@ -24,7 +24,6 @@ let add t v = add_many t v 1
 let count t = t.total
 let bin_count t = Array.length t.bins
 let bin_value t i = t.bins.(i)
-let bin_lower t i = i * t.bin_width
 
 let bin_label t i =
   if i = Array.length t.bins - 1 then Printf.sprintf "%d+" t.max_value

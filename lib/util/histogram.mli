@@ -14,9 +14,6 @@ val add : t -> int -> unit
 (** Record one sample. Negative samples are rejected with
     [Invalid_argument]. *)
 
-val add_many : t -> int -> int -> unit
-(** [add_many t v n] records [n] occurrences of value [v]. *)
-
 val count : t -> int
 (** Total number of samples recorded. *)
 
@@ -28,9 +25,6 @@ val bin_label : t -> int -> string
 
 val bin_value : t -> int -> int
 (** Number of samples in bin [i]. *)
-
-val bin_lower : t -> int -> int
-(** Lower bound of bin [i]. *)
 
 val cumulative_at : t -> int -> float
 (** [cumulative_at t v] is the fraction of samples [<= v], in [\[0, 1\]]. *)

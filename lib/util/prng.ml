@@ -111,13 +111,6 @@ let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
 
-let geometric t ~p =
-  assert (p > 0. && p <= 1.);
-  if p >= 1. then 0
-  else
-    let u = 1.0 -. float t 1.0 in
-    int_of_float (Float.floor (log u /. log (1. -. p)))
-
 let zipf_table ~n ~s =
   assert (n > 0);
   let acc = Array.make n 0.0 in

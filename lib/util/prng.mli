@@ -36,10 +36,6 @@ val bernoulli : t -> p:float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 
-val geometric : t -> p:float -> int
-(** Number of Bernoulli([p]) failures before the first success; [p] in
-    (0, 1]. *)
-
 val zipf : t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] draws a rank in [\[1, n\]] under a Zipf law with exponent
     [s], by inversion on the precomputed harmonic weights. O(log n). *)

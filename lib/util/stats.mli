@@ -14,7 +14,6 @@ val mean : t -> float
 val variance : t -> float
 (** Sample variance (n-1 denominator); [0.] when fewer than two samples. *)
 
-val stddev : t -> float
 val min_value : t -> float
 val max_value : t -> float
 val total : t -> float

@@ -62,5 +62,4 @@ let to_string t =
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
-let cell_f x = Printf.sprintf "%.2f" x
 let cell_us x = Printf.sprintf "%.1f" x

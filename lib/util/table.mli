@@ -20,8 +20,5 @@ val render : t -> Format.formatter -> unit
 
 val to_string : t -> string
 
-val cell_f : float -> string
-(** Format a float with two decimals for table cells. *)
-
 val cell_us : float -> string
 (** Format a latency in microseconds, one decimal, no unit suffix. *)

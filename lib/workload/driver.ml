@@ -76,7 +76,6 @@ module Config = struct
     install_faults : (Api.t -> unit) option;
     trace_capacity : int option;
     admission : Lrpc_core.Rt.admission option;
-    prod : (float * float) option;
   }
 
   let default =
@@ -89,7 +88,6 @@ module Config = struct
       install_faults = None;
       trace_capacity = None;
       admission = None;
-      prod = None;
     }
 end
 
@@ -115,10 +113,6 @@ let boot (c : Config.t) =
   | Some tracer -> Engine.set_tracer bt_engine (Some tracer));
   let bt_kernel = Kernel.boot bt_engine in
   Kernel.set_domain_caching bt_kernel c.Config.domain_caching;
-  (match c.Config.prod with
-  | None -> ()
-  | Some (half_life_us, margin) ->
-      Kernel.set_prod_tuning ~half_life_us ~margin bt_kernel);
   let bt_rt = Api.init ?config:c.Config.runtime bt_kernel in
   (match c.Config.admission with
   | None -> ()

@@ -65,17 +65,11 @@ module Config : sig
         (** overload-control policy installed on the runtime at boot
             (see {!Lrpc_core.Api.set_admission}); [None] — the default —
             does no admission work on the call path *)
-    prod : (float * float) option;
-        (** [(half_life_us, margin)] overriding
-            {!Lrpc_kernel.Kernel.default_half_life_us} and
-            {!Lrpc_kernel.Kernel.default_prod_margin} — the idle-prod
-            policy knobs — for this world; [None] keeps the defaults *)
   }
 
   val default : t
   (** One C-VAX Firefly processor on one host domain, default runtime, no
-      caching, no faults, no tracer, no admission policy, default prod
-      tuning. *)
+      caching, no faults, no tracer, no admission policy. *)
 end
 
 (** The machine layers every world shares, built by {!boot}. *)

@@ -586,6 +586,46 @@ let test_astack_exhaustion_allocate () =
   let total = run_exhaustion ~policy:`Allocate in
   Alcotest.(check int) "one extra A-stack" 3 total
 
+(* The default shard layout: min(processors, A-stacks) shards, each
+   A-stack homed on one of them, and every A-stack back on a free list
+   once the callers (one per processor) are done. *)
+let test_astack_shard_layout () =
+  List.iter
+    (fun (cpus, astacks, shards) ->
+      let engine = Engine.create ~processors:cpus cm in
+      let kernel = Kernel.boot engine in
+      let rt = Api.init kernel in
+      let server = Kernel.create_domain kernel ~name:"srv" in
+      let client = Kernel.create_domain kernel ~name:"app" in
+      ignore
+        (Api.export rt ~domain:server
+           (I.interface "Layout" [ I.proc ~astacks "null" [] ])
+           ~impls:[ ("null", fun _ -> []) ]);
+      let b = Api.import rt ~domain:client ~interface:"Layout" in
+      for i = 1 to cpus do
+        ignore
+          (Kernel.spawn kernel client ~name:(Printf.sprintf "c%d" i) (fun () ->
+               for _ = 1 to 20 do
+                 ignore (Api.call rt b ~proc:"null" [])
+               done))
+      done;
+      Engine.run engine;
+      Engine.check_failures engine;
+      let pool = (List.assoc "null" b.Rt.b_procs).Rt.pb_pool in
+      let what = Printf.sprintf "%d CPUs, %d A-stacks: " cpus astacks in
+      Alcotest.(check int) (what ^ "shards") shards
+        (Array.length pool.Rt.ap_shards);
+      Alcotest.(check int) (what ^ "population") astacks
+        (List.length pool.Rt.ap_all);
+      List.iter
+        (fun a ->
+          Alcotest.(check bool) (what ^ "home shard in range") true
+            (a.Rt.a_shard >= 0 && a.Rt.a_shard < shards))
+        pool.Rt.ap_all;
+      Alcotest.(check int) (what ^ "all free after the run") astacks
+        (Astack.free_count pool))
+    [ (1, 16, 1); (4, 16, 4); (8, 16, 8); (8, 4, 4) ]
+
 (* --- out-of-band (§5.2) ----------------------------------------------------- *)
 
 let test_oversized_args_go_out_of_band () =
@@ -1119,6 +1159,7 @@ let () =
         [
           Alcotest.test_case "exhaustion wait" `Quick test_astack_exhaustion_wait;
           Alcotest.test_case "exhaustion allocate" `Quick test_astack_exhaustion_allocate;
+          Alcotest.test_case "shard layout" `Quick test_astack_shard_layout;
           Alcotest.test_case "oversized oob" `Quick test_oversized_args_go_out_of_band;
           Alcotest.test_case "oob slower" `Quick test_oob_is_slower;
         ] );

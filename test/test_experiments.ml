@@ -295,6 +295,49 @@ let test_openloop_json_render () =
   Alcotest.(check bool) "text render substantial" true
     (String.length (E.Openloop.render r) > 200)
 
+(* The overload-control ablation against the bounds `make
+   overload-smoke` used to check on its JSON: one capacity anchor for
+   both arms; with shedding on, goodput past the knee holds 0.85x of it
+   and p99 stays within 30 ms while the shed-off arm's last p99 is at
+   least 3x the shed-on one; sheds grow with offered load and are zero
+   with the policy off. *)
+let test_openloop_shedding_bounds () =
+  let module O = E.Openloop in
+  let r = O.run_shedding ~quick:true () in
+  Alcotest.(check (list string)) "two arms" [ "lrpc_shed_off"; "lrpc_shed_on" ]
+    (List.sort compare (List.map (fun c -> c.O.oc_system) r.O.or_curves));
+  let arm name = List.find (fun c -> c.O.oc_system = name) r.O.or_curves in
+  let off = arm "lrpc_shed_off" and on = arm "lrpc_shed_on" in
+  let cap = on.O.oc_capacity_cps in
+  Alcotest.(check (float 0.0)) "arms share the capacity anchor" cap
+    off.O.oc_capacity_cps;
+  Alcotest.(check int) "arms have the same points"
+    (List.length off.O.oc_points) (List.length on.O.oc_points);
+  Alcotest.(check bool) "at least 3 points" true
+    (List.length on.O.oc_points >= 3);
+  let past_knee =
+    List.filter (fun p -> p.O.op_offered_cps > cap) on.O.oc_points
+  in
+  Alcotest.(check bool) "sweep runs past capacity" true (past_knee <> []);
+  List.iter
+    (fun p ->
+      let at = Printf.sprintf "shed-on @%.0f " p.O.op_offered_cps in
+      Alcotest.(check bool) (at ^ "goodput >= 0.85x capacity") true
+        (p.O.op_achieved_cps >= 0.85 *. cap);
+      Alcotest.(check bool) (at ^ "p99 <= 30 ms") true
+        (p.O.op_p99_us <= 30_000))
+    past_knee;
+  let last c = List.nth c.O.oc_points (List.length c.O.oc_points - 1) in
+  Alcotest.(check bool) "shed-off p99 >= 3x shed-on at the last point" true
+    ((last off).O.op_p99_us >= 3 * (last on).O.op_p99_us);
+  let sheds = List.map (fun p -> p.O.op_shed) on.O.oc_points in
+  Alcotest.(check bool) "sheds never decrease" true
+    (List.sort compare sheds = sheds);
+  Alcotest.(check bool) "last point sheds" true ((last on).O.op_shed > 0);
+  List.iter
+    (fun p -> Alcotest.(check int) "no sheds with the policy off" 0 p.O.op_shed)
+    off.O.oc_points
+
 (* --- Transport study --------------------------------------------------------- *)
 
 (* The quick three-way study against the bounds `make transport-smoke`
@@ -371,6 +414,7 @@ let () =
           Alcotest.test_case "curve shape" `Slow test_openloop_shape;
           Alcotest.test_case "knee detected" `Slow test_openloop_knee_detected;
           Alcotest.test_case "renders" `Slow test_openloop_json_render;
+          Alcotest.test_case "shedding bounds" `Quick test_openloop_shedding_bounds;
         ] );
       ("transport", [ Alcotest.test_case "smoke bounds" `Quick test_transport_smoke ]);
       ("rendering", [ Alcotest.test_case "renders" `Quick test_renders ]);
