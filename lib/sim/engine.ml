@@ -25,14 +25,22 @@ type thread = {
       (* enqueue stamp of this thread's live run-queue entry, -1 when it
          has none; a queue cell whose stamp disagrees is a ghost left by
          a steal and is skipped *)
-  run_ev : event; (* preallocated [Run self]: scheduling never allocates *)
+  mutable sleep_seq : int;
+      (* timer-heap sequence of the wake entry of the [sleep_until] this
+         thread is in, -1 outside one; an entry whose sequence disagrees
+         belongs to a sleep already left and is ignored *)
+  some : thread option;
+      (* preallocated [Some self]: [current], [running] and the run-queue
+         scans never allocate one *)
+  wake_ev : timed; (* preallocated [Wake self]: a sleep never allocates *)
 }
 
 and cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
 
 and timer = { t_fn : unit -> unit; mutable t_cancelled : bool }
 
-and event = Run of thread | Fire of timer
+(* A timer-heap entry. The run heap holds threads directly. *)
+and timed = Fire of timer | Wake of thread
 
 type cpu = {
   idx : int;
@@ -51,7 +59,12 @@ type cpu = {
 type t = {
   cm : Cost_model.t;
   cpus_ : cpu array;
-  heap : event Heap.t;
+  run_heap : thread Heap.t;
+      (* resumptions of threads on a processor: one per processor at most *)
+  timer_heap : timed Heap.t;
+      (* timers and sleeps; shares [run_heap]'s sequence counter *)
+  mutable run_pushes : int;
+  mutable timer_pushes : int;
   mutable ready_seq : int; (* global enqueue stamp: cross-queue FIFO age *)
   mutable executing : int;
       (* threads on a processor in state [Running] (spinners excluded):
@@ -70,11 +83,19 @@ type t = {
   tlb_miss_count : Metrics.counter;
   mutable running_host : bool;
   mutable tracer : Trace.t option;
+  (* The operands of the payload-free [Delay] and [Suspend] effects,
+     written by the performing thread just before it performs one. *)
+  mutable d_cat : Category.t;
+  mutable d_len : Time.t;
+  mutable s_fn : thread -> unit;
+  mutable s_peer : thread option; (* [to_] of [handoff]/[yield_to] *)
   (* Preallocated suspension callbacks for the closure-free fast paths
      ([block]/[yield]/[spin_suspend] are per-call operations). *)
   mutable fn_block : thread -> unit;
   mutable fn_yield : thread -> unit;
   mutable fn_spin : thread -> unit;
+  mutable fn_handoff : thread -> unit;
+  mutable fn_yield_to : thread -> unit;
   mutable on_idle : cpu -> unit;
       (* consulted when a processor finds no runnable thread anywhere
          (own queue and steal scan both empty); the kernel hangs its
@@ -94,9 +115,7 @@ type t = {
       (* how many leading entries of each ring are same-cluster *)
 }
 
-type _ Effect.t +=
-  | Delay : Category.t * Time.t -> unit Effect.t
-  | Suspend : (thread -> unit) -> unit Effect.t
+type _ Effect.t += Delay : unit Effect.t | Suspend : unit Effect.t
 
 let[@inline] tracing t =
   match t.tracer with None -> false | Some _ -> true
@@ -146,11 +165,15 @@ let create ?(processors = 1) ?(domains = 1) cm =
              "sim.time_ns")
          Category.all)
   in
+  let run_heap = Heap.create () in
   let t =
     {
       cm;
       cpus_;
-      heap = Heap.create ();
+      run_heap;
+      timer_heap = Heap.create ~share:run_heap ();
+      run_pushes = 0;
+      timer_pushes = 0;
       ready_seq = 0;
       executing = 0;
       rr_next = 0;
@@ -165,9 +188,15 @@ let create ?(processors = 1) ?(domains = 1) cm =
       tlb_miss_count = Metrics.counter metrics_ "sim.tlb_misses";
       running_host = false;
       tracer = None;
+      d_cat = Category.Other;
+      d_len = Time.zero;
+      s_fn = ignore;
+      s_peer = None;
       fn_block = ignore;
       fn_yield = ignore;
       fn_spin = ignore;
+      fn_handoff = ignore;
+      fn_yield_to = ignore;
       on_idle = ignore;
       c_steals =
         Metrics.counter metrics_ ~labels:[ ("kind", "retag") ] "sim.steals";
@@ -224,6 +253,8 @@ let emit ?tid ?cpu t kind =
 
 let cost_model t = t.cm
 let cpus t = t.cpus_
+let run_pushes t = t.run_pushes
+let timer_pushes t = t.timer_pushes
 
 let charge t cat d = Metrics.Counter.add t.cat_time.(Category.index cat) d
 
@@ -267,6 +298,25 @@ let stuck_threads t =
       | Running | Done | Failed -> false)
     t.threads
 
+(* --- the two heaps ------------------------------------------------------ *)
+
+(* A thread with a queued resumption is [Running] on a processor and
+   stays there until the resumption pops, and a processor runs one
+   thread, so the run heap never holds more entries than processors. *)
+let push_run t time th =
+  assert (Heap.length t.run_heap < Array.length t.cpus_);
+  t.run_pushes <- t.run_pushes + 1;
+  Heap.push t.run_heap ~time th
+
+let push_timer t time ev =
+  t.timer_pushes <- t.timer_pushes + 1;
+  Heap.push t.timer_heap ~time ev
+
+(* Whether [time] comes before every queued event of both heaps. An
+   empty heap reads as [max_int], which no delay reaches. *)
+let[@inline] before_queued t time =
+  time < Heap.earliest t.run_heap && time < Heap.earliest t.timer_heap
+
 (* --- dispatch machinery ------------------------------------------------ *)
 
 let[@inline] cpu_free c =
@@ -285,7 +335,7 @@ let place ?(stolen = false) ?(victim = -1) t th c =
   assert (cpu_free c);
   assert (th.cpu = -1);
   let prev = th.last_cpu in
-  c.running <- Some th;
+  c.running <- th.some;
   th.cpu <- c.idx;
   th.last_cpu <- c.idx;
   th.state <- Running;
@@ -359,7 +409,7 @@ let place ?(stolen = false) ?(victim = -1) t th c =
     emit_at t ~tid:th.tid ~cpu:c.idx
       (Event.Dispatch
          { thread = th.name; domain = th.domain; switched = cost <> Time.zero });
-  Heap.push t.heap ~time:(Time.add t.now_ cost) th.run_ev
+  push_run t (Time.add t.now_ cost) th
 
 let free_cpu_of t th =
   if th.cpu >= 0 then begin
@@ -428,7 +478,7 @@ let rec pop_own q =
   | Some (seq, th) ->
       if th.rq_seq = seq && entry_runnable th then begin
         th.rq_seq <- -1;
-        Some th
+        th.some
       end
       else pop_own q
 
@@ -458,12 +508,12 @@ let steal_scan t c tag i best best_seq best_tag best_tag_seq victim
         if th.rq_seq = seq && entry_runnable th then begin
           if seq < !best_seq then begin
             best_seq := seq;
-            best := Some th;
+            best := th.some;
             victim := i
           end;
           if th.domain = tag && seq < !best_tag_seq then begin
             best_tag_seq := seq;
-            best_tag := Some th;
+            best_tag := th.some;
             victim_tag := i
           end
         end)
@@ -568,7 +618,9 @@ let spawn ?(name = "thread") ?(home = -1) t ~domain body =
       spin_start = Time.zero;
       ever_placed = false;
       rq_seq = -1;
-      run_ev = Run th;
+      sleep_seq = -1;
+      some = Some th;
+      wake_ev = Wake th;
     }
   in
   t.next_tid <- t.next_tid + 1;
@@ -627,13 +679,24 @@ let[@inline] charge_slice t th cat d =
   let c = t.cpus_.(th.cpu) in
   c.busy <- Time.add c.busy d
 
-let handle_delay t th cat d k =
+let handle_delay t th k =
   assert (th.cpu >= 0);
-  charge_slice t th cat d;
+  let d = t.d_len in
+  charge_slice t th t.d_cat d;
   th.cont <- k;
-  Heap.push t.heap ~time:(Time.add t.now_ d) th.run_ev
+  push_run t (Time.add t.now_ d) th
 
+(* The effects carry no payload and the handler's results are built
+   once per thread, so a suspension allocates only the runtime's
+   continuation and its [K] cell. *)
 let start t th body =
+  let on_delay = Some (fun k -> handle_delay t th (K k)) in
+  let on_suspend =
+    Some
+      (fun k ->
+        th.cont <- K k;
+        t.s_fn th)
+  in
   Effect.Deep.match_with body ()
     {
       retc = (fun () -> finish t th None);
@@ -643,22 +706,16 @@ let start t th body =
           | Thread_killed -> finish t th None
           | e -> finish t th (Some e));
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | Delay (cat, d) ->
-              Some
-                (fun (k : (a, _) Effect.Deep.continuation) ->
-                  handle_delay t th cat d (K k))
-          | Suspend f ->
-              Some
-                (fun (k : (a, _) Effect.Deep.continuation) ->
-                  th.cont <- K k;
-                  f th)
+          | Delay -> on_delay
+          | Suspend -> on_suspend
           | _ -> None);
     }
 
 let exec t th =
-  t.current <- Some th;
+  t.current <- th.some;
   (match th.pending_exn with
   | Some e when th.body <> None ->
       (* Killed before first instruction. *)
@@ -676,34 +733,73 @@ let exec t th =
       | None -> Effect.Deep.continue (take_cont th) ()));
   t.current <- None
 
+(* Defined before the event loop, which runs it for a sleep's wake entry. *)
+let wake t th =
+  match th.state with
+  | Blocked ->
+      if tracing t then
+        emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Wake { thread = th.name });
+      let i = pick_cpu_idx t th in
+      if i >= 0 then place t th t.cpus_.(i)
+      else begin
+        th.state <- Ready;
+        ready_push t th
+      end
+  | Spinning ->
+      if tracing t then
+        emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Wake { thread = th.name });
+      th.state <- Running;
+      t.executing <- t.executing + 1;
+      let c = t.cpus_.(th.cpu) in
+      let spun = Time.sub t.now_ th.spin_start in
+      c.busy <- Time.add c.busy spun;
+      c.lock_spin <- Time.add c.lock_spin spun;
+      charge t Category.Lock spun;
+      if spun <> Time.zero && tracing t then
+        emit_at t ~tid:th.tid ~cpu:th.cpu
+          (Event.Slice { category = Category.Lock; dur = spun });
+      push_run t t.now_ th
+  | Embryo | Ready | Running | Done | Failed -> ()
+
 (* --- the event loop ------------------------------------------------------
 
-   One heap, drained in (time, insertion) order; allocation-free per
-   event. *)
+   Two heaps, one loop: each step pops the earlier of the two tops by
+   (time, seq). The heaps share one sequence counter, so this is the
+   order one heap holding every event would pop them in. Sequences are
+   read only on a tie of times (which includes two empty heaps).
+   Allocation-free per event. *)
 
 let run_serial t =
-  let h = t.heap and limit = t.limit in
+  let runs = t.run_heap and timers = t.timer_heap and limit = t.limit in
   let continue_ = ref true in
   while !continue_ do
-    if Heap.is_empty h then continue_ := false
-    else begin
-      let tm = Heap.top_time h in
-      if tm > limit then continue_ := false
+    let rt = Heap.earliest runs and tt = Heap.earliest timers in
+    if rt < tt || (rt = tt && Heap.precedes runs timers) then begin
+      if rt > limit then continue_ := false
       else begin
-        t.now_ <- tm;
-        match Heap.take h with
-        | Run th -> (
-            match th.state with
-            | Running -> exec t th
-            | Embryo | Ready | Blocked | Spinning | Done | Failed ->
-                (* Stale event: the thread moved on (e.g. it was
-                   killed while waiting and already discontinued). *)
-                ())
+        t.now_ <- rt;
+        let th = Heap.take runs in
+        match th.state with
+        | Running -> exec t th
+        | Embryo | Ready | Blocked | Spinning | Done | Failed ->
+            (* Stale event: the thread moved on (e.g. it was killed
+               while waiting and already discontinued). *)
+            ()
+      end
+    end
+    else if Heap.is_empty timers then continue_ := false
+    else begin
+      if tt > limit then continue_ := false
+      else begin
+        t.now_ <- tt;
+        let seq = Heap.top_seq timers in
+        match Heap.take timers with
         | Fire tmr ->
             if not tmr.t_cancelled then begin
               tmr.t_cancelled <- true;
               tmr.t_fn ()
             end
+        | Wake sleeper -> if sleeper.sleep_seq = seq then wake t sleeper
       end
     end
   done
@@ -745,17 +841,21 @@ let delay ?(category = Category.Other) t d =
   let until = t.now_ + d in
   match t.current with
   | Some ({ pending_exn = None; _ } as th)
-    when until <= t.limit
-         && (Heap.is_empty t.heap || Heap.top_time t.heap > until) ->
+    when until <= t.limit && before_queued t until ->
       charge_slice t th category d;
       t.now_ <- until
-  | _ -> Effect.perform (Delay (category, d))
+  | _ ->
+      t.d_cat <- category;
+      t.d_len <- d;
+      Effect.perform Delay
 
-let suspend _t f = Effect.perform (Suspend f)
+let suspend t f =
+  t.s_fn <- f;
+  Effect.perform Suspend
 
-(* [block]/[yield]/[spin_suspend] run once or more per simulated call;
-   their suspension callbacks are built once per engine (in [bind_fns])
-   instead of one closure per invocation. *)
+(* Every suspension callback is built once per engine (in [bind_fns])
+   instead of one closure per invocation; [handoff] and [yield_to] pass
+   their target in [s_peer]. *)
 let block t = suspend t t.fn_block
 
 let yield t = suspend t t.fn_yield
@@ -763,23 +863,26 @@ let yield t = suspend t t.fn_yield
 let spin_suspend t = suspend t t.fn_spin
 
 let handoff t ~to_ =
-  suspend t (fun me ->
-      assert (to_.state = Blocked);
-      me.state <- Blocked;
-      t.executing <- t.executing - 1;
-      let c = t.cpus_.(me.cpu) in
-      free_cpu_of t me;
-      place t to_ c)
+  t.s_peer <- to_.some;
+  suspend t t.fn_handoff
 
 let yield_to t ~to_ =
-  suspend t (fun me ->
-      assert (to_.state = Blocked);
-      me.state <- Ready;
-      t.executing <- t.executing - 1;
-      let c = t.cpus_.(me.cpu) in
-      free_cpu_of t me;
-      ready_push t me;
-      place t to_ c)
+  t.s_peer <- to_.some;
+  suspend t t.fn_yield_to
+
+(* The wake entry is pushed before the suspension, where [at] would
+   push its timer, so it takes the sequence [at] then [block] would. *)
+let sleep_until t time =
+  let th = self t in
+  (* Never schedule into the past: the heap would rewind [now_]. *)
+  let time = if Time.compare time t.now_ < 0 then t.now_ else time in
+  th.sleep_seq <- Heap.next_seq t.timer_heap;
+  push_timer t time th.wake_ev;
+  match suspend t t.fn_block with
+  | () -> th.sleep_seq <- -1
+  | exception e ->
+      th.sleep_seq <- -1;
+      raise e
 
 let touch_pages t ~pages =
   let th = self t in
@@ -818,38 +921,11 @@ let exchange_processors t ~target =
   old.running <- None;
   th.cpu <- target.idx;
   th.last_cpu <- target.idx;
-  target.running <- Some th;
+  target.running <- th.some;
   delay ~category:Category.Exchange t t.cm.Cost_model.processor_exchange;
   try_dispatch t
 
 (* --- cross-thread operations ------------------------------------------- *)
-
-let wake t th =
-  match th.state with
-  | Blocked ->
-      if tracing t then
-        emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Wake { thread = th.name });
-      let i = pick_cpu_idx t th in
-      if i >= 0 then place t th t.cpus_.(i)
-      else begin
-        th.state <- Ready;
-        ready_push t th
-      end
-  | Spinning ->
-      if tracing t then
-        emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Wake { thread = th.name });
-      th.state <- Running;
-      t.executing <- t.executing + 1;
-      let c = t.cpus_.(th.cpu) in
-      let spun = Time.sub t.now_ th.spin_start in
-      c.busy <- Time.add c.busy spun;
-      c.lock_spin <- Time.add c.lock_spin spun;
-      charge t Category.Lock spun;
-      if spun <> Time.zero && tracing t then
-        emit_at t ~tid:th.tid ~cpu:th.cpu
-          (Event.Slice { category = Category.Lock; dur = spun });
-      Heap.push t.heap ~time:t.now_ th.run_ev
-  | Embryo | Ready | Running | Done | Failed -> ()
 
 let set_idle_hook t f = t.on_idle <- f
 let topology t = t.topo
@@ -884,7 +960,7 @@ let at t time fn =
   let tmr = { t_fn = fn; t_cancelled = false } in
   (* Never schedule into the past: the heap would rewind [now_]. *)
   let time = if Time.compare time t.now_ < 0 then t.now_ else time in
-  Heap.push t.heap ~time (Fire tmr);
+  push_timer t time (Fire tmr);
   tmr
 
 let cancel_timer _t tmr = tmr.t_cancelled <- true
@@ -906,7 +982,32 @@ let bind_fns t =
       t.executing <- t.executing - 1;
       free_cpu_of t th;
       ready_push t th;
-      try_dispatch t)
+      try_dispatch t);
+  let take_peer () =
+    match t.s_peer with
+    | Some to_ ->
+        t.s_peer <- None;
+        assert (to_.state = Blocked);
+        to_
+    | None -> assert false
+  in
+  t.fn_handoff <-
+    (fun me ->
+      let to_ = take_peer () in
+      me.state <- Blocked;
+      t.executing <- t.executing - 1;
+      let c = t.cpus_.(me.cpu) in
+      free_cpu_of t me;
+      place t to_ c);
+  t.fn_yield_to <-
+    (fun me ->
+      let to_ = take_peer () in
+      me.state <- Ready;
+      t.executing <- t.executing - 1;
+      let c = t.cpus_.(me.cpu) in
+      free_cpu_of t me;
+      ready_push t me;
+      place t to_ c)
 
 let create ?processors ?domains cm =
   let t = create ?processors ?domains cm in

@@ -28,11 +28,20 @@
     first instruction). {!exchange_processors} leaves it unchanged: the
     thread stays [Running].
 
-    All simulated processors share one event heap drained by one loop
-    on one host domain. The bus couples every processor with zero
-    latency, so there is nothing to run apart; host parallelism comes
-    from running independent simulations side by side (the [--jobs]
-    artifact fan-out). See DESIGN.md "One event loop". *)
+    All simulated processors share one event loop on one host domain.
+    The bus couples every processor with zero latency, so there is
+    nothing to run apart; host parallelism comes from running
+    independent simulations side by side (the [--jobs] artifact
+    fan-out). See DESIGN.md "One event loop".
+
+    The loop drains two {!Heap}s. The run heap holds thread resumptions
+    (a dispatch, the end of a {!delay}, a spinner's wake); a thread with
+    one queued is on a processor, so it never holds more entries than
+    there are processors. The timer heap holds {!at} timers and
+    {!sleep_until} wake entries, which may be thousands. Both draw their
+    insertion sequences from one counter, and each step pops the earlier
+    top by (time, sequence): the same total order a single heap would
+    give, so the split changes host cost only. *)
 
 type t
 
@@ -86,8 +95,15 @@ val spawn : ?name:string -> ?home:int -> t -> domain:int -> (unit -> unit) -> th
     simulation. *)
 
 val run : ?until:Time.t -> t -> unit
-(** Process events until the queue empties or the next event would be
+(** Process events until both heaps are empty or the next event would be
     after [until]. Re-entrant calls are forbidden. *)
+
+val run_pushes : t -> int
+(** Thread resumptions pushed on the run heap since creation. *)
+
+val timer_pushes : t -> int
+(** Timers and sleep wake entries pushed on the timer heap since
+    creation. *)
 
 (** {1 Thread inspection (engine level)} *)
 
@@ -130,15 +146,24 @@ val delay : ?category:Category.t -> t -> Time.t -> unit
 (** Consume simulated CPU time on the current processor, dilated by the
     bus-contention factor and charged to [category] (default [Other]).
 
-    A delay that ends before every queued event, within the limit of
-    the {!run} in progress, and on a thread with no pending interrupt
-    is charged in place: the clock moves without the thread leaving the
-    processor or passing through the event queue. This is unobservable —
+    A delay that ends before every queued event of both heaps, within
+    the limit of the {!run} in progress, and on a thread with no pending
+    interrupt is charged in place: the clock moves without the thread
+    leaving the processor or passing through the run heap. This is unobservable —
     the thread would have been the next event, at the same time, either
     way. *)
 
 val block : t -> unit
 (** Release the processor and sleep until {!wake}. *)
+
+val sleep_until : t -> Time.t -> unit
+(** Release the processor and sleep until the given simulated time
+    (clamped to [now] when already past), without allocating: the wake
+    entry is preallocated per thread. It behaves as an {!at} timer
+    that {!wake}s the caller, followed by {!block}, and takes the same
+    place in the event order. Unlike that timer, the entry is ignored
+    unless the thread is still in this sleep, so a sleep left early (by
+    {!wake} or {!interrupt}) never wakes a later wait. *)
 
 val yield : t -> unit
 (** Go to the back of the ready queue. *)
@@ -224,11 +249,12 @@ val at : t -> Time.t -> (unit -> unit) -> timer
 (** Schedule a callback for the given simulated time (clamped to [now]
     when already past). The callback runs at engine level — it may
     {!wake}, {!interrupt}, {!kill}, {!emit} and touch metrics, but must
-    not perform effects ({!delay}, {!block}, ...). Timers share the
-    event heap with thread resumptions, so their firing order against
-    other events at the same instant is the deterministic (time,
-    sequence) order. Used for call deadlines and fault-plan crash
-    schedules. *)
+    not perform effects ({!delay}, {!block}, ...). Timers live in the
+    timer heap, whose sequences are shared with the run heap, so their
+    firing order against other events at the same instant is the
+    deterministic (time, sequence) order. Used for call deadlines,
+    packet deliveries and fault-plan crash schedules; a thread that only
+    waits for a time uses {!sleep_until}. *)
 
 val cancel_timer : t -> timer -> unit
 (** Disarm a timer; harmless when it already fired. *)

@@ -5,9 +5,12 @@
    Null callers on sixteen CPUs, an open-loop slice, and eRPC echoes
    under seeded packet drop. Words allocated per call (Gc.minor_words
    over the run, untraced) must stay at or under a committed budget;
-   slices and dispatches (counted from a tracer on a second, identical
-   run) must match exactly. All of these are deterministic: the same
-   build gives the same figures on every run and every machine.
+   the pushes on each of the engine's two heaps must match exactly, as
+   must slices and dispatches (counted from a tracer on a second,
+   identical run); and the processors' busy time must equal the time
+   charged to categories, to the nanosecond. All of these are
+   deterministic: the same build gives the same figures on every run
+   and every machine.
 
    Minor words depend on the compiler, so the budgets are pinned for
    one OCaml version and fail, naming the version, on any other. A
@@ -38,6 +41,8 @@ type world = {
   budget_words : int;  (** words per call, rounded up *)
   slices : int;  (** charged slices over the whole run, exactly *)
   dispatches : int;  (** dispatches over the whole run, exactly *)
+  run_pushes : int;  (** resumptions pushed over the whole run, exactly *)
+  timer_pushes : int;  (** timers and sleeps pushed, exactly *)
 }
 
 let boot ~trace ~processors ?install_faults () =
@@ -183,10 +188,42 @@ let erpc ~trace =
 
 let worlds =
   [
-    { name = "serial"; build = serial; budget_words = 367; slices = 33004; dispatches = 1 };
-    { name = "scale16"; build = scale16; budget_words = 587; slices = 30016; dispatches = 16 };
-    { name = "openloop"; build = openloop; budget_words = 628; slices = 29709; dispatches = 2122 };
-    { name = "erpc"; build = erpc; budget_words = 574; slices = 2400; dispatches = 804 };
+    {
+      name = "serial";
+      build = serial;
+      budget_words = 367;
+      slices = 33004;
+      dispatches = 1;
+      run_pushes = 1;
+      timer_pushes = 0;
+    };
+    {
+      name = "scale16";
+      build = scale16;
+      budget_words = 362;
+      slices = 30016;
+      dispatches = 16;
+      run_pushes = 30032;
+      timer_pushes = 0;
+    };
+    {
+      name = "openloop";
+      build = openloop;
+      budget_words = 428;
+      slices = 29709;
+      dispatches = 2122;
+      run_pushes = 25314;
+      timer_pushes = 1937;
+    };
+    {
+      name = "erpc";
+      build = erpc;
+      budget_words = 492;
+      slices = 2400;
+      dispatches = 804;
+      run_pushes = 2245;
+      timer_pushes = 3212;
+    };
   ]
 
 (* The second of two identical runs is measured, so one-time
@@ -226,10 +263,24 @@ let test_words w () =
       words calls w.budget_words
 
 let test_events w () =
-  let calls = (snd (w.build ~trace:None)) () in
+  let b, run = w.build ~trace:None in
+  let calls = run () in
+  let e = b.Driver.bt_engine in
   let traced_calls, slices, dispatches = traced_counts w in
   Alcotest.(check int) (w.name ^ ": tracing moves no call") calls traced_calls;
   let per n = float_of_int n /. float_of_int calls in
+  Alcotest.(check int)
+    (w.name ^ ": busy time = charged time (ns)")
+    (List.fold_left (fun acc (_, ns) -> acc + ns) 0 (Engine.breakdown e))
+    (Array.fold_left (fun acc c -> acc + c.Engine.busy) 0 (Engine.cpus e));
+  Alcotest.(check int)
+    (Printf.sprintf "%s: run-heap pushes (%.4f per call)" w.name
+       (per (Engine.run_pushes e)))
+    w.run_pushes (Engine.run_pushes e);
+  Alcotest.(check int)
+    (Printf.sprintf "%s: timer-heap pushes (%.4f per call)" w.name
+       (per (Engine.timer_pushes e)))
+    w.timer_pushes (Engine.timer_pushes e);
   Alcotest.(check int)
     (Printf.sprintf "%s: slices (%.4f per call over %d calls)" w.name (per slices) calls)
     w.slices slices;

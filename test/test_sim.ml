@@ -106,6 +106,67 @@ let prop_heap_model =
       done;
       !ok)
 
+(* Two heaps merged by [Heap.precedes], which orders their tops by
+   (time, seq) as the engine's loop does for its run and timer heaps,
+   must pop exactly the order one heap receiving every push would. With a shared counter that holds; with
+   [~share:false] each heap numbers its own pushes, ties across heaps
+   are broken by unrelated sequences, and the property must catch it
+   ("per-heap sequences fail" below). Times are drawn from eight values
+   so most pops are ties. *)
+let merged_pops_match ~share ops =
+  let a = Heap.create () in
+  let b = if share then Heap.create ~share:a () else Heap.create () in
+  let one = Heap.create () in
+  let merged = ref [] and single = ref [] in
+  let pop_both () =
+    merged := Heap.take (if Heap.precedes a b then a else b) :: !merged;
+    single := Heap.take one :: !single
+  in
+  List.iteri
+    (fun id op ->
+      match op with
+      | Some (to_a, time) ->
+          Heap.push (if to_a then a else b) ~time id;
+          Heap.push one ~time id
+      | None -> if not (Heap.is_empty one) then pop_both ())
+    ops;
+  while not (Heap.is_empty one) do
+    pop_both ()
+  done;
+  !merged = !single && Heap.is_empty a && Heap.is_empty b
+
+let merged_ops =
+  QCheck.(
+    list_of_size
+      Gen.(int_range 0 450)
+      (frequency [ (3, option (pair bool (int_bound 7))); (1, always None) ]))
+
+let prop_heap_shared_merge =
+  QCheck.Test.make ~name:"heaps sharing a counter merge into one heap's order"
+    ~count:300 merged_ops (merged_pops_match ~share:true)
+
+let test_heap_per_heap_seq_fails () =
+  let planted =
+    QCheck.Test.make ~name:"per-heap sequences" ~count:300 merged_ops
+      (merged_pops_match ~share:false)
+  in
+  match QCheck.Test.check_exn ~rand:(Random.State.make [| 1989 |]) planted with
+  | () -> Alcotest.fail "a per-heap tie-break passed the merge property"
+  | exception QCheck.Test.Test_fail _ -> ()
+
+let test_heap_shared_counter () =
+  let a = Heap.create () in
+  let b = Heap.create ~share:a () in
+  Heap.push a ~time:5 "a0";
+  Heap.push b ~time:5 "b1";
+  Heap.push a ~time:5 "a2";
+  Alcotest.(check int) "next_seq is shared" 3 (Heap.next_seq b);
+  Alcotest.(check int) "a's top seq" 0 (Heap.top_seq a);
+  Alcotest.(check int) "b's top seq" 1 (Heap.top_seq b);
+  Alcotest.(check int) "length" 2 (Heap.length a);
+  ignore (Heap.take a);
+  Alcotest.(check int) "a's next top seq" 2 (Heap.top_seq a)
+
 (* Regression for the space leak where [pop] left the vacated slot
    holding its payload: a popped payload must be collectable once the
    caller drops it. A couple of slots are allowed to survive in
@@ -756,6 +817,29 @@ let test_delay_equal_time_timer_first () =
     ]
     (List.rev !log)
 
+(* The two heaps draw sequences from one counter, so an equal-time tie
+   between a timer and a resumption goes to the earlier push even when
+   the timer heap has taken more pushes than the run heap (here 4 to
+   2: per-heap counts would put the resumption first). *)
+let test_cross_heap_tie_follows_push_order () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let log = ref [] in
+  let note what = log := what :: !log in
+  ignore
+    (Engine.spawn e ~domain:0 (fun () ->
+         Engine.delay e (Time.us 1);
+         for k = 1 to 3 do
+           ignore (Engine.at e (Time.us (100 * k)) ignore)
+         done;
+         ignore (Engine.at e (Time.us 6) (fun () -> note "timer"));
+         Engine.delay e (Time.us 5);
+         note "thread"));
+  Engine.run e;
+  Alcotest.(check (list string))
+    "the earlier push runs first" [ "timer"; "thread" ] (List.rev !log);
+  Alcotest.(check int) "run-heap pushes" 2 (Engine.run_pushes e);
+  Alcotest.(check int) "timer-heap pushes" 4 (Engine.timer_pushes e)
+
 (* A thread that interrupts itself gets the exception from the
    resumption that ends its next delay: at now + d' (bus-dilated, with
    the time charged), and the statement after the delay never runs. *)
@@ -777,6 +861,50 @@ let test_self_interrupt_then_delay () =
   (* Two threads execute, so d' = 1.5 d. *)
   check_time "delivered at now + d'" (Time.us 15) !caught_at;
   check_time "d' charged to the cpu" (Time.us 15) (Engine.cpus e).(0).Engine.busy;
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
+
+(* --- Sleeps ----------------------------------------------------------------
+
+   [sleep_until] blocks on a wake entry preallocated per thread. *)
+
+let test_sleep_until_wakes_on_time () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let log = ref [] in
+  ignore
+    (Engine.spawn e ~domain:0 (fun () ->
+         Engine.sleep_until e (Time.us 40);
+         log := Engine.now e :: !log;
+         (* A time already past wakes at once, like a clamped [at]. *)
+         Engine.sleep_until e (Time.us 10);
+         log := Engine.now e :: !log));
+  Engine.run e;
+  Alcotest.(check (list int)) "woke at" [ Time.us 40; Time.us 40 ] (List.rev !log);
+  Alcotest.(check int) "one timer push per sleep" 2 (Engine.timer_pushes e);
+  Alcotest.(check (list pass)) "nothing stuck" [] (Engine.stuck_threads e)
+
+(* A sleep left early leaves its wake entry queued. When the entry
+   comes due, the thread is blocked on a wait queue instead; the entry
+   must be ignored, not wake that wait. *)
+let test_sleep_left_early_never_wakes_later_wait () =
+  let e = Engine.create ~processors:2 cm_no_bus in
+  let q = Waitq.create e in
+  let woke_at = ref (-1) in
+  let sleeper =
+    Engine.spawn e ~domain:0 ~home:0 ~name:"sleeper" (fun () ->
+        (try Engine.sleep_until e (Time.us 100) with Failure _ -> ());
+        Waitq.wait q;
+        woke_at := Engine.now e)
+  in
+  ignore
+    (Engine.spawn e ~domain:0 ~home:1 ~name:"poker" (fun () ->
+         Engine.delay e (Time.us 10);
+         Engine.interrupt e sleeper (Failure "poke");
+         Engine.sleep_until e (Time.us 300);
+         ignore (Waitq.signal q)));
+  Engine.run ~until:(Time.us 200) e;
+  Alcotest.(check int) "still waiting past the old wake time" (-1) !woke_at;
+  Engine.run e;
+  check_time "woken by the signal" (Time.us 300) !woke_at;
   Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
 
 (* --- Spinlock ----------------------------------------------------------- *)
@@ -1008,6 +1136,8 @@ let test_fresh_engine_counters_zero () =
     Alcotest.(check int) "near steals" 0 (Engine.total_steals_near e);
     Alcotest.(check int) "far steals" 0 (Engine.total_steals_far e);
     Alcotest.(check int) "tlb misses" 0 (Engine.total_tlb_misses e);
+    Alcotest.(check int) "run-heap pushes" 0 (Engine.run_pushes e);
+    Alcotest.(check int) "timer-heap pushes" 0 (Engine.timer_pushes e);
     Array.iter
       (fun c ->
         Alcotest.(check int) "cpu steals" 0 c.Engine.steals;
@@ -1060,17 +1190,18 @@ let prop_victim_ring_covers =
    [run ~until] every k us, and no step moves the clock past its limit:
    a delay charged in place must stay within the run in progress. *)
 
-type op = Delay of int | Block | Wake of int | Timer of int * int
+type op = Delay of int | Block | Wake of int | Timer of int * int | Sleep of int
 
 let gen_program st nthreads =
   Array.init nthreads (fun _ ->
       List.init
         (4 + Random.State.int st 9)
         (fun _ ->
-          match Random.State.int st 10 with
+          match Random.State.int st 11 with
           | 0 | 1 -> Block
           | 2 | 3 -> Wake (Random.State.int st nthreads)
           | 4 -> Timer (Random.State.int st 30, Random.State.int st nthreads)
+          | 5 -> Sleep (Random.State.int st 30)
           | _ -> Delay (1 + Random.State.int st 20)))
 
 (* Run [prog]; [step] steps the run every that many us up to a bound
@@ -1107,7 +1238,11 @@ let run_program ~cpus ?step prog =
                          (Time.add (Engine.now e) (Time.us n))
                          (fun () ->
                            note j 't';
-                           Engine.wake e !ths.(j))))
+                           Engine.wake e !ths.(j)))
+                | Sleep n ->
+                    note i 's';
+                    Engine.sleep_until e (Time.add (Engine.now e) (Time.us n));
+                    note i 'z')
               ops))
       prog;
   let within = ref true in
@@ -1118,7 +1253,10 @@ let run_program ~cpus ?step prog =
         Array.fold_left
           (List.fold_left (fun acc op ->
                acc
-               + match op with Delay n | Timer (n, _) -> (2 * n) + 50 | _ -> 50))
+               +
+               match op with
+               | Delay n | Timer (n, _) | Sleep n -> (2 * n) + 50
+               | _ -> 50))
           0 prog
       in
       let until = ref (Time.us k) in
@@ -1167,6 +1305,7 @@ let () =
       [
         prop_heap_sorted;
         prop_heap_model;
+        prop_heap_shared_merge;
         prop_tlb_matches_reference;
         prop_victim_ring_covers;
         prop_engine_deterministic;
@@ -1178,6 +1317,9 @@ let () =
       ( "heap",
         [
           Alcotest.test_case "order" `Quick test_heap_order;
+          Alcotest.test_case "shared counter" `Quick test_heap_shared_counter;
+          Alcotest.test_case "per-heap sequences fail" `Quick
+            test_heap_per_heap_seq_fails;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "take/top_time" `Quick test_heap_take_top_time;
           Alcotest.test_case "pop releases payloads" `Quick
@@ -1222,8 +1364,13 @@ let () =
           Alcotest.test_case "more threads than cpus" `Quick test_ready_queue_overflow_threads;
           Alcotest.test_case "equal-time timer first" `Quick
             test_delay_equal_time_timer_first;
+          Alcotest.test_case "cross-heap tie" `Quick
+            test_cross_heap_tie_follows_push_order;
           Alcotest.test_case "self interrupt then delay" `Quick
             test_self_interrupt_then_delay;
+          Alcotest.test_case "sleep until" `Quick test_sleep_until_wakes_on_time;
+          Alcotest.test_case "sleep left early" `Quick
+            test_sleep_left_early_never_wakes_later_wait;
           Alcotest.test_case "fresh counters zero" `Quick
             test_fresh_engine_counters_zero;
         ] );
