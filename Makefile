@@ -81,25 +81,21 @@ fault-smoke: build
 	  test $$? -eq 2 || { echo "FAIL: --clients=-3 must exit 2"; exit 1; }
 	@echo "fault smoke OK"
 
-# End-to-end: the multiprocessor scaling study's JSON rendering must
-# have the expected shape on the quick 8-CPU ladder, LRPC throughput
-# must grow monotonically with processors, and SRC RPC must stay below
-# its ~4000 calls/s global-lock ceiling.
+# End-to-end: the multiprocessor scaling study's CLI must emit its JSON
+# with every point key. Its bounds (the 1/2/4/8 ladder, LRPC scaling
+# strictly, SRC RPC below its ~4000 calls/s global-lock ceiling, one
+# steal per other processor at the top rung) are checked on the typed
+# result by test_experiments "fig2 scale", under `dune runtest`.
 fig2-scale-smoke: build
 	dune exec bin/lrpc_experiments.exe -- f2s --quick --json > $(SCALE_JSON)
 	@python3 -c "import json; d = json.load(open('$(SCALE_JSON)')); \
 	  ps = d['points']; \
 	  assert d['experiment'] == 'fig2_scale'; \
-	  assert [p['cpus'] for p in ps] == [1, 2, 4, 8]; \
 	  keys = {'cpus', 'lrpc_cps', 'lrpc_speedup', 'src_cps', 'src_speedup', \
 	          'unbal_cps', 'unbal_steals', 'steals', 'steals_tagged', \
 	          'shard_contended', 'lrpc_spin_us', 'src_steals', 'src_spin_us', \
 	          'src_lock_contended'}; \
-	  assert all(keys <= set(p) for p in ps), 'missing point keys'; \
-	  ls = [p['lrpc_cps'] for p in ps]; \
-	  assert all(a < b for a, b in zip(ls, ls[1:])), 'LRPC must scale'; \
-	  assert all(p['src_cps'] < 4100 for p in ps), 'SRC past its lock ceiling'; \
-	  assert ps[-1]['unbal_steals'] == ps[-1]['cpus'] - 1"
+	  assert ps and all(keys <= set(p) for p in ps), 'missing point keys'"
 	@echo "fig2-scale smoke OK"
 
 # End-to-end: the open-loop load study's CLI must emit parseable JSON.

@@ -1,6 +1,6 @@
 open Rt
 
-let allocate_batch rt ~client ~server ~proc ~size ~count ~primary =
+let allocate_batch rt ~pool ~client ~server ~proc ~size ~count ~primary =
   List.init count (fun i ->
       let a_id = rt.next_astack in
       rt.next_astack <- a_id + 1;
@@ -18,6 +18,7 @@ let allocate_batch rt ~client ~server ~proc ~size ~count ~primary =
       ignore i;
       {
         a_id;
+        a_pool = pool;
         a_region;
         a_linkage =
           {
@@ -42,8 +43,11 @@ let shard_count rt count =
   max 1 (min (Array.length (Engine.cpus (engine rt))) count)
 
 let make_pool rt ~client ~server ~proc ~size ~count =
+  let ap_id = rt.next_pool in
+  rt.next_pool <- ap_id + 1;
   let astacks =
-    allocate_batch rt ~client ~server ~proc ~size ~count ~primary:true
+    allocate_batch rt ~pool:ap_id ~client ~server ~proc ~size ~count
+      ~primary:true
   in
   let nsh = shard_count rt count in
   List.iteri (fun i a -> a.a_shard <- i mod nsh) astacks;
@@ -58,6 +62,7 @@ let make_pool rt ~client ~server ~proc ~size ~count =
         })
   in
   {
+    ap_id;
     ap_bytes = size;
     ap_shards = shards;
     ap_waiters = Queue.create ();
@@ -290,6 +295,50 @@ let fail_waiters rt pool exn =
       end)
     pool.ap_waiters
 
+(* One critical section's cost with [lock] held, then its release,
+   however the hold ends. *)
+let hold_then_release rt e lock =
+  match Engine.delay ~category:Lrpc_sim.Category.Lock e (lock_hold rt) with
+  | () -> Spinlock.release lock
+  | exception exn ->
+      Spinlock.release lock;
+      raise exn
+
+(* Pop [sh]'s head A-stack under its lock. The claim happens at acquire
+   time — the hold models the critical section's cost, so concurrent
+   scanners must not see a claimed A-stack as still free. [None] when a
+   timer grant drained the list first (no yield point, unlikely).
+
+   The caller's holder pre-check misses simultaneous arrivals (the
+   acquire's own instruction cost runs before the lock is taken, so a
+   whole round of same-instant checkouts passes the check and then
+   queues inside [Spinlock.acquire]); the spinlock's contended-acquire
+   counter catches exactly those. *)
+let take_from_shard rt e sh =
+  let waited = Spinlock.contended_acquires sh.ash_lock in
+  Spinlock.acquire sh.ash_lock;
+  if Spinlock.contended_acquires sh.ash_lock > waited then
+    Metrics.Counter.incr rt.c_shard_contended;
+  let taken =
+    match sh.ash_free with
+    | a :: rest ->
+        sh.ash_free <- rest;
+        Some a
+    | [] -> None
+  in
+  hold_then_release rt e sh.ash_lock;
+  taken
+
+(* Whether checkout's scan visits shard [si] in pass [pass]: under a
+   topology, pass 0 takes the shards homed on the caller's cluster
+   [mine] (a shard's index doubles as its home processor: never more
+   shards than processors) and pass 1 the rest; without one, the single
+   pass takes them all. *)
+let in_pass topo ~mine pass si =
+  match topo with
+  | None -> true
+  | Some topo -> (Lrpc_sim.Cost_model.cluster_of topo si = mine) = (pass = 0)
+
 let checkout ?admit rt pb ~client ~server =
   let pool = pb.pb_pool in
   let starved =
@@ -310,64 +359,37 @@ let checkout ?admit rt pb ~client ~server =
   (* Home shard follows the calling processor, so steady-state checkouts
      on different processors touch different locks and free lists. *)
   let preferred = if nsh = 1 then 0 else (Engine.current_cpu e).Engine.idx mod nsh in
-  let taken = ref None in
-  let contended = ref false in
-  (* Lock-free in the "never waits on a lock" sense: a shard whose lock
-     is held by someone else is skipped, not spun on. The claim happens
-     at acquire time — the hold models the critical section's cost, so
-     concurrent scanners must not see a claimed A-stack as still free.
-
-     The holder pre-check misses simultaneous arrivals (the acquire's
-     own instruction cost runs before the lock is taken, so a whole
-     round of same-instant checkouts passes the check and then queues
-     inside [Spinlock.acquire]); the spinlock's contended-acquire
-     counter catches exactly those. *)
-  let try_shard si =
-    let sh = pool.ap_shards.(si) in
-    if Spinlock.holder sh.ash_lock <> None then begin
-      if sh.ash_free <> [] then contended := true
-    end
-    else if sh.ash_free <> [] then begin
-      let waited = Spinlock.contended_acquires sh.ash_lock in
-      Spinlock.acquire sh.ash_lock;
-      if Spinlock.contended_acquires sh.ash_lock > waited then
-        Metrics.Counter.incr rt.c_shard_contended;
-      (match sh.ash_free with
-      | a :: rest ->
-          sh.ash_free <- rest;
-          taken := Some a
-      | [] -> () (* drained by a timer grant; no yield point, unlikely *));
-      Fun.protect
-        ~finally:(fun () -> Spinlock.release sh.ash_lock)
-        (fun () ->
-          Engine.delay ~category:Lrpc_sim.Category.Lock e (lock_hold rt));
-      if !taken <> None then raise_notrace Exit
-    end
+  let topo = if nsh > 1 then Engine.topology e else None in
+  let mine =
+    match topo with
+    | Some topo ->
+        Lrpc_sim.Cost_model.cluster_of topo (Engine.current_cpu e).Engine.idx
+    | None -> 0
   in
-  (try
-     match Engine.topology e with
-     | Some topo when nsh > 1 ->
-         (* Shard index doubles as the shard's home processor (never
-            more shards than processors): visit shards homed on the
-            caller's cluster before paying a cross-cluster cache pull,
-            keeping the rotation order within each pass. *)
-         let my =
-           Lrpc_sim.Cost_model.cluster_of topo
-             (Engine.current_cpu e).Engine.idx
-         in
-         for k = 0 to nsh - 1 do
-           let si = (preferred + k) mod nsh in
-           if Lrpc_sim.Cost_model.cluster_of topo si = my then try_shard si
-         done;
-         for k = 0 to nsh - 1 do
-           let si = (preferred + k) mod nsh in
-           if Lrpc_sim.Cost_model.cluster_of topo si <> my then try_shard si
-         done
-     | Some _ | None ->
-         for k = 0 to nsh - 1 do
-           try_shard ((preferred + k) mod nsh)
-         done
-   with Exit -> ());
+  (* Lock-free in the "never waits on a lock" sense: a shard whose lock
+     is held by someone else is skipped, not spun on, and the scan stops
+     at the first A-stack taken. Under a topology a first pass visits
+     the shards homed on the caller's cluster and a second the rest,
+     each in rotation order. Plain loops and locals: nothing here
+     allocates but the taken A-stack's option. *)
+  let taken = ref None and contended = ref false in
+  let passes = match topo with Some _ -> 2 | None -> 1 in
+  let pass = ref 0 and k = ref 0 in
+  while !taken == None && !pass < passes do
+    let si = (preferred + !k) mod nsh in
+    if in_pass topo ~mine !pass si then begin
+      let sh = pool.ap_shards.(si) in
+      match (Spinlock.holder sh.ash_lock, sh.ash_free) with
+      | Some _, _ :: _ -> contended := true
+      | None, _ :: _ -> taken := take_from_shard rt e sh
+      | _, [] -> ()
+    end;
+    incr k;
+    if !k = nsh then begin
+      k := 0;
+      incr pass
+    end
+  done;
   match !taken with
   | Some a ->
       a.a_last_used <- Engine.now e;
@@ -404,8 +426,8 @@ let checkout ?admit rt pb ~client ~server =
           (* Space contiguous to the original A-stacks is unlikely to be
              found (§5.2); the extras validate more slowly. *)
           let extras =
-            allocate_batch rt ~client ~server ~proc:pb.pb_spec
-              ~size:pool.ap_bytes ~count:1 ~primary:false
+            allocate_batch rt ~pool:pool.ap_id ~client ~server
+              ~proc:pb.pb_spec ~size:pool.ap_bytes ~count:1 ~primary:false
           in
           List.iter (fun a -> a.a_shard <- preferred) extras;
           pool.ap_all <- pool.ap_all @ extras;
@@ -422,16 +444,9 @@ let checkin rt pb a =
      scanner on another processor sees the returned A-stack behind this
      held lock and takes the contended-fallback path rather than
      mis-reading the shard as empty. *)
-  let woken =
-    match grant_waiter pool a with
-    | Some th -> Some th
-    | None ->
-        sh.ash_free <- a :: sh.ash_free;
-        None
-  in
-  Fun.protect
-    ~finally:(fun () -> Spinlock.release sh.ash_lock)
-    (fun () -> Engine.delay ~category:Lrpc_sim.Category.Lock e (lock_hold rt));
+  let woken = grant_waiter pool a in
+  if woken == None then sh.ash_free <- a :: sh.ash_free;
+  hold_then_release rt e sh.ash_lock;
   (* The wake itself happens outside the lock: the waiter resumes with the
      grant in hand and never touches the spinlock. *)
   match woken with
@@ -439,7 +454,7 @@ let checkin rt pb a =
   | None -> ()
 
 let validate rt pb a =
-  if not (List.memq a pb.pb_pool.ap_all) then
+  if a.a_pool <> pb.pb_pool.ap_id then
     raise (Bad_binding "A-stack does not belong to this procedure");
   if not a.a_primary then
     Engine.delay ~category:Lrpc_sim.Category.Kernel_transfer (engine rt)

@@ -94,6 +94,7 @@ val validate : Rt.runtime -> Rt.proc_binding -> Rt.astack -> unit
 (** Kernel-side validation on call: membership of the procedure's
     A-stack set (a range check for the primary contiguous region — free,
     folded into the kernel-transfer constant — and a slower lookup,
-    [extra_astack_validation], for extras), plus the
+    [extra_astack_validation], for extras; either way the host checks
+    the pool id the A-stack carries, in O(1)), plus the
     nobody-else-is-using-this-A-stack/linkage check. Raises
     [Rt.Bad_binding] on failure. *)

@@ -37,6 +37,10 @@ let export rt ~domain ?(defensive_copies = false) iface ~impls =
       ex_server = domain;
       ex_defensive = defensive_copies;
       ex_impls = impls;
+      ex_layouts =
+        List.map
+          (Layout.of_proc ~default_size:rt.config.default_astack_size)
+          iface.I.procs;
       ex_pdl_pages = pdl.Vm.pages;
       ex_stub_pages = stubs.Vm.pages;
       ex_revoked = false;
@@ -52,52 +56,46 @@ let export rt ~domain ?(defensive_copies = false) iface ~impls =
 let build_binding rt ~client ex =
   let server = ex.ex_server in
   let page_size = (cost_model rt).Lrpc_sim.Cost_model.page_size in
-  let layout_of p = Layout.of_proc ~default_size:rt.config.default_astack_size p in
+  let pages (l : Layout.t) =
+    max 1 ((l.Layout.astack_size + page_size - 1) / page_size)
+  in
   (* Under A-stack sharing (§3.1), procedures of similar size — same page
      count — draw from one pool whose A-stacks are sized for the largest
      of them and whose count is the largest simultaneous-call limit in
      the group (the shared total bounds everyone: a soft limit). *)
   let pool_for =
-    if not rt.config.astack_sharing then fun (p : I.proc) ->
-      let layout = layout_of p in
-      Astack.make_pool rt ~client ~server ~proc:p
-        ~size:layout.Layout.astack_size ~count:p.I.astacks
+    if not rt.config.astack_sharing then fun (layout : Layout.t) ->
+      Astack.make_pool rt ~client ~server ~proc:layout.Layout.proc
+        ~size:layout.Layout.astack_size ~count:layout.Layout.proc.I.astacks
     else begin
       let shared : (int, astack_pool) Hashtbl.t = Hashtbl.create 8 in
-      fun (p : I.proc) ->
-        let layout = layout_of p in
-        let pages = max 1 ((layout.Layout.astack_size + page_size - 1) / page_size) in
-        match Hashtbl.find_opt shared pages with
+      fun (layout : Layout.t) ->
+        let n = pages layout in
+        match Hashtbl.find_opt shared n with
         | Some pool -> pool
         | None ->
-            let group =
-              List.filter
-                (fun (q : I.proc) ->
-                  let ql = layout_of q in
-                  max 1 ((ql.Layout.astack_size + page_size - 1) / page_size)
-                  = pages)
-                ex.ex_iface.I.procs
-            in
+            let group = List.filter (fun l -> pages l = n) ex.ex_layouts in
             let size =
-              List.fold_left
-                (fun acc q -> max acc (layout_of q).Layout.astack_size)
-                1 group
+              List.fold_left (fun acc l -> max acc l.Layout.astack_size) 1 group
             in
             let count =
-              List.fold_left (fun acc q -> max acc q.I.astacks) 1 group
+              List.fold_left
+                (fun acc l -> max acc l.Layout.proc.I.astacks)
+                1 group
             in
             let pool =
-              Astack.make_pool rt ~client ~server ~proc:p ~size ~count
+              Astack.make_pool rt ~client ~server ~proc:layout.Layout.proc ~size
+                ~count
             in
-            Hashtbl.replace shared pages pool;
+            Hashtbl.replace shared n pool;
             pool
     end
   in
   let procs =
     List.map
-      (fun (p : I.proc) ->
-        let layout = layout_of p in
-        let pool = pool_for p in
+      (fun (layout : Layout.t) ->
+        let p = layout.Layout.proc in
+        let pool = pool_for layout in
         if rt.config.estack_policy = `Static then
           Estack.preallocate_all rt ~server pool.ap_all;
         let pb =
@@ -109,7 +107,7 @@ let build_binding rt ~client ex =
           }
         in
         (p.I.proc_name, pb))
-      ex.ex_iface.I.procs
+      ex.ex_layouts
   in
   let client_stubs =
     Kernel.alloc_region rt.kernel ~owner:client
@@ -173,6 +171,7 @@ let make_remote_binding ?(window = 8) rt ~client ~server iface ~transport =
           ex_server = server;
           ex_defensive = false;
           ex_impls = [];
+          ex_layouts = [];
           ex_pdl_pages = [];
           ex_stub_pages = [];
           ex_revoked = false;
@@ -200,17 +199,22 @@ let make_remote_binding ?(window = 8) rt ~client ~server iface ~transport =
   note_bound rt b;
   b
 
+(* [List.assoc] would compare names with the polymorphic [compare]. *)
+let rec find_named proc = function
+  | (name, pb) :: rest -> if String.equal name proc then pb else find_named proc rest
+  | [] -> raise (Bad_binding ("no such procedure: " ^ proc))
+
+let find_proc b proc = find_named proc b.b_procs
+
 let verify rt b ~caller ~proc =
-  (match Hashtbl.find_opt rt.bindings b.bid with
-  | Some issued when issued == b -> ()
-  | Some _ | None -> raise (Bad_binding "forged Binding Object"));
+  (match Hashtbl.find rt.bindings b.bid with
+  | issued when issued == b -> ()
+  | _ | (exception Not_found) -> raise (Bad_binding "forged Binding Object"));
   if b.b_revoked || b.b_export.ex_revoked then
     raise (Bad_binding "revoked Binding Object");
   if not (Pdomain.equal caller b.b_client) then
     raise (Bad_binding "Binding Object presented by foreign domain");
-  match List.assoc_opt proc b.b_procs with
-  | Some pb -> pb
-  | None -> raise (Bad_binding ("no such procedure: " ^ proc))
+  find_proc b proc
 
 let revoke rt b =
   if not b.b_revoked then begin

@@ -45,6 +45,11 @@ val make_remote_binding :
     (default 8, clamped to at least 1) calls may be in flight at once;
     issuers past the window block FIFO until a reply lands. *)
 
+val find_proc : Rt.binding -> string -> Rt.proc_binding
+(** The named procedure of the Binding Object's interface, found without
+    allocating.
+    @raise Rt.Bad_binding when the interface has no such procedure. *)
+
 val verify :
   Rt.runtime ->
   Rt.binding ->

@@ -3,12 +3,14 @@ module Category = Lrpc_sim.Category
 
 let calls_completed rt = Metrics.Counter.value rt.c_calls_completed
 
-(* Ablation A4: the counterfactual global kernel lock. LRPC proper runs
-   this section lock-free. *)
-let klocked rt f =
-  match rt.global_kernel_lock with
-  | Some lk -> Spinlock.with_lock lk ~hold:Lrpc_sim.Time.zero f
-  | None -> f ()
+(* Ablation A4: the counterfactual global kernel lock, held across the
+   kernel's call- and return-side sections. LRPC proper runs them
+   lock-free. *)
+let lock_kernel rt =
+  match rt.global_kernel_lock with Some lk -> Spinlock.acquire lk | None -> ()
+
+let unlock_kernel rt =
+  match rt.global_kernel_lock with Some lk -> Spinlock.release lk | None -> ()
 
 (* Direct context switch into [target], or a processor exchange with an
    idle processor already holding the target context (paper §3.4). *)
@@ -34,24 +36,19 @@ let slot_type (s : Layout.slot) ~proc =
       | Some ty -> ty
       | None -> assert false)
 
-(* Copy A: the only call-time copy LRPC makes — client stack to A-stack. *)
-let marshal_inputs rt ?audit ~client ~region plan =
-  let e = engine rt in
-  List.iter
-    (fun (s : Layout.slot) ->
-      match s.Layout.svalue with
-      | Some v ->
-          let encoded =
-            V.encode
-              (match s.Layout.sparam with
-              | Some p -> p.I.ty
-              | None -> assert false)
-              v
-          in
-          Vm.write_bytes ~engine:e ?audit ~label:"A" ~by:client region
-            ~off:s.Layout.offset encoded
-      | None -> ())
-    plan.Layout.slots
+(* Copy A: the only call-time copy LRPC makes — client stack to A-stack.
+   Each argument is encoded straight into its slot, so its bytes move
+   once. [Layout.plan] has checked the arguments against the slots. *)
+let rec marshal_inputs e ?audit ~client ~region ~proc slots args =
+  match (slots, args) with
+  | s :: slots, v :: args ->
+      Vm.check ~by:client region "write_bytes";
+      let len =
+        V.encode_into (slot_type s ~proc) v region.Vm.data ~off:s.Layout.offset
+      in
+      Vm.record_copy ~engine:e ?audit ~label:"A" len;
+      marshal_inputs e ?audit ~client ~region ~proc slots args
+  | _ -> ()
 
 (* Copy E: defensive copies of interpreted arguments, only when the
    export demands immutability (paper §3.5). *)
@@ -66,35 +63,52 @@ let defensive_copies rt ?audit ~server ~region plan =
 
 (* The server stub places outputs straight into the A-stack slots; this
    is the procedure storing its results, not a copy (Table 3 counts only
-   A and F for LRPC). Conformance is folded into the encode. *)
-let store_outputs ~server ~region ~proc plan outputs =
-  let out_slots = Layout.output_slots plan in
-  if List.length out_slots <> List.length outputs then
-    invalid_arg
-      (Printf.sprintf "%s returned %d outputs, expected %d" proc.I.proc_name
-         (List.length outputs) (List.length out_slots));
-  List.iter2
-    (fun (s : Layout.slot) v ->
-      let encoded = V.encode (slot_type s ~proc) v in
-      if Bytes.length encoded > s.Layout.size then
+   A and F for LRPC). Conformance is checked before anything is
+   written. *)
+let rec store_slots ~server ~region ~proc slots outputs =
+  match (slots, outputs) with
+  | (s : Layout.slot) :: slots, v :: outputs ->
+      let ty = slot_type s ~proc in
+      V.check_exn ty v;
+      if V.encoded_size ty v > s.Layout.size then
         raise (V.Conformance_error "output exceeds its reserved slot");
-      Vm.poke ~by:server region ~off:s.Layout.offset encoded)
-    out_slots outputs
+      Vm.check ~by:server region "poke";
+      ignore (V.encode_into ty v region.Vm.data ~off:s.Layout.offset : int);
+      store_slots ~server ~region ~proc slots outputs
+  | _ -> ()
+
+let store_outputs ~server ~region ~proc plan outputs =
+  let out_slots = plan.Layout.out_slots in
+  let expected = List.length out_slots and got = List.length outputs in
+  if expected <> got then
+    invalid_arg
+      (Printf.sprintf "%s returned %d outputs, expected %d" proc.I.proc_name got
+         expected);
+  store_slots ~server ~region ~proc out_slots outputs
 
 (* Copy F: the client stub copies returned values from the A-stack to
-   their final destination. *)
-let read_outputs rt ?audit ~client ~region ~proc plan =
-  let e = engine rt in
-  List.map
-    (fun (s : Layout.slot) ->
-      let v, consumed =
-        V.decode (slot_type s ~proc) region.Vm.data ~off:s.Layout.offset
+   their final destination: each is decoded straight out of its slot,
+   so its bytes move once. *)
+let rec read_outputs e ?audit ~client ~region ~proc = function
+  | [] -> []
+  | (s : Layout.slot) :: slots ->
+      let ty = slot_type s ~proc in
+      let data = region.Vm.data in
+      let v =
+        V.decode_value ty data ~off:s.Layout.offset ~stop:(Bytes.length data)
       in
-      ignore
-        (Vm.read_bytes ~engine:e ?audit ~label:"F" ~by:client region
-           ~off:s.Layout.offset ~len:consumed);
-      v)
-    (Layout.output_slots plan)
+      Vm.check ~by:client region "read_bytes";
+      Vm.record_copy ~engine:e ?audit ~label:"F" (V.encoded_size ty v);
+      v :: read_outputs e ?audit ~client ~region ~proc slots
+
+(* Send home what a local call claimed at issue: its out-of-band
+   segment, if any, and its A-stack. Idempotent. *)
+let release_local rt lc ~client =
+  if lc.lc_oob then Kernel.release_region rt.kernel ~owner:client lc.lc_region;
+  if not lc.lc_released then begin
+    lc.lc_released <- true;
+    Astack.checkin rt lc.lc_pb lc.lc_astack
+  end
 
 (* ---- landing ----------------------------------------------------------- *)
 
@@ -110,6 +124,12 @@ let reason_of_exn = function
    Guarded: a call aborted at its deadline has already landed when its
    vehicle finally comes home — the late outcome is dropped, and the
    in-flight gauge is decremented exactly once. *)
+let rec wake_all e = function
+  | [] -> ()
+  | th :: rest ->
+      if Engine.alive th then Engine.wake e th;
+      wake_all e rest
+
 let land_ rt h outcome =
   match h.ch_state with
   | Landed _ | Consumed -> ()
@@ -158,208 +178,229 @@ let land_ rt h outcome =
                  }));
       let waiters = h.ch_waiters in
       h.ch_waiters <- [];
-      List.iter (fun th -> if Engine.alive th then Engine.wake e th) waiters
+      wake_all e waiters
 
 (* ---- the completion half ------------------------------------------------ *)
+
+(* Argument bytes consumed on a processor other than the one that wrote
+   them drag cache lines across the bus; charged where the consumption
+   happens. This is why domain caching helps large arguments less (Table
+   4's shrinking MP column). *)
+let coherency rt e bytes =
+  if bytes > 0 then
+    Engine.delay ~category:Category.Copy e
+      (Lrpc_sim.Time.scale (cost_model rt).Lrpc_sim.Cost_model.coherency_per_byte
+         (float_of_int bytes))
+
+(* Put the books right after an asynchronous failure (kill, unwind, crash
+   landing at any delay point of the completion half): if our linkage
+   claim is still on this thread's linkstack, undo it, then reclaim the
+   A-stack and any out-of-band segment. Idempotent, and a no-op for
+   claims already released by the normal return path. *)
+let crash_cleanup rt lc th ~client =
+  let linkage = lc.lc_astack.a_linkage in
+  let ls = linkstack rt th in
+  if List.memq linkage ls then begin
+    set_linkstack rt th (List.filter (fun l -> l != linkage) ls);
+    Kernel.linkage_released rt.kernel th;
+    linkage.l_in_use <- false;
+    linkage.l_abandoned <- false;
+    linkage.l_caller <- None;
+    linkage.l_return_domain <- None
+  end;
+  release_local rt lc ~client
+
+(* The kernel's call side, from the trap on: validation, the linkage
+   claim, E-stack association and the transfer into the server. *)
+let enter_server rt h lc th ~client ~server =
+  let e = engine rt in
+  let b = h.ch_binding and astack = lc.lc_astack in
+  Engine.delay ~category:Category.Kernel_transfer e
+    (cost_model rt).Lrpc_sim.Cost_model.kernel_call;
+  (try
+     (* The caller's identity is the domain the trapping thread actually
+        runs in, not whatever the Binding Object claims — a carrier
+        dispatched at issue time lives in the client domain, so it
+        passes the same check the issuer would. *)
+     let caller =
+       match Kernel.find_domain rt.kernel (Engine.thread_domain th) with
+       | Some d -> d
+       | None -> raise (Bad_binding "caller has no domain")
+     in
+     ignore (Binding.verify rt b ~caller ~proc:h.ch_proc : proc_binding);
+     Astack.validate rt lc.lc_pb astack
+   with exn ->
+     release_local rt lc ~client;
+     raise exn);
+  let linkage = astack.a_linkage in
+  linkage.l_in_use <- true;
+  linkage.l_valid <- true;
+  linkage.l_abandoned <- false;
+  (* The running thread's own preallocated [Some]. *)
+  linkage.l_caller <- Engine.self_opt e;
+  linkage.l_return_domain <- Some client;
+  set_linkstack rt th (linkage :: linkstack rt th);
+  Kernel.linkage_claimed rt.kernel th;
+  let estack = Estack.associate rt ~server astack in
+  (* Domain transfer: the executing thread crosses into the server. *)
+  transfer_to rt ~target:server;
+  Engine.touch_pages e
+    ~pages:(Footprint.call_side rt b astack estack ~data_region:lc.lc_region)
+
+(* What the return side found on the linkage record. *)
+type linkage_state = Valid | Invalidated | Abandoned
+
+(* The kernel's return side: it needs only the linkage record — no
+   re-validation — and crosses back into the domain of the first valid
+   linkage: the client, unless it terminated while we were away. *)
+let leave_server rt h lc th ~client ~server_cpu =
+  let e = engine rt in
+  let linkage = lc.lc_astack.a_linkage in
+  Engine.delay ~category:Category.Kernel_transfer e
+    (cost_model rt).Lrpc_sim.Cost_model.kernel_return;
+  (match linkstack rt th with
+  | l :: rest when l == linkage -> set_linkstack rt th rest
+  | ls ->
+      (* Completion halves run start-to-finish on their executing thread,
+         so the LIFO head case is the rule (nested calls from a server
+         procedure still nest); removal by physical identity keeps the
+         books right regardless. *)
+      set_linkstack rt th (List.filter (fun l -> l != linkage) ls));
+  Kernel.linkage_released rt.kernel th;
+  let state =
+    if linkage.l_abandoned then Abandoned
+    else if linkage.l_valid then Valid
+    else Invalidated
+  in
+  linkage.l_in_use <- false;
+  linkage.l_caller <- None;
+  linkage.l_return_domain <- None;
+  if (match state with Abandoned -> false | Valid | Invalidated -> true)
+     && Pdomain.active client
+  then begin
+    transfer_to rt ~target:client;
+    Engine.touch_pages e ~pages:(Footprint.return_side rt h.ch_binding);
+    if (Engine.current_cpu e).Engine.idx <> server_cpu then
+      coherency rt e lc.lc_bytes_out
+  end;
+  state
 
 (* Everything from the kernel trap to the return transfer, executed on
    the thread that actually crosses into the server: the issuing thread
    itself for synchronous calls (so Tables 4/5 are reproduced by the
    very same delay sequence as before the handle split), or a carrier
-   thread for pipelined ones. May raise [Engine.Thread_killed] (the
-   §5.3 abandoned-call paths); any other failure is returned as the
-   call's outcome. *)
-let complete_local rt h lc =
+   thread for pipelined ones. Top-level functions and explicit lock
+   calls rather than closures, so the path allocates no closure. *)
+let serve rt h lc th =
   let e = engine rt in
   let cm = cost_model rt in
-  let th = Engine.self e in
   let b = h.ch_binding in
   let client = b.b_client and server = b.b_server in
-  let audit = lc.lc_audit in
-  let pb = lc.lc_pb in
-  let astack = lc.lc_astack in
-  let plan = lc.lc_plan in
-  let data_region = lc.lc_region in
-  let release_oob () =
-    if lc.lc_oob then Kernel.release_region rt.kernel ~owner:client data_region
+  (* Trap to the kernel; validation and linkage work. *)
+  Kernel.trap rt.kernel;
+  lock_kernel rt;
+  (match enter_server rt h lc th ~client ~server with
+  | () -> unlock_kernel rt
+  | exception exn ->
+      unlock_kernel rt;
+      raise exn);
+  (* The deadline fired while we were on our way in: the handle has
+     already landed, so serve out the call as an abandoned capture — the
+     kernel destroys this thread on return and the A-stack comes home
+     then (§5.3). *)
+  (match h.ch_abort with
+  | Some _ ->
+      let linkage = lc.lc_astack.a_linkage in
+      linkage.l_abandoned <- true;
+      linkage.l_valid <- false
+  | None -> ());
+  let server_cpu = (Engine.current_cpu e).Engine.idx in
+  if server_cpu <> lc.lc_marshal_cpu then coherency rt e lc.lc_bytes_in;
+  (* Upcall into the server's entry stub. *)
+  Engine.delay ~category:Category.Stub_server e
+    cm.Lrpc_sim.Cost_model.server_stub_call;
+  lc.lc_t_transfer <- Engine.now e;
+  let pb = lc.lc_pb and region = lc.lc_region in
+  if b.b_export.ex_defensive then
+    defensive_copies rt ?audit:lc.lc_audit ~server ~region lc.lc_plan;
+  let ctx =
+    {
+      sc_rt = rt;
+      sc_binding = b;
+      sc_proc = pb.pb_spec;
+      sc_plan = lc.lc_plan;
+      sc_region = region;
+      sc_thread = th;
+    }
   in
-  let release_all () =
-    release_oob ();
-    if not lc.lc_released then begin
-      lc.lc_released <- true;
-      Astack.checkin rt pb astack
-    end
+  let outcome =
+    try
+      (match rt.faults with
+      | Some f -> (
+          match f.f_server_exn ~proc:h.ch_proc with
+          | Some exn -> raise exn
+          | None -> ())
+      | None -> ());
+      let outputs = pb.pb_impl ctx in
+      store_outputs ~server ~region ~proc:pb.pb_spec lc.lc_plan outputs;
+      Ok ()
+    with
+    | Engine.Thread_killed as exn -> raise exn
+    | Unwind_termination -> Error (Call_failed "server domain terminated")
+    | exn -> Error exn
   in
-  (* Argument bytes consumed on a processor other than the one that
-     wrote them drag cache lines across the bus; charged where the
-     consumption happens. This is why domain caching helps large
-     arguments less (Table 4's shrinking MP column). *)
-  let coherency bytes =
-    if bytes > 0 then
-      Engine.delay ~category:Category.Copy e
-        (Lrpc_sim.Time.scale cm.Lrpc_sim.Cost_model.coherency_per_byte
-           (float_of_int bytes))
+  (* Return transfer: the server stub traps. *)
+  Engine.delay ~category:Category.Stub_server e
+    cm.Lrpc_sim.Cost_model.server_stub_return;
+  lc.lc_t_server <- Engine.now e;
+  Kernel.trap rt.kernel;
+  lock_kernel rt;
+  let state =
+    match leave_server rt h lc th ~client ~server_cpu with
+    | state ->
+        unlock_kernel rt;
+        state
+    | exception exn ->
+        unlock_kernel rt;
+        raise exn
   in
-  let linkage = astack.a_linkage in
-  let lstack = linkstack_of rt th in
-  (* Put the books right after an asynchronous failure (kill, unwind,
-     crash landing at any delay point of the completion half): if our
-     linkage claim is still on this thread's linkstack, undo it, then
-     reclaim the A-stack and any out-of-band segment. Idempotent, and a
-     no-op for claims already released by the normal return path. *)
-  let crash_cleanup () =
-    if List.exists (fun l -> l == linkage) !lstack then begin
-      lstack := List.filter (fun l -> not (l == linkage)) !lstack;
-      Kernel.linkage_released rt.kernel th;
-      linkage.l_in_use <- false;
-      linkage.l_abandoned <- false;
-      linkage.l_caller <- None;
-      linkage.l_return_domain <- None
-    end;
-    release_all ()
-  in
-  let run () =
-    (* Trap to the kernel; validation and linkage work. *)
-    Kernel.trap rt.kernel;
-    klocked rt (fun () ->
-        Engine.delay ~category:Category.Kernel_transfer e
-          cm.Lrpc_sim.Cost_model.kernel_call;
-        (try
-           (* The caller's identity is the domain the trapping thread
-              actually runs in, not whatever the Binding Object claims —
-              a carrier dispatched at issue time lives in the client
-              domain, so it passes the same check the issuer would. *)
-           let caller =
-             match Kernel.find_domain rt.kernel (Engine.thread_domain th) with
-             | Some d -> d
-             | None -> raise (Bad_binding "caller has no domain")
-           in
-           ignore (Binding.verify rt b ~caller ~proc:h.ch_proc);
-           Astack.validate rt pb astack
-         with exn ->
-           release_all ();
-           raise exn);
-        linkage.l_in_use <- true;
-        linkage.l_valid <- true;
-        linkage.l_abandoned <- false;
-        linkage.l_caller <- Some th;
-        linkage.l_return_domain <- Some client;
-        lstack := linkage :: !lstack;
-        Kernel.linkage_claimed rt.kernel th;
-        let estack = Estack.associate rt ~server astack in
-        (* Domain transfer: the executing thread crosses into the
-           server. *)
-        transfer_to rt ~target:server;
-        Engine.touch_pages e
-          ~pages:(Footprint.call_side rt b astack estack ~data_region));
-    (* The deadline fired while we were on our way in: the handle has
-       already landed, so serve out the call as an abandoned capture —
-       the kernel destroys this thread on return and the A-stack comes
-       home then (§5.3). *)
-    (match h.ch_abort with
-    | Some _ ->
-        linkage.l_abandoned <- true;
-        linkage.l_valid <- false
-    | None -> ());
-    let server_cpu = (Engine.current_cpu e).Engine.idx in
-    if server_cpu <> lc.lc_marshal_cpu then coherency lc.lc_bytes_in;
-    (* Upcall into the server's entry stub. *)
-    Engine.delay ~category:Category.Stub_server e
-      cm.Lrpc_sim.Cost_model.server_stub_call;
-    lc.lc_t_transfer <- Engine.now e;
-    if b.b_export.ex_defensive then
-      defensive_copies rt ?audit ~server ~region:data_region plan;
-    let ctx =
-      {
-        sc_rt = rt;
-        sc_binding = b;
-        sc_proc = pb.pb_spec;
-        sc_plan = plan;
-        sc_region = data_region;
-        sc_thread = th;
-      }
-    in
-    let outcome =
-      try
-        (match rt.faults with
-        | Some f -> (
-            match f.f_server_exn ~proc:h.ch_proc with
-            | Some exn -> raise exn
-            | None -> ())
-        | None -> ());
-        let outputs = pb.pb_impl ctx in
-        store_outputs ~server ~region:data_region ~proc:pb.pb_spec plan outputs;
-        Ok ()
-      with
-      | Engine.Thread_killed as exn -> raise exn
-      | Unwind_termination -> Error (Call_failed "server domain terminated")
-      | exn -> Error exn
-    in
-    (* Return transfer: server stub traps; the kernel needs only the
-       linkage record — no re-validation. *)
-    Engine.delay ~category:Category.Stub_server e
-      cm.Lrpc_sim.Cost_model.server_stub_return;
-    lc.lc_t_server <- Engine.now e;
-    Kernel.trap rt.kernel;
-    let was_valid, was_abandoned =
-      klocked rt (fun () ->
-          Engine.delay ~category:Category.Kernel_transfer e
-            cm.Lrpc_sim.Cost_model.kernel_return;
-          (match !lstack with
-          | l :: rest when l == linkage -> lstack := rest
-          | ls ->
-              (* Completion halves run start-to-finish on their executing
-                 thread, so the LIFO head case is the rule (nested calls
-                 from a server procedure still nest); removal by physical
-                 identity keeps the books right regardless. *)
-              lstack := List.filter (fun l -> not (l == linkage)) ls);
-          Kernel.linkage_released rt.kernel th;
-          let was_valid = linkage.l_valid in
-          let was_abandoned = linkage.l_abandoned in
-          linkage.l_in_use <- false;
-          linkage.l_caller <- None;
-          linkage.l_return_domain <- None;
-          if not was_abandoned && Pdomain.active client then begin
-            (* Cross back into the domain of the first valid linkage —
-               the client, unless it terminated while we were away. *)
-            transfer_to rt ~target:client;
-            Engine.touch_pages e ~pages:(Footprint.return_side rt b);
-            if (Engine.current_cpu e).Engine.idx <> server_cpu then
-              coherency lc.lc_bytes_out
-          end;
-          (was_valid, was_abandoned))
-    in
-    if was_abandoned then begin
+  match (state, outcome) with
+  | Abandoned, _ ->
       (* §5.3: the client released this captured call (or its deadline
          fired); the thread is destroyed in the kernel upon release, and
          the A-stack it was still holding goes home now. *)
-      release_all ();
+      release_local rt lc ~client;
       raise Engine.Thread_killed
-    end;
-    if not (Pdomain.active client) then begin
-      release_all ();
+  | (Valid | Invalidated), _ when not (Pdomain.active client) ->
+      release_local rt lc ~client;
       raise Engine.Thread_killed
-    end;
-    match outcome with
-    | Ok () when not was_valid -> Error (Call_failed "linkage invalidated")
-    | o -> o
-  in
-  try run () with
-  | Unwind_termination ->
+  | Invalidated, Ok () -> Error (Call_failed "linkage invalidated")
+  | (Valid | Invalidated), _ -> outcome
+
+(* [serve] with its failure paths. May raise [Engine.Thread_killed] (the
+   §5.3 abandoned-call paths); any other failure is returned as the
+   call's outcome. *)
+let complete_local rt h lc =
+  let th = Engine.self (engine rt) in
+  let client = h.ch_binding.b_client in
+  match serve rt h lc th with
+  | outcome -> outcome
+  | exception Unwind_termination ->
       (* The server domain terminated under us outside the procedure
          body (the in-body case surfaces through the normal return
          path). Unwind the linkage claim, reclaim the A-stack, and come
          home so the restarted caller continues in its own domain. *)
-      crash_cleanup ();
+      crash_cleanup rt lc th ~client;
       if Pdomain.active client then begin
         transfer_to rt ~target:client;
-        Engine.touch_pages e ~pages:(Footprint.return_side rt b)
+        Engine.touch_pages (engine rt)
+          ~pages:(Footprint.return_side rt h.ch_binding)
       end;
       Error (Call_failed "server domain terminated")
-  | exn ->
+  | exception exn ->
       (* Thread_killed and everything else: reclaim, then let
          run_completion land or re-raise it. *)
-      crash_cleanup ();
+      crash_cleanup rt lc th ~client;
       raise exn
 
 let remote_of b = match b.b_remote with Some r -> r | None -> assert false
@@ -400,14 +441,7 @@ let complete_body rt h =
    completion half's own release paths. *)
 let reclaim_issue rt h =
   match h.ch_kind with
-  | Ck_local lc ->
-      if not lc.lc_released then begin
-        if lc.lc_oob then
-          Kernel.release_region rt.kernel ~owner:h.ch_binding.b_client
-            lc.lc_region;
-        lc.lc_released <- true;
-        Astack.checkin rt lc.lc_pb lc.lc_astack
-      end
+  | Ck_local lc -> release_local rt lc ~client:h.ch_binding.b_client
   | Ck_remote rc -> release_slot (remote_of h.ch_binding) rc
 
 (* Run the completion half on the current thread and land the handle.
@@ -472,14 +506,6 @@ let readout rt h outcome =
   | Ck_local lc -> (
       let b = h.ch_binding in
       let client = b.b_client in
-      let release_all () =
-        if lc.lc_oob then
-          Kernel.release_region rt.kernel ~owner:client lc.lc_region;
-        if not lc.lc_released then begin
-          lc.lc_released <- true;
-          Astack.checkin rt lc.lc_pb lc.lc_astack
-        end
-      in
       match outcome with
       | Ok () ->
           (* Client stub, return side: copy F off the A-stack, then the
@@ -487,10 +513,10 @@ let readout rt h outcome =
           Engine.delay ~category:Category.Stub_client e
             cm.Lrpc_sim.Cost_model.client_stub_return;
           let outputs =
-            read_outputs rt ?audit:lc.lc_audit ~client ~region:lc.lc_region
-              ~proc:lc.lc_pb.pb_spec lc.lc_plan
+            read_outputs e ?audit:lc.lc_audit ~client ~region:lc.lc_region
+              ~proc:lc.lc_pb.pb_spec lc.lc_plan.Layout.out_slots
           in
-          release_all ();
+          release_local rt lc ~client;
           Metrics.Counter.incr rt.c_calls_completed;
           let st = b.b_stats in
           let t0 = h.ch_issued_at in
@@ -517,11 +543,15 @@ let readout rt h outcome =
           if (not lc.lc_released) && not lc.lc_detached then begin
             Engine.delay ~category:Category.Stub_client e
               cm.Lrpc_sim.Cost_model.client_stub_return;
-            release_all ()
+            release_local rt lc ~client
           end;
           raise exn)
 
 (* ---- the issue half ----------------------------------------------------- *)
+
+let rec slot_bytes acc = function
+  | [] -> acc
+  | (s : Layout.slot) :: slots -> slot_bytes (acc + s.Layout.size) slots
 
 (* Client stub, call side: plan slots, claim an A-stack (blocking FIFO
    under the `Wait exhaustion policy — the pool is the pipelining
@@ -536,11 +566,7 @@ let issue_local ?audit ?admit rt b ~proc args =
     | Some d -> d
     | None -> raise (Bad_binding "caller has no domain")
   in
-  let pb =
-    match List.assoc_opt proc b.b_procs with
-    | Some pb -> pb
-    | None -> raise (Bad_binding ("no such procedure: " ^ proc))
-  in
+  let pb = Binding.find_proc b proc in
   Engine.delay ~category:Category.Stub_client e
     cm.Lrpc_sim.Cost_model.client_stub_call;
   let plan = Layout.plan pb.pb_layout ~args in
@@ -560,15 +586,14 @@ let issue_local ?audit ?admit rt b ~proc args =
     else astack.a_region
   in
   let t_bind = Engine.now e in
-  (try marshal_inputs rt ?audit ~client:caller ~region:data_region plan
+  (try
+     marshal_inputs e ?audit ~client:caller ~region:data_region
+       ~proc:pb.pb_spec plan.Layout.in_slots args
    with exn ->
      if oob then Kernel.release_region rt.kernel ~owner:client data_region;
      Astack.checkin rt pb astack;
      raise exn);
   let t_marshal = Engine.now e in
-  let slot_bytes slots =
-    List.fold_left (fun acc (s : Layout.slot) -> acc + s.Layout.size) 0 slots
-  in
   Ck_local
     {
       lc_caller = caller;
@@ -579,8 +604,8 @@ let issue_local ?audit ?admit rt b ~proc args =
       lc_oob = oob;
       lc_audit = audit;
       lc_marshal_cpu = (Engine.current_cpu e).Engine.idx;
-      lc_bytes_in = slot_bytes (Layout.input_slots plan);
-      lc_bytes_out = slot_bytes (Layout.output_slots plan);
+      lc_bytes_in = slot_bytes 0 plan.Layout.in_slots;
+      lc_bytes_out = slot_bytes 0 plan.Layout.out_slots;
       lc_released = false;
       lc_detached = false;
       lc_t_bind = t_bind;

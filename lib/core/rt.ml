@@ -223,6 +223,7 @@ type estack = {
 
 and astack = {
   a_id : int;
+  a_pool : int;  (** [ap_id] of the pool this A-stack belongs to *)
   a_region : Vm.region;
   a_linkage : linkage;
   a_primary : bool;
@@ -266,6 +267,10 @@ and export = {
       (** server stubs defensively copy interpreted arguments off the
           A-stack (the immutability-matters rows of Table 3) *)
   ex_impls : (string * impl) list;
+  ex_layouts : Layout.t list;
+      (** one per procedure of [ex_iface], in order: A-stack sizes and
+          slots as the stub generator fixes them at compile time (§5.2),
+          computed once for every binding of the interface *)
   ex_pdl_pages : int list;
   ex_stub_pages : int list;
   mutable ex_revoked : bool;
@@ -280,6 +285,7 @@ and astack_shard = {
 }
 
 and astack_pool = {
+  ap_id : int;  (** unique per runtime; what an A-stack's [a_pool] names *)
   ap_bytes : int;  (** A-stack size; the largest procedure in the group *)
   ap_shards : astack_shard array;
       (** the free list, sharded per processor (capped by the A-stack
@@ -435,7 +441,8 @@ and runtime = {
   global_kernel_lock : Spinlock.t option;
   mutable exports : (string * export) list;
   bindings : (int, binding) Hashtbl.t;  (** issued Binding Objects *)
-  linkstacks : (int, linkage list ref) Hashtbl.t;  (** per-thread (tid) *)
+  linkstacks : linkage list Lrpc_util.Id_table.t;
+      (** each thread's claimed linkages, innermost first, by tid *)
   estack_pools : (Pdomain.id, estack_pool) Hashtbl.t;
   domain_pages : (Pdomain.id, domain_pages) Hashtbl.t;
   pending_exports : (string, Waitq.t) Hashtbl.t;
@@ -445,6 +452,7 @@ and runtime = {
   binding_table_pages : int list;
   mutable next_binding : int;
   mutable next_astack : int;
+  mutable next_pool : int;
   mutable next_handle : int;
   mutable in_flight : int;  (** issued-but-not-landed calls, local + remote *)
   c_calls_completed : Metrics.counter;  (** ["lrpc.calls_completed"] *)
@@ -505,7 +513,7 @@ let create ?(config = default_config) kernel =
       | `Per_astack -> None);
     exports = [];
     bindings = Hashtbl.create 32;
-    linkstacks = Hashtbl.create 64;
+    linkstacks = Lrpc_util.Id_table.create [];
     estack_pools = Hashtbl.create 16;
     domain_pages = Hashtbl.create 16;
     pending_exports = Hashtbl.create 8;
@@ -515,6 +523,7 @@ let create ?(config = default_config) kernel =
     binding_table_pages = btable.Vm.pages;
     next_binding = 1;
     next_astack = 1;
+    next_pool = 1;
     next_handle = 1;
     in_flight = 0;
     c_calls_completed =
@@ -582,14 +591,10 @@ let pages_of_domain rt d =
       Hashtbl.replace rt.domain_pages d.Pdomain.id dp;
       dp
 
-let linkstack_of rt th =
-  let tid = Engine.thread_id th in
-  match Hashtbl.find_opt rt.linkstacks tid with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.replace rt.linkstacks tid r;
-      r
+let linkstack rt th = Lrpc_util.Id_table.get rt.linkstacks (Engine.thread_id th)
+
+let set_linkstack rt th ls =
+  Lrpc_util.Id_table.set rt.linkstacks (Engine.thread_id th) ls
 
 let estack_pool rt d =
   match Hashtbl.find_opt rt.estack_pools d.Pdomain.id with

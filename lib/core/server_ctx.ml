@@ -2,10 +2,8 @@ open Rt
 
 type t = Rt.server_ctx
 
-let input_slots ctx = Layout.input_slots ctx.sc_plan
-
 let nth_input ctx i =
-  match List.nth_opt (input_slots ctx) i with
+  match List.nth_opt ctx.sc_plan.Layout.in_slots i with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Server_ctx.arg: no input %d" i)
 
@@ -14,17 +12,23 @@ let slot_type s =
   | Some p -> p.I.ty
   | None -> assert false (* input slots always carry a parameter *)
 
-let arg ctx i =
-  let s = nth_input ctx i in
-  (* Access-checked zero-cost read: the server addresses the A-stack in
-     place, no copy happens. *)
-  let window =
-    Vm.peek ~by:ctx.sc_binding.b_server ctx.sc_region ~off:s.Layout.offset
-      ~len:s.Layout.size
-  in
-  fst (V.decode (slot_type s) window ~off:0)
+(* Access-checked zero-cost read: the server decodes the A-stack slot in
+   place; no copy happens. *)
+let decode_slot ctx s =
+  Vm.check ~by:ctx.sc_binding.b_server ctx.sc_region "peek";
+  let off = s.Layout.offset in
+  V.decode_value (slot_type s) ctx.sc_region.Vm.data ~off
+    ~stop:(off + s.Layout.size)
 
-let args ctx = List.mapi (fun i _ -> arg ctx i) (input_slots ctx)
+let arg ctx i = decode_slot ctx (nth_input ctx i)
+
+let rec decode_slots ctx = function
+  | [] -> []
+  | s :: rest ->
+      let v = decode_slot ctx s in
+      v :: decode_slots ctx rest
+
+let args ctx = decode_slots ctx ctx.sc_plan.Layout.in_slots
 
 let raw_arg ctx i =
   let s = nth_input ctx i in

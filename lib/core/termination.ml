@@ -31,7 +31,7 @@ let collect rt d =
             if
               Engine.alive th
               && Engine.thread_domain th = d.Pdomain.id
-              && !(linkstack_of rt th) <> []
+              && linkstack rt th <> []
             then Engine.interrupt e th Unwind_termination)
           other.Pdomain.threads)
     (Kernel.domains rt.kernel)
@@ -44,7 +44,7 @@ let install rt =
       : Kernel.hook_handle)
 
 let release_captured rt ~captured ~replacement =
-  match !(linkstack_of rt captured) with
+  match linkstack rt captured with
   | [] -> invalid_arg "Termination.release_captured: no outstanding call"
   | linkage :: _ ->
       let client =

@@ -65,57 +65,80 @@ let rec encoded_size ty v =
         0 ftys fields
   | Types.Record _, _ -> raise (Conformance_error "record expects Struct")
 
-let rec encode ty v =
-  check_exn ty v;
+(* Write [v], already checked against [ty], at [off]; returns the bytes
+   written, which is [encoded_size ty v]. *)
+let rec write ty v buf off =
   match (ty, v) with
-  | Types.Int32, Int x ->
-      let b = Stdlib.Bytes.create 4 in
-      Stdlib.Bytes.set_int32_le b 0 (Int32.of_int x);
-      b
-  | Types.Card32, Card x ->
-      let b = Stdlib.Bytes.create 4 in
-      Stdlib.Bytes.set_int32_le b 0 (Int32.of_int x);
-      b
+  | (Types.Int32, Int x) | (Types.Card32, Card x) ->
+      Stdlib.Bytes.set_int32_le buf off (Int32.of_int x);
+      4
   | Types.Bool, Bool x ->
-      let b = Stdlib.Bytes.create 4 in
-      Stdlib.Bytes.set_int32_le b 0 (if x then 1l else 0l);
-      b
-  | Types.Fixed_bytes _, Bytes payload -> Stdlib.Bytes.copy payload
+      Stdlib.Bytes.set_int32_le buf off (if x then 1l else 0l);
+      4
+  | Types.Fixed_bytes _, Bytes payload ->
+      let n = Stdlib.Bytes.length payload in
+      Stdlib.Bytes.blit payload 0 buf off n;
+      n
   | Types.Var_bytes _, Bytes payload ->
       let n = Stdlib.Bytes.length payload in
-      let b = Stdlib.Bytes.create (4 + n) in
-      Stdlib.Bytes.set_int32_le b 0 (Int32.of_int n);
-      Stdlib.Bytes.blit payload 0 b 4 n;
-      b
-  | Types.Record ftys, Struct fields ->
-      Stdlib.Bytes.concat Stdlib.Bytes.empty
-        (List.map2 (fun (_, fty) fv -> encode fty fv) ftys fields)
+      Stdlib.Bytes.set_int32_le buf off (Int32.of_int n);
+      Stdlib.Bytes.blit payload 0 buf (off + 4) n;
+      4 + n
+  | Types.Record ftys, Struct fields -> write_fields ftys fields buf off 0
   | _ -> assert false (* check_exn rules out mismatches *)
 
-let rec decode ty buf ~off =
+and write_fields ftys fields buf off written =
+  match (ftys, fields) with
+  | (_, fty) :: ftys, fv :: fields ->
+      let n = write fty fv buf off in
+      write_fields ftys fields buf (off + n) (written + n)
+  | _ -> written
+
+let encode_into ty v buf ~off =
+  check_exn ty v;
+  write ty v buf off
+
+let encode ty v =
+  check_exn ty v;
+  let buf = Stdlib.Bytes.create (encoded_size ty v) in
+  ignore (write ty v buf 0 : int);
+  buf
+
+(* Reads that would cross [stop] raise what the same read from a buffer
+   ending at [stop] raises. *)
+let int32_at buf ~stop off =
+  if off > stop - 4 then invalid_arg "index out of bounds";
+  Stdlib.Bytes.get_int32_le buf off
+
+let sub_at buf ~stop off n =
+  if off > stop - n then invalid_arg "String.sub / Bytes.sub";
+  Stdlib.Bytes.sub buf off n
+
+let rec decode_value ty buf ~off ~stop =
   match ty with
-  | Types.Int32 ->
-      (Int (Int32.to_int (Stdlib.Bytes.get_int32_le buf off)), 4)
+  | Types.Int32 -> Int (Int32.to_int (int32_at buf ~stop off))
   | Types.Card32 ->
-      let raw = Int32.to_int (Stdlib.Bytes.get_int32_le buf off) in
-      let v = if raw < 0 then raw land 0xFFFF_FFFF else raw in
-      (Card v, 4)
-  | Types.Bool -> (Bool (Stdlib.Bytes.get_int32_le buf off <> 0l), 4)
-  | Types.Fixed_bytes n -> (Bytes (Stdlib.Bytes.sub buf off n), n)
+      let raw = Int32.to_int (int32_at buf ~stop off) in
+      Card (if raw < 0 then raw land 0xFFFF_FFFF else raw)
+  | Types.Bool -> Bool (int32_at buf ~stop off <> 0l)
+  | Types.Fixed_bytes n -> Bytes (sub_at buf ~stop off n)
   | Types.Var_bytes max ->
-      let n = Int32.to_int (Stdlib.Bytes.get_int32_le buf off) in
+      let n = Int32.to_int (int32_at buf ~stop off) in
       if n < 0 || n > max then
         raise (Conformance_error "corrupt variable-size length");
-      (Bytes (Stdlib.Bytes.sub buf (off + 4) n), 4 + n)
-  | Types.Record ftys ->
-      let fields, consumed =
-        List.fold_left
-          (fun (acc, used) (_, fty) ->
-            let v, n = decode fty buf ~off:(off + used) in
-            (v :: acc, used + n))
-          ([], 0) ftys
-      in
-      (Struct (List.rev fields), consumed)
+      Bytes (sub_at buf ~stop (off + 4) n)
+  | Types.Record ftys -> Struct (decode_fields ftys buf ~off ~stop)
+
+and decode_fields ftys buf ~off ~stop =
+  match ftys with
+  | [] -> []
+  | (_, fty) :: rest ->
+      let v = decode_value fty buf ~off ~stop in
+      v :: decode_fields rest buf ~off:(off + encoded_size fty v) ~stop
+
+let decode ty buf ~off =
+  let v = decode_value ty buf ~off ~stop:(Stdlib.Bytes.length buf) in
+  (v, encoded_size ty v)
 
 let rec equal a b =
   match (a, b) with

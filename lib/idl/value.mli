@@ -39,9 +39,22 @@ val encoded_size : Types.base -> t -> int
 val encode : Types.base -> t -> bytes
 (** Wire form. Raises {!Conformance_error} on mismatch. *)
 
+val encode_into : Types.base -> t -> bytes -> off:int -> int
+(** [encode_into ty v buf ~off] writes the wire form of [v] straight into
+    [buf] at [off], with no intermediate copy, and returns its length,
+    {!encoded_size}. Checks as {!encode} does, before writing anything;
+    the caller makes sure the value fits. *)
+
 val decode : Types.base -> bytes -> off:int -> t * int
 (** [decode ty buf ~off] reads a value of type [ty], returning it and the
     number of bytes consumed. Inverse of {!encode}. *)
+
+val decode_value : Types.base -> bytes -> off:int -> stop:int -> t
+(** The value {!decode} reads, read straight out of [buf] as if the
+    buffer ended at [stop]: a read that would cross [stop] raises the
+    [Invalid_argument] that a copy of [\[off, stop)] decoded at offset 0
+    would raise. With [stop] at the end of [buf] it is [fst (decode ty buf
+    ~off)]. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

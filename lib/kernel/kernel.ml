@@ -5,6 +5,7 @@ module Event = Lrpc_obs.Event
 module Metrics = Lrpc_obs.Metrics
 
 module Time = Lrpc_sim.Time
+module Id_table = Lrpc_util.Id_table
 
 exception Domain_terminated of string
 
@@ -34,7 +35,7 @@ type t = {
   engine : Engine.t;
   kernel_domain : Pdomain.t;
   mutable domains_ : Pdomain.t list; (* reversed *)
-  by_id : (Pdomain.id, Pdomain.t) Hashtbl.t; (* the call-path lookup *)
+  by_id : Pdomain.t option Id_table.t; (* the call-path lookup *)
   mutable next_domain : int;
   mutable next_page : int;
   mutable next_region : int;
@@ -51,7 +52,7 @@ type t = {
   h_prod_hit : Metrics.histogram;
   mutable hooks : hook list; (* reversed *)
   mutable next_hook : int;
-  linkages : (int, int) Hashtbl.t; (* tid -> outstanding linkage records *)
+  linkages : int Id_table.t; (* tid -> outstanding linkage records *)
   mutable linkages_total : int; (* sum of [linkages] *)
   g_linkages : Metrics.gauge;
 }
@@ -74,8 +75,8 @@ let boot engine =
       page_limit = max_int;
     }
   in
-  let by_id = Hashtbl.create 64 in
-  Hashtbl.replace by_id kernel_domain.Pdomain.id kernel_domain;
+  let by_id = Id_table.create None in
+  Id_table.set by_id kernel_domain.Pdomain.id (Some kernel_domain);
   {
     engine;
     kernel_domain;
@@ -96,7 +97,7 @@ let boot engine =
     h_prod_hit = Metrics.histogram (Engine.metrics engine) "kernel.prod_to_hit_us";
     hooks = [];
     next_hook = 1;
-    linkages = Hashtbl.create 64;
+    linkages = Id_table.create 0;
     linkages_total = 0;
     g_linkages = Metrics.gauge (Engine.metrics engine) "kernel.linkages_outstanding";
   }
@@ -119,12 +120,12 @@ let create_domain ?(machine = 0) ?(page_limit = 16_384) t ~name =
   in
   t.next_domain <- t.next_domain + 1;
   t.domains_ <- d :: t.domains_;
-  Hashtbl.replace t.by_id d.Pdomain.id d;
+  Id_table.set t.by_id d.Pdomain.id (Some d);
   d
 
 let domains t = List.rev t.domains_
 
-let find_domain t id = Hashtbl.find_opt t.by_id id
+let find_domain t id = Id_table.get t.by_id id
 
 let require_active d =
   if not (Pdomain.active d) then
@@ -194,24 +195,19 @@ let total_linkages t = t.linkages_total
 
 let linkage_claimed t th =
   let tid = Engine.thread_id th in
-  let n = match Hashtbl.find_opt t.linkages tid with Some n -> n | None -> 0 in
-  Hashtbl.replace t.linkages tid (n + 1);
+  Id_table.set t.linkages tid (Id_table.get t.linkages tid + 1);
   t.linkages_total <- t.linkages_total + 1;
   Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
 
 let linkage_released t th =
   let tid = Engine.thread_id th in
-  (match Hashtbl.find_opt t.linkages tid with
-  | Some 1 -> Hashtbl.remove t.linkages tid
-  | Some n when n > 1 -> Hashtbl.replace t.linkages tid (n - 1)
-  | Some _ | None -> invalid_arg "Kernel.linkage_released: none outstanding");
+  let n = Id_table.get t.linkages tid in
+  if n < 1 then invalid_arg "Kernel.linkage_released: none outstanding";
+  Id_table.set t.linkages tid (n - 1);
   t.linkages_total <- t.linkages_total - 1;
   Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
 
-let outstanding_linkages t th =
-  match Hashtbl.find_opt t.linkages (Engine.thread_id th) with
-  | Some n -> n
-  | None -> 0
+let outstanding_linkages t th = Id_table.get t.linkages (Engine.thread_id th)
 
 (* --- idle-processor management ------------------------------------------ *)
 

@@ -26,8 +26,9 @@ val create_domain :
 val domains : t -> Pdomain.t list
 
 val find_domain : t -> Pdomain.id -> Pdomain.t option
-(** O(1): the id-to-domain table is a hashtable — this sits on the call
-    path of every LRPC (caller identification). *)
+(** O(1) and allocation-free: domains sit in an array indexed by id,
+    since this is on the call path of every LRPC (caller
+    identification). [None] for an id no domain has. *)
 
 (** {1 Memory} *)
 

@@ -28,16 +28,21 @@ let map_into r d =
 let unmap_from r d =
   r.mapped <- List.filter (fun id -> id <> d.Pdomain.id) r.mapped
 
-let accessible r d = r.region_valid && List.mem d.Pdomain.id r.mapped
+(* [List.mem] would compare ids with the polymorphic [compare]. *)
+let rec has_id (id : Pdomain.id) = function
+  | x :: rest -> x = id || has_id id rest
+  | [] -> false
 
-let check r d what =
+let accessible r d = r.region_valid && has_id d.Pdomain.id r.mapped
+
+let check ~by:d r what =
   if not (accessible r d) then
     raise
       (Protection_violation
          (Printf.sprintf "%s: domain %s has no access to region %s" what
             d.Pdomain.name r.region_name))
 
-let note ?audit ?(label = "copy") ~bytes () =
+let note audit label bytes =
   match audit with
   | Some a ->
       a.copy_ops <- a.copy_ops + 1;
@@ -45,47 +50,51 @@ let note ?audit ?(label = "copy") ~bytes () =
       a.labels <- label :: a.labels
   | None -> ()
 
-let charge_copy engine rate label len =
-  match engine with
-  | None -> ()
-  | Some e ->
-      if Lrpc_sim.Engine.tracing e then
-        Lrpc_sim.Engine.emit e
-          (Lrpc_obs.Event.Copy
-             { label = Option.value label ~default:"copy"; bytes = len });
-      let per_value, per_byte =
-        match rate with
-        | Some r -> r
-        | None ->
-            let cm = Lrpc_sim.Engine.cost_model e in
-            (cm.Lrpc_sim.Cost_model.per_value, cm.Lrpc_sim.Cost_model.per_byte)
-      in
-      let cost =
-        Lrpc_sim.Time.add per_value
-          (Lrpc_sim.Time.scale per_byte (float_of_int len))
-      in
-      Lrpc_sim.Engine.delay ~category:Lrpc_sim.Category.Copy e cost
+let charge e rate label len =
+  if Lrpc_sim.Engine.tracing e then
+    Lrpc_sim.Engine.emit e (Lrpc_obs.Event.Copy { label; bytes = len });
+  let per_value, per_byte =
+    match rate with
+    | Some r -> r
+    | None ->
+        let cm = Lrpc_sim.Engine.cost_model e in
+        (cm.Lrpc_sim.Cost_model.per_value, cm.Lrpc_sim.Cost_model.per_byte)
+  in
+  let cost =
+    Lrpc_sim.Time.add per_value
+      (Lrpc_sim.Time.scale per_byte (float_of_int len))
+  in
+  Lrpc_sim.Engine.delay ~category:Lrpc_sim.Category.Copy e cost
+
+(* A copy operation's bookkeeping: audit it, and charge it when an
+   engine is given. *)
+let account engine rate audit label len =
+  let label = Option.value label ~default:"copy" in
+  note audit label len;
+  match engine with None -> () | Some e -> charge e rate label len
+
+let record_copy ~engine ?audit ~label len =
+  note audit label len;
+  charge engine None label len
 
 let write_bytes ?engine ?rate ?audit ?label ~by r ~off src =
-  check r by "write_bytes";
+  check ~by r "write_bytes";
   Bytes.blit src 0 r.data off (Bytes.length src);
-  note ?audit ?label ~bytes:(Bytes.length src) ();
-  charge_copy engine rate label (Bytes.length src)
+  account engine rate audit label (Bytes.length src)
 
 let read_bytes ?engine ?rate ?audit ?label ~by r ~off ~len =
-  check r by "read_bytes";
+  check ~by r "read_bytes";
   let out = Bytes.create len in
   Bytes.blit r.data off out 0 len;
-  note ?audit ?label ~bytes:len ();
-  charge_copy engine rate label len;
+  account engine rate audit label len;
   out
 
 let peek ~by r ~off ~len =
-  check r by "peek";
+  check ~by r "peek";
   Bytes.sub r.data off len
 
 let poke ~by r ~off src =
-  check r by "poke";
+  check ~by r "poke";
   Bytes.blit src 0 r.data off (Bytes.length src)
 
 let region_to_region ?engine ?rate ?audit ?label ~src ~src_off ~dst ~dst_off ~len
@@ -93,5 +102,4 @@ let region_to_region ?engine ?rate ?audit ?label ~src ~src_off ~dst ~dst_off ~le
   if not (src.region_valid && dst.region_valid) then
     raise (Protection_violation "region_to_region: invalid region");
   Bytes.blit src.data src_off dst.data dst_off len;
-  note ?audit ?label ~bytes:len ();
-  charge_copy engine rate label len
+  account engine rate audit label len

@@ -40,6 +40,18 @@ val accessible : region -> Pdomain.t -> bool
 (** Kernel-only regions (mapped into no domain) are accessible to the
     kernel alone; [accessible] answers for user domains. *)
 
+val check : by:Pdomain.t -> region -> string -> unit
+(** [check ~by r op] raises {!Protection_violation}, naming [op], unless
+    [by] may access [r]: the access check of every operation below. *)
+
+val record_copy :
+  engine:Lrpc_sim.Engine.t -> ?audit:audit -> label:string -> int -> unit
+(** The bookkeeping half of one copy operation of the given length at
+    the cost model's LRPC stub rates, as {!write_bytes} and
+    {!read_bytes} do it after moving their bytes: bump the audit and
+    charge the copy. For a caller that moved the bytes itself, straight
+    to or from their final place, after a {!check}. *)
+
 val write_bytes :
   ?engine:Lrpc_sim.Engine.t ->
   ?rate:Lrpc_sim.Time.t * Lrpc_sim.Time.t ->

@@ -166,14 +166,14 @@ let process_message s msg =
                  ~label:"E" ~by:server inbuf ~off:slot.Layout.offset
                  ~len:consumed);
             v)
-          (Layout.input_slots msg.m_plan)
+          msg.m_plan.Layout.in_slots
       in
       (match msg.m_impl args with
       | outputs ->
           (* The server places results directly into the reply message;
              this is the procedure storing its results, not an extra
              copy. *)
-          let out_slots = Layout.output_slots msg.m_plan in
+          let out_slots = msg.m_plan.Layout.out_slots in
           if List.length out_slots <> List.length outputs then
             msg.m_failed <-
               Some
@@ -391,18 +391,13 @@ let call ?audit conn ~proc args =
       else begin
         (* Copy A: client stack into the message, one op per value. *)
         let outbuf = client_visible s bufs in
-        List.iter
-          (fun (slot : Layout.slot) ->
-            match slot.Layout.svalue with
-            | Some v ->
-                let encoded =
-                  V.encode (slot_type slot ~proc:layout.Layout.proc) v
-                in
-                Vm.write_bytes ~engine:e ~rate:p.Profile.marshal_rate ?audit
-                  ~label:"A" ~by:conn.c_client outbuf ~off:slot.Layout.offset
-                  encoded
-            | None -> ())
-          plan.Layout.slots
+        List.iter2
+          (fun (slot : Layout.slot) v ->
+            let encoded = V.encode (slot_type slot ~proc:layout.Layout.proc) v in
+            Vm.write_bytes ~engine:e ~rate:p.Profile.marshal_rate ?audit
+              ~label:"A" ~by:conn.c_client outbuf ~off:slot.Layout.offset
+              encoded)
+          plan.Layout.in_slots args
       end;
       if not in_registers then
         locked s (fun () -> delay s Category.Buffer_mgmt p.Profile.buffer_mgmt);
@@ -469,7 +464,7 @@ let call ?audit conn ~proc args =
                        ?audit ~label:"F" ~by:conn.c_client inbuf
                        ~off:slot.Layout.offset ~len:consumed);
                   v)
-                (Layout.output_slots plan)))
+                plan.Layout.out_slots))
   in
   Metrics.Counter.incr s.srv_c_calls;
   Metrics.Histo.observe_us s.srv_h_call (Time.sub (Engine.now e) t0);

@@ -56,7 +56,9 @@ module Histo : sig
   (** Record a sample (clamped at 0). *)
 
   val observe_us : histogram -> Time.t -> unit
-  (** Record a simulated duration, in microseconds rounded to nearest. *)
+  (** Record a simulated duration, in microseconds rounded to nearest
+      (halves away from zero); a negative duration records 0.
+      Allocates nothing. *)
 
   val count : histogram -> int
 

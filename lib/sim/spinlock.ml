@@ -33,7 +33,9 @@ let acquire t =
   let traced = Engine.tracing t.engine in
   (match t.holder with
   | None ->
-      t.holder <- Some me;
+      (* [me]'s preallocated [Some]: an uncontended acquire allocates
+         nothing. *)
+      t.holder <- Engine.self_opt t.engine;
       if traced then Engine.emit t.engine (Event.Lock_acquire { lock = t.name })
   | Some _ ->
       Metrics.Counter.incr t.c_contended;

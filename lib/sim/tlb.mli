@@ -12,10 +12,15 @@
     Representation: two preallocated int arrays of [capacity] slots, one
     of keys and one of last-use stamps, with a live count. An untagged
     key is the page itself; a tagged key packs the domain above a 40-bit
-    page number into one int. Lookup and eviction are linear scans over
-    the live slots. The LRU is exact: every touch takes a fresh stamp from
-    one clock, so stamps are unique and eviction takes the slot with the
-    minimum, i.e. the least recently used entry. [access], [invalidate]
+    page number into one int. The LRU is exact: every touch takes a fresh
+    stamp from one clock, so stamps are unique and eviction takes the
+    slot with the minimum, i.e. the least recently used entry. Eviction
+    is a linear scan over the live slots. Lookup is too, except on a sure
+    miss: one summary word holds a bit per key inserted since the last
+    flush (the key mod 63), and a key whose bit is clear is absent
+    without a scan. [invalidate] clears the word; evicted keys keep their
+    bits, which only cost a scan. The refill after a context switch is
+    then nearly all sure misses into free slots. [access], [invalidate]
     and [resident] allocate nothing. *)
 
 type t

@@ -191,7 +191,7 @@ let worlds =
     {
       name = "serial";
       build = serial;
-      budget_words = 367;
+      budget_words = 102;
       slices = 33004;
       dispatches = 1;
       run_pushes = 1;
@@ -200,7 +200,7 @@ let worlds =
     {
       name = "scale16";
       build = scale16;
-      budget_words = 362;
+      budget_words = 173;
       slices = 30016;
       dispatches = 16;
       run_pushes = 30032;
@@ -209,7 +209,7 @@ let worlds =
     {
       name = "openloop";
       build = openloop;
-      budget_words = 428;
+      budget_words = 238;
       slices = 29709;
       dispatches = 2122;
       run_pushes = 25314;
@@ -218,7 +218,7 @@ let worlds =
     {
       name = "erpc";
       build = erpc;
-      budget_words = 492;
+      budget_words = 486;
       slices = 2400;
       dispatches = 804;
       run_pushes = 2245;

@@ -339,6 +339,70 @@ let test_raw_arg_matches_encoding () =
     (V.encode I.Int32 (V.int 0x01020304))
     !seen
 
+(* Server procedures decode their arguments in place: [args] and [arg]
+   hand them exactly the caller's values, and the access check still
+   comes first — with the A-stack unmapped from the server, both raise
+   the peek error. *)
+let test_server_sees_caller_values () =
+  let engine = Engine.create ~processors:1 cm in
+  let kernel = Kernel.boot engine in
+  let rt = Api.init kernel in
+  let server = Kernel.create_domain kernel ~name:"arith" in
+  let client = Kernel.create_domain kernel ~name:"app" in
+  let seen = ref [] and denied = ref [] in
+  let refused ctx =
+    Vm.unmap_from ctx.Rt.sc_region server;
+    let expect =
+      Printf.sprintf "peek: domain arith has no access to region %s"
+        ctx.Rt.sc_region.Vm.region_name
+    in
+    (match Server_ctx.arg ctx 0 with
+    | exception Vm.Protection_violation m -> denied := (m = expect) :: !denied
+    | _ -> Alcotest.fail "arg read an unmapped A-stack");
+    (match Server_ctx.args ctx with
+    | exception Vm.Protection_violation m -> denied := (m = expect) :: !denied
+    | _ -> Alcotest.fail "args read an unmapped A-stack");
+    Vm.map_into ctx.Rt.sc_region server
+  in
+  let impls =
+    ( "add",
+      fun ctx ->
+        let args = Server_ctx.args ctx in
+        seen := args :: !seen;
+        refused ctx;
+        match args with
+        | [ V.Int a; V.Int b ] -> [ V.int (a + b) ]
+        | _ -> Alcotest.fail "add: bad args" )
+    :: ( "big_in_out",
+         fun ctx ->
+           let v = Server_ctx.arg ctx 0 in
+           seen := [ v ] :: !seen;
+           refused ctx;
+           [ v ] )
+    :: List.filter
+         (fun (name, _) -> name <> "add" && name <> "big_in_out")
+         arith_impls
+  in
+  ignore (Api.export rt ~domain:server arith_iface ~impls);
+  let add_args = [ V.int 123_456; V.int (-7) ] in
+  let payload = Bytes.init 200 (fun i -> Char.chr ((i * 7) land 0xFF)) in
+  ignore
+    (Kernel.spawn kernel client (fun () ->
+         let b = Api.import rt ~domain:client ~interface:"Arith" in
+         ignore (Api.call rt b ~proc:"add" add_args);
+         ignore (Api.call rt b ~proc:"big_in_out" [ V.bytes payload ])));
+  Engine.run engine;
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures engine);
+  let same = List.for_all2 V.equal in
+  (match List.rev !seen with
+  | [ a; b ] ->
+      Alcotest.(check bool) "add sees the caller's ints" true (same a add_args);
+      Alcotest.(check bool) "big_in_out sees the caller's bytes" true
+        (same b [ V.bytes payload ])
+  | _ -> Alcotest.fail "expected two calls");
+  Alcotest.(check (list bool)) "peek errors, word for word" [ true; true; true; true ]
+    !denied
+
 (* --- security ------------------------------------------------------------- *)
 
 let test_forged_binding_detected () =
@@ -577,6 +641,40 @@ let run_exhaustion ~policy =
   Alcotest.(check int) "all calls completed" 3 !done_count;
   let pb = List.assoc "slow" b.Rt.b_procs in
   List.length pb.Rt.pb_pool.Rt.ap_all
+
+(* The kernel checks an A-stack's ownership by its pool: one checked
+   out of another procedure's pool is refused under either exhaustion
+   policy, and under `Allocate an extra A-stack belongs to the pool
+   that allocated it and to no other. *)
+let test_astack_validate_foreign () =
+  List.iter
+    (fun policy ->
+      let config = { Rt.default_config with astack_exhaustion = policy } in
+      let w = make_world ~config () in
+      let foreign = "A-stack does not belong to this procedure" in
+      in_client w (fun () ->
+          let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+          let add = List.assoc "add" b.Rt.b_procs
+          and null = List.assoc "null" b.Rt.b_procs in
+          let take () = Astack.checkout w.rt add ~client:w.client ~server:w.server in
+          let own = take () in
+          Astack.validate w.rt add own;
+          Alcotest.check_raises "another procedure's A-stack" (Rt.Bad_binding foreign)
+            (fun () -> Astack.validate w.rt null own);
+          (match policy with
+          | `Allocate ->
+              let held =
+                List.init (List.length add.Rt.pb_pool.Rt.ap_all - 1) (fun _ -> take ())
+              in
+              let extra = take () in
+              Alcotest.(check bool) "an extra" false extra.Rt.a_primary;
+              Astack.validate w.rt add extra;
+              Alcotest.check_raises "another procedure's extra"
+                (Rt.Bad_binding foreign) (fun () -> Astack.validate w.rt null extra);
+              List.iter (Astack.checkin w.rt add) (extra :: held)
+          | `Wait -> ());
+          Astack.checkin w.rt add own))
+    [ `Wait; `Allocate ]
 
 let test_astack_exhaustion_wait () =
   let total = run_exhaustion ~policy:`Wait in
@@ -1129,6 +1227,8 @@ let () =
           Alcotest.test_case "by-ref record" `Quick test_by_ref_record_param;
           Alcotest.test_case "call1 arity" `Quick test_call1_rejects_multi_output;
           Alcotest.test_case "raw arg" `Quick test_raw_arg_matches_encoding;
+          Alcotest.test_case "server sees caller values" `Quick
+            test_server_sees_caller_values;
         ] );
       ( "security",
         [
@@ -1159,6 +1259,7 @@ let () =
         [
           Alcotest.test_case "exhaustion wait" `Quick test_astack_exhaustion_wait;
           Alcotest.test_case "exhaustion allocate" `Quick test_astack_exhaustion_allocate;
+          Alcotest.test_case "foreign rejected" `Quick test_astack_validate_foreign;
           Alcotest.test_case "shard layout" `Quick test_astack_shard_layout;
           Alcotest.test_case "oversized oob" `Quick test_oversized_args_go_out_of_band;
           Alcotest.test_case "oob slower" `Quick test_oob_is_slower;

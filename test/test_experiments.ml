@@ -338,6 +338,35 @@ let test_openloop_shedding_bounds () =
     (fun p -> Alcotest.(check int) "no sheds with the policy off" 0 p.O.op_shed)
     off.O.oc_points
 
+(* --- Figure 2 scaling --------------------------------------------------------- *)
+
+(* The CLI's `f2s --quick` study against the bounds `make
+   fig2-scale-smoke` used to check on its JSON: the 1/2/4/8 ladder,
+   LRPC throughput rising strictly with processors, SRC RPC held under
+   its ~4000 calls/s global-lock ceiling, and, at the top rung, work
+   stealing spreading the all-on-processor-0 callers to every other
+   processor. *)
+let test_fig2_scale_bounds () =
+  let module F = E.Fig2_scale in
+  let r = F.run ~max_cpus:8 ~horizon:(Lrpc_sim.Time.ms 100) () in
+  let ps = r.F.points in
+  Alcotest.(check (list int)) "ladder" [ 1; 2; 4; 8 ] (List.map (fun p -> p.F.cpus) ps);
+  let rec rising = function
+    | a :: (b :: _ as rest) -> a.F.lrpc < b.F.lrpc && rising rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "LRPC calls/s rise strictly" true (rising ps);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "SRC below its lock ceiling at %d CPUs (%.0f calls/s)"
+           p.F.cpus p.F.src)
+        true (p.F.src < 4100.0))
+    ps;
+  let top = List.hd (List.rev ps) in
+  Alcotest.(check int) "one steal per other processor at the top rung"
+    (top.F.cpus - 1) top.F.unbal_steals
+
 (* --- Transport study --------------------------------------------------------- *)
 
 (* The quick three-way study against the bounds `make transport-smoke`
@@ -416,6 +445,7 @@ let () =
           Alcotest.test_case "renders" `Slow test_openloop_json_render;
           Alcotest.test_case "shedding bounds" `Quick test_openloop_shedding_bounds;
         ] );
+      ("fig2 scale", [ Alcotest.test_case "smoke bounds" `Quick test_fig2_scale_bounds ]);
       ("transport", [ Alcotest.test_case "smoke bounds" `Quick test_transport_smoke ]);
       ("rendering", [ Alcotest.test_case "renders" `Quick test_renders ]);
     ]

@@ -86,6 +86,48 @@ let test_decode_corrupt_var_length () =
   | exception V.Conformance_error _ -> ()
   | _ -> Alcotest.fail "corrupt length accepted"
 
+(* [encode_into] writes exactly [encode]'s bytes at the offset and
+   returns their length; a value that does not conform raises before a
+   byte is written. *)
+let test_encode_into () =
+  let ty = I.Record [ ("n", I.Int32); ("b", I.Var_bytes 16) ] in
+  let v = V.struct_ [ V.int (-3); V.bytes_of_string "abc" ] in
+  let buf = Bytes.make 32 '.' in
+  let n = V.encode_into ty v buf ~off:5 in
+  Alcotest.(check int) "length" (V.encoded_size ty v) n;
+  Alcotest.(check bytes) "same bytes" (V.encode ty v) (Bytes.sub buf 5 n);
+  Alcotest.(check string) "nothing else touched" "....." (Bytes.sub_string buf 0 5);
+  let before = Bytes.copy buf in
+  Alcotest.check_raises "conformance first" (V.Conformance_error "negative CARDINAL")
+    (fun () -> ignore (V.encode_into I.Card32 (V.card (-5)) buf ~off:0));
+  Alcotest.(check bytes) "unwritten" before buf
+
+(* [decode_value] reads in place as if the buffer ended at [stop]: a
+   read past [stop] raises what the stdlib's own read raises on a copy
+   that ends there, while the same bytes decode as [decode] does with
+   the whole buffer in view. *)
+let test_decode_value_stop () =
+  let buf = Bytes.make 32 'x' in
+  Bytes.set_int32_le buf 8 10l;
+  let ty = I.Var_bytes 64 in
+  Alcotest.(check bool) "whole buffer: as decode" true
+    (V.equal (fst (V.decode ty buf ~off:8)) (V.decode_value ty buf ~off:8 ~stop:32));
+  let stdlib_error f =
+    match f () with exception e -> e | _ -> Alcotest.fail "the stdlib read succeeded"
+  in
+  let sub_error = stdlib_error (fun () -> Bytes.sub (Bytes.create 8) 4 10) in
+  let int_error = stdlib_error (fun () -> Bytes.get_int32_le (Bytes.create 3) 0) in
+  List.iter
+    (fun (what, ty, stop, error) ->
+      Alcotest.check_raises what error (fun () ->
+          ignore (V.decode_value ty buf ~off:8 ~stop)))
+    [
+      ("bytes past stop", ty, 16, sub_error);
+      ("length past stop", ty, 10, int_error);
+      ("int past stop", I.Int32, 11, int_error);
+      ("fixed past stop", I.Fixed_bytes 9, 16, sub_error);
+    ]
+
 let test_payload_bytes () =
   Alcotest.(check int) "scalar" 4 (V.payload_bytes (V.int 9));
   Alcotest.(check int) "bytes" 7 (V.payload_bytes (V.bytes (Bytes.create 7)))
@@ -110,7 +152,7 @@ let test_layout_ethernet_default () =
 
 let test_plan_offsets () =
   let plan = L.plan (L.of_proc add_proc) ~args:[ V.int 1; V.int 2 ] in
-  let offsets = List.map (fun s -> s.L.offset) plan.L.slots in
+  let offsets = List.map (fun s -> s.L.offset) (plan.L.in_slots @ plan.L.out_slots) in
   Alcotest.(check (list int)) "sequential" [ 0; 4; 8 ] offsets;
   Alcotest.(check int) "total" 12 plan.L.total_bytes
 
@@ -125,15 +167,17 @@ let test_plan_out_param_reserved () =
   in
   let plan = L.plan (L.of_proc p) ~args:[ V.int 1 ] in
   Alcotest.(check int) "out space reserved" 12 plan.L.total_bytes;
-  Alcotest.(check int) "one input" 1 (List.length (L.input_slots plan));
-  Alcotest.(check int) "one output" 1 (List.length (L.output_slots plan))
+  Alcotest.(check int) "one input" 1 (List.length plan.L.in_slots);
+  Alcotest.(check int) "one output" 1 (List.length plan.L.out_slots)
 
 let test_plan_inout_shares_slot () =
   let p = I.proc "f" [ I.param ~mode:I.In_out "b" (I.Fixed_bytes 16) ] in
   let plan = L.plan (L.of_proc p) ~args:[ V.bytes (Bytes.create 16) ] in
-  Alcotest.(check int) "one slot total" 1 (List.length plan.L.slots);
-  Alcotest.(check int) "it is an input" 1 (List.length (L.input_slots plan));
-  Alcotest.(check int) "and an output" 1 (List.length (L.output_slots plan))
+  Alcotest.(check int) "it is an input" 1 (List.length plan.L.in_slots);
+  Alcotest.(check int) "and an output" 1 (List.length plan.L.out_slots);
+  Alcotest.(check bool) "one slot total" true
+    (List.hd plan.L.in_slots == List.hd plan.L.out_slots
+    && plan.L.total_bytes = 16)
 
 let test_plan_var_size_actual () =
   let p = I.proc "v" [ I.param "b" (I.Var_bytes 1000) ] in
@@ -395,7 +439,7 @@ let prop_plan_slots_disjoint =
         | [ last ] -> last.L.offset + last.L.size = plan.L.total_bytes
         | [] -> true
       in
-      ok plan.L.slots)
+      ok plan.L.in_slots)
 
 let () =
   let qsuite =
@@ -418,6 +462,8 @@ let () =
           Alcotest.test_case "conformance" `Quick test_value_conformance;
           Alcotest.test_case "encode raises" `Quick test_value_encode_raises;
           Alcotest.test_case "corrupt length" `Quick test_decode_corrupt_var_length;
+          Alcotest.test_case "encode into" `Quick test_encode_into;
+          Alcotest.test_case "decode stops at stop" `Quick test_decode_value_stop;
           Alcotest.test_case "payload bytes" `Quick test_payload_bytes;
         ] );
       ( "layout",

@@ -25,6 +25,37 @@ let test_domain_machine () =
   Alcotest.(check bool) "local pair" true (Pdomain.is_local local local);
   Alcotest.(check bool) "remote pair" false (Pdomain.is_local local remote)
 
+(* The id-indexed tables at their edges, in the zero/max style: no
+   domain answers -1, the next id not yet handed out or [max_int]; a
+   thread the kernel never saw holds no linkages, and releasing one it
+   does not hold raises, as does a second release after a claim. *)
+let test_id_table_edges () =
+  let _, k = boot () in
+  let d = Kernel.create_domain k ~name:"d" in
+  let id_of = Option.map (fun x -> x.Pdomain.id) in
+  Alcotest.(check (option int)) "kernel domain" (Some 0) (id_of (Kernel.find_domain k 0));
+  Alcotest.(check (option int)) "own id" (Some d.Pdomain.id)
+    (id_of (Kernel.find_domain k d.Pdomain.id));
+  List.iter
+    (fun id ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "no domain %d" id)
+        None
+        (id_of (Kernel.find_domain k id)))
+    [ -1; d.Pdomain.id + 1; max_int ];
+  let th = Kernel.spawn k d (fun () -> ()) in
+  Alcotest.(check int) "never seen: none outstanding" 0
+    (Kernel.outstanding_linkages k th);
+  let none = Invalid_argument "Kernel.linkage_released: none outstanding" in
+  Alcotest.check_raises "release with none outstanding" none (fun () ->
+      Kernel.linkage_released k th);
+  Kernel.linkage_claimed k th;
+  Alcotest.(check int) "claimed" 1 (Kernel.outstanding_linkages k th);
+  Kernel.linkage_released k th;
+  Alcotest.check_raises "second release" none (fun () ->
+      Kernel.linkage_released k th);
+  Alcotest.(check int) "books balance" 0 (Kernel.total_linkages k)
+
 (* --- memory --------------------------------------------------------------- *)
 
 let test_page_budget_enforced () =
@@ -376,6 +407,7 @@ let () =
         [
           Alcotest.test_case "ids" `Quick test_domain_ids_unique;
           Alcotest.test_case "machines" `Quick test_domain_machine;
+          Alcotest.test_case "id table edges" `Quick test_id_table_edges;
         ] );
       ( "memory",
         [

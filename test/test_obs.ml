@@ -63,6 +63,27 @@ let test_metrics_roundtrip () =
     (Metrics.get_counter s "test.count{who=x}");
   Alcotest.(check bool) "renders" true (String.length (Metrics.render s) > 0)
 
+(* [observe_us] rounds in integer nanoseconds to the microsecond bin
+   [Float.round (Time.to_us d)] picks for d >= 0, halves away from
+   zero, and puts a negative duration in bin 0. *)
+let test_observe_us_rounding () =
+  let m = Metrics.create () in
+  List.iteri
+    (fun i d ->
+      let h name = Metrics.histogram m ~bin_width:1 ~max_value:5_000_000 (name ^ string_of_int i) in
+      let got = h "test.us" and want = h "test.ref" in
+      Metrics.Histo.observe_us got (Time.ns d);
+      Metrics.Histo.observe want (int_of_float (Float.round (Time.to_us (Time.ns d))));
+      Alcotest.(check int)
+        (Printf.sprintf "%d ns" d)
+        (Metrics.Histo.percentile want 50.0)
+        (Metrics.Histo.percentile got 50.0))
+    [ 0; 1; 499; 500; 501; 999; 1_000; 1_499; 1_500; 2_500; 4_095_499; 4_095_500;
+      4_999_999_500; -1; -499; -500; -501; -1_500; min_int ];
+  let neg = Metrics.histogram m ~bin_width:1 ~max_value:10 "test.neg" in
+  Metrics.Histo.observe_us neg (Time.ns (-2_600));
+  Alcotest.(check int) "negative: bin 0" 1 (Metrics.Histo.percentile neg 50.0)
+
 let test_metrics_kind_mismatch () =
   let m = Metrics.create () in
   ignore (Metrics.counter m "test.k");
@@ -307,6 +328,7 @@ let () =
             test_metrics_kind_mismatch;
           Alcotest.test_case "empty histogram" `Quick
             test_metrics_empty_histogram;
+          Alcotest.test_case "observe_us rounding" `Quick test_observe_us_rounding;
         ] );
       ( "call path",
         [

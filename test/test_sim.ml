@@ -337,10 +337,13 @@ let print_tlb_op = function
         (String.concat ";" (List.map string_of_int pages))
   | Invalidate -> "invalidate"
 
-(* Capacity 1-8, pages 0-15, domains 0-3: small enough that eviction,
-   re-reference and cross-domain aliasing all happen often. *)
+(* Domains 0-3, with capacity 1-8 or 1-64 and pages 0-15 or 0-255. The
+   small ranges make eviction, re-reference and cross-domain aliasing
+   frequent. Pages 0-255 give distinct untagged keys the same summary
+   bit (the key mod 63), so a set bit must still fall back to the
+   scan, and the large capacities make that scan long. *)
 let prop_tlb_matches_reference =
-  let op =
+  let op max_page =
     QCheck.Gen.(
       frequency
         [
@@ -348,17 +351,26 @@ let prop_tlb_matches_reference =
             map2
               (fun d pages -> Access (d, pages))
               (int_range 0 3)
-              (list_size (int_range 0 6) (int_range 0 15)) );
+              (list_size (int_range 0 6) (int_range 0 max_page)) );
           (1, return Invalidate);
         ])
   in
+  let case =
+    QCheck.Gen.(
+      oneofl [ 8; 64 ] >>= fun max_capacity ->
+      oneofl [ 15; 255 ] >>= fun max_page ->
+      triple (int_range 1 max_capacity) bool
+        (list_size (int_range 0 40) (op max_page))
+      >|= fun (capacity, tagged, ops) -> (capacity, tagged, max_page, ops))
+  in
   QCheck.Test.make ~name:"tlb matches its hashtable reference" ~count:500
-    QCheck.(
-      triple (int_range 1 8) bool
-        (make
-           ~print:(fun ops -> String.concat ", " (List.map print_tlb_op ops))
-           Gen.(list_size (int_range 0 40) op)))
-    (fun (capacity, tagged, ops) ->
+    (QCheck.make
+       ~print:(fun (capacity, tagged, max_page, ops) ->
+         Printf.sprintf "capacity %d, tagged %b, pages 0-%d: %s" capacity tagged
+           max_page
+           (String.concat ", " (List.map print_tlb_op ops)))
+       case)
+    (fun (capacity, tagged, max_page, ops) ->
       let t = Tlb.create ~capacity ~tagged in
       let r = Ref_tlb.create ~capacity ~tagged in
       let same_residency () =
@@ -367,7 +379,7 @@ let prop_tlb_matches_reference =
             List.for_all
               (fun page ->
                 Tlb.resident t ~domain ~page = Ref_tlb.resident r ~domain ~page)
-              (List.init 16 Fun.id))
+              (List.init (max_page + 1) Fun.id))
           [ 0; 1; 2; 3 ]
       in
       List.for_all

@@ -390,6 +390,22 @@ let prop_qsketch_merge_is_concat =
       done;
       !ok)
 
+(* --- Id_table ----------------------------------------------------------- *)
+
+(* Unset ids read as the default, at both ends; writes grow the table
+   and keep what was there; a negative id cannot be written. *)
+let test_id_table () =
+  let t = Id_table.create 0 in
+  List.iter
+    (fun id -> Alcotest.(check int) (Printf.sprintf "empty %d" id) 0 (Id_table.get t id))
+    [ -1; 0; max_int ];
+  Id_table.set t 3 30;
+  Id_table.set t 100 1000;
+  Alcotest.(check (list int)) "set and kept" [ 0; 30; 0; 1000; 0 ]
+    (List.map (Id_table.get t) [ 2; 3; 99; 100; 101 ]);
+  Alcotest.check_raises "negative id" (Invalid_argument "Id_table.set: negative id")
+    (fun () -> Id_table.set t (-1) 1)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -451,5 +467,6 @@ let () =
             test_qsketch_small_values_exact;
           Alcotest.test_case "rejects" `Quick test_qsketch_rejects;
         ] );
+      ("id table", [ Alcotest.test_case "edges" `Quick test_id_table ]);
       ("properties", qsuite);
     ]
