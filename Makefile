@@ -119,27 +119,18 @@ overload-smoke: build
 	  assert d['experiment'] == 'openloop_shed'"
 	@echo "overload smoke OK"
 
-# End-to-end: the locality study's JSON must cover all four placements
-# at every ladder rung, the distance-ordered victim rings must actually
-# bias thieves toward their own cluster (near >= far steals on the
-# adversarial-far placement at the top rung), and — the other half of
-# the contract — a run with NO topology installed must still produce
-# the seed chaos digest byte-for-byte: the locality path has to be
-# invisible when it is off.
+# End-to-end: the locality study's CLI must emit parseable JSON. Its
+# bounds (the 4/8 ladder, no near/far steals without a topology, near +
+# far = steals on every clustered series, near >= far steals for the
+# distance-aware thief at the top rung, positive finite recoveries) are
+# checked on the typed result by test_experiments "numa bounds", under
+# `dune runtest`. The other half of the contract: a run with NO
+# topology installed must still produce the seed chaos digest
+# byte-for-byte — the locality path has to be invisible when it is off.
 numa-smoke: build
 	dune exec bin/lrpc_experiments.exe -- numa --quick --json > $(NUMA_JSON)
 	@python3 -c "import json; d = json.load(open('$(NUMA_JSON)')); \
-	  ps = d['points']; \
-	  assert d['experiment'] == 'numa'; \
-	  assert [p['cpus'] for p in ps] == [4, 8]; \
-	  skeys = {'cps', 'steals', 'steals_near', 'steals_far'}; \
-	  series = ['flat', 'clu', 'far_aware', 'far_blind']; \
-	  assert all(skeys <= set(p[s]) for p in ps for s in series), \
-	    'missing series keys'; \
-	  assert all('aware_recovery' in p and 'blind_recovery' in p for p in ps); \
-	  top = ps[-1]; \
-	  assert top['far_aware']['steals_near'] >= top['far_aware']['steals_far'], \
-	    'aware thief must prefer near victims: %s' % top['far_aware']"
+	  assert d['experiment'] == 'numa'"
 	dune exec bin/lrpc_chaos.exe -- --out $(NUMA_CHAOS_JSON) > /dev/null
 	@python3 -c "import json; d = json.load(open('$(NUMA_CHAOS_JSON)')); \
 	  assert d['digest'] == '$(CHAOS_DIGEST)', \

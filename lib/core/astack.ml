@@ -458,6 +458,6 @@ let validate rt pb a =
     raise (Bad_binding "A-stack does not belong to this procedure");
   if not a.a_primary then
     Engine.delay ~category:Lrpc_sim.Category.Kernel_transfer (engine rt)
-      rt.config.extra_astack_validation;
+      extra_astack_validation;
   if a.a_linkage.l_in_use then
     raise (Bad_binding "A-stack/linkage pair already in use")

@@ -39,7 +39,7 @@ let export rt ~domain ?(defensive_copies = false) iface ~impls =
       ex_impls = impls;
       ex_layouts =
         List.map
-          (Layout.of_proc ~default_size:rt.config.default_astack_size)
+          (Layout.of_proc ~default_size:default_astack_size)
           iface.I.procs;
       ex_pdl_pages = pdl.Vm.pages;
       ex_stub_pages = stubs.Vm.pages;

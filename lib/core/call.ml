@@ -577,7 +577,7 @@ let issue_local ?audit ?admit rt b ~proc args =
       (* §5.2: arguments too large for the A-stack travel in an
          out-of-band segment — complicated and relatively expensive,
          but infrequent. *)
-      Engine.delay ~category:Category.Kernel_transfer e rt.config.oob_overhead;
+      Engine.delay ~category:Category.Kernel_transfer e oob_overhead;
       Kernel.alloc_region rt.kernel ~owner:client
         ~name:(Printf.sprintf "oob-%s-%d" proc astack.a_id)
         ~bytes:plan.Layout.total_bytes

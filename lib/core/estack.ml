@@ -6,9 +6,9 @@ let fresh_estack rt ~server =
   let region =
     Kernel.alloc_region rt.kernel ~owner:server
       ~name:(Printf.sprintf "%s-estack" server.Pdomain.name)
-      ~bytes:rt.config.estack_bytes ~mapped:[ server ]
+      ~bytes:estack_bytes ~mapped:[ server ]
   in
-  { es_region = region; es_assoc = None; es_last_used = now rt }
+  { es_region = region; es_assoc = None }
 
 let reclaim rt ~server ~keep_newer_than =
   let pool = estack_pool rt server in
@@ -27,9 +27,7 @@ let reclaim rt ~server ~keep_newer_than =
 
 let associate rt ~server astack =
   match astack.a_estack with
-  | Some es ->
-      es.es_last_used <- now rt;
-      es
+  | Some es -> es
   | None -> (
       let pool = estack_pool rt server in
       match pool.ep_free with
@@ -60,7 +58,7 @@ let associate rt ~server astack =
           if not (List.memq es pool.ep_all) then begin
             pool.ep_all <- es :: pool.ep_all;
             Engine.delay ~category:Lrpc_sim.Category.Kernel_transfer (engine rt)
-              rt.config.estack_alloc_cost
+              estack_alloc_cost
           end;
           es.es_assoc <- Some astack;
           astack.a_estack <- Some es;

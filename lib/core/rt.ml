@@ -60,16 +60,6 @@ type config = {
   estack_policy : [ `Lazy | `Static ];
       (** lazy A-/E-stack association (the paper's design) vs static
           pre-allocation at bind time (ablation A5) *)
-  estack_bytes : int;  (** E-stack size; "tens of kilobytes" *)
-  oob_overhead : Time.t;
-      (** fixed cost of the out-of-band segment path for oversized
-          arguments (§5.2): "complicated and relatively expensive" *)
-  extra_astack_validation : Time.t;
-      (** added validation cost for A-stacks outside the primary
-          contiguous region (§5.2) *)
-  estack_alloc_cost : Time.t;
-      (** kernel cost to allocate a fresh E-stack on first association *)
-  default_astack_size : int;  (** for variable-size procedures *)
   kernel_lock : [ `Per_astack | `Global ];
       (** LRPC's design guards each A-stack queue with its own lock and
           keeps the kernel transfer path lock-free; [`Global] is the
@@ -87,15 +77,31 @@ type config = {
           overrides. *)
 }
 
+(* Fixed costs and sizes of the uncommon paths (paper §3.2, §5.2). *)
+
+(* E-stack size: "tens of kilobytes" (§3.2). *)
+let estack_bytes = 20_480
+
+(* Kernel cost to allocate a fresh E-stack on its first association
+   (§3.2, lazy association). *)
+let estack_alloc_cost = Time.us 50
+
+(* Fixed cost of the out-of-band segment path for arguments too large
+   for the A-stack: "complicated and relatively expensive" (§5.2). *)
+let oob_overhead = Time.us 120
+
+(* Added validation cost for A-stacks allocated outside the primary
+   contiguous region under [`Allocate] (§5.2). *)
+let extra_astack_validation = Time.us 2
+
+(* A-stack size for procedures with variable-size arguments: the
+   Ethernet packet size (§5.2). *)
+let default_astack_size = Layout.ethernet_packet_size
+
 let default_config =
   {
     astack_exhaustion = `Wait;
     estack_policy = `Lazy;
-    estack_bytes = 20_480;
-    oob_overhead = Time.us 120;
-    extra_astack_validation = Time.us 2;
-    estack_alloc_cost = Time.us 50;
-    default_astack_size = Layout.ethernet_packet_size;
     kernel_lock = `Per_astack;
     astack_sharing = false;
   }
@@ -218,7 +224,6 @@ type linkage = {
 type estack = {
   es_region : Vm.region;
   mutable es_assoc : astack option;
-  mutable es_last_used : Time.t;
 }
 
 and astack = {

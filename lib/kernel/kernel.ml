@@ -11,20 +11,6 @@ exception Domain_terminated of string
 
 type hook_handle = int
 
-(* Decaying per-domain context-miss average: [ms_ewma] is the value as of
-   [ms_at]; reads decay it forward to the current instant. A miss adds 1
-   and the whole thing halves every [half_life_us] of quiet, so the
-   prod policy chases domains that are missing *now*, not domains that
-   were busy long ago (raw counters never forget). *)
-type miss_stat = {
-  mutable ms_ewma : float;
-  mutable ms_at : Time.t;
-  mutable ms_cpu : int;
-      (* CPU of the most recent miss (-1 before any): under a locality
-         topology the prod policy discounts idle CPUs far from where the
-         domain's calls actually arrive *)
-}
-
 type hook = {
   hk_id : hook_handle;
   hk_key : string option;
@@ -42,13 +28,10 @@ type t = {
   mutable caching : bool;
   misses : (Pdomain.id, Metrics.counter) Hashtbl.t;
   hits : (Pdomain.id, Metrics.counter) Hashtbl.t;
-  ewmas : (Pdomain.id, miss_stat) Hashtbl.t;
-  ewma_gauges : (Pdomain.id, Metrics.gauge) Hashtbl.t;
   prodded : (int, Time.t * Pdomain.id) Hashtbl.t;
       (* cpu index -> (when, domain) of the last prod retag, pending its
          first exchange hit; feeds the prod-to-hit latency histogram *)
   c_prods : Metrics.counter;
-  c_idle_retags : Metrics.counter;
   h_prod_hit : Metrics.histogram;
   mutable hooks : hook list; (* reversed *)
   mutable next_hook : int;
@@ -56,12 +39,6 @@ type t = {
   mutable linkages_total : int; (* sum of [linkages] *)
   g_linkages : Metrics.gauge;
 }
-
-(* The idle-prod policy's constants. A sweep of half-life x margin came
-   out flat (EXPERIMENTS.md, "Prod-policy calibration"). *)
-let half_life_us = 1000.0 (* miss-EWMA half-life *)
-let prod_margin = 0.5 (* required EWMA gap before any retag *)
-let idle_retag_factor = 2.0 (* idle-consult hysteresis multiplier *)
 
 let boot engine =
   let kernel_domain =
@@ -77,6 +54,8 @@ let boot engine =
   in
   let by_id = Id_table.create None in
   Id_table.set by_id kernel_domain.Pdomain.id (Some kernel_domain);
+  (* Never bumped: lrpcbench's digests hash Metrics.to_json, zeros too. *)
+  ignore (Metrics.counter (Engine.metrics engine) "kernel.idle_retags");
   {
     engine;
     kernel_domain;
@@ -88,12 +67,8 @@ let boot engine =
     caching = false;
     misses = Hashtbl.create 16;
     hits = Hashtbl.create 16;
-    ewmas = Hashtbl.create 16;
-    ewma_gauges = Hashtbl.create 16;
     prodded = Hashtbl.create 8;
     c_prods = Metrics.counter (Engine.metrics engine) "kernel.context_prods";
-    c_idle_retags =
-      Metrics.counter (Engine.metrics engine) "kernel.idle_retags";
     h_prod_hit = Metrics.histogram (Engine.metrics engine) "kernel.prod_to_hit_us";
     hooks = [];
     next_hook = 1;
@@ -268,185 +243,48 @@ let note_context_hit ?cpu t d =
    kernel claims one idle processor and re-tags it to the missed domain,
    so the *next* call finds its context prefetched. Stands in for the
    paper's idle threads noticing per-domain counters and spinning in busy
-   domains (§3.4). Candidate ranking uses the decaying miss EWMA rather
-   than raw counters: a domain that was hot an hour ago no longer shields
-   its stale context from eviction.
-
-   The engine additionally consults the policy whenever a processor goes
-   fully idle ([on_cpu_idle], installed at boot): the idle processor may
-   preload the hottest domain's context before any miss occurs — but only
-   past a clear hysteresis margin, so the steady-state exchange ping-pong
-   (both contexts equally warm, every call a hit) is never perturbed. *)
-
-let decayed ~now st =
-  if st.ms_ewma = 0.0 then 0.0
-  else
-    let dt = Time.to_us (Time.sub now st.ms_at) in
-    if dt <= 0.0 then st.ms_ewma
-    else st.ms_ewma *. (0.5 ** (dt /. half_life_us))
-
-let miss_stat t d =
-  match Hashtbl.find_opt t.ewmas d.Pdomain.id with
-  | Some st -> st
-  | None ->
-      let st = { ms_ewma = 0.0; ms_at = Time.zero; ms_cpu = -1 } in
-      Hashtbl.replace t.ewmas d.Pdomain.id st;
-      st
-
-let ewma_gauge t d =
-  match Hashtbl.find_opt t.ewma_gauges d.Pdomain.id with
-  | Some g -> g
-  | None ->
-      let g =
-        Metrics.gauge (Engine.metrics t.engine)
-          ~labels:[ ("domain", string_of_int d.Pdomain.id) ]
-          "kernel.miss_ewma"
-      in
-      Hashtbl.replace t.ewma_gauges d.Pdomain.id g;
-      g
-
-let ewma_of_id t ~now id =
-  match Hashtbl.find_opt t.ewmas id with
-  | Some st -> decayed ~now st
-  | None -> 0.0
-
-let context_miss_ewma t d = ewma_of_id t ~now:(Engine.now t.engine) d.Pdomain.id
+   domains (§3.4), and ranks candidates by those same counters: an
+   untagged idle processor first, else the one whose domain has missed
+   least, and only when that is strictly less than the missing domain. *)
 
 let prods t = Metrics.Counter.value t.c_prods
-let idle_retags t = Metrics.Counter.value t.c_idle_retags
+
+let misses_of_id t id =
+  match Hashtbl.find_opt t.misses id with
+  | Some c -> Metrics.Counter.value c
+  | None -> 0
 
 (* Re-tag the idle processor [c] to [d]: the idle processor loads the
    domain's context off the critical path; nobody is charged. *)
-let prod t ~now c d =
+let prod t c d =
   Lrpc_sim.Tlb.invalidate c.Engine.tlb;
   c.Engine.context <- Some d.Pdomain.id;
   Metrics.Counter.incr t.c_prods;
-  Hashtbl.replace t.prodded c.Engine.idx (now, d.Pdomain.id)
+  Hashtbl.replace t.prodded c.Engine.idx (Engine.now t.engine, d.Pdomain.id)
 
 let note_context_miss t d =
-  Metrics.Counter.incr (miss_counter t d);
-  let now = Engine.now t.engine in
-  let st = miss_stat t d in
-  st.ms_ewma <- decayed ~now st +. 1.0;
-  st.ms_at <- now;
-  (match Engine.self_opt t.engine with
-  | Some th -> (
-      match Engine.thread_cpu t.engine th with
-      | Some c -> st.ms_cpu <- c.Engine.idx
-      | None -> ())
-  | None -> ());
-  Metrics.Gauge.set (ewma_gauge t d) st.ms_ewma;
+  let counter = miss_counter t d in
+  Metrics.Counter.incr counter;
   if t.caching then begin
-    let mine = st.ms_ewma in
-    let cpus = Engine.cpus t.engine in
-    match Engine.topology t.engine with
-    | None ->
-        let candidate = ref None and candidate_ewma = ref infinity in
-        Array.iter
-          (fun c ->
-            if c.Engine.running = None then begin
-              let ctx =
-                match c.Engine.context with
-                | Some id when id = d.Pdomain.id -> infinity (* already ours *)
-                | Some id -> ewma_of_id t ~now id
-                | None -> neg_infinity (* untagged: always the best victim *)
-              in
-              if ctx +. prod_margin < mine && ctx < !candidate_ewma then begin
-                candidate := Some c;
-                candidate_ewma := ctx
-              end
-            end)
-          cpus;
-        (match !candidate with Some c -> prod t ~now c d | None -> ())
-    | Some topo ->
-        (* Distance-weighted: a prefetched context far from where the
-           domain's calls arrive is worth less (the caller pays the
-           cross-cluster exchange to reach it), so the miss EWMA is
-           divided by the prod multiplier before the margin test, and
-           near candidates win ties. *)
-        let candidate = ref None and candidate_ewma = ref infinity in
-        let candidate_mult = ref infinity in
-        Array.iter
-          (fun c ->
-            if c.Engine.running = None then begin
-              let ctx =
-                match c.Engine.context with
-                | Some id when id = d.Pdomain.id -> infinity
-                | Some id -> ewma_of_id t ~now id
-                | None -> neg_infinity
-              in
-              let mult =
-                if st.ms_cpu < 0 then 1.0
-                else Cost_model.prod_mult topo st.ms_cpu c.Engine.idx
-              in
-              if
-                ctx +. prod_margin < mine /. mult
-                && (mult < !candidate_mult
-                   || (mult = !candidate_mult && ctx < !candidate_ewma))
-              then begin
-                candidate := Some c;
-                candidate_ewma := ctx;
-                candidate_mult := mult
-              end
-            end)
-          cpus;
-        (match !candidate with Some c -> prod t ~now c d | None -> ())
-  end
-
-(* Engine idle consult (installed on the engine at [boot]): a processor
-   with nothing to run — own queue empty, nothing stealable — preloads
-   the context of the domain whose miss EWMA is hottest, provided it
-   clearly out-misses whatever the processor already holds. *)
-let on_cpu_idle t (c : Engine.cpu) =
-  if t.caching && c.Engine.running = None then begin
-    let now = Engine.now t.engine in
-    let topo = Engine.topology t.engine in
-    (* Under a topology a domain's heat is discounted by the distance
-       between this idle CPU and the CPU its misses arrive on: preloading
-       a context two clusters away from its callers helps nobody. *)
-    let weighted st e =
-      match topo with
-      | None -> e
-      | Some topo ->
-          if st.ms_cpu < 0 then e
-          else e /. Cost_model.prod_mult topo c.Engine.idx st.ms_cpu
-    in
-    let best_id = ref (-1) and best_e = ref 0.0 in
-    Hashtbl.iter
-      (fun id st ->
-        let e = weighted st (decayed ~now st) in
-        if e > !best_e || (e = !best_e && !best_id >= 0 && id < !best_id) then begin
-          best_id := id;
-          best_e := e
+    let mine = Metrics.Counter.value counter in
+    let candidate = ref None and best = ref max_int in
+    Array.iter
+      (fun c ->
+        if c.Engine.running = None then begin
+          let held =
+            match c.Engine.context with
+            | None -> -1 (* untagged: always the best victim *)
+            | Some id when id = d.Pdomain.id -> max_int (* already ours *)
+            | Some id -> misses_of_id t id
+          in
+          if held < mine && held < !best then begin
+            candidate := Some c;
+            best := held
+          end
         end)
-      t.ewmas;
-    if !best_id >= 0 then begin
-      let already =
-        match c.Engine.context with Some id -> id = !best_id | None -> false
-      in
-      if not already then begin
-        let cur =
-          match c.Engine.context with
-          | Some id -> ewma_of_id t ~now id
-          | None -> 0.0
-        in
-        if !best_e > (idle_retag_factor *. cur) +. prod_margin then
-          match find_domain t !best_id with
-          | Some d when Pdomain.active d ->
-              Metrics.Counter.incr t.c_idle_retags;
-              prod t ~now c d
-          | Some _ | None -> ()
-      end
-    end
+      (Engine.cpus t.engine);
+    match !candidate with Some c -> prod t c d | None -> ()
   end
-
-(* Rebind [boot] to install the engine's idle consult (the hook closes
-   over the policy functions above, so it cannot be set where [boot] is
-   first defined). *)
-let boot engine =
-  let t = boot engine in
-  Engine.set_idle_hook engine (fun c -> on_cpu_idle t c);
-  t
 
 (* --- termination ---------------------------------------------------------- *)
 

@@ -13,7 +13,9 @@ exception Domain_terminated of string
 (** Raised by operations against a terminating or dead domain. *)
 
 val boot : Lrpc_sim.Engine.t -> t
-(** One kernel per simulated machine. The kernel domain itself has id 0. *)
+(** One kernel per simulated machine. The kernel domain itself has id 0.
+    Registers the ["kernel.idle_retags"] counter, which nothing bumps, so
+    metrics snapshots (and digests over them) keep their shape. *)
 
 val engine : t -> Lrpc_sim.Engine.t
 val cost_model : t -> Lrpc_sim.Cost_model.t
@@ -93,31 +95,17 @@ val find_idle_processor_in_context :
 
 val note_context_miss : t -> Pdomain.t -> unit
 (** Record that a call wanted an idle processor in this domain's context
-    and found none. Feeds both the raw per-domain counter and a decaying
-    miss EWMA (half-life ~1 ms of simulated quiet); when domain caching
-    is on, the kernel prods one idle processor — the one whose loaded
-    context's EWMA is lowest and at least 0.5 below this domain's — and
-    re-tags it to the missed domain (counted in ["kernel.context_prods"]).
-    The engine additionally consults the same policy whenever a processor
-    runs out of work entirely (see {!Lrpc_sim.Engine.set_idle_hook},
-    installed at {!boot}): the idle processor preloads the hottest
-    domain's context, but only when it out-misses the held context by a
-    2x hysteresis margin, so a warm steady state is never perturbed
-    (those retags are counted in ["kernel.idle_retags"]). The half-life,
-    0.5 margin and 2x factor are constants: a sweep of half-life x margin
-    came out flat (EXPERIMENTS.md, "Prod-policy calibration"). Under a
-    {!Lrpc_sim.Cost_model.topology} a domain's miss EWMA is divided by
-    the prod-distance multiplier between the candidate idle CPU and the
-    CPU the domain's misses arrive on. *)
+    and found none (the per-domain counter {!context_misses}). When
+    domain caching is on, the kernel then prods one idle processor into
+    the missed domain's context (counted in ["kernel.context_prods"]),
+    ranking idle processors by the same counters: an untagged one first
+    (lowest index among several), else the one whose loaded domain has
+    the fewest misses — and only when that is strictly fewer than this
+    domain's. A processor already holding this domain is never prodded. *)
 
 val context_misses : t -> Pdomain.t -> int
 (** Reads ["kernel.context_misses{domain=<id>}"] from the engine's
     metrics registry — the counters' single home. *)
-
-val context_miss_ewma : t -> Pdomain.t -> float
-(** The domain's decaying miss EWMA, decayed to the current simulated
-    instant (also exported as the ["kernel.miss_ewma{domain=<id>}"]
-    gauge, which holds the value as of the last miss). *)
 
 val note_context_hit : ?cpu:Lrpc_sim.Engine.cpu -> t -> Pdomain.t -> unit
 (** Record that a call found an idle processor already holding this
@@ -130,9 +118,6 @@ val context_hits : t -> Pdomain.t -> int
 
 val prods : t -> int
 (** Miss-driven prod retags performed (["kernel.context_prods"]). *)
-
-val idle_retags : t -> int
-(** Idle-consult retags performed (["kernel.idle_retags"]). *)
 
 (** {1 Termination (paper §5.3)} *)
 

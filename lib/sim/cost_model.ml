@@ -4,33 +4,19 @@
    interaction costs the same. The 64-256 CPU rungs of the scaling study
    model machines that are *not* flat — CPUs come in clusters (a socket,
    a NUMA node) and touching state homed on another cluster costs more.
-   A topology assigns every CPU pair a distance class and scales the
-   three cross-CPU mechanisms by per-class multipliers:
-
-   - dispatch: the [vm_reload] charged when a thread migrates to a CPU
-     it did not last run on (ordinary wake re-routing);
-   - steal: the same reload when the migration was caused by work
-     stealing (pulling the queue entry across the interconnect is at
-     least as expensive as a planned migration);
-   - prod: not a charged cost but a benefit discount — the kernel's
-     idle-prod policy divides a domain's miss EWMA by this factor when
-     ranking idle CPUs far from the missing CPU.
+   A topology partitions the CPUs into clusters and scales the
+   [vm_reload] a thread migration is charged by one multiplier: 1.0
+   within a cluster, [cross_mult] across clusters, whether the
+   migration is an ordinary wake re-routing or a steal.
 
    [None] (every published model) means flat: no multiplier is ever
    applied and all code paths are byte-identical to the pre-topology
    engine. *)
 
-type distance = Local | Same_cluster | Cross_cluster
-
 type topology = {
   topo_name : string;
   cluster_size : int;  (* CPUs per cluster, >= 1 *)
-  dispatch_same : float;  (* cross-CPU migration, same cluster *)
-  dispatch_cross : float;  (* cross-cluster migration *)
-  steal_same : float;
-  steal_cross : float;
-  prod_same : float;
-  prod_cross : float;
+  cross_mult : float;  (* cross-cluster multiplier, finite and >= 1.0 *)
   near_steal : bool;  (* distance-ordered victim rings; false = blind *)
 }
 
@@ -61,28 +47,8 @@ type t = {
 
 let cluster_of topo cpu = cpu / topo.cluster_size
 
-let distance topo a b =
-  if a = b then Local
-  else if cluster_of topo a = cluster_of topo b then Same_cluster
-  else Cross_cluster
-
-let dispatch_mult topo a b =
-  match distance topo a b with
-  | Local -> 1.0
-  | Same_cluster -> topo.dispatch_same
-  | Cross_cluster -> topo.dispatch_cross
-
-let steal_mult topo a b =
-  match distance topo a b with
-  | Local -> 1.0
-  | Same_cluster -> topo.steal_same
-  | Cross_cluster -> topo.steal_cross
-
-let prod_mult topo a b =
-  match distance topo a b with
-  | Local -> 1.0
-  | Same_cluster -> topo.prod_same
-  | Cross_cluster -> topo.prod_cross
+let mult topo a b =
+  if cluster_of topo a = cluster_of topo b then 1.0 else topo.cross_mult
 
 (* Deterministic near-first victim order for [cpu] on a [cpus]-CPU
    machine: the rest of its own cluster starting just after it (wrapping
@@ -108,36 +74,20 @@ let victim_ring topo ~cpus ~cpu =
   assert (!n = cpus - 1);
   ring
 
-let clustered ?(same_mult = 1.0) ?(cross_mult = 4.0) ?steal_same ?steal_cross
-    ?prod_same ?prod_cross ?(near_steal = true) ~cluster_size ~name base =
+let clustered ?(cross_mult = 4.0) ?(near_steal = true) ~cluster_size ~name
+    base =
   if cluster_size < 1 then
     invalid_arg "Cost_model.clustered: cluster_size must be >= 1";
-  let dfl opt d = match opt with Some v -> v | None -> d in
-  let topo =
-    {
-      topo_name = name;
-      cluster_size;
-      dispatch_same = same_mult;
-      dispatch_cross = cross_mult;
-      steal_same = dfl steal_same same_mult;
-      steal_cross = dfl steal_cross cross_mult;
-      prod_same = dfl prod_same same_mult;
-      prod_cross = dfl prod_cross cross_mult;
-      near_steal;
-    }
-  in
-  let check what v =
-    if v < 1.0 then
-      invalid_arg
-        (Printf.sprintf "Cost_model.clustered: %s multiplier %g < 1.0" what v)
-  in
-  check "dispatch_same" topo.dispatch_same;
-  check "dispatch_cross" topo.dispatch_cross;
-  check "steal_same" topo.steal_same;
-  check "steal_cross" topo.steal_cross;
-  check "prod_same" topo.prod_same;
-  check "prod_cross" topo.prod_cross;
-  { base with name = base.name ^ " / " ^ name; topology = Some topo }
+  if not (Float.is_finite cross_mult && cross_mult >= 1.0) then
+    invalid_arg
+      (Printf.sprintf
+         "Cost_model.clustered: cross_mult %g must be finite and >= 1.0"
+         cross_mult);
+  {
+    base with
+    name = base.name ^ " / " ^ name;
+    topology = Some { topo_name = name; cluster_size; cross_mult; near_steal };
+  }
 
 (* Miss-count derivation: the VAX page is 512 bytes and the C-VAX TLB is
    flushed on every context switch. After the call-side switch the path

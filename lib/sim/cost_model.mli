@@ -6,31 +6,20 @@
     models exist for Table 2's cross-system comparison and for the
     MicroVAX II five-processor speedup check. *)
 
-type distance = Local | Same_cluster | Cross_cluster
-(** Distance class of a CPU pair under a {!topology}: the same CPU, two
-    CPUs of one cluster, or CPUs of different clusters. *)
-
 type topology = {
   topo_name : string;
   cluster_size : int;  (** CPUs per cluster (the last may be partial) *)
-  dispatch_same : float;
-      (** multiplier on [vm_reload] for an ordinary thread migration
-          between two CPUs of one cluster (1.0 = free of penalty) *)
-  dispatch_cross : float;  (** same, across clusters *)
-  steal_same : float;
-      (** multiplier on the reload when the migration was a steal *)
-  steal_cross : float;
-  prod_same : float;
-      (** benefit divisor the idle-prod policy applies to a domain's
-          miss EWMA when the candidate idle CPU is one cluster hop away *)
-  prod_cross : float;
+  cross_mult : float;
+      (** multiplier on [vm_reload] for a thread migration between two
+          clusters, steals included (finite, >= 1.0); a migration
+          within a cluster pays the plain reload *)
   near_steal : bool;
       (** true: thieves scan distance-ordered victim rings (own cluster
           first); false: the flat oldest-first scan, with distance costs
           still charged — the distance-blind ablation arm *)
 }
 (** A clustered CPU locality model. Installed on a {!t} it makes every
-    cross-CPU mechanism distance-dependent; [None] (all published
+    cross-CPU migration distance-dependent; [None] (all published
     models) keeps the engine byte-identical to the flat behaviour. *)
 
 type t = {
@@ -115,40 +104,21 @@ val scaled : t -> factor:float -> name:string -> t
 (** Uniformly scale all time constants (used to derive slower machines). *)
 
 val clustered :
-  ?same_mult:float ->
-  ?cross_mult:float ->
-  ?steal_same:float ->
-  ?steal_cross:float ->
-  ?prod_same:float ->
-  ?prod_cross:float ->
-  ?near_steal:bool ->
-  cluster_size:int ->
-  name:string ->
-  t ->
-  t
-(** Install a clustered locality {!topology} on [base]. [same_mult]
-    (default 1.0) and [cross_mult] (default 4.0) set the dispatch
-    multipliers; the steal and prod multipliers default to the dispatch
-    values. [near_steal] (default true) selects distance-ordered victim
-    rings; pass [false] for the distance-blind ablation arm.
-    @raise Invalid_argument when [cluster_size < 1] or any multiplier
-    is below 1.0. *)
+  ?cross_mult:float -> ?near_steal:bool -> cluster_size:int -> name:string ->
+  t -> t
+(** Install a clustered locality {!topology} on [base]. [cross_mult]
+    (default 4.0) is the cross-cluster multiplier. [near_steal]
+    (default true) selects distance-ordered victim rings; pass [false]
+    for the distance-blind ablation arm.
+    @raise Invalid_argument when [cluster_size < 1] or [cross_mult] is
+    not a finite number >= 1.0. *)
 
 val cluster_of : topology -> int -> int
 (** The cluster index a CPU belongs to. *)
 
-val distance : topology -> int -> int -> distance
-(** Distance class of a CPU pair. *)
-
-val dispatch_mult : topology -> int -> int -> float
-(** Migration-cost multiplier for a thread moving between two CPUs
-    (1.0 when they are the same CPU). *)
-
-val steal_mult : topology -> int -> int -> float
-(** Like {!dispatch_mult} but for steal-caused migrations. *)
-
-val prod_mult : topology -> int -> int -> float
-(** Benefit divisor for prodding an idle CPU at this distance. *)
+val mult : topology -> int -> int -> float
+(** Migration-cost multiplier between two CPUs: 1.0 when they share a
+    cluster (the same CPU included), [cross_mult] otherwise. *)
 
 val victim_ring : topology -> cpus:int -> cpu:int -> int array
 (** The deterministic near-first steal scan order for [cpu]: the rest

@@ -96,11 +96,6 @@ type t = {
   mutable fn_spin : thread -> unit;
   mutable fn_handoff : thread -> unit;
   mutable fn_yield_to : thread -> unit;
-  mutable on_idle : cpu -> unit;
-      (* consulted when a processor finds no runnable thread anywhere
-         (own queue and steal scan both empty); the kernel hangs its
-         idle-processor prod policy here. Runs at engine level: it may
-         retag contexts but must not perform effects. *)
   c_steals : Metrics.counter;
   c_steals_tagged : Metrics.counter;
   c_steals_near : Metrics.counter;
@@ -133,7 +128,8 @@ let emit_at t ~tid ~cpu kind =
 (* --- construction ------------------------------------------------------ *)
 
 let create ?(processors = 1) ?(domains = 1) cm =
-  assert (processors > 0);
+  if processors < 1 then
+    invalid_arg "Engine.create: processors must be at least 1";
   if domains <> 1 then
     invalid_arg
       "Engine.create: domains must be 1 (the engine is one event loop on \
@@ -197,7 +193,6 @@ let create ?(processors = 1) ?(domains = 1) cm =
       fn_spin = ignore;
       fn_handoff = ignore;
       fn_yield_to = ignore;
-      on_idle = ignore;
       c_steals =
         Metrics.counter metrics_ ~labels:[ ("kind", "retag") ] "sim.steals";
       c_steals_tagged =
@@ -275,8 +270,6 @@ let thread_id th = th.tid
 let thread_name th = th.name
 let thread_domain th = th.domain
 
-let thread_cpu t th = if th.cpu >= 0 then Some t.cpus_.(th.cpu) else None
-
 let alive th = match th.state with Done | Failed -> false | _ -> true
 
 let has_pending_interrupt th = th.pending_exn <> None
@@ -322,16 +315,21 @@ let[@inline] before_queued t time =
 let[@inline] cpu_free c =
   match c.running with None -> true | Some _ -> false
 
+(* Under a topology, the multiplier of placing a thread that last ran on
+   [prev] on [c]: the longer of two pulls, its working set from [prev]
+   and, for a steal, its queue entry and home-cluster state from the
+   [victim] queue's CPU (-1 for none). *)
+let pull_mult topo ~prev ~victim c =
+  let m = if prev < 0 then 1.0 else Cost_model.mult topo prev c.idx in
+  if victim < 0 then m else Float.max m (Cost_model.mult topo victim c.idx)
+
 (* Assign [th] to the free processor [c], charging a context switch when
    the loaded VM context differs from the thread's domain, and schedule
-   its resumption. Under a topology the reload is scaled by the longest
-   pull the placement implies: the thread's working set from the CPU it
-   last ran on (steal multiplier when thief-initiated, dispatch
-   multiplier otherwise), and — for steals — its queue entry and
-   home-cluster state from the victim queue's CPU. Without a topology
-   ([topo = None]) the arithmetic is byte-identical to the flat engine
-   (no float traffic). *)
-let place ?(stolen = false) ?(victim = -1) t th c =
+   its resumption. Under a topology the reload is scaled by
+   [pull_mult]. Without a topology ([topo = None]) the arithmetic is
+   byte-identical to the flat engine (no float traffic). [victim] is
+   given only for a steal. *)
+let place ?(victim = -1) t th c =
   assert (cpu_free c);
   assert (th.cpu = -1);
   let prev = th.last_cpu in
@@ -355,21 +353,7 @@ let place ?(stolen = false) ?(victim = -1) t th c =
           match t.topo with
           | None -> t.cm.Cost_model.vm_reload
           | Some topo ->
-              (* A stolen thread's reload covers the longer of two
-                 pulls: its working set from the CPU it last ran on,
-                 and its queue entry / home-cluster state from the
-                 victim queue's CPU. *)
-              let m_mig =
-                if prev < 0 then 1.0
-                else if stolen then Cost_model.steal_mult topo prev c.idx
-                else Cost_model.dispatch_mult topo prev c.idx
-              in
-              let m_queue =
-                if stolen && victim >= 0 then
-                  Cost_model.steal_mult topo victim c.idx
-                else 1.0
-              in
-              let m = Float.max m_mig m_queue in
+              let m = pull_mult topo ~prev ~victim c in
               if m = 1.0 then t.cm.Cost_model.vm_reload
               else Time.scale t.cm.Cost_model.vm_reload m
         in
@@ -386,15 +370,8 @@ let place ?(stolen = false) ?(victim = -1) t th c =
          state over the interconnect, so it pays the distance premium
          (the multiplier's excess over the free local pull). *)
       match t.topo with
-      | Some topo when stolen && th.ever_placed ->
-          let m_mig =
-            if prev < 0 then 1.0 else Cost_model.steal_mult topo prev c.idx
-          in
-          let m_queue =
-            if victim >= 0 then Cost_model.steal_mult topo victim c.idx
-            else 1.0
-          in
-          let m = Float.max m_mig m_queue in
+      | Some topo when victim >= 0 && th.ever_placed ->
+          let m = pull_mult topo ~prev ~victim c in
           if m > 1.0 then begin
             let premium = Time.scale t.cm.Cost_model.vm_reload (m -. 1.0) in
             charge t Category.Context_switch premium;
@@ -531,14 +508,16 @@ let take_steal t c th ~tagged ~victim =
   end;
   (match t.topo with
   | None -> ()
-  | Some topo -> (
-      match Cost_model.distance topo c.idx victim with
-      | Cost_model.Cross_cluster ->
-          c.steals_far <- c.steals_far + 1;
-          Metrics.Counter.incr t.c_steals_far
-      | Cost_model.Local | Cost_model.Same_cluster ->
-          c.steals_near <- c.steals_near + 1;
-          Metrics.Counter.incr t.c_steals_near));
+  | Some topo ->
+      if Cost_model.cluster_of topo c.idx = Cost_model.cluster_of topo victim
+      then begin
+        c.steals_near <- c.steals_near + 1;
+        Metrics.Counter.incr t.c_steals_near
+      end
+      else begin
+        c.steals_far <- c.steals_far + 1;
+        Metrics.Counter.incr t.c_steals_far
+      end);
   Some (th, victim)
 
 let steal_flat t c =
@@ -591,8 +570,8 @@ let dispatch_cpu t c =
   | Some th -> place t th c
   | None -> (
       match steal t c with
-      | Some (th, victim) -> place ~stolen:true ~victim t th c
-      | None -> t.on_idle c)
+      | Some (th, victim) -> place ~victim t th c
+      | None -> ())
 
 (* Offer every free processor a dispatch. *)
 let try_dispatch t =
@@ -927,12 +906,7 @@ let exchange_processors t ~target =
 
 (* --- cross-thread operations ------------------------------------------- *)
 
-let set_idle_hook t f = t.on_idle <- f
 let topology t = t.topo
-
-let victim_ring t cpu =
-  if t.topo = None then [||]
-  else Array.copy t.victims.(cpu)
 
 let total_steals t =
   Array.fold_left (fun acc c -> acc + c.steals + c.steals_tagged) 0 t.cpus_

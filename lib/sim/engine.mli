@@ -81,7 +81,7 @@ val create : ?processors:int -> ?domains:int -> Cost_model.t -> t
 (** [create cm] builds a machine with [processors] (default 1) CPUs, each
     with a cold TLB per [cm]. [domains] is the number of host domains
     the event loop runs on; only 1 (the default) is accepted.
-    @raise Invalid_argument when [domains <> 1]. *)
+    @raise Invalid_argument when [processors < 1] or [domains <> 1]. *)
 
 val cost_model : t -> Cost_model.t
 val now : t -> Time.t
@@ -110,7 +110,6 @@ val timer_pushes : t -> int
 val thread_id : thread -> int
 val thread_name : thread -> string
 val thread_domain : thread -> int
-val thread_cpu : t -> thread -> cpu option
 val alive : thread -> bool
 
 val has_pending_interrupt : thread -> bool
@@ -207,14 +206,6 @@ val wake : t -> thread -> unit
     any, preferring the one it last ran on), or resume a spinning thread
     on the processor it is holding. No-op on running/ready/dead threads. *)
 
-val set_idle_hook : t -> (cpu -> unit) -> unit
-(** Install the callback run when a processor looks for work and finds
-    none — its own run queue is empty and no other queue holds a
-    runnable thread (so there is nothing to steal). The kernel hangs its
-    idle-processor prod policy (§3.4 domain caching) here: the hook may
-    retag the processor's context but runs at engine level and must not
-    perform effects. Default: ignore. *)
-
 val total_steals : t -> int
 (** Threads taken from another processor's run queue since creation
     (tagged-context steals included); per-CPU counts live on {!cpu}. *)
@@ -228,10 +219,6 @@ val total_steals_far : t -> int
 
 val topology : t -> Cost_model.topology option
 (** The locality topology the engine was created with, if any. *)
-
-val victim_ring : t -> int -> int array
-(** A copy of the distance-ordered steal scan order for the given CPU
-    (near cluster first); [[||]] when the model has no topology. *)
 
 val interrupt : t -> thread -> exn -> unit
 (** Arrange for [exn] to be raised inside the thread at its next

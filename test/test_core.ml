@@ -746,7 +746,7 @@ let test_oob_is_slower () =
     measure_call w2 ~proc:"sum_var" ~args:[ V.bytes (Bytes.make 4000 'x') ]
   in
   Alcotest.(check bool) "oob pays the overhead" true
-    (big -. small > Time.to_us Rt.default_config.Rt.oob_overhead)
+    (big -. small > Time.to_us Rt.oob_overhead)
 
 (* --- A-stack sharing (§3.1) --------------------------------------------------- *)
 

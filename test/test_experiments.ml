@@ -367,6 +367,66 @@ let test_fig2_scale_bounds () =
   Alcotest.(check int) "one steal per other processor at the top rung"
     (top.F.cpus - 1) top.F.unbal_steals
 
+(* --- Locality study ------------------------------------------------------------ *)
+
+let occurrences sub s =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+(* The CLI's `numa --quick` study against the bounds `make numa-smoke`
+   used to check on its JSON: the 4/8 ladder, every series key at every
+   rung, no near or far steals without a topology, every clustered
+   steal counted as near or far, the distance-aware thief preferring
+   near victims at the top rung, and both recovery ratios positive and
+   finite. *)
+let test_numa_bounds () =
+  let module N = E.Numa_study in
+  let r = N.run ~max_cpus:8 ~horizon:(Time.ms 50) () in
+  let ps = r.N.points in
+  Alcotest.(check (list int)) "ladder" [ 4; 8 ] (List.map (fun p -> p.N.cpus) ps);
+  let json = N.to_json r in
+  List.iter
+    (fun (key, per_point) ->
+      Alcotest.(check int) (key ^ " keys in the JSON")
+        (per_point * List.length ps)
+        (occurrences (Printf.sprintf "\"%s\": " key) json))
+    [
+      ("flat", 1); ("clu", 1); ("far_aware", 1); ("far_blind", 1); ("cps", 4);
+      ("steals", 4); ("steals_near", 4); ("steals_far", 4);
+      ("aware_recovery", 1); ("blind_recovery", 1);
+    ];
+  List.iter
+    (fun p ->
+      let at what = Printf.sprintf "%s at %d CPUs" what p.N.cpus in
+      Alcotest.(check (pair int int))
+        (at "flat near/far") (0, 0)
+        (p.N.flat.N.sr_near, p.N.flat.N.sr_far);
+      List.iter
+        (fun (name, s) ->
+          Alcotest.(check int)
+            (at (name ^ " near + far = steals"))
+            s.N.sr_steals (s.N.sr_near + s.N.sr_far))
+        [ ("clu", p.N.clu); ("far_aware", p.N.far_aware); ("far_blind", p.N.far_blind) ];
+      List.iter
+        (fun (name, s) ->
+          let recovery = s.N.sr_cps /. p.N.flat.N.sr_cps in
+          Alcotest.(check bool)
+            (at (Printf.sprintf "%s recovery %g positive and finite" name recovery))
+            true
+            (recovery > 0.0 && Float.is_finite recovery))
+        [ ("aware", p.N.far_aware); ("blind", p.N.far_blind) ])
+    ps;
+  let top = List.hd (List.rev ps) in
+  Alcotest.(check bool)
+    (Printf.sprintf "aware thief prefers near victims (%d near, %d far)"
+       top.N.far_aware.N.sr_near top.N.far_aware.N.sr_far)
+    true
+    (top.N.far_aware.N.sr_near >= top.N.far_aware.N.sr_far)
+
 (* --- Transport study --------------------------------------------------------- *)
 
 (* The quick three-way study against the bounds `make transport-smoke`
@@ -446,6 +506,7 @@ let () =
           Alcotest.test_case "shedding bounds" `Quick test_openloop_shedding_bounds;
         ] );
       ("fig2 scale", [ Alcotest.test_case "smoke bounds" `Quick test_fig2_scale_bounds ]);
+      ("locality", [ Alcotest.test_case "numa bounds" `Quick test_numa_bounds ]);
       ("transport", [ Alcotest.test_case "smoke bounds" `Quick test_transport_smoke ]);
       ("rendering", [ Alcotest.test_case "renders" `Quick test_renders ]);
     ]

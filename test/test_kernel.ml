@@ -288,31 +288,14 @@ let test_note_miss_respects_hotter_domain () =
   Alcotest.(check (option int)) "cold out-misses hot" (Some cold.Pdomain.id)
     (Engine.cpus e).(0).Engine.context
 
-let test_miss_counting_and_ewma () =
+let test_miss_counting () =
   let _, k = boot () in
   let d = Kernel.create_domain k ~name:"d" in
   Alcotest.(check int) "no misses" 0 (Kernel.context_misses k d);
-  Alcotest.(check (float 0.0)) "zero ewma" 0.0 (Kernel.context_miss_ewma k d);
   for _ = 1 to 3 do
     Kernel.note_context_miss k d
   done;
-  Alcotest.(check int) "raw count" 3 (Kernel.context_misses k d);
-  (* with no simulated time between misses there is nothing to decay *)
-  Alcotest.(check (float 0.001)) "undecayed ewma" 3.0
-    (Kernel.context_miss_ewma k d)
-
-let test_miss_ewma_decays () =
-  let e, k = boot () in
-  let d = Kernel.create_domain k ~name:"d" in
-  for _ = 1 to 4 do
-    Kernel.note_context_miss k d
-  done;
-  (* advance simulated time by one half-life: the EWMA halves while the
-     raw counter stands still *)
-  ignore (Kernel.spawn k d (fun () -> Engine.delay e (Time.us 1000)));
-  Engine.run e;
-  Alcotest.(check int) "raw count unchanged" 4 (Kernel.context_misses k d);
-  Alcotest.(check (float 0.01)) "halved" 2.0 (Kernel.context_miss_ewma k d)
+  Alcotest.(check int) "raw count" 3 (Kernel.context_misses k d)
 
 let test_miss_prod_needs_margin () =
   let e, k = boot ~processors:1 () in
@@ -324,8 +307,8 @@ let test_miss_prod_needs_margin () =
   Alcotest.(check (option int)) "hot claims the idle cpu"
     (Some hot.Pdomain.id)
     (Engine.cpus e).(0).Engine.context;
-  (* pulling even (EWMA 2 vs 2) is not enough: the eviction needs a 0.5
-     margin over the held context *)
+  (* pulling even (2 misses vs 2) is not enough: the eviction needs
+     strictly more misses than the held context's domain *)
   Kernel.note_context_miss k cold;
   Kernel.note_context_miss k cold;
   Alcotest.(check (option int)) "tie does not evict" (Some hot.Pdomain.id)
@@ -335,43 +318,71 @@ let test_miss_prod_needs_margin () =
     (Engine.cpus e).(0).Engine.context;
   Alcotest.(check bool) "prods counted" true (Kernel.prods k >= 2)
 
-let test_idle_consult_retags_hottest () =
-  let e, k = boot ~processors:1 () in
-  let hot = Kernel.create_domain k ~name:"hot" in
-  let cold = Kernel.create_domain k ~name:"cold" in
-  (* record the miss history with caching off so no miss-time prod fires;
-     only the engine's idle consult may retag below *)
-  for _ = 1 to 5 do
-    Kernel.note_context_miss k hot
-  done;
-  Kernel.note_context_miss k cold;
+(* An untagged idle processor is the first victim, even past a lower
+   index holding a domain that never missed (which ranks at 0 misses,
+   below the missing domain's 1). *)
+let test_untagged_beats_cold_tag () =
+  let e, k = boot ~processors:2 () in
   Kernel.set_domain_caching k true;
-  (* a thread of the cold domain runs and finishes: the processor goes
-     idle holding cold's context, and the idle consult preloads hot,
-     which out-misses it past the 2x hysteresis (5 > 2*1 + 0.5) *)
-  ignore (Kernel.spawn k cold (fun () -> ()));
-  Engine.run e;
-  Alcotest.(check (option int)) "retagged to hot" (Some hot.Pdomain.id)
+  let quiet = Kernel.create_domain k ~name:"quiet" in
+  let hot = Kernel.create_domain k ~name:"hot" in
+  (Engine.cpus e).(0).Engine.context <- Some quiet.Pdomain.id;
+  Kernel.note_context_miss k hot;
+  Alcotest.(check (option int)) "untagged cpu1 prodded" (Some hot.Pdomain.id)
+    (Engine.cpus e).(1).Engine.context;
+  Alcotest.(check (option int)) "cpu0 keeps its context"
+    (Some quiet.Pdomain.id)
     (Engine.cpus e).(0).Engine.context;
-  Alcotest.(check int) "idle retag counted" 1 (Kernel.idle_retags k)
+  Alcotest.(check int) "one prod" 1 (Kernel.prods k)
 
-let test_idle_consult_hysteresis_holds () =
-  let e, k = boot ~processors:1 () in
-  let hot = Kernel.create_domain k ~name:"hot" in
-  let cold = Kernel.create_domain k ~name:"cold" in
-  for _ = 1 to 4 do
-    Kernel.note_context_miss k hot
-  done;
-  Kernel.note_context_miss k cold;
-  Kernel.note_context_miss k cold;
+(* Among several untagged idle processors the lowest index is prodded,
+   and each later miss takes the next untagged one. *)
+let test_lowest_untagged_wins () =
+  let e, k = boot ~processors:4 () in
   Kernel.set_domain_caching k true;
-  (* 4 vs 2 is under the 2x + 0.5 bar: a warm context is not perturbed *)
-  ignore (Kernel.spawn k cold (fun () -> ()));
-  Engine.run e;
-  Alcotest.(check (option int)) "cold keeps the processor"
-    (Some cold.Pdomain.id)
-    (Engine.cpus e).(0).Engine.context;
-  Alcotest.(check int) "no idle retag" 0 (Kernel.idle_retags k)
+  let other = Kernel.create_domain k ~name:"other" in
+  let a = Kernel.create_domain k ~name:"a" in
+  let b = Kernel.create_domain k ~name:"b" in
+  (Engine.cpus e).(0).Engine.context <- Some other.Pdomain.id;
+  Kernel.note_context_miss k a;
+  Kernel.note_context_miss k b;
+  let ctx = Array.map (fun c -> c.Engine.context) (Engine.cpus e) in
+  Alcotest.(check (array (option int))) "cpu1 then cpu2"
+    [| Some other.Pdomain.id; Some a.Pdomain.id; Some b.Pdomain.id; None |]
+    ctx
+
+(* A processor already holding the missing domain's context is never a
+   candidate: further misses leave it (and the prod count) alone. *)
+let test_own_context_not_reprodded () =
+  let e, k = boot ~processors:1 () in
+  Kernel.set_domain_caching k true;
+  let d = Kernel.create_domain k ~name:"d" in
+  Kernel.note_context_miss k d;
+  Alcotest.(check int) "first miss prods" 1 (Kernel.prods k);
+  for _ = 1 to 5 do
+    Kernel.note_context_miss k d
+  done;
+  Alcotest.(check int) "no second prod" 1 (Kernel.prods k);
+  Alcotest.(check (option int)) "still d" (Some d.Pdomain.id)
+    (Engine.cpus e).(0).Engine.context
+
+(* The traffic the counter rule is trusted on: Table 4's LRPC/MP world
+   (two processors, domain caching, a Null loop) makes exactly one prod,
+   onto the untagged second processor, and every later call hits. *)
+let test_t4_mp_world_prods_once () =
+  let module Driver = Lrpc_workload.Driver in
+  let w =
+    Driver.make_lrpc
+      ~config:
+        {
+          Driver.Config.default with
+          Driver.Config.processors = 2;
+          domain_caching = true;
+        }
+      ()
+  in
+  ignore (Driver.lrpc_latency w ~proc:"null" ~args:[]);
+  Alcotest.(check int) "one prod" 1 (Kernel.prods w.Driver.lw_kernel)
 
 let test_exchange_hit_accounting () =
   let e, k = boot ~processors:2 () in
@@ -438,11 +449,12 @@ let () =
           Alcotest.test_case "find idle" `Quick test_find_idle_in_context;
           Alcotest.test_case "prodding" `Quick test_note_miss_prods_idle;
           Alcotest.test_case "hotter wins" `Quick test_note_miss_respects_hotter_domain;
-          Alcotest.test_case "miss counting" `Quick test_miss_counting_and_ewma;
-          Alcotest.test_case "ewma decay" `Quick test_miss_ewma_decays;
+          Alcotest.test_case "miss counting" `Quick test_miss_counting;
           Alcotest.test_case "prod margin" `Quick test_miss_prod_needs_margin;
-          Alcotest.test_case "idle retag" `Quick test_idle_consult_retags_hottest;
-          Alcotest.test_case "idle hysteresis" `Quick test_idle_consult_hysteresis_holds;
+          Alcotest.test_case "untagged first" `Quick test_untagged_beats_cold_tag;
+          Alcotest.test_case "lowest untagged" `Quick test_lowest_untagged_wins;
+          Alcotest.test_case "own context kept" `Quick test_own_context_not_reprodded;
+          Alcotest.test_case "t4 mp one prod" `Quick test_t4_mp_world_prods_once;
           Alcotest.test_case "exchange hits" `Quick test_exchange_hit_accounting;
         ] );
     ]

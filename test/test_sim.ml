@@ -1137,6 +1137,65 @@ let test_engine_create_domain_validation () =
       | _ -> Alcotest.failf "domains:%d accepted" domains)
     [ 0; 2 ]
 
+(* The processor count at its edges: zero and negative machines are
+   refused with [Invalid_argument], as [~domains] is. *)
+let test_engine_create_processor_bounds () =
+  List.iter
+    (fun processors ->
+      match Engine.create ~processors Cost_model.cvax_firefly with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "processors:%d accepted" processors)
+    [ 0; -1 ]
+
+(* --- Topology boundaries (zero / ones / max) ------------------------------ *)
+
+let refused what f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s accepted" what
+
+let test_cluster_size_zero () =
+  List.iter
+    (fun cluster_size ->
+      refused
+        (Printf.sprintf "cluster_size %d" cluster_size)
+        (fun () -> Cost_model.clustered ~cluster_size ~name:"c" cm))
+    [ 0; -1 ]
+
+(* One cluster of [max_int] CPUs holds the whole machine: every pair is
+   near, so the multiplier is 1.0 everywhere. *)
+let test_cluster_size_max () =
+  let model = Cost_model.clustered ~cluster_size:max_int ~name:"one" cm in
+  let topo = Option.get model.Cost_model.topology in
+  let cpus = [ 0; 1; 7; 255; max_int - 1 ] in
+  List.iter
+    (fun a ->
+      Alcotest.(check int) "one cluster" 0 (Cost_model.cluster_of topo a);
+      List.iter
+        (fun b ->
+          Alcotest.(check (float 0.0)) "near" 1.0 (Cost_model.mult topo a b))
+        cpus)
+    cpus;
+  let e = Engine.create ~processors:8 model in
+  Alcotest.(check int) "engine built" 8 (Array.length (Engine.cpus e))
+
+(* [cross_mult] must be a finite number >= 1.0: below 1.0 a far pull
+   would be cheaper than a near one, and [Time.scale] turns a NaN-scaled
+   reload into 0 ns. *)
+let test_cross_mult_bounds () =
+  List.iter
+    (fun cross_mult ->
+      refused
+        (Printf.sprintf "cross_mult %g" cross_mult)
+        (fun () ->
+          Cost_model.clustered ~cross_mult ~cluster_size:4 ~name:"c" cm))
+    [ 0.0; 0.999; Float.nan; Float.infinity ];
+  let model =
+    Cost_model.clustered ~cross_mult:1.0 ~cluster_size:4 ~name:"c" cm
+  in
+  let topo = Option.get model.Cost_model.topology in
+  Alcotest.(check (float 0.0)) "cross at 1.0" 1.0 (Cost_model.mult topo 0 4)
+
 (* --- Counter hygiene ------------------------------------------------------ *)
 
 (* Steal / TLB counters belong to one engine instance: zero at birth,
@@ -1194,6 +1253,23 @@ let prop_victim_ring_covers =
           ring
       done;
       !ok)
+
+(* One multiplier for every CPU pair: 1.0 when [cluster_of] agrees (the
+   same CPU included), [cross_mult] otherwise. *)
+let prop_mult_by_cluster =
+  QCheck.Test.make ~name:"mult is 1.0 within a cluster, cross_mult across"
+    ~count:200
+    QCheck.(
+      quad (int_range 1 8) (int_range 0 63) (int_range 0 63)
+        (float_range 1.0 16.0))
+    (fun (cluster_size, a, b, cross_mult) ->
+      let model = Cost_model.clustered ~cross_mult ~cluster_size ~name:"clu" cm in
+      let topo = Option.get model.Cost_model.topology in
+      let expect =
+        if Cost_model.cluster_of topo a = Cost_model.cluster_of topo b then 1.0
+        else cross_mult
+      in
+      Cost_model.mult topo a b = expect)
 
 (* --- Determinism property ------------------------------------------------
 
@@ -1320,6 +1396,7 @@ let () =
         prop_heap_shared_merge;
         prop_tlb_matches_reference;
         prop_victim_ring_covers;
+        prop_mult_by_cluster;
         prop_engine_deterministic;
       ]
   in
@@ -1344,6 +1421,9 @@ let () =
           Alcotest.test_case "cvax null minimum" `Quick test_null_minimum_cvax;
           Alcotest.test_case "other minimums" `Quick test_null_minimum_others;
           Alcotest.test_case "tlb miss split" `Quick test_tlb_miss_split;
+          Alcotest.test_case "cluster_size zero" `Quick test_cluster_size_zero;
+          Alcotest.test_case "cluster_size max" `Quick test_cluster_size_max;
+          Alcotest.test_case "cross_mult bounds" `Quick test_cross_mult_bounds;
         ] );
       ( "tlb",
         [
@@ -1385,6 +1465,8 @@ let () =
             test_sleep_left_early_never_wakes_later_wait;
           Alcotest.test_case "fresh counters zero" `Quick
             test_fresh_engine_counters_zero;
+          Alcotest.test_case "processor bounds" `Quick
+            test_engine_create_processor_bounds;
         ] );
       ( "partitioned engine",
         [
