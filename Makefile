@@ -44,16 +44,12 @@ smoke: build
 	fi
 	@echo "smoke OK"
 
-# End-to-end: the pipelining bench must run and emit one well-formed
-# result row per processor count (1-4), each with a positive speedup.
+# End-to-end: the pipelining bench's CLI must run and write its JSON.
+# Its rows (processors 1-4, one serial rate, pipelining ahead from two
+# processors, the smoke rates pinned exactly) are checked on the typed
+# result by test_experiments "pipeline bounds", under `dune runtest`.
 pipeline-smoke: build
 	dune exec bench/pipeline.exe -- --smoke --out $(PIPELINE_JSON) > /dev/null
-	@python3 -c "import json; d = json.load(open('$(PIPELINE_JSON)')); \
-	  rs = d['results']; \
-	  assert d['bench'] == 'pipeline' and len(rs) == 4; \
-	  assert [r['processors'] for r in rs] == [1, 2, 3, 4]; \
-	  assert all(r['serial_calls_per_ms'] > 0 and r['pipelined_calls_per_ms'] > 0 \
-	             and r['speedup'] > 0 for r in rs)"
 	@echo "pipeline smoke OK"
 
 # End-to-end: the chaos soak must hold every invariant under a fixed

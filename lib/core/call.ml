@@ -4,29 +4,46 @@ module Category = Lrpc_sim.Category
 let calls_completed rt = Metrics.Counter.value rt.c_calls_completed
 
 (* Ablation A4: the counterfactual global kernel lock, held across the
-   kernel's call- and return-side sections. LRPC proper runs them
-   lock-free. *)
-let lock_kernel rt =
-  match rt.global_kernel_lock with Some lk -> Spinlock.acquire lk | None -> ()
-
+   kernel's call- and return-side sections ([enter_kernel] takes it).
+   LRPC proper runs them lock-free. *)
 let unlock_kernel rt =
   match rt.global_kernel_lock with Some lk -> Spinlock.release lk | None -> ()
 
-(* Direct context switch into [target], or a processor exchange with an
-   idle processor already holding the target context (paper §3.4). *)
-let transfer_to rt ~target =
-  let e = engine rt in
+(* The idle processor a call into [target] exchanges onto: one already
+   holding the target context, with domain caching on (paper §3.4). The
+   hit or miss is noted either way. *)
+let idle_in_context rt ~target =
   if Kernel.domain_caching_enabled rt.kernel then
     match Kernel.find_idle_processor_in_context rt.kernel target with
-    | Some cpu ->
+    | Some cpu as hit ->
         Kernel.note_context_hit ~cpu rt.kernel target;
-        Engine.exchange_processors e ~target:cpu;
-        (* The context is already loaded: retagging is free. *)
-        Engine.switch_self_context e ~domain:target.Pdomain.id
+        hit
     | None ->
         Kernel.note_context_miss rt.kernel target;
-        Engine.switch_self_context e ~domain:target.Pdomain.id
-  else Engine.switch_self_context e ~domain:target.Pdomain.id
+        None
+  else None
+
+(* Direct context switch into [target], or a processor exchange with an
+   idle processor already holding the target context. *)
+let transfer_to rt ~target =
+  let e = engine rt in
+  (match idle_in_context rt ~target with
+  | Some cpu -> Engine.exchange_processors e ~target:cpu
+  | None -> ());
+  (* After an exchange the context is already loaded: retagging is free. *)
+  Engine.switch_self_context e ~domain:target.Pdomain.id
+
+(* [transfer_to], then the TLB refill of [pages] in [target]. On the
+   switch path the VM reload and the refill are one charge; the
+   exchange path keeps its own sequence. *)
+let transfer_touch rt ~target pages =
+  let e = engine rt in
+  match idle_in_context rt ~target with
+  | Some cpu ->
+      Engine.exchange_processors e ~target:cpu;
+      Engine.switch_self_context e ~domain:target.Pdomain.id;
+      Engine.touch_pages e ~pages
+  | None -> Engine.switch_then_touch e ~domain:target.Pdomain.id ~pages
 
 let slot_type (s : Layout.slot) ~proc =
   match s.Layout.sparam with
@@ -189,8 +206,7 @@ let land_ rt h outcome =
 let coherency rt e bytes =
   if bytes > 0 then
     Engine.delay ~category:Category.Copy e
-      (Lrpc_sim.Time.scale (cost_model rt).Lrpc_sim.Cost_model.coherency_per_byte
-         (float_of_int bytes))
+      (bytes * (cost_model rt).Lrpc_sim.Cost_model.coherency_per_byte)
 
 (* Put the books right after an asynchronous failure (kill, unwind, crash
    landing at any delay point of the completion half): if our linkage
@@ -210,13 +226,27 @@ let crash_cleanup rt lc th ~client =
   end;
   release_local rt lc ~client
 
-(* The kernel's call side, from the trap on: validation, the linkage
-   claim, E-stack association and the transfer into the server. *)
+(* The trap into the kernel and the kernel's [work] in a section. With
+   no A4 lock nothing runs between the two, so they are one charge; with
+   it, the lock is taken in between and released if the work is
+   interrupted. *)
+let enter_kernel rt work =
+  match rt.global_kernel_lock with
+  | None -> Kernel.trap_then_transfer rt.kernel work
+  | Some lk -> (
+      Kernel.trap rt.kernel;
+      Spinlock.acquire lk;
+      try Engine.delay ~category:Category.Kernel_transfer (engine rt) work
+      with exn ->
+        Spinlock.release lk;
+        raise exn)
+
+(* The kernel's call side, after its transfer work: validation, the
+   linkage claim, E-stack association and the transfer into the
+   server. *)
 let enter_server rt h lc th ~client ~server =
   let e = engine rt in
   let b = h.ch_binding and astack = lc.lc_astack in
-  Engine.delay ~category:Category.Kernel_transfer e
-    (cost_model rt).Lrpc_sim.Cost_model.kernel_call;
   (try
      (* The caller's identity is the domain the trapping thread actually
         runs in, not whatever the Binding Object claims — a carrier
@@ -243,21 +273,26 @@ let enter_server rt h lc th ~client ~server =
   Kernel.linkage_claimed rt.kernel th;
   let estack = Estack.associate rt ~server astack in
   (* Domain transfer: the executing thread crosses into the server. *)
-  transfer_to rt ~target:server;
-  Engine.touch_pages e
-    ~pages:(Footprint.call_side rt b astack estack ~data_region:lc.lc_region)
+  let data_region = lc.lc_region in
+  if Footprint.call_side_ready rt b astack estack ~data_region then
+    transfer_touch rt ~target:server
+      (Footprint.call_side rt b astack estack ~data_region)
+  else begin
+    transfer_to rt ~target:server;
+    Engine.touch_pages e
+      ~pages:(Footprint.call_side rt b astack estack ~data_region)
+  end
 
 (* What the return side found on the linkage record. *)
 type linkage_state = Valid | Invalidated | Abandoned
 
-(* The kernel's return side: it needs only the linkage record — no
-   re-validation — and crosses back into the domain of the first valid
-   linkage: the client, unless it terminated while we were away. *)
+(* The kernel's return side, after its transfer work: it needs only the
+   linkage record — no re-validation — and crosses back into the domain
+   of the first valid linkage: the client, unless it terminated while we
+   were away. *)
 let leave_server rt h lc th ~client ~server_cpu =
   let e = engine rt in
   let linkage = lc.lc_astack.a_linkage in
-  Engine.delay ~category:Category.Kernel_transfer e
-    (cost_model rt).Lrpc_sim.Cost_model.kernel_return;
   (match linkstack rt th with
   | l :: rest when l == linkage -> set_linkstack rt th rest
   | ls ->
@@ -278,8 +313,13 @@ let leave_server rt h lc th ~client ~server_cpu =
   if (match state with Abandoned -> false | Valid | Invalidated -> true)
      && Pdomain.active client
   then begin
-    transfer_to rt ~target:client;
-    Engine.touch_pages e ~pages:(Footprint.return_side rt h.ch_binding);
+    let b = h.ch_binding in
+    if Footprint.return_side_ready rt b then
+      transfer_touch rt ~target:client (Footprint.return_side rt b)
+    else begin
+      transfer_to rt ~target:client;
+      Engine.touch_pages e ~pages:(Footprint.return_side rt b)
+    end;
     if (Engine.current_cpu e).Engine.idx <> server_cpu then
       coherency rt e lc.lc_bytes_out
   end;
@@ -297,8 +337,7 @@ let serve rt h lc th =
   let b = h.ch_binding in
   let client = b.b_client and server = b.b_server in
   (* Trap to the kernel; validation and linkage work. *)
-  Kernel.trap rt.kernel;
-  lock_kernel rt;
+  enter_kernel rt cm.Lrpc_sim.Cost_model.kernel_call;
   (match enter_server rt h lc th ~client ~server with
   | () -> unlock_kernel rt
   | exception exn ->
@@ -353,8 +392,7 @@ let serve rt h lc th =
   Engine.delay ~category:Category.Stub_server e
     cm.Lrpc_sim.Cost_model.server_stub_return;
   lc.lc_t_server <- Engine.now e;
-  Kernel.trap rt.kernel;
-  lock_kernel rt;
+  enter_kernel rt cm.Lrpc_sim.Cost_model.kernel_return;
   let state =
     match leave_server rt h lc th ~client ~server_cpu with
     | state ->
@@ -557,18 +595,42 @@ let rec slot_bytes acc = function
    under the `Wait exhaustion policy — the pool is the pipelining
    window), marshal the arguments. Runs on the issuing thread; errors
    here raise synchronously, before a handle exists. *)
+let caller_domain rt e =
+  Kernel.find_domain rt.kernel (Engine.thread_domain (Engine.self e))
+
 let issue_local ?audit ?admit rt b ~proc args =
   let e = engine rt in
   let cm = cost_model rt in
   let client = b.b_client and server = b.b_server in
+  (* The formal procedure call into the stub, then the stub's entry. The
+     two lookups between them are looked at first: a domain, once
+     registered, is never removed, and a binding's procedures never
+     change, so lookups that succeed now succeed after the call too, and
+     the two charges run back to back. A lookup that fails takes the
+     procedure call alone and then raises, as it always has. *)
+  let merged =
+    match caller_domain rt e with
+    | Some _ -> (
+        match Binding.find_proc b proc with
+        | _ -> true
+        | exception Bad_binding _ -> false)
+    | None -> false
+  in
+  if merged then
+    Engine.delay_then ~category:Category.Proc_call e
+      cm.Lrpc_sim.Cost_model.proc_call ~then_:Category.Stub_client
+      cm.Lrpc_sim.Cost_model.client_stub_call
+  else
+    Engine.delay ~category:Category.Proc_call e cm.Lrpc_sim.Cost_model.proc_call;
   let caller =
-    match Kernel.find_domain rt.kernel (Engine.thread_domain (Engine.self e)) with
+    match caller_domain rt e with
     | Some d -> d
     | None -> raise (Bad_binding "caller has no domain")
   in
   let pb = Binding.find_proc b proc in
-  Engine.delay ~category:Category.Stub_client e
-    cm.Lrpc_sim.Cost_model.client_stub_call;
+  if not merged then
+    Engine.delay ~category:Category.Stub_client e
+      cm.Lrpc_sim.Cost_model.client_stub_call;
   let plan = Layout.plan pb.pb_layout ~args in
   let astack = Astack.checkout ?admit rt pb ~client ~server in
   let oob = not (Layout.fits pb.pb_layout plan) in
@@ -739,8 +801,6 @@ let issue_guarded ?audit ?deadline ~vehicle rt b ~proc args =
      returns it in [land_]. *)
   b.b_inflight <- b.b_inflight + 1;
   try
-  (* The formal procedure call into the client stub. *)
-  Engine.delay ~category:Category.Proc_call e cm.Lrpc_sim.Cost_model.proc_call;
   (* Queued waits observe the binding's queue-delay histogram always;
      the deadline propagates into the A-stack FIFO wait (so a waiter
      whose deadline passes is shed from the queue) only under an
@@ -758,6 +818,9 @@ let issue_guarded ?audit ?deadline ~vehicle rt b ~proc args =
   let kind =
     match b.b_remote with
     | Some r ->
+        (* The formal procedure call into the client stub. *)
+        Engine.delay ~category:Category.Proc_call e
+          cm.Lrpc_sim.Cost_model.proc_call;
         (* §5.1: the remote bit, tested by the stub's first instruction,
            branches to the conventional network RPC path — here gated by
            the binding's in-flight window, the wire analogue of the
@@ -768,7 +831,9 @@ let issue_guarded ?audit ?deadline ~vehicle rt b ~proc args =
         done;
         r.r_in_flight <- r.r_in_flight + 1;
         Ck_remote { rc_args = args; rc_results = []; rc_slot_held = true }
-    | None -> issue_local ?audit ~admit rt b ~proc args
+    | None ->
+        (* The local stub charges the procedure call itself. *)
+        issue_local ?audit ~admit rt b ~proc args
   in
   let h =
     {

@@ -30,6 +30,15 @@ let call_side rt b astack estack ~data_region =
         astack.a_footprint <- Some (estack, pages);
         pages
 
+(* Whether a list built now is the list [call_side] would build at any
+   later instant: it is kept, or building it allocates no page, since
+   the server's code pages exist. Every other input is fixed while the
+   calling thread holds the A-stack. *)
+let call_side_ready rt b astack estack ~data_region =
+  (data_region == astack.a_region
+  && match astack.a_footprint with Some (es, _) -> es == estack | None -> false)
+  || Hashtbl.mem rt.domain_pages b.b_server.Pdomain.id
+
 (* Built at the binding's first return, not at bind time, so that
    [pages_of_domain] still allocates the client's code and stack pages
    at the client's first return. *)
@@ -46,3 +55,7 @@ let return_side rt b =
       in
       b.b_return_pages <- pages;
       pages
+
+let return_side_ready rt b =
+  (match b.b_return_pages with _ :: _ -> true | [] -> false)
+  || Hashtbl.mem rt.domain_pages b.b_client.Pdomain.id

@@ -27,3 +27,22 @@ val call_side :
 val return_side : Rt.runtime -> Rt.binding -> int list
 (** Pages touched back in the client context: the kernel's (shorter)
     return path, the client stubs, client code and the client stack. *)
+
+(** {1 Building ahead of the switch}
+
+    The first list built for a domain allocates its code and stack pages
+    from the kernel's global page counter, at that simulated instant. A
+    list that allocates nothing is the same whenever it is built. *)
+
+val call_side_ready :
+  Rt.runtime ->
+  Rt.binding ->
+  Rt.astack ->
+  Rt.estack ->
+  data_region:Lrpc_kernel.Vm.region ->
+  bool
+(** {!call_side} with these arguments is kept, or builds without
+    allocating a page. *)
+
+val return_side_ready : Rt.runtime -> Rt.binding -> bool
+(** {!return_side} is kept, or builds without allocating a page. *)

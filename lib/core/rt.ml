@@ -461,7 +461,6 @@ and runtime = {
   mutable next_handle : int;
   mutable in_flight : int;  (** issued-but-not-landed calls, local + remote *)
   c_calls_completed : Metrics.counter;  (** ["lrpc.calls_completed"] *)
-  g_in_flight : Metrics.gauge;  (** ["lrpc.calls_in_flight"] *)
   c_pool_exhausted : Metrics.counter;
       (** ["lrpc.astack_pool_exhausted"]: checkouts that found the free
           list empty (paper §5.2's wait-or-allocate moment) *)
@@ -492,6 +491,13 @@ and runtime = {
 let engine rt = Kernel.engine rt.kernel
 let cost_model rt = Kernel.cost_model rt.kernel
 
+(* The ["lrpc.calls_in_flight"] gauge reads [in_flight] when a snapshot
+   is taken, so the call path writes no metric for it. *)
+let with_in_flight_gauge rt =
+  Metrics.gauge_of_int (Engine.metrics (Kernel.engine rt.kernel))
+    "lrpc.calls_in_flight" (fun () -> rt.in_flight);
+  rt
+
 let create ?(config = default_config) kernel =
   (* The kernel's own code and data working set: twelve pages touched on
      the call path, of which the first ten are touched again on the
@@ -508,7 +514,7 @@ let create ?(config = default_config) kernel =
   (* Never bumped: lrpcbench's digests hash Metrics.to_json, zeros too. *)
   ignore
     (Metrics.counter (Engine.metrics (Kernel.engine kernel)) "lrpc.astack_reshards");
-  {
+  with_in_flight_gauge {
     kernel;
     config;
     global_kernel_lock =
@@ -534,9 +540,6 @@ let create ?(config = default_config) kernel =
     c_calls_completed =
       Metrics.counter (Engine.metrics (Kernel.engine kernel))
         "lrpc.calls_completed";
-    g_in_flight =
-      Metrics.gauge (Engine.metrics (Kernel.engine kernel))
-        "lrpc.calls_in_flight";
     c_pool_exhausted =
       Metrics.counter (Engine.metrics (Kernel.engine kernel))
         "lrpc.astack_pool_exhausted";
@@ -611,13 +614,9 @@ let estack_pool rt d =
 
 (* --- in-flight accounting ------------------------------------------------ *)
 
-let note_call_issued rt =
-  rt.in_flight <- rt.in_flight + 1;
-  Metrics.Gauge.set rt.g_in_flight (float_of_int rt.in_flight)
+let note_call_issued rt = rt.in_flight <- rt.in_flight + 1
 
-let note_call_landed rt =
-  rt.in_flight <- rt.in_flight - 1;
-  Metrics.Gauge.set rt.g_in_flight (float_of_int rt.in_flight)
+let note_call_landed rt = rt.in_flight <- rt.in_flight - 1
 
 (* --- Taos-style alerts (paper §5.3) ------------------------------------- *)
 

@@ -37,8 +37,14 @@ type t = {
   mutable next_hook : int;
   linkages : int Id_table.t; (* tid -> outstanding linkage records *)
   mutable linkages_total : int; (* sum of [linkages] *)
-  g_linkages : Metrics.gauge;
 }
+
+(* The ["kernel.linkages_outstanding"] gauge reads [linkages_total] when
+   a snapshot is taken, so claims and releases write no metric. *)
+let with_linkage_gauge t =
+  Metrics.gauge_of_int (Engine.metrics t.engine) "kernel.linkages_outstanding"
+    (fun () -> t.linkages_total);
+  t
 
 let boot engine =
   let kernel_domain =
@@ -56,7 +62,7 @@ let boot engine =
   Id_table.set by_id kernel_domain.Pdomain.id (Some kernel_domain);
   (* Never bumped: lrpcbench's digests hash Metrics.to_json, zeros too. *)
   ignore (Metrics.counter (Engine.metrics engine) "kernel.idle_retags");
-  {
+  with_linkage_gauge {
     engine;
     kernel_domain;
     domains_ = [ kernel_domain ];
@@ -74,7 +80,6 @@ let boot engine =
     next_hook = 1;
     linkages = Id_table.create 0;
     linkages_total = 0;
-    g_linkages = Metrics.gauge (Engine.metrics engine) "kernel.linkages_outstanding";
   }
 
 let engine t = t.engine
@@ -159,6 +164,11 @@ let trap t =
   Engine.delay ~category:Category.Trap t.engine
     (cost_model t).Cost_model.trap
 
+let trap_then_transfer t work =
+  if Engine.tracing t.engine then Engine.emit t.engine Event.Trap;
+  Engine.delay_then ~category:Category.Trap t.engine
+    (cost_model t).Cost_model.trap ~then_:Category.Kernel_transfer work
+
 (* --- linkage-record accounting ------------------------------------------ *)
 
 (* The kernel's view of each thread's outstanding calls. One linkage
@@ -171,16 +181,14 @@ let total_linkages t = t.linkages_total
 let linkage_claimed t th =
   let tid = Engine.thread_id th in
   Id_table.set t.linkages tid (Id_table.get t.linkages tid + 1);
-  t.linkages_total <- t.linkages_total + 1;
-  Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
+  t.linkages_total <- t.linkages_total + 1
 
 let linkage_released t th =
   let tid = Engine.thread_id th in
   let n = Id_table.get t.linkages tid in
   if n < 1 then invalid_arg "Kernel.linkage_released: none outstanding";
   Id_table.set t.linkages tid (n - 1);
-  t.linkages_total <- t.linkages_total - 1;
-  Metrics.Gauge.set t.g_linkages (float_of_int t.linkages_total)
+  t.linkages_total <- t.linkages_total - 1
 
 let outstanding_linkages t th = Id_table.get t.linkages (Engine.thread_id th)
 

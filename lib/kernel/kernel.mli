@@ -63,15 +63,23 @@ val spawn :
 val trap : t -> unit
 (** Charge one kernel trap (entry or exit) to the running thread. *)
 
+val trap_then_transfer : t -> Lrpc_sim.Time.t -> unit
+(** [trap_then_transfer t work]: {!trap}, then [work] of kernel transfer
+    charged straight after it, for a kernel section that starts with no
+    instruction between the trap and its work. Observably the same as
+    {!trap} followed by that delay, with one resumption where those may
+    take two ({!Lrpc_sim.Engine.delay_then}). *)
+
 (** {1 Linkage-record accounting}
 
     One linkage record is claimed per call in flight. With asynchronous
     call handles a single thread may hold several at once — outstanding
     calls no longer nest like procedure calls — so the kernel keeps a
-    per-thread count (mirrored in the ["kernel.linkages_outstanding"]
-    gauge), which the termination collector and tests consult. Claims
-    and releases also keep a running total, so {!total_linkages} and the
-    gauge cost O(1) however many threads there are. *)
+    per-thread count, which the termination collector and tests consult.
+    Claims and releases also keep a running total, so {!total_linkages}
+    costs O(1) however many threads there are; the
+    ["kernel.linkages_outstanding"] gauge reads that total when a
+    snapshot is taken, so a claim or release writes no metric. *)
 
 val linkage_claimed : t -> Lrpc_sim.Engine.thread -> unit
 val linkage_released : t -> Lrpc_sim.Engine.thread -> unit

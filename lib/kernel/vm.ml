@@ -53,16 +53,12 @@ let note audit label bytes =
 let charge e rate label len =
   if Lrpc_sim.Engine.tracing e then
     Lrpc_sim.Engine.emit e (Lrpc_obs.Event.Copy { label; bytes = len });
-  let per_value, per_byte =
+  let cost =
     match rate with
-    | Some r -> r
+    | Some (per_value, per_byte) -> per_value + (len * per_byte)
     | None ->
         let cm = Lrpc_sim.Engine.cost_model e in
-        (cm.Lrpc_sim.Cost_model.per_value, cm.Lrpc_sim.Cost_model.per_byte)
-  in
-  let cost =
-    Lrpc_sim.Time.add per_value
-      (Lrpc_sim.Time.scale per_byte (float_of_int len))
+        cm.Lrpc_sim.Cost_model.per_value + (len * cm.Lrpc_sim.Cost_model.per_byte)
   in
   Lrpc_sim.Engine.delay ~category:Lrpc_sim.Category.Copy e cost
 

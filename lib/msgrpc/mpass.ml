@@ -76,7 +76,7 @@ let delay s cat d = if d <> Time.zero then Engine.delay ~category:cat (engine s)
 let tlb_flat s n =
   let cm = Kernel.cost_model s.srv_kernel in
   Engine.delay ~category:Category.Tlb_miss (engine s)
-    (Time.scale cm.Cost_model.tlb_miss (float_of_int n))
+    (n * cm.Cost_model.tlb_miss)
 
 let slot_type (slot : Layout.slot) ~proc =
   match slot.Layout.sparam with
@@ -133,7 +133,7 @@ let register_moves s values =
   in
   if words > 0 then
     Engine.delay ~category:Category.Copy (engine s)
-      (Time.scale register_move_cost (float_of_int words))
+      (words * register_move_cost)
 
 let process_message s msg =
   let p = s.srv_profile in

@@ -18,7 +18,7 @@ let wire_time ~bytes =
   let packets = max 1 ((bytes + ethernet_mtu - 1) / ethernet_mtu) in
   Time.add
     (Time.add (Time.us_f null_network_us) (Time.ns (bytes * per_byte_ns)))
-    (Time.scale per_extra_packet (float_of_int (packets - 1)))
+    ((packets - 1) * per_extra_packet)
 
 let remote_calls = Remote.remote_calls
 let reset_remote_calls = Remote.reset_remote_calls

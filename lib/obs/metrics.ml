@@ -4,7 +4,13 @@ module H = Lrpc_util.Histogram
    runs on one host domain. *)
 type counter = { c_key : string; mutable c_value : int }
 
-type gauge = { g_key : string; mutable g_value : float }
+(* A gauge holds the last value set, or reads an int at snapshot time
+   from [g_source] when one is attached. *)
+type gauge = {
+  g_key : string;
+  mutable g_value : float;
+  mutable g_source : (unit -> int) option;
+}
 
 type histogram = { h_key : string; h_hist : H.t }
 
@@ -46,9 +52,12 @@ let gauge ?(labels = []) t name =
   | Some (Gauge g) -> g
   | Some _ -> kind_error k "wanted a gauge"
   | None ->
-      let g = { g_key = k; g_value = 0.0 } in
+      let g = { g_key = k; g_value = 0.0; g_source = None } in
       Hashtbl.replace t.table k (Gauge g);
       g
+
+let gauge_of_int ?labels t name read =
+  (gauge ?labels t name).g_source <- Some read
 
 let histogram ?(labels = []) ?(bin_width = 4) ?(max_value = 4096) t name =
   let k = key name labels in
@@ -69,8 +78,15 @@ module Counter = struct
 end
 
 module Gauge = struct
-  let set g v = g.g_value <- v
-  let value g = g.g_value
+  let set g v =
+    g.g_source <- None;
+    g.g_value <- v
+
+  let value g =
+    match g.g_source with
+    | None -> g.g_value
+    | Some read -> float_of_int (read ())
+
   let name g = g.g_key
 end
 
@@ -113,7 +129,7 @@ let snapshot t =
   Hashtbl.iter
     (fun k -> function
       | Counter c -> counters := (k, c.c_value) :: !counters
-      | Gauge g -> gauges := (k, g.g_value) :: !gauges
+      | Gauge g -> gauges := (k, Gauge.value g) :: !gauges
       | Histogram h ->
           let s =
             {

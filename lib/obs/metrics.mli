@@ -26,6 +26,14 @@ val counter : ?labels:(string * string) list -> t -> string -> counter
 
 val gauge : ?labels:(string * string) list -> t -> string -> gauge
 
+val gauge_of_int :
+  ?labels:(string * string) list -> t -> string -> (unit -> int) -> unit
+(** [gauge_of_int m name read] finds or registers the gauge and makes
+    it pull-based: its value is [read ()], taken when it is read or
+    snapshotted, so the code that keeps the count writes nothing per
+    change. A later registration of the same gauge replaces [read]; a
+    {!Gauge.set} detaches it. *)
+
 val histogram :
   ?labels:(string * string) list ->
   ?bin_width:int ->
@@ -47,7 +55,11 @@ end
 
 module Gauge : sig
   val set : gauge -> float -> unit
+  (** Hold [v] from now on, detaching any pull source. *)
+
   val value : gauge -> float
+  (** The value set last, or the pull source's count now. *)
+
   val name : gauge -> string
 end
 

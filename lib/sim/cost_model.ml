@@ -128,7 +128,18 @@ let cvax_firefly =
   }
 
 let scaled t ~factor ~name =
-  let f x = Time.scale x factor in
+  if not (Float.is_finite factor && factor > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Cost_model.scaled: factor %g must be finite and > 0"
+         factor);
+  let f x =
+    (* An int holds 62 bits: a product past that wraps, on x86-64 to 0. *)
+    if float_of_int x *. factor >= 0x1p62 then
+      invalid_arg
+        (Printf.sprintf "Cost_model.scaled: factor %g overflows a cost"
+           factor);
+    Time.scale x factor
+  in
   {
     t with
     name;

@@ -101,7 +101,10 @@ val return_side_tlb_misses : int
 (** Of [null_tlb_misses], those taken after the return-side switch (18). *)
 
 val scaled : t -> factor:float -> name:string -> t
-(** Uniformly scale all time constants (used to derive slower machines). *)
+(** Uniformly scale all time constants (used to derive slower machines).
+    @raise Invalid_argument unless [factor] is finite and > 0 (a NaN
+    factor would make every cost 0 ns, and a negative one negative), or
+    when a scaled cost would not fit in an int. *)
 
 val clustered :
   ?cross_mult:float -> ?near_steal:bool -> cluster_size:int -> name:string ->

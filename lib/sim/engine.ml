@@ -20,11 +20,13 @@ type thread = {
   mutable body : (unit -> unit) option;
   mutable pending_exn : exn option;
   mutable spin_start : Time.t;
-  mutable ever_placed : bool;
   mutable rq_seq : int;
-      (* enqueue stamp of this thread's live run-queue entry, -1 when it
-         has none; a queue cell whose stamp disagrees is a ghost left by
-         a steal and is skipped *)
+      (* enqueue stamp while the thread sits in a run queue, -1 when it
+         is in none *)
+  mutable rq_next : thread;
+      (* the next thread of its run queue, [nil] at the end: a thread is
+         in at most one queue, so queues are lists linked through the
+         threads and enqueue, pop and steal allocate nothing *)
   mutable sleep_seq : int;
       (* timer-heap sequence of the wake entry of the [sleep_until] this
          thread is in, -1 outside one; an entry whose sequence disagrees
@@ -39,6 +41,11 @@ and cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
 
 and timer = { t_fn : unit -> unit; mutable t_cancelled : bool }
 
+(* What a processor still owes its running thread once the resumption
+   of the thread's delay pops: nothing, a fixed charge, or the TLB
+   refill of a page list (see [delay_tail]). *)
+and tail = No_tail | Fixed | Refill
+
 (* A timer-heap entry. The run heap holds threads directly. *)
 and timed = Fire of timer | Wake of thread
 
@@ -48,7 +55,12 @@ type cpu = {
   mutable context : int option;
   tlb : Tlb.t;
   mutable busy : Time.t;
-  rq : (int * thread) Queue.t;
+  mutable rq_head : thread; (* oldest entry of this processor's run queue *)
+  mutable rq_tail : thread;
+  mutable tail : tail;
+  mutable tail_cat : Category.t;
+  mutable tail_len : Time.t;
+  mutable tail_pages : int list;
   mutable steals : int;
   mutable steals_tagged : int;
   mutable steals_near : int;
@@ -65,7 +77,11 @@ type t = {
       (* timers and sleeps; shares [run_heap]'s sequence counter *)
   mutable run_pushes : int;
   mutable timer_pushes : int;
+  mutable resumes : int;
   mutable ready_seq : int; (* global enqueue stamp: cross-queue FIFO age *)
+  mutable queued : int;
+      (* threads in all run queues together: at 0 no processor has
+         anything to pop or steal, and dispatch returns at once *)
   mutable executing : int;
       (* threads on a processor in state [Running] (spinners excluded):
          the bus factor's load, kept by [place], [wake] of a spinner,
@@ -108,9 +124,46 @@ type t = {
          topology): own cluster first, then the rest of the machine *)
   victims_near : int array;
       (* how many leading entries of each ring are same-cluster *)
+  (* A steal scan's best candidates so far, oldest overall and oldest in
+     the thief's loaded context, with their queues: engine fields rather
+     than refs, so a scan allocates nothing. *)
+  mutable sc_best : thread;
+  mutable sc_best_seq : int;
+  mutable sc_best_victim : int;
+  mutable sc_tagged : thread;
+  mutable sc_tagged_prev : thread; (* its predecessor in its queue *)
+  mutable sc_tagged_seq : int;
+  mutable sc_tagged_victim : int;
+  mutable contexts : int option array;
+      (* [Some d] at index [d], built on first use: loading a context
+         onto a processor allocates no option *)
+  mutable stale_tail_dilation : bool;
+      (* a deliberate bug for the tail property to catch: dilate a
+         fixed tail when its first segment starts, not at the boundary *)
 }
 
 type _ Effect.t += Delay : unit Effect.t | Suspend : unit Effect.t
+
+(* The end marker of the run-queue links and the empty steal candidate. *)
+let rec nil =
+  {
+    tid = -1;
+    name = "";
+    domain = -1;
+    state = Done;
+    cpu = -1;
+    last_cpu = -1;
+    home = -1;
+    cont = No_cont;
+    body = None;
+    pending_exn = None;
+    spin_start = Time.zero;
+    rq_seq = -1;
+    rq_next = nil;
+    sleep_seq = -1;
+    some = Some nil;
+    wake_ev = Wake nil;
+  }
 
 let[@inline] tracing t =
   match t.tracer with None -> false | Some _ -> true
@@ -142,7 +195,12 @@ let create ?(processors = 1) ?(domains = 1) cm =
           context = None;
           tlb = Tlb.create ~capacity:cm.Cost_model.tlb_capacity ~tagged:cm.Cost_model.tlb_tagged;
           busy = Time.zero;
-          rq = Queue.create ();
+          rq_head = nil;
+          rq_tail = nil;
+          tail = No_tail;
+          tail_cat = Category.Other;
+          tail_len = Time.zero;
+          tail_pages = [];
           steals = 0;
           steals_tagged = 0;
           steals_near = 0;
@@ -170,7 +228,9 @@ let create ?(processors = 1) ?(domains = 1) cm =
       timer_heap = Heap.create ~share:run_heap ();
       run_pushes = 0;
       timer_pushes = 0;
+      resumes = 0;
       ready_seq = 0;
+      queued = 0;
       executing = 0;
       rr_next = 0;
       now_ = Time.zero;
@@ -220,6 +280,15 @@ let create ?(processors = 1) ?(domains = 1) cm =
                   min processors (lo + topo.Cost_model.cluster_size)
                 in
                 hi - lo - 1));
+      sc_best = nil;
+      sc_best_seq = max_int;
+      sc_best_victim = -1;
+      sc_tagged = nil;
+      sc_tagged_prev = nil;
+      sc_tagged_seq = max_int;
+      sc_tagged_victim = -1;
+      contexts = [||];
+      stale_tail_dilation = false;
     }
   in
   t.fn_spin <-
@@ -250,6 +319,7 @@ let cost_model t = t.cm
 let cpus t = t.cpus_
 let run_pushes t = t.run_pushes
 let timer_pushes t = t.timer_pushes
+let resumptions t = t.resumes
 
 let charge t cat d = Metrics.Counter.add t.cat_time.(Category.index cat) d
 
@@ -312,6 +382,24 @@ let[@inline] before_queued t time =
 
 (* --- dispatch machinery ------------------------------------------------ *)
 
+(* [Some domain], shared by every processor that loads the domain. *)
+let context_of t domain =
+  if domain < 0 then Some domain
+  else begin
+    let n = Array.length t.contexts in
+    if domain >= n then begin
+      let grown = Array.make (max (domain + 1) (2 * n)) None in
+      Array.blit t.contexts 0 grown 0 n;
+      t.contexts <- grown
+    end;
+    match t.contexts.(domain) with
+    | Some _ as ctx -> ctx
+    | None ->
+        let ctx = Some domain in
+        t.contexts.(domain) <- ctx;
+        ctx
+  end
+
 let[@inline] cpu_free c =
   match c.running with None -> true | Some _ -> false
 
@@ -327,12 +415,14 @@ let pull_mult topo ~prev ~victim c =
    the loaded VM context differs from the thread's domain, and schedule
    its resumption. Under a topology the reload is scaled by
    [pull_mult]. Without a topology ([topo = None]) the arithmetic is
-   byte-identical to the flat engine (no float traffic). [victim] is
-   given only for a steal. *)
-let place ?(victim = -1) t th c =
+   byte-identical to the flat engine (no float traffic). [victim] is the
+   robbed queue's processor for a steal, -1 otherwise. *)
+let place t th c ~victim =
   assert (cpu_free c);
   assert (th.cpu = -1);
   let prev = th.last_cpu in
+  (* Only a placement moves [last_cpu] off -1. *)
+  let placed_before = prev >= 0 in
   c.running <- th.some;
   th.cpu <- c.idx;
   th.last_cpu <- c.idx;
@@ -344,11 +434,11 @@ let place ?(victim = -1) t th c =
   let cost =
     if differs then begin
       Tlb.invalidate c.tlb;
-      c.context <- Some th.domain;
+      c.context <- context_of t th.domain;
       (* The very first placement models a process that already existed
          when the measurement window opened (as in the paper's set-up);
          it loads the context without charging anyone. *)
-      if th.ever_placed then begin
+      if placed_before then begin
         let reload =
           match t.topo with
           | None -> t.cm.Cost_model.vm_reload
@@ -370,7 +460,7 @@ let place ?(victim = -1) t th c =
          state over the interconnect, so it pays the distance premium
          (the multiplier's excess over the free local pull). *)
       match t.topo with
-      | Some topo when victim >= 0 && th.ever_placed ->
+      | Some topo when victim >= 0 && placed_before ->
           let m = pull_mult topo ~prev ~victim c in
           if m > 1.0 then begin
             let premium = Time.scale t.cm.Cost_model.vm_reload (m -. 1.0) in
@@ -381,7 +471,6 @@ let place ?(victim = -1) t th c =
           else Time.zero
       | _ -> Time.zero
   in
-  th.ever_placed <- true;
   if tracing t then
     emit_at t ~tid:th.tid ~cpu:c.idx
       (Event.Dispatch
@@ -425,11 +514,29 @@ let pick_cpu_idx t th =
    thread — does it steal, preferring the oldest queued thread whose
    domain matches its loaded context (no retag, preserving the §3.4
    domain-caching semantics) and otherwise taking the oldest thread
-   anywhere. Stolen threads are invalidated in place via the stamp; the
-   ghost queue cell is skipped when reached. *)
+   anywhere.
 
-let[@inline] entry_runnable th =
-  match th.state with Embryo | Ready -> true | _ -> false
+   A queue is a list linked through its threads' [rq_next], oldest
+   first. A queued thread is [Embryo] or [Ready] and leaves the queue
+   only by a pop or a steal, both of which unlink it, so every entry is
+   live and none is left behind as a ghost. [t.queued] counts the
+   entries of all queues: when it is 0 there is nothing to dispatch. *)
+
+let rq_append t c th =
+  th.rq_next <- nil;
+  if c.rq_tail == nil then c.rq_head <- th else c.rq_tail.rq_next <- th;
+  c.rq_tail <- th;
+  t.queued <- t.queued + 1
+
+(* Unlink [th], which follows [prev] ([nil] for the head) in [c]'s
+   queue. *)
+let rq_unlink t c ~prev th =
+  let n = th.rq_next in
+  if prev == nil then c.rq_head <- n else prev.rq_next <- n;
+  if n == nil then c.rq_tail <- prev;
+  th.rq_next <- nil;
+  th.rq_seq <- -1;
+  t.queued <- t.queued - 1
 
 let ready_push t th =
   let n = Array.length t.cpus_ in
@@ -445,25 +552,12 @@ let ready_push t th =
   let seq = t.ready_seq in
   t.ready_seq <- seq + 1;
   th.rq_seq <- seq;
-  Queue.push (seq, th) t.cpus_.(i).rq
-
-(* Oldest live entry of a processor's own queue, discarding ghosts and
-   stale entries as they surface at the head. *)
-let rec pop_own q =
-  match Queue.take_opt q with
-  | None -> None
-  | Some (seq, th) ->
-      if th.rq_seq = seq && entry_runnable th then begin
-        th.rq_seq <- -1;
-        th.some
-      end
-      else pop_own q
+  rq_append t t.cpus_.(i) th
 
 (* Steal for the free processor [c]: scan other queues for the oldest
-   live entry, tracking separately the oldest whose domain matches [c]'s
+   entry, tracking separately the oldest whose domain matches [c]'s
    loaded context. Preference order: tagged-domain match first (placement
-   then charges no context switch), else oldest overall. The chosen
-   thread is invalidated in place (its queue keeps a ghost cell).
+   then charges no context switch), else oldest overall.
 
    Without a topology the scan covers every queue at once (the flat
    engine's behaviour, byte-identical). With one, and [near_steal] set,
@@ -473,92 +567,105 @@ let rec pop_own q =
    ablation) the scan stays flat but the distance costs and near/far
    counters still apply. *)
 
-(* Fold queue [i] into the running best/best-tagged candidates. *)
-let steal_scan t c tag i best best_seq best_tag best_tag_seq victim
-    victim_tag =
-  (* Queues whose owner is itself free are off-limits: that processor
-     drains its own queue in the same dispatch pass, and stealing from
-     it would defeat the home-processor preference. *)
-  if i <> c.idx && not (cpu_free t.cpus_.(i)) then
-    Queue.iter
-      (fun (seq, th) ->
-        if th.rq_seq = seq && entry_runnable th then begin
-          if seq < !best_seq then begin
-            best_seq := seq;
-            best := th.some;
-            victim := i
-          end;
-          if th.domain = tag && seq < !best_tag_seq then begin
-            best_tag_seq := seq;
-            best_tag := th.some;
-            victim_tag := i
-          end
-        end)
-      t.cpus_.(i).rq
+(* The oldest thread of [tag] in the queue that starts at [th], if it is
+   older than the tagged candidate so far. A queue is in stamp order, so
+   its first match is its oldest, and the walk stops at the first entry
+   that is no older than the candidate. *)
+let rec scan_tagged t tag i ~prev th =
+  if th != nil && th.rq_seq < t.sc_tagged_seq then
+    if th.domain = tag then begin
+      t.sc_tagged <- th;
+      t.sc_tagged_prev <- prev;
+      t.sc_tagged_seq <- th.rq_seq;
+      t.sc_tagged_victim <- i
+    end
+    else scan_tagged t tag i ~prev:th th.rq_next
 
-let take_steal t c th ~tagged ~victim =
-  th.rq_seq <- -1;
-  if tagged then begin
-    c.steals_tagged <- c.steals_tagged + 1;
-    Metrics.Counter.incr t.c_steals_tagged
+(* Fold queue [i] into the candidates. Queues whose owner is itself free
+   are off-limits: that processor drains its own queue in the same
+   dispatch pass, and stealing from it would defeat the home-processor
+   preference. *)
+let steal_scan t c tag i =
+  if i <> c.idx then begin
+    let v = t.cpus_.(i) in
+    let head = v.rq_head in
+    if head != nil && not (cpu_free v) then begin
+      if head.rq_seq < t.sc_best_seq then begin
+        t.sc_best <- head;
+        t.sc_best_seq <- head.rq_seq;
+        t.sc_best_victim <- i
+      end;
+      scan_tagged t tag i ~prev:nil head
+    end
   end
+
+let scan_reset t =
+  t.sc_best <- nil;
+  t.sc_best_seq <- max_int;
+  t.sc_tagged <- nil;
+  t.sc_tagged_prev <- nil;
+  t.sc_tagged_seq <- max_int
+
+(* Unlink the scan's pick, if there is one, count the steal and place
+   the thread on [c]. *)
+let take_steal t c =
+  let tagged = t.sc_tagged != nil in
+  let th = if tagged then t.sc_tagged else t.sc_best in
+  if th == nil then false
   else begin
-    c.steals <- c.steals + 1;
-    Metrics.Counter.incr t.c_steals
-  end;
-  (match t.topo with
-  | None -> ()
-  | Some topo ->
-      if Cost_model.cluster_of topo c.idx = Cost_model.cluster_of topo victim
-      then begin
-        c.steals_near <- c.steals_near + 1;
-        Metrics.Counter.incr t.c_steals_near
-      end
-      else begin
-        c.steals_far <- c.steals_far + 1;
-        Metrics.Counter.incr t.c_steals_far
-      end);
-  Some (th, victim)
+    let victim = if tagged then t.sc_tagged_victim else t.sc_best_victim in
+    (* The oldest overall is a queue's head. *)
+    let prev = if tagged then t.sc_tagged_prev else nil in
+    scan_reset t;
+    rq_unlink t t.cpus_.(victim) ~prev th;
+    if tagged then begin
+      c.steals_tagged <- c.steals_tagged + 1;
+      Metrics.Counter.incr t.c_steals_tagged
+    end
+    else begin
+      c.steals <- c.steals + 1;
+      Metrics.Counter.incr t.c_steals
+    end;
+    (match t.topo with
+    | None -> ()
+    | Some topo ->
+        if Cost_model.cluster_of topo c.idx = Cost_model.cluster_of topo victim
+        then begin
+          c.steals_near <- c.steals_near + 1;
+          Metrics.Counter.incr t.c_steals_near
+        end
+        else begin
+          c.steals_far <- c.steals_far + 1;
+          Metrics.Counter.incr t.c_steals_far
+        end);
+    place t th c ~victim;
+    true
+  end
+
+let[@inline] context_tag c = match c.context with Some d -> d | None -> -1
 
 let steal_flat t c =
-  let n = Array.length t.cpus_ in
-  let best = ref None and best_seq = ref max_int in
-  let best_tag = ref None and best_tag_seq = ref max_int in
-  let victim = ref (-1) and victim_tag = ref (-1) in
-  let tag = match c.context with Some d -> d | None -> -1 in
-  for i = 0 to n - 1 do
-    steal_scan t c tag i best best_seq best_tag best_tag_seq victim victim_tag
+  let tag = context_tag c in
+  scan_reset t;
+  for i = 0 to Array.length t.cpus_ - 1 do
+    steal_scan t c tag i
   done;
-  match !best_tag with
-  | Some th -> take_steal t c th ~tagged:true ~victim:!victim_tag
-  | None -> (
-      match !best with
-      | Some th -> take_steal t c th ~tagged:false ~victim:!victim
-      | None -> None)
+  take_steal t c
 
 let steal_ring t c =
-  let ring = t.victims.(c.idx) in
-  let near = t.victims_near.(c.idx) in
-  let tag = match c.context with Some d -> d | None -> -1 in
-  let scan_seg lo hi =
-    let best = ref None and best_seq = ref max_int in
-    let best_tag = ref None and best_tag_seq = ref max_int in
-    let victim = ref (-1) and victim_tag = ref (-1) in
-    for k = lo to hi - 1 do
-      steal_scan t c tag
-        ring.(k)
-        best best_seq best_tag best_tag_seq victim victim_tag
-    done;
-    match !best_tag with
-    | Some th -> take_steal t c th ~tagged:true ~victim:!victim_tag
-    | None -> (
-        match !best with
-        | Some th -> take_steal t c th ~tagged:false ~victim:!victim
-        | None -> None)
-  in
-  match scan_seg 0 near with
-  | Some _ as hit -> hit
-  | None -> scan_seg near (Array.length ring)
+  let ring = t.victims.(c.idx) and near = t.victims_near.(c.idx) in
+  let tag = context_tag c in
+  scan_reset t;
+  for k = 0 to near - 1 do
+    steal_scan t c tag ring.(k)
+  done;
+  take_steal t c
+  || begin
+       for k = near to Array.length ring - 1 do
+         steal_scan t c tag ring.(k)
+       done;
+       take_steal t c
+     end
 
 let steal t c =
   match t.topo with
@@ -566,19 +673,21 @@ let steal t c =
   | _ -> steal_flat t c
 
 let dispatch_cpu t c =
-  match pop_own c.rq with
-  | Some th -> place t th c
-  | None -> (
-      match steal t c with
-      | Some (th, victim) -> place ~victim t th c
-      | None -> ())
+  let th = c.rq_head in
+  if th != nil then begin
+    rq_unlink t c ~prev:nil th;
+    place t th c ~victim:(-1)
+  end
+  else ignore (steal t c : bool)
 
-(* Offer every free processor a dispatch. *)
+(* Offer every free processor a dispatch, while anything is queued. *)
 let try_dispatch t =
   let cpus = t.cpus_ in
-  for i = 0 to Array.length cpus - 1 do
-    let c = cpus.(i) in
-    if cpu_free c then dispatch_cpu t c
+  let i = ref 0 in
+  while t.queued > 0 && !i < Array.length cpus do
+    let c = cpus.(!i) in
+    if cpu_free c then dispatch_cpu t c;
+    incr i
   done
 
 let spawn ?(name = "thread") ?(home = -1) t ~domain body =
@@ -595,8 +704,8 @@ let spawn ?(name = "thread") ?(home = -1) t ~domain body =
       body = Some body;
       pending_exn = None;
       spin_start = Time.zero;
-      ever_placed = false;
       rq_seq = -1;
+      rq_next = nil;
       sleep_seq = -1;
       some = Some th;
       wake_ev = Wake th;
@@ -640,14 +749,19 @@ let take_cont th =
 
 (* Bus dilation of a delay: [1 + bus_alpha * (executing - 1)]. Alone on
    the bus (or no bus model) the factor is exactly 1.0 and
-   [Time.scale d 1.0 = d], so skip the float round-trip entirely. *)
+   [Time.scale d 1.0 = d], so skip the float round-trip entirely.
+   Otherwise this is [Time.scale]'s arithmetic written out here: a call
+   into another module would box the factor. *)
 let[@inline] dilate t d =
   let alpha = t.cm.Cost_model.bus_alpha in
   if alpha = 0.0 then d
   else
     let execn = t.executing in
     if execn <= 1 then d
-    else Time.scale d (1.0 +. (alpha *. float_of_int (execn - 1)))
+    else
+      int_of_float
+        (Float.round
+           (float_of_int d *. (1.0 +. (alpha *. float_of_int (execn - 1)))))
 
 (* Charge the already-dilated [d] to [cat] and to [th]'s processor; the
    caller moves the clock or schedules the resumption. *)
@@ -694,6 +808,7 @@ let start t th body =
     }
 
 let exec t th =
+  t.resumes <- t.resumes + 1;
   t.current <- th.some;
   (match th.pending_exn with
   | Some e when th.body <> None ->
@@ -712,6 +827,41 @@ let exec t th =
       | None -> Effect.Deep.continue (take_cont th) ()));
   t.current <- None
 
+(* The resumption of a delay with a tail has popped (see [delay_tail]):
+   do what the thread would do once resumed, up to its next effect. With
+   an interrupt pending, the resumption delivers it and the tail is never
+   charged. Otherwise the thread would compute the tail (a refill touches
+   its TLB now), dilate it by the executing count of this instant, emit
+   its [Slice], and either run ahead or suspend: here the suspension is a
+   push with the sequence the thread's own push would take, and the
+   fiber stays parked until that resumption pops. *)
+let charge_tail t th cat d =
+  charge_slice t th cat d;
+  let until = t.now_ + d in
+  if until <= t.limit && before_queued t until then begin
+    t.now_ <- until;
+    exec t th
+  end
+  else push_run t until th
+
+let boundary t th c =
+  let tail = c.tail and pages = c.tail_pages in
+  c.tail <- No_tail;
+  c.tail_pages <- [];
+  match (th.pending_exn, tail) with
+  | Some _, _ | None, No_tail -> exec t th
+  | None, Fixed ->
+      charge_tail t th c.tail_cat
+        (if t.stale_tail_dilation then c.tail_len else dilate t c.tail_len)
+  | None, Refill ->
+      let misses = Tlb.access c.tlb ~domain:th.domain ~pages in
+      if misses > 0 then begin
+        Metrics.Counter.add t.tlb_miss_count misses;
+        charge_tail t th Category.Tlb_miss
+          (dilate t (misses * t.cm.Cost_model.tlb_miss))
+      end
+      else exec t th
+
 (* Defined before the event loop, which runs it for a sleep's wake entry. *)
 let wake t th =
   match th.state with
@@ -719,7 +869,7 @@ let wake t th =
       if tracing t then
         emit_at t ~tid:th.tid ~cpu:th.cpu (Event.Wake { thread = th.name });
       let i = pick_cpu_idx t th in
-      if i >= 0 then place t th t.cpus_.(i)
+      if i >= 0 then place t th t.cpus_.(i) ~victim:(-1)
       else begin
         th.state <- Ready;
         ready_push t th
@@ -759,7 +909,11 @@ let run_serial t =
         t.now_ <- rt;
         let th = Heap.take runs in
         match th.state with
-        | Running -> exec t th
+        | Running -> (
+            let c = t.cpus_.(th.cpu) in
+            match c.tail with
+            | No_tail -> exec t th
+            | Fixed | Refill -> boundary t th c)
         | Embryo | Ready | Blocked | Spinning | Done | Failed ->
             (* Stale event: the thread moved on (e.g. it was killed
                while waiting and already discontinued). *)
@@ -812,7 +966,8 @@ let current_cpu t =
    thread delays and the heap orders by (time, monotone sequence), so a
    skipped push reorders nothing, while a queued event at an equal time
    holds the lower sequence and must run first. *)
-let delay ?(category = Category.Other) t d =
+let delay_cat t cat d =
+  if d < 0 then invalid_arg "Engine.delay: negative duration";
   let d = dilate t d in
   (* [Time.t] is [int]. Plain addition keeps this test free of a call
      into another module: dune's dev profile compiles with -opaque, so
@@ -821,12 +976,14 @@ let delay ?(category = Category.Other) t d =
   match t.current with
   | Some ({ pending_exn = None; _ } as th)
     when until <= t.limit && before_queued t until ->
-      charge_slice t th category d;
+      charge_slice t th cat d;
       t.now_ <- until
   | _ ->
-      t.d_cat <- category;
+      t.d_cat <- cat;
       t.d_len <- d;
       Effect.perform Delay
+
+let delay ?(category = Category.Other) t d = delay_cat t category d
 
 let suspend t f =
   t.s_fn <- f;
@@ -863,19 +1020,60 @@ let sleep_until t time =
       th.sleep_seq <- -1;
       raise e
 
-let touch_pages t ~pages =
+let touch t pages =
   let th = self t in
   let c = current_cpu t in
   let misses = Tlb.access c.tlb ~domain:th.domain ~pages in
   if misses > 0 then begin
     Metrics.Counter.add t.tlb_miss_count misses;
-    delay ~category:Category.Tlb_miss t
-      (Time.scale t.cm.Cost_model.tlb_miss (float_of_int misses))
+    delay_cat t Category.Tlb_miss (misses * t.cm.Cost_model.tlb_miss)
   end
 
-let switch_self_context t ~domain =
-  let th = self t in
-  let c = current_cpu t in
+let touch_pages t ~pages = touch t pages
+
+(* A delay of [d] to [cat], then a tail with no instruction of the thread
+   between them: a [Fixed] charge of [tlen] to [tcat], or the TLB refill
+   of [pages] ([Refill], charged to [Tlb_miss] as [touch] does). Exactly [delay] followed by the tail's own
+   [delay] or [touch_pages], with one suspension where those may take
+   two. When the first segment runs ahead the thread charges the tail
+   itself. When it suspends, its processor keeps the tail and [boundary]
+   charges it when the resumption pops: a thread with a queued
+   resumption stays on its processor until then, so a processor holds
+   at most one tail. *)
+let delay_tail t cat d kind tcat tlen pages =
+  if d < 0 then invalid_arg "Engine.delay: negative duration";
+  let d = dilate t d in
+  let until = t.now_ + d in
+  match t.current with
+  | Some ({ pending_exn = None; _ } as th)
+    when until <= t.limit && before_queued t until -> (
+      charge_slice t th cat d;
+      t.now_ <- until;
+      match kind with
+      | Fixed -> delay_cat t tcat tlen
+      | Refill -> touch t pages
+      | No_tail -> ())
+  | Some th ->
+      let c = t.cpus_.(th.cpu) in
+      c.tail <- kind;
+      c.tail_cat <- tcat;
+      c.tail_len <- (if t.stale_tail_dilation then dilate t tlen else tlen);
+      c.tail_pages <- pages;
+      t.d_cat <- cat;
+      t.d_len <- d;
+      Effect.perform Delay
+  | None ->
+      t.d_cat <- cat;
+      t.d_len <- d;
+      Effect.perform Delay
+
+let delay_then ?(category = Category.Other) t d ~then_ d' =
+  if d' < 0 then invalid_arg "Engine.delay_then: negative duration";
+  delay_tail t category d Fixed then_ d' []
+
+(* Load [domain]'s context on [c] for [th] if it is not loaded, and
+   retag the thread; whether a VM reload is owed. *)
+let load_context t th c ~domain =
   let differs =
     match c.context with Some d -> d <> domain | None -> true
   in
@@ -884,11 +1082,22 @@ let switch_self_context t ~domain =
       emit_at t ~tid:th.tid ~cpu:c.idx
         (Event.Switch { from_domain = th.domain; to_domain = domain });
     Tlb.invalidate c.tlb;
-    c.context <- Some domain;
-    th.domain <- domain;
-    delay ~category:Category.Context_switch t t.cm.Cost_model.vm_reload
-  end
-  else th.domain <- domain
+    c.context <- context_of t domain
+  end;
+  th.domain <- domain;
+  differs
+
+let switch_self_context t ~domain =
+  let th = self t in
+  if load_context t th (current_cpu t) ~domain then
+    delay_cat t Category.Context_switch t.cm.Cost_model.vm_reload
+
+let switch_then_touch t ~domain ~pages =
+  let th = self t in
+  if load_context t th (current_cpu t) ~domain then
+    delay_tail t Category.Context_switch t.cm.Cost_model.vm_reload Refill
+      Category.Tlb_miss Time.zero pages
+  else touch t pages
 
 let exchange_processors t ~target =
   let th = self t in
@@ -939,6 +1148,8 @@ let at t time fn =
 
 let cancel_timer _t tmr = tmr.t_cancelled <- true
 
+let plant_stale_tail_dilation t = t.stale_tail_dilation <- true
+
 (* --- engine-closure binding (must follow the operations they close over) *)
 
 let bind_fns t =
@@ -972,7 +1183,7 @@ let bind_fns t =
       t.executing <- t.executing - 1;
       let c = t.cpus_.(me.cpu) in
       free_cpu_of t me;
-      place t to_ c);
+      place t to_ c ~victim:(-1));
   t.fn_yield_to <-
     (fun me ->
       let to_ = take_peer () in
@@ -981,7 +1192,7 @@ let bind_fns t =
       let c = t.cpus_.(me.cpu) in
       free_cpu_of t me;
       ready_push t me;
-      place t to_ c)
+      place t to_ c ~victim:(-1))
 
 let create ?processors ?domains cm =
   let t = create ?processors ?domains cm in

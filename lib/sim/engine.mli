@@ -41,11 +41,21 @@
     {!sleep_until} wake entries, which may be thousands. Both draw their
     insertion sequences from one counter, and each step pops the earlier
     top by (time, sequence): the same total order a single heap would
-    give, so the split changes host cost only. *)
+    give, so the split changes host cost only.
+
+    A delay may carry a tail ({!delay_then}, {!switch_then_touch}): a
+    second charge that follows with no instruction of the thread
+    between. When the first resumption pops, the engine charges the
+    tail as the resumed thread would have, and resumes the thread only
+    after it; {!resumptions} counts what that saves (DESIGN.md §7). *)
 
 type t
 
 type thread
+
+type tail
+(** What a processor owes its running thread when the resumption of a
+    {!delay_then} or {!switch_then_touch} pops. *)
 
 type cpu = {
   idx : int;
@@ -53,11 +63,17 @@ type cpu = {
   mutable context : int option;  (** domain whose VM context is loaded *)
   tlb : Tlb.t;
   mutable busy : Time.t;  (** cumulative busy time, for utilization *)
-  rq : (int * thread) Queue.t;
-      (** this processor's own run queue: (enqueue stamp, thread) in FIFO
-          order; stamps are globally increasing so cross-queue age is
-          comparable, and a cell whose stamp disagrees with the thread is
-          a ghost left behind by a steal *)
+  mutable rq_head : thread;
+  mutable rq_tail : thread;
+      (** this processor's own run queue, oldest first: a list linked
+          through its threads, each stamped at enqueue from one global
+          counter so cross-queue age is comparable. Engine-owned. *)
+  mutable tail : tail;
+  mutable tail_cat : Category.t;
+  mutable tail_len : Time.t;
+  mutable tail_pages : int list;
+      (** the running thread's pending tail, kept here rather than on the
+          thread (DESIGN.md §7). Engine-owned. *)
   mutable steals : int;  (** threads stolen from other queues, retagging *)
   mutable steals_tagged : int;
       (** steals of threads already in this processor's loaded context *)
@@ -100,6 +116,12 @@ val run : ?until:Time.t -> t -> unit
 
 val run_pushes : t -> int
 (** Thread resumptions pushed on the run heap since creation. *)
+
+val resumptions : t -> int
+(** Times since creation that the engine handed a processor back to a
+    thread: its first instruction, the end of a suspension, or an
+    interrupt's delivery. A popped resumption that only charges a
+    pending tail (see {!delay_then}) and queues again is not one. *)
 
 val timer_pushes : t -> int
 (** Timers and sleep wake entries pushed on the timer heap since
@@ -150,7 +172,20 @@ val delay : ?category:Category.t -> t -> Time.t -> unit
     interrupt is charged in place: the clock moves without the thread
     leaving the processor or passing through the run heap. This is unobservable —
     the thread would have been the next event, at the same time, either
-    way. *)
+    way.
+    @raise Invalid_argument on a negative duration: the clock would run
+    backwards. A delay of 0 is charged like any other. *)
+
+val delay_then :
+  ?category:Category.t -> t -> Time.t -> then_:Category.t -> Time.t -> unit
+(** [delay_then ~category t d ~then_ d'] is
+    [delay ~category t d; delay ~category:then_ t d'], observably: the
+    same slices, times, dilations, heap pushes and sequences. Where the
+    first delay suspends, the thread is resumed once instead of twice:
+    the engine charges [d'] itself when the first resumption pops,
+    dilated by the executing count of that instant. An interrupt pending
+    then is delivered there, and [d'] is never charged.
+    @raise Invalid_argument when [d] or [d'] is negative. *)
 
 val block : t -> unit
 (** Release the processor and sleep until {!wake}. *)
@@ -191,6 +226,13 @@ val switch_self_context : t -> domain:int -> unit
     if the loaded context differs, charge one VM reload, invalidate the
     TLB (untagged case) and update the processor; always retag the
     thread. This is LRPC's direct context switch. *)
+
+val switch_then_touch : t -> domain:int -> pages:int list -> unit
+(** [switch_self_context t ~domain; touch_pages t ~pages], observably,
+    with one resumption where those may take two, as {!delay_then}: the
+    engine looks [pages] up in the TLB, and charges the misses, when the
+    reload's resumption pops: [pages] must be the list the thread would
+    touch at that instant. *)
 
 val exchange_processors : t -> target:cpu -> unit
 (** The LRPC/MP idle-processor optimization: move the running thread onto
@@ -286,3 +328,10 @@ val emit : ?tid:int -> ?cpu:int -> t -> Lrpc_obs.Event.t -> unit
     executing thread's, or -1 outside any thread. Used by the kernel and
     runtime layers for traps, copies, binding, termination and network
     events. *)
+
+(** {1 Testing} *)
+
+val plant_stale_tail_dilation : t -> unit
+(** A deliberate bug, for tests that must catch it: from now on this
+    engine dilates a {!delay_then} tail by the executing count at the
+    start of its first segment instead of at the boundary. *)

@@ -6,11 +6,12 @@
    under seeded packet drop. Words allocated per call (Gc.minor_words
    over the run, untraced) must stay at or under a committed budget;
    the pushes on each of the engine's two heaps must match exactly, as
-   must slices and dispatches (counted from a tracer on a second,
-   identical run); and the processors' busy time must equal the time
-   charged to categories, to the nanosecond. All of these are
-   deterministic: the same build gives the same figures on every run
-   and every machine.
+   must the threads' resumptions, slices and dispatches (counted from a
+   tracer on a second, identical run); and the processors' busy time
+   must equal the time charged to categories, to the nanosecond. A
+   machine of 256 processors must spawn one thread per processor for a
+   few dozen words each. All of these are deterministic: the same build
+   gives the same figures on every run and every machine.
 
    Minor words depend on the compiler, so the budgets are pinned for
    one OCaml version and fail, naming the version, on any other. A
@@ -43,6 +44,7 @@ type world = {
   dispatches : int;  (** dispatches over the whole run, exactly *)
   run_pushes : int;  (** resumptions pushed over the whole run, exactly *)
   timer_pushes : int;  (** timers and sleeps pushed, exactly *)
+  resumptions : int;  (** threads resumed over the whole run, exactly *)
 }
 
 let boot ~trace ~processors ?install_faults () =
@@ -191,38 +193,42 @@ let worlds =
     {
       name = "serial";
       build = serial;
-      budget_words = 102;
+      budget_words = 83;
       slices = 33004;
       dispatches = 1;
       run_pushes = 1;
       timer_pushes = 0;
+      resumptions = 1;
     };
     {
       name = "scale16";
       build = scale16;
-      budget_words = 173;
+      budget_words = 102;
       slices = 30016;
       dispatches = 16;
       run_pushes = 30032;
       timer_pushes = 0;
+      resumptions = 20064;
     };
     {
       name = "openloop";
       build = openloop;
-      budget_words = 238;
+      budget_words = 138;
       slices = 29709;
       dispatches = 2122;
       run_pushes = 25314;
       timer_pushes = 1937;
+      resumptions = 16102;
     };
     {
       name = "erpc";
       build = erpc;
-      budget_words = 486;
+      budget_words = 369;
       slices = 2400;
       dispatches = 804;
       run_pushes = 2245;
       timer_pushes = 3212;
+      resumptions = 2245;
     };
   ]
 
@@ -251,12 +257,15 @@ let traced_counts w =
       | _ -> ());
   (calls, !slices, !dispatches)
 
-let test_words w () =
+let require_pinned_ocaml what =
   if Sys.ocaml_version <> pinned_ocaml then
     Alcotest.failf
       "%s: words-per-call budgets are pinned for OCaml %s, but this is OCaml \
        %s; re-measure them with lrpcbench and re-pin"
-      w.name pinned_ocaml Sys.ocaml_version;
+      what pinned_ocaml Sys.ocaml_version
+
+let test_words w () =
+  require_pinned_ocaml w.name;
   let calls, words = words_per_call w in
   if words > float_of_int w.budget_words then
     Alcotest.failf "%s: %.2f words per call over %d calls, budget %d" w.name
@@ -282,11 +291,43 @@ let test_events w () =
        (per (Engine.timer_pushes e)))
     w.timer_pushes (Engine.timer_pushes e);
   Alcotest.(check int)
+    (Printf.sprintf "%s: resumptions (%.4f per call)" w.name
+       (per (Engine.resumptions e)))
+    w.resumptions (Engine.resumptions e);
+  Alcotest.(check int)
     (Printf.sprintf "%s: slices (%.4f per call over %d calls)" w.name (per slices) calls)
     w.slices slices;
   Alcotest.(check int)
     (Printf.sprintf "%s: dispatches (%.4f per call)" w.name (per dispatches))
     w.dispatches dispatches
+
+(* --- spawn cost -------------------------------------------------------------
+
+   One pinned thread per processor on 256 processors. Each spawn queues
+   the thread on its home processor and offers every free processor a
+   dispatch; with nothing else queued, no processor scans the others'
+   queues, so a spawn costs the thread record, its dispatch and O(CPUs)
+   time. A steal scan per free processor per spawn made this cubic. *)
+
+let spawn_cpus = 256
+let spawn_budget_words = 64
+
+let test_spawn () =
+  require_pinned_ocaml "spawn";
+  let e = Engine.create ~processors:spawn_cpus Cost_model.cvax_firefly in
+  let w0 = Gc.minor_words () in
+  for i = 0 to spawn_cpus - 1 do
+    ignore (Engine.spawn e ~home:i ~domain:i ignore)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int spawn_cpus in
+  if words > float_of_int spawn_budget_words then
+    Alcotest.failf "spawn: %.1f words per thread on %d CPUs, budget %d" words
+      spawn_cpus spawn_budget_words;
+  Engine.run e;
+  Alcotest.(check int) "every thread ran once" spawn_cpus
+    (Engine.resumptions e);
+  Alcotest.(check int) "each on its home processor: no steals" 0
+    (Engine.total_steals e)
 
 let () =
   Alcotest.run "lrpc_budget"
@@ -295,4 +336,5 @@ let () =
         List.map (fun w -> Alcotest.test_case w.name `Quick (test_words w)) worlds );
       ( "events per call",
         List.map (fun w -> Alcotest.test_case w.name `Quick (test_events w)) worlds );
+      ("spawn", [ Alcotest.test_case "256 pinned threads" `Quick test_spawn ]);
     ]

@@ -925,6 +925,70 @@ let test_global_kernel_lock_serial_latency_unchanged () =
   check_us "157 with global lock, serial" 157.0
     (measure_call w ~proc:"null" ~args:[])
 
+(* --- charge tails on the call path ----------------------------------------
+
+   Back-to-back charges of the call path run as one delay with a tail
+   (Engine.delay_then, Engine.switch_then_touch): the procedure call
+   into the client stub, each trap into the kernel's transfer work, and
+   each VM reload into its TLB refill. With a timer queued every
+   microsecond no delay runs ahead, so a caller is resumed once per
+   slice, less one per merged pair. The slices themselves, their order
+   and their times are the same either way (test_sim's tail property). *)
+
+let slices_traced tr =
+  let n = ref 0 in
+  Lrpc_obs.Trace.iter tr (fun ev ->
+      match ev.Lrpc_obs.Trace.kind with
+      | Lrpc_obs.Event.Slice _ -> incr n
+      | _ -> ());
+  !n
+
+(* (slices, resumptions) of each of the caller's first [calls] Null
+   calls. *)
+let null_call_resumptions ?config ~calls () =
+  let w = make_world ?config () in
+  let tr = Lrpc_obs.Trace.create ~capacity:4096 () in
+  Engine.set_tracer w.engine (Some tr);
+  for k = 1 to 2_000 do
+    ignore (Engine.at w.engine (Time.us k) ignore)
+  done;
+  let per_call = ref [] in
+  in_client w (fun () ->
+      let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+      for _ = 1 to calls do
+        let s0 = slices_traced tr and r0 = Engine.resumptions w.engine in
+        ignore (Api.call w.rt b ~proc:"null" []);
+        per_call :=
+          (slices_traced tr - s0, Engine.resumptions w.engine - r0) :: !per_call
+      done);
+  Alcotest.(check int) "trace ring held every event" 0
+    (Lrpc_obs.Trace.dropped tr);
+  List.rev !per_call
+
+(* The first call allocates the server's and then the client's code and
+   stack pages while it builds its TLB footprints, from the kernel's
+   global page counter at that instant, so its footprints cannot be
+   built ahead of either switch: only the procedure call and the two
+   traps merge. From the second call on, both reloads merge too. *)
+let test_first_call_unmerged_switch () =
+  Alcotest.(check (list (pair int int)))
+    "(slices, resumptions) per call"
+    [ (16, 13); (15, 10); (15, 10) ]
+    (null_call_resumptions ~calls:3 ())
+
+(* Under the A4 global kernel lock the lock is taken between each trap
+   and the kernel's work, so neither trap merges. *)
+let test_global_lock_unmerged_trap () =
+  match
+    null_call_resumptions
+      ~config:{ Rt.default_config with Rt.kernel_lock = `Global }
+      ~calls:2 ()
+  with
+  | [ _; (slices, resumptions) ] ->
+      Alcotest.(check int) "procedure call and the two reloads merge" 3
+        (slices - resumptions)
+  | _ -> Alcotest.fail "two calls expected"
+
 (* --- termination (§5.3) ------------------------------------------------------ *)
 
 let test_terminate_server_fails_caller () =
@@ -1278,6 +1342,13 @@ let () =
           Alcotest.test_case "reclaim" `Quick test_estack_reclaim;
           Alcotest.test_case "memory pressure" `Quick test_estack_reclaim_under_memory_pressure;
           Alcotest.test_case "global lock serial" `Quick test_global_kernel_lock_serial_latency_unchanged;
+        ] );
+      ( "charge tails",
+        [
+          Alcotest.test_case "first call unmerged switch" `Quick
+            test_first_call_unmerged_switch;
+          Alcotest.test_case "global lock unmerged trap" `Quick
+            test_global_lock_unmerged_trap;
         ] );
       ( "termination",
         [

@@ -367,6 +367,43 @@ let test_fig2_scale_bounds () =
   Alcotest.(check int) "one steal per other processor at the top rung"
     (top.F.cpus - 1) top.F.unbal_steals
 
+(* --- Pipelining ------------------------------------------------------------------ *)
+
+(* `bench/pipeline.exe --smoke`'s rows: one per processor count 1-4,
+   the same serial rate on every row (one thread calling back to back
+   uses one processor), pipelining ahead from two processors on, and the
+   smoke rates pinned as the JSON prints them. Carriers spawn a thread
+   per call and cross trap → kernel transfer on their own: no lrpcbench
+   workload times that path. *)
+let test_pipeline_bounds () =
+  let module P = E.Pipeline in
+  let rows = P.rows ~calls:40 in
+  Alcotest.(check (list int)) "processors" [ 1; 2; 3; 4 ]
+    (List.map (fun r -> r.P.processors) rows);
+  let serial = (List.hd rows).P.serial_cpms in
+  List.iter
+    (fun r ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "serial rate at %d CPUs" r.P.processors)
+        serial r.P.serial_cpms;
+      if r.P.processors >= 2 then
+        Alcotest.(check bool)
+          (Printf.sprintf "pipelined ahead at %d CPUs (%.4fx)" r.P.processors
+             r.P.speedup)
+          true (r.P.speedup > 1.0))
+    rows;
+  Alcotest.(check (list string))
+    "smoke rates (serial / pipelined calls per ms)"
+    [
+      "6.0974/5.9611";
+      "6.0974/10.3070";
+      "6.0974/12.6405";
+      "6.0974/15.7242";
+    ]
+    (List.map
+       (fun r -> Printf.sprintf "%.4f/%.4f" r.P.serial_cpms r.P.pipelined_cpms)
+       rows)
+
 (* --- Locality study ------------------------------------------------------------ *)
 
 let occurrences sub s =
@@ -506,6 +543,7 @@ let () =
           Alcotest.test_case "shedding bounds" `Quick test_openloop_shedding_bounds;
         ] );
       ("fig2 scale", [ Alcotest.test_case "smoke bounds" `Quick test_fig2_scale_bounds ]);
+      ("pipeline", [ Alcotest.test_case "pipeline bounds" `Quick test_pipeline_bounds ]);
       ("locality", [ Alcotest.test_case "numa bounds" `Quick test_numa_bounds ]);
       ("transport", [ Alcotest.test_case "smoke bounds" `Quick test_transport_smoke ]);
       ("rendering", [ Alcotest.test_case "renders" `Quick test_renders ]);

@@ -1196,6 +1196,20 @@ let test_cross_mult_bounds () =
   let topo = Option.get model.Cost_model.topology in
   Alcotest.(check (float 0.0)) "cross at 1.0" 1.0 (Cost_model.mult topo 0 4)
 
+(* [scaled]'s factor must be a finite number > 0: [Time.scale] turns a
+   NaN-scaled cost into 0 ns, and a negative factor into a negative
+   cost. At the largest float every product overflows an int. A factor
+   of 1.0 keeps every base cost. *)
+let test_scaled_factor_bounds () =
+  List.iter
+    (fun factor ->
+      refused
+        (Printf.sprintf "factor %g" factor)
+        (fun () -> Cost_model.scaled cm ~factor ~name:"s"))
+    [ 0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity; Float.max_float ];
+  let one = Cost_model.scaled cm ~factor:1.0 ~name:cm.Cost_model.name in
+  Alcotest.(check bool) "factor 1.0 returns the base costs" true (one = cm)
+
 (* --- Counter hygiene ------------------------------------------------------ *)
 
 (* Steal / TLB counters belong to one engine instance: zero at birth,
@@ -1387,6 +1401,279 @@ let prop_engine_deterministic =
       let within, stepped = run_program ~cpus ~step:k prog in
       within && String.equal once stepped)
 
+(* --- Tail charges ------------------------------------------------------------
+
+   [Engine.delay_then] and [Engine.switch_then_touch] charge a second
+   segment without resuming the thread between the two. Random worlds
+   run one script twice, once with the tail forms and once with the two
+   calls each stands for, and must agree on everything observable. *)
+
+type shot = Caught | Uncaught | Killed
+
+type tail_op =
+  | Seg of int  (** a plain delay, in us *)
+  | Pair of int * int  (** a two-segment charge *)
+  | Cross of int * int list  (** switch to a domain, then touch pages *)
+  | Park  (** block until woken *)
+  | Unpark of int  (** wake a thread *)
+  | Shoot of int * int * shot
+      (** in this many us, interrupt or kill a thread *)
+
+type tail_world = {
+  tw_cpus : int;
+  tw_alpha : float;
+  tw_homes : int array;
+  tw_scripts : tail_op list array;
+  tw_step : int option;  (** step the run by [run ~until] every so many us *)
+}
+
+let gen_tail_world =
+  QCheck.Gen.(
+    let* tw_cpus = int_range 1 8 in
+    let* tw_alpha = oneofl [ 0.0; cm.Cost_model.bus_alpha ] in
+    let* n = int_range 2 6 in
+    let op =
+      frequency
+        [
+          (3, map (fun d -> Seg d) (int_range 1 20));
+          (5, map2 (fun a b -> Pair (a, b)) (int_range 1 20) (int_range 0 20));
+          ( 3,
+            map2
+              (fun d pages -> Cross (d, pages))
+              (int_bound 2)
+              (list_size (int_range 1 6) (int_bound 15)) );
+          (1, return Park);
+          (2, map (fun j -> Unpark j) (int_bound (n - 1)));
+          ( 2,
+            map3
+              (fun k j shot -> Shoot (k, j, shot))
+              (int_bound 25) (int_bound (n - 1))
+              (frequencyl [ (3, Caught); (1, Uncaught); (1, Killed) ]) );
+        ]
+    in
+    let* tw_scripts = array_repeat n (list_size (int_range 2 10) op) in
+    let* tw_homes =
+      array_repeat n (oneof [ return (-1); int_bound (tw_cpus - 1) ])
+    in
+    let* tw_step = option (int_range 1 40) in
+    return { tw_cpus; tw_alpha; tw_homes; tw_scripts; tw_step })
+
+let print_tail_world w =
+  let op = function
+    | Seg d -> Printf.sprintf "seg %d" d
+    | Pair (a, b) -> Printf.sprintf "pair %d+%d" a b
+    | Cross (d, ps) ->
+        Printf.sprintf "cross %d [%s]" d
+          (String.concat ";" (List.map string_of_int ps))
+    | Park -> "park"
+    | Unpark j -> Printf.sprintf "unpark %d" j
+    | Shoot (k, j, s) ->
+        Printf.sprintf "%s %d in %d"
+          (match s with Caught -> "interrupt" | Uncaught -> "fail" | Killed -> "kill")
+          j k
+  in
+  Printf.sprintf "cpus=%d alpha=%g step=%s homes=[%s]\n%s" w.tw_cpus w.tw_alpha
+    (match w.tw_step with Some k -> string_of_int k | None -> "-")
+    (String.concat ";" (Array.to_list (Array.map string_of_int w.tw_homes)))
+    (String.concat "\n"
+       (Array.to_list
+          (Array.mapi
+             (fun i ops -> Printf.sprintf "%d: %s" i (String.concat ", " (List.map op ops)))
+             w.tw_scripts)))
+
+(* Run [w] with the tail forms ([tails]) or with the two calls each
+   stands for, and return everything the run observed. [planted] plants
+   the stale-dilation bug in the tail run. *)
+let run_tail_world ?(planted = false) ~tails w =
+  let e =
+    Engine.create ~processors:w.tw_cpus
+      { cm with Cost_model.bus_alpha = w.tw_alpha }
+  in
+  if planted then Engine.plant_stale_tail_dilation e;
+  let tr = Trace.create ~capacity:(1 lsl 14) () in
+  Engine.set_tracer e (Some tr);
+  let log = Buffer.create 256 in
+  let note i what =
+    Buffer.add_string log (Printf.sprintf "%d%c@%d;" i what (Engine.now e))
+  in
+  let ths = ref [||] in
+  let step i = function
+    | Seg d ->
+        Engine.delay e (Time.us d);
+        note i 'd'
+    | Pair (a, b) ->
+        if tails then
+          Engine.delay_then ~category:Category.Trap e (Time.us a)
+            ~then_:Category.Kernel_transfer (Time.us b)
+        else begin
+          Engine.delay ~category:Category.Trap e (Time.us a);
+          Engine.delay ~category:Category.Kernel_transfer e (Time.us b)
+        end;
+        note i 'p'
+    | Cross (domain, pages) ->
+        if tails then Engine.switch_then_touch e ~domain ~pages
+        else begin
+          Engine.switch_self_context e ~domain;
+          Engine.touch_pages e ~pages
+        end;
+        note i 'c'
+    | Park ->
+        note i 'b';
+        Engine.block e;
+        note i 'w'
+    | Unpark j ->
+        Engine.wake e !ths.(j);
+        note i 'u'
+    | Shoot (k, j, shot) ->
+        ignore
+          (Engine.at e
+             (Time.add (Engine.now e) (Time.us k))
+             (fun () ->
+               note j 'i';
+               match shot with
+               | Caught -> Engine.interrupt e !ths.(j) (Failure "shot")
+               | Uncaught -> Engine.interrupt e !ths.(j) Exit
+               | Killed -> Engine.kill e !ths.(j)))
+  in
+  ths :=
+    Array.mapi
+      (fun i ops ->
+        Engine.spawn e ~domain:(i mod 3) ~home:w.tw_homes.(i)
+          ~name:(string_of_int i) (fun () ->
+            List.iter
+              (fun op -> try step i op with Failure _ -> note i 'x')
+              ops))
+      w.tw_scripts;
+  let within = ref true in
+  (match w.tw_step with
+  | None -> Engine.run e
+  | Some k ->
+      let until = ref (Time.us k) in
+      while !until <= Time.ms 2 do
+        Engine.run ~until:!until e;
+        if Engine.now e > !until then within := false;
+        until := Time.add !until (Time.us k)
+      done;
+      Engine.run e);
+  ( !within,
+    String.concat "|"
+      [
+        Buffer.contents log;
+        Trace.dump tr;
+        string_of_int (Engine.now e);
+        String.concat ","
+          (Array.to_list
+             (Array.map (fun c -> string_of_int c.Engine.busy) (Engine.cpus e)));
+        String.concat ","
+          (List.map
+             (fun (c, ns) -> Category.slug c ^ "=" ^ string_of_int ns)
+             (Engine.breakdown e));
+        string_of_int (Engine.run_pushes e);
+        string_of_int (Engine.timer_pushes e);
+        String.concat ","
+          (List.map
+             (fun (th, exn) -> Engine.thread_name th ^ ":" ^ Printexc.to_string exn)
+             (Engine.failures e));
+        string_of_int (List.length (Engine.stuck_threads e));
+      ] )
+
+let tails_agree ?planted w =
+  let within, tailed = run_tail_world ?planted ~tails:true w in
+  let _, split = run_tail_world ~tails:false w in
+  within && String.equal tailed split
+
+let arb_tail_world = QCheck.make ~print:print_tail_world gen_tail_world
+
+let prop_tails_are_two_delays =
+  QCheck.Test.make ~name:"tail charges observe as two delays" ~count:300
+    arb_tail_world (fun w -> tails_agree w)
+
+(* Dilating a tail by the executing count at its first segment's start,
+   not at the boundary, must be caught. *)
+let test_stale_tail_dilation_fails () =
+  let planted =
+    QCheck.Test.make ~name:"stale tail dilation" ~count:300 arb_tail_world
+      (fun w -> tails_agree ~planted:true w)
+  in
+  match QCheck.Test.check_exn ~rand:(Random.State.make [| 1989 |]) planted with
+  | () -> Alcotest.fail "the tail property passed a stale dilation"
+  | exception QCheck.Test.Test_fail _ -> ()
+
+(* A timer queued inside the first segment makes it suspend. The
+   interrupt it leaves pending is delivered when the first segment's
+   resumption pops, and the tail is never charged. *)
+let test_tail_interrupt_at_boundary () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let caught = ref (-1) and after = ref false in
+  let th =
+    Engine.spawn e ~domain:0 (fun () ->
+        try
+          Engine.delay_then ~category:Category.Trap e (Time.us 10)
+            ~then_:Category.Kernel_transfer (Time.us 20);
+          after := true
+        with Failure _ -> caught := Engine.now e)
+  in
+  ignore (Engine.at e (Time.us 4) (fun () -> Engine.interrupt e th (Failure "stop")));
+  Engine.run e;
+  check_time "delivered at the boundary" (Time.us 10) !caught;
+  Alcotest.(check bool) "the statement after the tail skipped" false !after;
+  Alcotest.(check (list (pair string int)))
+    "only the first segment charged"
+    [ ("trap", Time.us 10) ]
+    (List.map (fun (c, ns) -> (Category.slug c, ns)) (Engine.breakdown e));
+  check_time "busy" (Time.us 10) (Engine.cpus e).(0).Engine.busy;
+  Alcotest.(check int) "started, then resumed once" 2 (Engine.resumptions e)
+
+(* A tail charged at the boundary that ends past the limit of the run in
+   progress leaves the thread queued, as the thread's own delay would. *)
+let test_tail_past_limit_stays_queued () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let reached = ref (-1) in
+  ignore
+    (Engine.spawn e ~domain:0 (fun () ->
+         Engine.delay_then ~category:Category.Trap e (Time.us 10)
+           ~then_:Category.Kernel_transfer (Time.us 20);
+         reached := Engine.now e));
+  ignore (Engine.at e (Time.us 4) ignore);
+  Engine.run ~until:(Time.us 15) e;
+  check_time "stopped at the boundary" (Time.us 10) (Engine.now e);
+  check_time "not resumed" (-1) !reached;
+  check_time "tail charged at the boundary" (Time.us 30)
+    (Engine.cpus e).(0).Engine.busy;
+  Alcotest.(check int) "resumed once" 1 (Engine.resumptions e);
+  Engine.run e;
+  check_time "resumed after the tail" (Time.us 30) !reached;
+  Alcotest.(check int) "dispatch, first segment, tail" 3 (Engine.run_pushes e);
+  Alcotest.(check int) "resumed twice in all" 2 (Engine.resumptions e)
+
+(* Delays and tails at their boundaries (zero / ones / max): a delay of
+   0 is charged, a negative one would run the clock backwards. *)
+let test_delay_bounds () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let refusals = ref 0 in
+  let refuse f = try f () with Invalid_argument _ -> incr refusals in
+  ignore
+    (Engine.spawn e ~domain:0 (fun () ->
+         Engine.delay ~category:Category.Trap e Time.zero;
+         Engine.delay_then ~category:Category.Trap e Time.zero
+           ~then_:Category.Kernel_transfer Time.zero;
+         refuse (fun () -> Engine.delay e (-1));
+         refuse (fun () ->
+             Engine.delay_then e (-1) ~then_:Category.Trap Time.zero);
+         refuse (fun () ->
+             Engine.delay_then e Time.zero ~then_:Category.Trap (-1));
+         Engine.delay e (Time.us 1)));
+  let tr = Trace.create ~capacity:64 () in
+  Engine.set_tracer e (Some tr);
+  Engine.run e;
+  Alcotest.(check int) "negative durations refused" 3 !refusals;
+  let slices = ref 0 in
+  Trace.iter tr (fun ev ->
+      match ev.Trace.kind with Lrpc_obs.Event.Slice _ -> incr slices | _ -> ());
+  Alcotest.(check int) "zero-length delays are slices" 4 !slices;
+  check_time "the clock never ran backwards" (Time.us 1) (Engine.now e);
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -1398,6 +1685,7 @@ let () =
         prop_victim_ring_covers;
         prop_mult_by_cluster;
         prop_engine_deterministic;
+        prop_tails_are_two_delays;
       ]
   in
   Alcotest.run "lrpc_sim"
@@ -1424,6 +1712,8 @@ let () =
           Alcotest.test_case "cluster_size zero" `Quick test_cluster_size_zero;
           Alcotest.test_case "cluster_size max" `Quick test_cluster_size_max;
           Alcotest.test_case "cross_mult bounds" `Quick test_cross_mult_bounds;
+          Alcotest.test_case "scaled factor bounds" `Quick
+            test_scaled_factor_bounds;
         ] );
       ( "tlb",
         [
@@ -1467,6 +1757,13 @@ let () =
             test_fresh_engine_counters_zero;
           Alcotest.test_case "processor bounds" `Quick
             test_engine_create_processor_bounds;
+          Alcotest.test_case "delay bounds" `Quick test_delay_bounds;
+          Alcotest.test_case "tail interrupt at the boundary" `Quick
+            test_tail_interrupt_at_boundary;
+          Alcotest.test_case "tail past the limit" `Quick
+            test_tail_past_limit_stays_queued;
+          Alcotest.test_case "stale tail dilation fails" `Quick
+            test_stale_tail_dilation_fails;
         ] );
       ( "partitioned engine",
         [
