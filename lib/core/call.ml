@@ -595,42 +595,35 @@ let rec slot_bytes acc = function
    under the `Wait exhaustion policy — the pool is the pipelining
    window), marshal the arguments. Runs on the issuing thread; errors
    here raise synchronously, before a handle exists. *)
-let caller_domain rt e =
-  Kernel.find_domain rt.kernel (Engine.thread_domain (Engine.self e))
-
 let issue_local ?audit ?admit rt b ~proc args =
   let e = engine rt in
   let cm = cost_model rt in
   let client = b.b_client and server = b.b_server in
   (* The formal procedure call into the stub, then the stub's entry. The
-     two lookups between them are looked at first: a domain, once
-     registered, is never removed, and a binding's procedures never
-     change, so lookups that succeed now succeed after the call too, and
-     the two charges run back to back. A lookup that fails takes the
-     procedure call alone and then raises, as it always has. *)
-  let merged =
-    match caller_domain rt e with
-    | Some _ -> (
-        match Binding.find_proc b proc with
-        | _ -> true
-        | exception Bad_binding _ -> false)
-    | None -> false
-  in
-  if merged then
-    Engine.delay_then ~category:Category.Proc_call e
-      cm.Lrpc_sim.Cost_model.proc_call ~then_:Category.Stub_client
-      cm.Lrpc_sim.Cost_model.client_stub_call
-  else
-    Engine.delay ~category:Category.Proc_call e cm.Lrpc_sim.Cost_model.proc_call;
+     two lookups between them are made first: a domain, once registered,
+     is never removed, and a binding's procedures never change, so
+     lookups that succeed now succeed after the call too, and the two
+     charges run back to back. A lookup that fails takes the procedure
+     call alone and then raises, as it always has. *)
   let caller =
-    match caller_domain rt e with
+    match Kernel.find_domain rt.kernel (Engine.thread_domain (Engine.self e)) with
     | Some d -> d
-    | None -> raise (Bad_binding "caller has no domain")
+    | None ->
+        Engine.delay ~category:Category.Proc_call e
+          cm.Lrpc_sim.Cost_model.proc_call;
+        raise (Bad_binding "caller has no domain")
   in
-  let pb = Binding.find_proc b proc in
-  if not merged then
-    Engine.delay ~category:Category.Stub_client e
-      cm.Lrpc_sim.Cost_model.client_stub_call;
+  let pb =
+    match Binding.find_proc b proc with
+    | pb -> pb
+    | exception exn ->
+        Engine.delay ~category:Category.Proc_call e
+          cm.Lrpc_sim.Cost_model.proc_call;
+        raise exn
+  in
+  Engine.delay_then ~category:Category.Proc_call e
+    cm.Lrpc_sim.Cost_model.proc_call ~then_:Category.Stub_client
+    cm.Lrpc_sim.Cost_model.client_stub_call;
   let plan = Layout.plan pb.pb_layout ~args in
   let astack = Astack.checkout ?admit rt pb ~client ~server in
   let oob = not (Layout.fits pb.pb_layout plan) in

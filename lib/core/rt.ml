@@ -491,13 +491,6 @@ and runtime = {
 let engine rt = Kernel.engine rt.kernel
 let cost_model rt = Kernel.cost_model rt.kernel
 
-(* The ["lrpc.calls_in_flight"] gauge reads [in_flight] when a snapshot
-   is taken, so the call path writes no metric for it. *)
-let with_in_flight_gauge rt =
-  Metrics.gauge_of_int (Engine.metrics (Kernel.engine rt.kernel))
-    "lrpc.calls_in_flight" (fun () -> rt.in_flight);
-  rt
-
 let create ?(config = default_config) kernel =
   (* The kernel's own code and data working set: twelve pages touched on
      the call path, of which the first ten are touched again on the
@@ -514,50 +507,57 @@ let create ?(config = default_config) kernel =
   (* Never bumped: lrpcbench's digests hash Metrics.to_json, zeros too. *)
   ignore
     (Metrics.counter (Engine.metrics (Kernel.engine kernel)) "lrpc.astack_reshards");
-  with_in_flight_gauge {
-    kernel;
-    config;
-    global_kernel_lock =
-      (match config.kernel_lock with
-      | `Global ->
-          Some (Spinlock.create ~name:"lrpc-global-lock" (Kernel.engine kernel))
-      | `Per_astack -> None);
-    exports = [];
-    bindings = Hashtbl.create 32;
-    linkstacks = Lrpc_util.Id_table.create [];
-    estack_pools = Hashtbl.create 16;
-    domain_pages = Hashtbl.create 16;
-    pending_exports = Hashtbl.create 8;
-    alerts = Hashtbl.create 8;
-    kernel_call_pages = kregion.Vm.pages;
-    kernel_return_pages = take 10 kregion.Vm.pages;
-    binding_table_pages = btable.Vm.pages;
-    next_binding = 1;
-    next_astack = 1;
-    next_pool = 1;
-    next_handle = 1;
-    in_flight = 0;
-    c_calls_completed =
-      Metrics.counter (Engine.metrics (Kernel.engine kernel))
-        "lrpc.calls_completed";
-    c_pool_exhausted =
-      Metrics.counter (Engine.metrics (Kernel.engine kernel))
-        "lrpc.astack_pool_exhausted";
-    c_shard_contended =
-      Metrics.counter (Engine.metrics (Kernel.engine kernel))
-        "lrpc.astack_shard_contended";
-    c_calls_failed =
-      Metrics.counter (Engine.metrics (Kernel.engine kernel))
-        "lrpc.calls_failed";
-    c_calls_rejected =
-      Metrics.counter (Engine.metrics (Kernel.engine kernel))
-        "lrpc.calls_rejected";
-    c_calls_admitted =
-      Metrics.counter (Engine.metrics (Kernel.engine kernel))
-        "lrpc.calls_admitted";
-    admission = None;
-    faults = None;
-  }
+  let rt =
+    {
+      kernel;
+      config;
+      global_kernel_lock =
+        (match config.kernel_lock with
+        | `Global ->
+            Some (Spinlock.create ~name:"lrpc-global-lock" (Kernel.engine kernel))
+        | `Per_astack -> None);
+      exports = [];
+      bindings = Hashtbl.create 32;
+      linkstacks = Lrpc_util.Id_table.create [];
+      estack_pools = Hashtbl.create 16;
+      domain_pages = Hashtbl.create 16;
+      pending_exports = Hashtbl.create 8;
+      alerts = Hashtbl.create 8;
+      kernel_call_pages = kregion.Vm.pages;
+      kernel_return_pages = take 10 kregion.Vm.pages;
+      binding_table_pages = btable.Vm.pages;
+      next_binding = 1;
+      next_astack = 1;
+      next_pool = 1;
+      next_handle = 1;
+      in_flight = 0;
+      c_calls_completed =
+        Metrics.counter (Engine.metrics (Kernel.engine kernel))
+          "lrpc.calls_completed";
+      c_pool_exhausted =
+        Metrics.counter (Engine.metrics (Kernel.engine kernel))
+          "lrpc.astack_pool_exhausted";
+      c_shard_contended =
+        Metrics.counter (Engine.metrics (Kernel.engine kernel))
+          "lrpc.astack_shard_contended";
+      c_calls_failed =
+        Metrics.counter (Engine.metrics (Kernel.engine kernel))
+          "lrpc.calls_failed";
+      c_calls_rejected =
+        Metrics.counter (Engine.metrics (Kernel.engine kernel))
+          "lrpc.calls_rejected";
+      c_calls_admitted =
+        Metrics.counter (Engine.metrics (Kernel.engine kernel))
+          "lrpc.calls_admitted";
+      admission = None;
+      faults = None;
+    }
+  in
+  (* The ["lrpc.calls_in_flight"] gauge reads [in_flight] when a
+     snapshot is taken, so the call path writes no metric for it. *)
+  Metrics.gauge_of_int (Engine.metrics (Kernel.engine kernel))
+    "lrpc.calls_in_flight" (fun () -> rt.in_flight);
+  rt
 
 (* Registered lazily at bind time; same-binding ids share instruments. *)
 let make_call_stats rt ~bid ~client ~server =

@@ -39,13 +39,6 @@ type t = {
   mutable linkages_total : int; (* sum of [linkages] *)
 }
 
-(* The ["kernel.linkages_outstanding"] gauge reads [linkages_total] when
-   a snapshot is taken, so claims and releases write no metric. *)
-let with_linkage_gauge t =
-  Metrics.gauge_of_int (Engine.metrics t.engine) "kernel.linkages_outstanding"
-    (fun () -> t.linkages_total);
-  t
-
 let boot engine =
   let kernel_domain =
     {
@@ -62,25 +55,32 @@ let boot engine =
   Id_table.set by_id kernel_domain.Pdomain.id (Some kernel_domain);
   (* Never bumped: lrpcbench's digests hash Metrics.to_json, zeros too. *)
   ignore (Metrics.counter (Engine.metrics engine) "kernel.idle_retags");
-  with_linkage_gauge {
-    engine;
-    kernel_domain;
-    domains_ = [ kernel_domain ];
-    by_id;
-    next_domain = 1;
-    next_page = 1;
-    next_region = 1;
-    caching = false;
-    misses = Hashtbl.create 16;
-    hits = Hashtbl.create 16;
-    prodded = Hashtbl.create 8;
-    c_prods = Metrics.counter (Engine.metrics engine) "kernel.context_prods";
-    h_prod_hit = Metrics.histogram (Engine.metrics engine) "kernel.prod_to_hit_us";
-    hooks = [];
-    next_hook = 1;
-    linkages = Id_table.create 0;
-    linkages_total = 0;
-  }
+  let t =
+    {
+      engine;
+      kernel_domain;
+      domains_ = [ kernel_domain ];
+      by_id;
+      next_domain = 1;
+      next_page = 1;
+      next_region = 1;
+      caching = false;
+      misses = Hashtbl.create 16;
+      hits = Hashtbl.create 16;
+      prodded = Hashtbl.create 8;
+      c_prods = Metrics.counter (Engine.metrics engine) "kernel.context_prods";
+      h_prod_hit = Metrics.histogram (Engine.metrics engine) "kernel.prod_to_hit_us";
+      hooks = [];
+      next_hook = 1;
+      linkages = Id_table.create 0;
+      linkages_total = 0;
+    }
+  in
+  (* The ["kernel.linkages_outstanding"] gauge reads [linkages_total]
+     when a snapshot is taken, so claims and releases write no metric. *)
+  Metrics.gauge_of_int (Engine.metrics engine) "kernel.linkages_outstanding"
+    (fun () -> t.linkages_total);
+  t
 
 let engine t = t.engine
 let cost_model t = Engine.cost_model t.engine

@@ -78,9 +78,7 @@ module Counter = struct
 end
 
 module Gauge = struct
-  let set g v =
-    g.g_source <- None;
-    g.g_value <- v
+  let set g v = g.g_value <- v
 
   let value g =
     match g.g_source with

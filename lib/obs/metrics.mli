@@ -31,8 +31,7 @@ val gauge_of_int :
 (** [gauge_of_int m name read] finds or registers the gauge and makes
     it pull-based: its value is [read ()], taken when it is read or
     snapshotted, so the code that keeps the count writes nothing per
-    change. A later registration of the same gauge replaces [read]; a
-    {!Gauge.set} detaches it. *)
+    change. *)
 
 val histogram :
   ?labels:(string * string) list ->
@@ -55,7 +54,7 @@ end
 
 module Gauge : sig
   val set : gauge -> float -> unit
-  (** Hold [v] from now on, detaching any pull source. *)
+  (** Hold [v] from now on; for a gauge without a pull source. *)
 
   val value : gauge -> float
   (** The value set last, or the pull source's count now. *)

@@ -135,11 +135,8 @@ type t = {
   mutable sc_tagged_seq : int;
   mutable sc_tagged_victim : int;
   mutable contexts : int option array;
-      (* [Some d] at index [d], built on first use: loading a context
-         onto a processor allocates no option *)
-  mutable stale_tail_dilation : bool;
-      (* a deliberate bug for the tail property to catch: dilate a
-         fixed tail when its first segment starts, not at the boundary *)
+      (* [Some d] at index [d], built on first use: loading a small
+         domain's context onto a processor allocates no option *)
 }
 
 type _ Effect.t += Delay : unit Effect.t | Suspend : unit Effect.t
@@ -288,7 +285,6 @@ let create ?(processors = 1) ?(domains = 1) cm =
       sc_tagged_seq = max_int;
       sc_tagged_victim = -1;
       contexts = [||];
-      stale_tail_dilation = false;
     }
   in
   t.fn_spin <-
@@ -382,13 +378,21 @@ let[@inline] before_queued t time =
 
 (* --- dispatch machinery ------------------------------------------------ *)
 
-(* [Some domain], shared by every processor that loads the domain. *)
+(* The domain ids below which [context_of] shares one [Some d]: kernel
+   ids count up from 1, and an arbitrary caller-chosen id must not size
+   the cache. *)
+let context_cache_bound = 4096
+
+(* [Some domain], shared by every processor that loads the domain when
+   [domain] is in [0, context_cache_bound); a fresh option outside. *)
 let context_of t domain =
-  if domain < 0 then Some domain
+  if domain < 0 || domain >= context_cache_bound then Some domain
   else begin
     let n = Array.length t.contexts in
     if domain >= n then begin
-      let grown = Array.make (max (domain + 1) (2 * n)) None in
+      let grown =
+        Array.make (min context_cache_bound (max (domain + 1) (2 * n))) None
+      in
       Array.blit t.contexts 0 grown 0 n;
       t.contexts <- grown
     end;
@@ -851,8 +855,7 @@ let boundary t th c =
   match (th.pending_exn, tail) with
   | Some _, _ | None, No_tail -> exec t th
   | None, Fixed ->
-      charge_tail t th c.tail_cat
-        (if t.stale_tail_dilation then c.tail_len else dilate t c.tail_len)
+      charge_tail t th c.tail_cat (dilate t c.tail_len)
   | None, Refill ->
       let misses = Tlb.access c.tlb ~domain:th.domain ~pages in
       if misses > 0 then begin
@@ -1057,7 +1060,7 @@ let delay_tail t cat d kind tcat tlen pages =
       let c = t.cpus_.(th.cpu) in
       c.tail <- kind;
       c.tail_cat <- tcat;
-      c.tail_len <- (if t.stale_tail_dilation then dilate t tlen else tlen);
+      c.tail_len <- tlen;
       c.tail_pages <- pages;
       t.d_cat <- cat;
       t.d_len <- d;
@@ -1147,8 +1150,6 @@ let at t time fn =
   tmr
 
 let cancel_timer _t tmr = tmr.t_cancelled <- true
-
-let plant_stale_tail_dilation t = t.stale_tail_dilation <- true
 
 (* --- engine-closure binding (must follow the operations they close over) *)
 

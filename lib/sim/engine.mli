@@ -328,10 +328,3 @@ val emit : ?tid:int -> ?cpu:int -> t -> Lrpc_obs.Event.t -> unit
     executing thread's, or -1 outside any thread. Used by the kernel and
     runtime layers for traps, copies, binding, termination and network
     events. *)
-
-(** {1 Testing} *)
-
-val plant_stale_tail_dilation : t -> unit
-(** A deliberate bug, for tests that must catch it: from now on this
-    engine dilates a {!delay_then} tail by the executing count at the
-    start of its first segment instead of at the boundary. *)

@@ -989,6 +989,41 @@ let test_global_lock_unmerged_trap () =
         (slices - resumptions)
   | _ -> Alcotest.fail "two calls expected"
 
+(* A lookup that fails between the procedure call and the stub's entry
+   raises after the procedure call alone: an unknown procedure, and a
+   caller in a domain the kernel never registered. *)
+let test_failed_lookup_charges_call_alone () =
+  let w = make_world () in
+  let b = ref None in
+  in_client w (fun () ->
+      b := Some (Api.import w.rt ~domain:w.client ~interface:"Arith"));
+  let b = Option.get !b in
+  let attempt what spawn proc =
+    Engine.reset_breakdown w.engine;
+    let raised = ref None and elapsed = ref 0 in
+    ignore
+      (spawn (fun () ->
+           let t0 = Engine.now w.engine in
+           (try ignore (Api.call w.rt b ~proc [])
+            with Rt.Bad_binding m -> raised := Some m);
+           elapsed := Time.sub (Engine.now w.engine) t0));
+    Engine.run w.engine;
+    Alcotest.(check bool) (what ^ ": Bad_binding raised") true (!raised <> None);
+    check_us (what ^ ": elapsed") 7.0 (Time.to_us !elapsed);
+    Alcotest.(check (list (pair string int)))
+      (what ^ ": charged")
+      [ ("proc_call", cm.Lrpc_sim.Cost_model.proc_call) ]
+      (List.filter_map
+         (fun (c, ns) -> if ns > 0 then Some (Category.slug c, ns) else None)
+         (Engine.breakdown w.engine))
+  in
+  attempt "unknown procedure"
+    (fun body -> Kernel.spawn w.kernel w.client body)
+    "no-such-proc";
+  attempt "unregistered caller"
+    (fun body -> Engine.spawn w.engine ~domain:999 body)
+    "null"
+
 (* --- termination (§5.3) ------------------------------------------------------ *)
 
 let test_terminate_server_fails_caller () =
@@ -1349,6 +1384,8 @@ let () =
             test_first_call_unmerged_switch;
           Alcotest.test_case "global lock unmerged trap" `Quick
             test_global_lock_unmerged_trap;
+          Alcotest.test_case "failed lookup charges the call alone" `Quick
+            test_failed_lookup_charges_call_alone;
         ] );
       ( "termination",
         [

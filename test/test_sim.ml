@@ -1147,6 +1147,42 @@ let test_engine_create_processor_bounds () =
       | _ -> Alcotest.failf "processors:%d accepted" processors)
     [ 0; -1 ]
 
+(* Domain ids at their edges (zero / ones / max): any int names a
+   domain. Spawning into one and switching away and back loads exactly
+   that context, with one VM reload per switch. *)
+let test_engine_domain_id_bounds () =
+  List.iter
+    (fun domain ->
+      let e = Engine.create ~processors:2 cm_no_bus in
+      let other = domain lxor 1 in
+      let loaded = ref [] in
+      let note () =
+        loaded := (Engine.current_cpu e).Engine.context :: !loaded
+      in
+      let th =
+        Engine.spawn e ~domain (fun () ->
+            note ();
+            Engine.switch_self_context e ~domain:other;
+            note ();
+            Engine.switch_then_touch e ~domain ~pages:[ 0; 1 ];
+            note ())
+      in
+      ignore (Engine.spawn e ~domain note);
+      Engine.run e;
+      let what = Printf.sprintf "domain %d" domain in
+      Alcotest.(check (list pass)) (what ^ ": no failures") [] (Engine.failures e);
+      Alcotest.(check (list (option int)))
+        (what ^ ": contexts loaded")
+        (List.sort compare [ Some domain; Some domain; Some other; Some domain ])
+        (List.sort compare !loaded);
+      Alcotest.(check int) (what ^ ": thread retagged") domain
+        (Engine.thread_domain th);
+      Alcotest.(check (option int))
+        (what ^ ": two reloads")
+        (Some (2 * cm.Cost_model.vm_reload))
+        (List.assoc_opt Category.Context_switch (Engine.breakdown e)))
+    [ 0; 1; 4095; 4096; max_int; -1; min_int ]
+
 (* --- Topology boundaries (zero / ones / max) ------------------------------ *)
 
 let refused what f =
@@ -1482,14 +1518,12 @@ let print_tail_world w =
              w.tw_scripts)))
 
 (* Run [w] with the tail forms ([tails]) or with the two calls each
-   stands for, and return everything the run observed. [planted] plants
-   the stale-dilation bug in the tail run. *)
-let run_tail_world ?(planted = false) ~tails w =
+   stands for, and return everything the run observed. *)
+let run_tail_world ~tails w =
   let e =
     Engine.create ~processors:w.tw_cpus
       { cm with Cost_model.bus_alpha = w.tw_alpha }
   in
-  if planted then Engine.plant_stale_tail_dilation e;
   let tr = Trace.create ~capacity:(1 lsl 14) () in
   Engine.set_tracer e (Some tr);
   let log = Buffer.create 256 in
@@ -1577,8 +1611,8 @@ let run_tail_world ?(planted = false) ~tails w =
         string_of_int (List.length (Engine.stuck_threads e));
       ] )
 
-let tails_agree ?planted w =
-  let within, tailed = run_tail_world ?planted ~tails:true w in
+let tails_agree w =
+  let within, tailed = run_tail_world ~tails:true w in
   let _, split = run_tail_world ~tails:false w in
   within && String.equal tailed split
 
@@ -1587,17 +1621,6 @@ let arb_tail_world = QCheck.make ~print:print_tail_world gen_tail_world
 let prop_tails_are_two_delays =
   QCheck.Test.make ~name:"tail charges observe as two delays" ~count:300
     arb_tail_world (fun w -> tails_agree w)
-
-(* Dilating a tail by the executing count at its first segment's start,
-   not at the boundary, must be caught. *)
-let test_stale_tail_dilation_fails () =
-  let planted =
-    QCheck.Test.make ~name:"stale tail dilation" ~count:300 arb_tail_world
-      (fun w -> tails_agree ~planted:true w)
-  in
-  match QCheck.Test.check_exn ~rand:(Random.State.make [| 1989 |]) planted with
-  | () -> Alcotest.fail "the tail property passed a stale dilation"
-  | exception QCheck.Test.Test_fail _ -> ()
 
 (* A timer queued inside the first segment makes it suspend. The
    interrupt it leaves pending is delivered when the first segment's
@@ -1757,13 +1780,13 @@ let () =
             test_fresh_engine_counters_zero;
           Alcotest.test_case "processor bounds" `Quick
             test_engine_create_processor_bounds;
+          Alcotest.test_case "domain id bounds" `Quick
+            test_engine_domain_id_bounds;
           Alcotest.test_case "delay bounds" `Quick test_delay_bounds;
           Alcotest.test_case "tail interrupt at the boundary" `Quick
             test_tail_interrupt_at_boundary;
           Alcotest.test_case "tail past the limit" `Quick
             test_tail_past_limit_stays_queued;
-          Alcotest.test_case "stale tail dilation fails" `Quick
-            test_stale_tail_dilation_fails;
         ] );
       ( "partitioned engine",
         [
