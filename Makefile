@@ -52,21 +52,14 @@ pipeline-smoke: build
 	dune exec bench/pipeline.exe -- --smoke --out $(PIPELINE_JSON) > /dev/null
 	@echo "pipeline smoke OK"
 
-# End-to-end: the chaos soak must hold every invariant under a fixed
-# seed, replay bit-identically (--replay runs it twice and compares
-# trace digests), and emit the invariant summary in the shape CI and
-# the docs rely on.
+# End-to-end: the chaos soak CLI must hold every invariant under a
+# fixed seed (it exits non-zero otherwise), replay bit-identically
+# (--replay runs it twice and compares trace digests) and reject bad
+# arguments with exit code 2. The report itself (every invariant by
+# name, the call count, the pinned CHAOS_DIGEST) is checked by
+# test_fault "soak", under `dune runtest`.
 fault-smoke: build
 	dune exec bin/lrpc_chaos.exe -- --replay --out $(FAULT_JSON) > /dev/null
-	@python3 -c "import json; d = json.load(open('$(FAULT_JSON)')); \
-	  inv = d['invariants']; out = d['outcomes']; \
-	  assert d['calls'] >= 5000; \
-	  assert set(inv) == {'all_resolved', 'failure_accounting', 'pool_balanced', \
-	                      'linkages_zero', 'in_flight_zero', 'no_stuck_threads', \
-	                      'no_thread_failures'}; \
-	  assert all(inv.values()); \
-	  assert sum(out.values()) == d['calls']; \
-	  assert d['digest']"
 	@dune exec bin/lrpc_chaos.exe -- --seed not-a-number > /dev/null 2>&1; \
 	  test $$? -eq 2 || { echo "FAIL: bad --seed must exit 2"; exit 1; }
 	@dune exec bin/lrpc_chaos.exe -- --no-such-flag > /dev/null 2>&1; \

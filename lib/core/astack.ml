@@ -11,30 +11,36 @@ let allocate_batch rt ~pool ~client ~server ~proc ~size ~count ~primary =
           ~mapped:[ client; server ]
       in
       let l_region =
-        Kernel.alloc_region rt.kernel ~owner:(Kernel.kernel_domain rt.kernel)
+        Kernel.alloc_unbacked_region rt.kernel
+          ~owner:(Kernel.kernel_domain rt.kernel)
           ~name:(Printf.sprintf "linkage-%s-%d" proc.I.proc_name a_id)
           ~bytes:64 ~mapped:[]
       in
       ignore i;
-      {
-        a_id;
-        a_pool = pool;
-        a_region;
-        a_linkage =
-          {
-            l_region;
-            l_in_use = false;
-            l_valid = true;
-            l_abandoned = false;
-            l_caller = None;
-            l_return_domain = None;
-          };
-        a_primary = primary;
-        a_shard = 0;
-        a_estack = None;
-        a_last_used = Time.zero;
-        a_footprint = None;
-      })
+      let rec a =
+        {
+          a_id;
+          a_pool = pool;
+          a_region;
+          a_linkage =
+            {
+              l_region;
+              l_in_use = false;
+              l_valid = true;
+              l_abandoned = false;
+              l_caller = None;
+              l_return_domain = None;
+            };
+          a_primary = primary;
+          a_shard = 0;
+          a_estack = None;
+          a_last_used = Time.zero;
+          a_footprint = [||];
+          a_footprint_estack = 0;
+          a_some = Some a;
+        }
+      in
+      a)
 
 (* One shard per processor, capped by the A-stack count (no point in
    empty shards); exactly one shard on a uniprocessor, which makes the
@@ -70,12 +76,6 @@ let make_pool rt ~client ~server ~proc ~size ~count =
   }
 
 let lock_hold rt = (cost_model rt).Lrpc_sim.Cost_model.astack_lock
-
-(* Admission context for one checkout: the binding whose queue-delay
-   histogram a queued wait observes into, and (only while an admission
-   policy is installed) the call's absolute deadline, so expiry can
-   abort the wait instead of letting a doomed call consume a grant. *)
-type admit = { ad_binding : Rt.binding; ad_deadline_at : Time.t option }
 
 let waiting pool =
   Queue.fold (fun acc c -> if c.aw_active then acc + 1 else acc) 0 pool.ap_waiters
@@ -186,7 +186,7 @@ let wait_in_cell rt pool cell =
    binding's ["lrpc.queue_delay_us"] histogram. With no admission policy
    installed and no deadline, no timer is armed: cost-identical to a
    bare [wait_in_cell]. *)
-let guarded_cell_wait ?admit rt pool cell =
+let guarded_cell_wait ?deadline_at rt b pool cell =
   let e = engine rt in
   let t0 = Engine.now e in
   let timers = ref [] in
@@ -202,45 +202,37 @@ let guarded_cell_wait ?admit rt pool cell =
           end)
       :: !timers
   in
-  (match admit with
-  | None -> ()
-  | Some ad ->
-      (match rt.admission with
-      | Some { adm_target_sojourn = Some target; _ } ->
-          arm (Time.add t0 target)
-            (Overloaded
-               {
-                 ov_reason =
-                   Printf.sprintf
-                     "A-stack queue delay exceeded %.0f us sojourn target"
-                     (Time.to_us target);
-                 ov_backoff_us = backoff_hint rt;
-               })
-            ~on_fire:(fun () -> Metrics.Counter.incr (shed_counter rt))
-      | Some _ | None -> ());
-      (match ad.ad_deadline_at with
-      | Some at ->
-          arm at
-            (Deadline_exceeded "deadline expired while queued for an A-stack")
-            ~on_fire:(fun () -> ())
-      | None -> ()));
+  (match rt.admission with
+  | Some { adm_target_sojourn = Some target; _ } ->
+      arm (Time.add t0 target)
+        (Overloaded
+           {
+             ov_reason =
+               Printf.sprintf "A-stack queue delay exceeded %.0f us sojourn target"
+                 (Time.to_us target);
+             ov_backoff_us = backoff_hint rt;
+           })
+        ~on_fire:(fun () -> Metrics.Counter.incr (shed_counter rt))
+  | Some _ | None -> ());
+  (match deadline_at with
+  | Some at ->
+      arm at
+        (Deadline_exceeded "deadline expired while queued for an A-stack")
+        ~on_fire:(fun () -> ())
+  | None -> ());
   Fun.protect
     ~finally:(fun () -> List.iter (Engine.cancel_timer e) !timers)
     (fun () ->
       let a = wait_in_cell rt pool cell in
-      (match admit with
-      | Some ad ->
-          Metrics.Histo.observe_us ad.ad_binding.b_stats.cs_queue
-            (Time.sub (Engine.now e) t0)
-      | None -> ());
+      Metrics.Histo.observe_us b.b_stats.cs_queue (Time.sub (Engine.now e) t0);
       a)
 
-let wait_for_grant ?admit rt pool =
+let wait_for_grant ?deadline_at rt b pool =
   let cell =
     { aw_th = Engine.self (engine rt); aw_grant = None; aw_active = true }
   in
   Queue.push cell pool.ap_waiters;
-  guarded_cell_wait ?admit rt pool cell
+  guarded_cell_wait ?deadline_at rt b pool cell
 
 (* Join the FIFO waiter queue with a safety timer that re-grants from the
    free lists after [d], unless an interleaved check-in got there first.
@@ -249,7 +241,7 @@ let wait_for_grant ?admit rt pool =
    the last free A-stack, in which case only a future check-in can grant,
    so the timer alone (no polling, no spinning) keeps the path
    deadlock-free. *)
-let timed_grant_wait ?admit rt pool d =
+let timed_grant_wait ?deadline_at rt b pool d =
   let e = engine rt in
   let cell = { aw_th = Engine.self e; aw_grant = None; aw_active = true } in
   Queue.push cell pool.ap_waiters;
@@ -266,15 +258,15 @@ let timed_grant_wait ?admit rt pool d =
   in
   Fun.protect
     ~finally:(fun () -> Engine.cancel_timer e tmr)
-    (fun () -> guarded_cell_wait ?admit rt pool cell)
+    (fun () -> guarded_cell_wait ?deadline_at rt b pool cell)
 
 (* Injected transient starvation (fault plan): the caller joins the FIFO
    waiter queue even though the free lists may be non-empty, exercising
    the direct-grant path until the starvation window closes. *)
-let starve ?admit rt pool d =
+let starve ?deadline_at rt b pool d =
   Metrics.Counter.incr
     (Metrics.counter (Engine.metrics (engine rt)) "fault.astack_starvations");
-  timed_grant_wait ?admit rt pool d
+  timed_grant_wait ?deadline_at rt b pool d
 
 (* Unlink every queued waiter and deliver [exn] into it instead of a
    grant — a binding being revoked must not hand A-stacks of a dead
@@ -339,13 +331,13 @@ let in_pass topo ~mine pass si =
   | None -> true
   | Some topo -> (Lrpc_sim.Cost_model.cluster_of topo si = mine) = (pass = 0)
 
-let checkout ?admit rt pb ~client ~server =
+let checkout ?deadline_at rt b pb =
   let pool = pb.pb_pool in
   let starved =
     match rt.faults with
     | Some f -> (
         match f.f_starvation ~proc:pb.pb_spec.I.proc_name with
-        | Some d -> Some (starve ?admit rt pool d)
+        | Some d -> Some (starve ?deadline_at rt b pool d)
         | None -> None)
     | None -> None
   in
@@ -398,18 +390,16 @@ let checkout ?admit rt pb ~client ~server =
       (* Every free A-stack (if any) sits behind a held shard lock: fall
          back to the FIFO direct-grant path rather than spin. *)
       Metrics.Counter.incr rt.c_shard_contended;
-      let a = timed_grant_wait ?admit rt pool (lock_hold rt) in
+      let a = timed_grant_wait ?deadline_at rt b pool (lock_hold rt) in
       a.a_last_used <- Engine.now e;
       a
   | None -> (
       Metrics.Counter.incr rt.c_pool_exhausted;
       (* Queue-depth admission: a checkout that would queue behind a
          full FIFO is refused here, before consuming anything, rather
-         than deepening a queue the sojourn target already condemns.
-         Gated on both an installed policy and an admission context, so
-         bare checkouts (tests, revocation paths) never shed. *)
-      (match (admit, rt.admission) with
-      | Some _, Some { adm_max_queue = Some m; _ } ->
+         than deepening a queue the sojourn target already condemns. *)
+      (match rt.admission with
+      | Some { adm_max_queue = Some m; _ } ->
           let depth = waiting pool in
           if depth >= m then
             shed rt
@@ -419,14 +409,15 @@ let checkout ?admit rt pb ~client ~server =
       | _ -> ());
       match rt.config.astack_exhaustion with
       | `Wait ->
-          let a = wait_for_grant ?admit rt pool in
+          let a = wait_for_grant ?deadline_at rt b pool in
           a.a_last_used <- Engine.now e;
           a
       | `Allocate ->
           (* Space contiguous to the original A-stacks is unlikely to be
              found (§5.2); the extras validate more slowly. *)
           let extras =
-            allocate_batch rt ~pool:pool.ap_id ~client ~server
+            allocate_batch rt ~pool:pool.ap_id ~client:b.b_client
+              ~server:b.b_server
               ~proc:pb.pb_spec ~size:pool.ap_bytes ~count:1 ~primary:false
           in
           List.iter (fun a -> a.a_shard <- preferred) extras;

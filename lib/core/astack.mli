@@ -35,41 +35,33 @@ val make_pool :
     lifetime; A-stacks are dealt to them round-robin. Bind-time
     operation: no simulated time is charged. *)
 
-type admit = {
-  ad_binding : Rt.binding;
-      (** whose ["lrpc.queue_delay_us"] histogram a queued wait observes
-          its sojourn into *)
-  ad_deadline_at : Lrpc_sim.Time.t option;
-      (** the call's absolute deadline; set only while an admission
-          policy is installed, and delivered as [Rt.Deadline_exceeded]
-          into a waiter still queued when it passes *)
-}
+val checkout :
+  ?deadline_at:Lrpc_sim.Time.t -> Rt.runtime -> Rt.binding -> Rt.proc_binding ->
+  Rt.astack
+(** Pop an A-stack of [pb], a procedure of the binding, off a shard's
+    free list under that shard's lock, starting from the calling
+    processor's preferred shard and skipping (never spinning on) shards
+    whose lock is held. When the only free A-stacks are behind held
+    locks, fall back to the FIFO direct-grant wait (counted in
+    ["lrpc.astack_shard_contended"]); on genuine exhaustion apply the
+    configured policy (counted in ["lrpc.astack_pool_exhausted"]):
+    enqueue as a FIFO waiter and block until a check-in grants an
+    A-stack directly — the caller resumes with it in hand, without
+    re-taking any shard spinlock — or allocate a non-primary batch.
+    In-thread: charges one lock hold.
 
-val checkout : ?admit:admit -> Rt.runtime -> Rt.proc_binding ->
-  client:Lrpc_kernel.Pdomain.t -> server:Lrpc_kernel.Pdomain.t -> Rt.astack
-(** Pop an A-stack off a shard's free list under that shard's lock,
-    starting from the calling processor's preferred shard and skipping
-    (never spinning on) shards whose lock is held. When the only free
-    A-stacks are behind held locks, fall back to the FIFO direct-grant
-    wait (counted in ["lrpc.astack_shard_contended"]); on genuine
-    exhaustion apply the configured policy (counted in
-    ["lrpc.astack_pool_exhausted"]): enqueue as a FIFO waiter and block
-    until a check-in grants an A-stack directly — the caller resumes with
-    it in hand, without re-taking any shard spinlock — or allocate a
-    non-primary batch. In-thread: charges one lock hold.
-
-    [admit] is the overload-control context (normal call-path checkouts
-    always pass one). A queued wait records its sojourn into the
-    binding's queue-delay histogram, and — only while an admission
-    policy is installed on the runtime — enforces the policy's
-    queue-depth bound (refusing with [Rt.Overloaded] before enqueueing),
-    sheds the waiter with [Rt.Overloaded] when its queue delay passes
-    the sojourn target (counted in ["lrpc.calls_shed"]), and aborts it
-    with [Rt.Deadline_exceeded] when [ad_deadline_at] passes first. A
-    shed or aborted waiter is deactivated and leaks nothing: a grant
-    racing the interrupt is passed on to the next live waiter. Without
-    an installed policy no timer is armed and the checkout is
-    cost-identical to the pre-admission path. *)
+    A queued wait records its sojourn into the binding's
+    ["lrpc.queue_delay_us"] histogram. Only while an admission policy is
+    installed on the runtime does a checkout enforce the policy's
+    queue-depth bound (refusing with [Rt.Overloaded] before enqueueing)
+    and shed the waiter with [Rt.Overloaded] when its queue delay passes
+    the sojourn target (counted in ["lrpc.calls_shed"]). [deadline_at],
+    the call's absolute deadline (the call path passes one only under an
+    installed policy), aborts a waiter still queued when it passes with
+    [Rt.Deadline_exceeded]. A shed or aborted waiter is deactivated and
+    leaks nothing: a grant racing the interrupt is passed on to the next
+    live waiter. Without an installed policy or a deadline no timer is
+    armed. *)
 
 val checkin : Rt.runtime -> Rt.proc_binding -> Rt.astack -> unit
 (** Hand the A-stack to the longest-waiting blocked caller (FIFO, granted

@@ -23,11 +23,11 @@ let export rt ~domain ?(defensive_copies = false) iface ~impls =
         invalid_arg ("Binding.export: missing implementation for " ^ p.I.proc_name))
     iface.I.procs;
   let pdl =
-    Kernel.alloc_region rt.kernel ~owner:domain
+    Kernel.alloc_unbacked_region rt.kernel ~owner:domain
       ~name:(iface.I.interface_name ^ "-pdl") ~bytes:512 ~mapped:[ domain ]
   in
   let stubs =
-    Kernel.alloc_region rt.kernel ~owner:domain
+    Kernel.alloc_unbacked_region rt.kernel ~owner:domain
       ~name:(iface.I.interface_name ^ "-server-stubs") ~bytes:(2 * 512)
       ~mapped:[ domain ]
   in
@@ -110,7 +110,7 @@ let build_binding rt ~client ex =
       ex.ex_layouts
   in
   let client_stubs =
-    Kernel.alloc_region rt.kernel ~owner:client
+    Kernel.alloc_unbacked_region rt.kernel ~owner:client
       ~name:(ex.ex_iface.I.interface_name ^ "-client-stubs")
       ~bytes:(2 * 512) ~mapped:[ client ]
   in
@@ -122,7 +122,7 @@ let build_binding rt ~client ex =
       b_export = ex;
       b_procs = procs;
       b_client_stub_pages = client_stubs.Vm.pages;
-      b_return_pages = [];
+      b_return_pages = [||];
       b_stats =
         make_call_stats rt ~bid:rt.next_binding ~client ~server;
       b_inflight = 0;
@@ -172,13 +172,13 @@ let make_remote_binding ?(window = 8) rt ~client ~server iface ~transport =
           ex_defensive = false;
           ex_impls = [];
           ex_layouts = [];
-          ex_pdl_pages = [];
-          ex_stub_pages = [];
+          ex_pdl_pages = [||];
+          ex_stub_pages = [||];
           ex_revoked = false;
         };
       b_procs = [];
-      b_client_stub_pages = [];
-      b_return_pages = [];
+      b_client_stub_pages = [||];
+      b_return_pages = [||];
       b_stats =
         make_call_stats rt ~bid:rt.next_binding ~client ~server;
       b_inflight = 0;

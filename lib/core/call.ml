@@ -15,8 +15,8 @@ let unlock_kernel rt =
 let idle_in_context rt ~target =
   if Kernel.domain_caching_enabled rt.kernel then
     match Kernel.find_idle_processor_in_context rt.kernel target with
-    | Some cpu as hit ->
-        Kernel.note_context_hit ~cpu rt.kernel target;
+    | Some _ as hit ->
+        Kernel.note_context_hit ?cpu:hit rt.kernel target;
         hit
     | None ->
         Kernel.note_context_miss rt.kernel target;
@@ -274,7 +274,7 @@ let enter_server rt h lc th ~client ~server =
   let estack = Estack.associate rt ~server astack in
   (* Domain transfer: the executing thread crosses into the server. *)
   let data_region = lc.lc_region in
-  if Footprint.call_side_ready rt b astack estack ~data_region then
+  if Footprint.call_side_ready rt b astack ~data_region then
     transfer_touch rt ~target:server
       (Footprint.call_side rt b astack estack ~data_region)
   else begin
@@ -595,7 +595,7 @@ let rec slot_bytes acc = function
    under the `Wait exhaustion policy — the pool is the pipelining
    window), marshal the arguments. Runs on the issuing thread; errors
    here raise synchronously, before a handle exists. *)
-let issue_local ?audit ?admit rt b ~proc args =
+let issue_local ?audit ?deadline_at rt b ~proc args =
   let e = engine rt in
   let cm = cost_model rt in
   let client = b.b_client and server = b.b_server in
@@ -625,7 +625,7 @@ let issue_local ?audit ?admit rt b ~proc args =
     cm.Lrpc_sim.Cost_model.proc_call ~then_:Category.Stub_client
     cm.Lrpc_sim.Cost_model.client_stub_call;
   let plan = Layout.plan pb.pb_layout ~args in
-  let astack = Astack.checkout ?admit rt pb ~client ~server in
+  let astack = Astack.checkout ?deadline_at rt b pb in
   let oob = not (Layout.fits pb.pb_layout plan) in
   let data_region =
     if oob then begin
@@ -794,20 +794,6 @@ let issue_guarded ?audit ?deadline ~vehicle rt b ~proc args =
      returns it in [land_]. *)
   b.b_inflight <- b.b_inflight + 1;
   try
-  (* Queued waits observe the binding's queue-delay histogram always;
-     the deadline propagates into the A-stack FIFO wait (so a waiter
-     whose deadline passes is shed from the queue) only under an
-     installed admission policy — without one no timer is armed and the
-     delay sequence is untouched. *)
-  let admit =
-    {
-      Astack.ad_binding = b;
-      ad_deadline_at =
-        (match (rt.admission, deadline) with
-        | Some _, Some d -> Some (Time.add t0 d)
-        | _ -> None);
-    }
-  in
   let kind =
     match b.b_remote with
     | Some r ->
@@ -825,8 +811,17 @@ let issue_guarded ?audit ?deadline ~vehicle rt b ~proc args =
         r.r_in_flight <- r.r_in_flight + 1;
         Ck_remote { rc_args = args; rc_results = []; rc_slot_held = true }
     | None ->
-        (* The local stub charges the procedure call itself. *)
-        issue_local ?audit ~admit rt b ~proc args
+        (* The local stub charges the procedure call itself. The
+           deadline propagates into the A-stack FIFO wait (so a waiter
+           whose deadline passes is shed from the queue) only under an
+           installed admission policy — without one no timer is armed
+           and the delay sequence is untouched. *)
+        let deadline_at =
+          match (rt.admission, deadline) with
+          | Some _, Some d -> Some (Time.add t0 d)
+          | _ -> None
+        in
+        issue_local ?audit ?deadline_at rt b ~proc args
   in
   let h =
     {

@@ -14,7 +14,10 @@ val associate : Rt.runtime -> server:Lrpc_kernel.Pdomain.t -> Rt.astack -> Rt.es
     [estack_alloc_cost] (in-thread) only when a fresh E-stack must be
     allocated. When allocation would exceed the server's address-space
     budget, associations of not-recently-used A-stacks are reclaimed
-    first; raises [Out_of_memory] if nothing can be reclaimed. *)
+    first; raises [Out_of_memory] if nothing can be reclaimed. A new
+    association patches the A-stack's call-side footprint
+    ({!Footprint.set_estack}); one that reuses an E-stack allocates
+    nothing. *)
 
 val preallocate_all : Rt.runtime -> server:Lrpc_kernel.Pdomain.t -> Rt.astack list -> unit
 (** Static policy (ablation A5): pair every A-stack with its own E-stack
@@ -23,6 +26,7 @@ val preallocate_all : Rt.runtime -> server:Lrpc_kernel.Pdomain.t -> Rt.astack li
 val reclaim : Rt.runtime -> server:Lrpc_kernel.Pdomain.t -> keep_newer_than:Lrpc_sim.Time.t -> int
 (** Disassociate E-stacks whose A-stacks were last used at or before the
     given time, returning them to the free pool; returns how many were
-    reclaimed. *)
+    reclaimed. An A-stack whose linkage record is in use has a call in
+    the server, running on its E-stack: that association is kept. *)
 
 val pool_stats : Rt.runtime -> server:Lrpc_kernel.Pdomain.t -> total:int ref -> free:int ref -> unit

@@ -1,61 +1,82 @@
 open Rt
 
-let take n l = List.filteri (fun i _ -> i < n) l
+(* The E-stack's working set: the pages a Null call touches of it. *)
+let estack_pages = 4
+
+let estack_working_set estack =
+  let p = estack.es_region.Vm.pages in
+  Array.sub p 0 (min estack_pages (Array.length p))
 
 let build_call_side rt b astack estack ~data_region =
   let server_pages = pages_of_domain rt b.b_server in
-  rt.kernel_call_pages
-  @ b.b_export.ex_stub_pages
-  @ server_pages.dp_code
-  @ take 4 estack.es_region.Vm.pages
-  @ data_region.Vm.pages
-  @ b.b_export.ex_pdl_pages
-  @ astack.a_linkage.l_region.Vm.pages
-  @ rt.binding_table_pages
+  Array.concat
+    [
+      rt.kernel_call_pages;
+      b.b_export.ex_stub_pages;
+      server_pages.dp_code;
+      estack_working_set estack;
+      data_region.Vm.pages;
+      b.b_export.ex_pdl_pages;
+      astack.a_linkage.l_region.Vm.pages;
+      rt.binding_table_pages;
+    ]
 
 (* Every input but the E-stack and the data region is fixed for an
-   A-stack (its pool belongs to one binding). The A-stack keeps the list
-   for the E-stack it was built with; an out-of-band segment is fresh
-   each call, so that list is never kept. [pages_of_domain] allocates a
-   domain's pages on first use, and building here, on the call path,
-   keeps that at the server's first call. *)
+   A-stack (its pool belongs to one binding). The A-stack keeps the
+   array for its current E-stack ({!set_estack} patches it); an
+   out-of-band segment is fresh each call, so that array is never kept.
+   [pages_of_domain] allocates a domain's pages on first use, and
+   building here, on the call path, keeps that at the server's first
+   call. *)
 let call_side rt b astack estack ~data_region =
   if data_region != astack.a_region then
     build_call_side rt b astack estack ~data_region
-  else
-    match astack.a_footprint with
-    | Some (es, pages) when es == estack -> pages
-    | Some _ | None ->
-        let pages = build_call_side rt b astack estack ~data_region in
-        astack.a_footprint <- Some (estack, pages);
-        pages
+  else if Array.length astack.a_footprint > 0 then astack.a_footprint
+  else begin
+    let pages = build_call_side rt b astack estack ~data_region in
+    astack.a_footprint <- pages;
+    astack.a_footprint_estack <-
+      Array.length rt.kernel_call_pages
+      + Array.length b.b_export.ex_stub_pages
+      + Array.length (pages_of_domain rt b.b_server).dp_code;
+    pages
+  end
 
-(* Whether a list built now is the list [call_side] would build at any
-   later instant: it is kept, or building it allocates no page, since
-   the server's code pages exist. Every other input is fixed while the
-   calling thread holds the A-stack. *)
-let call_side_ready rt b astack estack ~data_region =
-  (data_region == astack.a_region
-  && match astack.a_footprint with Some (es, _) -> es == estack | None -> false)
+let set_estack astack estack =
+  if Array.length astack.a_footprint > 0 then begin
+    let p = estack.es_region.Vm.pages in
+    Array.blit p 0 astack.a_footprint astack.a_footprint_estack
+      (min estack_pages (Array.length p))
+  end
+
+(* Whether an array built now is the array [call_side] would return at
+   any later instant: it is kept, or building it allocates no page,
+   since the server's code pages exist. Every other input is fixed while
+   the calling thread holds the A-stack. *)
+let call_side_ready rt b astack ~data_region =
+  (data_region == astack.a_region && Array.length astack.a_footprint > 0)
   || Hashtbl.mem rt.domain_pages b.b_server.Pdomain.id
 
 (* Built at the binding's first return, not at bind time, so that
    [pages_of_domain] still allocates the client's code and stack pages
    at the client's first return. *)
 let return_side rt b =
-  match b.b_return_pages with
-  | _ :: _ as pages -> pages
-  | [] ->
-      let client_pages = pages_of_domain rt b.b_client in
-      let pages =
-        rt.kernel_return_pages
-        @ b.b_client_stub_pages
-        @ client_pages.dp_code
-        @ client_pages.dp_stack
-      in
-      b.b_return_pages <- pages;
-      pages
+  if Array.length b.b_return_pages > 0 then b.b_return_pages
+  else begin
+    let client_pages = pages_of_domain rt b.b_client in
+    let pages =
+      Array.concat
+        [
+          rt.kernel_return_pages;
+          b.b_client_stub_pages;
+          client_pages.dp_code;
+          client_pages.dp_stack;
+        ]
+    in
+    b.b_return_pages <- pages;
+    pages
+  end
 
 let return_side_ready rt b =
-  (match b.b_return_pages with _ :: _ -> true | [] -> false)
+  Array.length b.b_return_pages > 0
   || Hashtbl.mem rt.domain_pages b.b_client.Pdomain.id

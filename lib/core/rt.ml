@@ -222,8 +222,14 @@ type linkage = {
 }
 
 type estack = {
-  es_region : Vm.region;
+  es_region : Vm.region;  (** pages only: nothing reads an E-stack's bytes *)
   mutable es_assoc : astack option;
+  es_some : estack option;
+      (** preallocated [Some] of this E-stack: an association stores it,
+          so re-associating allocates nothing *)
+  mutable es_next_free : estack option;
+      (** the next E-stack on the server's free list, while this one is
+          on it *)
 }
 
 and astack = {
@@ -238,10 +244,14 @@ and astack = {
           shard of the checkout that allocated them) *)
   mutable a_estack : estack option;
   mutable a_last_used : Time.t;
-  mutable a_footprint : (estack * int list) option;
-      (** the call-side TLB footprint ({!Footprint.call_side}) and the
-          E-stack it was built for; rebuilt when the association
-          changes *)
+  mutable a_footprint : int array;
+      (** the call-side TLB footprint ({!Footprint.call_side}), built at
+          the first call through this A-stack, empty until then; kept
+          for the A-stack's current E-stack, whose pages are overwritten
+          in place when the association changes *)
+  mutable a_footprint_estack : int;
+      (** where the E-stack's pages start in [a_footprint] *)
+  a_some : astack option;  (** preallocated [Some] of this A-stack *)
 }
 
 (* Per-binding call statistics, kept in the engine's metrics registry
@@ -276,8 +286,8 @@ and export = {
       (** one per procedure of [ex_iface], in order: A-stack sizes and
           slots as the stub generator fixes them at compile time (§5.2),
           computed once for every binding of the interface *)
-  ex_pdl_pages : int list;
-  ex_stub_pages : int list;
+  ex_pdl_pages : int array;
+  ex_stub_pages : int array;
   mutable ex_revoked : bool;
 }
 
@@ -328,8 +338,8 @@ and binding = {
   b_server : Pdomain.t;
   b_export : export;
   b_procs : (string * proc_binding) list;
-  b_client_stub_pages : int list;
-  mutable b_return_pages : int list;
+  b_client_stub_pages : int array;
+  mutable b_return_pages : int array;
       (** the return-side TLB footprint ({!Footprint.return_side}), built
           on the first return; empty until then *)
   b_stats : call_stats;
@@ -436,9 +446,16 @@ and remote_call = {
   mutable rc_slot_held : bool;  (** holds one of the window's slots *)
 }
 
-and domain_pages = { dp_code : int list; dp_stack : int list }
+and domain_pages = { dp_code : int array; dp_stack : int array }
 
-and estack_pool = { mutable ep_free : estack list; mutable ep_all : estack list }
+and estack_pool = {
+  ep_name : string;
+      (** the name of the server's E-stack regions, made once: an
+          allocation that fails on the call path builds no string *)
+  mutable ep_free : estack option;
+      (** head of the free list, linked through [es_next_free] *)
+  mutable ep_all : estack list;
+}
 
 and runtime = {
   kernel : Kernel.t;
@@ -452,9 +469,9 @@ and runtime = {
   domain_pages : (Pdomain.id, domain_pages) Hashtbl.t;
   pending_exports : (string, Waitq.t) Hashtbl.t;
   alerts : (int, unit) Hashtbl.t;
-  kernel_call_pages : int list;
-  kernel_return_pages : int list;
-  binding_table_pages : int list;
+  kernel_call_pages : int array;
+  kernel_return_pages : int array;
+  binding_table_pages : int array;
   mutable next_binding : int;
   mutable next_astack : int;
   mutable next_pool : int;
@@ -496,14 +513,13 @@ let create ?(config = default_config) kernel =
      the call path, of which the first ten are touched again on the
      simpler return path (DESIGN.md §4 derives the 25/18 split). *)
   let kregion =
-    Kernel.alloc_region kernel ~owner:(Kernel.kernel_domain kernel)
+    Kernel.alloc_unbacked_region kernel ~owner:(Kernel.kernel_domain kernel)
       ~name:"lrpc-kernel-text" ~bytes:(12 * 512) ~mapped:[]
   in
   let btable =
-    Kernel.alloc_region kernel ~owner:(Kernel.kernel_domain kernel)
+    Kernel.alloc_unbacked_region kernel ~owner:(Kernel.kernel_domain kernel)
       ~name:"lrpc-binding-table" ~bytes:(2 * 512) ~mapped:[]
   in
-  let take n pages = List.filteri (fun i _ -> i < n) pages in
   (* Never bumped: lrpcbench's digests hash Metrics.to_json, zeros too. *)
   ignore
     (Metrics.counter (Engine.metrics (Kernel.engine kernel)) "lrpc.astack_reshards");
@@ -524,7 +540,8 @@ let create ?(config = default_config) kernel =
       pending_exports = Hashtbl.create 8;
       alerts = Hashtbl.create 8;
       kernel_call_pages = kregion.Vm.pages;
-      kernel_return_pages = take 10 kregion.Vm.pages;
+      kernel_return_pages =
+        Array.sub kregion.Vm.pages 0 (min 10 (Array.length kregion.Vm.pages));
       binding_table_pages = btable.Vm.pages;
       next_binding = 1;
       next_astack = 1;
@@ -588,12 +605,12 @@ let pages_of_domain rt d =
   | Some dp -> dp
   | None ->
       let code =
-        Kernel.alloc_region rt.kernel ~owner:d ~name:(d.Pdomain.name ^ "-text")
-          ~bytes:(2 * 512) ~mapped:[ d ]
+        Kernel.alloc_unbacked_region rt.kernel ~owner:d
+          ~name:(d.Pdomain.name ^ "-text") ~bytes:(2 * 512) ~mapped:[ d ]
       in
       let stack =
-        Kernel.alloc_region rt.kernel ~owner:d ~name:(d.Pdomain.name ^ "-stack")
-          ~bytes:(4 * 512) ~mapped:[ d ]
+        Kernel.alloc_unbacked_region rt.kernel ~owner:d
+          ~name:(d.Pdomain.name ^ "-stack") ~bytes:(4 * 512) ~mapped:[ d ]
       in
       let dp = { dp_code = code.Vm.pages; dp_stack = stack.Vm.pages } in
       Hashtbl.replace rt.domain_pages d.Pdomain.id dp;
@@ -605,10 +622,12 @@ let set_linkstack rt th ls =
   Lrpc_util.Id_table.set rt.linkstacks (Engine.thread_id th) ls
 
 let estack_pool rt d =
-  match Hashtbl.find_opt rt.estack_pools d.Pdomain.id with
-  | Some p -> p
-  | None ->
-      let p = { ep_free = []; ep_all = [] } in
+  match Hashtbl.find rt.estack_pools d.Pdomain.id with
+  | p -> p
+  | exception Not_found ->
+      let p =
+        { ep_name = d.Pdomain.name ^ "-estack"; ep_free = None; ep_all = [] }
+      in
       Hashtbl.replace rt.estack_pools d.Pdomain.id p;
       p
 

@@ -120,12 +120,12 @@ let alloc_pages t d n =
   d.Pdomain.pages_allocated <- d.Pdomain.pages_allocated + n;
   let base = t.next_page in
   t.next_page <- base + n;
-  List.init n (fun i -> base + i)
+  Array.init n (fun i -> base + i)
 
 let free_pages _t d pages =
-  d.Pdomain.pages_allocated <- d.Pdomain.pages_allocated - List.length pages
+  d.Pdomain.pages_allocated <- d.Pdomain.pages_allocated - Array.length pages
 
-let alloc_region t ~owner ~name ~bytes ~mapped =
+let new_region t ~owner ~name ~bytes ~mapped ~backed =
   require_active owner;
   let page_size = (cost_model t).Cost_model.page_size in
   let npages = max 1 ((bytes + page_size - 1) / page_size) in
@@ -135,7 +135,7 @@ let alloc_region t ~owner ~name ~bytes ~mapped =
       Vm.rid = t.next_region;
       region_name = name;
       pages;
-      data = Bytes.make (max bytes 1) '\000';
+      data = (if backed then Bytes.make (max bytes 1) '\000' else Bytes.empty);
       mapped = [];
       region_valid = true;
     }
@@ -143,6 +143,12 @@ let alloc_region t ~owner ~name ~bytes ~mapped =
   t.next_region <- t.next_region + 1;
   List.iter (fun d -> Vm.map_into r d) mapped;
   r
+
+let alloc_region t ~owner ~name ~bytes ~mapped =
+  new_region t ~owner ~name ~bytes ~mapped ~backed:true
+
+let alloc_unbacked_region t ~owner ~name ~bytes ~mapped =
+  new_region t ~owner ~name ~bytes ~mapped ~backed:false
 
 let release_region t ~owner r =
   if r.Vm.region_valid then begin
@@ -197,25 +203,28 @@ let outstanding_linkages t th = Id_table.get t.linkages (Engine.thread_id th)
 let domain_caching_enabled t = t.caching
 let set_domain_caching t b = t.caching <- b
 
+(* Whether [c] is idle with [id]'s context loaded. Top-level loops, not
+   iterators over closures: both run on every transfer with domain
+   caching on, and allocate nothing. *)
+let idle_in c id =
+  match (c.Engine.running, c.Engine.context) with
+  | None, Some d -> d = id
+  | _ -> false
+
+let rec first_idle_in cpus id i =
+  if i >= Array.length cpus then None
+  else if idle_in cpus.(i) id then Some cpus.(i)
+  else first_idle_in cpus id (i + 1)
+
 let find_idle_processor_in_context t d =
-  let cpus = Engine.cpus t.engine in
-  let found = ref None in
-  Array.iter
-    (fun c ->
-      if
-        !found = None
-        && c.Engine.running = None
-        && c.Engine.context = Some d.Pdomain.id
-      then found := Some c)
-    cpus;
-  !found
+  first_idle_in (Engine.cpus t.engine) d.Pdomain.id 0
 
 (* Per-domain counters live in the engine's metrics registry; the local
    hashtables only cache the instrument handles for the hot path. *)
 let domain_counter t cache name d =
-  match Hashtbl.find_opt cache d.Pdomain.id with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find cache d.Pdomain.id with
+  | c -> c
+  | exception Not_found ->
       let c =
         Metrics.counter (Engine.metrics t.engine)
           ~labels:[ ("domain", string_of_int d.Pdomain.id) ]
@@ -237,13 +246,13 @@ let note_context_hit ?cpu t d =
   match cpu with
   | None -> ()
   | Some c -> (
-      match Hashtbl.find_opt t.prodded c.Engine.idx with
-      | Some (t0, id) ->
+      match Hashtbl.find t.prodded c.Engine.idx with
+      | t0, id ->
           Hashtbl.remove t.prodded c.Engine.idx;
           if id = d.Pdomain.id then
             Metrics.Histo.observe_us t.h_prod_hit
               (Time.sub (Engine.now t.engine) t0)
-      | None -> ())
+      | exception Not_found -> ())
 
 (* --- the prod policy ----------------------------------------------------
 
@@ -258,9 +267,9 @@ let note_context_hit ?cpu t d =
 let prods t = Metrics.Counter.value t.c_prods
 
 let misses_of_id t id =
-  match Hashtbl.find_opt t.misses id with
-  | Some c -> Metrics.Counter.value c
-  | None -> 0
+  match Hashtbl.find t.misses id with
+  | c -> Metrics.Counter.value c
+  | exception Not_found -> 0
 
 (* Re-tag the idle processor [c] to [d]: the idle processor loads the
    domain's context off the critical path; nobody is charged. *)
@@ -275,10 +284,13 @@ let note_context_miss t d =
   Metrics.Counter.incr counter;
   if t.caching then begin
     let mine = Metrics.Counter.value counter in
-    let candidate = ref None and best = ref max_int in
-    Array.iter
-      (fun c ->
-        if c.Engine.running = None then begin
+    let cpus = Engine.cpus t.engine in
+    let victim = ref (-1) and best = ref max_int in
+    for i = 0 to Array.length cpus - 1 do
+      let c = cpus.(i) in
+      match c.Engine.running with
+      | Some _ -> ()
+      | None ->
           let held =
             match c.Engine.context with
             | None -> -1 (* untagged: always the best victim *)
@@ -286,12 +298,11 @@ let note_context_miss t d =
             | Some id -> misses_of_id t id
           in
           if held < mine && held < !best then begin
-            candidate := Some c;
+            victim := i;
             best := held
           end
-        end)
-      (Engine.cpus t.engine);
-    match !candidate with Some c -> prod t c d | None -> ()
+    done;
+    if !victim >= 0 then prod t cpus.(!victim) d
   end
 
 (* --- termination ---------------------------------------------------------- *)

@@ -34,21 +34,32 @@ val find_domain : t -> Pdomain.id -> Pdomain.t option
 
 (** {1 Memory} *)
 
-val alloc_pages : t -> Pdomain.t -> int -> int list
+val alloc_pages : t -> Pdomain.t -> int -> int array
 (** Allocate pages charged to the domain's budget. Raises
     [Domain_terminated] on dead domains and [Out_of_memory] when the
     domain's page budget is exhausted (the condition that motivates lazy
     E-stack association, paper §3.2). *)
 
-val free_pages : t -> Pdomain.t -> int list -> unit
+val free_pages : t -> Pdomain.t -> int array -> unit
 (** Return pages to the domain's budget (identifiers are not reused). *)
 
 val alloc_region :
   t -> owner:Pdomain.t -> name:string -> bytes:int -> mapped:Pdomain.t list ->
   Vm.region
 (** Allocate a region of [bytes] (rounded up to whole pages, charged to
-    [owner]) and map it into each domain of [mapped]. An empty [mapped]
-    yields a kernel-private region (linkage records). *)
+    [owner]), backed by [bytes] real bytes, and map it into each domain
+    of [mapped]. An empty [mapped] yields a kernel-private region. For
+    regions whose contents are read and written: A-stacks, out-of-band
+    segments and message buffers. *)
+
+val alloc_unbacked_region :
+  t -> owner:Pdomain.t -> name:string -> bytes:int -> mapped:Pdomain.t list ->
+  Vm.region
+(** {!alloc_region} without the bytes: the same pages, charged to the
+    same budget and mapped the same way, for a region the simulation
+    models by its pages alone (E-stacks, linkage records, stubs, code
+    and stacks — their TLB footprints and page budgets). {!Vm}'s byte
+    operations raise [Invalid_argument] on it. *)
 
 val release_region : t -> owner:Pdomain.t -> Vm.region -> unit
 (** Invalidate the region and return its pages to [owner]. *)
@@ -99,7 +110,9 @@ val set_domain_caching : t -> bool -> unit
 val find_idle_processor_in_context :
   t -> Pdomain.t -> Lrpc_sim.Engine.cpu option
 (** A processor with no running thread whose loaded VM context is the
-    given domain — the candidate for a processor exchange. *)
+    given domain — the candidate for a processor exchange; the first in
+    index order. Runs on both transfers of every call with domain
+    caching on, and allocates nothing but the [Some] of a hit. *)
 
 val note_context_miss : t -> Pdomain.t -> unit
 (** Record that a call wanted an idle processor in this domain's context
@@ -109,7 +122,8 @@ val note_context_miss : t -> Pdomain.t -> unit
     ranking idle processors by the same counters: an untagged one first
     (lowest index among several), else the one whose loaded domain has
     the fewest misses — and only when that is strictly fewer than this
-    domain's. A processor already holding this domain is never prodded. *)
+    domain's. A processor already holding this domain is never prodded.
+    The scan allocates nothing. *)
 
 val context_misses : t -> Pdomain.t -> int
 (** Reads ["kernel.context_misses{domain=<id>}"] from the engine's

@@ -1,7 +1,7 @@
 type region = {
   rid : int;
   region_name : string;
-  pages : int list;
+  pages : int array;
   data : Bytes.t;
   mutable mapped : Pdomain.id list;
   mutable region_valid : bool;
@@ -42,6 +42,14 @@ let check ~by:d r what =
          (Printf.sprintf "%s: domain %s has no access to region %s" what
             d.Pdomain.name r.region_name))
 
+(* The bytes of [r], for operation [what]. A region allocated without
+   bytes has none: only its pages exist. *)
+let contents what r =
+  if Bytes.length r.data = 0 then
+    invalid_arg
+      (Printf.sprintf "Vm.%s: region %s has no bytes" what r.region_name)
+  else r.data
+
 let note audit label bytes =
   match audit with
   | Some a ->
@@ -75,27 +83,31 @@ let record_copy ~engine ?audit ~label len =
 
 let write_bytes ?engine ?rate ?audit ?label ~by r ~off src =
   check ~by r "write_bytes";
-  Bytes.blit src 0 r.data off (Bytes.length src);
+  Bytes.blit src 0 (contents "write_bytes" r) off (Bytes.length src);
   account engine rate audit label (Bytes.length src)
 
 let read_bytes ?engine ?rate ?audit ?label ~by r ~off ~len =
   check ~by r "read_bytes";
   let out = Bytes.create len in
-  Bytes.blit r.data off out 0 len;
+  Bytes.blit (contents "read_bytes" r) off out 0 len;
   account engine rate audit label len;
   out
 
 let peek ~by r ~off ~len =
   check ~by r "peek";
-  Bytes.sub r.data off len
+  Bytes.sub (contents "peek" r) off len
 
 let poke ~by r ~off src =
   check ~by r "poke";
-  Bytes.blit src 0 r.data off (Bytes.length src)
+  Bytes.blit src 0 (contents "poke" r) off (Bytes.length src)
 
 let region_to_region ?engine ?rate ?audit ?label ~src ~src_off ~dst ~dst_off ~len
     () =
   if not (src.region_valid && dst.region_valid) then
     raise (Protection_violation "region_to_region: invalid region");
-  Bytes.blit src.data src_off dst.data dst_off len;
+  Bytes.blit
+    (contents "region_to_region" src)
+    src_off
+    (contents "region_to_region" dst)
+    dst_off len;
   account engine rate audit label len

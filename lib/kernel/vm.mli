@@ -1,6 +1,11 @@
 (** Virtual-memory regions and protected byte movement.
 
-    A region is a run of simulated pages backed by real [Bytes.t]. Mapping
+    A region is a run of simulated pages. Regions whose contents the
+    simulation reads — A-stacks, out-of-band segments, message buffers —
+    are backed by real [Bytes.t]; the rest (E-stacks, linkage records,
+    stubs, code and stacks) exist only as pages, for TLB footprints and
+    page budgets, and every byte operation below raises
+    [Invalid_argument] on them. Mapping
     is what the paper's pairwise-shared A-stacks rely on: the same backing
     bytes are made visible to exactly the client and server of one binding
     (and to nobody else), so argument data written by the client stub is
@@ -15,8 +20,10 @@
 type region = {
   rid : int;
   region_name : string;
-  pages : int list;  (** global page identifiers, for TLB footprints *)
+  pages : int array;  (** global page identifiers, for TLB footprints *)
   data : Bytes.t;
+      (** the region's contents; empty for a region allocated without
+          bytes ({!Kernel.alloc_unbacked_region}) *)
   mutable mapped : Pdomain.id list;
       (** domains with read-write access; kernel-only regions map [] *)
   mutable region_valid : bool;  (** unmapped/reclaimed regions are invalid *)

@@ -42,7 +42,14 @@ val histogram :
   histogram
 (** Find or register a histogram (default bins: width 4 up to 4096, plus
     an overflow bin — sized for microsecond-scale call latencies).
-    [bin_width]/[max_value] are only consulted on first registration. *)
+    [bin_width]/[max_value] are only consulted on first registration.
+
+    Storage is {!Lrpc_util.Histogram}'s: 16 (bin, count) slots, allocated
+    here and moved once to one count per bin (1,025 ints with the
+    defaults) when a 17th distinct bin is observed. A binding registers
+    seven histograms, and a Null call's stages touch one to seven bins
+    of each, so a binding's histograms stay at a few hundred words;
+    observing allocates only at that move. *)
 
 module Counter : sig
   val incr : counter -> unit

@@ -60,7 +60,7 @@ type cpu = {
   mutable tail : tail;
   mutable tail_cat : Category.t;
   mutable tail_len : Time.t;
-  mutable tail_pages : int list;
+  mutable tail_pages : int array;
   mutable steals : int;
   mutable steals_tagged : int;
   mutable steals_near : int;
@@ -197,7 +197,7 @@ let create ?(processors = 1) ?(domains = 1) cm =
           tail = No_tail;
           tail_cat = Category.Other;
           tail_len = Time.zero;
-          tail_pages = [];
+          tail_pages = [||];
           steals = 0;
           steals_tagged = 0;
           steals_near = 0;
@@ -851,7 +851,7 @@ let charge_tail t th cat d =
 let boundary t th c =
   let tail = c.tail and pages = c.tail_pages in
   c.tail <- No_tail;
-  c.tail_pages <- [];
+  c.tail_pages <- [||];
   match (th.pending_exn, tail) with
   | Some _, _ | None, No_tail -> exec t th
   | None, Fixed ->
@@ -1072,7 +1072,7 @@ let delay_tail t cat d kind tcat tlen pages =
 
 let delay_then ?(category = Category.Other) t d ~then_ d' =
   if d' < 0 then invalid_arg "Engine.delay_then: negative duration";
-  delay_tail t category d Fixed then_ d' []
+  delay_tail t category d Fixed then_ d' [||]
 
 (* Load [domain]'s context on [c] for [th] if it is not loaded, and
    retag the thread; whether a VM reload is owed. *)

@@ -71,9 +71,10 @@ type cpu = {
   mutable tail : tail;
   mutable tail_cat : Category.t;
   mutable tail_len : Time.t;
-  mutable tail_pages : int list;
+  mutable tail_pages : int array;
       (** the running thread's pending tail, kept here rather than on the
-          thread (DESIGN.md §7). Engine-owned. *)
+          thread (DESIGN.md §7); a refill's pages are the caller's array,
+          held, not copied, until the tail is charged. Engine-owned. *)
   mutable steals : int;  (** threads stolen from other queues, retagging *)
   mutable steals_tagged : int;
       (** steals of threads already in this processor's loaded context *)
@@ -217,9 +218,11 @@ val yield_to : t -> to_:thread -> unit
     queue) instead of blocking — a server donating its processor to a
     replied-to client while it still has queued work. *)
 
-val touch_pages : t -> pages:int list -> unit
-(** Access the given pages through the current processor's TLB in the
-    current thread's domain, charging [Tlb_miss] per miss. *)
+val touch_pages : t -> pages:int array -> unit
+(** Access the given pages, in order, through the current processor's
+    TLB in the current thread's domain, charging [Tlb_miss] per miss.
+    Reads [pages] and allocates nothing, so a caller can keep one array
+    per footprint and touch it on every call. *)
 
 val switch_self_context : t -> domain:int -> unit
 (** The running thread crosses into [domain] on its current processor:
@@ -227,12 +230,13 @@ val switch_self_context : t -> domain:int -> unit
     TLB (untagged case) and update the processor; always retag the
     thread. This is LRPC's direct context switch. *)
 
-val switch_then_touch : t -> domain:int -> pages:int list -> unit
+val switch_then_touch : t -> domain:int -> pages:int array -> unit
 (** [switch_self_context t ~domain; touch_pages t ~pages], observably,
     with one resumption where those may take two, as {!delay_then}: the
     engine looks [pages] up in the TLB, and charges the misses, when the
-    reload's resumption pops: [pages] must be the list the thread would
-    touch at that instant. *)
+    reload's resumption pops: [pages] must hold, then, the pages the
+    thread would touch at that instant. The engine keeps the array, not
+    a copy, until the tail is charged. *)
 
 val exchange_processors : t -> target:cpu -> unit
 (** The LRPC/MP idle-processor optimization: move the running thread onto

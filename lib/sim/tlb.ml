@@ -101,19 +101,13 @@ let touch t k =
     true
   end
 
-let rec access_pages t ~domain pages misses =
-  match pages with
-  | [] -> misses
-  | page :: rest ->
-      let misses =
-        if touch t (key t ~domain ~page) then misses + 1 else misses
-      in
-      access_pages t ~domain rest misses
-
 let access t ~domain ~pages =
-  let misses = access_pages t ~domain pages 0 in
-  t.misses <- t.misses + misses;
-  misses
+  let misses = ref 0 in
+  for i = 0 to Array.length pages - 1 do
+    if touch t (key t ~domain ~page:pages.(i)) then incr misses
+  done;
+  t.misses <- t.misses + !misses;
+  !misses
 
 let resident t ~domain ~page = find t (key t ~domain ~page) >= 0
 

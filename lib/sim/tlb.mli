@@ -31,7 +31,7 @@ val invalidate : t -> unit
 (** Flush: resets the live count. A no-op on a tagged TLB (invalidation is
     what tagging avoids). *)
 
-val access : t -> domain:int -> pages:int list -> int
+val access : t -> domain:int -> pages:int array -> int
 (** Touch the given pages, in order, in the context of [domain]; returns
     the number of misses and inserts the pages (evicting LRU entries if
     full).

@@ -1,7 +1,17 @@
 (** Fixed-bin histograms with cumulative distributions.
 
-    Used for Figure 1 (RPC size distribution) and for latency
-    distributions in the experiment harness. *)
+    Used for Figure 1 (RPC size distribution), for latency distributions
+    in the experiment harness, and behind every {!Lrpc_obs.Metrics}
+    histogram.
+
+    Storage follows the samples, not the bins: a histogram starts as a
+    table of 16 (bin, count) slots, open-addressed by the bin's low four
+    bits, and the first sample of a 17th distinct bin moves it, once,
+    to a dense array of one count per bin. A histogram of 1,025 bins
+    whose samples touch a handful of them costs 32 ints, not 1,025, and
+    [add] allocates only at that move. Every query answers
+    exactly as the dense array does, in either layout, and none builds
+    one. *)
 
 type t
 
@@ -36,10 +46,13 @@ val fraction_below : t -> int -> float
 
 val percentile : t -> float -> int
 (** [percentile t p] with [p] in [\[0, 100\]] returns the smallest recorded
-    upper bin bound at which the cumulative fraction reaches [p] percent. *)
+    upper bin bound at which the cumulative fraction reaches [p] percent,
+    capped at [max_value]: so [p = 0] reads [bin_width] even when bin 0
+    is empty, and a quantile in the overflow bin reads [max_value]. 0 on
+    an empty histogram. *)
 
 val mode_bin : t -> int
-(** Index of the fullest bin. *)
+(** Index of the fullest bin; the lowest one among ties, 0 when empty. *)
 
 val iter : t -> (lower:int -> upper:int option -> count:int -> unit) -> unit
 (** Iterate bins in order; [upper = None] for the overflow bin. *)

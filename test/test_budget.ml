@@ -1,17 +1,20 @@
-(* Allocation and event budgets per simulated call.
+(* Allocation, event and memory budgets.
 
-   Four small fixed worlds run a fixed number of calls each: the
-   paper's serial Null/Add/BigIn/BigInOut loop on one CPU, sixteen
-   Null callers on sixteen CPUs, an open-loop slice, and eRPC echoes
-   under seeded packet drop. Words allocated per call (Gc.minor_words
-   over the run, untraced) must stay at or under a committed budget;
-   the pushes on each of the engine's two heaps must match exactly, as
-   must the threads' resumptions, slices and dispatches (counted from a
-   tracer on a second, identical run); and the processors' busy time
-   must equal the time charged to categories, to the nanosecond. A
-   machine of 256 processors must spawn one thread per processor for a
-   few dozen words each. All of these are deterministic: the same build
-   gives the same figures on every run and every machine.
+   Six small fixed worlds run a fixed number of calls each: the paper's
+   serial Null/Add/BigIn/BigInOut loop on one CPU, LRPC/MP Null calls
+   with domain caching on two CPUs, sixteen Null callers on sixteen
+   CPUs, sixteen callers sharing a server's eight E-stacks, an
+   open-loop slice, and eRPC echoes under seeded packet drop. Words
+   allocated per call (Gc.minor_words over the run, untraced) must stay
+   at or under a committed budget; the calls completed, the pushes on
+   each of the engine's two heaps, the threads' resumptions, slices and
+   dispatches (counted from a tracer on a second, identical run) must
+   match exactly; and the processors' busy time must equal the time
+   charged to categories, to the nanosecond. A machine of 256
+   processors must spawn one thread per processor for a few dozen words
+   each, and a binding must keep its live words under a budget. All of
+   these are deterministic: the same build gives the same figures on
+   every run and every machine.
 
    Minor words depend on the compiler, so the budgets are pinned for
    one OCaml version and fail, naming the version, on any other. A
@@ -40,6 +43,7 @@ type world = {
   name : string;
   build : trace:int option -> Driver.boot * (unit -> int);
   budget_words : int;  (** words per call, rounded up *)
+  calls : int;  (** calls completed, exactly: none fails *)
   slices : int;  (** charged slices over the whole run, exactly *)
   dispatches : int;  (** dispatches over the whole run, exactly *)
   run_pushes : int;  (** resumptions pushed over the whole run, exactly *)
@@ -47,11 +51,12 @@ type world = {
   resumptions : int;  (** threads resumed over the whole run, exactly *)
 }
 
-let boot ~trace ~processors ?install_faults () =
+let boot ~trace ~processors ?(domain_caching = false) ?install_faults () =
   Driver.boot
     {
       Driver.Config.default with
       Driver.Config.processors;
+      domain_caching;
       trace_capacity = trace;
       install_faults;
     }
@@ -74,6 +79,31 @@ let serial ~trace =
          for i = 0 to serial_calls - 1 do
            let t = tests.(i land 3) in
            match Api.call_result rt binding ~proc:t.Driver.proc t.Driver.args with
+           | Ok _ -> incr done_
+           | Error _ -> ()
+         done));
+  (b, fun () -> Driver.run_all b.Driver.bt_engine; !done_)
+
+(* --- mp: LRPC/MP, Null calls with domain caching on two CPUs --------------
+
+   Table 4's MP column: the caller's transfers exchange processors with
+   an idle one holding the other domain's context, so every transfer
+   scans the processors for one. *)
+
+let mp_calls = 2000
+
+let mp ~trace =
+  let b = boot ~trace ~processors:2 ~domain_caching:true () in
+  let k = b.Driver.bt_kernel and rt = b.Driver.bt_rt in
+  let server = Kernel.create_domain k ~name:"server" in
+  let client = Kernel.create_domain k ~name:"client" in
+  ignore (Api.export rt ~domain:server Driver.bench_interface ~impls:Driver.bench_impls);
+  let binding = Api.import rt ~domain:client ~interface:"Bench" in
+  let done_ = ref 0 in
+  ignore
+    (Kernel.spawn k client ~name:"caller" (fun () ->
+         for _ = 1 to mp_calls do
+           match Api.call_result rt binding ~proc:"null" [] with
            | Ok _ -> incr done_
            | Error _ -> ()
          done));
@@ -102,6 +132,48 @@ let scale16 ~trace =
            done))
   done;
   (b, fun () -> Driver.run_all b.Driver.bt_engine; !done_)
+
+(* --- reclaim: more bindings than the server's E-stack budget -------------
+
+   Sixteen Null callers on four CPUs, one binding each, to a server
+   whose page budget holds eight E-stacks. Nearly every call finds its
+   A-stack's E-stack reclaimed and re-associates: from the free list,
+   or, when that is empty, after reclaiming the idle E-stacks (paper
+   §3.2). Think times between calls change from call to call (0.2 to
+   1.2 ms), so callers arrive in a changing order and an A-stack seldom
+   gets back the E-stack it had. At most four calls are in the server
+   at once, so a reclaim always finds an idle E-stack and no call
+   fails. *)
+
+let reclaim_callers = 16
+let reclaim_calls_each = 125
+
+(* The export's PDL and stubs (3 pages), the server's code and stack (6)
+   and eight E-stacks of 40 pages. *)
+let reclaim_page_limit = 3 + 6 + (8 * 40)
+
+let reclaim ~trace =
+  let b = boot ~trace ~processors:4 () in
+  let e = b.Driver.bt_engine in
+  let k = b.Driver.bt_kernel and rt = b.Driver.bt_rt in
+  let server = Kernel.create_domain k ~page_limit:reclaim_page_limit ~name:"server" in
+  ignore (Api.export rt ~domain:server Driver.bench_interface ~impls:Driver.bench_impls);
+  let done_ = ref 0 in
+  for i = 0 to reclaim_callers - 1 do
+    let client = Kernel.create_domain k ~name:(Printf.sprintf "client%d" i) in
+    let binding = Api.import rt ~domain:client ~interface:"Bench" in
+    ignore
+      (Kernel.spawn k client ~home:(i mod 4) ~name:(Printf.sprintf "caller%d" i)
+         (fun () ->
+           for n = 1 to reclaim_calls_each do
+             (match Api.call_result rt binding ~proc:"null" [] with
+             | Ok _ -> incr done_
+             | Error _ -> ());
+             let think = Time.us (200 + (((37 * i) + (101 * n)) mod 997)) in
+             Engine.sleep_until e (Time.add (Engine.now e) think)
+           done))
+  done;
+  (b, fun () -> Driver.run_all e; !done_)
 
 (* --- openloop: 200 Poisson sessions at 20k calls/s on 4 CPUs ------------- *)
 
@@ -193,8 +265,20 @@ let worlds =
     {
       name = "serial";
       build = serial;
-      budget_words = 83;
+      budget_words = 77;
+      calls = 2000;
       slices = 33004;
+      dispatches = 1;
+      run_pushes = 1;
+      timer_pushes = 0;
+      resumptions = 1;
+    };
+    {
+      name = "mp";
+      build = mp;
+      budget_words = 57;
+      calls = 2000;
+      slices = 26004;
       dispatches = 1;
       run_pushes = 1;
       timer_pushes = 0;
@@ -203,7 +287,8 @@ let worlds =
     {
       name = "scale16";
       build = scale16;
-      budget_words = 102;
+      budget_words = 95;
+      calls = 2000;
       slices = 30016;
       dispatches = 16;
       run_pushes = 30032;
@@ -211,9 +296,21 @@ let worlds =
       resumptions = 20064;
     };
     {
+      name = "reclaim";
+      build = reclaim;
+      budget_words = 88;
+      calls = 2000;
+      slices = 30008;
+      dispatches = 2016;
+      run_pushes = 24892;
+      timer_pushes = 2000;
+      resumptions = 16005;
+    };
+    {
       name = "openloop";
       build = openloop;
-      budget_words = 138;
+      budget_words = 125;
+      calls = 1973;
       slices = 29709;
       dispatches = 2122;
       run_pushes = 25314;
@@ -223,7 +320,8 @@ let worlds =
     {
       name = "erpc";
       build = erpc;
-      budget_words = 369;
+      budget_words = 366;
+      calls = 400;
       slices = 2400;
       dispatches = 804;
       run_pushes = 2245;
@@ -276,6 +374,7 @@ let test_events w () =
   let calls = run () in
   let e = b.Driver.bt_engine in
   let traced_calls, slices, dispatches = traced_counts w in
+  Alcotest.(check int) (w.name ^ ": calls completed") w.calls calls;
   Alcotest.(check int) (w.name ^ ": tracing moves no call") calls traced_calls;
   let per n = float_of_int n /. float_of_int calls in
   Alcotest.(check int)
@@ -329,6 +428,63 @@ let test_spawn () =
   Alcotest.(check int) "each on its home processor: no steals" 0
     (Engine.total_steals e)
 
+(* --- live memory per binding ------------------------------------------------
+
+   Sixteen Null clients of one server on sixteen CPUs. Live words after
+   a full major GC, per binding: what binding adds, and what twenty Null
+   calls through each binding add after that. A binding keeps its
+   A-stacks and linkage records, its call statistics and, from its first
+   call, an E-stack and two TLB footprints. Memory the simulation does
+   not read costs here: a latency histogram of one int per bin, or bytes
+   behind an E-stack, would each break the budgets. *)
+
+let mem_bindings = 16
+let mem_calls_each = 20
+let bind_budget_words = 3000
+let calls_budget_words = 500
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* Words per binding added by binding, then by the calls. *)
+let memory_per_binding () =
+  let b = boot ~trace:None ~processors:mem_bindings () in
+  let k = b.Driver.bt_kernel and rt = b.Driver.bt_rt in
+  let server = Kernel.create_domain k ~name:"server" in
+  ignore (Api.export rt ~domain:server Driver.bench_interface ~impls:Driver.bench_impls);
+  let clients =
+    Array.init mem_bindings (fun i ->
+        Kernel.create_domain k ~name:(Printf.sprintf "client%d" i))
+  in
+  let w0 = live_words () in
+  let bindings = Array.map (fun c -> Api.import rt ~domain:c ~interface:"Bench") clients in
+  let w1 = live_words () in
+  Array.iteri
+    (fun i binding ->
+      ignore
+        (Kernel.spawn k clients.(i) ~home:i (fun () ->
+             for _ = 1 to mem_calls_each do
+               ignore (Api.call rt binding ~proc:"null" [])
+             done)))
+    bindings;
+  Driver.run_all b.Driver.bt_engine;
+  let w2 = live_words () in
+  ignore (Sys.opaque_identity (b, bindings));
+  let per n = float_of_int n /. float_of_int mem_bindings in
+  (per (w1 - w0), per (w2 - w1))
+
+let test_memory () =
+  require_pinned_ocaml "memory";
+  let bind, calls = memory_per_binding () in
+  if bind > float_of_int bind_budget_words then
+    Alcotest.failf "memory: %.0f live words per binding at bind, budget %d" bind
+      bind_budget_words;
+  if calls > float_of_int calls_budget_words then
+    Alcotest.failf
+      "memory: %.0f more live words per binding after %d Null calls each, budget %d"
+      calls mem_calls_each calls_budget_words
+
 let () =
   Alcotest.run "lrpc_budget"
     [
@@ -337,4 +493,6 @@ let () =
       ( "events per call",
         List.map (fun w -> Alcotest.test_case w.name `Quick (test_events w)) worlds );
       ("spawn", [ Alcotest.test_case "256 pinned threads" `Quick test_spawn ]);
+      ( "memory",
+        [ Alcotest.test_case "live words per binding" `Quick test_memory ] );
     ]

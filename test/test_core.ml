@@ -656,7 +656,7 @@ let test_astack_validate_foreign () =
           let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
           let add = List.assoc "add" b.Rt.b_procs
           and null = List.assoc "null" b.Rt.b_procs in
-          let take () = Astack.checkout w.rt add ~client:w.client ~server:w.server in
+          let take () = Astack.checkout w.rt b add in
           let own = take () in
           Astack.validate w.rt add own;
           Alcotest.check_raises "another procedure's A-stack" (Rt.Bad_binding foreign)
@@ -915,6 +915,72 @@ let test_estack_reclaim_under_memory_pressure () =
       match Api.call rt b ~proc:"null" [] with
       | [] -> ()
       | _ -> Alcotest.fail "null after reclaim")
+
+(* A reclaim never takes the E-stack of a call still in the server
+   (paper §3.2 reclaims only E-stacks not in use). The server's budget
+   holds two E-stacks. One thread calls [a], then sits in [hold]; while
+   it is there, a second thread calls [b] and then [a] again, and each
+   of those calls needs an E-stack that only a reclaim can give. The
+   held call keeps its E-stack, and neither reclaiming call gets it. *)
+let test_estack_reclaim_skips_calls_in_flight () =
+  let engine = Engine.create cm in
+  let kernel = Kernel.boot engine in
+  let rt = Api.init kernel in
+  let server = Kernel.create_domain kernel ~name:"tight" in
+  let client = Kernel.create_domain kernel ~name:"app" in
+  let iface = I.interface "Hold" [ I.proc "a" []; I.proc "hold" []; I.proc "b" [] ] in
+  let impls =
+    [
+      ("a", fun _ -> []);
+      ("b", fun _ -> []);
+      ( "hold",
+        fun _ ->
+          Engine.sleep_until engine (Time.add (Engine.now engine) (Time.ms 5));
+          [] );
+    ]
+  in
+  ignore (Api.export rt ~domain:server iface ~impls);
+  let b = Api.import rt ~domain:client ~interface:"Hold" in
+  let estack_of proc =
+    let pool = (List.assoc proc b.Rt.b_procs).Rt.pb_pool in
+    List.filter_map (fun a -> a.Rt.a_estack) pool.Rt.ap_all
+  in
+  (* Observed by the reclaiming thread while [hold] is in the server,
+     checked once the run is over. *)
+  let got_held = ref [] and hold_kept = ref false and still_assoc = ref false in
+  ignore
+    (Kernel.spawn kernel client ~name:"holder" (fun () ->
+         ignore (Api.call rt b ~proc:"a" []);
+         (* Room for exactly one more E-stack: [hold]'s. *)
+         server.Pdomain.page_limit <- server.Pdomain.pages_allocated + 40;
+         ignore (Api.call rt b ~proc:"hold" [])));
+  ignore
+    (Kernel.spawn kernel client ~name:"reclaimer" (fun () ->
+         Engine.sleep_until engine (Time.ms 1);
+         match estack_of "hold" with
+         | [ es_hold ] ->
+             List.iter
+               (fun proc ->
+                 ignore (Api.call rt b ~proc []);
+                 if List.exists (fun es -> es == es_hold) (estack_of proc) then
+                   got_held := proc :: !got_held)
+               [ "b"; "a" ];
+             hold_kept :=
+               (match estack_of "hold" with [ es ] -> es == es_hold | _ -> false);
+             still_assoc :=
+               (match es_hold.Rt.es_assoc with
+               | Some a -> a.Rt.a_linkage.Rt.l_in_use
+               | None -> false)
+         | _ -> ()));
+  Engine.run engine;
+  Alcotest.(check int) "no failures" 0 (List.length (Engine.failures engine));
+  Alcotest.(check (list string)) "no reclaiming call got the held E-stack" []
+    !got_held;
+  Alcotest.(check bool) "hold kept its E-stack" true !hold_kept;
+  Alcotest.(check bool) "still associated with hold's A-stack" true !still_assoc;
+  let total = ref 0 and free = ref 0 in
+  Estack.pool_stats rt ~server ~total ~free;
+  Alcotest.(check int) "pool capped at two" 2 !total
 
 let test_global_kernel_lock_serial_latency_unchanged () =
   (* the A4 counterfactual only hurts under contention; serially it still
@@ -1376,6 +1442,8 @@ let () =
           Alcotest.test_case "static" `Quick test_estacks_static_preallocates;
           Alcotest.test_case "reclaim" `Quick test_estack_reclaim;
           Alcotest.test_case "memory pressure" `Quick test_estack_reclaim_under_memory_pressure;
+          Alcotest.test_case "reclaim skips calls in flight" `Quick
+            test_estack_reclaim_skips_calls_in_flight;
           Alcotest.test_case "global lock serial" `Quick test_global_kernel_lock_serial_latency_unchanged;
         ] );
       ( "charge tails",

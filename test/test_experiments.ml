@@ -511,6 +511,24 @@ let test_renders () =
   nonempty "t3" (E.Table3.render (E.Table3.run ()));
   nonempty "t5" (E.Table5.render (E.Table5.run ~calls:10 ()))
 
+(* --- the Table 4/5 pin ----------------------------------------------------
+
+   The md5 of the `t4 t5 --quick` rendering (the Makefile's T45_DIGEST,
+   also pinned by lrpcbench): the classic-path LRPC numbers the paper's
+   tables publish, which no other path may perturb. *)
+
+let t45_digest = "8da7f56177c9c5c4908222de5c262ccd"
+
+let test_t45_digest () =
+  let rendering =
+    String.concat ""
+      (List.map
+         (fun n -> E.Suite.run ~seed:1989L ~quick:true n ^ "\n\n")
+         [ "t4"; "t5" ])
+  in
+  Alcotest.(check string) "t4 t5 rendering pin" t45_digest
+    (Digest.to_hex (Digest.string rendering))
+
 let () =
   Alcotest.run "lrpc_experiments"
     [
@@ -547,4 +565,5 @@ let () =
       ("locality", [ Alcotest.test_case "numa bounds" `Quick test_numa_bounds ]);
       ("transport", [ Alcotest.test_case "smoke bounds" `Quick test_transport_smoke ]);
       ("rendering", [ Alcotest.test_case "renders" `Quick test_renders ]);
+      ("pins", [ Alcotest.test_case "t4 t5 digest" `Quick test_t45_digest ]);
     ]

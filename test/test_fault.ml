@@ -123,9 +123,15 @@ let add_remote ?rto ?max_attempts ?retry_budget w =
 
 (* --- the chaos soak ------------------------------------------------------- *)
 
+(* The default soak's trace digest, as `make check` and lrpcbench pin it
+   (the Makefile's CHAOS_DIGEST): a change to the published
+   fault-injection behaviour is a conscious re-pin, not silent drift. *)
+let chaos_digest = "5eeba0661c190ff27d10f0b0154ef27c"
+
 let test_soak_invariants () =
   let r = Fault_soak.run Fault_soak.default in
   Alcotest.(check bool) "all invariants hold" true (Fault_soak.ok r);
+  Alcotest.(check string) "chaos digest pin" chaos_digest r.Fault_soak.r_digest;
   Alcotest.(check int) "all calls issued" Fault_soak.default.Fault_soak.calls
     r.Fault_soak.r_calls;
   Alcotest.(check bool) "soak is big enough" true (r.Fault_soak.r_calls >= 5000);
@@ -138,7 +144,7 @@ let test_soak_invariants () =
   Alcotest.(check bool) "deadlines fired" true (r.Fault_soak.r_deadline > 0);
   Alcotest.(check bool) "contended fallback taken" true
     (r.Fault_soak.r_shard_contended > 0);
-  (* JSON report shape, as consumed by `make fault-smoke`. *)
+  (* JSON report shape: every invariant by name, as lrpc_chaos writes it. *)
   let json = Fault_soak.report_to_json r in
   List.iter
     (fun key ->
@@ -150,8 +156,9 @@ let test_soak_invariants () =
       in
       Alcotest.(check bool) (key ^ " in JSON") true found)
     [
-      "seed"; "outcomes"; "faults"; "invariants"; "net_retries";
-      "pool_balanced"; "no_stuck_threads"; "digest";
+      "seed"; "calls"; "outcomes"; "faults"; "invariants"; "net_retries";
+      "all_resolved"; "failure_accounting"; "pool_balanced"; "linkages_zero";
+      "in_flight_zero"; "no_stuck_threads"; "no_thread_failures"; "digest";
     ]
 
 let test_soak_replay_identical () =

@@ -62,7 +62,7 @@ let test_page_budget_enforced () =
   let _, k = boot () in
   let d = Kernel.create_domain k ~page_limit:10 ~name:"small" in
   let pages = Kernel.alloc_pages k d 10 in
-  Alcotest.(check int) "got 10" 10 (List.length pages);
+  Alcotest.(check int) "got 10" 10 (Array.length pages);
   Alcotest.check_raises "budget" Out_of_memory (fun () ->
       ignore (Kernel.alloc_pages k d 1));
   Kernel.free_pages k d pages;
@@ -74,8 +74,8 @@ let test_pages_never_reused () =
   let a = Kernel.alloc_pages k d 5 in
   Kernel.free_pages k d a;
   let b = Kernel.alloc_pages k d 5 in
-  List.iter
-    (fun p -> Alcotest.(check bool) "fresh ids" false (List.mem p a))
+  Array.iter
+    (fun p -> Alcotest.(check bool) "fresh ids" false (Array.mem p a))
     b
 
 let test_region_rounds_to_pages () =
@@ -83,7 +83,7 @@ let test_region_rounds_to_pages () =
   let d = Kernel.create_domain k ~name:"d" in
   (* 513 bytes on 512-byte pages = 2 pages *)
   let r = Kernel.alloc_region k ~owner:d ~name:"r" ~bytes:513 ~mapped:[ d ] in
-  Alcotest.(check int) "2 pages" 2 (List.length r.Vm.pages);
+  Alcotest.(check int) "2 pages" 2 (Array.length r.Vm.pages);
   Alcotest.(check int) "charged" 2 d.Pdomain.pages_allocated
 
 let test_region_release () =
@@ -167,6 +167,37 @@ let test_vm_rate_override () =
          elapsed := Time.sub (Engine.now e) t0));
   Engine.run e;
   Alcotest.(check int) "override rate" 2_000 !elapsed
+
+(* A region allocated without bytes has its pages and its budget
+   charge, and no contents: every byte operation on it raises, a
+   zero-length one too, whichever side of a copy it is on. *)
+let test_unbacked_region () =
+  let _, k = boot () in
+  let d = Kernel.create_domain k ~name:"d" in
+  let r =
+    Kernel.alloc_unbacked_region k ~owner:d ~name:"estack" ~bytes:20_480
+      ~mapped:[ d ]
+  in
+  let backed = Kernel.alloc_region k ~owner:d ~name:"astack" ~bytes:64 ~mapped:[ d ] in
+  Alcotest.(check int) "40 pages" 40 (Array.length r.Vm.pages);
+  Alcotest.(check int) "charged with the backed page" 41 d.Pdomain.pages_allocated;
+  Alcotest.(check bool) "mapped" true (Vm.accessible r d);
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s on a region without bytes" what
+  in
+  raises "write_bytes" (fun () -> Vm.write_bytes ~by:d r ~off:0 (Bytes.of_string "x"));
+  raises "empty write_bytes" (fun () -> Vm.write_bytes ~by:d r ~off:0 Bytes.empty);
+  raises "read_bytes" (fun () -> ignore (Vm.read_bytes ~by:d r ~off:0 ~len:0));
+  raises "peek" (fun () -> ignore (Vm.peek ~by:d r ~off:0 ~len:0));
+  raises "poke" (fun () -> Vm.poke ~by:d r ~off:0 Bytes.empty);
+  raises "copy from" (fun () ->
+      Vm.region_to_region ~src:r ~src_off:0 ~dst:backed ~dst_off:0 ~len:0 ());
+  raises "copy into" (fun () ->
+      Vm.region_to_region ~src:backed ~src_off:0 ~dst:r ~dst_off:0 ~len:0 ());
+  Kernel.release_region k ~owner:d r;
+  Alcotest.(check int) "pages back" 1 d.Pdomain.pages_allocated
 
 let test_region_to_region () =
   let _, k = boot () in
@@ -436,6 +467,7 @@ let () =
           Alcotest.test_case "copy cost" `Quick test_vm_copy_charges_time;
           Alcotest.test_case "rate override" `Quick test_vm_rate_override;
           Alcotest.test_case "region to region" `Quick test_region_to_region;
+          Alcotest.test_case "region without bytes" `Quick test_unbacked_region;
         ] );
       ( "kernel",
         [

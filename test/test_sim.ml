@@ -228,35 +228,35 @@ let test_tlb_miss_split () =
 
 let test_tlb_miss_then_hit () =
   let tlb = Tlb.create ~capacity:8 ~tagged:false in
-  Alcotest.(check int) "cold misses" 3 (Tlb.access tlb ~domain:1 ~pages:[ 1; 2; 3 ]);
-  Alcotest.(check int) "warm hits" 0 (Tlb.access tlb ~domain:1 ~pages:[ 1; 2; 3 ])
+  Alcotest.(check int) "cold misses" 3 (Tlb.access tlb ~domain:1 ~pages:[| 1; 2; 3 |]);
+  Alcotest.(check int) "warm hits" 0 (Tlb.access tlb ~domain:1 ~pages:[| 1; 2; 3 |])
 
 let test_tlb_invalidate () =
   let tlb = Tlb.create ~capacity:8 ~tagged:false in
-  ignore (Tlb.access tlb ~domain:1 ~pages:[ 1; 2 ]);
+  ignore (Tlb.access tlb ~domain:1 ~pages:[| 1; 2 |]);
   Tlb.invalidate tlb;
-  Alcotest.(check int) "cold again" 2 (Tlb.access tlb ~domain:1 ~pages:[ 1; 2 ]);
+  Alcotest.(check int) "cold again" 2 (Tlb.access tlb ~domain:1 ~pages:[| 1; 2 |]);
   Alcotest.(check int) "one flush" 1 (Tlb.flush_count tlb)
 
 let test_tlb_tagged_survives () =
   let tlb = Tlb.create ~capacity:8 ~tagged:true in
-  ignore (Tlb.access tlb ~domain:1 ~pages:[ 1; 2 ]);
+  ignore (Tlb.access tlb ~domain:1 ~pages:[| 1; 2 |]);
   Tlb.invalidate tlb;
-  Alcotest.(check int) "still resident" 0 (Tlb.access tlb ~domain:1 ~pages:[ 1; 2 ]);
+  Alcotest.(check int) "still resident" 0 (Tlb.access tlb ~domain:1 ~pages:[| 1; 2 |]);
   (* Same page in another domain is a distinct tagged entry. *)
-  Alcotest.(check int) "other domain misses" 2 (Tlb.access tlb ~domain:2 ~pages:[ 1; 2 ])
+  Alcotest.(check int) "other domain misses" 2 (Tlb.access tlb ~domain:2 ~pages:[| 1; 2 |])
 
 let test_tlb_untagged_shares_pages () =
   let tlb = Tlb.create ~capacity:8 ~tagged:false in
-  ignore (Tlb.access tlb ~domain:1 ~pages:[ 7 ]);
-  Alcotest.(check int) "untagged ignores domain" 0 (Tlb.access tlb ~domain:2 ~pages:[ 7 ])
+  ignore (Tlb.access tlb ~domain:1 ~pages:[| 7 |]);
+  Alcotest.(check int) "untagged ignores domain" 0 (Tlb.access tlb ~domain:2 ~pages:[| 7 |])
 
 let test_tlb_lru_eviction () =
   let tlb = Tlb.create ~capacity:2 ~tagged:false in
-  ignore (Tlb.access tlb ~domain:0 ~pages:[ 1; 2 ]);
-  ignore (Tlb.access tlb ~domain:0 ~pages:[ 1 ]);
+  ignore (Tlb.access tlb ~domain:0 ~pages:[| 1; 2 |]);
+  ignore (Tlb.access tlb ~domain:0 ~pages:[| 1 |]);
   (* 2 is now LRU *)
-  ignore (Tlb.access tlb ~domain:0 ~pages:[ 3 ]);
+  ignore (Tlb.access tlb ~domain:0 ~pages:[| 3 |]);
   Alcotest.(check bool) "1 stays" true (Tlb.resident tlb ~domain:0 ~page:1);
   Alcotest.(check bool) "2 evicted" false (Tlb.resident tlb ~domain:0 ~page:2)
 
@@ -387,7 +387,8 @@ let prop_tlb_matches_reference =
           let same_result =
             match op with
             | Access (domain, pages) ->
-                Tlb.access t ~domain ~pages = Ref_tlb.access r ~domain ~pages
+                Tlb.access t ~domain ~pages:(Array.of_list pages)
+                = Ref_tlb.access r ~domain ~pages
             | Invalidate ->
                 Tlb.invalidate t;
                 Ref_tlb.invalidate r;
@@ -405,7 +406,7 @@ let test_tlb_access_allocates_nothing () =
   List.iter
     (fun tagged ->
       let tlb = Tlb.create ~capacity:64 ~tagged in
-      let pages = List.init 43 (fun i -> 100 + i) in
+      let pages = Array.init 43 (fun i -> 100 + i) in
       ignore (Tlb.access tlb ~domain:3 ~pages);
       let minor_words f =
         let before = Gc.minor_words () in
@@ -429,12 +430,12 @@ let test_tlb_tagged_key_range () =
   let tlb = Tlb.create ~capacity:4 ~tagged:true in
   List.iter
     (fun (domain, page) ->
-      match Tlb.access tlb ~domain ~pages:[ page ] with
+      match Tlb.access tlb ~domain ~pages:[| page |] with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "domain %d page %d accepted" domain page)
     [ (-1, 0); (0, -1); (1 lsl 23, 0); (0, 1 lsl 40) ];
   Alcotest.(check int) "largest key misses once" 1
-    (Tlb.access tlb ~domain:((1 lsl 23) - 1) ~pages:[ (1 lsl 40) - 1 ]);
+    (Tlb.access tlb ~domain:((1 lsl 23) - 1) ~pages:[| (1 lsl 40) - 1 |]);
   Alcotest.(check bool) "and is distinct from domain 0" false
     (Tlb.resident tlb ~domain:0 ~page:((1 lsl 40) - 1))
 
@@ -587,9 +588,9 @@ let test_touch_pages_charges_misses () =
   let e = Engine.create ~processors:1 cm_no_bus in
   ignore
     (Engine.spawn e ~domain:0 (fun () ->
-         Engine.touch_pages e ~pages:[ 100; 101; 102 ];
+         Engine.touch_pages e ~pages:[| 100; 101; 102 |];
          (* warm now *)
-         Engine.touch_pages e ~pages:[ 100; 101; 102 ]));
+         Engine.touch_pages e ~pages:[| 100; 101; 102 |]));
   Engine.run e;
   let tlb =
     List.assoc_opt Category.Tlb_miss (Engine.breakdown e)
@@ -1164,7 +1165,7 @@ let test_engine_domain_id_bounds () =
             note ();
             Engine.switch_self_context e ~domain:other;
             note ();
-            Engine.switch_then_touch e ~domain ~pages:[ 0; 1 ];
+            Engine.switch_then_touch e ~domain ~pages:[| 0; 1 |];
             note ())
       in
       ignore (Engine.spawn e ~domain note);
@@ -1449,7 +1450,7 @@ type shot = Caught | Uncaught | Killed
 type tail_op =
   | Seg of int  (** a plain delay, in us *)
   | Pair of int * int  (** a two-segment charge *)
-  | Cross of int * int list  (** switch to a domain, then touch pages *)
+  | Cross of int * int array  (** switch to a domain, then touch pages *)
   | Park  (** block until woken *)
   | Unpark of int  (** wake a thread *)
   | Shoot of int * int * shot
@@ -1475,7 +1476,7 @@ let gen_tail_world =
           (5, map2 (fun a b -> Pair (a, b)) (int_range 1 20) (int_range 0 20));
           ( 3,
             map2
-              (fun d pages -> Cross (d, pages))
+              (fun d pages -> Cross (d, Array.of_list pages))
               (int_bound 2)
               (list_size (int_range 1 6) (int_bound 15)) );
           (1, return Park);
@@ -1500,7 +1501,7 @@ let print_tail_world w =
     | Pair (a, b) -> Printf.sprintf "pair %d+%d" a b
     | Cross (d, ps) ->
         Printf.sprintf "cross %d [%s]" d
-          (String.concat ";" (List.map string_of_int ps))
+          (String.concat ";" (List.map string_of_int (Array.to_list ps)))
     | Park -> "park"
     | Unpark j -> Printf.sprintf "unpark %d" j
     | Shoot (k, j, s) ->

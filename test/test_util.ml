@@ -163,6 +163,212 @@ let test_histogram_empty_percentile () =
   Alcotest.(check int) "empty p99" 0 (Histogram.percentile h 99.0);
   Alcotest.(check (float 1e-9)) "empty cumulative" 0.0 (Histogram.cumulative_at h 50)
 
+(* --- Histogram against a dense reference ---------------------------------
+
+   A reference model: one count per bin, the overflow bin last, and the
+   queries read straight off it. [Histogram] keeps (bin, count) slots
+   until its 17th distinct bin; on every input each query must answer
+   as this model does. *)
+
+module Dense = struct
+  type t = { bw : int; max : int; bins : int array; mutable total : int }
+
+  let create ~bin_width ~max_value =
+    let n = (max_value + bin_width - 1) / bin_width in
+    { bw = bin_width; max = max_value; bins = Array.make (n + 1) 0; total = 0 }
+
+  let last t = Array.length t.bins - 1
+  let bin_of t v = if v >= t.max then last t else v / t.bw
+
+  let add t v =
+    let i = bin_of t v in
+    t.bins.(i) <- t.bins.(i) + 1;
+    t.total <- t.total + 1
+
+  let cumulative_at t v =
+    if t.total = 0 then 0.0
+    else begin
+      let acc = ref 0 in
+      for i = 0 to bin_of t v do
+        acc := !acc + t.bins.(i)
+      done;
+      float_of_int !acc /. float_of_int t.total
+    end
+
+  let fraction_below t v =
+    if t.total = 0 || v <= 0 then 0.0
+    else begin
+      let full = min (v / t.bw) (last t) in
+      let acc = ref 0 in
+      for i = 0 to full - 1 do
+        acc := !acc + t.bins.(i)
+      done;
+      let partial =
+        if full >= last t then 0.0
+        else
+          float_of_int t.bins.(full)
+          *. float_of_int (v - (full * t.bw))
+          /. float_of_int t.bw
+      in
+      (float_of_int !acc +. partial) /. float_of_int t.total
+    end
+
+  let percentile t p =
+    if t.total = 0 then 0
+    else begin
+      let target = p /. 100. *. float_of_int t.total in
+      let acc = ref 0.0 and result = ref None in
+      Array.iteri
+        (fun i c ->
+          acc := !acc +. float_of_int c;
+          if !result = None && !acc >= target then
+            result := Some (min t.max ((i + 1) * t.bw)))
+        t.bins;
+      Option.value !result ~default:t.max
+    end
+
+  let mode_bin t =
+    let best = ref 0 in
+    Array.iteri (fun i c -> if c > t.bins.(!best) then best := i) t.bins;
+    !best
+end
+
+let histogram_percentiles = [ 0.0; 0.5; 1.0; 25.0; 50.0; 90.0; 99.0; 99.9; 100.0 ]
+
+(* Every query of [h] that disagrees with [d], named. *)
+let histogram_mismatches h (d : Dense.t) samples =
+  let bad = ref [] in
+  let check name same = if not same then bad := name :: !bad in
+  check "count" (Histogram.count h = d.Dense.total);
+  check "bin_count" (Histogram.bin_count h = Array.length d.Dense.bins);
+  Array.iteri
+    (fun i c -> check (Printf.sprintf "bin_value %d" i) (Histogram.bin_value h i = c))
+    d.Dense.bins;
+  check "mode_bin" (Histogram.mode_bin h = Dense.mode_bin d);
+  List.iter
+    (fun p ->
+      check (Printf.sprintf "percentile %g" p)
+        (Histogram.percentile h p = Dense.percentile d p))
+    histogram_percentiles;
+  let bw = d.Dense.bw and mx = d.Dense.max in
+  let probes =
+    [ min_int; -bw - 1; -1; 0; 1; bw - 1; bw; bw + 1; mx - 1; mx; mx + 1; max_int ]
+    @ List.concat_map (fun v -> [ v - 1; v; v + 1 ]) samples
+  in
+  List.iter
+    (fun v ->
+      check (Printf.sprintf "cumulative_at %d" v)
+        (Histogram.cumulative_at h v = Dense.cumulative_at d v);
+      check (Printf.sprintf "fraction_below %d" v)
+        (Histogram.fraction_below h v = Dense.fraction_below d v))
+    probes;
+  let seen = ref [] in
+  Histogram.iter h (fun ~lower ~upper ~count -> seen := (lower, upper, count) :: !seen);
+  let expected =
+    List.init (Array.length d.Dense.bins) (fun i ->
+        (i * bw, (if i = Dense.last d then None else Some ((i + 1) * bw)), d.Dense.bins.(i)))
+  in
+  check "iter" (List.rev !seen = expected);
+  (* [render] as the dense layout printed it, from the model's bins. *)
+  let render h =
+    let buf = Buffer.create 256 in
+    let ppf = Format.formatter_of_buffer buf in
+    Histogram.render h ppf;
+    Format.pp_print_flush ppf ();
+    Buffer.contents buf
+  in
+  let dense_render =
+    let buf = Buffer.create 256 in
+    let width = 50 and max_count = Array.fold_left max 1 d.Dense.bins in
+    Printf.bprintf buf "%12s  %-*s %10s  %s\n" "range" width "" "count" "cum%";
+    let running = ref 0 in
+    Array.iteri
+      (fun i c ->
+        running := !running + c;
+        let cum =
+          if d.Dense.total = 0 then 0.0
+          else 100.0 *. float_of_int !running /. float_of_int d.Dense.total
+        in
+        Printf.bprintf buf "%12s  %-*s %10d  %5.1f\n" (Histogram.bin_label h i) width
+          (String.make (c * width / max_count) '#') c cum)
+      d.Dense.bins;
+    Printf.bprintf buf "total: %d samples\n" d.Dense.total;
+    Buffer.contents buf
+  in
+  check "render" (render h = dense_render);
+  List.rev !bad
+
+let histogram_pair ~bin_width ~max_value samples =
+  let h = Histogram.create ~bin_width ~max_value
+  and d = Dense.create ~bin_width ~max_value in
+  List.iter (fun v -> Histogram.add h v; Dense.add d v) samples;
+  (h, d)
+
+let check_against_dense what ~bin_width ~max_value samples =
+  let h, d = histogram_pair ~bin_width ~max_value samples in
+  Alcotest.(check (list string)) (what ^ ": every query as dense") []
+    (histogram_mismatches h d samples);
+  h
+
+(* Zero, ones and max: no samples, one sample, every sample in the
+   overflow bin, max_int, ties for the mode placed so that slot order
+   is not bin order, and exactly 16 and 17 distinct bins. *)
+let test_histogram_edges () =
+  let h = check_against_dense "empty" ~bin_width:4 ~max_value:4096 [] in
+  Alcotest.(check (list int)) "empty percentiles" [ 0; 0 ]
+    [ Histogram.percentile h 0.0; Histogram.percentile h 100.0 ];
+  let h = check_against_dense "bin 0 empty" ~bin_width:10 ~max_value:100 [ 55 ] in
+  Alcotest.(check int) "p0 reads bin_width with bin 0 empty" 10
+    (Histogram.percentile h 0.0);
+  Alcotest.(check int) "p100" 60 (Histogram.percentile h 100.0);
+  let h =
+    check_against_dense "all overflow" ~bin_width:10 ~max_value:100
+      [ 100; 101; max_int ]
+  in
+  Alcotest.(check int) "overflow p50" 100 (Histogram.percentile h 50.0);
+  Alcotest.(check int) "overflow mode" 10 (Histogram.mode_bin h);
+  let h = check_against_dense "ones" ~bin_width:1 ~max_value:1 [ 0 ] in
+  Alcotest.(check int) "one sample p100" 1 (Histogram.percentile h 100.0);
+  (* bin 17 takes slot 1, bin 2 slot 2: the tie goes to bin 2. *)
+  let h = check_against_dense "mode tie" ~bin_width:1 ~max_value:64 [ 17; 2; 40 ] in
+  Alcotest.(check int) "lowest tied bin" 2 (Histogram.mode_bin h);
+  ignore (check_against_dense "16 bins" ~bin_width:1 ~max_value:64 (List.init 16 (fun i -> 3 * i)));
+  ignore
+    (check_against_dense "17 bins" ~bin_width:1 ~max_value:64
+       (List.init 17 (fun i -> 3 * i) @ [ 0; 48; 63; 64; max_int ]))
+
+let histogram_case =
+  QCheck.Gen.(
+    let* bin_width = oneof [ int_range 1 4; int_range 1 100 ] in
+    let* max_value = oneof [ int_range 1 64; int_range 1 5000 ] in
+    let few = int_bound (bin_width * 8) in
+    let wide = int_bound (2 * max_value) in
+    let over = oneofl [ max_value; max_value + 1; max_int ] in
+    let* samples =
+      oneof
+        [
+          list_size (int_range 0 200) few;
+          list_size (int_range 0 60) wide;
+          list_size (int_range 0 10) over;
+          list_size (int_range 0 300)
+            (frequency [ (6, few); (3, wide); (1, over) ]);
+        ]
+    in
+    return (bin_width, max_value, samples))
+
+let prop_histogram_matches_dense =
+  QCheck.Test.make ~name:"histogram answers every query as a dense array" ~count:500
+    (QCheck.make
+       ~print:(fun (bw, mx, samples) ->
+         Printf.sprintf "bin_width %d, max_value %d, samples [%s]" bw mx
+           (String.concat "; " (List.map string_of_int samples)))
+       histogram_case)
+    (fun (bin_width, max_value, samples) ->
+      let h, d = histogram_pair ~bin_width ~max_value samples in
+      match histogram_mismatches h d samples with
+      | [] -> true
+      | bad -> QCheck.Test.fail_reportf "differs: %s" (String.concat ", " bad))
+
 (* --- Stats ------------------------------------------------------------- *)
 
 let test_stats_basic () =
@@ -412,6 +618,7 @@ let () =
       [
         prop_histogram_total;
         prop_histogram_cumulative_monotone;
+        prop_histogram_matches_dense;
         prop_stats_mean_bounded;
         prop_prng_matches_reference;
         prop_prng_int_in_range;
@@ -446,6 +653,7 @@ let () =
           Alcotest.test_case "fraction below" `Quick test_histogram_fraction_below;
           Alcotest.test_case "iter" `Quick test_histogram_iter_covers_all_bins;
           Alcotest.test_case "empty percentile" `Quick test_histogram_empty_percentile;
+          Alcotest.test_case "edges" `Quick test_histogram_edges;
         ] );
       ( "stats",
         [
