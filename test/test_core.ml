@@ -982,6 +982,50 @@ let test_estack_reclaim_skips_calls_in_flight () =
   Estack.pool_stats rt ~server ~total ~free;
   Alcotest.(check int) "pool capped at two" 2 !total
 
+(* When lazy association gives an A-stack another E-stack, its call-side
+   footprint holds the new E-stack's working set where the old one's
+   was, and every other page stays put: the footprint a fresh build for
+   the new E-stack would give. The server has room for two E-stacks:
+   [null] takes the first, [add] the second, [big_in] reclaims both and
+   takes [null]'s, so [null]'s next call gets [add]'s old one. *)
+let test_footprint_follows_estack () =
+  let w = make_world () in
+  let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+  let built proc =
+    let pool = (List.assoc proc b.Rt.b_procs).Rt.pb_pool in
+    match List.filter (fun a -> Array.length a.Rt.a_footprint > 0) pool.Rt.ap_all with
+    | [ a ] -> a
+    | _ -> Alcotest.failf "%s: not exactly one footprint" proc
+  in
+  let estack a =
+    match a.Rt.a_estack with
+    | Some es -> es
+    | None -> Alcotest.fail "no E-stack"
+  in
+  in_client w (fun () ->
+      ignore (Api.call w.rt b ~proc:"null" []);
+      let a = built "null" in
+      let before = Array.copy a.Rt.a_footprint and es0 = estack a in
+      w.server.Pdomain.page_limit <- w.server.Pdomain.pages_allocated + 40;
+      ignore (Api.call w.rt b ~proc:"add" [ V.int 1; V.int 2 ]);
+      ignore (Api.call w.rt b ~proc:"big_in" [ V.bytes (Bytes.make 200 'x') ]);
+      ignore (Api.call w.rt b ~proc:"null" []);
+      let es1 = estack a in
+      Alcotest.(check bool) "null got another E-stack" false (es1 == es0);
+      let old_pages = es0.Rt.es_region.Vm.pages
+      and new_pages = es1.Rt.es_region.Vm.pages in
+      let expected =
+        Array.map
+          (fun p ->
+            let k = ref (-1) in
+            Array.iteri (fun i q -> if i < 4 && q = p then k := i) old_pages;
+            if !k >= 0 then new_pages.(!k) else p)
+          before
+      in
+      Alcotest.(check (array int)) "E-stack pages replaced in place" expected
+        a.Rt.a_footprint;
+      Alcotest.(check int) "25 pages" 25 (Array.length a.Rt.a_footprint))
+
 let test_global_kernel_lock_serial_latency_unchanged () =
   (* the A4 counterfactual only hurts under contention; serially it still
      measures 157 (the lock is free to take) *)
@@ -1444,6 +1488,8 @@ let () =
           Alcotest.test_case "memory pressure" `Quick test_estack_reclaim_under_memory_pressure;
           Alcotest.test_case "reclaim skips calls in flight" `Quick
             test_estack_reclaim_skips_calls_in_flight;
+          Alcotest.test_case "footprint follows the E-stack" `Quick
+            test_footprint_follows_estack;
           Alcotest.test_case "global lock serial" `Quick test_global_kernel_lock_serial_latency_unchanged;
         ] );
       ( "charge tails",
