@@ -32,7 +32,8 @@
    the committed BENCH_host.json comes from the full mode. The suite is
    run both ways and the outputs are compared — a digest mismatch
    between serial and parallel runs is a hard failure here, same as in
-   the test suite. *)
+   the test suite. So is a tracked number that is not finite and
+   positive: the run exits 1 and writes nothing. *)
 
 module Engine = Lrpc_sim.Engine
 module Time = Lrpc_sim.Time
@@ -42,6 +43,8 @@ module Parallel = Lrpc_harness.Parallel
 module Prng = Lrpc_util.Prng
 module Sizes = Lrpc_workload.Sizes
 module Soak = Lrpc_fault.Soak
+module Numa = Lrpc_experiments.Numa_study
+module Json = Lrpc_util.Json
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 
@@ -88,41 +91,20 @@ let fig1_synthesis_calls_per_sec () =
   let _, dt = wall (fun () -> Sizes.synthesize_traffic rng pop ~calls) in
   float_of_int calls /. dt
 
-let fig2_wallclock_sec () =
-  let horizon = Time.ms (if quick then 150 else 500) in
-  let _, dt = wall (fun () -> Lrpc_experiments.Fig2.run ~horizon ()) in
-  dt
-
-let fig2_scale_wallclock_sec () =
-  let _, dt =
-    wall (fun () ->
-        Lrpc_experiments.Fig2_scale.run
-          ~max_cpus:(if quick then 8 else 256)
-          ~horizon:(Time.ms (if quick then 100 else 250))
-          ())
-  in
-  dt
-
 (* The placement-quality study runs the scaling workload four times
    per rung, three of them on a clustered topology with distance costs
    and victim rings live — tracked both for its wall-clock (the
    locality paths are on the dispatch/steal hot path) and for its two
    headline simulated ratios, which pin the topology configuration the
    committed numbers were produced under. *)
-let fig2_numa_wallclock () =
-  wall (fun () ->
-      Lrpc_experiments.Numa_study.run
-        ~max_cpus:(if quick then 8 else 32)
-        ~horizon:(Time.ms (if quick then 50 else 100))
-        ())
+let fig2_numa_wallclock () = wall (fun () -> Suite.numa_result ~quick)
 
 (* The open-loop study is the heaviest per-point simulation in the
    suite (thousands of sessions, four systems, a sweep past
    saturation); its wall-clock is tracked so a hot-path regression in
    the engine's timer/wake machinery shows up here first. *)
 let openloop_sweep_wallclock_sec () =
-  let _, dt = wall (fun () -> Lrpc_experiments.Openloop.run ~quick ()) in
-  dt
+  snd (wall (fun () -> Lrpc_experiments.Openloop.run ~quick ()))
 
 (* The transport study rebuilds a world per measurement (three systems
    x sizes, a loss sweep, the ablations), so its wall-clock tracks the
@@ -161,17 +143,15 @@ let suite_times () =
 let () =
   let events = engine_events_per_sec () in
   let fig1 = fig1_synthesis_calls_per_sec () in
-  let fig2 = fig2_wallclock_sec () in
-  let fig2_scale = fig2_scale_wallclock_sec () in
+  let horizon = Suite.f2_horizon ~quick in
+  let _, fig2 = wall (fun () -> Lrpc_experiments.Fig2.run ~horizon ()) in
+  let _, fig2_scale = wall (fun () -> Suite.fig2_scale_result ~quick) in
   let numa_result, fig2_numa = fig2_numa_wallclock () in
   let numa_last =
-    List.nth numa_result.Lrpc_experiments.Numa_study.points
-      (List.length numa_result.Lrpc_experiments.Numa_study.points - 1)
+    List.nth numa_result.Numa.points (List.length numa_result.Numa.points - 1)
   in
-  let numa_recovery (s : Lrpc_experiments.Numa_study.series) =
-    s.Lrpc_experiments.Numa_study.sr_cps
-    /. numa_last.Lrpc_experiments.Numa_study.flat
-         .Lrpc_experiments.Numa_study.sr_cps
+  let numa_recovery (s : Numa.series) =
+    Numa.recovery ~flat:numa_last.Numa.flat.Numa.sr_cps s.Numa.sr_cps
   in
   let openloop = openloop_sweep_wallclock_sec () in
   let transport_result, transport_dt = transport_wallclock () in
@@ -186,40 +166,51 @@ let () =
      host" on any machine, including a 1-core CI container. *)
   let efficiency ~ways speedup = speedup /. float_of_int (min ways host_cores) in
   let suite_speedup = suite_serial /. suite_jobs in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"bench\": \"host\",\n";
-  Printf.bprintf buf "  \"mode\": \"%s\",\n" (if quick then "quick" else "full");
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"host_cores\": %d,\n" host_cores;
-  Printf.bprintf buf "  \"ocaml_version\": \"%s\",\n" Sys.ocaml_version;
-  Printf.bprintf buf "  \"engine_events_per_sec\": %.0f,\n" events;
-  Printf.bprintf buf "  \"fig1_synthesis_calls_per_sec\": %.0f,\n" fig1;
-  Printf.bprintf buf "  \"fig2_wallclock_sec\": %.3f,\n" fig2;
-  Printf.bprintf buf "  \"fig2_scale_wallclock_sec\": %.3f,\n" fig2_scale;
-  Printf.bprintf buf "  \"fig2_numa_wallclock_sec\": %.3f,\n" fig2_numa;
-  Printf.bprintf buf "  \"numa_cluster_size\": %d,\n"
-    numa_result.Lrpc_experiments.Numa_study.cluster_size;
-  Printf.bprintf buf "  \"numa_cross_mult\": %.1f,\n"
-    numa_result.Lrpc_experiments.Numa_study.cross_mult;
-  Printf.bprintf buf "  \"numa_max_cpus\": %d,\n"
-    numa_last.Lrpc_experiments.Numa_study.cpus;
-  Printf.bprintf buf "  \"numa_aware_recovery\": %.3f,\n"
-    (numa_recovery numa_last.Lrpc_experiments.Numa_study.far_aware);
-  Printf.bprintf buf "  \"numa_blind_recovery\": %.3f,\n"
-    (numa_recovery numa_last.Lrpc_experiments.Numa_study.far_blind);
-  Printf.bprintf buf "  \"openloop_sweep_wallclock_sec\": %.3f,\n" openloop;
-  Printf.bprintf buf "  \"transport_sweep_wallclock_sec\": %.3f,\n" transport_dt;
-  Printf.bprintf buf "  \"erpc_vs_classic_speedup\": %.2f,\n" erpc_speedup;
-  Printf.bprintf buf "  \"chaos_calls_per_sec\": %.0f,\n" chaos;
-  Printf.bprintf buf "  \"suite_serial_sec\": %.3f,\n" suite_serial;
-  Printf.bprintf buf "  \"suite_jobs_sec\": %.3f,\n" suite_jobs;
-  Printf.bprintf buf "  \"suite_speedup\": %.2f,\n" suite_speedup;
-  Printf.bprintf buf "  \"suite_efficiency\": %.2f\n"
-    (efficiency ~ways:jobs suite_speedup);
-  Buffer.add_string buf "}\n";
-  let oc = open_out out_path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  print_string (Buffer.contents buf);
+  let fields =
+    Json.
+      [
+        ("bench", String "host");
+        ("mode", String (if quick then "quick" else "full"));
+        ("jobs", Int jobs);
+        ("host_cores", Int host_cores);
+        ("ocaml_version", String Sys.ocaml_version);
+        ("engine_events_per_sec", Fixed (0, events));
+        ("fig1_synthesis_calls_per_sec", Fixed (0, fig1));
+        ("fig2_wallclock_sec", Fixed (3, fig2));
+        ("fig2_scale_wallclock_sec", Fixed (3, fig2_scale));
+        ("fig2_numa_wallclock_sec", Fixed (3, fig2_numa));
+        ("numa_cluster_size", Int numa_result.Numa.cluster_size);
+        ("numa_cross_mult", Fixed (1, numa_result.Numa.cross_mult));
+        ("numa_max_cpus", Int numa_last.Numa.cpus);
+        ("numa_aware_recovery", Fixed (3, numa_recovery numa_last.Numa.far_aware));
+        ("numa_blind_recovery", Fixed (3, numa_recovery numa_last.Numa.far_blind));
+        ("openloop_sweep_wallclock_sec", Fixed (3, openloop));
+        ("transport_sweep_wallclock_sec", Fixed (3, transport_dt));
+        ("erpc_vs_classic_speedup", Fixed (2, erpc_speedup));
+        ("chaos_calls_per_sec", Fixed (0, chaos));
+        ("suite_serial_sec", Fixed (3, suite_serial));
+        ("suite_jobs_sec", Fixed (3, suite_jobs));
+        ("suite_speedup", Fixed (2, suite_speedup));
+        ("suite_efficiency", Fixed (2, efficiency ~ways:jobs suite_speedup));
+      ]
+  in
+  (* Every number tracked is a rate, a wall-clock, a ratio or a size:
+     zero or worse means a measurement went wrong. *)
+  let bad =
+    List.filter_map
+      (fun (k, v) ->
+        match v with
+        | Json.Int n when n <= 0 -> Some k
+        | Json.Fixed (_, x) when not (Float.is_finite x && x > 0.0) -> Some k
+        | _ -> None)
+      fields
+  in
+  if bad <> [] then begin
+    Printf.eprintf "bench-host: not finite and positive: %s\n"
+      (String.concat ", " bad);
+    exit 1
+  end;
+  let text = Json.to_string (Obj fields) ^ "\n" in
+  Out_channel.with_open_text out_path (fun oc -> output_string oc text);
+  print_string text;
   Printf.printf "bench-host: wrote %s\n" out_path

@@ -20,18 +20,23 @@ let () =
       Printf.printf "%-11d %18.2f %18.2f %7.2fx\n" r.P.processors r.P.serial_cpms
         r.P.pipelined_cpms r.P.speedup)
     rows;
-  let oc = open_out !out in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"pipeline\",\n  \"proc\": \"%s\",\n  \"calls\": %d,\n\
-    \  \"window\": %d,\n  \"results\": [\n" P.proc calls P.window;
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"processors\": %d, \"serial_calls_per_ms\": %.4f, \
-         \"pipelined_calls_per_ms\": %.4f, \"speedup\": %.4f }%s\n"
-        r.P.processors r.P.serial_cpms r.P.pipelined_cpms r.P.speedup
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
+  let json =
+    let open Lrpc_util.Json in
+    let row r =
+      Obj
+        [
+          ("processors", Int r.P.processors);
+          ("serial_calls_per_ms", Fixed (4, r.P.serial_cpms));
+          ("pipelined_calls_per_ms", Fixed (4, r.P.pipelined_cpms));
+          ("speedup", Fixed (4, r.P.speedup));
+        ]
+    in
+    Obj
+      [
+        ("bench", String "pipeline"); ("proc", String P.proc); ("calls", Int calls);
+        ("window", Int P.window); ("results", List (List.map row rows));
+      ]
+  in
+  Out_channel.with_open_text !out (fun oc ->
+      output_string oc (Lrpc_util.Json.to_string json ^ "\n"));
   Printf.printf "\nwrote %s\n" !out

@@ -19,16 +19,12 @@ let run seed calls clients out replay =
     { Soak.default with Soak.seed = Int64.of_int seed; calls; clients }
   in
   let report = Soak.run cfg in
-  let json = Soak.report_to_json report in
+  let json = Lrpc_util.Json.to_string (Soak.report_to_json report) in
   print_endline json;
   (match out with
   | None -> ()
   | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc json;
-        output_char oc '\n';
-        close_out oc
+      try Out_channel.with_open_text path (fun oc -> output_string oc (json ^ "\n"))
       with Sys_error msg ->
         Format.eprintf "lrpc_chaos: cannot write report: %s@." msg;
         exit 1));

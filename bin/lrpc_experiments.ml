@@ -33,10 +33,11 @@ let run names seed quick jobs json shedding =
            "lrpc_experiments: --shedding only applies to \"openloop\" (got %s)\n"
            (String.concat ", " (List.map (Printf.sprintf "%S") others));
          exit 2);
-  let render = if json then Suite.json else Suite.run in
-  let outputs =
-    Parallel.map ~jobs (fun n -> render ~seed ~quick ~shedding n) names
+  let render n =
+    if json then Lrpc_util.Json.to_string (Suite.json ~seed ~quick ~shedding n)
+    else Suite.run ~seed ~quick ~shedding n
   in
+  let outputs = Parallel.map ~jobs render names in
   List.iter
     (fun out ->
       print_endline out;

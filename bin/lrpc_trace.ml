@@ -13,6 +13,7 @@ module Time = Lrpc_sim.Time
 module Trace = Lrpc_sim.Trace
 module Metrics = Lrpc_obs.Metrics
 module Chrome_trace = Lrpc_obs.Chrome_trace
+module Json = Lrpc_util.Json
 module Kernel = Lrpc_kernel.Kernel
 module Api = Lrpc_core.Api
 module Driver = Lrpc_workload.Driver
@@ -66,9 +67,8 @@ let run mp calls chrome metrics =
   | None -> ()
   | Some path -> (
       try
-        let oc = open_out path in
-        output_string oc (Chrome_trace.to_json tracer);
-        close_out oc;
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Json.to_string (Chrome_trace.to_json tracer)));
         Format.printf "@.wrote Chrome trace to %s (open in Perfetto)@." path
       with Sys_error msg ->
         Format.eprintf "lrpc_trace: cannot write Chrome trace: %s@." msg;

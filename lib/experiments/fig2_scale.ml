@@ -215,20 +215,25 @@ let render r =
     max_point.cpus per_cpu_table
 
 let to_json r =
-  let point_json p =
-    Printf.sprintf
-      "{\"cpus\": %d, \"lrpc_cps\": %.1f, \"lrpc_speedup\": %.3f, \
-       \"src_cps\": %.1f, \"src_speedup\": %.3f, \"unbal_cps\": %.1f, \
-       \"unbal_steals\": %d, \"steals\": %d, \"steals_tagged\": %d, \
-       \"shard_contended\": %d, \"lrpc_spin_us\": %.1f, \"src_steals\": %d, \
-       \"src_spin_us\": %.1f, \"src_lock_contended\": %d}"
-      p.cpus p.lrpc p.lrpc_speedup p.src p.src_speedup p.unbal
-      (p.unbal_steals + p.unbal_steals_tagged)
-      p.steals p.steals_tagged p.shard_contended p.lrpc_spin_us
-      (p.src_steals + p.src_steals_tagged)
-      p.src_spin_us p.src_lock_contended
+  let open Lrpc_util.Json in
+  let point p =
+    Obj
+      [
+        ("cpus", Int p.cpus); ("lrpc_cps", Fixed (1, p.lrpc));
+        ("lrpc_speedup", Fixed (3, p.lrpc_speedup)); ("src_cps", Fixed (1, p.src));
+        ("src_speedup", Fixed (3, p.src_speedup)); ("unbal_cps", Fixed (1, p.unbal));
+        ("unbal_steals", Int (p.unbal_steals + p.unbal_steals_tagged));
+        ("steals", Int p.steals); ("steals_tagged", Int p.steals_tagged);
+        ("shard_contended", Int p.shard_contended);
+        ("lrpc_spin_us", Fixed (1, p.lrpc_spin_us));
+        ("src_steals", Int (p.src_steals + p.src_steals_tagged));
+        ("src_spin_us", Fixed (1, p.src_spin_us));
+        ("src_lock_contended", Int p.src_lock_contended);
+      ]
   in
-  Printf.sprintf
-    "{\"experiment\": \"fig2_scale\", \"horizon_us\": %.0f, \"points\": [%s]}"
-    (Time.to_us r.horizon)
-    (String.concat ", " (List.map point_json r.points))
+  Obj
+    [
+      ("experiment", String "fig2_scale");
+      ("horizon_us", Fixed (0, Time.to_us r.horizon));
+      ("points", List (List.map point r.points));
+    ]

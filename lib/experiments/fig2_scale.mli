@@ -61,6 +61,6 @@ val run : ?max_cpus:int -> ?horizon:Lrpc_sim.Time.t -> unit -> result
 
 val render : result -> string
 
-val to_json : result -> string
-(** Machine-checkable shape for the [make fig2-scale-smoke] target:
-    [{"experiment": "fig2_scale", "horizon_us": ..., "points": [...]}]. *)
+val to_json : result -> Lrpc_util.Json.t
+(** [{"experiment":"fig2_scale","horizon_us":...,"points":[...]}], one
+    object of fourteen keys per rung. *)

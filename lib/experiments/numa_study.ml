@@ -149,24 +149,27 @@ let render r =
     last.far_blind.sr_far
 
 let to_json r =
-  let series_json name s =
-    Printf.sprintf
-      "\"%s\": {\"cps\": %.1f, \"steals\": %d, \"steals_near\": %d, \
-       \"steals_far\": %d}"
-      name s.sr_cps s.sr_steals s.sr_near s.sr_far
+  let open Lrpc_util.Json in
+  let series s =
+    Obj
+      [
+        ("cps", Fixed (1, s.sr_cps)); ("steals", Int s.sr_steals);
+        ("steals_near", Int s.sr_near); ("steals_far", Int s.sr_far);
+      ]
   in
-  let point_json p =
-    Printf.sprintf
-      "{\"cpus\": %d, %s, %s, %s, %s, \"aware_recovery\": %.3f, \
-       \"blind_recovery\": %.3f}"
-      p.cpus (series_json "flat" p.flat) (series_json "clu" p.clu)
-      (series_json "far_aware" p.far_aware)
-      (series_json "far_blind" p.far_blind)
-      (recovery ~flat:p.flat.sr_cps p.far_aware.sr_cps)
-      (recovery ~flat:p.flat.sr_cps p.far_blind.sr_cps)
+  let point p =
+    Obj
+      [
+        ("cpus", Int p.cpus); ("flat", series p.flat); ("clu", series p.clu);
+        ("far_aware", series p.far_aware); ("far_blind", series p.far_blind);
+        ("aware_recovery", Fixed (3, recovery ~flat:p.flat.sr_cps p.far_aware.sr_cps));
+        ("blind_recovery", Fixed (3, recovery ~flat:p.flat.sr_cps p.far_blind.sr_cps));
+      ]
   in
-  Printf.sprintf
-    "{\"experiment\": \"numa\", \"cluster_size\": %d, \"cross_mult\": %.1f, \
-     \"horizon_us\": %.0f, \"points\": [%s]}"
-    r.cluster_size r.cross_mult (Time.to_us r.horizon)
-    (String.concat ", " (List.map point_json r.points))
+  Obj
+    [
+      ("experiment", String "numa"); ("cluster_size", Int r.cluster_size);
+      ("cross_mult", Fixed (1, r.cross_mult));
+      ("horizon_us", Fixed (0, Time.to_us r.horizon));
+      ("points", List (List.map point r.points));
+    ]

@@ -40,8 +40,12 @@ val run : ?max_cpus:int -> ?horizon:Lrpc_sim.Time.t -> unit -> result
     migration), 100 ms horizon by default. Deterministic: a pure
     function of its arguments. *)
 
+val recovery : flat:float -> float -> float
+(** [recovery ~flat cps]: [cps] as a fraction of the flat-topology
+    throughput [flat]; 0 when [flat] is not positive. *)
+
 val render : result -> string
-val to_json : result -> string
+val to_json : result -> Lrpc_util.Json.t
 (** One object: ["experiment"], ["cluster_size"], ["cross_mult"],
     ["horizon_us"] and a ["points"] array with the four series and the
     two recovery ratios per processor count. *)

@@ -526,30 +526,33 @@ let render r =
     (Chart.to_string chart) (Table.to_string t) knees
 
 let to_json ?(experiment = "openloop") r =
+  let open Lrpc_util.Json in
   let point pt =
-    Printf.sprintf
-      "{\"offered_cps\": %.1f, \"achieved_cps\": %.1f, \"issued\": %d, \
-       \"completed\": %d, \"shed\": %d, \"measured\": %d, \"p50_us\": %d, \
-       \"p99_us\": %d, \"p999_us\": %d, \"mean_us\": %.1f}"
-      pt.op_offered_cps pt.op_achieved_cps pt.op_issued pt.op_completed
-      pt.op_shed pt.op_measured pt.op_p50_us pt.op_p99_us pt.op_p999_us
-      pt.op_mean_us
+    Obj
+      [
+        ("offered_cps", Fixed (1, pt.op_offered_cps));
+        ("achieved_cps", Fixed (1, pt.op_achieved_cps));
+        ("issued", Int pt.op_issued); ("completed", Int pt.op_completed);
+        ("shed", Int pt.op_shed); ("measured", Int pt.op_measured);
+        ("p50_us", Int pt.op_p50_us); ("p99_us", Int pt.op_p99_us);
+        ("p999_us", Int pt.op_p999_us); ("mean_us", Fixed (1, pt.op_mean_us));
+      ]
   in
   let curve c =
-    Printf.sprintf
-      "{\"system\": \"%s\", \"capacity_cps\": %.1f, \"knee_cps\": %s, \
-       \"points\": [%s]}"
-      c.oc_system c.oc_capacity_cps
-      (match c.oc_knee_cps with
-      | Some k -> Printf.sprintf "%.1f" k
-      | None -> "null")
-      (String.concat ", " (List.map point c.oc_points))
+    Obj
+      [
+        ("system", String c.oc_system);
+        ("capacity_cps", Fixed (1, c.oc_capacity_cps));
+        ( "knee_cps",
+          match c.oc_knee_cps with Some k -> Fixed (1, k) | None -> Null );
+        ("points", List (List.map point c.oc_points));
+      ]
   in
-  Printf.sprintf
-    "{\"experiment\": \"%s\", \"seed\": %Ld, \"processors\": %d, \
-     \"sessions\": %d, \"horizon_us\": %.0f, \"warmup_us\": %.0f, \
-     \"systems\": [%s]}"
-    experiment r.or_seed r.or_processors r.or_sessions
-    (Time.to_us r.or_horizon)
-    (Time.to_us r.or_warmup)
-    (String.concat ", " (List.map curve r.or_curves))
+  Obj
+    [
+      ("experiment", String experiment); ("seed", Int64 r.or_seed);
+      ("processors", Int r.or_processors); ("sessions", Int r.or_sessions);
+      ("horizon_us", Fixed (0, Time.to_us r.or_horizon));
+      ("warmup_us", Fixed (0, Time.to_us r.or_warmup));
+      ("systems", List (List.map curve r.or_curves));
+    ]

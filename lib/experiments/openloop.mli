@@ -76,6 +76,6 @@ val run_shedding : ?seed:int64 -> ?quick:bool -> unit -> result
 
 val render : result -> string
 
-val to_json : ?experiment:string -> result -> string
+val to_json : ?experiment:string -> result -> Lrpc_util.Json.t
 (** [experiment] names the JSON envelope (default ["openloop"]; the
     shedding ablation uses ["openloop_shed"]). *)

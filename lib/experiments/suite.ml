@@ -14,6 +14,9 @@ let names = paper @ ablations @ supplementary
 
 let mem name = List.mem name names
 
+(* Figure 2's horizon, also the latency distribution's. *)
+let f2_horizon ~quick = Lrpc_sim.Time.ms (if quick then 150 else 500)
+
 (* Its own ladder-dependent horizon: the big rungs at the full 500 ms
    would dominate the suite's wall-clock. Fig2_scale additionally tapers
    the window above 32 CPUs, so the 64–256 rungs stay affordable. *)
@@ -48,7 +51,6 @@ let json ?(seed = 1989L) ?(quick = false) ?(shedding = false) name =
 let run ?(seed = 1989L) ?(quick = false) ?(shedding = false) name =
   let ops = if quick then 100_000 else 1_000_000 in
   let calls = if quick then 150_000 else 1_487_105 in
-  let horizon = Lrpc_sim.Time.ms (if quick then 150 else 500) in
   match name with
   | "t1" -> Table1.render (Table1.run ~seed ~operations:ops ())
   | "f1" -> Fig1.render (Fig1.run ~seed ~calls ())
@@ -56,14 +58,14 @@ let run ?(seed = 1989L) ?(quick = false) ?(shedding = false) name =
   | "t3" -> Table3.render (Table3.run ())
   | "t4" -> Table4.render (Table4.run ())
   | "t5" -> Table5.render (Table5.run ())
-  | "f2" -> Fig2.render (Fig2.run ~horizon ())
+  | "f2" -> Fig2.render (Fig2.run ~horizon:(f2_horizon ~quick) ())
   | "a1" -> Ablations.render_a1 (Ablations.run_a1 ())
   | "a2" -> Ablations.render_a2 (Ablations.run_a2 ())
   | "a3" -> Ablations.render_a3 (Ablations.run_a3 ())
   | "a4" -> Ablations.render_a4 (Ablations.run_a4 ())
   | "a5" -> Ablations.render_a5 (Ablations.run_a5 ())
   | "a6" -> Ablations.render_a6 (Ablations.run_a6 ())
-  | "lat" -> Latency.render (Latency.run ~horizon ())
+  | "lat" -> Latency.render (Latency.run ~horizon:(f2_horizon ~quick) ())
   | "f2s" -> Fig2_scale.render (fig2_scale_result ~quick)
   | "numa" -> Numa_study.render (numa_result ~quick)
   | "transport" -> Transport_study.render (Transport_study.run ~seed ~quick ())

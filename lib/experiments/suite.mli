@@ -19,14 +19,23 @@ val names : string list
 val mem : string -> bool
 (** Whether a name is a known artifact. *)
 
+val f2_horizon : quick:bool -> Lrpc_sim.Time.t
+val fig2_scale_result : quick:bool -> Fig2_scale.result
+val numa_result : quick:bool -> Numa_study.result
+(** The suite's sizes, for callers that need the result and not the
+    rendering: the horizon of ["f2"] and ["lat"] (500 ms, quick 150 ms),
+    and the ["f2s"] (1–256 CPUs over 250 ms, quick 1–8 over 100 ms) and
+    ["numa"] (4–32 CPUs over 100 ms, quick 4–8 over 50 ms) studies. *)
+
 val json_names : string list
 (** Artifacts that also have a machine-checkable JSON rendering
     (["f2s"], ["openloop"], ["numa"] and ["transport"]). *)
 
-val json : ?seed:int64 -> ?quick:bool -> ?shedding:bool -> string -> string
-(** The JSON rendering of an artifact in {!json_names} — same
-    simulation as {!run}, different serialization. Raises
-    [Invalid_argument] for artifacts without one. *)
+val json :
+  ?seed:int64 -> ?quick:bool -> ?shedding:bool -> string -> Lrpc_util.Json.t
+(** The JSON value of an artifact in {!json_names} — same simulation as
+    {!run}, different serialization. Raises [Invalid_argument] for
+    artifacts without one. *)
 
 val run : ?seed:int64 -> ?quick:bool -> ?shedding:bool -> string -> string
 (** Render one artifact. A pure function of [(seed, quick, shedding,

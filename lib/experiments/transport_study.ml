@@ -380,50 +380,43 @@ let render r =
   Buffer.contents buf
 
 let to_json r =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"experiment\": \"transport\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %Ld,\n" r.tr_seed);
-  Buffer.add_string buf (Printf.sprintf "  \"clients\": %d,\n" r.tr_clients);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"horizon_us\": %.0f,\n" (Time.to_us r.tr_horizon));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"null_classic_us\": %.2f,\n" r.tr_null_classic_us);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"null_erpc_us\": %.2f,\n" r.tr_null_erpc_us);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"erpc_vs_classic_speedup_64b\": %.3f,\n" (speedup_at_64 r));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cache_off_us\": %.2f,\n  \"cache_on_us\": %.2f,\n"
-       r.tr_cache_off_us r.tr_cache_on_us);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"zero_copy_us\": %.2f,\n  \"staged_copy_us\": %.2f,\n"
-       r.tr_zero_copy_us r.tr_staged_copy_us);
-  Buffer.add_string buf "  \"systems\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"system\": \"%s\", \"points\": [" c.sc_system);
-      List.iteri
-        (fun j p ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s{\"bytes\": %d, \"latency_us\": %.2f, \"cps\": %.1f}"
-               (if j > 0 then ", " else "")
-               p.sp_bytes p.sp_latency_us p.sp_cps))
-        c.sc_points;
-      Buffer.add_string buf
-        (Printf.sprintf "]}%s\n" (if i < List.length r.tr_sizes - 1 then "," else "")))
-    r.tr_sizes;
-  Buffer.add_string buf "  ],\n  \"loss\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"loss\": %.3f, \"classic_cps\": %.1f, \"classic_failed\": %d, \
-            \"classic_retries\": %d, \"erpc_cps\": %.1f, \"erpc_failed\": %d, \
-            \"erpc_retransmits\": %d}%s\n"
-           p.lp_loss p.lp_classic_cps p.lp_classic_failed p.lp_classic_retries
-           p.lp_erpc_cps p.lp_erpc_failed p.lp_erpc_retx
-           (if i < List.length r.tr_loss - 1 then "," else "")))
-    r.tr_loss;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let open Lrpc_util.Json in
+  let size_point p =
+    Obj
+      [
+        ("bytes", Int p.sp_bytes); ("latency_us", Fixed (2, p.sp_latency_us));
+        ("cps", Fixed (1, p.sp_cps));
+      ]
+  in
+  let system c =
+    Obj
+      [
+        ("system", String c.sc_system);
+        ("points", List (List.map size_point c.sc_points));
+      ]
+  in
+  let loss_point p =
+    Obj
+      [
+        ("loss", Fixed (3, p.lp_loss)); ("classic_cps", Fixed (1, p.lp_classic_cps));
+        ("classic_failed", Int p.lp_classic_failed);
+        ("classic_retries", Int p.lp_classic_retries);
+        ("erpc_cps", Fixed (1, p.lp_erpc_cps)); ("erpc_failed", Int p.lp_erpc_failed);
+        ("erpc_retransmits", Int p.lp_erpc_retx);
+      ]
+  in
+  Obj
+    [
+      ("experiment", String "transport"); ("seed", Int64 r.tr_seed);
+      ("clients", Int r.tr_clients);
+      ("horizon_us", Fixed (0, Time.to_us r.tr_horizon));
+      ("null_classic_us", Fixed (2, r.tr_null_classic_us));
+      ("null_erpc_us", Fixed (2, r.tr_null_erpc_us));
+      ("erpc_vs_classic_speedup_64b", Fixed (3, speedup_at_64 r));
+      ("cache_off_us", Fixed (2, r.tr_cache_off_us));
+      ("cache_on_us", Fixed (2, r.tr_cache_on_us));
+      ("zero_copy_us", Fixed (2, r.tr_zero_copy_us));
+      ("staged_copy_us", Fixed (2, r.tr_staged_copy_us));
+      ("systems", List (List.map system r.tr_sizes));
+      ("loss", List (List.map loss_point r.tr_loss));
+    ]

@@ -58,7 +58,7 @@ val speedup_at_64 : result -> float
 
 val render : result -> string
 
-val to_json : result -> string
+val to_json : result -> Lrpc_util.Json.t
 (** One object: ["experiment"], ["seed"], ["clients"], ["horizon_us"],
     the headline scalars (["null_classic_us"], ["null_erpc_us"],
     ["erpc_vs_classic_speedup_64b"], cache and copy ablations), a

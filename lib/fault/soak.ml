@@ -374,22 +374,43 @@ let run cfg =
   r
 
 let report_to_json r =
-  Printf.sprintf
-    "{\"seed\": %Ld, \"calls\": %d,\n\
-    \ \"outcomes\": {\"ok\": %d, \"failed\": %d, \"aborted\": %d, \"deadline\": \
-     %d, \"rejected\": %d, \"overloaded\": %d, \"stub_raised\": %d},\n\
-    \ \"faults\": {\"net_retries\": %d, \"net_retries_suppressed\": %d, \
-     \"net_duplicates_suppressed\": %d, \"crashes\": %d, \
-     \"astack_starvations\": %d},\n\
-    \ \"locality\": {\"shard_contended\": %d, \"steals_near\": %d, \
-     \"steals_far\": %d},\n\
-    \ \"invariants\": {\"all_resolved\": %b, \"failure_accounting\": %b, \
-     \"pool_balanced\": %b, \"linkages_zero\": %b, \"in_flight_zero\": %b, \
-     \"no_stuck_threads\": %b, \"no_thread_failures\": %b},\n\
-    \ \"digest\": \"%s\"}"
-    r.r_seed r.r_calls r.r_ok r.r_failed r.r_aborted r.r_deadline r.r_rejected
-    r.r_overloaded r.r_stub r.r_retries r.r_retries_suppressed
-    r.r_dups_suppressed r.r_crashes r.r_starvations r.r_shard_contended
-    r.r_steals_near r.r_steals_far r.r_all_resolved
-    r.r_failure_accounting r.r_pool_balanced r.r_linkages_zero
-    r.r_in_flight_zero r.r_no_stuck r.r_no_failures r.r_digest
+  Lrpc_util.Json.(
+    Obj
+      [
+        ("seed", Int64 r.r_seed); ("calls", Int r.r_calls);
+        ( "outcomes",
+          Obj
+            [
+              ("ok", Int r.r_ok); ("failed", Int r.r_failed);
+              ("aborted", Int r.r_aborted); ("deadline", Int r.r_deadline);
+              ("rejected", Int r.r_rejected); ("overloaded", Int r.r_overloaded);
+              ("stub_raised", Int r.r_stub);
+            ] );
+        ( "faults",
+          Obj
+            [
+              ("net_retries", Int r.r_retries);
+              ("net_retries_suppressed", Int r.r_retries_suppressed);
+              ("net_duplicates_suppressed", Int r.r_dups_suppressed);
+              ("crashes", Int r.r_crashes);
+              ("astack_starvations", Int r.r_starvations);
+            ] );
+        ( "locality",
+          Obj
+            [
+              ("shard_contended", Int r.r_shard_contended);
+              ("steals_near", Int r.r_steals_near); ("steals_far", Int r.r_steals_far);
+            ] );
+        ( "invariants",
+          Obj
+            [
+              ("all_resolved", Bool r.r_all_resolved);
+              ("failure_accounting", Bool r.r_failure_accounting);
+              ("pool_balanced", Bool r.r_pool_balanced);
+              ("linkages_zero", Bool r.r_linkages_zero);
+              ("in_flight_zero", Bool r.r_in_flight_zero);
+              ("no_stuck_threads", Bool r.r_no_stuck);
+              ("no_thread_failures", Bool r.r_no_failures);
+            ] );
+        ("digest", String r.r_digest);
+      ])

@@ -82,9 +82,8 @@ val run : config -> report
 val ok : report -> bool
 (** All seven invariant fields true. *)
 
-val report_to_json : report -> string
-(** One-object JSON rendering: ["seed"], ["calls"], an ["outcomes"]
-    object, a ["faults"] object, a ["locality"] object (shard
-    contention, near/far steals), an ["invariants"] object
-    (all seven booleans) and ["digest"]. Hand-built; stable key
-    order. *)
+val report_to_json : report -> Lrpc_util.Json.t
+(** One object: ["seed"], ["calls"], an ["outcomes"] object, a
+    ["faults"] object, a ["locality"] object (shard contention,
+    near/far steals), an ["invariants"] object (all seven booleans) and
+    ["digest"], in that order. *)

@@ -1,18 +1,9 @@
-let esc = Metrics.json_escape
+module Json = Lrpc_util.Json
 
-let args_json kvs =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":%s" (esc k)
-             (match v with
-             | `Int i -> string_of_int i
-             | `Str s -> Printf.sprintf "\"%s\"" (esc s)))
-         kvs)
-  ^ "}"
+let ts_us (at : Time.t) = Json.Fixed (3, Time.to_us at)
 
-let ts_us (at : Time.t) = Printf.sprintf "%.3f" (Time.to_us at)
+(* One simulated machine per trace, drawn as one process. *)
+let pid = Json.Int 0
 
 (* Thread names are not carried on every event; recover them from the
    dispatch/finish events present in the ring. *)
@@ -31,52 +22,51 @@ let thread_names events =
     events;
   names
 
-let event_json ?(pid = 0) (e : Trace.event) =
-  let common =
-    Printf.sprintf "\"pid\":%d,\"tid\":%d,\"ts\":%s" pid e.Trace.tid
-      (ts_us e.Trace.at)
-  in
-  let args =
-    args_json (("cpu", `Int e.Trace.cpu) :: Event.args e.Trace.kind)
-  in
+let event_json (e : Trace.event) =
+  let open Json in
+  let common = [ ("pid", pid); ("tid", Int e.Trace.tid); ("ts", ts_us e.Trace.at) ] in
+  let args = ("args", Obj (("cpu", Int e.Trace.cpu) :: Event.args e.Trace.kind)) in
   match e.Trace.kind with
   | Event.Slice { category; dur } ->
       (* A charged delay renders as a complete ("X") duration slice. *)
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",%s,\"dur\":%s,\"args\":%s}"
-        (esc (Category.to_string category))
-        (esc (Category.slug category))
-        common (ts_us dur) args
+      Obj
+        ([
+           ("name", String (Category.to_string category));
+           ("cat", String (Category.slug category)); ("ph", String "X");
+         ]
+        @ common @ [ ("dur", ts_us dur); args ])
   | kind ->
       (* Everything else is an instant event on the thread's track. *)
-      Printf.sprintf
-        "{\"name\":\"%s\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",%s,\"args\":%s}"
-        (esc (Event.name kind))
-        common args
+      Obj
+        ([
+           ("name", String (Event.name kind)); ("cat", String "sched");
+           ("ph", String "i"); ("s", String "t");
+         ]
+        @ common @ [ args ])
 
-let to_json ?(pid = 0) ?(process_name = "lrpc-sim") tr =
+let to_json tr =
+  let open Json in
   let events = Trace.events tr in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  let first = ref true in
-  let add s =
-    if !first then first := false else Buffer.add_string buf ",";
-    Buffer.add_string buf s
+  let meta name ids label =
+    Obj
+      ([ ("name", String name); ("ph", String "M"); ("pid", pid) ]
+      @ ids @ [ ("args", Obj [ ("name", String label) ]) ])
   in
-  add
-    (Printf.sprintf
-       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
-       pid (esc process_name));
-  let names = thread_names events in
-  Hashtbl.iter
-    (fun tid name ->
-      add
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           pid tid
-           (esc (Printf.sprintf "%s (t%d)" name tid))))
-    names;
-  List.iter (fun e -> add (event_json ~pid e)) events;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"otherData\":{\"droppedEvents\":%d}}" (Trace.dropped tr));
-  Buffer.contents buf
+  (* Consing reverses the name table's iteration order, which the bytes
+     have always followed; List.rev restores it. *)
+  let threads =
+    Hashtbl.fold
+      (fun tid name acc ->
+        meta "thread_name" [ ("tid", Int tid) ] (Printf.sprintf "%s (t%d)" name tid)
+        :: acc)
+      (thread_names events) []
+  in
+  Obj
+    [
+      ("displayTimeUnit", String "ns");
+      ( "traceEvents",
+        List
+          ((meta "process_name" [] "lrpc-sim" :: List.rev threads)
+          @ List.map event_json events) );
+      ("otherData", Obj [ ("droppedEvents", Int (Trace.dropped tr)) ]);
+    ]

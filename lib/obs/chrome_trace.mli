@@ -7,7 +7,7 @@
     (phase ["i"]). Timestamps are microseconds of simulated time and are
     monotone in emission order. *)
 
-val to_json : ?pid:int -> ?process_name:string -> Trace.t -> string
-(** Render the retained events as a self-contained JSON document. The
-    number of events that fell off the ring is recorded under
-    [otherData.droppedEvents]. *)
+val to_json : Trace.t -> Lrpc_util.Json.t
+(** The retained events as one self-contained JSON document, drawn as
+    process 0, ["lrpc-sim"]. The number of events that fell off the ring
+    is recorded under [otherData.droppedEvents]. *)

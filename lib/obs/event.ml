@@ -81,56 +81,50 @@ let detail = function
   | Mark m -> m.detail
 
 (* Structured key/value payload, for the Chrome-trace [args] object. *)
-let args = function
+let args =
+  let open Lrpc_util.Json in
+  function
   | Dispatch d ->
       [
-        ("thread", `Str d.thread);
-        ("domain", `Int d.domain);
-        ("switched", `Str (string_of_bool d.switched));
+        ("thread", String d.thread); ("domain", Int d.domain);
+        ("switched", String (string_of_bool d.switched));
       ]
-  | Block b -> [ ("thread", `Str b.thread) ]
-  | Wake w -> [ ("thread", `Str w.thread) ]
+  | Block b -> [ ("thread", String b.thread) ]
+  | Wake w -> [ ("thread", String w.thread) ]
   | Finish { thread; error } -> (
-      [ ("thread", `Str thread) ]
-      @ match error with Some e -> [ ("error", `Str e) ] | None -> [])
-  | Switch s -> [ ("from", `Int s.from_domain); ("to", `Int s.to_domain) ]
-  | Exchange e -> [ ("from", `Int e.from_cpu); ("to", `Int e.to_cpu) ]
+      [ ("thread", String thread) ]
+      @ match error with Some e -> [ ("error", String e) ] | None -> [])
+  | Switch s -> [ ("from", Int s.from_domain); ("to", Int s.to_domain) ]
+  | Exchange e -> [ ("from", Int e.from_cpu); ("to", Int e.to_cpu) ]
   | Trap -> []
-  | Copy c -> [ ("label", `Str c.label); ("bytes", `Int c.bytes) ]
-  | Lock_acquire l -> [ ("lock", `Str l.lock) ]
-  | Lock_contend l -> [ ("lock", `Str l.lock) ]
-  | Bound b -> [ ("interface", `Str b.interface); ("binding", `Int b.binding) ]
+  | Copy c -> [ ("label", String c.label); ("bytes", Int c.bytes) ]
+  | Lock_acquire l -> [ ("lock", String l.lock) ]
+  | Lock_contend l -> [ ("lock", String l.lock) ]
+  | Bound b -> [ ("interface", String b.interface); ("binding", Int b.binding) ]
   | Call_issued c ->
-      [ ("proc", `Str c.proc); ("handle", `Int c.handle); ("binding", `Int c.binding) ]
+      [ ("proc", String c.proc); ("handle", Int c.handle); ("binding", Int c.binding) ]
   | Call_completed c ->
       [
-        ("proc", `Str c.proc);
-        ("handle", `Int c.handle);
-        ("binding", `Int c.binding);
-        ("ok", `Str (string_of_bool c.ok));
+        ("proc", String c.proc); ("handle", Int c.handle); ("binding", Int c.binding);
+        ("ok", String (string_of_bool c.ok));
       ]
   | Call_failed c ->
       [
-        ("proc", `Str c.proc);
-        ("handle", `Int c.handle);
-        ("binding", `Int c.binding);
-        ("reason", `Str c.reason);
+        ("proc", String c.proc); ("handle", Int c.handle); ("binding", Int c.binding);
+        ("reason", String c.reason);
       ]
   | Call_rejected c ->
       [
-        ("proc", `Str c.proc);
-        ("binding", `Int c.binding);
-        ("reason", `Str c.reason);
+        ("proc", String c.proc); ("binding", Int c.binding);
+        ("reason", String c.reason);
       ]
-  | Terminated t -> [ ("domain", `Str t.domain) ]
-  | Net_send s -> [ ("bytes", `Int s.bytes) ]
-  | Net_recv r -> [ ("bytes", `Int r.bytes) ]
+  | Terminated t -> [ ("domain", String t.domain) ]
+  | Net_send s -> [ ("bytes", Int s.bytes) ]
+  | Net_recv r -> [ ("bytes", Int r.bytes) ]
   | Net_packet p ->
       [
-        ("seq", `Int p.seq);
-        ("pkt", `Int p.pkt);
-        ("bytes", `Int p.bytes);
-        ("retransmit", `Int (if p.retransmit then 1 else 0));
+        ("seq", Int p.seq); ("pkt", Int p.pkt); ("bytes", Int p.bytes);
+        ("retransmit", Int (if p.retransmit then 1 else 0));
       ]
-  | Slice s -> [ ("category", `Str (Category.slug s.category)) ]
-  | Mark m -> if m.detail = "" then [] else [ ("detail", `Str m.detail) ]
+  | Slice s -> [ ("category", String (Category.slug s.category)) ]
+  | Mark m -> if m.detail = "" then [] else [ ("detail", String m.detail) ]

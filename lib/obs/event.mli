@@ -69,5 +69,5 @@ val detail : t -> string
 (** Human-readable payload; for the scheduling events this matches the old
     string-trace format byte for byte. *)
 
-val args : t -> (string * [ `Int of int | `Str of string ]) list
+val args : t -> (string * Lrpc_util.Json.t) list
 (** Structured payload for machine consumers (Chrome-trace [args]). *)

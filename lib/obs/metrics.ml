@@ -1,4 +1,5 @@
 module H = Lrpc_util.Histogram
+module Json = Lrpc_util.Json
 
 (* Plain mutable cells: a registry belongs to one engine, and an engine
    runs on one host domain. *)
@@ -161,42 +162,24 @@ let render s =
     s.histograms;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json s =
-  let buf = Buffer.create 1024 in
-  let entries to_s l =
-    String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (to_s v)) l)
+  let obj value l = Json.Obj (List.map (fun (k, v) -> (k, value v)) l) in
+  let summary h =
+    Json.(
+      Obj
+        [
+          ("count", Int h.hs_count); ("p50", Int h.hs_p50);
+          ("p90", Int h.hs_p90); ("p99", Int h.hs_p99);
+        ])
   in
-  Buffer.add_string buf "{\"counters\":{";
-  Buffer.add_string buf (entries string_of_int s.counters);
-  Buffer.add_string buf "},\"gauges\":{";
-  Buffer.add_string buf
-    (entries (fun v -> Printf.sprintf "%.6g" v) s.gauges);
-  Buffer.add_string buf "},\"histograms\":{";
-  (* An empty histogram has no quantiles worth serializing — its p50/p90/
-     p99 would all read as the meaningless 0 default — so it is omitted
-     entirely rather than emitting garbage. *)
-  Buffer.add_string buf
-    (entries
-       (fun h ->
-         Printf.sprintf "{\"count\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d}"
-           h.hs_count h.hs_p50 h.hs_p90 h.hs_p99)
-       (List.filter (fun (_, h) -> h.hs_count > 0) s.histograms));
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  (* An empty histogram has no quantiles worth serializing — its p50/
+     p90/p99 would all read as the meaningless 0 default — so it is
+     omitted entirely rather than emitting garbage. *)
+  let sampled = List.filter (fun (_, h) -> h.hs_count > 0) s.histograms in
+  Json.to_string
+    (Obj
+       [
+         ("counters", obj (fun v -> Json.Int v) s.counters);
+         ("gauges", obj (fun v -> Json.Float v) s.gauges);
+         ("histograms", obj summary sampled);
+       ])

@@ -118,6 +118,3 @@ val to_json : snapshot -> string
     [{"counters":{...},"gauges":{...},"histograms":{...}}]. Histograms
     with zero samples are omitted — their quantiles would be the
     meaningless empty-histogram 0s, not data. *)
-
-val json_escape : string -> string
-(** JSON string-body escaping (shared with {!Chrome_trace}). *)

@@ -30,6 +30,7 @@ module Erpc = Lrpc_net.Erpc
 module Plan = Lrpc_fault.Plan
 module Trace = Lrpc_obs.Trace
 module Event = Lrpc_obs.Event
+module Metrics = Lrpc_obs.Metrics
 module I = Lrpc_idl.Types
 module V = Lrpc_idl.Value
 
@@ -428,6 +429,31 @@ let test_spawn () =
   Alcotest.(check int) "each on its home processor: no steals" 0
     (Engine.total_steals e)
 
+(* --- the metrics snapshot as JSON --------------------------------------------
+
+   lrpcbench hashes Metrics.to_json of every repetition's snapshot
+   before its words window closes, so the printer's allocation counts
+   as per-call words. One value printed into one buffer costs 33 words
+   an entry on this world; a sprintf per entry cost 153. *)
+
+let json_budget_words = 80
+
+let test_metrics_json () =
+  require_pinned_ocaml "metrics json";
+  let b, run = scale16 ~trace:None in
+  ignore (run ());
+  let s = Metrics.snapshot (Engine.metrics b.Driver.bt_engine) in
+  let entries =
+    List.length s.Metrics.counters + List.length s.Metrics.gauges
+    + List.length s.Metrics.histograms
+  in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Metrics.to_json s));
+  let words = (Gc.minor_words () -. w0) /. float_of_int entries in
+  if words > float_of_int json_budget_words then
+    Alcotest.failf "metrics json: %.1f words per snapshot entry over %d, budget %d"
+      words entries json_budget_words
+
 (* --- live memory per binding ------------------------------------------------
 
    Sixteen Null clients of one server on sixteen CPUs. Live words after
@@ -493,6 +519,8 @@ let () =
       ( "events per call",
         List.map (fun w -> Alcotest.test_case w.name `Quick (test_events w)) worlds );
       ("spawn", [ Alcotest.test_case "256 pinned threads" `Quick test_spawn ]);
+      ( "metrics json",
+        [ Alcotest.test_case "words per snapshot entry" `Quick test_metrics_json ] );
       ( "memory",
         [ Alcotest.test_case "live words per binding" `Quick test_memory ] );
     ]

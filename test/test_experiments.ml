@@ -5,6 +5,7 @@
 
 module E = Lrpc_experiments
 module Time = Lrpc_sim.Time
+module Json = Lrpc_util.Json
 
 let near name target tolerance value =
   Alcotest.(check bool)
@@ -289,9 +290,13 @@ let test_openloop_knee_detected () =
 let test_openloop_json_render () =
   let r = Lazy.force openloop_quick in
   let json = E.Openloop.to_json r in
-  Alcotest.(check bool) "json mentions experiment" true
-    (String.length json > 200
-    && String.sub json 0 25 = "{\"experiment\": \"openloop\"");
+  Alcotest.check Json_check.t "experiment" (Json.String "openloop")
+    (Json_check.field "experiment" json);
+  Alcotest.check Json_check.t "seed" (Json.Int64 r.E.Openloop.or_seed)
+    (Json_check.field "seed" json);
+  Alcotest.(check int) "one object per system"
+    (List.length r.E.Openloop.or_curves)
+    (List.length (Json_check.items (Json_check.field "systems" json)));
   Alcotest.(check bool) "text render substantial" true
     (String.length (E.Openloop.render r) > 200)
 
@@ -348,7 +353,7 @@ let test_openloop_shedding_bounds () =
    processor. *)
 let test_fig2_scale_bounds () =
   let module F = E.Fig2_scale in
-  let r = F.run ~max_cpus:8 ~horizon:(Lrpc_sim.Time.ms 100) () in
+  let r = E.Suite.fig2_scale_result ~quick:true in
   let ps = r.F.points in
   Alcotest.(check (list int)) "ladder" [ 1; 2; 4; 8 ] (List.map (fun p -> p.F.cpus) ps);
   let rec rising = function
@@ -406,14 +411,6 @@ let test_pipeline_bounds () =
 
 (* --- Locality study ------------------------------------------------------------ *)
 
-let occurrences sub s =
-  let n = String.length sub in
-  let rec go i acc =
-    if i + n > String.length s then acc
-    else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
-  in
-  go 0 0
-
 (* The CLI's `numa --quick` study against the bounds `make numa-smoke`
    used to check on its JSON: the 4/8 ladder, every series key at every
    rung, no near or far steals without a topology, every clustered
@@ -422,20 +419,24 @@ let occurrences sub s =
    finite. *)
 let test_numa_bounds () =
   let module N = E.Numa_study in
-  let r = N.run ~max_cpus:8 ~horizon:(Time.ms 50) () in
+  let r = E.Suite.numa_result ~quick:true in
   let ps = r.N.points in
   Alcotest.(check (list int)) "ladder" [ 4; 8 ] (List.map (fun p -> p.N.cpus) ps);
-  let json = N.to_json r in
+  let series = [ "flat"; "clu"; "far_aware"; "far_blind" ] in
+  let points = Json_check.items (Json_check.field "points" (N.to_json r)) in
+  Alcotest.(check int) "one JSON point per rung" (List.length ps) (List.length points);
   List.iter
-    (fun (key, per_point) ->
-      Alcotest.(check int) (key ^ " keys in the JSON")
-        (per_point * List.length ps)
-        (occurrences (Printf.sprintf "\"%s\": " key) json))
-    [
-      ("flat", 1); ("clu", 1); ("far_aware", 1); ("far_blind", 1); ("cps", 4);
-      ("steals", 4); ("steals_near", 4); ("steals_far", 4);
-      ("aware_recovery", 1); ("blind_recovery", 1);
-    ];
+    (fun p ->
+      Alcotest.(check (list string)) "point keys"
+        (("cpus" :: series) @ [ "aware_recovery"; "blind_recovery" ])
+        (Json_check.keys p);
+      List.iter
+        (fun s ->
+          Alcotest.(check (list string)) (s ^ " keys")
+            [ "cps"; "steals"; "steals_near"; "steals_far" ]
+            (Json_check.keys (Json_check.field s p)))
+        series)
+    points;
   List.iter
     (fun p ->
       let at what = Printf.sprintf "%s at %d CPUs" what p.N.cpus in
@@ -450,7 +451,7 @@ let test_numa_bounds () =
         [ ("clu", p.N.clu); ("far_aware", p.N.far_aware); ("far_blind", p.N.far_blind) ];
       List.iter
         (fun (name, s) ->
-          let recovery = s.N.sr_cps /. p.N.flat.N.sr_cps in
+          let recovery = N.recovery ~flat:p.N.flat.N.sr_cps s.N.sr_cps in
           Alcotest.(check bool)
             (at (Printf.sprintf "%s recovery %g positive and finite" name recovery))
             true
@@ -501,6 +502,32 @@ let test_transport_smoke () =
     (r.T.tr_cache_on_us < r.T.tr_cache_off_us);
   Alcotest.(check bool) "staged copy costs" true
     (r.T.tr_staged_copy_us > r.T.tr_zero_copy_us)
+
+(* The CLI's `--json` path, checked on its value: each artifact names
+   its experiment, and every f2s rung carries all fourteen point keys. *)
+let test_suite_json () =
+  let json ?shedding name = E.Suite.json ~quick:true ?shedding name in
+  let f2s = json "f2s" in
+  List.iter
+    (fun (experiment, v) ->
+      Alcotest.check Json_check.t experiment (Json.String experiment)
+        (Json_check.field "experiment" v))
+    [
+      ("fig2_scale", f2s); ("numa", json "numa"); ("transport", json "transport");
+      ("openloop", json "openloop"); ("openloop_shed", json ~shedding:true "openloop");
+    ];
+  let points = Json_check.items (Json_check.field "points" f2s) in
+  Alcotest.(check int) "four rungs" 4 (List.length points);
+  List.iter
+    (fun p ->
+      Alcotest.(check (list string)) "f2s point keys"
+        [
+          "cpus"; "lrpc_cps"; "lrpc_speedup"; "src_cps"; "src_speedup"; "unbal_cps";
+          "unbal_steals"; "steals"; "steals_tagged"; "shard_contended";
+          "lrpc_spin_us"; "src_steals"; "src_spin_us"; "src_lock_contended";
+        ]
+        (Json_check.keys p))
+    points
 
 (* renders should never raise and always mention the paper *)
 let test_renders () =
@@ -564,6 +591,10 @@ let () =
       ("pipeline", [ Alcotest.test_case "pipeline bounds" `Quick test_pipeline_bounds ]);
       ("locality", [ Alcotest.test_case "numa bounds" `Quick test_numa_bounds ]);
       ("transport", [ Alcotest.test_case "smoke bounds" `Quick test_transport_smoke ]);
-      ("rendering", [ Alcotest.test_case "renders" `Quick test_renders ]);
+      ( "rendering",
+        [
+          Alcotest.test_case "renders" `Quick test_renders;
+          Alcotest.test_case "suite json" `Quick test_suite_json;
+        ] );
       ("pins", [ Alcotest.test_case "t4 t5 digest" `Quick test_t45_digest ]);
     ]

@@ -13,6 +13,7 @@
 open Lrpc
 module V = Value
 module I = Types
+module Json = Lrpc_util.Json
 
 let cm = Cost_model.cvax_firefly
 
@@ -144,22 +145,32 @@ let test_soak_invariants () =
   Alcotest.(check bool) "deadlines fired" true (r.Fault_soak.r_deadline > 0);
   Alcotest.(check bool) "contended fallback taken" true
     (r.Fault_soak.r_shard_contended > 0);
-  (* JSON report shape: every invariant by name, as lrpc_chaos writes it. *)
+  (* The report lrpc_chaos prints: its sections in order, every
+     invariant by name and true, and the pinned digest. *)
   let json = Fault_soak.report_to_json r in
-  List.iter
-    (fun key ->
-      let sub = Printf.sprintf "\"%s\"" key in
-      let found =
-        let n = String.length json and m = String.length sub in
-        let rec scan i = i + m <= n && (String.sub json i m = sub || scan (i + 1)) in
-        scan 0
-      in
-      Alcotest.(check bool) (key ^ " in JSON") true found)
+  let field = Json_check.field in
+  Alcotest.(check (list string))
+    "report keys"
+    [ "seed"; "calls"; "outcomes"; "faults"; "locality"; "invariants"; "digest" ]
+    (Json_check.keys json);
+  Alcotest.check Json_check.t "seed" (Json.Int64 r.Fault_soak.r_seed)
+    (field "seed" json);
+  Alcotest.check Json_check.t "calls" (Json.Int r.Fault_soak.r_calls)
+    (field "calls" json);
+  Alcotest.check Json_check.t "net_retries" (Json.Int r.Fault_soak.r_retries)
+    (field "net_retries" (field "faults" json));
+  let invariants = field "invariants" json in
+  Alcotest.(check (list string))
+    "invariant keys"
     [
-      "seed"; "calls"; "outcomes"; "faults"; "invariants"; "net_retries";
       "all_resolved"; "failure_accounting"; "pool_balanced"; "linkages_zero";
-      "in_flight_zero"; "no_stuck_threads"; "no_thread_failures"; "digest";
+      "in_flight_zero"; "no_stuck_threads"; "no_thread_failures";
     ]
+    (Json_check.keys invariants);
+  List.iter
+    (fun k -> Alcotest.check Json_check.t k (Json.Bool true) (field k invariants))
+    (Json_check.keys invariants);
+  Alcotest.check Json_check.t "digest" (Json.String chaos_digest) (field "digest" json)
 
 let test_soak_replay_identical () =
   let r1 = Fault_soak.run Fault_soak.default in
@@ -909,10 +920,9 @@ let test_failure_observability () =
   (* The failure must survive into the Chrome export. *)
   let chrome = Lrpc_obs.Chrome_trace.to_json tr in
   Alcotest.(check bool) "call-failed in Chrome JSON" true
-    (let n = String.length chrome in
-     let sub = "call-failed" and m = 11 in
-     let rec scan i = i + m <= n && (String.sub chrome i m = sub || scan (i + 1)) in
-     scan 0)
+    (List.exists
+       (fun ev -> Json_check.field "name" ev = Json.String "call-failed")
+       (Json_check.items (Json_check.field "traceEvents" chrome)))
 
 let () =
   Alcotest.run "lrpc_fault"

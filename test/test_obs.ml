@@ -182,115 +182,17 @@ let test_migrated_counters_ground_truth () =
 
 (* --- Chrome trace export -------------------------------------------------- *)
 
-(* A minimal JSON syntax checker: accepts exactly the grammar of
-   RFC 8259 minus numbers' full generality (enough for trace output). *)
-let json_well_formed s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let fail () = raise Exit in
-  let expect c = if peek () = Some c then advance () else fail () in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_lit ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | _ -> fail ()
-  and literal lit =
-    String.iter (fun c -> expect c) lit
-  and number () =
-    let ok = function '-' | '+' | '.' | 'e' | 'E' | '0' .. '9' -> true | _ -> false in
-    let rec go () =
-      match peek () with Some c when ok c -> advance (); go () | _ -> ()
-    in
-    go ()
-  and string_lit () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail ()
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with Some _ -> advance () | None -> fail ());
-          go ()
-      | Some _ ->
-          advance ();
-          go ()
-    in
-    go ()
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else
-      let rec members () =
-        skip_ws ();
-        string_lit ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            advance ();
-            members ()
-        | Some '}' -> advance ()
-        | _ -> fail ()
-      in
-      members ()
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else
-      let rec elems () =
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            advance ();
-            elems ()
-        | Some ']' -> advance ()
-        | _ -> fail ()
-      in
-      elems ()
-  in
-  match
-    value ();
-    skip_ws ();
-    !pos = n
-  with
-  | ok -> ok
-  | exception Exit -> false
-
-let contains ~affix s =
-  let n = String.length s and m = String.length affix in
-  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
-  go 0
-
 let test_chrome_json () =
   let _, _, tr = run_calls ~tracer:true 3 in
   let tr = Option.get tr in
   let json = Chrome_trace.to_json tr in
-  Alcotest.(check bool) "well-formed JSON" true (json_well_formed json);
-  Alcotest.(check bool) "has traceEvents" true
-    (contains ~affix:"\"traceEvents\"" json);
-  Alcotest.(check bool) "records drops" true
-    (contains ~affix:"\"droppedEvents\"" json);
+  Alcotest.(check bool) "well-formed JSON" true
+    (Json_check.well_formed (Lrpc_util.Json.to_string json));
+  Alcotest.(check bool) "traceEvents non-empty" true
+    (Json_check.items (Json_check.field "traceEvents" json) <> []);
+  Alcotest.check Json_check.t "records drops"
+    (Lrpc_util.Json.Int (Trace.dropped tr))
+    (Json_check.field "droppedEvents" (Json_check.field "otherData" json));
   (* timestamps are monotone in emission order *)
   let last = ref Time.zero in
   let monotone = ref true in

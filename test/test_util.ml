@@ -612,6 +612,97 @@ let test_id_table () =
   Alcotest.check_raises "negative id" (Invalid_argument "Id_table.set: negative id")
     (fun () -> Id_table.set t (-1) 1)
 
+(* --- Json -------------------------------------------------------------- *)
+
+let json_is what expected v = Alcotest.(check string) what expected (Json.to_string v)
+
+(* Zero: nothing in a container, nothing in a string. *)
+let test_json_zero () =
+  json_is "empty object" "{}" (Obj []);
+  json_is "empty array" "[]" (List []);
+  json_is "empty string" {|""|} (String "");
+  json_is "empty key" {|{"":[]}|} (Obj [ ("", List []) ]);
+  json_is "zero" "0" (Int 0);
+  json_is "zero, no decimals" "0" (Fixed (0, 0.0))
+
+(* Ones: every byte that must be escaped, in a key and in a value. *)
+let test_json_escapes () =
+  let raw = String.init 32 Char.chr ^ {|"\|} in
+  let escaped =
+    {|\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007|}
+    ^ {|\u0008\t\n\u000b\u000c\r\u000e\u000f|}
+    ^ {|\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017|}
+    ^ {|\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f|}
+    ^ {|\"\\|}
+  in
+  json_is "key and value" ({|{"|} ^ escaped ^ {|":"|} ^ escaped ^ {|"}|})
+    (Obj [ (raw, String raw) ]);
+  json_is "other bytes pass through" "\"\x7f\xc3\xa9 ~\"" (String "\x7f\xc3\xa9 ~")
+
+(* Max: the ends of every integer type, floats that are not finite, and
+   number text exactly as printf writes it. *)
+let test_json_numbers () =
+  json_is "max_int" "4611686018427387903" (Int max_int);
+  json_is "min_int" "-4611686018427387904" (Int min_int);
+  json_is "Int64.max_int seed" "9223372036854775807" (Int64 Int64.max_int);
+  json_is "Int64.min_int seed" "-9223372036854775808" (Int64 Int64.min_int);
+  List.iter
+    (fun x ->
+      json_is (Printf.sprintf "fixed %h" x) "null" (Fixed (3, x));
+      json_is (Printf.sprintf "float %h" x) "null" (Float x))
+    [ nan; infinity; neg_infinity ];
+  json_is "negative zero, fixed" "-0.0" (Fixed (1, -0.0));
+  json_is "negative zero, %.6g" "-0" (Float (-0.0));
+  json_is "no decimals" "1989" (Fixed (0, 1989.0));
+  json_is "no decimals rounds half to even" "2" (Fixed (0, 2.5));
+  json_is "four decimals" "1.0000" (Fixed (4, 1.0));
+  json_is "four decimals rounds" "0.1235" (Fixed (4, 0.12345));
+  json_is "fractional %.6g" "3.14159" (Float 3.14159265);
+  json_is "large %.6g" "1e+07" (Float 1e7);
+  json_is "members in order, compact" {|{"b":true,"a":[null,false,-1]}|}
+    (Obj [ ("b", Bool true); ("a", List [ Null; Bool false; Int (-1) ]) ])
+
+(* Random values up to four levels deep, with every byte in strings and
+   keys and non-finite floats among the numbers. *)
+let json_value =
+  let open QCheck.Gen in
+  let float =
+    oneof [ float; oneofl [ nan; infinity; neg_infinity; -0.0; max_float ] ]
+  in
+  let string = string_size ~gen:char (int_bound 6) in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; oneofl [ min_int; max_int ] ]);
+        map (fun i -> Json.Int64 i) ui64;
+        map2 (fun d x -> Json.Fixed (d, x)) (int_bound 4) float;
+        map (fun x -> Json.Float x) float;
+        map (fun s -> Json.String s) string;
+      ]
+  in
+  let value =
+    fix (fun self depth ->
+        if depth = 0 then scalar
+        else
+          let inner = list_size (int_bound 4) (self (depth - 1)) in
+          frequency
+            [
+              (1, scalar);
+              (2, map (fun l -> Json.List l) inner);
+              ( 2,
+                map
+                  (fun l -> Json.Obj l)
+                  (list_size (int_bound 4) (pair string (self (depth - 1)))) );
+            ])
+  in
+  QCheck.make ~print:Json.to_string (int_bound 4 >>= value)
+
+let prop_json_well_formed =
+  QCheck.Test.make ~name:"json prints well-formed text" ~count:500 json_value
+    (fun v -> Json_check.well_formed (Json.to_string v))
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -624,6 +715,7 @@ let () =
         prop_prng_int_in_range;
         prop_qsketch_quantile_bound;
         prop_qsketch_merge_is_concat;
+        prop_json_well_formed;
       ]
   in
   Alcotest.run "lrpc_util"
@@ -676,5 +768,11 @@ let () =
           Alcotest.test_case "rejects" `Quick test_qsketch_rejects;
         ] );
       ("id table", [ Alcotest.test_case "edges" `Quick test_id_table ]);
+      ( "json",
+        [
+          Alcotest.test_case "zero" `Quick test_json_zero;
+          Alcotest.test_case "escapes" `Quick test_json_escapes;
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
+        ] );
       ("properties", qsuite);
     ]
