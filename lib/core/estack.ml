@@ -53,27 +53,30 @@ let associate rt ~server astack =
         | Some es ->
             pop_free pool es;
             es
-        | None -> (
-            match fresh_estack rt ~server pool with
-            | es ->
-                (* Only a genuinely fresh E-stack costs kernel allocation
-                   time on the call path; recycled ones were paid for
-                   already. *)
-                pool.ep_all <- es :: pool.ep_all;
-                Engine.delay ~category:Lrpc_sim.Category.Kernel_transfer
-                  (engine rt) estack_alloc_cost;
-                es
-            | exception Out_of_memory -> (
-                (* The server's address space is exhausted: reclaim every
-                   association not in use and older than now, and retry
-                   once. *)
-                if reclaim rt ~server ~keep_newer_than:(now rt) = 0 then
-                  raise Out_of_memory;
-                match pool.ep_free with
-                | Some es ->
-                    pop_free pool es;
-                    es
-                | None -> raise Out_of_memory))
+        | None ->
+            if Kernel.region_fits rt.kernel ~owner:server ~bytes:estack_bytes
+            then begin
+              let es = fresh_estack rt ~server pool in
+              (* Only a genuinely fresh E-stack costs kernel allocation
+                 time on the call path; recycled ones were paid for
+                 already. *)
+              pool.ep_all <- es :: pool.ep_all;
+              Engine.delay ~category:Lrpc_sim.Category.Kernel_transfer
+                (engine rt) estack_alloc_cost;
+              es
+            end
+            else begin
+              (* The server's address space is exhausted: reclaim every
+                 association not in use and older than now, and take one
+                 of them. *)
+              if reclaim rt ~server ~keep_newer_than:(now rt) = 0 then
+                raise Out_of_memory;
+              match pool.ep_free with
+              | Some es ->
+                  pop_free pool es;
+                  es
+              | None -> raise Out_of_memory
+            end
       in
       es.es_assoc <- astack.a_some;
       astack.a_estack <- es.es_some;

@@ -12,12 +12,14 @@
 val associate : Rt.runtime -> server:Lrpc_kernel.Pdomain.t -> Rt.astack -> Rt.estack
 (** Return the E-stack for this A-stack, associating lazily. Charges
     [estack_alloc_cost] (in-thread) only when a fresh E-stack must be
-    allocated. When allocation would exceed the server's address-space
-    budget, associations of not-recently-used A-stacks are reclaimed
-    first; raises [Out_of_memory] if nothing can be reclaimed. A new
-    association patches the A-stack's call-side footprint
-    ({!Footprint.set_estack}); one that reuses an E-stack allocates
-    nothing. *)
+    allocated. When a fresh E-stack would exceed the server's
+    address-space budget ({!Lrpc_kernel.Kernel.region_fits}, checked
+    before anything is built), associations of not-recently-used
+    A-stacks are reclaimed instead; raises [Out_of_memory] if nothing
+    can be reclaimed, and [Domain_terminated] for a terminated server
+    with no free E-stack. A new association patches the A-stack's
+    call-side footprint ({!Footprint.set_estack}); one that reuses an
+    E-stack allocates nothing. *)
 
 val preallocate_all : Rt.runtime -> server:Lrpc_kernel.Pdomain.t -> Rt.astack list -> unit
 (** Static policy (ablation A5): pair every A-stack with its own E-stack

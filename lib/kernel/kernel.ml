@@ -125,11 +125,19 @@ let alloc_pages t d n =
 let free_pages _t d pages =
   d.Pdomain.pages_allocated <- d.Pdomain.pages_allocated - Array.length pages
 
+(* The pages a region of [bytes] takes: whole pages, at least one.
+   Rounded up without adding to [bytes], which may be [max_int]. *)
+let region_pages t bytes =
+  let page_size = (cost_model t).Cost_model.page_size in
+  max 1 ((bytes / page_size) + if bytes mod page_size > 0 then 1 else 0)
+
+let region_fits t ~owner ~bytes =
+  require_active owner;
+  owner.Pdomain.pages_allocated + region_pages t bytes <= owner.Pdomain.page_limit
+
 let new_region t ~owner ~name ~bytes ~mapped ~backed =
   require_active owner;
-  let page_size = (cost_model t).Cost_model.page_size in
-  let npages = max 1 ((bytes + page_size - 1) / page_size) in
-  let pages = alloc_pages t owner npages in
+  let pages = alloc_pages t owner (region_pages t bytes) in
   let r =
     {
       Vm.rid = t.next_region;

@@ -61,6 +61,13 @@ val alloc_unbacked_region :
     and stacks — their TLB footprints and page budgets). {!Vm}'s byte
     operations raise [Invalid_argument] on it. *)
 
+val region_fits : t -> owner:Pdomain.t -> bytes:int -> bool
+(** Whether a region of [bytes] would fit in [owner]'s page budget now:
+    its pages are rounded as {!alloc_region} rounds them. Checks without
+    allocating, so a caller can try something else first.
+    @raise Domain_terminated when [owner] is terminated, as the
+    allocation would. *)
+
 val release_region : t -> owner:Pdomain.t -> Vm.region -> unit
 (** Invalidate the region and return its pages to [owner]. *)
 

@@ -87,7 +87,7 @@ let args =
   | Dispatch d ->
       [
         ("thread", String d.thread); ("domain", Int d.domain);
-        ("switched", String (string_of_bool d.switched));
+        ("switched", Bool d.switched);
       ]
   | Block b -> [ ("thread", String b.thread) ]
   | Wake w -> [ ("thread", String w.thread) ]
@@ -106,7 +106,7 @@ let args =
   | Call_completed c ->
       [
         ("proc", String c.proc); ("handle", Int c.handle); ("binding", Int c.binding);
-        ("ok", String (string_of_bool c.ok));
+        ("ok", Bool c.ok);
       ]
   | Call_failed c ->
       [
@@ -124,7 +124,7 @@ let args =
   | Net_packet p ->
       [
         ("seq", Int p.seq); ("pkt", Int p.pkt); ("bytes", Int p.bytes);
-        ("retransmit", Int (if p.retransmit then 1 else 0));
+        ("retransmit", Bool p.retransmit);
       ]
   | Slice s -> [ ("category", String (Category.slug s.category)) ]
   | Mark m -> if m.detail = "" then [] else [ ("detail", String m.detail) ]

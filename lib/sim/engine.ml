@@ -34,7 +34,6 @@ type thread = {
   some : thread option;
       (* preallocated [Some self]: [current], [running] and the run-queue
          scans never allocate one *)
-  wake_ev : timed; (* preallocated [Wake self]: a sleep never allocates *)
 }
 
 and cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
@@ -45,9 +44,6 @@ and timer = { t_fn : unit -> unit; mutable t_cancelled : bool }
    of the thread's delay pops: nothing, a fixed charge, or the TLB
    refill of a page list (see [delay_tail]). *)
 and tail = No_tail | Fixed | Refill
-
-(* A timer-heap entry. The run heap holds threads directly. *)
-and timed = Fire of timer | Wake of thread
 
 type cpu = {
   idx : int;
@@ -71,10 +67,17 @@ type cpu = {
 type t = {
   cm : Cost_model.t;
   cpus_ : cpu array;
-  run_heap : thread Heap.t;
-      (* resumptions of threads on a processor: one per processor at most *)
-  timer_heap : timed Heap.t;
-      (* timers and sleeps; shares [run_heap]'s sequence counter *)
+  run_heap : Heap.t;
+      (* resumptions of threads on a processor, by thread id: one per
+         processor at most *)
+  timer_heap : Heap.t;
+      (* timers, by slab slot, and sleeps, by wake code (see [at]);
+         shares [run_heap]'s sequence counter *)
+  mutable slab : timer array;
+      (* the timers of queued [at] entries, by slot; a slot is cleared
+         and freed when its entry pops *)
+  mutable free_slots : int array; (* a stack of the free slots... *)
+  mutable n_free : int; (* ...of this many *)
   mutable run_pushes : int;
   mutable timer_pushes : int;
   mutable resumes : int;
@@ -93,7 +96,9 @@ type t = {
   mutable next_tid : int;
   mutable current : thread option;
   mutable failures_ : (thread * exn) list;
-  mutable threads : thread list;
+  mutable threads : thread array;
+      (* every thread spawned, by id ([nil] past [next_tid]): a thread
+         lives as long as its engine, and the heaps name threads by id *)
   metrics_ : Metrics.t;
   cat_time : Metrics.counter array; (* charged ns, indexed by Category.index *)
   tlb_miss_count : Metrics.counter;
@@ -159,7 +164,6 @@ let rec nil =
     rq_next = nil;
     sleep_seq = -1;
     some = Some nil;
-    wake_ev = Wake nil;
   }
 
 let[@inline] tracing t =
@@ -223,6 +227,9 @@ let create ?(processors = 1) ?(domains = 1) cm =
       cpus_;
       run_heap;
       timer_heap = Heap.create ~share:run_heap ();
+      slab = [||];
+      free_slots = [||];
+      n_free = 0;
       run_pushes = 0;
       timer_pushes = 0;
       resumes = 0;
@@ -235,7 +242,7 @@ let create ?(processors = 1) ?(domains = 1) cm =
       next_tid = 0;
       current = None;
       failures_ = [];
-      threads = [];
+      threads = [||];
       metrics_;
       cat_time;
       tlb_miss_count = Metrics.counter metrics_ "sim.tlb_misses";
@@ -350,12 +357,14 @@ let check_failures ?(what = "simulated thread") t =
         (Printf.sprintf "%s %s died: %s" what th.name (Printexc.to_string exn))
 
 let stuck_threads t =
-  List.filter
-    (fun th ->
-      match th.state with
-      | Blocked | Spinning | Ready | Embryo -> true
-      | Running | Done | Failed -> false)
-    t.threads
+  let stuck = ref [] in
+  for tid = 0 to t.next_tid - 1 do
+    let th = t.threads.(tid) in
+    match th.state with
+    | Blocked | Spinning | Ready | Embryo -> stuck := th :: !stuck
+    | Running | Done | Failed -> ()
+  done;
+  !stuck
 
 (* --- the two heaps ------------------------------------------------------ *)
 
@@ -365,11 +374,50 @@ let stuck_threads t =
 let push_run t time th =
   assert (Heap.length t.run_heap < Array.length t.cpus_);
   t.run_pushes <- t.run_pushes + 1;
-  Heap.push t.run_heap ~time th
+  Heap.push t.run_heap ~time th.tid
 
-let push_timer t time ev =
+let push_timer t time code =
   t.timer_pushes <- t.timer_pushes + 1;
-  Heap.push t.timer_heap ~time ev
+  Heap.push t.timer_heap ~time code
+
+(* A timer-heap entry is an int: the slab slot of an [at] timer, or the
+   wake code [-1 - tid] of a thread's sleep. *)
+let[@inline] wake_code tid = -1 - tid
+
+(* What a free slab slot holds. *)
+let no_timer = { t_fn = ignore; t_cancelled = true }
+
+(* Double the slab. The slots it adds go on the free stack, lowest on
+   top; the stack is empty when the slab grows. *)
+let grow_slab t =
+  let n = Array.length t.slab in
+  let cap = max 16 (2 * n) in
+  let slab = Array.make cap no_timer in
+  Array.blit t.slab 0 slab 0 n;
+  t.slab <- slab;
+  t.free_slots <- Array.init cap (fun i -> cap - 1 - i);
+  t.n_free <- cap - n
+
+let slot_of t tmr =
+  if t.n_free = 0 then grow_slab t;
+  let n = t.n_free - 1 in
+  t.n_free <- n;
+  let slot = t.free_slots.(n) in
+  t.slab.(slot) <- tmr;
+  slot
+
+(* The entry of [slot] has popped: clear and free the slot, so a fired
+   or cancelled timer's closure is not kept, and run the timer unless
+   it was cancelled. *)
+let fire t slot =
+  let tmr = t.slab.(slot) in
+  t.slab.(slot) <- no_timer;
+  t.free_slots.(t.n_free) <- slot;
+  t.n_free <- t.n_free + 1;
+  if not tmr.t_cancelled then begin
+    tmr.t_cancelled <- true;
+    tmr.t_fn ()
+  end
 
 (* Whether [time] comes before every queued event of both heaps. An
    empty heap reads as [max_int], which no delay reaches. *)
@@ -695,9 +743,10 @@ let try_dispatch t =
   done
 
 let spawn ?(name = "thread") ?(home = -1) t ~domain body =
+  let tid = t.next_tid in
   let rec th =
     {
-      tid = t.next_tid;
+      tid;
       name;
       domain;
       state = Embryo;
@@ -712,11 +761,16 @@ let spawn ?(name = "thread") ?(home = -1) t ~domain body =
       rq_next = nil;
       sleep_seq = -1;
       some = Some th;
-      wake_ev = Wake th;
     }
   in
-  t.next_tid <- t.next_tid + 1;
-  t.threads <- th :: t.threads;
+  let n = Array.length t.threads in
+  if tid = n then begin
+    let grown = Array.make (max 16 (2 * n)) nil in
+    Array.blit t.threads 0 grown 0 n;
+    t.threads <- grown
+  end;
+  t.threads.(tid) <- th;
+  t.next_tid <- tid + 1;
   ready_push t th;
   try_dispatch t;
   th
@@ -910,7 +964,7 @@ let run_serial t =
       if rt > limit then continue_ := false
       else begin
         t.now_ <- rt;
-        let th = Heap.take runs in
+        let th = t.threads.(Heap.take runs) in
         match th.state with
         | Running -> (
             let c = t.cpus_.(th.cpu) in
@@ -929,13 +983,11 @@ let run_serial t =
       else begin
         t.now_ <- tt;
         let seq = Heap.top_seq timers in
-        match Heap.take timers with
-        | Fire tmr ->
-            if not tmr.t_cancelled then begin
-              tmr.t_cancelled <- true;
-              tmr.t_fn ()
-            end
-        | Wake sleeper -> if sleeper.sleep_seq = seq then wake t sleeper
+        let code = Heap.take timers in
+        if code >= 0 then fire t code
+        else
+          let sleeper = t.threads.(wake_code code) in
+          if sleeper.sleep_seq = seq then wake t sleeper
       end
     end
   done
@@ -1016,7 +1068,7 @@ let sleep_until t time =
   (* Never schedule into the past: the heap would rewind [now_]. *)
   let time = if Time.compare time t.now_ < 0 then t.now_ else time in
   th.sleep_seq <- Heap.next_seq t.timer_heap;
-  push_timer t time th.wake_ev;
+  push_timer t time (wake_code th.tid);
   match suspend t t.fn_block with
   | () -> th.sleep_seq <- -1
   | exception e ->
@@ -1146,7 +1198,7 @@ let at t time fn =
   let tmr = { t_fn = fn; t_cancelled = false } in
   (* Never schedule into the past: the heap would rewind [now_]. *)
   let time = if Time.compare time t.now_ < 0 then t.now_ else time in
-  push_timer t time (Fire tmr);
+  push_timer t time (slot_of t tmr);
   tmr
 
 let cancel_timer _t tmr = tmr.t_cancelled <- true

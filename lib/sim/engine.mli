@@ -34,14 +34,19 @@
     independent simulations side by side (the [--jobs] artifact
     fan-out). See DESIGN.md "One event loop".
 
-    The loop drains two {!Heap}s. The run heap holds thread resumptions
-    (a dispatch, the end of a {!delay}, a spinner's wake); a thread with
-    one queued is on a processor, so it never holds more entries than
-    there are processors. The timer heap holds {!at} timers and
-    {!sleep_until} wake entries, which may be thousands. Both draw their
-    insertion sequences from one counter, and each step pops the earlier
-    top by (time, sequence): the same total order a single heap would
-    give, so the split changes host cost only.
+    The loop drains two {!Heap}s, whose payloads are ints. The run heap
+    holds thread resumptions (a dispatch, the end of a {!delay}, a
+    spinner's wake) by thread id; a thread with one queued is on a
+    processor, so it never holds more entries than there are
+    processors. The timer heap holds {!at} timers, by their slot in a
+    slab of timers, and {!sleep_until} wake entries, by the code
+    [-1 - tid], which may be thousands. A slot is cleared and freed when
+    its entry pops. Both heaps draw their insertion sequences from one
+    counter, and each step pops the earlier top by (time, sequence): the
+    same total order a single heap would give, so the split changes
+    host cost only. A push at or after the newest time already in a
+    heap's append-only lane costs O(1) ({!Heap}); on a machine whose
+    processors run the same loop in lockstep, that is every push.
 
     A delay may carry a tail ({!delay_then}, {!switch_then_touch}): a
     second charge that follows with no instruction of the thread
@@ -194,7 +199,7 @@ val block : t -> unit
 val sleep_until : t -> Time.t -> unit
 (** Release the processor and sleep until the given simulated time
     (clamped to [now] when already past), without allocating: the wake
-    entry is preallocated per thread. It behaves as an {!at} timer
+    entry is the thread's wake code. It behaves as an {!at} timer
     that {!wake}s the caller, followed by {!block}, and takes the same
     place in the event order. Unlike that timer, the entry is ignored
     unless the thread is still in this sleep, so a sleep left early (by
@@ -287,7 +292,8 @@ val at : t -> Time.t -> (unit -> unit) -> timer
     firing order against other events at the same instant is the
     deterministic (time, sequence) order. Used for call deadlines,
     packet deliveries and fault-plan crash schedules; a thread that only
-    waits for a time uses {!sleep_until}. *)
+    waits for a time uses {!sleep_until}. When the timer's entry pops,
+    fired or cancelled, the engine keeps no reference to [fn]. *)
 
 val cancel_timer : t -> timer -> unit
 (** Disarm a timer; harmless when it already fired. *)

@@ -1,64 +1,66 @@
-(** 4-ary min-heap keyed by [(time, sequence)].
+(** The engine's event queues: int payloads keyed by [(time, sequence)].
 
-    The engine's event queues. Ties on time are broken by insertion
-    sequence so that simulation runs are deterministic.
+    Ties on time are broken by insertion sequence so that simulation
+    runs are deterministic.
 
-    Stored as three parallel arrays (struct-of-arrays): a push allocates
-    nothing beyond amortized array doubling, and {!top_time}/{!take} give
-    the engine's run loop an allocation-free pop. Each node has four
-    children, and both sifts move a hole rather than swapping entries.
-    Popped payload slots are nulled immediately, so the heap never
-    retains a popped payload.
+    A queue is two parts. The {e lane} is an append-only ring of entries
+    already in [(time, sequence)] order: a push whose time is at or
+    after the time of the lane's newest entry, or any push onto an
+    empty lane, appends to it in O(1). Every other push goes to a 4-ary
+    min-heap. {!take}, {!top_time}, {!top_seq}, {!earliest} and
+    {!precedes} read whichever of the two heads comes first, so the
+    queue pops in exactly the order one heap would.
 
-    Heaps built with [~share] draw their sequences from one counter:
-    merging such heaps by [(top_time, top_seq)] pops every entry in
-    exactly the order one heap holding all of them would. *)
+    Entries are held in parallel int arrays (struct-of-arrays): a push
+    allocates nothing beyond amortized array doubling, {!top_time} and
+    {!take} give the engine's run loop an allocation-free pop, and the
+    queue holds no pointer, so a popped payload is never retained.
 
-type 'a t
+    Queues built with [~share] draw their sequences from one counter:
+    merging such queues by [(top_time, top_seq)] pops every entry in
+    exactly the order one queue holding all of them would. *)
 
-val create : ?share:'b t -> unit -> 'a t
-(** An empty heap. With [~share:h], the new heap and [h] (and every
-    heap already sharing with [h]) take insertion sequences from one
-    counter; without it, the heap has a counter of its own. *)
+type t
 
-val is_empty : 'a t -> bool
+val create : ?share:t -> unit -> t
+(** An empty queue. With [~share:h], the new queue and [h] (and every
+    queue already sharing with [h]) take insertion sequences from one
+    counter; without it, the queue has a counter of its own. *)
 
-val length : 'a t -> int
-(** The number of entries held. *)
+val is_empty : t -> bool
 
-val push : 'a t -> time:Time.t -> 'a -> unit
+val length : t -> int
+(** The number of entries held, in the lane and the heap together. *)
+
+val push : t -> time:Time.t -> int -> unit
 (** Insertion order among equal times is preserved on [pop]/[take]. The
     entry takes sequence {!next_seq}, and the shared counter advances. *)
 
-val next_seq : 'a t -> int
-(** The sequence the next push on this heap, or on any heap sharing its
-    counter, will receive. *)
+val next_seq : t -> int
+(** The sequence the next push on this queue, or on any queue sharing
+    its counter, will receive. *)
 
-val top_time : 'a t -> Time.t
+val top_time : t -> Time.t
 (** Time of the earliest event, without allocating.
-    @raise Invalid_argument on an empty heap. *)
+    @raise Invalid_argument on an empty queue. *)
 
-val top_seq : 'a t -> int
+val top_seq : t -> int
 (** Insertion sequence of the earliest event, without allocating.
-    @raise Invalid_argument on an empty heap. *)
+    @raise Invalid_argument on an empty queue. *)
 
-val earliest : 'a t -> Time.t
-(** Time of the earliest event, or [max_int] on an empty heap. *)
+val earliest : t -> Time.t
+(** Time of the earliest event, or [max_int] on an empty queue. *)
 
-val precedes : 'a t -> 'b t -> bool
+val precedes : t -> t -> bool
 (** [precedes a b]: [a] is non-empty and its earliest entry comes
     before [b]'s by [(time, sequence)], or [b] is empty. Meaningful for
-    heaps sharing a counter. *)
+    queues sharing a counter. *)
 
-val take : 'a t -> 'a
+val take : t -> int
 (** Remove and return the earliest event's payload, without allocating.
     Read {!top_time} first when the timestamp is needed.
-    @raise Invalid_argument on an empty heap. *)
+    @raise Invalid_argument on an empty queue. *)
 
-val pop : 'a t -> (Time.t * 'a) option
+val pop : t -> (Time.t * int) option
 (** Remove and return the earliest event (allocating convenience form of
     {!top_time} + {!take}). *)
-
-val clear : 'a t -> unit
-(** Empty the heap, releasing every payload reference it holds. The
-    sequence counter keeps counting. *)

@@ -318,10 +318,16 @@ let worlds =
       timer_pushes = 1937;
       resumptions = 16102;
     };
+    (* An [Engine.at] timer is one record: the timer heap holds its slab
+       slot, an int, with no heap entry boxed around it. This world reads
+       349.28 words per call (365.06 with the box, under a budget of 366);
+       lrpcbench erpc_lossy, seed 1989, 10 alternating 20 s pairs:
+       alloc_words_per_call 288.904 -> 279.485, the 2-word box of 4.71
+       timers per call. *)
     {
       name = "erpc";
       build = erpc;
-      budget_words = 366;
+      budget_words = 350;
       calls = 400;
       slices = 2400;
       dispatches = 804;

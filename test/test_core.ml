@@ -916,6 +916,24 @@ let test_estack_reclaim_under_memory_pressure () =
       | [] -> ()
       | _ -> Alcotest.fail "null after reclaim")
 
+(* With no free E-stack and no room for a fresh one, [associate]
+   reclaims. A reclaim that frees nothing raises [Out_of_memory]; on a
+   terminated server, [Domain_terminated] comes first, as from the
+   allocation the budget check stands in for. *)
+let test_estack_associate_refusals () =
+  let w = make_world () in
+  let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
+  let astack =
+    List.hd (List.assoc "null" b.Rt.b_procs).Rt.pb_pool.Rt.ap_all
+  in
+  w.server.Pdomain.page_limit <- w.server.Pdomain.pages_allocated;
+  Alcotest.check_raises "nothing to reclaim" Out_of_memory (fun () ->
+      ignore (Estack.associate w.rt ~server:w.server astack));
+  Kernel.terminate_domain w.kernel w.server;
+  Alcotest.check_raises "terminated server" (Kernel.Domain_terminated "arith")
+    (fun () -> ignore (Estack.associate w.rt ~server:w.server astack));
+  Alcotest.(check bool) "still unassociated" true (astack.Rt.a_estack = None)
+
 (* A reclaim never takes the E-stack of a call still in the server
    (paper §3.2 reclaims only E-stacks not in use). The server's budget
    holds two E-stacks. One thread calls [a], then sits in [hold]; while
@@ -1488,6 +1506,8 @@ let () =
           Alcotest.test_case "memory pressure" `Quick test_estack_reclaim_under_memory_pressure;
           Alcotest.test_case "reclaim skips calls in flight" `Quick
             test_estack_reclaim_skips_calls_in_flight;
+          Alcotest.test_case "associate refusals" `Quick
+            test_estack_associate_refusals;
           Alcotest.test_case "footprint follows the E-stack" `Quick
             test_footprint_follows_estack;
           Alcotest.test_case "global lock serial" `Quick test_global_kernel_lock_serial_latency_unchanged;

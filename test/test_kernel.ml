@@ -102,6 +102,36 @@ let test_dead_domain_cannot_allocate () =
   Alcotest.check_raises "terminated" (Kernel.Domain_terminated "d") (fun () ->
       ignore (Kernel.alloc_pages k d 1))
 
+(* [region_fits] at its edges (zero / ones / max), on 512- and 1,024-byte
+   pages: it rounds as [alloc_region] does, so it says yes exactly when
+   that allocation would succeed. *)
+let test_region_fits_edges () =
+  List.iter
+    (fun cm ->
+      let k = Kernel.boot (Engine.create cm) in
+      let ps = cm.Cost_model.page_size in
+      let d = Kernel.create_domain k ~page_limit:3 ~name:"d" in
+      List.iter
+        (fun (bytes, fits) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d bytes in 3 pages of %d" bytes ps)
+            fits
+            (Kernel.region_fits k ~owner:d ~bytes))
+        [
+          (0, true); (1, true); (ps, true); ((3 * ps) - 1, true);
+          (3 * ps, true); ((3 * ps) + 1, false); (max_int, false);
+        ];
+      let r = Kernel.alloc_region k ~owner:d ~name:"r" ~bytes:((2 * ps) + 1) ~mapped:[] in
+      Alcotest.(check int) "rounded up" 3 (Array.length r.Vm.pages);
+      Alcotest.(check bool) "full: not one byte" false
+        (Kernel.region_fits k ~owner:d ~bytes:0);
+      Alcotest.check_raises "as the allocation finds" Out_of_memory (fun () ->
+          ignore (Kernel.alloc_region k ~owner:d ~name:"s" ~bytes:0 ~mapped:[]));
+      Kernel.terminate_domain k d;
+      Alcotest.check_raises "terminated" (Kernel.Domain_terminated "d") (fun () ->
+          ignore (Kernel.region_fits k ~owner:d ~bytes:0)))
+    [ Cost_model.cvax_firefly; Cost_model.m68020 ]
+
 (* --- Vm data movement -------------------------------------------------------- *)
 
 let test_vm_write_read () =
@@ -458,6 +488,7 @@ let () =
           Alcotest.test_case "page rounding" `Quick test_region_rounds_to_pages;
           Alcotest.test_case "release" `Quick test_region_release;
           Alcotest.test_case "dead domain" `Quick test_dead_domain_cannot_allocate;
+          Alcotest.test_case "region fits edges" `Quick test_region_fits_edges;
         ] );
       ( "vm",
         [

@@ -183,8 +183,11 @@ let test_migrated_counters_ground_truth () =
 (* --- Chrome trace export -------------------------------------------------- *)
 
 let test_chrome_json () =
-  let _, _, tr = run_calls ~tracer:true 3 in
+  let w, _, tr = run_calls ~tracer:true 3 in
   let tr = Option.get tr in
+  (* The local path sends no packet: add a retransmitted one. *)
+  Trace.emit tr ~at:(Engine.now w.Driver.lw_engine) ~tid:0 ~cpu:0
+    (Event.Net_packet { seq = 0; pkt = 0; bytes = 64; retransmit = true });
   let json = Chrome_trace.to_json tr in
   Alcotest.(check bool) "well-formed JSON" true
     (Json_check.well_formed (Lrpc_util.Json.to_string json));
@@ -193,6 +196,32 @@ let test_chrome_json () =
   Alcotest.check Json_check.t "records drops"
     (Lrpc_util.Json.Int (Trace.dropped tr))
     (Json_check.field "droppedEvents" (Json_check.field "otherData" json));
+  (* A dispatch's [switched], a completion's [ok] and a packet's
+     [retransmit] are JSON booleans. *)
+  let args =
+    List.filter_map
+      (function
+        | Lrpc_util.Json.Obj kvs -> List.assoc_opt "args" kvs | _ -> None)
+      (Json_check.items (Json_check.field "traceEvents" json))
+  in
+  List.iter
+    (fun flag ->
+      let values =
+        List.filter_map
+          (function
+            | Lrpc_util.Json.Obj kvs -> List.assoc_opt flag kvs | _ -> None)
+          args
+      in
+      Alcotest.(check bool) (flag ^ " present") true (values <> []);
+      List.iter
+        (fun v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s is a boolean: %s" flag
+               (Lrpc_util.Json.to_string v))
+            true
+            (match v with Lrpc_util.Json.Bool _ -> true | _ -> false))
+        values)
+    [ "switched"; "ok"; "retransmit" ];
   (* timestamps are monotone in emission order *)
   let last = ref Time.zero in
   let monotone = ref true in

@@ -19,36 +19,36 @@ let test_time_units () =
 
 let test_heap_order () =
   let h = Heap.create () in
-  Heap.push h ~time:30 "c";
-  Heap.push h ~time:10 "a";
-  Heap.push h ~time:20 "b";
+  Heap.push h ~time:30 2;
+  Heap.push h ~time:10 0;
+  Heap.push h ~time:20 1;
   let pops = List.init 3 (fun _ -> Heap.pop h) in
-  Alcotest.(check (list (option (pair int string))))
+  Alcotest.(check (list (option (pair int int))))
     "sorted"
-    [ Some (10, "a"); Some (20, "b"); Some (30, "c") ]
+    [ Some (10, 0); Some (20, 1); Some (30, 2) ]
     pops;
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  Heap.push h ~time:5 "first";
-  Heap.push h ~time:5 "second";
-  Heap.push h ~time:5 "third";
+  Heap.push h ~time:5 1;
+  Heap.push h ~time:5 2;
+  Heap.push h ~time:5 3;
   let order =
-    List.init 3 (fun _ -> match Heap.pop h with Some (_, x) -> x | None -> "?")
+    List.init 3 (fun _ -> match Heap.pop h with Some (_, x) -> x | None -> -1)
   in
-  Alcotest.(check (list string)) "fifo" [ "first"; "second"; "third" ] order
+  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] order
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:200
     QCheck.(list (int_bound 10_000))
     (fun times ->
       let h = Heap.create () in
-      List.iter (fun t -> Heap.push h ~time:t ()) times;
+      List.iter (fun t -> Heap.push h ~time:t 0) times;
       let prev = ref min_int and ok = ref true in
       let rec drain () =
         match Heap.pop h with
-        | Some (t, ()) ->
+        | Some (t, _) ->
             if t < !prev then ok := false;
             prev := t;
             drain ()
@@ -59,12 +59,12 @@ let prop_heap_sorted =
 
 let test_heap_take_top_time () =
   let h = Heap.create () in
-  Heap.push h ~time:7 "b";
-  Heap.push h ~time:3 "a";
+  Heap.push h ~time:7 1;
+  Heap.push h ~time:3 0;
   check_time "top_time" 3 (Heap.top_time h);
-  Alcotest.(check string) "take min" "a" (Heap.take h);
+  Alcotest.(check int) "take min" 0 (Heap.take h);
   check_time "top after take" 7 (Heap.top_time h);
-  Alcotest.(check string) "take next" "b" (Heap.take h);
+  Alcotest.(check int) "take next" 1 (Heap.take h);
   Alcotest.check_raises "take on empty"
     (Invalid_argument "Heap.take: empty heap") (fun () ->
       ignore (Heap.take h))
@@ -72,39 +72,79 @@ let test_heap_take_top_time () =
 (* Random push/pop interleavings against a sorted-list reference model:
    pops must come back in nondecreasing time order with FIFO on equal
    timestamps, exactly as a stable insertion sort would produce. *)
+let heap_matches_model ops =
+  let h = Heap.create () in
+  let model = ref [] in
+  let next_id = ref 0 in
+  let ok = ref true in
+  let pop_and_check () =
+    match (Heap.pop h, !model) with
+    | None, [] -> ()
+    | Some (t, i), (t', i') :: rest when t = t' && i = i' -> model := rest
+    | _ -> ok := false
+  in
+  List.iter
+    (function
+      | Some time ->
+          let id = !next_id in
+          incr next_id;
+          Heap.push h ~time id;
+          (* Stable insert: after every entry with time <= this one. *)
+          let rec ins = function
+            | (t', i') :: rest when t' <= time -> (t', i') :: ins rest
+            | rest -> (time, id) :: rest
+          in
+          model := ins !model
+      | None -> pop_and_check ())
+    ops;
+  while not (Heap.is_empty h) || !model <> [] do
+    pop_and_check ();
+    if not !ok then model := [] (* break out of a wedged run *)
+  done;
+  !ok
+
 let prop_heap_model =
   QCheck.Test.make ~name:"heap matches sorted-list reference model" ~count:300
     QCheck.(list (option (int_bound 100)))
-    (fun ops ->
-      let h = Heap.create () in
-      let model = ref [] in
-      let next_id = ref 0 in
-      let ok = ref true in
-      let pop_and_check () =
-        match (Heap.pop h, !model) with
-        | None, [] -> ()
-        | Some (t, i), (t', i') :: rest when t = t' && i = i' -> model := rest
-        | _ -> ok := false
-      in
-      List.iter
-        (function
-          | Some time ->
-              let id = !next_id in
-              incr next_id;
-              Heap.push h ~time id;
-              (* Stable insert: after every entry with time <= this one. *)
-              let rec ins = function
-                | (t', i') :: rest when t' <= time -> (t', i') :: ins rest
-                | rest -> (time, id) :: rest
-              in
-              model := ins !model
-          | None -> pop_and_check ())
-        ops;
-      while not (Heap.is_empty h) || !model <> [] do
-        pop_and_check ();
-        if not !ok then model := [] (* break out of a wedged run *)
-      done;
-      !ok)
+    heap_matches_model
+
+(* Push times that make the lane and the heap interleave: nondecreasing
+   runs and batches of one time (which the lane takes), pushes back in
+   time (which go to the heap), and pops between them. A step's time is
+   relative to a cursor that only the runs move. *)
+type step = Up of int | Same | Back of int | Pop
+
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun d -> Up d) (int_bound 3));
+        (2, return Same);
+        (1, map (fun d -> Back d) (int_range 1 20));
+        (2, return Pop);
+      ])
+
+(* [Some time] is a push, [None] a pop. *)
+let times_of_steps steps =
+  let cursor = ref 0 in
+  List.map
+    (function
+      | Up d ->
+          cursor := !cursor + d;
+          Some !cursor
+      | Same -> Some !cursor
+      | Back d -> Some (max 0 (!cursor - d))
+      | Pop -> None)
+    steps
+
+let lane_ops =
+  QCheck.make
+    ~print:QCheck.Print.(list (option int))
+    QCheck.Gen.(map times_of_steps (list_size (int_range 0 450) gen_step))
+
+let prop_lane_model =
+  QCheck.Test.make ~name:"lane and heap match the model" ~count:300 lane_ops
+    heap_matches_model
 
 (* Two heaps merged by [Heap.precedes], which orders their tops by
    (time, seq) as the engine's loop does for its run and timer heaps,
@@ -145,6 +185,25 @@ let prop_heap_shared_merge =
   QCheck.Test.make ~name:"heaps sharing a counter merge into one heap's order"
     ~count:300 merged_ops (merged_pops_match ~share:true)
 
+(* The same merge over [lane_ops]' times, each push sent to one heap or
+   the other: each heap's lane takes some of its pushes and its heap the
+   rest. *)
+let lane_merged_ops =
+  QCheck.make
+    ~print:QCheck.Print.(list (option (pair bool int)))
+    QCheck.Gen.(
+      map
+        (fun ops ->
+          let sides, steps = List.split ops in
+          List.map2
+            (fun to_a op -> Option.map (fun time -> (to_a, time)) op)
+            sides (times_of_steps steps))
+        (list_size (int_range 0 450) (pair bool gen_step)))
+
+let prop_lane_shared_merge =
+  QCheck.Test.make ~name:"lanes merge as one heap" ~count:300
+    lane_merged_ops (merged_pops_match ~share:true)
+
 let test_heap_per_heap_seq_fails () =
   let planted =
     QCheck.Test.make ~name:"per-heap sequences" ~count:300 merged_ops
@@ -157,9 +216,9 @@ let test_heap_per_heap_seq_fails () =
 let test_heap_shared_counter () =
   let a = Heap.create () in
   let b = Heap.create ~share:a () in
-  Heap.push a ~time:5 "a0";
-  Heap.push b ~time:5 "b1";
-  Heap.push a ~time:5 "a2";
+  Heap.push a ~time:5 0;
+  Heap.push b ~time:5 1;
+  Heap.push a ~time:5 2;
   Alcotest.(check int) "next_seq is shared" 3 (Heap.next_seq b);
   Alcotest.(check int) "a's top seq" 0 (Heap.top_seq a);
   Alcotest.(check int) "b's top seq" 1 (Heap.top_seq b);
@@ -167,47 +226,50 @@ let test_heap_shared_counter () =
   ignore (Heap.take a);
   Alcotest.(check int) "a's next top seq" 2 (Heap.top_seq a)
 
-(* Regression for the space leak where [pop] left the vacated slot
-   holding its payload: a popped payload must be collectable once the
-   caller drops it. A couple of slots are allowed to survive in
-   registers/stack of this frame; before the fix, all of them did. *)
-let test_heap_pop_releases_payloads () =
+(* The lane and the heap at their edges (zero / ones / max): one entry
+   in each part, a time of [max_int], an earlier time after it, the
+   lane's ring wrapping and then growing while wrapped. *)
+let test_heap_lane_edges () =
   let h = Heap.create () in
-  let w = Weak.create 8 in
-  for i = 0 to 7 do
-    let payload = Bytes.make 64 'x' in
-    Weak.set w i (Some payload);
-    Heap.push h ~time:i payload
-  done;
-  for _ = 0 to 7 do
-    ignore (Heap.pop h)
-  done;
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to 7 do
-    if Weak.check w i then incr live
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "popped payloads collectable (%d still live)" !live)
-    true (!live <= 2)
-
-let test_heap_clear_releases_payloads () =
-  let h = Heap.create () in
-  let w = Weak.create 8 in
-  for i = 0 to 7 do
-    let payload = Bytes.make 64 'y' in
-    Weak.set w i (Some payload);
-    Heap.push h ~time:i payload
-  done;
-  Heap.clear h;
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to 7 do
-    if Weak.check w i then incr live
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "cleared payloads collectable (%d still live)" !live)
-    true (!live <= 2)
+  check_time "empty earliest" max_int (Heap.earliest h);
+  Heap.push h ~time:max_int 0;
+  Alcotest.(check bool) "an entry at max_int" false (Heap.is_empty h);
+  check_time "its earliest" max_int (Heap.earliest h);
+  (* Earlier than the lane's newest: to the heap, and first out. *)
+  Heap.push h ~time:0 1;
+  Alcotest.(check int) "length counts both parts" 2 (Heap.length h);
+  check_time "earliest over both parts" 0 (Heap.earliest h);
+  Alcotest.(check int) "the heap's root first" 1 (Heap.take h);
+  Alcotest.(check int) "then the lane's" 0 (Heap.take h);
+  Alcotest.(check bool) "empty" true (Heap.is_empty h);
+  (* An emptied lane takes any time. *)
+  Heap.push h ~time:3 2;
+  Heap.push h ~time:3 3;
+  check_time "an equal time appends" 3 (Heap.top_time h);
+  Alcotest.(check int) "seq order on the tie" 2 (Heap.take h);
+  Alcotest.(check int) "then" 3 (Heap.take h);
+  (* Sixteen in order, ten out, twenty more in order: the ring wraps,
+     then grows while wrapped. Every pop stays in push order. *)
+  let next = ref 0 and out = ref [] in
+  let push_n n =
+    for _ = 1 to n do
+      Heap.push h ~time:(10 * !next) !next;
+      incr next
+    done
+  in
+  let take_n n =
+    for _ = 1 to n do
+      out := Heap.take h :: !out
+    done
+  in
+  push_n 16;
+  take_n 10;
+  push_n 20;
+  take_n 26;
+  Alcotest.(check (list int)) "push order" (List.init 36 Fun.id) (List.rev !out);
+  Alcotest.check_raises "top_seq on empty"
+    (Invalid_argument "Heap.top_seq: empty heap") (fun () ->
+      ignore (Heap.top_seq h))
 
 (* --- Cost model -------------------------------------------------------- *)
 
@@ -878,7 +940,8 @@ let test_self_interrupt_then_delay () =
 
 (* --- Sleeps ----------------------------------------------------------------
 
-   [sleep_until] blocks on a wake entry preallocated per thread. *)
+   [sleep_until] blocks on a wake entry that names the thread by its
+   wake code: it allocates nothing. *)
 
 let test_sleep_until_wakes_on_time () =
   let e = Engine.create ~processors:1 cm_no_bus in
@@ -919,6 +982,142 @@ let test_sleep_left_early_never_wakes_later_wait () =
   Engine.run e;
   check_time "woken by the signal" (Time.us 300) !woke_at;
   Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
+
+(* --- Timers ----------------------------------------------------------------
+
+   The timer heap holds ints: an [at] timer's slot in the engine's slab,
+   or a sleeping thread's wake code [-1 - tid]. A slot is cleared and
+   freed when its entry pops. *)
+
+(* Once the caller drops the handle, a timer whose entry has popped is
+   not kept: its closure is collectable, fired or cancelled. A couple
+   may survive in this frame's registers or stack; a slab that kept its
+   popped slots would keep all eight. *)
+let timers_collectable ~cancel () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let w = Weak.create 8 in
+  let sum = ref 0 in
+  for i = 0 to 7 do
+    let payload = Bytes.make 64 'x' in
+    Weak.set w i (Some payload);
+    let tmr =
+      Engine.at e (Time.us i) (fun () -> sum := !sum + Bytes.length payload)
+    in
+    if cancel then Engine.cancel_timer e tmr
+  done;
+  Engine.run e;
+  Alcotest.(check int) "callbacks run" (if cancel then 0 else 8 * 64) !sum;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to 7 do
+    if Weak.check w i then incr live
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "popped timers' closures collectable (%d still live)" !live)
+    true (!live <= 2);
+  (* The engine, and with it its slab, is live up to here. *)
+  Alcotest.(check int) "timer pushes" 8 (Engine.timer_pushes e)
+
+(* Thread 0's wake code is -1, next to the first slot, 0. Each is told
+   apart when it pops, in (time, sequence) order, also when the slot is
+   freed and taken again for the next instant. *)
+let test_wake_code_next_to_slot_zero () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let log = ref [] in
+  let note what = log := (what, Engine.now e) :: !log in
+  let th =
+    Engine.spawn e ~domain:0 (fun () ->
+        Engine.sleep_until e (Time.us 20);
+        note "tid 0 woke";
+        Engine.sleep_until e (Time.us 30);
+        note "tid 0 woke again")
+  in
+  Alcotest.(check int) "thread 0" 0 (Engine.thread_id th);
+  ignore
+    (Engine.at e (Time.us 20) (fun () ->
+         note "slot 0";
+         ignore (Engine.at e (Time.us 30) (fun () -> note "slot 0 again"))));
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "order"
+    [
+      ("slot 0", Time.us 20);
+      ("tid 0 woke", Time.us 20);
+      ("slot 0 again", Time.us 30);
+      ("tid 0 woke again", Time.us 30);
+    ]
+    (List.rev !log);
+  Alcotest.(check int) "timer pushes" 4 (Engine.timer_pushes e)
+
+(* Forty timers queued at once grow the slab past its first sixteen
+   slots; every fifth is cancelled. The rest fire in time order, and a
+   second wave reuses the freed slots. *)
+let test_timer_slab_grows () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let fired = ref [] in
+  let wave base =
+    Array.init 40 (fun i ->
+        Engine.at e (base + Time.us (i * 7 mod 40)) (fun () ->
+            fired := i :: !fired))
+    |> Array.iteri (fun i tmr -> if i mod 5 = 0 then Engine.cancel_timer e tmr)
+  in
+  let expected =
+    List.init 40 Fun.id
+    |> List.filter (fun i -> i mod 5 <> 0)
+    |> List.sort (fun i j -> compare (i * 7 mod 40) (j * 7 mod 40))
+  in
+  wave Time.zero;
+  Engine.run e;
+  Alcotest.(check (list int)) "first wave in time order" expected (List.rev !fired);
+  fired := [];
+  wave (Time.us 100);
+  Engine.run e;
+  Alcotest.(check (list int)) "second wave in time order" expected (List.rev !fired);
+  check_time "last fired" (Time.us 139) (Engine.now e);
+  Alcotest.(check int) "timer pushes" 80 (Engine.timer_pushes e)
+
+(* Cancelling a timer that already fired is harmless, also when its
+   slot now holds another timer. *)
+let test_cancel_after_fire () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let n = ref 0 in
+  let first = Engine.at e (Time.us 5) (fun () -> n := !n + 1) in
+  Engine.run e;
+  let second = Engine.at e (Time.us 10) (fun () -> n := !n + 10) in
+  Engine.cancel_timer e first;
+  Engine.cancel_timer e first;
+  Engine.run e;
+  Alcotest.(check int) "both fired once" 11 !n;
+  Engine.cancel_timer e second;
+  Engine.run e;
+  Alcotest.(check int) "nothing more" 11 !n
+
+(* An [at] in the past is clamped to now. At the time of the timer
+   heap's newest entry it appends to the lane, after the entries of
+   that instant; before a later entry it goes to the heap, and still
+   fires first. *)
+let test_at_in_the_past_clamped () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let log = ref [] in
+  let note what () = log := (what, Engine.now e) :: !log in
+  ignore
+    (Engine.at e (Time.us 50) (fun () ->
+         note "first" ();
+         ignore (Engine.at e (Time.us 50) (note "same instant"));
+         ignore (Engine.at e (Time.us 10) (note "clamped"));
+         ignore (Engine.at e (Time.us 60) (note "later"));
+         ignore (Engine.at e Time.zero (note "clamped after later"))));
+  Engine.run e;
+  Alcotest.(check (list (pair string int)))
+    "order"
+    [
+      ("first", Time.us 50);
+      ("same instant", Time.us 50);
+      ("clamped", Time.us 50);
+      ("clamped after later", Time.us 50);
+      ("later", Time.us 60);
+    ]
+    (List.rev !log)
 
 (* --- Spinlock ----------------------------------------------------------- *)
 
@@ -1705,6 +1904,8 @@ let () =
         prop_heap_sorted;
         prop_heap_model;
         prop_heap_shared_merge;
+        prop_lane_model;
+        prop_lane_shared_merge;
         prop_tlb_matches_reference;
         prop_victim_ring_covers;
         prop_mult_by_cluster;
@@ -1723,10 +1924,7 @@ let () =
             test_heap_per_heap_seq_fails;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "take/top_time" `Quick test_heap_take_top_time;
-          Alcotest.test_case "pop releases payloads" `Quick
-            test_heap_pop_releases_payloads;
-          Alcotest.test_case "clear releases payloads" `Quick
-            test_heap_clear_releases_payloads;
+          Alcotest.test_case "lane edges" `Quick test_heap_lane_edges;
         ] );
       ( "cost model",
         [
@@ -1777,6 +1975,16 @@ let () =
           Alcotest.test_case "sleep until" `Quick test_sleep_until_wakes_on_time;
           Alcotest.test_case "sleep left early" `Quick
             test_sleep_left_early_never_wakes_later_wait;
+          Alcotest.test_case "fired timers collectable" `Quick
+            (timers_collectable ~cancel:false);
+          Alcotest.test_case "cancelled timers collectable" `Quick
+            (timers_collectable ~cancel:true);
+          Alcotest.test_case "wake code next to slot 0" `Quick
+            test_wake_code_next_to_slot_zero;
+          Alcotest.test_case "timer slab grows" `Quick test_timer_slab_grows;
+          Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
+          Alcotest.test_case "at in the past clamped" `Quick
+            test_at_in_the_past_clamped;
           Alcotest.test_case "fresh counters zero" `Quick
             test_fresh_engine_counters_zero;
           Alcotest.test_case "processor bounds" `Quick
