@@ -124,10 +124,11 @@ let chaos_calls_per_sec () =
 
 let suite_times () =
   (* The open-loop sweep dwarfs every other artifact at full settings
-     (~30 s vs ~5 s for the rest combined) and is already tracked by
-     its own wall-clock key above, so it is excluded here — otherwise
-     suite_serial_sec stops being comparable across commits and the
-     serial-vs-jobs delta measures heap warm-up, not fan-out. The
+     (about 10 s against 2 s for the rest combined, on a 2-vCPU
+     x86-64 host) and is already tracked by its own wall-clock key
+     above, so it is excluded here — otherwise suite_serial_sec stops
+     being comparable across commits and the serial-vs-jobs delta
+     measures heap warm-up, not fan-out. The
      transport study is excluded for the same reason: it has its own
      wall-clock key. *)
   let names =

@@ -35,7 +35,7 @@ let allocate_batch rt ~pool ~client ~server ~proc ~size ~count ~primary =
           a_shard = 0;
           a_estack = None;
           a_last_used = Time.zero;
-          a_footprint = [||];
+          a_footprint = Tlb.empty_footprint;
           a_footprint_estack = 0;
           a_some = Some a;
         }

@@ -122,7 +122,7 @@ let build_binding rt ~client ex =
       b_export = ex;
       b_procs = procs;
       b_client_stub_pages = client_stubs.Vm.pages;
-      b_return_pages = [||];
+      b_return_pages = Tlb.empty_footprint;
       b_stats =
         make_call_stats rt ~bid:rt.next_binding ~client ~server;
       b_inflight = 0;
@@ -178,7 +178,7 @@ let make_remote_binding ?(window = 8) rt ~client ~server iface ~transport =
         };
       b_procs = [];
       b_client_stub_pages = [||];
-      b_return_pages = [||];
+      b_return_pages = Tlb.empty_footprint;
       b_stats =
         make_call_stats rt ~bid:rt.next_binding ~client ~server;
       b_inflight = 0;

@@ -80,7 +80,7 @@ let associate rt ~server astack =
       in
       es.es_assoc <- astack.a_some;
       astack.a_estack <- es.es_some;
-      Footprint.set_estack astack es;
+      Footprint.set_estack rt astack es;
       es
 
 let preallocate_all rt ~server astacks =

@@ -9,7 +9,8 @@ let estack_working_set estack =
 
 let build_call_side rt b astack estack ~data_region =
   let server_pages = pages_of_domain rt b.b_server in
-  Array.concat
+  Tlb.footprint
+  @@ Array.concat
     [
       rt.kernel_call_pages;
       b.b_export.ex_stub_pages;
@@ -23,15 +24,16 @@ let build_call_side rt b astack estack ~data_region =
 
 (* Every input but the E-stack and the data region is fixed for an
    A-stack (its pool belongs to one binding). The A-stack keeps the
-   array for its current E-stack ({!set_estack} patches it); an
-   out-of-band segment is fresh each call, so that array is never kept.
+   footprint for its current E-stack ({!set_estack} patches it); an
+   out-of-band segment is fresh each call, so that footprint is never
+   kept.
    [pages_of_domain] allocates a domain's pages on first use, and
    building here, on the call path, keeps that at the server's first
    call. *)
 let call_side rt b astack estack ~data_region =
   if data_region != astack.a_region then
     build_call_side rt b astack estack ~data_region
-  else if Array.length astack.a_footprint > 0 then astack.a_footprint
+  else if Tlb.footprint_length astack.a_footprint > 0 then astack.a_footprint
   else begin
     let pages = build_call_side rt b astack estack ~data_region in
     astack.a_footprint <- pages;
@@ -42,30 +44,35 @@ let call_side rt b astack estack ~data_region =
     pages
   end
 
-let set_estack astack estack =
-  if Array.length astack.a_footprint > 0 then begin
+(* A processor's TLB may still hold a refill of the old pages, so the
+   write goes through the engine, which settles it first. *)
+let set_estack rt astack estack =
+  if Tlb.footprint_length astack.a_footprint > 0 then begin
     let p = estack.es_region.Vm.pages in
-    Array.blit p 0 astack.a_footprint astack.a_footprint_estack
-      (min estack_pages (Array.length p))
+    Engine.patch_footprint (engine rt) astack.a_footprint
+      ~pos:astack.a_footprint_estack ~src:p
+      ~len:(min estack_pages (Array.length p))
   end
 
-(* Whether an array built now is the array [call_side] would return at
+(* Whether a footprint built now is the one [call_side] would return at
    any later instant: it is kept, or building it allocates no page,
    since the server's code pages exist. Every other input is fixed while
    the calling thread holds the A-stack. *)
 let call_side_ready rt b astack ~data_region =
-  (data_region == astack.a_region && Array.length astack.a_footprint > 0)
+  (data_region == astack.a_region
+  && Tlb.footprint_length astack.a_footprint > 0)
   || Hashtbl.mem rt.domain_pages b.b_server.Pdomain.id
 
 (* Built at the binding's first return, not at bind time, so that
    [pages_of_domain] still allocates the client's code and stack pages
    at the client's first return. *)
 let return_side rt b =
-  if Array.length b.b_return_pages > 0 then b.b_return_pages
+  if Tlb.footprint_length b.b_return_pages > 0 then b.b_return_pages
   else begin
     let client_pages = pages_of_domain rt b.b_client in
     let pages =
-      Array.concat
+      Tlb.footprint
+      @@ Array.concat
         [
           rt.kernel_return_pages;
           b.b_client_stub_pages;
@@ -78,5 +85,5 @@ let return_side rt b =
   end
 
 let return_side_ready rt b =
-  Array.length b.b_return_pages > 0
+  Tlb.footprint_length b.b_return_pages > 0
   || Hashtbl.mem rt.domain_pages b.b_client.Pdomain.id

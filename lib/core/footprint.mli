@@ -7,13 +7,19 @@
     the call-side switch, 18 after the return-side one, 43 total for the
     Null call) are derived in DESIGN.md §4 and asserted by tests.
 
-    Footprints are int arrays, built once and then only read: the call
+    Footprints are {!Lrpc_sim.Tlb.footprint}s, built once: the call
     side once per A-stack, at its first call, the return side once per
-    binding, at its first return. When lazy association (paper §3.2)
-    gives an A-stack another E-stack, {!set_estack} overwrites the
-    E-stack's pages in place, so re-association allocates nothing. Only
-    an out-of-band argument segment, fresh each call, gets a fresh
-    call-side array. *)
+    binding, at its first return. Each counts its distinct pages when
+    built; kernel page ids are never reused, so on this path the count
+    is the length. When lazy association (paper §3.2) gives an A-stack
+    another E-stack, {!set_estack} overwrites the E-stack's pages in
+    place, so re-association allocates nothing. Only an out-of-band
+    argument segment, fresh each call, gets a fresh call-side
+    footprint.
+
+    A TLB refilled right after a flush keeps the footprint it was
+    handed, not its pages (DESIGN.md §10), so a built footprint is
+    written only through {!Lrpc_sim.Engine.patch_footprint}. *)
 
 val call_side :
   Rt.runtime ->
@@ -21,21 +27,24 @@ val call_side :
   Rt.astack ->
   Rt.estack ->
   data_region:Lrpc_kernel.Vm.region ->
-  int array
+  Lrpc_sim.Tlb.footprint
 (** Pages touched in the server context: kernel text and data, the
     server's entry stubs and procedure code, the E-stack working set (4
     pages), the argument data (A-stack or out-of-band segment), the PDL,
     the linkage record and the binding table. [estack] must be the
-    A-stack's associated E-stack. The array is the A-stack's own when
-    [data_region] is its A-stack: callers read it and keep no copy. *)
+    A-stack's associated E-stack. The footprint is the A-stack's own
+    when [data_region] is its A-stack: callers touch it and keep no
+    copy. *)
 
-val set_estack : Rt.astack -> Rt.estack -> unit
+val set_estack : Rt.runtime -> Rt.astack -> Rt.estack -> unit
 (** The A-stack is now associated with this E-stack: overwrite the
-    E-stack pages of its call-side footprint, when built, in place. The
-    same pages in the same order as a footprint built for this E-stack.
-    Allocates nothing. *)
+    E-stack pages of its call-side footprint, when built, in place,
+    through {!Lrpc_sim.Engine.patch_footprint}, which first settles any
+    processor's TLB that holds a refill of it. The same pages in the
+    same order as a footprint built for this E-stack. Allocates
+    nothing. *)
 
-val return_side : Rt.runtime -> Rt.binding -> int array
+val return_side : Rt.runtime -> Rt.binding -> Lrpc_sim.Tlb.footprint
 (** Pages touched back in the client context: the kernel's (shorter)
     return path, the client stubs, client code and the client stack. *)
 

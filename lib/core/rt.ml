@@ -12,6 +12,7 @@ module Time = Lrpc_sim.Time
 module Event = Lrpc_obs.Event
 module Metrics = Lrpc_obs.Metrics
 module Spinlock = Lrpc_sim.Spinlock
+module Tlb = Lrpc_sim.Tlb
 module Waitq = Lrpc_sim.Waitq
 module Kernel = Lrpc_kernel.Kernel
 module Pdomain = Lrpc_kernel.Pdomain
@@ -244,11 +245,12 @@ and astack = {
           shard of the checkout that allocated them) *)
   mutable a_estack : estack option;
   mutable a_last_used : Time.t;
-  mutable a_footprint : int array;
+  mutable a_footprint : Tlb.footprint;
       (** the call-side TLB footprint ({!Footprint.call_side}), built at
           the first call through this A-stack, empty until then; kept
           for the A-stack's current E-stack, whose pages are overwritten
-          in place when the association changes *)
+          in place ({!Engine.patch_footprint}) when the association
+          changes *)
   mutable a_footprint_estack : int;
       (** where the E-stack's pages start in [a_footprint] *)
   a_some : astack option;  (** preallocated [Some] of this A-stack *)
@@ -339,7 +341,7 @@ and binding = {
   b_export : export;
   b_procs : (string * proc_binding) list;
   b_client_stub_pages : int array;
-  mutable b_return_pages : int array;
+  mutable b_return_pages : Tlb.footprint;
       (** the return-side TLB footprint ({!Footprint.return_side}), built
           on the first return; empty until then *)
   b_stats : call_stats;

@@ -56,7 +56,7 @@ type cpu = {
   mutable tail : tail;
   mutable tail_cat : Category.t;
   mutable tail_len : Time.t;
-  mutable tail_pages : int array;
+  mutable tail_pages : Tlb.footprint;
   mutable steals : int;
   mutable steals_tagged : int;
   mutable steals_near : int;
@@ -201,7 +201,7 @@ let create ?(processors = 1) ?(domains = 1) cm =
           tail = No_tail;
           tail_cat = Category.Other;
           tail_len = Time.zero;
-          tail_pages = [||];
+          tail_pages = Tlb.empty_footprint;
           steals = 0;
           steals_tagged = 0;
           steals_near = 0;
@@ -905,7 +905,7 @@ let charge_tail t th cat d =
 let boundary t th c =
   let tail = c.tail and pages = c.tail_pages in
   c.tail <- No_tail;
-  c.tail_pages <- [||];
+  c.tail_pages <- Tlb.empty_footprint;
   match (th.pending_exn, tail) with
   | Some _, _ | None, No_tail -> exec t th
   | None, Fixed ->
@@ -1086,6 +1086,15 @@ let touch t pages =
 
 let touch_pages t ~pages = touch t pages
 
+(* A processor's TLB may hold a recorded refill of [fp] (see [Tlb]):
+   each one builds its slots from the old pages before they change. *)
+let patch_footprint t fp ~pos ~src ~len =
+  let cpus = t.cpus_ in
+  for i = 0 to Array.length cpus - 1 do
+    Tlb.settle cpus.(i).tlb fp
+  done;
+  Tlb.blit ~src fp ~pos ~len
+
 (* A delay of [d] to [cat], then a tail with no instruction of the thread
    between them: a [Fixed] charge of [tlen] to [tcat], or the TLB refill
    of [pages] ([Refill], charged to [Tlb_miss] as [touch] does). Exactly [delay] followed by the tail's own
@@ -1124,7 +1133,7 @@ let delay_tail t cat d kind tcat tlen pages =
 
 let delay_then ?(category = Category.Other) t d ~then_ d' =
   if d' < 0 then invalid_arg "Engine.delay_then: negative duration";
-  delay_tail t category d Fixed then_ d' [||]
+  delay_tail t category d Fixed then_ d' Tlb.empty_footprint
 
 (* Load [domain]'s context on [c] for [th] if it is not loaded, and
    retag the thread; whether a VM reload is owed. *)

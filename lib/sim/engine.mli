@@ -76,10 +76,11 @@ type cpu = {
   mutable tail : tail;
   mutable tail_cat : Category.t;
   mutable tail_len : Time.t;
-  mutable tail_pages : int array;
+  mutable tail_pages : Tlb.footprint;
       (** the running thread's pending tail, kept here rather than on the
-          thread (DESIGN.md §7); a refill's pages are the caller's array,
-          held, not copied, until the tail is charged. Engine-owned. *)
+          thread (DESIGN.md §7); a refill's pages are the caller's
+          footprint, held, not copied, until the tail is charged.
+          Engine-owned. *)
   mutable steals : int;  (** threads stolen from other queues, retagging *)
   mutable steals_tagged : int;
       (** steals of threads already in this processor's loaded context *)
@@ -103,7 +104,8 @@ val create : ?processors:int -> ?domains:int -> Cost_model.t -> t
 (** [create cm] builds a machine with [processors] (default 1) CPUs, each
     with a cold TLB per [cm]. [domains] is the number of host domains
     the event loop runs on; only 1 (the default) is accepted.
-    @raise Invalid_argument when [processors < 1] or [domains <> 1]. *)
+    @raise Invalid_argument when [processors < 1], [domains <> 1] or
+    [cm.tlb_capacity < 1]. *)
 
 val cost_model : t -> Cost_model.t
 val now : t -> Time.t
@@ -223,11 +225,20 @@ val yield_to : t -> to_:thread -> unit
     queue) instead of blocking — a server donating its processor to a
     replied-to client while it still has queued work. *)
 
-val touch_pages : t -> pages:int array -> unit
+val touch_pages : t -> pages:Tlb.footprint -> unit
 (** Access the given pages, in order, through the current processor's
     TLB in the current thread's domain, charging [Tlb_miss] per miss.
-    Reads [pages] and allocates nothing, so a caller can keep one array
-    per footprint and touch it on every call. *)
+    Allocates nothing, so a caller can build a footprint once and touch
+    it on every call. Right after a flush the TLB only records the
+    footprint ({!Tlb.access}), and keeps it until the next flush: write
+    its pages only through {!patch_footprint}. *)
+
+val patch_footprint :
+  t -> Tlb.footprint -> pos:int -> src:int array -> len:int -> unit
+(** [Tlb.blit ~src fp ~pos ~len] after settling every processor's TLB
+    that holds a recorded refill of [fp], so a TLB reads the pages as
+    they were when it was touched. The one way to write a footprint
+    that has been touched. Allocates nothing. *)
 
 val switch_self_context : t -> domain:int -> unit
 (** The running thread crosses into [domain] on its current processor:
@@ -235,13 +246,13 @@ val switch_self_context : t -> domain:int -> unit
     TLB (untagged case) and update the processor; always retag the
     thread. This is LRPC's direct context switch. *)
 
-val switch_then_touch : t -> domain:int -> pages:int array -> unit
+val switch_then_touch : t -> domain:int -> pages:Tlb.footprint -> unit
 (** [switch_self_context t ~domain; touch_pages t ~pages], observably,
     with one resumption where those may take two, as {!delay_then}: the
     engine looks [pages] up in the TLB, and charges the misses, when the
     reload's resumption pops: [pages] must hold, then, the pages the
-    thread would touch at that instant. The engine keeps the array, not
-    a copy, until the tail is charged. *)
+    thread would touch at that instant. The engine keeps the footprint,
+    not a copy, until the tail is charged. *)
 
 val exchange_processors : t -> target:cpu -> unit
 (** The LRPC/MP idle-processor optimization: move the running thread onto

@@ -4,12 +4,37 @@
    come from one clock bumped on every touch, so they are unique and the
    minimum is exactly the least recently used entry.
 
-   [summary] ORs one bit per key inserted since the last flush, so a key
-   whose bit is clear is surely absent and its touch skips the lookup
-   scan. Evicted keys keep their bits: a set bit only means "scan". The
-   refill after a context switch is nearly all sure misses into free
-   slots, so it costs no scan at all. Nothing on the access path
-   allocates. *)
+   A refill of an empty untagged TLB with n <= capacity pages is
+   recorded, not replayed: [held] is the footprint and [held_from] the
+   clock before it. The per-page loop would have evicted nothing, missed
+   on each distinct page once and left the distinct pages in first-touch
+   order with stamps fixed by [held_from]; the record keeps the live
+   count, the clock and the counters exact, and [settle_held] replays
+   the loop from [held_from] for a reader that needs the slots
+   themselves. Nothing on the access path allocates. *)
+
+type footprint = { pages : int array; mutable distinct : int }
+
+(* Distinct pages. The annotation makes [<>] an int compare: left
+   polymorphic, it is a C call per pair, and the recount after an
+   E-stack patch would cost more than the refill it replaces. *)
+let count_distinct (pages : int array) =
+  let d = ref 0 in
+  for j = 0 to Array.length pages - 1 do
+    let p = pages.(j) in
+    let i = ref 0 in
+    while !i < j && pages.(!i) <> p do
+      incr i
+    done;
+    if !i = j then incr d
+  done;
+  !d
+
+let footprint pages = { pages; distinct = count_distinct pages }
+let empty_footprint = { pages = [||]; distinct = 0 }
+let footprint_length fp = Array.length fp.pages
+let footprint_distinct fp = fp.distinct
+let footprint_pages fp = Array.copy fp.pages
 
 type t = {
   capacity : int;
@@ -17,22 +42,27 @@ type t = {
   keys : int array; (* slot -> key: the page, or domain and page packed *)
   stamps : int array; (* slot -> last-use stamp *)
   mutable live : int;
-  mutable summary : int; (* OR of [bit k] over keys inserted since a flush *)
   mutable clock : int;
+  mutable held : footprint;
+      (* a recorded refill not yet in the slots, [empty_footprint] for
+         none; only ever set with [live] its distinct count, so [live = 0]
+         means nothing is held *)
+  mutable held_from : int; (* the clock before the recorded refill *)
   mutable misses : int;
   mutable flushes : int;
 }
 
 let create ~capacity ~tagged =
-  assert (capacity > 0);
+  if capacity < 1 then invalid_arg "Tlb.create: capacity must be at least 1";
   {
     capacity;
     tagged;
     keys = Array.make capacity 0;
     stamps = Array.make capacity 0;
     live = 0;
-    summary = 0;
     clock = 0;
+    held = empty_footprint;
+    held_from = 0;
     misses = 0;
     flushes = 0;
   }
@@ -40,7 +70,7 @@ let create ~capacity ~tagged =
 let invalidate t =
   if (not t.tagged) && t.live > 0 then begin
     t.live <- 0;
-    t.summary <- 0;
+    t.held <- empty_footprint;
     t.flushes <- t.flushes + 1
   end
 
@@ -53,23 +83,16 @@ let key t ~domain ~page =
   then invalid_arg "Tlb: page or domain out of range for a tagged entry"
   else (domain lsl page_bits) lor page
 
-(* A key's summary bit: the key mod 63, the bits of an OCaml int. The
-   pages of a region are consecutive, so they get distinct bits. *)
-let bit k = 1 lsl ((k land max_int) mod 63)
-
 (* Slot holding [k], or -1. A loop rather than a local closure, which
    would be allocated on every call. *)
 let find t k =
-  if t.summary land bit k = 0 then -1
-  else begin
-    let keys = t.keys in
-    let found = ref (-1) and i = ref 0 in
-    while !found < 0 && !i < t.live do
-      if keys.(!i) = k then found := !i;
-      incr i
-    done;
-    !found
-  end
+  let keys = t.keys in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < t.live do
+    if keys.(!i) = k then found := !i;
+    incr i
+  done;
+  !found
 
 let lru_slot t =
   let stamps = t.stamps in
@@ -97,19 +120,55 @@ let touch t k =
     in
     t.keys.(slot) <- k;
     t.stamps.(slot) <- t.clock;
-    t.summary <- t.summary lor bit k;
     true
   end
 
-let access t ~domain ~pages =
-  let misses = ref 0 in
-  for i = 0 to Array.length pages - 1 do
-    if touch t (key t ~domain ~page:pages.(i)) then incr misses
-  done;
-  t.misses <- t.misses + !misses;
-  !misses
+(* Replay the recorded refill into the slots, from the clock it started
+   at. Its misses were counted when it was recorded. Only untagged TLBs
+   record, so a key is the page. *)
+let settle_held t =
+  let fp = t.held in
+  if fp != empty_footprint then begin
+    t.held <- empty_footprint;
+    t.live <- 0;
+    t.clock <- t.held_from;
+    let pages = fp.pages in
+    for i = 0 to Array.length pages - 1 do
+      ignore (touch t pages.(i))
+    done
+  end
 
-let resident t ~domain ~page = find t (key t ~domain ~page) >= 0
+let settle t fp = if t.held == fp then settle_held t
+
+let access t ~domain ~pages:fp =
+  let n = Array.length fp.pages in
+  if t.live = 0 && (not t.tagged) && n > 0 && n <= t.capacity then begin
+    t.held <- fp;
+    t.held_from <- t.clock;
+    t.clock <- t.clock + n;
+    t.live <- fp.distinct;
+    t.misses <- t.misses + fp.distinct;
+    fp.distinct
+  end
+  else begin
+    settle_held t;
+    let pages = fp.pages in
+    let misses = ref 0 in
+    for i = 0 to n - 1 do
+      if touch t (key t ~domain ~page:pages.(i)) then incr misses
+    done;
+    t.misses <- t.misses + !misses;
+    !misses
+  end
+
+let blit ~src fp ~pos ~len =
+  Array.blit src 0 fp.pages pos len;
+  fp.distinct <- count_distinct fp.pages
+
+let resident t ~domain ~page =
+  let k = key t ~domain ~page in
+  settle_held t;
+  find t k >= 0
 
 let miss_count t = t.misses
 let flush_count t = t.flushes

@@ -7,14 +7,14 @@
    open-loop slice, and eRPC echoes under seeded packet drop. Words
    allocated per call (Gc.minor_words over the run, untraced) must stay
    at or under a committed budget; the calls completed, the pushes on
-   each of the engine's two heaps, the threads' resumptions, slices and
-   dispatches (counted from a tracer on a second, identical run) must
-   match exactly; and the processors' busy time must equal the time
-   charged to categories, to the nanosecond. A machine of 256
-   processors must spawn one thread per processor for a few dozen words
-   each, and a binding must keep its live words under a budget. All of
-   these are deterministic: the same build gives the same figures on
-   every run and every machine.
+   each of the engine's two heaps, the threads' resumptions, the TLB
+   misses, slices and dispatches (counted from a tracer on a second,
+   identical run) must match exactly; and the processors' busy time
+   must equal the time charged to categories, to the nanosecond. A
+   machine of 256 processors must spawn one thread per processor for a
+   few dozen words each, and a binding must keep its live words under a
+   budget. All of these are deterministic: the same build gives the
+   same figures on every run and every machine.
 
    Minor words depend on the compiler, so the budgets are pinned for
    one OCaml version and fail, naming the version, on any other. A
@@ -50,6 +50,8 @@ type world = {
   run_pushes : int;  (** resumptions pushed over the whole run, exactly *)
   timer_pushes : int;  (** timers and sleeps pushed, exactly *)
   resumptions : int;  (** threads resumed over the whole run, exactly *)
+  tlb_misses : int;
+      (** TLB misses over the whole run, on every processor, exactly *)
 }
 
 let boot ~trace ~processors ?(domain_caching = false) ?install_faults () =
@@ -273,6 +275,7 @@ let worlds =
       run_pushes = 1;
       timer_pushes = 0;
       resumptions = 1;
+      tlb_misses = 86000;
     };
     {
       name = "mp";
@@ -284,6 +287,7 @@ let worlds =
       run_pushes = 1;
       timer_pushes = 0;
       resumptions = 1;
+      tlb_misses = 68;
     };
     {
       name = "scale16";
@@ -295,6 +299,7 @@ let worlds =
       run_pushes = 30032;
       timer_pushes = 0;
       resumptions = 20064;
+      tlb_misses = 86000;
     };
     {
       name = "reclaim";
@@ -306,6 +311,7 @@ let worlds =
       run_pushes = 24892;
       timer_pushes = 2000;
       resumptions = 16005;
+      tlb_misses = 86000;
     };
     {
       name = "openloop";
@@ -317,6 +323,7 @@ let worlds =
       run_pushes = 25314;
       timer_pushes = 1937;
       resumptions = 16102;
+      tlb_misses = 84932;
     };
     (* An [Engine.at] timer is one record: the timer heap holds its slab
        slot, an int, with no heap entry boxed around it. This world reads
@@ -334,6 +341,7 @@ let worlds =
       run_pushes = 2245;
       timer_pushes = 3212;
       resumptions = 2245;
+      tlb_misses = 0;
     };
   ]
 
@@ -400,6 +408,10 @@ let test_events w () =
     (Printf.sprintf "%s: resumptions (%.4f per call)" w.name
        (per (Engine.resumptions e)))
     w.resumptions (Engine.resumptions e);
+  Alcotest.(check int)
+    (Printf.sprintf "%s: TLB misses (%.4f per call)" w.name
+       (per (Engine.total_tlb_misses e)))
+    w.tlb_misses (Engine.total_tlb_misses e);
   Alcotest.(check int)
     (Printf.sprintf "%s: slices (%.4f per call over %d calls)" w.name (per slices) calls)
     w.slices slices;

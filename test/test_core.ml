@@ -1011,7 +1011,11 @@ let test_footprint_follows_estack () =
   let b = Api.import w.rt ~domain:w.client ~interface:"Arith" in
   let built proc =
     let pool = (List.assoc proc b.Rt.b_procs).Rt.pb_pool in
-    match List.filter (fun a -> Array.length a.Rt.a_footprint > 0) pool.Rt.ap_all with
+    match
+      List.filter
+        (fun a -> Tlb.footprint_length a.Rt.a_footprint > 0)
+        pool.Rt.ap_all
+    with
     | [ a ] -> a
     | _ -> Alcotest.failf "%s: not exactly one footprint" proc
   in
@@ -1023,7 +1027,7 @@ let test_footprint_follows_estack () =
   in_client w (fun () ->
       ignore (Api.call w.rt b ~proc:"null" []);
       let a = built "null" in
-      let before = Array.copy a.Rt.a_footprint and es0 = estack a in
+      let before = Tlb.footprint_pages a.Rt.a_footprint and es0 = estack a in
       w.server.Pdomain.page_limit <- w.server.Pdomain.pages_allocated + 40;
       ignore (Api.call w.rt b ~proc:"add" [ V.int 1; V.int 2 ]);
       ignore (Api.call w.rt b ~proc:"big_in" [ V.bytes (Bytes.make 200 'x') ]);
@@ -1041,8 +1045,11 @@ let test_footprint_follows_estack () =
           before
       in
       Alcotest.(check (array int)) "E-stack pages replaced in place" expected
-        a.Rt.a_footprint;
-      Alcotest.(check int) "25 pages" 25 (Array.length a.Rt.a_footprint))
+        (Tlb.footprint_pages a.Rt.a_footprint);
+      Alcotest.(check int) "25 pages" 25
+        (Tlb.footprint_length a.Rt.a_footprint);
+      Alcotest.(check int) "25 distinct after the patch" 25
+        (Tlb.footprint_distinct a.Rt.a_footprint))
 
 let test_global_kernel_lock_serial_latency_unchanged () =
   (* the A4 counterfactual only hurts under contention; serially it still

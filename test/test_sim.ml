@@ -290,37 +290,113 @@ let test_tlb_miss_split () =
 
 let test_tlb_miss_then_hit () =
   let tlb = Tlb.create ~capacity:8 ~tagged:false in
-  Alcotest.(check int) "cold misses" 3 (Tlb.access tlb ~domain:1 ~pages:[| 1; 2; 3 |]);
-  Alcotest.(check int) "warm hits" 0 (Tlb.access tlb ~domain:1 ~pages:[| 1; 2; 3 |])
+  Alcotest.(check int) "cold misses" 3
+    (Tlb.access tlb ~domain:1 ~pages:(Tlb.footprint [| 1; 2; 3 |]));
+  Alcotest.(check int) "warm hits" 0
+    (Tlb.access tlb ~domain:1 ~pages:(Tlb.footprint [| 1; 2; 3 |]))
 
 let test_tlb_invalidate () =
   let tlb = Tlb.create ~capacity:8 ~tagged:false in
-  ignore (Tlb.access tlb ~domain:1 ~pages:[| 1; 2 |]);
+  ignore (Tlb.access tlb ~domain:1 ~pages:(Tlb.footprint [| 1; 2 |]));
   Tlb.invalidate tlb;
-  Alcotest.(check int) "cold again" 2 (Tlb.access tlb ~domain:1 ~pages:[| 1; 2 |]);
+  Alcotest.(check int) "cold again" 2
+    (Tlb.access tlb ~domain:1 ~pages:(Tlb.footprint [| 1; 2 |]));
   Alcotest.(check int) "one flush" 1 (Tlb.flush_count tlb)
 
 let test_tlb_tagged_survives () =
   let tlb = Tlb.create ~capacity:8 ~tagged:true in
-  ignore (Tlb.access tlb ~domain:1 ~pages:[| 1; 2 |]);
+  ignore (Tlb.access tlb ~domain:1 ~pages:(Tlb.footprint [| 1; 2 |]));
   Tlb.invalidate tlb;
-  Alcotest.(check int) "still resident" 0 (Tlb.access tlb ~domain:1 ~pages:[| 1; 2 |]);
+  Alcotest.(check int) "still resident" 0
+    (Tlb.access tlb ~domain:1 ~pages:(Tlb.footprint [| 1; 2 |]));
   (* Same page in another domain is a distinct tagged entry. *)
-  Alcotest.(check int) "other domain misses" 2 (Tlb.access tlb ~domain:2 ~pages:[| 1; 2 |])
+  Alcotest.(check int) "other domain misses" 2
+    (Tlb.access tlb ~domain:2 ~pages:(Tlb.footprint [| 1; 2 |]))
 
 let test_tlb_untagged_shares_pages () =
   let tlb = Tlb.create ~capacity:8 ~tagged:false in
-  ignore (Tlb.access tlb ~domain:1 ~pages:[| 7 |]);
-  Alcotest.(check int) "untagged ignores domain" 0 (Tlb.access tlb ~domain:2 ~pages:[| 7 |])
+  ignore (Tlb.access tlb ~domain:1 ~pages:(Tlb.footprint [| 7 |]));
+  Alcotest.(check int) "untagged ignores domain" 0
+    (Tlb.access tlb ~domain:2 ~pages:(Tlb.footprint [| 7 |]))
 
 let test_tlb_lru_eviction () =
   let tlb = Tlb.create ~capacity:2 ~tagged:false in
-  ignore (Tlb.access tlb ~domain:0 ~pages:[| 1; 2 |]);
-  ignore (Tlb.access tlb ~domain:0 ~pages:[| 1 |]);
+  ignore (Tlb.access tlb ~domain:0 ~pages:(Tlb.footprint [| 1; 2 |]));
+  ignore (Tlb.access tlb ~domain:0 ~pages:(Tlb.footprint [| 1 |]));
   (* 2 is now LRU *)
-  ignore (Tlb.access tlb ~domain:0 ~pages:[| 3 |]);
+  ignore (Tlb.access tlb ~domain:0 ~pages:(Tlb.footprint [| 3 |]));
   Alcotest.(check bool) "1 stays" true (Tlb.resident tlb ~domain:0 ~page:1);
   Alcotest.(check bool) "2 evicted" false (Tlb.resident tlb ~domain:0 ~page:2)
+
+(* Capacity edges. Below 1 is refused, by the TLB and by the engine
+   that builds one per processor. At 1, a one-page footprint after a
+   flush takes the closed form, and a two-page one the loop, which
+   evicts its first page. *)
+let test_tlb_capacity_zero () =
+  List.iter
+    (fun capacity ->
+      match Tlb.create ~capacity ~tagged:false with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "capacity %d accepted" capacity)
+    [ 0; -1 ];
+  match Engine.create { cm with Cost_model.tlb_capacity = 0 } with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Engine.create accepted a TLB of capacity 0"
+
+let test_tlb_capacity_one () =
+  let tlb = Tlb.create ~capacity:1 ~tagged:false in
+  let resident page = Tlb.resident tlb ~domain:0 ~page in
+  Alcotest.(check int) "one page, one miss" 1
+    (Tlb.access tlb ~domain:0 ~pages:(Tlb.footprint [| 5 |]));
+  Alcotest.(check bool) "and it is resident" true (resident 5);
+  Tlb.invalidate tlb;
+  Alcotest.(check int) "two pages, two misses" 2
+    (Tlb.access tlb ~domain:0 ~pages:(Tlb.footprint [| 5; 6 |]));
+  Alcotest.(check bool) "the first evicted" false (resident 5);
+  Alcotest.(check bool) "the second resident" true (resident 6);
+  Alcotest.(check int) "misses" 3 (Tlb.miss_count tlb);
+  Alcotest.(check int) "flushes" 1 (Tlb.flush_count tlb)
+
+(* Footprint edges on a 4-entry TLB, each right after a flush: no pages;
+   exactly the capacity (closed form) and one page more (the loop); and
+   footprints that repeat pages, whose misses are the distinct count and
+   whose stamps are each page's last touch. *)
+let test_tlb_footprint_edges () =
+  let tlb = Tlb.create ~capacity:4 ~tagged:false in
+  let resident page = Tlb.resident tlb ~domain:0 ~page in
+  let refill pages =
+    Tlb.invalidate tlb;
+    Tlb.access tlb ~domain:0 ~pages:(Tlb.footprint pages)
+  in
+  let empty = Tlb.footprint [||] in
+  Alcotest.(check int) "empty: no pages" 0 (Tlb.footprint_length empty);
+  Alcotest.(check int) "empty: no misses" 0
+    (Tlb.access tlb ~domain:0 ~pages:empty);
+  Tlb.invalidate tlb;
+  Alcotest.(check int) "empty: nothing to flush" 0 (Tlb.flush_count tlb);
+  Alcotest.(check int) "capacity: 4 misses" 4 (refill [| 1; 2; 3; 4 |]);
+  Alcotest.(check int) "capacity: all hit" 0
+    (Tlb.access tlb ~domain:0 ~pages:(Tlb.footprint [| 4; 3; 2; 1 |]));
+  Alcotest.(check int) "capacity + 1: 5 misses" 5 (refill [| 1; 2; 3; 4; 5 |]);
+  Alcotest.(check (list bool)) "capacity + 1: the first evicted"
+    [ false; true; true; true; true ]
+    (List.map resident [ 1; 2; 3; 4; 5 ]);
+  let same = Tlb.footprint [| 7; 7; 7; 7 |] in
+  Alcotest.(check int) "every page repeats: 1 distinct" 1
+    (Tlb.footprint_distinct same);
+  Tlb.invalidate tlb;
+  Alcotest.(check int) "every page repeats: 1 miss" 1
+    (Tlb.access tlb ~domain:0 ~pages:same);
+  Alcotest.(check int) "1 then 2 then 1 twice: 2 misses" 2
+    (refill [| 1; 2; 1; 1 |]);
+  Alcotest.(check int) "two new pages miss" 2
+    (Tlb.access tlb ~domain:0 ~pages:(Tlb.footprint [| 3; 4 |]));
+  Alcotest.(check int) "a fifth page evicts" 1
+    (Tlb.access tlb ~domain:0 ~pages:(Tlb.footprint [| 5 |]));
+  Alcotest.(check (list bool)) "2, last touched first, is the one evicted"
+    [ true; false; true; true; true ]
+    (List.map resident [ 1; 2; 3; 4; 5 ]);
+  Alcotest.(check int) "misses" 15 (Tlb.miss_count tlb)
 
 (* The TLB as it was before its int-array representation: a table from
    (domain, page) to last-use stamp, evicting the minimum stamp. Kept as
@@ -391,50 +467,85 @@ module Ref_tlb = struct
   let flush_count t = t.flushes
 end
 
-type tlb_op = Access of int * int list | Invalidate
+(* A run of ops on one TLB. Besides one-off page lists, a case keeps two
+   footprints that ops touch again, flush and refill, and patch in
+   place; residency is compared after [Query] ops and after the last op
+   only, because [resident] settles a recorded refill, which would
+   otherwise never outlive the op that made it. *)
+type tlb_op =
+  | Access of int * int list
+  | Invalidate
+  | Touch of int * int (* domain, kept footprint *)
+  | Flush_touch of int * int
+  | Patch of int * int * int list (* kept footprint, position, pages *)
+  | Query
+
+let pages_str pages = String.concat ";" (List.map string_of_int pages)
 
 let print_tlb_op = function
-  | Access (d, pages) ->
-      Printf.sprintf "access d%d [%s]" d
-        (String.concat ";" (List.map string_of_int pages))
+  | Access (d, pages) -> Printf.sprintf "access d%d [%s]" d (pages_str pages)
   | Invalidate -> "invalidate"
+  | Touch (d, i) -> Printf.sprintf "touch d%d f%d" d i
+  | Flush_touch (d, i) -> Printf.sprintf "flush+touch d%d f%d" d i
+  | Patch (i, pos, pages) ->
+      Printf.sprintf "patch f%d at %d [%s]" i pos (pages_str pages)
+  | Query -> "query"
 
 (* Domains 0-3, with capacity 1-8 or 1-64 and pages 0-15 or 0-255. The
    small ranges make eviction, re-reference and cross-domain aliasing
-   frequent. Pages 0-255 give distinct untagged keys the same summary
-   bit (the key mod 63), so a set bit must still fall back to the
-   scan, and the large capacities make that scan long. *)
+   frequent; the large capacities make the scans long. Kept footprints
+   run up to three pages past the capacity, so the closed-form refill
+   meets footprints one page too long for it, and one page in four is
+   drawn from 0-3, so footprints repeat pages. *)
 let prop_tlb_matches_reference =
+  let page max_page =
+    QCheck.Gen.(frequency [ (3, int_range 0 max_page); (1, int_range 0 3) ])
+  in
   let op max_page =
     QCheck.Gen.(
       frequency
         [
-          ( 5,
+          ( 3,
             map2
               (fun d pages -> Access (d, pages))
               (int_range 0 3)
-              (list_size (int_range 0 6) (int_range 0 max_page)) );
+              (list_size (int_range 0 6) (page max_page)) );
           (1, return Invalidate);
+          (2, map2 (fun d i -> Touch (d, i)) (int_range 0 3) (int_range 0 1));
+          ( 3,
+            map2 (fun d i -> Flush_touch (d, i)) (int_range 0 3) (int_range 0 1)
+          );
+          ( 2,
+            map3
+              (fun i pos pages -> Patch (i, pos, pages))
+              (int_range 0 1) (int_range 0 70)
+              (list_size (int_range 0 4) (page max_page)) );
+          (1, return Query);
         ])
   in
   let case =
     QCheck.Gen.(
       oneofl [ 8; 64 ] >>= fun max_capacity ->
       oneofl [ 15; 255 ] >>= fun max_page ->
-      triple (int_range 1 max_capacity) bool
-        (list_size (int_range 0 40) (op max_page))
-      >|= fun (capacity, tagged, ops) -> (capacity, tagged, max_page, ops))
+      int_range 1 max_capacity >>= fun capacity ->
+      let kept = list_size (int_range 0 (capacity + 3)) (page max_page) in
+      triple bool (pair kept kept) (list_size (int_range 0 40) (op max_page))
+      >|= fun (tagged, (f0, f1), ops) ->
+      (capacity, tagged, max_page, [| f0; f1 |], ops))
   in
   QCheck.Test.make ~name:"tlb matches its hashtable reference" ~count:500
     (QCheck.make
-       ~print:(fun (capacity, tagged, max_page, ops) ->
-         Printf.sprintf "capacity %d, tagged %b, pages 0-%d: %s" capacity tagged
-           max_page
+       ~print:(fun (capacity, tagged, max_page, kept, ops) ->
+         Printf.sprintf
+           "capacity %d, tagged %b, pages 0-%d, f0 [%s], f1 [%s]: %s" capacity
+           tagged max_page (pages_str kept.(0)) (pages_str kept.(1))
            (String.concat ", " (List.map print_tlb_op ops)))
        case)
-    (fun (capacity, tagged, max_page, ops) ->
+    (fun (capacity, tagged, max_page, kept, ops) ->
       let t = Tlb.create ~capacity ~tagged in
       let r = Ref_tlb.create ~capacity ~tagged in
+      let fps = Array.map (fun l -> Tlb.footprint (Array.of_list l)) kept in
+      let ref_fps = Array.map Array.of_list kept in
       let same_residency () =
         List.for_all
           (fun domain ->
@@ -444,23 +555,43 @@ let prop_tlb_matches_reference =
               (List.init (max_page + 1) Fun.id))
           [ 0; 1; 2; 3 ]
       in
+      let touch domain i =
+        Tlb.access t ~domain ~pages:fps.(i)
+        = Ref_tlb.access r ~domain ~pages:(Array.to_list ref_fps.(i))
+      in
       List.for_all
         (fun op ->
           let same_result =
             match op with
             | Access (domain, pages) ->
-                Tlb.access t ~domain ~pages:(Array.of_list pages)
-                = Ref_tlb.access r ~domain ~pages
+                let fp = Tlb.footprint (Array.of_list pages) in
+                Tlb.access t ~domain ~pages:fp = Ref_tlb.access r ~domain ~pages
             | Invalidate ->
                 Tlb.invalidate t;
                 Ref_tlb.invalidate r;
                 true
+            | Touch (domain, i) -> touch domain i
+            | Flush_touch (domain, i) ->
+                Tlb.invalidate t;
+                Ref_tlb.invalidate r;
+                touch domain i
+            | Patch (i, pos, pages) ->
+                (* As [Engine.patch_footprint]: settle, then overwrite. *)
+                let n = Array.length ref_fps.(i) in
+                let pos = pos mod (n + 1) in
+                let src = Array.of_list pages in
+                let len = min (Array.length src) (n - pos) in
+                Tlb.settle t fps.(i);
+                Tlb.blit ~src fps.(i) ~pos ~len;
+                Array.blit src 0 ref_fps.(i) pos len;
+                Tlb.footprint_pages fps.(i) = ref_fps.(i)
+            | Query -> same_residency ()
           in
           same_result
           && Tlb.miss_count t = Ref_tlb.miss_count r
-          && Tlb.flush_count t = Ref_tlb.flush_count r
-          && same_residency ())
-        ops)
+          && Tlb.flush_count t = Ref_tlb.flush_count r)
+        ops
+      && same_residency ())
 
 (* The Null LRPC's 43-page refill after a flush, on a warm TLB of the
    paper's 64 entries, allocates nothing, tagged or not. *)
@@ -468,7 +599,7 @@ let test_tlb_access_allocates_nothing () =
   List.iter
     (fun tagged ->
       let tlb = Tlb.create ~capacity:64 ~tagged in
-      let pages = Array.init 43 (fun i -> 100 + i) in
+      let pages = Tlb.footprint (Array.init 43 (fun i -> 100 + i)) in
       ignore (Tlb.access tlb ~domain:3 ~pages);
       let minor_words f =
         let before = Gc.minor_words () in
@@ -492,12 +623,13 @@ let test_tlb_tagged_key_range () =
   let tlb = Tlb.create ~capacity:4 ~tagged:true in
   List.iter
     (fun (domain, page) ->
-      match Tlb.access tlb ~domain ~pages:[| page |] with
+      match Tlb.access tlb ~domain ~pages:(Tlb.footprint [| page |]) with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "domain %d page %d accepted" domain page)
     [ (-1, 0); (0, -1); (1 lsl 23, 0); (0, 1 lsl 40) ];
   Alcotest.(check int) "largest key misses once" 1
-    (Tlb.access tlb ~domain:((1 lsl 23) - 1) ~pages:[| (1 lsl 40) - 1 |]);
+    (Tlb.access tlb ~domain:((1 lsl 23) - 1)
+       ~pages:(Tlb.footprint [| (1 lsl 40) - 1 |]));
   Alcotest.(check bool) "and is distinct from domain 0" false
     (Tlb.resident tlb ~domain:0 ~page:((1 lsl 40) - 1))
 
@@ -650,9 +782,9 @@ let test_touch_pages_charges_misses () =
   let e = Engine.create ~processors:1 cm_no_bus in
   ignore
     (Engine.spawn e ~domain:0 (fun () ->
-         Engine.touch_pages e ~pages:[| 100; 101; 102 |];
+         Engine.touch_pages e ~pages:(Tlb.footprint [| 100; 101; 102 |]);
          (* warm now *)
-         Engine.touch_pages e ~pages:[| 100; 101; 102 |]));
+         Engine.touch_pages e ~pages:(Tlb.footprint [| 100; 101; 102 |])));
   Engine.run e;
   let tlb =
     List.assoc_opt Category.Tlb_miss (Engine.breakdown e)
@@ -706,6 +838,53 @@ let test_exchange_processors () =
     |> Option.value ~default:0
   in
   check_time "no reload" Time.zero ctx
+
+(* [exchange_processors] leaves the old processor idle with its context
+   and TLB, and with them a refill recorded right after a flush. A patch
+   of that footprint must leave the idle TLB as the per-page refill
+   left it: holding the old pages, not the new ones, so that a thread of
+   the same domain landing there with no flush misses on the patched
+   footprint as the reference model does. *)
+let test_patch_settles_idle_holder () =
+  let old_pages = [| 10; 11; 12; 13 |] and src = [| 20; 21 |] in
+  let scenario probe =
+    let e = Engine.create ~processors:2 cm_no_bus in
+    let fp = Tlb.footprint (Array.copy old_pages) in
+    ignore
+      (Engine.spawn e ~domain:5 ~home:0 (fun () ->
+           Engine.touch_pages e ~pages:fp;
+           Engine.exchange_processors e ~target:(Engine.cpus e).(1);
+           Engine.patch_footprint e fp ~pos:1 ~src ~len:2));
+    Engine.run e;
+    probe e fp (Engine.cpus e).(0).Engine.tlb
+  in
+  scenario (fun _ _ tlb ->
+      Alcotest.(check (list bool)) "old pages resident, new ones not"
+        [ true; true; true; true; false; false ]
+        (List.map
+           (fun page -> Tlb.resident tlb ~domain:5 ~page)
+           (Array.to_list old_pages @ Array.to_list src)));
+  scenario (fun e fp tlb ->
+      let r =
+        Ref_tlb.create ~capacity:cm.Cost_model.tlb_capacity ~tagged:false
+      in
+      ignore (Ref_tlb.access r ~domain:5 ~pages:(Array.to_list old_pages));
+      let expected =
+        Ref_tlb.access r ~domain:5
+          ~pages:(Array.to_list (Tlb.footprint_pages fp))
+      in
+      let landed = ref (-1) and misses = ref (-1) in
+      ignore
+        (Engine.spawn e ~domain:5 ~home:0 (fun () ->
+             landed := (Engine.current_cpu e).Engine.idx;
+             let before = Engine.total_tlb_misses e in
+             Engine.touch_pages e ~pages:fp;
+             misses := Engine.total_tlb_misses e - before));
+      Engine.run e;
+      Alcotest.(check int) "landed on the idle processor" 0 !landed;
+      Alcotest.(check int) "with no flush" 0 (Tlb.flush_count tlb);
+      Alcotest.(check int) "the reference model's misses" expected !misses;
+      Alcotest.(check int) "the new pages missed" 2 !misses)
 
 (* --- Bus contention -------------------------------------------------------
 
@@ -1364,7 +1543,8 @@ let test_engine_domain_id_bounds () =
             note ();
             Engine.switch_self_context e ~domain:other;
             note ();
-            Engine.switch_then_touch e ~domain ~pages:[| 0; 1 |];
+            Engine.switch_then_touch e ~domain
+              ~pages:(Tlb.footprint [| 0; 1 |]);
             note ())
       in
       ignore (Engine.spawn e ~domain note);
@@ -1745,6 +1925,7 @@ let run_tail_world ~tails w =
         end;
         note i 'p'
     | Cross (domain, pages) ->
+        let pages = Tlb.footprint pages in
         if tails then Engine.switch_then_touch e ~domain ~pages
         else begin
           Engine.switch_self_context e ~domain;
@@ -1948,6 +2129,9 @@ let () =
             test_tlb_access_allocates_nothing;
           Alcotest.test_case "tagged key range" `Quick
             test_tlb_tagged_key_range;
+          Alcotest.test_case "capacity zero" `Quick test_tlb_capacity_zero;
+          Alcotest.test_case "capacity one" `Quick test_tlb_capacity_one;
+          Alcotest.test_case "footprint edges" `Quick test_tlb_footprint_edges;
         ] );
       ( "engine",
         [
@@ -1963,6 +2147,8 @@ let () =
           Alcotest.test_case "touch pages" `Quick test_touch_pages_charges_misses;
           Alcotest.test_case "handoff" `Quick test_handoff_direct_transfer;
           Alcotest.test_case "exchange processors" `Quick test_exchange_processors;
+          Alcotest.test_case "patch settles an idle holder" `Quick
+            test_patch_settles_idle_holder;
           Alcotest.test_case "bus contention" `Quick test_bus_contention_dilates;
           Alcotest.test_case "run until" `Quick test_run_until_horizon;
           Alcotest.test_case "more threads than cpus" `Quick test_ready_queue_overflow_threads;
