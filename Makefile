@@ -2,6 +2,7 @@ SMOKE_JSON := /tmp/lrpc_trace_smoke.json
 PIPELINE_JSON := /tmp/lrpc_pipeline_smoke.json
 FAULT_JSON := /tmp/lrpc_fault_smoke.json
 HOST_JSON := /tmp/lrpc_bench_host_smoke.json
+BUILD_RULES := /tmp/lrpc_build_rules.txt
 
 # Seeded chaos-soak trace digest (the soak's remote binding is classic
 # Netrpc). Pinned so any change to the published fault-injection
@@ -13,17 +14,38 @@ CHAOS_DIGEST := 5eeba0661c190ff27d10f0b0154ef27c
 # paper tables publish, which new transports must not perturb.
 T45_DIGEST := 8da7f56177c9c5c4908222de5c262ccd
 
-.PHONY: check build test smoke pipeline-smoke fault-smoke fault-stress \
-  json-smoke t45-pin bench-pipeline bench-host bench-host-full clean
+.PHONY: check build build-flags test smoke pipeline-smoke fault-smoke \
+  fault-stress json-smoke t45-pin bench-pipeline bench-host bench-host-full \
+  clean
 
-check: build test smoke pipeline-smoke fault-smoke json-smoke t45-pin \
-  bench-host
+check: build-flags build test smoke pipeline-smoke fault-smoke json-smoke \
+  t45-pin bench-host
 
 build:
 	dune build
 
 test:
 	dune runtest
+
+# The default build optimizes without dropping a check: dune-workspace
+# selects the release profile, which compiles without -opaque and so
+# inlines across modules, and restores the dev profile's warnings (as
+# errors) and strictness flags. Read one library module's compile
+# command and fail if it carries -opaque, -unsafe or -noassert, or lacks
+# dev's warning spec, its strictness flags or -g.
+DEV_WARNINGS := @1..3@5..28@30..39@43@46..47@49..57@61..62-40
+
+build-flags:
+	@dune rules _build/default/lib/sim/.lrpc_sim.objs/native/lrpc_sim__Engine.cmx \
+	  | sed 's/^ *//' > $(BUILD_RULES)
+	@if grep -Exq -- '-opaque|-unsafe|-noassert' $(BUILD_RULES); then \
+	  echo "FAIL: the default build compiles with -opaque, -unsafe or -noassert"; \
+	  exit 1; fi
+	@for f in '$(DEV_WARNINGS)' -strict-sequence -strict-formats -g; do \
+	  grep -Fxq -- "$$f" $(BUILD_RULES) || \
+	  { echo "FAIL: the default build's compile command lacks $$f"; exit 1; }; \
+	done
+	@echo "build flags OK"
 
 # End-to-end: the tracer must exit cleanly and write its Chrome trace.
 # The trace's shape (well-formed, a non-empty traceEvents array) is

@@ -90,16 +90,9 @@ module Gauge = struct
 end
 
 module Histo = struct
-  let observe h v = H.add h.h_hist (max 0 v)
+  let observe h v = H.add h.h_hist (Int.max 0 v)
 
-  (* [d] in whole microseconds, half away from zero: for d >= 0 that is
-     [Float.round (Time.to_us d)], with no float boxed across modules.
-     Negative durations land in bin 0, as [observe] clamps them. *)
-  let observe_us h (d : Time.t) =
-    let us =
-      if d < 0 then 0 else (d / 1000) + if d mod 1000 >= 500 then 1 else 0
-    in
-    H.add h.h_hist us
+  let observe_us h d = observe h (int_of_float (Float.round (Time.to_us d)))
 
   let count h = H.count h.h_hist
   let percentile h p = H.percentile h.h_hist p

@@ -53,6 +53,7 @@ type cpu = {
   mutable busy : Time.t;
   mutable rq_head : thread; (* oldest entry of this processor's run queue *)
   mutable rq_tail : thread;
+  mutable rq_len : int;
   mutable tail : tail;
   mutable tail_cat : Category.t;
   mutable tail_len : Time.t;
@@ -85,6 +86,9 @@ type t = {
   mutable queued : int;
       (* threads in all run queues together: at 0 no processor has
          anything to pop or steal, and dispatch returns at once *)
+  mutable queued_busy : int;
+      (* threads in the run queues of busy processors, the only ones a
+         steal may take: at 0 a steal returns at once *)
   mutable executing : int;
       (* threads on a processor in state [Running] (spinners excluded):
          the bus factor's load, kept by [place], [wake] of a spinner,
@@ -198,6 +202,7 @@ let create ?(processors = 1) ?(domains = 1) cm =
           busy = Time.zero;
           rq_head = nil;
           rq_tail = nil;
+          rq_len = 0;
           tail = No_tail;
           tail_cat = Category.Other;
           tail_len = Time.zero;
@@ -235,6 +240,7 @@ let create ?(processors = 1) ?(domains = 1) cm =
       resumes = 0;
       ready_seq = 0;
       queued = 0;
+      queued_busy = 0;
       executing = 0;
       rr_next = 0;
       now_ = Time.zero;
@@ -455,6 +461,17 @@ let context_of t domain =
 let[@inline] cpu_free c =
   match c.running with None -> true | Some _ -> false
 
+(* [c] starts running [th], or stops running anything: either way its
+   queue's entries join or leave [queued_busy]. Every write of
+   [c.running] goes through these two. *)
+let occupy t c th =
+  c.running <- th.some;
+  t.queued_busy <- t.queued_busy + c.rq_len
+
+let vacate t c =
+  c.running <- None;
+  t.queued_busy <- t.queued_busy - c.rq_len
+
 (* Under a topology, the multiplier of placing a thread that last ran on
    [prev] on [c]: the longer of two pulls, its working set from [prev]
    and, for a steal, its queue entry and home-cluster state from the
@@ -475,7 +492,7 @@ let place t th c ~victim =
   let prev = th.last_cpu in
   (* Only a placement moves [last_cpu] off -1. *)
   let placed_before = prev >= 0 in
-  c.running <- th.some;
+  occupy t c th;
   th.cpu <- c.idx;
   th.last_cpu <- c.idx;
   th.state <- Running;
@@ -531,8 +548,7 @@ let place t th c ~victim =
 
 let free_cpu_of t th =
   if th.cpu >= 0 then begin
-    let c = t.cpus_.(th.cpu) in
-    c.running <- None;
+    vacate t t.cpus_.(th.cpu);
     th.last_cpu <- th.cpu;
     th.cpu <- -1
   end
@@ -572,12 +588,16 @@ let pick_cpu_idx t th =
    first. A queued thread is [Embryo] or [Ready] and leaves the queue
    only by a pop or a steal, both of which unlink it, so every entry is
    live and none is left behind as a ghost. [t.queued] counts the
-   entries of all queues: when it is 0 there is nothing to dispatch. *)
+   entries of all queues: when it is 0 there is nothing to dispatch.
+   [c.rq_len] counts [c]'s, and [t.queued_busy] those of busy
+   processors. *)
 
 let rq_append t c th =
   th.rq_next <- nil;
   if c.rq_tail == nil then c.rq_head <- th else c.rq_tail.rq_next <- th;
   c.rq_tail <- th;
+  c.rq_len <- c.rq_len + 1;
+  if not (cpu_free c) then t.queued_busy <- t.queued_busy + 1;
   t.queued <- t.queued + 1
 
 (* Unlink [th], which follows [prev] ([nil] for the head) in [c]'s
@@ -588,6 +608,8 @@ let rq_unlink t c ~prev th =
   if n == nil then c.rq_tail <- prev;
   th.rq_next <- nil;
   th.rq_seq <- -1;
+  c.rq_len <- c.rq_len - 1;
+  if not (cpu_free c) then t.queued_busy <- t.queued_busy - 1;
   t.queued <- t.queued - 1
 
 let ready_push t th =
@@ -719,10 +741,22 @@ let steal_ring t c =
        take_steal t c
      end
 
+(* The thief is free and a steal takes only from busy processors'
+   queues, so with [queued_busy] at 0 there is nothing to take. That is
+   the common case while threads are spawned on an idle machine: the
+   one queued thread sits on a free processor's queue, and each free
+   processor before it would scan every queue for nothing. Otherwise
+   some other queue holds a candidate, and the scan finds one. *)
 let steal t c =
-  match t.topo with
-  | Some topo when topo.Cost_model.near_steal -> steal_ring t c
-  | _ -> steal_flat t c
+  t.queued_busy > 0
+  &&
+  let stolen =
+    match t.topo with
+    | Some topo when topo.Cost_model.near_steal -> steal_ring t c
+    | _ -> steal_flat t c
+  in
+  assert stolen;
+  stolen
 
 let dispatch_cpu t c =
   let th = c.rq_head in
@@ -807,19 +841,14 @@ let take_cont th =
 
 (* Bus dilation of a delay: [1 + bus_alpha * (executing - 1)]. Alone on
    the bus (or no bus model) the factor is exactly 1.0 and
-   [Time.scale d 1.0 = d], so skip the float round-trip entirely.
-   Otherwise this is [Time.scale]'s arithmetic written out here: a call
-   into another module would box the factor. *)
+   [Time.scale d 1.0 = d], so skip the float round-trip entirely. *)
 let[@inline] dilate t d =
   let alpha = t.cm.Cost_model.bus_alpha in
   if alpha = 0.0 then d
   else
     let execn = t.executing in
     if execn <= 1 then d
-    else
-      int_of_float
-        (Float.round
-           (float_of_int d *. (1.0 +. (alpha *. float_of_int (execn - 1)))))
+    else Time.scale d (1.0 +. (alpha *. float_of_int (execn - 1)))
 
 (* Charge the already-dilated [d] to [cat] and to [th]'s processor; the
    caller moves the clock or schedules the resumption. *)
@@ -895,7 +924,7 @@ let exec t th =
    fiber stays parked until that resumption pops. *)
 let charge_tail t th cat d =
   charge_slice t th cat d;
-  let until = t.now_ + d in
+  let until = Time.add t.now_ d in
   if until <= t.limit && before_queued t until then begin
     t.now_ <- until;
     exec t th
@@ -1024,10 +1053,7 @@ let current_cpu t =
 let delay_cat t cat d =
   if d < 0 then invalid_arg "Engine.delay: negative duration";
   let d = dilate t d in
-  (* [Time.t] is [int]. Plain addition keeps this test free of a call
-     into another module: dune's dev profile compiles with -opaque, so
-     [Time.add] would not be inlined. *)
-  let until = t.now_ + d in
+  let until = Time.add t.now_ d in
   match t.current with
   | Some ({ pending_exn = None; _ } as th)
     when until <= t.limit && before_queued t until ->
@@ -1107,7 +1133,7 @@ let patch_footprint t fp ~pos ~src ~len =
 let delay_tail t cat d kind tcat tlen pages =
   if d < 0 then invalid_arg "Engine.delay: negative duration";
   let d = dilate t d in
-  let until = t.now_ + d in
+  let until = Time.add t.now_ d in
   match t.current with
   | Some ({ pending_exn = None; _ } as th)
     when until <= t.limit && before_queued t until -> (
@@ -1169,11 +1195,10 @@ let exchange_processors t ~target =
   if tracing t then
     emit_at t ~tid:th.tid ~cpu:th.cpu
       (Event.Exchange { from_cpu = th.cpu; to_cpu = target.idx });
-  let old = t.cpus_.(th.cpu) in
-  old.running <- None;
+  vacate t t.cpus_.(th.cpu);
   th.cpu <- target.idx;
   th.last_cpu <- target.idx;
-  target.running <- th.some;
+  occupy t target th;
   delay ~category:Category.Exchange t t.cm.Cost_model.processor_exchange;
   try_dispatch t
 

@@ -70,9 +70,11 @@ type cpu = {
   mutable busy : Time.t;  (** cumulative busy time, for utilization *)
   mutable rq_head : thread;
   mutable rq_tail : thread;
-      (** this processor's own run queue, oldest first: a list linked
-          through its threads, each stamped at enqueue from one global
-          counter so cross-queue age is comparable. Engine-owned. *)
+  mutable rq_len : int;
+      (** this processor's own run queue, oldest first, and its length:
+          a list linked through its threads, each stamped at enqueue from
+          one global counter so cross-queue age is comparable.
+          Engine-owned. *)
   mutable tail : tail;
   mutable tail_cat : Category.t;
   mutable tail_len : Time.t;

@@ -161,10 +161,7 @@ let top_seq t =
   else Array.unsafe_get t.seqs 0
 
 (* [earliest] serves the engine's loop and its in-place delays, once
-   per event. Dune's -opaque dev builds inline nothing from this module
-   into the engine, so it takes one argument: that call is a direct
-   jump, where a two-argument call goes through an arity check. The
-   engine calls [precedes] only on a tie of times. *)
+   per event; the engine calls [precedes] only on a tie of times. *)
 let earliest t =
   if t.l_len = 0 then max_int
   else

@@ -161,9 +161,37 @@ let access t ~domain ~pages:fp =
     !misses
   end
 
+(* The distinct count of [pages] after [pages.(pos .. pos + len - 1)]
+   was overwritten, when every page was distinct before: the pages
+   outside the window still are, so only a window page equal to none
+   before it and none after the window adds to them. That is
+   len * (n - len) + len * (len - 1) / 2 compares, where a recount
+   takes n * (n - 1) / 2. *)
+let distinct_after_patch (pages : int array) ~pos ~len =
+  let n = Array.length pages and stop = pos + len in
+  let d = ref (n - len) in
+  for j = pos to stop - 1 do
+    let p = pages.(j) in
+    let i = ref 0 in
+    while !i < j && pages.(!i) <> p do
+      incr i
+    done;
+    if !i = j then begin
+      let i = ref stop in
+      while !i < n && pages.(!i) <> p do
+        incr i
+      done;
+      if !i = n then incr d
+    end
+  done;
+  !d
+
 let blit ~src fp ~pos ~len =
+  let all_distinct = fp.distinct = Array.length fp.pages in
   Array.blit src 0 fp.pages pos len;
-  fp.distinct <- count_distinct fp.pages
+  fp.distinct <-
+    (if all_distinct then distinct_after_patch fp.pages ~pos ~len
+     else count_distinct fp.pages)
 
 let resident t ~domain ~page =
   let k = key t ~domain ~page in

@@ -58,7 +58,9 @@ val settle : t -> footprint -> unit
 val blit : src:int array -> footprint -> pos:int -> len:int -> unit
 (** Overwrite [len] pages of the footprint from [pos] with
     [src.(0 .. len - 1)], and recount its distinct pages, comparing
-    ints. Allocates nothing. Every TLB that may hold a recorded refill
+    ints. When every page was distinct before, only the new pages are
+    compared, with the rest and with each other; otherwise the whole
+    footprint is recounted. Allocates nothing. Every TLB that may hold a recorded refill
     of the footprint must be {!settle}d first: [Engine.patch_footprint]
     does both.
     @raise Invalid_argument when a range is out of bounds. *)

@@ -619,6 +619,84 @@ let test_tlb_access_allocates_nothing () =
         empty used)
     [ false; true ]
 
+(* An E-stack patch of a 25-page footprint allocates nothing, whether
+   it compares only the window (every page distinct before) or
+   recounts the footprint (a page repeats). *)
+let test_tlb_blit_allocates_nothing () =
+  List.iter
+    (fun (what, pages) ->
+      let fp = Tlb.footprint pages in
+      let a = [| 200; 201; 202; 203 |] and b = [| 300; 301; 302; 303 |] in
+      let before = Gc.minor_words () in
+      for i = 1 to 1000 do
+        Tlb.blit ~src:(if i land 1 = 0 then a else b) fp ~pos:8 ~len:4
+      done;
+      Alcotest.(check (float 0.0))
+        (what ^ ": minor words of 1000 patches")
+        0.0
+        (Gc.minor_words () -. before))
+    [
+      ("all distinct", Array.init 25 (fun i -> 100 + i));
+      ("a repeat", Array.init 25 (fun i -> 100 + (i mod 24)));
+    ]
+
+(* [Tlb.blit] leaves the count a fresh [Tlb.footprint] of the same pages
+   takes, and the model's sort-uniq count. Each case patches one
+   footprint up to three times in a row. Pages come from a small range,
+   so the footprint may repeat pages from the start, and a window may
+   repeat a page of its own or of the rest, which also turns an
+   all-distinct footprint into one with repeats for the next patch.
+   Windows are empty, start at either end or end at either end. *)
+let prop_tlb_blit_counts =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 30 >>= fun n ->
+      let max_page = max 1 (n + (n / 2)) in
+      let pages =
+        oneof
+          [
+            return (Array.init n (fun i -> i));
+            array_repeat n (int_range 0 max_page);
+          ]
+      in
+      let window =
+        int_range 0 n >>= fun len ->
+        frequency
+          [
+            (1, return 0);
+            (1, return (n - len));
+            (3, int_range 0 (n - len));
+          ]
+        >>= fun pos ->
+        array_repeat len (int_range 0 max_page) >|= fun src -> (pos, src)
+      in
+      pair pages (list_size (int_range 1 3) window))
+  in
+  let print (pages, patches) =
+    Printf.sprintf "[%s] then %s"
+      (pages_str (Array.to_list pages))
+      (String.concat ", "
+         (List.map
+            (fun (pos, src) ->
+              Printf.sprintf "at %d [%s]" pos (pages_str (Array.to_list src)))
+            patches))
+  in
+  QCheck.Test.make ~name:"tlb blit counts distinct pages" ~count:1000
+    (QCheck.make ~print gen) (fun (pages, patches) ->
+      let fp = Tlb.footprint (Array.copy pages) in
+      let model = Array.copy pages in
+      List.for_all
+        (fun (pos, src) ->
+          let len = Array.length src in
+          Tlb.blit ~src fp ~pos ~len;
+          Array.blit src 0 model pos len;
+          let distinct = Tlb.footprint_distinct fp in
+          Tlb.footprint_pages fp = model
+          && distinct = Tlb.footprint_distinct (Tlb.footprint (Array.copy model))
+          && distinct
+             = List.length (List.sort_uniq Int.compare (Array.to_list model)))
+        patches)
+
 let test_tlb_tagged_key_range () =
   let tlb = Tlb.create ~capacity:4 ~tagged:true in
   List.iter
@@ -838,6 +916,121 @@ let test_exchange_processors () =
     |> Option.value ~default:0
   in
   check_time "no reload" Time.zero ctx
+
+(* Threads queued behind a busy processor become stealable when that
+   processor takes the next one from its queue, and stop being so when
+   it frees. Then a thread spawned for cpu1 while both processors idle
+   is dispatched there: cpu0, scanned first, finds nothing to steal. *)
+let test_steal_from_refilled_queue () =
+  let e = Engine.create ~processors:2 cm_no_bus in
+  let where = Hashtbl.create 4 in
+  let record name =
+    Hashtbl.replace where name
+      ((Engine.current_cpu e).Engine.idx, Engine.now e)
+  in
+  let spawn name ~home d =
+    ignore
+      (Engine.spawn e ~domain:0 ~home ~name (fun () ->
+           record name;
+           Engine.delay e d))
+  in
+  (* cpu0 runs "a" to 1 us, cpu1 runs "d" to 2 us; "b" and "c" wait in
+     cpu0's queue. *)
+  spawn "a" ~home:0 (Time.us 1);
+  spawn "d" ~home:1 (Time.us 2);
+  spawn "b" ~home:0 (Time.us 10);
+  spawn "c" ~home:0 (Time.us 10);
+  Engine.run e;
+  let check name what cpu at =
+    Alcotest.(check (pair int int))
+      (name ^ ": " ^ what) (cpu, at) (Hashtbl.find where name)
+  in
+  check "b" "follows a on cpu0" 0 (Time.us 1);
+  check "c" "stolen when d ends" 1 (Time.us 2);
+  Alcotest.(check int) "steals" 1 (Engine.total_steals e);
+  spawn "late" ~home:1 (Time.us 1);
+  Engine.run e;
+  check "late" "on its home" 1 (Time.us 12);
+  Alcotest.(check int) "no further steal" 1 (Engine.total_steals e);
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
+
+(* A free processor can hold a queued thread: [yield_to] queues the
+   yielding thread on its home processor's queue and dispatches no one.
+   A thread that exchanges onto that processor makes the queued thread
+   stealable, and the processor it left steals it once its exchange
+   ends, rather than leave it until the new owner lets go. *)
+let test_steal_after_exchange () =
+  let e = Engine.create ~processors:3 cm_no_bus in
+  let peer = ref None and landed = ref (-1) and resumed = ref (-1) in
+  ignore
+    (Engine.spawn e ~domain:0 ~home:0 ~name:"first" (fun () ->
+         Engine.delay e (Time.us 1)));
+  (* Queued behind "first" on cpu0, and stolen at once by cpu1. At 2 us
+     it yields cpu1 to the peer, and waits in the queue of cpu0, which
+     is free since 1 us. *)
+  ignore
+    (Engine.spawn e ~domain:0 ~home:0 ~name:"yielder" (fun () ->
+         Engine.delay e (Time.us 2);
+         Engine.yield_to e ~to_:(Option.get !peer);
+         landed := (Engine.current_cpu e).Engine.idx;
+         resumed := Engine.now e));
+  peer :=
+    Some
+      (Engine.spawn e ~domain:0 ~home:2 ~name:"peer" (fun () ->
+           Engine.block e;
+           Engine.delay e (Time.us 100)));
+  (* Runs on cpu2 once the peer blocks; at 3 us it moves to cpu0. *)
+  ignore
+    (Engine.spawn e ~domain:0 ~home:2 ~name:"exchanger" (fun () ->
+         Engine.delay e (Time.us 3);
+         Engine.exchange_processors e ~target:(Engine.cpus e).(0);
+         Engine.delay e (Time.us 5)));
+  Engine.run e;
+  Alcotest.(check int) "stolen by cpu2" 2 !landed;
+  check_time "when the exchange ends"
+    (Time.add (Time.us 3) cm.Cost_model.processor_exchange)
+    !resumed;
+  Alcotest.(check int) "steals" 2 (Engine.total_steals e);
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
+
+(* [yield_to] can also leave a thread in a busy processor's queue while
+   other processors are free. When that processor's thread exchanges
+   away, the queue's owner is free: the thread is no longer stealable,
+   the processors scanned before it steal nothing, and it runs where it
+   waits once the exchange ends. *)
+let test_exchange_leaves_queue () =
+  let e = Engine.create ~processors:4 cm_no_bus in
+  let peer = ref None and landed = ref (-1) and resumed = ref (-1) in
+  (* cpu3 from the start; at 3 us it moves to cpu2. *)
+  ignore
+    (Engine.spawn e ~domain:0 ~home:3 ~name:"owner" (fun () ->
+         Engine.delay e (Time.us 3);
+         Engine.exchange_processors e ~target:(Engine.cpus e).(2);
+         Engine.delay e (Time.us 5)));
+  (* Queued behind "owner" on cpu3, and stolen at once by cpu0. At 2 us
+     it yields cpu0 to the peer, and waits in the queue of cpu3. *)
+  ignore
+    (Engine.spawn e ~domain:0 ~home:3 ~name:"yielder" (fun () ->
+         Engine.delay e (Time.us 2);
+         Engine.yield_to e ~to_:(Option.get !peer);
+         landed := (Engine.current_cpu e).Engine.idx;
+         resumed := Engine.now e));
+  peer :=
+    Some
+      (Engine.spawn e ~domain:0 ~home:1 ~name:"peer" (fun () ->
+           Engine.block e;
+           Engine.delay e (Time.us 100)));
+  (* Frees cpu2 at 1 us, the exchange's target. *)
+  ignore
+    (Engine.spawn e ~domain:0 ~home:2 ~name:"short" (fun () ->
+         Engine.delay e (Time.us 1)));
+  Engine.run e;
+  Alcotest.(check int) "runs where it waited" 3 !landed;
+  check_time "when the exchange ends"
+    (Time.add (Time.us 3) cm.Cost_model.processor_exchange)
+    !resumed;
+  Alcotest.(check int) "steals" 1 (Engine.total_steals e);
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
 
 (* [exchange_processors] leaves the old processor idle with its context
    and TLB, and with them a refill recorded right after a flush. A patch
@@ -2088,6 +2281,7 @@ let () =
         prop_lane_model;
         prop_lane_shared_merge;
         prop_tlb_matches_reference;
+        prop_tlb_blit_counts;
         prop_victim_ring_covers;
         prop_mult_by_cluster;
         prop_engine_deterministic;
@@ -2132,6 +2326,8 @@ let () =
           Alcotest.test_case "capacity zero" `Quick test_tlb_capacity_zero;
           Alcotest.test_case "capacity one" `Quick test_tlb_capacity_one;
           Alcotest.test_case "footprint edges" `Quick test_tlb_footprint_edges;
+          Alcotest.test_case "blit allocates nothing" `Quick
+            test_tlb_blit_allocates_nothing;
         ] );
       ( "engine",
         [
@@ -2147,6 +2343,12 @@ let () =
           Alcotest.test_case "touch pages" `Quick test_touch_pages_charges_misses;
           Alcotest.test_case "handoff" `Quick test_handoff_direct_transfer;
           Alcotest.test_case "exchange processors" `Quick test_exchange_processors;
+          Alcotest.test_case "steal from a refilled queue" `Quick
+            test_steal_from_refilled_queue;
+          Alcotest.test_case "steal after exchange" `Quick
+            test_steal_after_exchange;
+          Alcotest.test_case "exchange leaves a queue" `Quick
+            test_exchange_leaves_queue;
           Alcotest.test_case "patch settles an idle holder" `Quick
             test_patch_settles_idle_holder;
           Alcotest.test_case "bus contention" `Quick test_bus_contention_dilates;
