@@ -12,6 +12,7 @@
                                  fraction of flat, distance-ordered rings
      numa_blind_recovery         same, distance-blind scan (the ablation)
      openloop_sweep_wallclock_sec  the open-loop latency-vs-load sweep, wall
+     openloop_sweep_peak_heap_mb  the major heap's peak, read after that sweep
      transport_sweep_wallclock_sec  the three-way transport study, wall
      erpc_vs_classic_speedup     simulated: eRPC-style goodput over classic
                                  Netrpc at the 64 B point of that study
@@ -102,9 +103,14 @@ let fig2_numa_wallclock () = wall (fun () -> Suite.numa_result ~quick)
 (* The open-loop study is the heaviest per-point simulation in the
    suite (thousands of sessions, four systems, a sweep past
    saturation); its wall-clock is tracked so a hot-path regression in
-   the engine's timer/wake machinery shows up here first. *)
-let openloop_sweep_wallclock_sec () =
-  snd (wall (fun () -> Lrpc_experiments.Openloop.run ~quick ()))
+   the engine's timer/wake machinery shows up here first. So is its
+   memory: each point builds a 2,000-session world per system, and
+   the sweep sets the process's peak major heap ([top_heap_words],
+   read right after it). *)
+let openloop_sweep () =
+  let _, dt = wall (fun () -> Lrpc_experiments.Openloop.run ~quick ()) in
+  let top = (Gc.quick_stat ()).Gc.top_heap_words in
+  (dt, float_of_int (top * (Sys.word_size / 8)) /. 1e6)
 
 (* The transport study rebuilds a world per measurement (three systems
    x sizes, a loss sweep, the ablations), so its wall-clock tracks the
@@ -123,9 +129,9 @@ let chaos_calls_per_sec () =
   float_of_int calls /. dt
 
 let suite_times () =
-  (* The open-loop sweep dwarfs every other artifact at full settings
-     (about 10 s against 2 s for the rest combined, on a 2-vCPU
-     x86-64 host) and is already tracked by its own wall-clock key
+  (* The open-loop sweep outweighs every other artifact at full
+     settings (4.0-4.7 s against 1.3 s for the rest combined, on a
+     2-vCPU x86-64 host) and is already tracked by its own wall-clock key
      above, so it is excluded here — otherwise suite_serial_sec stops
      being comparable across commits and the serial-vs-jobs delta
      measures heap warm-up, not fan-out. The
@@ -154,7 +160,7 @@ let () =
   let numa_recovery (s : Numa.series) =
     Numa.recovery ~flat:numa_last.Numa.flat.Numa.sr_cps s.Numa.sr_cps
   in
-  let openloop = openloop_sweep_wallclock_sec () in
+  let openloop, openloop_peak_mb = openloop_sweep () in
   let transport_result, transport_dt = transport_wallclock () in
   let erpc_speedup =
     Lrpc_experiments.Transport_study.speedup_at_64 transport_result
@@ -186,6 +192,7 @@ let () =
         ("numa_aware_recovery", Fixed (3, numa_recovery numa_last.Numa.far_aware));
         ("numa_blind_recovery", Fixed (3, numa_recovery numa_last.Numa.far_blind));
         ("openloop_sweep_wallclock_sec", Fixed (3, openloop));
+        ("openloop_sweep_peak_heap_mb", Fixed (1, openloop_peak_mb));
         ("transport_sweep_wallclock_sec", Fixed (3, transport_dt));
         ("erpc_vs_classic_speedup", Fixed (2, erpc_speedup));
         ("chaos_calls_per_sec", Fixed (0, chaos));

@@ -11,7 +11,7 @@ let allocate_batch rt ~pool ~client ~server ~proc ~size ~count ~primary =
           ~mapped:[ client; server ]
       in
       let l_region =
-        Kernel.alloc_unbacked_region rt.kernel
+        Kernel.alloc_region rt.kernel
           ~owner:(Kernel.kernel_domain rt.kernel)
           ~name:(Printf.sprintf "linkage-%s-%d" proc.I.proc_name a_id)
           ~bytes:64 ~mapped:[]

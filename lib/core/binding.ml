@@ -23,11 +23,11 @@ let export rt ~domain ?(defensive_copies = false) iface ~impls =
         invalid_arg ("Binding.export: missing implementation for " ^ p.I.proc_name))
     iface.I.procs;
   let pdl =
-    Kernel.alloc_unbacked_region rt.kernel ~owner:domain
+    Kernel.alloc_region rt.kernel ~owner:domain
       ~name:(iface.I.interface_name ^ "-pdl") ~bytes:512 ~mapped:[ domain ]
   in
   let stubs =
-    Kernel.alloc_unbacked_region rt.kernel ~owner:domain
+    Kernel.alloc_region rt.kernel ~owner:domain
       ~name:(iface.I.interface_name ^ "-server-stubs") ~bytes:(2 * 512)
       ~mapped:[ domain ]
   in
@@ -110,7 +110,7 @@ let build_binding rt ~client ex =
       ex.ex_layouts
   in
   let client_stubs =
-    Kernel.alloc_unbacked_region rt.kernel ~owner:client
+    Kernel.alloc_region rt.kernel ~owner:client
       ~name:(ex.ex_iface.I.interface_name ^ "-client-stubs")
       ~bytes:(2 * 512) ~mapped:[ client ]
   in
@@ -206,15 +206,14 @@ let rec find_named proc = function
 
 let find_proc b proc = find_named proc b.b_procs
 
-let verify rt b ~caller ~proc =
+let verify rt b ~caller =
   (match Hashtbl.find rt.bindings b.bid with
   | issued when issued == b -> ()
   | _ | (exception Not_found) -> raise (Bad_binding "forged Binding Object"));
   if b.b_revoked || b.b_export.ex_revoked then
     raise (Bad_binding "revoked Binding Object");
   if not (Pdomain.equal caller b.b_client) then
-    raise (Bad_binding "Binding Object presented by foreign domain");
-  find_proc b proc
+    raise (Bad_binding "Binding Object presented by foreign domain")
 
 let revoke rt b =
   if not b.b_revoked then begin

@@ -50,16 +50,13 @@ val find_proc : Rt.binding -> string -> Rt.proc_binding
     allocating.
     @raise Rt.Bad_binding when the interface has no such procedure. *)
 
-val verify :
-  Rt.runtime ->
-  Rt.binding ->
-  caller:Lrpc_kernel.Pdomain.t ->
-  proc:string ->
-  Rt.proc_binding
+val verify : Rt.runtime -> Rt.binding -> caller:Lrpc_kernel.Pdomain.t -> unit
 (** The kernel's call-time check: the Binding Object must be one the
     kernel issued (forgeries are detected by identity against the
-    binding table), not revoked, presented by the domain it was issued
-    to, and name a procedure of the interface. *)
+    binding table), not revoked, and presented by the domain it was
+    issued to. The procedure is not looked up again: the client stub
+    found it on this Binding Object at issue, and a binding's
+    procedures never change. *)
 
 val revoke : Rt.runtime -> Rt.binding -> unit
 (** Revoke one Binding Object: no more in- or out-calls through it, and

@@ -24,18 +24,10 @@ let idle_in_context rt ~target =
   else None
 
 (* Direct context switch into [target], or a processor exchange with an
-   idle processor already holding the target context. *)
-let transfer_to rt ~target =
-  let e = engine rt in
-  (match idle_in_context rt ~target with
-  | Some cpu -> Engine.exchange_processors e ~target:cpu
-  | None -> ());
-  (* After an exchange the context is already loaded: retagging is free. *)
-  Engine.switch_self_context e ~domain:target.Pdomain.id
-
-(* [transfer_to], then the TLB refill of [pages] in [target]. On the
-   switch path the VM reload and the refill are one charge; the
-   exchange path keeps its own sequence. *)
+   idle processor already holding the target context; then the TLB
+   refill of [pages] in [target]. On the switch path the VM reload and
+   the refill are one charge. After an exchange the context is already
+   loaded: retagging is free. *)
 let transfer_touch rt ~target pages =
   let e = engine rt in
   match idle_in_context rt ~target with
@@ -45,14 +37,6 @@ let transfer_touch rt ~target pages =
       Engine.touch_pages e ~pages
   | None -> Engine.switch_then_touch e ~domain:target.Pdomain.id ~pages
 
-let slot_type (s : Layout.slot) ~proc =
-  match s.Layout.sparam with
-  | Some p -> p.I.ty
-  | None -> (
-      match proc.I.result with
-      | Some ty -> ty
-      | None -> assert false)
-
 (* Copy A: the only call-time copy LRPC makes — client stack to A-stack.
    Each argument is encoded straight into its slot, so its bytes move
    once. [Layout.plan] has checked the arguments against the slots. *)
@@ -61,7 +45,8 @@ let rec marshal_inputs e ?audit ~client ~region ~proc slots args =
   | s :: slots, v :: args ->
       Vm.check ~by:client region "write_bytes";
       let len =
-        V.encode_into (slot_type s ~proc) v region.Vm.data ~off:s.Layout.offset
+        V.encode_into (Layout.slot_type s ~proc) v (Vm.bytes region)
+          ~off:s.Layout.offset
       in
       Vm.record_copy ~engine:e ?audit ~label:"A" len;
       marshal_inputs e ?audit ~client ~region ~proc slots args
@@ -85,12 +70,12 @@ let defensive_copies rt ?audit ~server ~region plan =
 let rec store_slots ~server ~region ~proc slots outputs =
   match (slots, outputs) with
   | (s : Layout.slot) :: slots, v :: outputs ->
-      let ty = slot_type s ~proc in
+      let ty = Layout.slot_type s ~proc in
       V.check_exn ty v;
       if V.encoded_size ty v > s.Layout.size then
         raise (V.Conformance_error "output exceeds its reserved slot");
       Vm.check ~by:server region "poke";
-      ignore (V.encode_into ty v region.Vm.data ~off:s.Layout.offset : int);
+      ignore (V.encode_into ty v (Vm.bytes region) ~off:s.Layout.offset : int);
       store_slots ~server ~region ~proc slots outputs
   | _ -> ()
 
@@ -109,8 +94,8 @@ let store_outputs ~server ~region ~proc plan outputs =
 let rec read_outputs e ?audit ~client ~region ~proc = function
   | [] -> []
   | (s : Layout.slot) :: slots ->
-      let ty = slot_type s ~proc in
-      let data = region.Vm.data in
+      let ty = Layout.slot_type s ~proc in
+      let data = Vm.bytes region in
       let v =
         V.decode_value ty data ~off:s.Layout.offset ~stop:(Bytes.length data)
       in
@@ -257,7 +242,7 @@ let enter_server rt h lc th ~client ~server =
        | Some d -> d
        | None -> raise (Bad_binding "caller has no domain")
      in
-     ignore (Binding.verify rt b ~caller ~proc:h.ch_proc : proc_binding);
+     Binding.verify rt b ~caller;
      Astack.validate rt lc.lc_pb astack
    with exn ->
      release_local rt lc ~client;
@@ -272,16 +257,13 @@ let enter_server rt h lc th ~client ~server =
   set_linkstack rt th (linkage :: linkstack rt th);
   Kernel.linkage_claimed rt.kernel th;
   let estack = Estack.associate rt ~server astack in
-  (* Domain transfer: the executing thread crosses into the server. *)
-  let data_region = lc.lc_region in
-  if Footprint.call_side_ready rt b astack ~data_region then
-    transfer_touch rt ~target:server
-      (Footprint.call_side rt b astack estack ~data_region)
-  else begin
-    transfer_to rt ~target:server;
-    Engine.touch_pages e
-      ~pages:(Footprint.call_side rt b astack estack ~data_region)
-  end
+  (* Domain transfer: the executing thread crosses into the server. The
+     footprint is built before the switch, so a first call allocates
+     the server's code and stack pages just ahead of the VM reload. *)
+  let pages =
+    Footprint.call_side rt b astack estack ~data_region:lc.lc_region
+  in
+  transfer_touch rt ~target:server pages
 
 (* What the return side found on the linkage record. *)
 type linkage_state = Valid | Invalidated | Abandoned
@@ -313,13 +295,8 @@ let leave_server rt h lc th ~client ~server_cpu =
   if (match state with Abandoned -> false | Valid | Invalidated -> true)
      && Pdomain.active client
   then begin
-    let b = h.ch_binding in
-    if Footprint.return_side_ready rt b then
-      transfer_touch rt ~target:client (Footprint.return_side rt b)
-    else begin
-      transfer_to rt ~target:client;
-      Engine.touch_pages e ~pages:(Footprint.return_side rt b)
-    end;
+    let pages = Footprint.return_side rt h.ch_binding in
+    transfer_touch rt ~target:client pages;
     if (Engine.current_cpu e).Engine.idx <> server_cpu then
       coherency rt e lc.lc_bytes_out
   end;
@@ -430,9 +407,8 @@ let complete_local rt h lc =
          home so the restarted caller continues in its own domain. *)
       crash_cleanup rt lc th ~client;
       if Pdomain.active client then begin
-        transfer_to rt ~target:client;
-        Engine.touch_pages (engine rt)
-          ~pages:(Footprint.return_side rt h.ch_binding)
+        let pages = Footprint.return_side rt h.ch_binding in
+        transfer_touch rt ~target:client pages
       end;
       Error (Call_failed "server domain terminated")
   | exception exn ->

@@ -4,7 +4,7 @@ let now rt = Engine.now (engine rt)
 
 let fresh_estack rt ~server pool =
   let region =
-    Kernel.alloc_unbacked_region rt.kernel ~owner:server ~name:pool.ep_name
+    Kernel.alloc_region rt.kernel ~owner:server ~name:pool.ep_name
       ~bytes:estack_bytes ~mapped:[ server ]
   in
   let rec es =

@@ -28,7 +28,7 @@ let build_call_side rt b astack estack ~data_region =
    out-of-band segment is fresh each call, so that footprint is never
    kept.
    [pages_of_domain] allocates a domain's pages on first use, and
-   building here, on the call path, keeps that at the server's first
+   building here, on the call path, keeps that in the server's first
    call. *)
 let call_side rt b astack estack ~data_region =
   if data_region != astack.a_region then
@@ -54,15 +54,6 @@ let set_estack rt astack estack =
       ~len:(min estack_pages (Array.length p))
   end
 
-(* Whether a footprint built now is the one [call_side] would return at
-   any later instant: it is kept, or building it allocates no page,
-   since the server's code pages exist. Every other input is fixed while
-   the calling thread holds the A-stack. *)
-let call_side_ready rt b astack ~data_region =
-  (data_region == astack.a_region
-  && Tlb.footprint_length astack.a_footprint > 0)
-  || Hashtbl.mem rt.domain_pages b.b_server.Pdomain.id
-
 (* Built at the binding's first return, not at bind time, so that
    [pages_of_domain] still allocates the client's code and stack pages
    at the client's first return. *)
@@ -83,7 +74,3 @@ let return_side rt b =
     b.b_return_pages <- pages;
     pages
   end
-
-let return_side_ready rt b =
-  Tlb.footprint_length b.b_return_pages > 0
-  || Hashtbl.mem rt.domain_pages b.b_client.Pdomain.id

@@ -9,7 +9,12 @@
 
     Footprints are {!Lrpc_sim.Tlb.footprint}s, built once: the call
     side once per A-stack, at its first call, the return side once per
-    binding, at its first return. Each counts its distinct pages when
+    binding, at its first return. The call path builds each before the
+    context switch it is refilled after, so on the switch path the VM
+    reload and the refill are one charge. The first footprint built for
+    a domain allocates the domain's code and stack pages then, just
+    ahead of the reload; page ids are compared only for equality, so
+    that moves no simulated number. Each counts its distinct pages when
     built; kernel page ids are never reused, so on this path the count
     is the length. When lazy association (paper §3.2) gives an A-stack
     another E-stack, {!set_estack} overwrites the E-stack's pages in
@@ -47,22 +52,3 @@ val set_estack : Rt.runtime -> Rt.astack -> Rt.estack -> unit
 val return_side : Rt.runtime -> Rt.binding -> Lrpc_sim.Tlb.footprint
 (** Pages touched back in the client context: the kernel's (shorter)
     return path, the client stubs, client code and the client stack. *)
-
-(** {1 Building ahead of the switch}
-
-    The first footprint built for a domain allocates its code and stack
-    pages from the kernel's global page counter, at that simulated
-    instant. A footprint that allocates nothing is the same whenever it
-    is built. *)
-
-val call_side_ready :
-  Rt.runtime ->
-  Rt.binding ->
-  Rt.astack ->
-  data_region:Lrpc_kernel.Vm.region ->
-  bool
-(** {!call_side} with these arguments is kept, or builds without
-    allocating a page. *)
-
-val return_side_ready : Rt.runtime -> Rt.binding -> bool
-(** {!return_side} is kept, or builds without allocating a page. *)

@@ -223,7 +223,7 @@ type linkage = {
 }
 
 type estack = {
-  es_region : Vm.region;  (** pages only: nothing reads an E-stack's bytes *)
+  es_region : Vm.region;  (** pages only: nothing touches its bytes *)
   mutable es_assoc : astack option;
   es_some : estack option;
       (** preallocated [Some] of this E-stack: an association stores it,
@@ -515,11 +515,11 @@ let create ?(config = default_config) kernel =
      the call path, of which the first ten are touched again on the
      simpler return path (DESIGN.md §4 derives the 25/18 split). *)
   let kregion =
-    Kernel.alloc_unbacked_region kernel ~owner:(Kernel.kernel_domain kernel)
+    Kernel.alloc_region kernel ~owner:(Kernel.kernel_domain kernel)
       ~name:"lrpc-kernel-text" ~bytes:(12 * 512) ~mapped:[]
   in
   let btable =
-    Kernel.alloc_unbacked_region kernel ~owner:(Kernel.kernel_domain kernel)
+    Kernel.alloc_region kernel ~owner:(Kernel.kernel_domain kernel)
       ~name:"lrpc-binding-table" ~bytes:(2 * 512) ~mapped:[]
   in
   (* Never bumped: lrpcbench's digests hash Metrics.to_json, zeros too. *)
@@ -607,11 +607,11 @@ let pages_of_domain rt d =
   | Some dp -> dp
   | None ->
       let code =
-        Kernel.alloc_unbacked_region rt.kernel ~owner:d
+        Kernel.alloc_region rt.kernel ~owner:d
           ~name:(d.Pdomain.name ^ "-text") ~bytes:(2 * 512) ~mapped:[ d ]
       in
       let stack =
-        Kernel.alloc_unbacked_region rt.kernel ~owner:d
+        Kernel.alloc_region rt.kernel ~owner:d
           ~name:(d.Pdomain.name ^ "-stack") ~bytes:(4 * 512) ~mapped:[ d ]
       in
       let dp = { dp_code = code.Vm.pages; dp_stack = stack.Vm.pages } in

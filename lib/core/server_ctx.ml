@@ -7,17 +7,14 @@ let nth_input ctx i =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Server_ctx.arg: no input %d" i)
 
-let slot_type s =
-  match s.Layout.sparam with
-  | Some p -> p.I.ty
-  | None -> assert false (* input slots always carry a parameter *)
-
 (* Access-checked zero-cost read: the server decodes the A-stack slot in
    place; no copy happens. *)
 let decode_slot ctx s =
   Vm.check ~by:ctx.sc_binding.b_server ctx.sc_region "peek";
   let off = s.Layout.offset in
-  V.decode_value (slot_type s) ctx.sc_region.Vm.data ~off
+  V.decode_value
+    (Layout.slot_type s ~proc:ctx.sc_proc)
+    (Vm.bytes ctx.sc_region) ~off
     ~stop:(off + s.Layout.size)
 
 let arg ctx i = decode_slot ctx (nth_input ctx i)

@@ -95,6 +95,12 @@ let plan t ~args =
 
 let fits t plan = plan.total_bytes <= t.astack_size
 
+let slot_type s ~proc =
+  match (s.sparam, proc.Types.result) with
+  | Some p, _ -> p.Types.ty
+  | None, Some ty -> ty
+  | None, None -> assert false
+
 let immutable_copy_slots plan =
   List.filter
     (fun s ->

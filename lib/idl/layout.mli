@@ -62,6 +62,10 @@ val fits : t -> plan -> bool
 (** Whether the planned call fits the procedure's A-stacks, or must go
     out-of-band. *)
 
+val slot_type : slot -> proc:Types.proc -> Types.base
+(** The type of the value in a slot of [proc]'s plan: its parameter's,
+    or [proc]'s result type for the result slot. *)
+
 val immutable_copy_slots : plan -> slot list
 (** Input slots whose parameter the server interprets (not flagged
     [uninterpreted]): when immutability matters these are the ones the

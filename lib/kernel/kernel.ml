@@ -135,7 +135,7 @@ let region_fits t ~owner ~bytes =
   require_active owner;
   owner.Pdomain.pages_allocated + region_pages t bytes <= owner.Pdomain.page_limit
 
-let new_region t ~owner ~name ~bytes ~mapped ~backed =
+let alloc_region t ~owner ~name ~bytes ~mapped =
   require_active owner;
   let pages = alloc_pages t owner (region_pages t bytes) in
   let r =
@@ -143,7 +143,8 @@ let new_region t ~owner ~name ~bytes ~mapped ~backed =
       Vm.rid = t.next_region;
       region_name = name;
       pages;
-      data = (if backed then Bytes.make (max bytes 1) '\000' else Bytes.empty);
+      size = bytes;
+      data = Bytes.empty;
       mapped = [];
       region_valid = true;
     }
@@ -151,12 +152,6 @@ let new_region t ~owner ~name ~bytes ~mapped ~backed =
   t.next_region <- t.next_region + 1;
   List.iter (fun d -> Vm.map_into r d) mapped;
   r
-
-let alloc_region t ~owner ~name ~bytes ~mapped =
-  new_region t ~owner ~name ~bytes ~mapped ~backed:true
-
-let alloc_unbacked_region t ~owner ~name ~bytes ~mapped =
-  new_region t ~owner ~name ~bytes ~mapped ~backed:false
 
 let release_region t ~owner r =
   if r.Vm.region_valid then begin

@@ -46,20 +46,14 @@ val free_pages : t -> Pdomain.t -> int array -> unit
 val alloc_region :
   t -> owner:Pdomain.t -> name:string -> bytes:int -> mapped:Pdomain.t list ->
   Vm.region
-(** Allocate a region of [bytes] (rounded up to whole pages, charged to
-    [owner]), backed by [bytes] real bytes, and map it into each domain
-    of [mapped]. An empty [mapped] yields a kernel-private region. For
-    regions whose contents are read and written: A-stacks, out-of-band
-    segments and message buffers. *)
-
-val alloc_unbacked_region :
-  t -> owner:Pdomain.t -> name:string -> bytes:int -> mapped:Pdomain.t list ->
-  Vm.region
-(** {!alloc_region} without the bytes: the same pages, charged to the
-    same budget and mapped the same way, for a region the simulation
-    models by its pages alone (E-stacks, linkage records, stubs, code
-    and stacks — their TLB footprints and page budgets). {!Vm}'s byte
-    operations raise [Invalid_argument] on it. *)
+(** Allocate a region of [bytes] and map it into each domain of
+    [mapped]. An empty [mapped] yields a kernel-private region. Its
+    pages (whole pages, at least one) are taken and charged to [owner]
+    now; its [bytes] bytes are made, zero-filled, the first time
+    anything reads or writes them ({!Vm.bytes}). A region the
+    simulation models by its pages alone (E-stacks, linkage records,
+    stubs, code and stacks: their TLB footprints and page budgets)
+    never holds any. *)
 
 val region_fits : t -> owner:Pdomain.t -> bytes:int -> bool
 (** Whether a region of [bytes] would fit in [owner]'s page budget now:

@@ -2,7 +2,8 @@ type region = {
   rid : int;
   region_name : string;
   pages : int array;
-  data : Bytes.t;
+  size : int;
+  mutable data : Bytes.t;
   mutable mapped : Pdomain.id list;
   mutable region_valid : bool;
 }
@@ -42,13 +43,11 @@ let check ~by:d r what =
          (Printf.sprintf "%s: domain %s has no access to region %s" what
             d.Pdomain.name r.region_name))
 
-(* The bytes of [r], for operation [what]. A region allocated without
-   bytes has none: only its pages exist. *)
-let contents what r =
-  if Bytes.length r.data = 0 then
-    invalid_arg
-      (Printf.sprintf "Vm.%s: region %s has no bytes" what r.region_name)
-  else r.data
+(* Made at the first touch, so a region nothing reads or writes holds
+   only its pages. *)
+let bytes r =
+  if Bytes.length r.data < r.size then r.data <- Bytes.make r.size '\000';
+  r.data
 
 let note audit label bytes =
   match audit with
@@ -83,31 +82,27 @@ let record_copy ~engine ?audit ~label len =
 
 let write_bytes ?engine ?rate ?audit ?label ~by r ~off src =
   check ~by r "write_bytes";
-  Bytes.blit src 0 (contents "write_bytes" r) off (Bytes.length src);
+  Bytes.blit src 0 (bytes r) off (Bytes.length src);
   account engine rate audit label (Bytes.length src)
 
 let read_bytes ?engine ?rate ?audit ?label ~by r ~off ~len =
   check ~by r "read_bytes";
   let out = Bytes.create len in
-  Bytes.blit (contents "read_bytes" r) off out 0 len;
+  Bytes.blit (bytes r) off out 0 len;
   account engine rate audit label len;
   out
 
 let peek ~by r ~off ~len =
   check ~by r "peek";
-  Bytes.sub (contents "peek" r) off len
+  Bytes.sub (bytes r) off len
 
 let poke ~by r ~off src =
   check ~by r "poke";
-  Bytes.blit src 0 (contents "poke" r) off (Bytes.length src)
+  Bytes.blit src 0 (bytes r) off (Bytes.length src)
 
 let region_to_region ?engine ?rate ?audit ?label ~src ~src_off ~dst ~dst_off ~len
     () =
   if not (src.region_valid && dst.region_valid) then
     raise (Protection_violation "region_to_region: invalid region");
-  Bytes.blit
-    (contents "region_to_region" src)
-    src_off
-    (contents "region_to_region" dst)
-    dst_off len;
+  Bytes.blit (bytes src) src_off (bytes dst) dst_off len;
   account engine rate audit label len

@@ -1,11 +1,12 @@
 (** Virtual-memory regions and protected byte movement.
 
-    A region is a run of simulated pages. Regions whose contents the
-    simulation reads — A-stacks, out-of-band segments, message buffers —
-    are backed by real [Bytes.t]; the rest (E-stacks, linkage records,
-    stubs, code and stacks) exist only as pages, for TLB footprints and
-    page budgets, and every byte operation below raises
-    [Invalid_argument] on them. Mapping
+    A region is a run of simulated pages, for TLB footprints and page
+    budgets, and the real bytes behind them. The pages are taken when
+    the region is allocated; the bytes are made, zero-filled, the first
+    time anything reads or writes them ({!bytes}). So a region the
+    simulation models by its pages alone — an E-stack, a linkage record,
+    stubs, code or a stack, an A-stack no call has written, a message
+    buffer no call has used — holds no bytes. Mapping
     is what the paper's pairwise-shared A-stacks rely on: the same backing
     bytes are made visible to exactly the client and server of one binding
     (and to nobody else), so argument data written by the client stub is
@@ -21,9 +22,10 @@ type region = {
   rid : int;
   region_name : string;
   pages : int array;  (** global page identifiers, for TLB footprints *)
-  data : Bytes.t;
-      (** the region's contents; empty for a region allocated without
-          bytes ({!Kernel.alloc_unbacked_region}) *)
+  size : int;  (** bytes, as allocated *)
+  mutable data : Bytes.t;
+      (** the region's contents once touched, empty before: read them
+          through {!bytes} *)
   mutable mapped : Pdomain.id list;
       (** domains with read-write access; kernel-only regions map [] *)
   mutable region_valid : bool;  (** unmapped/reclaimed regions are invalid *)
@@ -50,6 +52,11 @@ val accessible : region -> Pdomain.t -> bool
 val check : by:Pdomain.t -> region -> string -> unit
 (** [check ~by r op] raises {!Protection_violation}, naming [op], unless
     [by] may access [r]: the access check of every operation below. *)
+
+val bytes : region -> Bytes.t
+(** The region's [size] bytes, made zero-filled at the first call. No
+    access check: the operations below make it first, and a caller that
+    encodes or decodes in place makes its own with {!check}. *)
 
 val record_copy :
   engine:Lrpc_sim.Engine.t -> ?audit:audit -> label:string -> int -> unit

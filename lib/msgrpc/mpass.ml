@@ -78,12 +78,6 @@ let tlb_flat s n =
   Engine.delay ~category:Category.Tlb_miss (engine s)
     (n * cm.Cost_model.tlb_miss)
 
-let slot_type (slot : Layout.slot) ~proc =
-  match slot.Layout.sparam with
-  | Some p -> p.I.ty
-  | None -> (
-      match proc.I.result with Some ty -> ty | None -> assert false)
-
 let server_visible s bufs =
   match s.srv_profile.Profile.copies with
   | Profile.Shared -> Option.get bufs.bs_shared
@@ -158,8 +152,8 @@ let process_message s msg =
           (fun (slot : Layout.slot) ->
             let v, consumed =
               V.decode
-                (slot_type slot ~proc:msg.m_proc)
-                inbuf.Vm.data ~off:slot.Layout.offset
+                (Layout.slot_type slot ~proc:msg.m_proc)
+                (Vm.bytes inbuf) ~off:slot.Layout.offset
             in
             ignore
               (Vm.read_bytes ~engine:e ~rate:p.Profile.marshal_rate ?audit
@@ -183,7 +177,9 @@ let process_message s msg =
           else
             List.iter2
               (fun (slot : Layout.slot) v ->
-                let encoded = V.encode (slot_type slot ~proc:msg.m_proc) v in
+                let encoded =
+                  V.encode (Layout.slot_type slot ~proc:msg.m_proc) v
+                in
                 Vm.poke ~by:server inbuf ~off:slot.Layout.offset encoded)
               out_slots outputs
       | exception exn -> msg.m_failed <- Some exn));
@@ -393,7 +389,9 @@ let call ?audit conn ~proc args =
         let outbuf = client_visible s bufs in
         List.iter2
           (fun (slot : Layout.slot) v ->
-            let encoded = V.encode (slot_type slot ~proc:layout.Layout.proc) v in
+            let encoded =
+              V.encode (Layout.slot_type slot ~proc:layout.Layout.proc) v
+            in
             Vm.write_bytes ~engine:e ~rate:p.Profile.marshal_rate ?audit
               ~label:"A" ~by:conn.c_client outbuf ~off:slot.Layout.offset
               encoded)
@@ -456,8 +454,8 @@ let call ?audit conn ~proc args =
                 (fun (slot : Layout.slot) ->
                   let v, consumed =
                     V.decode
-                      (slot_type slot ~proc:layout.Layout.proc)
-                      inbuf.Vm.data ~off:slot.Layout.offset
+                      (Layout.slot_type slot ~proc:layout.Layout.proc)
+                      (Vm.bytes inbuf) ~off:slot.Layout.offset
                   in
                   ignore
                     (Vm.read_bytes ~engine:e ~rate:p.Profile.readback_rate

@@ -309,7 +309,7 @@ let worlds =
       dispatches = 16;
       run_pushes = 30032;
       timer_pushes = 0;
-      resumptions = 20064;
+      resumptions = 20032;
       tlb_misses = 86000;
     };
     {
@@ -321,7 +321,7 @@ let worlds =
       dispatches = 2016;
       run_pushes = 24892;
       timer_pushes = 2000;
-      resumptions = 16005;
+      resumptions = 15985;
       tlb_misses = 86000;
     };
     {
@@ -333,7 +333,7 @@ let worlds =
       dispatches = 2122;
       run_pushes = 25314;
       timer_pushes = 1937;
-      resumptions = 16102;
+      resumptions = 16080;
       tlb_misses = 84932;
     };
     (* An [Engine.at] timer is one record: the timer heap holds its slab
@@ -496,11 +496,13 @@ let test_metrics_json () =
    A-stacks and linkage records, its call statistics and, from its first
    call, an E-stack and two TLB footprints. Memory the simulation does
    not read costs here: a latency histogram of one int per bin, or bytes
-   behind an E-stack, would each break the budgets. *)
+   behind an E-stack, would each break the budgets. A binding read
+   2,429 words while its A-stacks were zero-filled at allocation, and
+   reads 2,174 with bytes at first touch. *)
 
 let mem_bindings = 16
 let mem_calls_each = 20
-let bind_budget_words = 3000
+let bind_budget_words = 2300
 let calls_budget_words = 500
 
 let live_words () =
@@ -545,6 +547,89 @@ let test_memory () =
       "memory: %.0f more live words per binding after %d Null calls each, budget %d"
       calls mem_calls_each calls_budget_words
 
+(* --- bytes at first touch ---------------------------------------------------
+
+   A region's bytes are made the first time anything reads or writes
+   it (Vm.bytes). A thousand 8 KB regions that nothing touches keep
+   their records and page arrays, and no buffer: one 8 KB buffer alone
+   is 1,025 words. After Null calls every region the runtime keeps is
+   still without bytes: each A-stack (a Null call writes no argument),
+   linkage record and E-stack. Stubs, the PDL, code and stacks keep
+   only their pages; no region record of theirs outlives its
+   allocation. Live words do not depend on the build, so these run
+   under any profile. *)
+
+let untouched_regions = 1000
+let untouched_budget_words = 64
+
+let test_untouched_regions () =
+  let b = boot ~trace:None ~processors:1 () in
+  let k = b.Driver.bt_kernel in
+  let d = Kernel.create_domain k ~page_limit:max_int ~name:"d" in
+  let w0 = live_words () in
+  let regions =
+    Array.init untouched_regions (fun i ->
+        Kernel.alloc_region k ~owner:d ~name:(Printf.sprintf "msg-%d" i)
+          ~bytes:8192 ~mapped:[ d ])
+  in
+  let w1 = live_words () in
+  ignore (Sys.opaque_identity regions);
+  let per = float_of_int (w1 - w0) /. float_of_int untouched_regions in
+  if per > float_of_int untouched_budget_words then
+    Alcotest.failf "%.1f live words per untouched 8 KB region, budget %d" per
+      untouched_budget_words
+
+let null_callers = 4
+
+let test_null_calls_touch_no_bytes () =
+  let b = boot ~trace:None ~processors:null_callers () in
+  let k = b.Driver.bt_kernel and rt = b.Driver.bt_rt in
+  let server = Kernel.create_domain k ~name:"server" in
+  ignore (Api.export rt ~domain:server Driver.bench_interface ~impls:Driver.bench_impls);
+  let bindings =
+    List.init null_callers (fun i ->
+        let client = Kernel.create_domain k ~name:(Printf.sprintf "client%d" i) in
+        let binding = Api.import rt ~domain:client ~interface:"Bench" in
+        ignore
+          (Kernel.spawn k client ~home:i (fun () ->
+               for _ = 1 to mem_calls_each do
+                 ignore (Api.call rt binding ~proc:"null" [])
+               done));
+        binding)
+  in
+  Driver.run_all b.Driver.bt_engine;
+  Alcotest.(check int) "every call completed" (null_callers * mem_calls_each)
+    (Api.calls_completed rt);
+  let checked = ref 0 in
+  let no_bytes what (r : Vm.region) =
+    incr checked;
+    if Bytes.length r.Vm.data > 0 then
+      Alcotest.failf "%s %s holds %d bytes after Null calls" what r.Vm.region_name
+        (Bytes.length r.Vm.data)
+  in
+  List.iter
+    (fun binding ->
+      List.iter
+        (fun (_, pb) ->
+          List.iter
+            (fun a ->
+              no_bytes "A-stack" a.Rt.a_region;
+              no_bytes "linkage record" a.Rt.a_linkage.Rt.l_region)
+            pb.Rt.pb_pool.Rt.ap_all)
+        binding.Rt.b_procs)
+    bindings;
+  let estacks = ref 0 in
+  Hashtbl.iter
+    (fun _ pool ->
+      List.iter
+        (fun es ->
+          incr estacks;
+          no_bytes "E-stack" es.Rt.es_region)
+        pool.Rt.ep_all)
+    rt.Rt.estack_pools;
+  Alcotest.(check bool) "E-stacks were associated" true (!estacks >= null_callers);
+  Alcotest.(check bool) "regions checked" true (!checked > !estacks)
+
 let () =
   Alcotest.run "lrpc_budget"
     [
@@ -556,5 +641,11 @@ let () =
       ( "metrics json",
         [ Alcotest.test_case "words per snapshot entry" `Quick test_metrics_json ] );
       ( "memory",
-        [ Alcotest.test_case "live words per binding" `Quick test_memory ] );
+        [
+          Alcotest.test_case "live words per binding" `Quick test_memory;
+          Alcotest.test_case "untouched regions hold no bytes" `Quick
+            test_untouched_regions;
+          Alcotest.test_case "null calls touch no bytes" `Quick
+            test_null_calls_touch_no_bytes;
+        ] );
     ]

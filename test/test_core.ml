@@ -1100,16 +1100,22 @@ let null_call_resumptions ?config ~calls () =
     (Lrpc_obs.Trace.dropped tr);
   List.rev !per_call
 
-(* The first call allocates the server's and then the client's code and
-   stack pages while it builds its TLB footprints, from the kernel's
-   global page counter at that instant, so its footprints cannot be
-   built ahead of either switch: only the procedure call and the two
-   traps merge. From the second call on, both reloads merge too. *)
-let test_first_call_unmerged_switch () =
+(* Every call merges five pairs: the procedure call and the stub's
+   entry, each trap and the kernel's work, and each VM reload and its
+   TLB refill. The first call builds its footprints, allocating the
+   server's and then the client's code and stack pages, before each
+   switch, so its reloads merge too; its extra slice is the fresh
+   E-stack's allocation. *)
+let test_every_call_merges_reloads () =
+  let per_call = null_call_resumptions ~calls:3 () in
   Alcotest.(check (list (pair int int)))
     "(slices, resumptions) per call"
-    [ (16, 13); (15, 10); (15, 10) ]
-    (null_call_resumptions ~calls:3 ())
+    [ (16, 11); (15, 10); (15, 10) ]
+    per_call;
+  List.iter
+    (fun (slices, resumptions) ->
+      Alcotest.(check int) "five merged pairs" 5 (slices - resumptions))
+    per_call
 
 (* Under the A4 global kernel lock the lock is taken between each trap
    and the kernel's work, so neither trap merges. *)
@@ -1521,8 +1527,8 @@ let () =
         ] );
       ( "charge tails",
         [
-          Alcotest.test_case "first call unmerged switch" `Quick
-            test_first_call_unmerged_switch;
+          Alcotest.test_case "every call merges its reloads" `Quick
+            test_every_call_merges_reloads;
           Alcotest.test_case "global lock unmerged trap" `Quick
             test_global_lock_unmerged_trap;
           Alcotest.test_case "failed lookup charges the call alone" `Quick

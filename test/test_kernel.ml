@@ -198,36 +198,87 @@ let test_vm_rate_override () =
   Engine.run e;
   Alcotest.(check int) "override rate" 2_000 !elapsed
 
-(* A region allocated without bytes has its pages and its budget
-   charge, and no contents: every byte operation on it raises, a
-   zero-length one too, whichever side of a copy it is on. *)
-let test_unbacked_region () =
+(* A region gets its bytes at its first touch. Its pages and their
+   budget charge are taken at allocation; its bytes are not, and an
+   access the mapping refuses makes none. The first read sees zeros.
+   Memory is dirtied with 0xff first, so a fill that skipped the zeros
+   would read garbage. *)
+let dirty_heap () =
+  for _ = 1 to (Gc.get ()).Gc.minor_heap_size / 8 do
+    ignore (Sys.opaque_identity (Bytes.make 48 '\xff'))
+  done;
+  List.iter
+    (fun b -> ignore (Sys.opaque_identity b))
+    (List.init 64 (fun _ -> Bytes.make 8192 '\xff'));
+  Gc.full_major ()
+
+let has_bytes r = Bytes.length r.Vm.data > 0
+
+let test_bytes_at_first_touch () =
   let _, k = boot () in
   let d = Kernel.create_domain k ~name:"d" in
-  let r =
-    Kernel.alloc_unbacked_region k ~owner:d ~name:"estack" ~bytes:20_480
-      ~mapped:[ d ]
-  in
-  let backed = Kernel.alloc_region k ~owner:d ~name:"astack" ~bytes:64 ~mapped:[ d ] in
+  let other = Kernel.create_domain k ~name:"other" in
+  dirty_heap ();
+  let r = Kernel.alloc_region k ~owner:d ~name:"estack" ~bytes:20_480 ~mapped:[ d ] in
+  let small = Kernel.alloc_region k ~owner:d ~name:"astack" ~bytes:64 ~mapped:[ d ] in
   Alcotest.(check int) "40 pages" 40 (Array.length r.Vm.pages);
-  Alcotest.(check int) "charged with the backed page" 41 d.Pdomain.pages_allocated;
-  Alcotest.(check bool) "mapped" true (Vm.accessible r d);
-  let raises what f =
+  Alcotest.(check int) "charged at allocation" 41 d.Pdomain.pages_allocated;
+  Alcotest.(check int) "its size" 20_480 r.Vm.size;
+  Alcotest.(check bool) "fresh: no bytes" false (has_bytes r);
+  (match Vm.peek ~by:other r ~off:0 ~len:1 with
+  | exception Vm.Protection_violation _ -> ()
+  | _ -> Alcotest.fail "unmapped peek allowed");
+  Alcotest.(check bool) "a refused peek makes none" false (has_bytes r);
+  List.iter
+    (fun r ->
+      Alcotest.(check string)
+        (r.Vm.region_name ^ ": a mapped read sees zeros")
+        (String.make r.Vm.size '\000')
+        (Bytes.to_string (Vm.read_bytes ~by:d r ~off:0 ~len:r.Vm.size));
+      Alcotest.(check int)
+        (r.Vm.region_name ^ ": bytes made")
+        r.Vm.size
+        (Bytes.length r.Vm.data))
+    [ r; small ];
+  Kernel.release_region k ~owner:d r;
+  Alcotest.(check int) "pages back" 1 d.Pdomain.pages_allocated;
+  match Vm.peek ~by:d r ~off:0 ~len:1 with
+  | exception Vm.Protection_violation _ -> ()
+  | _ -> Alcotest.fail "released region readable"
+
+(* First touch at the edges (zero / ones / max): a zero-length region,
+   a write at the last byte, a write one past the end, and a copy out
+   of a region never written. *)
+let test_first_touch_edges () =
+  let _, k = boot () in
+  let d = Kernel.create_domain k ~name:"d" in
+  let out_of_bounds what f =
     match f () with
     | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s on a region without bytes" what
+    | _ -> Alcotest.failf "%s: out of bounds allowed" what
   in
-  raises "write_bytes" (fun () -> Vm.write_bytes ~by:d r ~off:0 (Bytes.of_string "x"));
-  raises "empty write_bytes" (fun () -> Vm.write_bytes ~by:d r ~off:0 Bytes.empty);
-  raises "read_bytes" (fun () -> ignore (Vm.read_bytes ~by:d r ~off:0 ~len:0));
-  raises "peek" (fun () -> ignore (Vm.peek ~by:d r ~off:0 ~len:0));
-  raises "poke" (fun () -> Vm.poke ~by:d r ~off:0 Bytes.empty);
-  raises "copy from" (fun () ->
-      Vm.region_to_region ~src:r ~src_off:0 ~dst:backed ~dst_off:0 ~len:0 ());
-  raises "copy into" (fun () ->
-      Vm.region_to_region ~src:backed ~src_off:0 ~dst:r ~dst_off:0 ~len:0 ());
-  Kernel.release_region k ~owner:d r;
-  Alcotest.(check int) "pages back" 1 d.Pdomain.pages_allocated
+  let empty = Kernel.alloc_region k ~owner:d ~name:"empty" ~bytes:0 ~mapped:[ d ] in
+  Alcotest.(check int) "zero bytes take a page" 1 (Array.length empty.Vm.pages);
+  Vm.write_bytes ~by:d empty ~off:0 Bytes.empty;
+  Alcotest.(check string) "zero-length read" ""
+    (Bytes.to_string (Vm.read_bytes ~by:d empty ~off:0 ~len:0));
+  out_of_bounds "one byte into zero" (fun () ->
+      Vm.poke ~by:d empty ~off:0 (Bytes.of_string "x"));
+  let r = Kernel.alloc_region k ~owner:d ~name:"r" ~bytes:64 ~mapped:[ d ] in
+  Vm.poke ~by:d r ~off:63 (Bytes.of_string "z");
+  Alcotest.(check string) "the last byte" "\000z"
+    (Bytes.to_string (Vm.peek ~by:d r ~off:62 ~len:2));
+  out_of_bounds "one past the end" (fun () ->
+      Vm.poke ~by:d r ~off:64 (Bytes.of_string "x"));
+  out_of_bounds "across the end" (fun () ->
+      Vm.write_bytes ~by:d r ~off:63 (Bytes.of_string "xy"));
+  out_of_bounds "read past the end" (fun () ->
+      ignore (Vm.read_bytes ~by:d r ~off:1 ~len:64));
+  let never = Kernel.alloc_region k ~owner:d ~name:"never" ~bytes:64 ~mapped:[] in
+  Vm.poke ~by:d r ~off:0 (Bytes.of_string "written");
+  Vm.region_to_region ~src:never ~src_off:0 ~dst:r ~dst_off:0 ~len:7 ();
+  Alcotest.(check string) "copied zeros" (String.make 7 '\000')
+    (Bytes.to_string (Vm.peek ~by:d r ~off:0 ~len:7))
 
 let test_region_to_region () =
   let _, k = boot () in
@@ -498,7 +549,8 @@ let () =
           Alcotest.test_case "copy cost" `Quick test_vm_copy_charges_time;
           Alcotest.test_case "rate override" `Quick test_vm_rate_override;
           Alcotest.test_case "region to region" `Quick test_region_to_region;
-          Alcotest.test_case "region without bytes" `Quick test_unbacked_region;
+          Alcotest.test_case "bytes at first touch" `Quick test_bytes_at_first_touch;
+          Alcotest.test_case "first touch edges" `Quick test_first_touch_edges;
         ] );
       ( "kernel",
         [
