@@ -64,10 +64,11 @@ let probe_iface n =
     interface "Probe"
       [ proc "take" [ param "buf" (Fixed_bytes n) ] ])
 
-let a2_latency ~defensive n =
-  let engine = Engine.create Cost_model.cvax_firefly in
-  let kernel = Kernel.boot engine in
-  let rt = Api.init kernel in
+(* Per-call latency of a [Probe.take] of [n] bytes: 3 warm-up calls,
+   then [calls] timed. *)
+let probe_latency ~defensive ~calls n =
+  let b = Driver.boot Driver.Config.default in
+  let kernel = b.Driver.bt_kernel and rt = b.Driver.bt_rt in
   let server = Kernel.create_domain kernel ~name:"server" in
   let client = Kernel.create_domain kernel ~name:"client" in
   ignore
@@ -75,27 +76,19 @@ let a2_latency ~defensive n =
        ~options:{ Api.Options.default with defensive_copies = defensive }
        (probe_iface n)
        ~impls:[ ("take", fun _ -> []) ]);
-  let out = ref 0.0 in
-  ignore
-    (Kernel.spawn kernel client (fun () ->
-         let b = Api.import rt ~domain:client ~interface:"Probe" in
-         let args = [ Lrpc_idl.Value.bytes (Bytes.make n 'x') ] in
-         for _ = 1 to 3 do
-           ignore (Api.call rt b ~proc:"take" args)
-         done;
-         let t0 = Engine.now engine in
-         for _ = 1 to 100 do
-           ignore (Api.call rt b ~proc:"take" args)
-         done;
-         out := Time.to_us (Time.sub (Engine.now engine) t0) /. 100.0));
-  Engine.run engine;
-  !out
+  Driver.tight_loop kernel client ~warmup:3 ~calls (fun () ->
+      let b = Api.import rt ~domain:client ~interface:"Probe" in
+      let args = [ Lrpc_idl.Value.bytes (Bytes.make n 'x') ] in
+      fun () -> Api.call rt b ~proc:"take" args)
 
 let run_a2 () =
   {
     sizes =
       List.map
-        (fun n -> (n, a2_latency ~defensive:false n, a2_latency ~defensive:true n))
+        (fun n ->
+          ( n,
+            probe_latency ~defensive:false ~calls:100 n,
+            probe_latency ~defensive:true ~calls:100 n ))
         [ 4; 50; 200; 500; 1000 ];
   }
 
@@ -163,27 +156,15 @@ let render_a3 a =
 type a4 = { cpus : int list; per_astack : float list; global_lock : float list }
 
 let a4_throughput ~kernel_lock ~processors ~horizon =
-  let config = { Rt.default_config with Rt.kernel_lock } in
-  let engine = Engine.create ~processors Cost_model.cvax_firefly in
-  let kernel = Kernel.boot engine in
-  let rt = Api.init ~config kernel in
-  let server = Kernel.create_domain kernel ~name:"server" in
-  ignore
-    (Api.export rt ~domain:server Driver.bench_interface
-       ~impls:Driver.bench_impls);
-  let count = ref 0 in
-  for i = 0 to processors - 1 do
-    let client = Kernel.create_domain kernel ~name:(Printf.sprintf "c%d" i) in
-    ignore
-      (Kernel.spawn kernel client ~home:i (fun () ->
-           let b = Api.import rt ~domain:client ~interface:"Bench" in
-           while true do
-             ignore (Api.call rt b ~proc:"null" []);
-             incr count
-           done))
-  done;
-  Engine.run ~until:horizon engine;
-  float_of_int !count /. Time.to_s horizon
+  let runtime = { Rt.default_config with Rt.kernel_lock } in
+  Driver.lrpc_throughput
+    ~config:
+      {
+        Driver.Config.default with
+        Driver.Config.processors;
+        runtime = Some runtime;
+      }
+    ~clients:processors ~horizon ()
 
 let run_a4 ?(horizon = Time.ms 300) () =
   let cpus = [ 1; 2; 3; 4 ] in
@@ -307,56 +288,21 @@ type a6 = {
 }
 
 let a6_mpass_latency profile n =
-  let iface =
-    Lrpc_idl.Types.(interface "Probe" [ proc "take" [ param "buf" (Fixed_bytes n) ] ])
+  let b =
+    Driver.boot
+      { Driver.Config.default with Driver.Config.cost_model = profile.Profile.hw }
   in
-  let engine = Engine.create profile.Profile.hw in
-  let kernel = Kernel.boot engine in
+  let kernel = b.Driver.bt_kernel in
   let sd = Kernel.create_domain kernel ~name:"server" in
   let client = Kernel.create_domain kernel ~name:"client" in
   let server =
-    Lrpc_msgrpc.Mpass.create_server kernel profile ~domain:sd iface
+    Lrpc_msgrpc.Mpass.create_server kernel profile ~domain:sd (probe_iface n)
       ~impls:[ ("take", fun _ -> []) ]
   in
-  let out = ref 0.0 in
-  ignore
-    (Kernel.spawn kernel client (fun () ->
-         let conn = Lrpc_msgrpc.Mpass.connect server ~client in
-         let args = [ Lrpc_idl.Value.bytes (Bytes.make n 'x') ] in
-         for _ = 1 to 3 do
-           ignore (Lrpc_msgrpc.Mpass.call conn ~proc:"take" args)
-         done;
-         let t0 = Engine.now engine in
-         for _ = 1 to 50 do
-           ignore (Lrpc_msgrpc.Mpass.call conn ~proc:"take" args)
-         done;
-         out := Time.to_us (Time.sub (Engine.now engine) t0) /. 50.0));
-  Engine.run engine;
-  !out
-
-let a6_lrpc_latency n =
-  let engine = Engine.create Cost_model.cvax_firefly in
-  let kernel = Kernel.boot engine in
-  let rt = Api.init kernel in
-  let server = Kernel.create_domain kernel ~name:"server" in
-  let client = Kernel.create_domain kernel ~name:"client" in
-  ignore
-    (Api.export rt ~domain:server (probe_iface n) ~impls:[ ("take", fun _ -> []) ]);
-  let out = ref 0.0 in
-  ignore
-    (Kernel.spawn kernel client (fun () ->
-         let b = Api.import rt ~domain:client ~interface:"Probe" in
-         let args = [ Lrpc_idl.Value.bytes (Bytes.make n 'x') ] in
-         for _ = 1 to 3 do
-           ignore (Api.call rt b ~proc:"take" args)
-         done;
-         let t0 = Engine.now engine in
-         for _ = 1 to 50 do
-           ignore (Api.call rt b ~proc:"take" args)
-         done;
-         out := Time.to_us (Time.sub (Engine.now engine) t0) /. 50.0));
-  Engine.run engine;
-  !out
+  Driver.tight_loop kernel client ~warmup:3 ~calls:50 (fun () ->
+      let conn = Lrpc_msgrpc.Mpass.connect server ~client in
+      let args = [ Lrpc_idl.Value.bytes (Bytes.make n 'x') ] in
+      fun () -> Lrpc_msgrpc.Mpass.call conn ~proc:"take" args)
 
 let run_a6 () =
   (* V optimized for fixed 32-byte messages; model it as an 8-register
@@ -378,7 +324,7 @@ let run_a6 () =
           ( n,
             a6_mpass_latency with_registers n,
             a6_mpass_latency Profile.v_system n,
-            a6_lrpc_latency n ))
+            probe_latency ~defensive:false ~calls:50 n ))
         sizes;
   }
 

@@ -1,6 +1,5 @@
 module Engine = Lrpc_sim.Engine
 module Time = Lrpc_sim.Time
-module Cost_model = Lrpc_sim.Cost_model
 module Kernel = Lrpc_kernel.Kernel
 module Api = Lrpc_core.Api
 module Mpass = Lrpc_msgrpc.Mpass
@@ -25,14 +24,20 @@ type result = { rows : row list }
 
 let processors = 4
 
-let collect ~system ~clients ~spawn_caller =
+(* [clients] closed-loop callers on [kernel]'s machine, caller [i] on
+   processor [i], each timing every call it makes. *)
+let measure ~system ~clients ~horizon kernel setup =
+  let engine = Kernel.engine kernel in
   let hist = Histogram.create ~bin_width:10 ~max_value:10_000 in
   let stats = Stats.create () in
-  let record us =
-    Histogram.add hist (int_of_float us);
-    Stats.add stats us
-  in
-  spawn_caller record;
+  Driver.closed_loop kernel ~clients ~home:Fun.id ~horizon (fun client ->
+      let call = setup client in
+      fun () ->
+        let t0 = Engine.now engine in
+        ignore (call ());
+        let us = Time.to_us (Time.sub (Engine.now engine) t0) in
+        Histogram.add hist (int_of_float us);
+        Stats.add stats us);
   {
     system;
     clients;
@@ -45,55 +50,35 @@ let collect ~system ~clients ~spawn_caller =
   }
 
 let lrpc_row ~clients ~horizon =
-  collect ~system:"LRPC" ~clients ~spawn_caller:(fun record ->
-      let engine = Engine.create ~processors Cost_model.cvax_firefly in
-      let kernel = Kernel.boot engine in
-      let rt = Api.init kernel in
-      let server = Kernel.create_domain kernel ~name:"server" in
-      ignore
-        (Api.export rt ~domain:server Driver.bench_interface
-           ~impls:Driver.bench_impls);
-      for i = 0 to clients - 1 do
-        let client =
-          Kernel.create_domain kernel ~name:(Printf.sprintf "c%d" i)
-        in
-        ignore
-          (Kernel.spawn kernel client ~home:i (fun () ->
-               let b = Api.import rt ~domain:client ~interface:"Bench" in
-               while true do
-                 let t0 = Engine.now engine in
-                 ignore (Api.call rt b ~proc:"null" []);
-                 record (Time.to_us (Time.sub (Engine.now engine) t0))
-               done))
-      done;
-      Engine.run ~until:horizon engine)
+  let b = Driver.boot { Driver.Config.default with Driver.Config.processors } in
+  let rt = b.Driver.bt_rt in
+  let server = Kernel.create_domain b.Driver.bt_kernel ~name:"server" in
+  ignore
+    (Api.export rt ~domain:server Driver.bench_interface
+       ~impls:Driver.bench_impls);
+  measure ~system:"LRPC" ~clients ~horizon b.Driver.bt_kernel (fun client ->
+      let b = Api.import rt ~domain:client ~interface:"Bench" in
+      fun () -> Api.call rt b ~proc:"null" [])
 
 let src_row ~clients ~horizon =
-  collect ~system:"SRC RPC" ~clients ~spawn_caller:(fun record ->
-      let profile =
-        { Profile.src_rpc with Profile.receivers = max clients 4 }
-      in
-      let engine = Engine.create ~processors profile.Profile.hw in
-      let kernel = Kernel.boot engine in
-      let sd = Kernel.create_domain kernel ~name:"server" in
-      let server =
-        Mpass.create_server kernel profile ~domain:sd Driver.bench_interface
-          ~impls:Driver.mpass_bench_impls
-      in
-      for i = 0 to clients - 1 do
-        let client =
-          Kernel.create_domain kernel ~name:(Printf.sprintf "c%d" i)
-        in
-        ignore
-          (Kernel.spawn kernel client ~home:i (fun () ->
-               let conn = Mpass.connect server ~client in
-               while true do
-                 let t0 = Engine.now engine in
-                 ignore (Mpass.call conn ~proc:"null" []);
-                 record (Time.to_us (Time.sub (Engine.now engine) t0))
-               done))
-      done;
-      Engine.run ~until:horizon engine)
+  let profile = { Profile.src_rpc with Profile.receivers = max clients 4 } in
+  let b =
+    Driver.boot
+      {
+        Driver.Config.default with
+        Driver.Config.processors;
+        cost_model = profile.Profile.hw;
+      }
+  in
+  let kernel = b.Driver.bt_kernel in
+  let sd = Kernel.create_domain kernel ~name:"server" in
+  let server =
+    Mpass.create_server kernel profile ~domain:sd Driver.bench_interface
+      ~impls:Driver.mpass_bench_impls
+  in
+  measure ~system:"SRC RPC" ~clients ~horizon kernel (fun client ->
+      let conn = Mpass.connect server ~client in
+      fun () -> Mpass.call conn ~proc:"null" [])
 
 let run ?(horizon = Time.ms 200) () =
   let rows =

@@ -12,6 +12,7 @@
 open Lrpc_sim
 open Lrpc_kernel
 open Lrpc_core
+module Driver = Lrpc_workload.Driver
 module V = Lrpc_idl.Value
 module I = Lrpc_idl.Types
 
@@ -32,9 +33,9 @@ let impls =
   ]
 
 let throughput ~processors ~pipelined ~calls =
-  let engine = Engine.create ~processors Cost_model.cvax_firefly in
-  let kernel = Kernel.boot engine in
-  let rt = Api.init kernel in
+  let b = Driver.boot { Driver.Config.default with Driver.Config.processors } in
+  let engine = b.Driver.bt_engine and kernel = b.Driver.bt_kernel in
+  let rt = b.Driver.bt_rt in
   let server = Kernel.create_domain kernel ~name:"bench-server" in
   let client = Kernel.create_domain kernel ~name:"bench-client" in
   ignore (Api.export rt ~domain:server iface ~impls);

@@ -1,4 +1,3 @@
-module Engine = Lrpc_sim.Engine
 module Kernel = Lrpc_kernel.Kernel
 module Vm = Lrpc_kernel.Vm
 module I = Lrpc_idl.Types
@@ -7,6 +6,7 @@ module Api = Lrpc_core.Api
 module Server_ctx = Lrpc_core.Server_ctx
 module Mpass = Lrpc_msgrpc.Mpass
 module Profile = Lrpc_msgrpc.Profile
+module Driver = Lrpc_workload.Driver
 module Table = Lrpc_util.Table
 
 type cell = { call_copies : string list; return_copies : string list }
@@ -31,9 +31,8 @@ let split_cell audit split_point =
   { call_copies = call; return_copies = ret }
 
 let lrpc_cell ~defensive =
-  let engine = Engine.create Lrpc_sim.Cost_model.cvax_firefly in
-  let kernel = Kernel.boot engine in
-  let rt = Api.init kernel in
+  let b = Driver.boot Driver.Config.default in
+  let kernel = b.Driver.bt_kernel and rt = b.Driver.bt_rt in
   let server = Kernel.create_domain kernel ~name:"server" in
   let client = Kernel.create_domain kernel ~name:"client" in
   let audit = Vm.audit_create () in
@@ -58,13 +57,15 @@ let lrpc_cell ~defensive =
            (Api.call
               ~options:{ Api.Options.default with audit = Some audit }
               rt b ~proc:"echo" [ V.int 7 ])));
-  Engine.run engine;
-  Engine.check_failures engine;
+  Driver.run_all b.Driver.bt_engine;
   split_cell audit !split
 
 let mpass_cell profile =
-  let engine = Engine.create profile.Profile.hw in
-  let kernel = Kernel.boot engine in
+  let b =
+    Driver.boot
+      { Driver.Config.default with Driver.Config.cost_model = profile.Profile.hw }
+  in
+  let kernel = b.Driver.bt_kernel in
   let sd = Kernel.create_domain kernel ~name:"server" in
   let client = Kernel.create_domain kernel ~name:"client" in
   let audit = Vm.audit_create () in
@@ -83,8 +84,7 @@ let mpass_cell profile =
     (Kernel.spawn kernel client (fun () ->
          let conn = Mpass.connect server ~client in
          ignore (Mpass.call ~audit conn ~proc:"echo" [ V.int 7 ])));
-  Engine.run engine;
-  Engine.check_failures engine;
+  Driver.run_all b.Driver.bt_engine;
   split_cell audit !split
 
 let run () =

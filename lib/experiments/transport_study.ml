@@ -134,27 +134,14 @@ let world ?install_faults ?(service = echo) ~processors ~clients system =
 let echo_call bytes = (echo, "echo", [ V.bytes (Bytes.create bytes) ])
 let null_call = (bench, "null", [])
 
-(* Steady-state latency: one caller, fault-free. *)
-let latency_of ?(warmup = 3) ?(calls = 20) ~processors system
-    (service, proc, args) =
-  let b, kernel, rt, clients_d, bindings =
+(* Steady-state latency: one caller, fault-free, 3 warm-up calls and
+   20 timed. *)
+let latency_of ~processors system (service, proc, args) =
+  let _, kernel, rt, clients_d, bindings =
     world ~service ~processors ~clients:1 system
   in
-  let engine = b.Driver.bt_engine in
-  let out = ref 0.0 in
-  ignore
-    (Kernel.spawn kernel clients_d.(0) ~name:"tr-latency" (fun () ->
-         for _ = 1 to warmup do
-           ignore (Api.call rt bindings.(0) ~proc args)
-         done;
-         let t0 = Engine.now engine in
-         for _ = 1 to calls do
-           ignore (Api.call rt bindings.(0) ~proc args)
-         done;
-         out := Time.to_us (Time.sub (Engine.now engine) t0) /. float_of_int calls));
-  Engine.run engine;
-  Engine.check_failures ~what:"latency caller" engine;
-  !out
+  Driver.tight_loop kernel clients_d.(0) ~warmup:3 ~calls:20 (fun () ->
+      fun () -> Api.call rt bindings.(0) ~proc args)
 
 (* Closed-loop goodput: [clients] tight-loop callers for [horizon];
    failed calls (retry exhaustion under loss) are tolerated and

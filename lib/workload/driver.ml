@@ -152,23 +152,47 @@ let run_all engine =
   Engine.run engine;
   Engine.check_failures engine
 
-let lrpc_latency ?(warmup = 5) ?(calls = 200) w ~proc ~args =
+(* --- the two measurement loops ------------------------------------------- *)
+
+let tight_loop kernel client ~warmup ~calls setup =
+  let engine = Kernel.engine kernel in
   let out = ref 0.0 in
   ignore
-    (Kernel.spawn w.lw_kernel w.lw_client ~name:"latency-driver" (fun () ->
-         let b = Api.import w.lw_rt ~domain:w.lw_client ~interface:"Bench" in
+    (Kernel.spawn kernel client ~name:"latency-driver" (fun () ->
+         let call = setup () in
          for _ = 1 to warmup do
-           ignore (Api.call w.lw_rt b ~proc args)
+           ignore (call ())
          done;
-         let t0 = Engine.now w.lw_engine in
+         let t0 = Engine.now engine in
          for _ = 1 to calls do
-           ignore (Api.call w.lw_rt b ~proc args)
+           ignore (call ())
          done;
          out :=
-           Time.to_us (Time.sub (Engine.now w.lw_engine) t0)
-           /. float_of_int calls));
-  run_all w.lw_engine;
+           Time.to_us (Time.sub (Engine.now engine) t0) /. float_of_int calls));
+  run_all engine;
   !out
+
+let closed_loop kernel ~clients ~home ~horizon setup =
+  for i = 0 to clients - 1 do
+    let client =
+      Kernel.create_domain kernel ~name:(Printf.sprintf "client%d" i)
+    in
+    ignore
+      (Kernel.spawn kernel client ~home:(home i)
+         ~name:(Printf.sprintf "caller%d" i) (fun () ->
+           let call = setup client in
+           while true do
+             ignore (call ())
+           done))
+  done;
+  let engine = Kernel.engine kernel in
+  Engine.run ~until:horizon engine;
+  Engine.check_failures ~what:"caller" engine
+
+let lrpc_latency ?(calls = 200) w ~proc ~args =
+  tight_loop w.lw_kernel w.lw_client ~warmup:5 ~calls (fun () ->
+      let b = Api.import w.lw_rt ~domain:w.lw_client ~interface:"Bench" in
+      fun () -> Api.call w.lw_rt b ~proc args)
 
 type scale_stats = {
   ss_cps : float;
@@ -204,37 +228,27 @@ let scale_stats_of engine ~count ~horizon =
 
 let lrpc_scale ?home ?(yield_between = false) ?(config = Config.default)
     ~clients ~horizon () =
-  let processors = config.Config.processors in
-  let home_of =
-    match home with Some f -> f | None -> fun i -> i mod processors
+  let home =
+    match home with
+    | Some f -> f
+    | None -> fun i -> i mod config.Config.processors
   in
   let b = boot config in
-  let engine = b.bt_engine and kernel = b.bt_kernel and rt = b.bt_rt in
-  let server = Kernel.create_domain kernel ~name:"server" in
+  let server = Kernel.create_domain b.bt_kernel ~name:"server" in
   ignore
-    (Api.export rt ~domain:server bench_interface ~impls:bench_impls);
+    (Api.export b.bt_rt ~domain:server bench_interface ~impls:bench_impls);
   let count = ref 0 in
-  for i = 0 to clients - 1 do
-    let client =
-      Kernel.create_domain kernel ~name:(Printf.sprintf "client%d" i)
-    in
-    ignore
-      (Kernel.spawn kernel client ~home:(home_of i)
-         ~name:(Printf.sprintf "caller%d" i) (fun () ->
-           let b = Api.import rt ~domain:client ~interface:"Bench" in
-           while true do
-             ignore (Api.call rt b ~proc:"null" []);
-             incr count;
-             (* Re-enter the caller's run queue between calls: the
-                steady state keeps redistributing work, so stealing
-                stays live instead of being a one-time startup effect —
-                the regime the placement-quality study measures. *)
-             if yield_between then Engine.yield engine
-           done))
-  done;
-  Engine.run ~until:horizon engine;
-  Engine.check_failures ~what:"caller" engine;
-  scale_stats_of engine ~count:!count ~horizon
+  closed_loop b.bt_kernel ~clients ~home ~horizon (fun client ->
+      let bd = Api.import b.bt_rt ~domain:client ~interface:"Bench" in
+      fun () ->
+        ignore (Api.call b.bt_rt bd ~proc:"null" []);
+        incr count;
+        (* Re-enter the caller's run queue between calls: the steady
+           state keeps redistributing work, so stealing stays live
+           instead of being a one-time startup effect — the regime the
+           placement-quality study measures. *)
+        if yield_between then Engine.yield b.bt_engine);
+  scale_stats_of b.bt_engine ~count:!count ~horizon
 
 let lrpc_throughput ?config ~clients ~horizon () =
   (lrpc_scale ?config ~clients ~horizon ()).ss_cps
@@ -267,49 +281,27 @@ let make_mpass ?(config = Config.default) profile =
     mw_tracer = b.bt_tracer;
   }
 
-let mpass_latency ?(warmup = 5) ?(calls = 200) ?config profile ~proc ~args =
-  let w = make_mpass ?config profile in
-  let out = ref 0.0 in
-  ignore
-    (Kernel.spawn w.mw_kernel w.mw_client ~name:"latency-driver" (fun () ->
-         let conn = Mpass.connect w.mw_server ~client:w.mw_client in
-         for _ = 1 to warmup do
-           ignore (Mpass.call conn ~proc args)
-         done;
-         let t0 = Engine.now w.mw_engine in
-         for _ = 1 to calls do
-           ignore (Mpass.call conn ~proc args)
-         done;
-         out :=
-           Time.to_us (Time.sub (Engine.now w.mw_engine) t0)
-           /. float_of_int calls));
-  run_all w.mw_engine;
-  !out
+let mpass_latency ?(calls = 200) profile ~proc ~args =
+  let w = make_mpass profile in
+  tight_loop w.mw_kernel w.mw_client ~warmup:5 ~calls (fun () ->
+      let conn = Mpass.connect w.mw_server ~client:w.mw_client in
+      fun () -> Mpass.call conn ~proc args)
 
 let mpass_scale ?(config = Config.default) profile ~clients ~horizon =
-  let processors = config.Config.processors in
   let profile =
     { profile with Profile.receivers = max clients profile.Profile.receivers }
   in
   let w = make_mpass ~config profile in
-  let engine = w.mw_engine and kernel = w.mw_kernel in
   let count = ref 0 in
-  for i = 0 to clients - 1 do
-    let client =
-      Kernel.create_domain kernel ~name:(Printf.sprintf "client%d" i)
-    in
-    ignore
-      (Kernel.spawn kernel client ~home:(i mod processors)
-         ~name:(Printf.sprintf "caller%d" i) (fun () ->
-           let conn = Mpass.connect w.mw_server ~client in
-           while true do
-             ignore (Mpass.call conn ~proc:"null" []);
-             incr count
-           done))
-  done;
-  Engine.run ~until:horizon engine;
-  Engine.check_failures ~what:"caller" engine;
-  scale_stats_of engine ~count:!count ~horizon
+  closed_loop w.mw_kernel ~clients
+    ~home:(fun i -> i mod config.Config.processors)
+    ~horizon
+    (fun client ->
+      let conn = Mpass.connect w.mw_server ~client in
+      fun () ->
+        ignore (Mpass.call conn ~proc:"null" []);
+        incr count);
+  scale_stats_of w.mw_engine ~count:!count ~horizon
 
 let mpass_throughput ?config profile ~clients ~horizon =
   (mpass_scale ?config profile ~clients ~horizon).ss_cps

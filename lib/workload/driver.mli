@@ -1,18 +1,19 @@
-(** Measurement world construction and closed-loop drivers shared by the
-    experiment harness, the benchmarks, the chaos soak and the examples.
+(** Measurement worlds and the two loops that time calls in them, shared
+    by the experiment harness, the benchmarks, the chaos soak and the
+    examples.
 
     The canonical workload is the paper's four-test suite (Table 4):
     Null, Add (two 4-byte arguments, one 4-byte result), BigIn (one
     200-byte argument) and BigInOut (200 bytes in and out). Latency is
     measured exactly as the paper did — a tight loop of calls, elapsed
-    (simulated) time divided by the count — and throughput as completed
-    calls per simulated second across concurrent callers.
+    (simulated) time divided by the count ({!tight_loop}) — and
+    throughput as completed calls per simulated second across
+    concurrent closed-loop callers ({!closed_loop}). Every latency and
+    throughput in the experiments is one of these two loops.
 
-    {b Construction.} Every world — LRPC ({!make_lrpc}) and the
-    message-pass baseline ({!make_mpass}) — and every scale/throughput
-    driver is parameterized by one {!Config.t} record instead of
-    per-function optional-argument sprawl; build one with a record
-    update on {!Config.default}:
+    {b Construction.} Every world starts from {!boot}, parameterized by
+    one {!Config.t} record instead of per-function optional-argument
+    sprawl; build one with a record update on {!Config.default}:
 
     {[
       let w =
@@ -105,10 +106,32 @@ val run_all : Lrpc_sim.Engine.t -> unit
 (** Run the engine to quiescence; raise [Failure] if any simulated
     thread died of an uncaught exception. *)
 
+(** {1 The two measurement loops} *)
+
+val tight_loop :
+  Lrpc_kernel.Kernel.t -> Lrpc_kernel.Pdomain.t -> warmup:int -> calls:int ->
+  (unit -> unit -> 'a) -> float
+(** [tight_loop kernel client ~warmup ~calls setup] spawns one thread in
+    [client] that runs [setup ()] (an import or a connect), which returns
+    the call; it makes [warmup] untimed calls, then [calls] timed ones.
+    Runs the engine to quiescence ({!run_all}) and returns the mean
+    simulated microseconds per timed call. *)
+
+val closed_loop :
+  Lrpc_kernel.Kernel.t -> clients:int -> home:(int -> int) ->
+  horizon:Lrpc_sim.Time.t -> (Lrpc_kernel.Pdomain.t -> unit -> 'a) -> unit
+(** [closed_loop kernel ~clients ~home ~horizon setup] creates [clients]
+    caller domains; caller [i] is one thread of its own domain submitted
+    on processor [home i], which runs [setup domain] (an import or a
+    connect) and repeats the call it returns. Runs the engine to
+    [horizon] and raises [Failure] if a caller died. The call counts or
+    times itself. *)
+
 val lrpc_latency :
-  ?warmup:int -> ?calls:int -> lrpc_world -> proc:string ->
-  args:Lrpc_idl.Value.t list -> float
-(** Steady-state per-call latency in simulated microseconds. *)
+  ?calls:int -> lrpc_world -> proc:string -> args:Lrpc_idl.Value.t list ->
+  float
+(** Steady-state per-call latency in simulated microseconds: a
+    {!tight_loop} of 5 warm-up calls, then [calls] (default 200). *)
 
 val lrpc_throughput :
   ?config:Config.t -> clients:int -> horizon:Lrpc_sim.Time.t -> unit -> float
@@ -184,8 +207,9 @@ val make_mpass : ?config:Config.t -> Lrpc_msgrpc.Profile.t -> mpass_world
     domain ([Lrpc_msgrpc.Mpass.connect] from a simulated thread). *)
 
 val mpass_latency :
-  ?warmup:int -> ?calls:int -> ?config:Config.t -> Lrpc_msgrpc.Profile.t ->
-  proc:string -> args:Lrpc_idl.Value.t list -> float
+  ?calls:int -> Lrpc_msgrpc.Profile.t -> proc:string ->
+  args:Lrpc_idl.Value.t list -> float
+(** {!lrpc_latency} on a fresh {!make_mpass} world. *)
 
 val mpass_throughput :
   ?config:Config.t ->

@@ -1,7 +1,6 @@
 module Engine = Lrpc_sim.Engine
 module Time = Lrpc_sim.Time
 module Category = Lrpc_sim.Category
-module Cost_model = Lrpc_sim.Cost_model
 module Kernel = Lrpc_kernel.Kernel
 module I = Lrpc_idl.Types
 module V = Lrpc_idl.Value
@@ -30,9 +29,9 @@ let svc_iface name =
 
 let run ?(seed = 1989L) ?(operations = 20_000) model =
   let rng = Prng.create ~seed in
-  let engine = Engine.create ~processors:1 Cost_model.cvax_firefly in
-  let kernel = Kernel.boot engine in
-  let rt = Api.init kernel in
+  let b = Driver.boot Driver.Config.default in
+  let engine = b.Driver.bt_engine and kernel = b.Driver.bt_kernel in
+  let rt = b.Driver.bt_rt in
   let app = Kernel.create_domain kernel ~name:"application" in
   let sanitize n =
     String.map (fun c -> if c = ' ' || c = '/' then '_' else c) n
