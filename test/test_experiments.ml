@@ -538,6 +538,109 @@ let test_renders () =
   nonempty "t3" (E.Table3.render (E.Table3.run ()));
   nonempty "t5" (E.Table5.render (E.Table5.run ~calls:10 ()))
 
+(* --- EXPERIMENTS.md against the renderings ---------------------------------
+
+   The measured cells of EXPERIMENTS.md's Table 4 and Figure 2 tables,
+   one by one, against the `t4 --quick` and `f2 --quick` renderings. *)
+
+(* The lines of [doc] after the one that starts with [heading], up to
+   the next "## " heading. *)
+let md_section doc heading =
+  let rec skip = function
+    | [] -> []
+    | l :: rest -> if String.starts_with ~prefix:heading l then take rest else skip rest
+  and take = function
+    | l :: rest when not (String.starts_with ~prefix:"## " l) -> l :: take rest
+    | _ -> []
+  in
+  String.concat "\n" (skip (String.split_on_char '\n' doc))
+
+(* The rows of the markdown or ASCII pipe tables in [text]: each line
+   that starts with '|', split into trimmed cells. *)
+let pipe_rows text =
+  List.filter_map
+    (fun line ->
+      match String.split_on_char '|' line with
+      | "" :: cells -> Some (List.map String.trim cells)
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+(* One line per measured cell where [documented] and [rendered], both
+   (row key, cells) lists, disagree. *)
+let cell_mismatches ~table ~columns ~documented ~rendered =
+  List.concat_map
+    (fun (key, cells) ->
+      match List.assoc_opt key documented with
+      | None -> [ Printf.sprintf "%s, %s: no row in EXPERIMENTS.md" table key ]
+      | Some doc_cells when List.length doc_cells <> List.length cells ->
+          [ Printf.sprintf "%s, %s: %d cells in EXPERIMENTS.md" table key
+              (List.length doc_cells) ]
+      | Some doc_cells ->
+          List.concat
+            (List.map2
+               (fun column (d, r) ->
+                 if d = r then []
+                 else
+                   [
+                     Printf.sprintf "%s, %s, %s: EXPERIMENTS.md %s, rendering %s"
+                       table key column d r;
+                   ])
+               columns (List.combine doc_cells cells)))
+    rendered
+  @ List.filter_map
+      (fun (key, _) ->
+        if List.mem_assoc key rendered then None
+        else Some (Printf.sprintf "%s, %s: not in the rendering" table key))
+      documented
+
+let test_experiments_md () =
+  let doc = In_channel.with_open_text "../EXPERIMENTS.md" In_channel.input_all in
+  let rendering name = pipe_rows (E.Suite.run ~seed:1989L ~quick:true name) in
+  let words s =
+    List.filter (fun w -> w <> "" && w <> "\xc2\xb7") (String.split_on_char ' ' s)
+  in
+  let tests = [ "Null"; "Add"; "BigIn"; "BigInOut" ] in
+  let t4_doc =
+    List.filter_map
+      (function
+        | key :: _paper :: measured :: _ when List.mem key tests ->
+            Some (key, words measured)
+        | _ -> None)
+      (pipe_rows (md_section doc "## Table 4"))
+  in
+  let t4_rendered =
+    List.filter_map
+      (function
+        | key :: _ :: mp :: lrpc :: taos :: _ when List.mem key tests ->
+            Some (key, [ mp; lrpc; taos ])
+        | _ -> None)
+      (rendering "t4")
+  in
+  (* Figure 2's rows are keyed by CPU count; the document groups digits
+     in thousands with a space. *)
+  let f2_rows ~joined rows =
+    List.filter_map
+      (function
+        | cpus :: lrpc :: optimal :: src :: _ when int_of_string_opt cpus <> None ->
+            Some (cpus, List.map joined [ lrpc; optimal; src ])
+        | _ -> None)
+      rows
+  in
+  let f2_rendered = f2_rows ~joined:Fun.id (rendering "f2") in
+  let mismatches =
+    cell_mismatches ~table:"Table 4" ~columns:[ "LRPC/MP"; "LRPC"; "Taos" ]
+      ~documented:t4_doc ~rendered:t4_rendered
+    @ cell_mismatches ~table:"Figure 2"
+        ~columns:[ "LRPC measured"; "LRPC optimal"; "SRC RPC" ]
+        ~documented:
+          (f2_rows ~joined:(fun c -> String.concat "" (words c))
+             (pipe_rows (md_section doc "## Figure 2")))
+        ~rendered:f2_rendered
+  in
+  Alcotest.(check int) "Table 4 rows" 4 (List.length t4_rendered);
+  Alcotest.(check int) "Figure 2 rows" 4 (List.length f2_rendered);
+  Alcotest.(check (list string)) "cells that differ" [] mismatches
+
 (* --- the Table 4/5 pin ----------------------------------------------------
 
    The md5 of the `t4 t5 --quick` rendering (the Makefile's T45_DIGEST,
@@ -595,6 +698,7 @@ let () =
         [
           Alcotest.test_case "renders" `Quick test_renders;
           Alcotest.test_case "suite json" `Quick test_suite_json;
+          Alcotest.test_case "EXPERIMENTS.md t4 f2" `Quick test_experiments_md;
         ] );
       ("pins", [ Alcotest.test_case "t4 t5 digest" `Quick test_t45_digest ]);
     ]
