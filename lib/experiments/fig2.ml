@@ -13,7 +13,7 @@ type result = {
   microvax_speedup_at_5 : float;
 }
 
-let run ?(max_cpus = 4) ?(horizon = Time.ms 500) () =
+let run ?(horizon = Time.ms 500) () =
   let procs n = { Driver.Config.default with Driver.Config.processors = n } in
   let lrpc_at n =
     Driver.lrpc_throughput ~config:(procs n) ~clients:n ~horizon ()
@@ -27,7 +27,7 @@ let run ?(max_cpus = 4) ?(horizon = Time.ms 500) () =
   in
   let single = lrpc_at 1 in
   let points =
-    List.init max_cpus (fun i ->
+    List.init 4 (fun i ->
         let n = i + 1 in
         {
           cpus = n;
@@ -36,11 +36,7 @@ let run ?(max_cpus = 4) ?(horizon = Time.ms 500) () =
           src = src_at n;
         })
   in
-  let at4 =
-    match List.find_opt (fun p -> p.cpus = min 4 max_cpus) points with
-    | Some p -> p.lrpc /. single
-    | None -> 1.0
-  in
+  let at4 = (List.nth points 3).lrpc /. single in
   let microvax n =
     {
       (procs n) with

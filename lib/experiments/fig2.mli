@@ -23,7 +23,7 @@ type result = {
   microvax_speedup_at_5 : float;
 }
 
-val run : ?max_cpus:int -> ?horizon:Lrpc_sim.Time.t -> unit -> result
-(** Default 4 CPUs and half a simulated second per point. *)
+val run : ?horizon:Lrpc_sim.Time.t -> unit -> result
+(** 1 to 4 CPUs, default half a simulated second per point. *)
 
 val render : result -> string

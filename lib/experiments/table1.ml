@@ -16,8 +16,7 @@ type result = {
   seed : int64;
 }
 
-let run ?(seed = 1989L) ?(operations = 1_000_000) ?(session_operations = 20_000)
-    () =
+let run ?(seed = 1989L) ?(operations = 1_000_000) () =
   let rng = Prng.create ~seed in
   let rows =
     List.map
@@ -35,7 +34,7 @@ let run ?(seed = 1989L) ?(operations = 1_000_000) ?(session_operations = 20_000)
   let sessions =
     List.map
       (fun model ->
-        Lrpc_workload.Session.run ~seed ~operations:session_operations model)
+        Lrpc_workload.Session.run ~seed model)
       Os.all
   in
   { rows; sessions; seed }

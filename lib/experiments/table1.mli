@@ -21,7 +21,7 @@ type result = {
   seed : int64;
 }
 
-val run : ?seed:int64 -> ?operations:int -> ?session_operations:int -> unit -> result
+val run : ?seed:int64 -> ?operations:int -> unit -> result
 (** Default one million sampled operations per system, plus a 20,000-
     operation live session each. *)
 

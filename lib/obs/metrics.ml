@@ -47,18 +47,16 @@ let counter ?(labels = []) t name =
       Hashtbl.replace t.table k (Counter c);
       c
 
-let gauge ?(labels = []) t name =
-  let k = key name labels in
-  match Hashtbl.find_opt t.table k with
+let gauge t name =
+  match Hashtbl.find_opt t.table name with
   | Some (Gauge g) -> g
-  | Some _ -> kind_error k "wanted a gauge"
+  | Some _ -> kind_error name "wanted a gauge"
   | None ->
-      let g = { g_key = k; g_value = 0.0; g_source = None } in
-      Hashtbl.replace t.table k (Gauge g);
+      let g = { g_key = name; g_value = 0.0; g_source = None } in
+      Hashtbl.replace t.table name (Gauge g);
       g
 
-let gauge_of_int ?labels t name read =
-  (gauge ?labels t name).g_source <- Some read
+let gauge_of_int t name read = (gauge t name).g_source <- Some read
 
 let histogram ?(labels = []) ?(bin_width = 4) ?(max_value = 4096) t name =
   let k = key name labels in

@@ -24,10 +24,10 @@ val counter : ?labels:(string * string) list -> t -> string -> counter
 (** Find or register. Raises [Invalid_argument] if the key exists as a
     different instrument kind. *)
 
-val gauge : ?labels:(string * string) list -> t -> string -> gauge
+val gauge : t -> string -> gauge
+(** Find or register an unlabelled gauge, like {!counter}. *)
 
-val gauge_of_int :
-  ?labels:(string * string) list -> t -> string -> (unit -> int) -> unit
+val gauge_of_int : t -> string -> (unit -> int) -> unit
 (** [gauge_of_int m name read] finds or registers the gauge and makes
     it pull-based: its value is [read ()], taken when it is read or
     snapshotted, so the code that keeps the count writes nothing per

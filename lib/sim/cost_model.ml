@@ -41,7 +41,6 @@ type t = {
   astack_lock : Time.t;
   coherency_per_byte : Time.t;
   bus_alpha : float;
-  spin_quantum : Time.t;
   topology : topology option;
 }
 
@@ -123,7 +122,6 @@ let cvax_firefly =
     astack_lock = Time.us_f 1.5;
     coherency_per_byte = Time.ns 62;
     bus_alpha = 0.027;
-    spin_quantum = Time.ns 500;
     topology = None;
   }
 
@@ -190,7 +188,6 @@ let m68020 =
     astack_lock = Time.us_f 1.8;
     coherency_per_byte = Time.ns 80;
     bus_alpha = 0.03;
-    spin_quantum = Time.ns 500;
     topology = None;
   }
 
@@ -216,7 +213,6 @@ let perq_accent =
     astack_lock = Time.us 4;
     coherency_per_byte = Time.ns 150;
     bus_alpha = 0.03;
-    spin_quantum = Time.ns 500;
     topology = None;
   }
 

@@ -63,7 +63,6 @@ type t = {
   bus_alpha : float;
       (** memory-bus dilation per additional concurrently-executing
           processor (fitted to Figure 2's 3.7x speedup at 4 CPUs) *)
-  spin_quantum : Time.t;  (** granularity of spin-wait re-checks *)
   topology : topology option;
       (** CPU locality model; [None] (all published machines) means flat
           costs and bit-identical pre-topology behaviour. *)

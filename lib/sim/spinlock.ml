@@ -4,23 +4,18 @@ module Metrics = Lrpc_obs.Metrics
 type t = {
   name : string;
   engine : Engine.t;
-  overhead : Time.t;
-  category : Category.t;
   mutable holder : Engine.thread option;
   waiters : Engine.thread Queue.t;
   c_contended : Metrics.counter;
   c_acquires : Metrics.counter;
 }
 
-let create ?(name = "lock") ?(overhead = Time.zero) ?(category = Category.Lock)
-    engine =
+let create ?(name = "lock") engine =
   let m = Engine.metrics engine in
   let labels = [ ("lock", name) ] in
   {
     name;
     engine;
-    overhead;
-    category;
     holder = None;
     waiters = Queue.create ();
     c_contended = Metrics.counter m ~labels "sim.lock_contended";
@@ -46,16 +41,12 @@ let acquire t =
       Engine.spin_suspend t.engine;
       assert (match t.holder with Some th -> th == me | None -> false);
       if Engine.tracing t.engine then
-        Engine.emit t.engine (Event.Lock_acquire { lock = t.name }));
-  if t.overhead <> Time.zero then
-    Engine.delay ~category:t.category t.engine t.overhead
+        Engine.emit t.engine (Event.Lock_acquire { lock = t.name }))
 
 let release t =
   (match t.holder with
   | Some th when th == Engine.self t.engine -> ()
   | _ -> invalid_arg (t.name ^ ": release by non-holder"));
-  if t.overhead <> Time.zero then
-    Engine.delay ~category:t.category t.engine t.overhead;
   match Queue.take_opt t.waiters with
   | Some next ->
       t.holder <- Some next;
@@ -64,7 +55,7 @@ let release t =
 
 let with_lock t ~hold f =
   acquire t;
-  if hold <> Time.zero then Engine.delay ~category:t.category t.engine hold;
+  if hold <> Time.zero then Engine.delay ~category:Category.Lock t.engine hold;
   Fun.protect ~finally:(fun () -> release t) f
 
 let holder t = t.holder

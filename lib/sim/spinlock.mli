@@ -8,15 +8,13 @@
     waiter's processor and to the [Lock] category by the engine.
 
     [hold] optionally models work performed *inside* the critical section:
-    [with_lock] delays for it while holding the lock. The small
-    acquire/release instruction cost itself is [overhead] per operation. *)
+    [with_lock] delays for it while holding the lock. Acquire and release
+    themselves take no simulated time. *)
 
 type t
 
-val create :
-  ?name:string -> ?overhead:Time.t -> ?category:Category.t -> Engine.t -> t
-(** [overhead] (default 0) is charged on each acquire and each release.
-    Acquire and contention counts are kept in the engine's metrics
+val create : ?name:string -> Engine.t -> t
+(** Acquire and contention counts are kept in the engine's metrics
     registry under ["sim.lock_acquires{lock=<name>}"] and
     ["sim.lock_contended{lock=<name>}"] — locks created with the same
     [name] on the same engine share counters — and each acquire/contend
@@ -30,7 +28,7 @@ val release : t -> unit
     releaser must hold the lock. *)
 
 val with_lock : t -> hold:Time.t -> (unit -> 'a) -> 'a
-(** [acquire]; delay [hold] (charged to the lock's category); run the
+(** [acquire]; delay [hold] (charged to the [Lock] category); run the
     function; [release]. The function runs while holding the lock and may
     itself consume simulated time. *)
 

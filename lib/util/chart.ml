@@ -1,8 +1,6 @@
 type series = { name : string; points : (float * float) list }
 
 type t = {
-  height : int;
-  width : int;
   x_label : string;
   y_label : string;
   mutable series : series list; (* reversed *)
@@ -10,8 +8,11 @@ type t = {
 
 let markers = [| '*'; 'o'; '+'; 'x'; '@'; '%' |]
 
-let create ?(height = 18) ?(width = 60) ~x_label ~y_label () =
-  { height; width; x_label; y_label; series = [] }
+(* The plot area, in characters. *)
+let height = 18
+let width = 60
+
+let create ~x_label ~y_label () = { x_label; y_label; series = [] }
 
 let add_series t ~name points = t.series <- { name; points } :: t.series
 
@@ -33,32 +34,32 @@ let render t ppf =
     let x_min, x_max, y_min, y_max = bounds t in
     let x_span = Float.max (x_max -. x_min) 1e-9 in
     let y_span = Float.max (y_max -. y_min) 1e-9 in
-    let grid = Array.make_matrix t.height t.width ' ' in
+    let grid = Array.make_matrix height width ' ' in
     List.iteri
       (fun si s ->
         let marker = markers.(si mod Array.length markers) in
         List.iter
           (fun (x, y) ->
             let cx =
-              int_of_float ((x -. x_min) /. x_span *. float_of_int (t.width - 1))
+              int_of_float ((x -. x_min) /. x_span *. float_of_int (width - 1))
             in
             let cy =
-              int_of_float ((y -. y_min) /. y_span *. float_of_int (t.height - 1))
+              int_of_float ((y -. y_min) /. y_span *. float_of_int (height - 1))
             in
-            let row = t.height - 1 - cy in
-            if row >= 0 && row < t.height && cx >= 0 && cx < t.width then
+            let row = height - 1 - cy in
+            if row >= 0 && row < height && cx >= 0 && cx < width then
               grid.(row).(cx) <- marker)
           s.points)
       series;
     Format.fprintf ppf "%s@." t.y_label;
     Array.iteri
       (fun i row ->
-        let frac = float_of_int (t.height - 1 - i) /. float_of_int (t.height - 1) in
+        let frac = float_of_int (height - 1 - i) /. float_of_int (height - 1) in
         let y_tick = y_min +. (frac *. y_span) in
-        Format.fprintf ppf "%10.0f |%s@." y_tick (String.init t.width (Array.get row)))
+        Format.fprintf ppf "%10.0f |%s@." y_tick (String.init width (Array.get row)))
       grid;
-    Format.fprintf ppf "%10s +%s@." "" (String.make t.width '-');
-    Format.fprintf ppf "%10s  %-*.1f%*.1f@." "" (t.width - 8) x_min 8 x_max;
+    Format.fprintf ppf "%10s +%s@." "" (String.make width '-');
+    Format.fprintf ppf "%10s  %-*.1f%*.1f@." "" (width - 8) x_min 8 x_max;
     Format.fprintf ppf "%10s  (%s)@." "" t.x_label;
     List.iteri
       (fun si s ->

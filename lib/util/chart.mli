@@ -5,7 +5,8 @@
 
 type t
 
-val create : ?height:int -> ?width:int -> x_label:string -> y_label:string -> unit -> t
+val create : x_label:string -> y_label:string -> unit -> t
+(** An empty chart whose plot area is 18 rows by 60 columns. *)
 
 val add_series : t -> name:string -> (float * float) list -> unit
 (** Series are drawn with distinct marker characters in insertion order. *)

@@ -174,7 +174,8 @@ let iter t f =
     f ~lower:(i * t.bin_width) ~upper ~count:(bin_value t i)
   done
 
-let render ?(width = 50) ?(unit_label = "samples") t ppf =
+let render ?(unit_label = "samples") t ppf =
+  let width = 50 in
   (* Free slots count 0, which the floor of 1 already covers. *)
   let max_count = Array.fold_left max 1 t.counts in
   Format.fprintf ppf "%12s  %-*s %10s  %s@." "range" width "" "count" "cum%";

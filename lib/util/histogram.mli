@@ -57,7 +57,7 @@ val mode_bin : t -> int
 val iter : t -> (lower:int -> upper:int option -> count:int -> unit) -> unit
 (** Iterate bins in order; [upper = None] for the overflow bin. *)
 
-val render :
-  ?width:int -> ?unit_label:string -> t -> Format.formatter -> unit
-(** Render an ASCII bar chart of the histogram together with the cumulative
-    distribution, in the style of the paper's Figure 1. *)
+val render : ?unit_label:string -> t -> Format.formatter -> unit
+(** Render an ASCII bar chart of the histogram (bars up to 50 columns)
+    together with the cumulative distribution, in the style of the
+    paper's Figure 1. *)

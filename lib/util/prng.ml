@@ -111,29 +111,6 @@ let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
 
-let zipf_table ~n ~s =
-  assert (n > 0);
-  let acc = Array.make n 0.0 in
-  let total = ref 0.0 in
-  for k = 1 to n do
-    total := !total +. (1.0 /. Float.pow (float_of_int k) s);
-    acc.(k - 1) <- !total
-  done;
-  let z = !total in
-  Array.map (fun x -> x /. z) acc
-
-let zipf_from_table t table =
-  let u = float t 1.0 in
-  (* Binary search for the first index with cumulative weight > u. *)
-  let lo = ref 0 and hi = ref (Array.length table - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if table.(mid) > u then hi := mid else lo := mid + 1
-  done;
-  !lo + 1
-
-let zipf t ~n ~s = zipf_from_table t (zipf_table ~n ~s)
-
 let choose t ~weights =
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weights in
   assert (total > 0.);

@@ -36,18 +36,6 @@ val bernoulli : t -> p:float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 
-val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] draws a rank in [\[1, n\]] under a Zipf law with exponent
-    [s], by inversion on the precomputed harmonic weights. O(log n). *)
-
-val zipf_table : n:int -> s:float -> float array
-(** Cumulative probability table used by [zipf]; exposed for reuse when many
-    draws share the same parameters (see {!zipf_from_table}). *)
-
-val zipf_from_table : t -> float array -> int
-(** Draw a rank in [\[1, Array.length table\]] from a table built by
-    {!zipf_table}. *)
-
 val choose : t -> weights:(float * 'a) list -> 'a
 (** [choose t ~weights] picks an element with probability proportional to
     its weight. The list must be non-empty with positive total weight. *)

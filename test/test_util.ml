@@ -62,19 +62,6 @@ let test_prng_exponential_mean () =
   let mean = !acc /. float_of_int n in
   Alcotest.(check bool) "mean near 5" true (Float.abs (mean -. 5.0) < 0.2)
 
-let test_prng_zipf_skew () =
-  let g = Prng.create ~seed:8L in
-  let table = Prng.zipf_table ~n:100 ~s:1.2 in
-  let counts = Array.make 101 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    let r = Prng.zipf_from_table g table in
-    Alcotest.(check bool) "rank in range" true (r >= 1 && r <= 100);
-    counts.(r) <- counts.(r) + 1
-  done;
-  Alcotest.(check bool) "rank 1 most popular" true
-    (counts.(1) > counts.(2) && counts.(2) > counts.(10))
-
 let test_prng_choose_weights () =
   let g = Prng.create ~seed:10L in
   let a = ref 0 and b = ref 0 in
@@ -730,7 +717,6 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "bernoulli mean" `Quick test_prng_bernoulli_mean;
           Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
-          Alcotest.test_case "zipf skew" `Quick test_prng_zipf_skew;
           Alcotest.test_case "choose weights" `Quick test_prng_choose_weights;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
         ] );
