@@ -3,7 +3,6 @@
    JSON object (BENCH_host.json when regenerated with `make
    bench-host-full`) whose numbers are tracked across commits:
 
-     engine_events_per_sec       delays/sec of a lone thread (run-ahead path)
      fig1_synthesis_calls_per_sec  Fig.1 traffic synthesis throughput
      fig2_wallclock_sec          the 4-CPU throughput experiment, wall
      fig2_scale_wallclock_sec    the 1-256 CPU scaling study, wall
@@ -12,7 +11,6 @@
                                  fraction of flat, distance-ordered rings
      numa_blind_recovery         same, distance-blind scan (the ablation)
      openloop_sweep_wallclock_sec  the open-loop latency-vs-load sweep, wall
-     openloop_sweep_peak_heap_mb  the major heap's peak, read after that sweep
      transport_sweep_wallclock_sec  the three-way transport study, wall
      erpc_vs_classic_speedup     simulated: eRPC-style goodput over classic
                                  Netrpc at the 64 B point of that study
@@ -36,9 +34,6 @@
    the test suite. So is a tracked number that is not finite and
    positive: the run exits 1 and writes nothing. *)
 
-module Engine = Lrpc_sim.Engine
-module Time = Lrpc_sim.Time
-module Cost_model = Lrpc_sim.Cost_model
 module Suite = Lrpc_experiments.Suite
 module Parallel = Lrpc_harness.Parallel
 module Prng = Lrpc_util.Prng
@@ -70,21 +65,6 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Delay rate of one thread in a tight loop, no tracer. With nothing
-   else queued, each delay ends before every queued event and is charged
-   in place (Engine.delay's run-ahead path): no effect, no heap push or
-   pop. So this measures that path, not the heap. *)
-let engine_events_per_sec () =
-  let n = if quick then 200_000 else 2_000_000 in
-  let e = Engine.create ~processors:1 Cost_model.cvax_firefly in
-  ignore
-    (Engine.spawn e ~domain:0 (fun () ->
-         for _ = 1 to n do
-           Engine.delay e (Time.ns 10)
-         done));
-  let (), dt = wall (fun () -> Engine.run e) in
-  float_of_int n /. dt
-
 let fig1_synthesis_calls_per_sec () =
   let calls = if quick then 50_000 else 500_000 in
   let rng = Prng.create ~seed:7L in
@@ -103,14 +83,9 @@ let fig2_numa_wallclock () = wall (fun () -> Suite.numa_result ~quick)
 (* The open-loop study is the heaviest per-point simulation in the
    suite (thousands of sessions, four systems, a sweep past
    saturation); its wall-clock is tracked so a hot-path regression in
-   the engine's timer/wake machinery shows up here first. So is its
-   memory: each point builds a 2,000-session world per system, and
-   the sweep sets the process's peak major heap ([top_heap_words],
-   read right after it). *)
+   the engine's timer/wake machinery shows up here first. *)
 let openloop_sweep () =
-  let _, dt = wall (fun () -> Lrpc_experiments.Openloop.run ~quick ()) in
-  let top = (Gc.quick_stat ()).Gc.top_heap_words in
-  (dt, float_of_int (top * (Sys.word_size / 8)) /. 1e6)
+  snd (wall (fun () -> Lrpc_experiments.Openloop.run ~quick ()))
 
 (* The transport study rebuilds a world per measurement (three systems
    x sizes, a loss sweep, the ablations), so its wall-clock tracks the
@@ -148,7 +123,6 @@ let suite_times () =
   (serial_dt, jobs_dt)
 
 let () =
-  let events = engine_events_per_sec () in
   let fig1 = fig1_synthesis_calls_per_sec () in
   let horizon = Suite.f2_horizon ~quick in
   let _, fig2 = wall (fun () -> Lrpc_experiments.Fig2.run ~horizon ()) in
@@ -160,7 +134,7 @@ let () =
   let numa_recovery (s : Numa.series) =
     Numa.recovery ~flat:numa_last.Numa.flat.Numa.sr_cps s.Numa.sr_cps
   in
-  let openloop, openloop_peak_mb = openloop_sweep () in
+  let openloop = openloop_sweep () in
   let transport_result, transport_dt = transport_wallclock () in
   let erpc_speedup =
     Lrpc_experiments.Transport_study.speedup_at_64 transport_result
@@ -181,7 +155,6 @@ let () =
         ("jobs", Int jobs);
         ("host_cores", Int host_cores);
         ("ocaml_version", String Sys.ocaml_version);
-        ("engine_events_per_sec", Fixed (0, events));
         ("fig1_synthesis_calls_per_sec", Fixed (0, fig1));
         ("fig2_wallclock_sec", Fixed (3, fig2));
         ("fig2_scale_wallclock_sec", Fixed (3, fig2_scale));
@@ -192,7 +165,6 @@ let () =
         ("numa_aware_recovery", Fixed (3, numa_recovery numa_last.Numa.far_aware));
         ("numa_blind_recovery", Fixed (3, numa_recovery numa_last.Numa.far_blind));
         ("openloop_sweep_wallclock_sec", Fixed (3, openloop));
-        ("openloop_sweep_peak_heap_mb", Fixed (1, openloop_peak_mb));
         ("transport_sweep_wallclock_sec", Fixed (3, transport_dt));
         ("erpc_vs_classic_speedup", Fixed (2, erpc_speedup));
         ("chaos_calls_per_sec", Fixed (0, chaos));
