@@ -8,8 +8,10 @@
     measured exactly as the paper did — a tight loop of calls, elapsed
     (simulated) time divided by the count ({!tight_loop}) — and
     throughput as completed calls per simulated second across
-    concurrent closed-loop callers ({!closed_loop}). Every latency and
-    throughput in the experiments is one of these two loops.
+    concurrent closed-loop callers ({!closed_loop}). The experiments'
+    latencies and throughputs are these two loops, except where a study
+    spawns its callers otherwise (the transport study's goodput, the
+    open-loop study's sessions).
 
     {b Construction.} Every world starts from {!boot}, parameterized by
     one {!Config.t} record instead of per-function optional-argument

@@ -18,8 +18,8 @@ let output_of prog args =
   match Unix.close_process_in ic with
   | Unix.WEXITED 0 -> out
   | Unix.WEXITED n | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-      Printf.eprintf "golden: %s %s exited with status %d\n"
-        (Filename.basename prog) (String.concat " " args) n;
+      Printf.eprintf "golden: %s exited with status %d\n"
+        (String.concat " " (Filename.basename prog :: args)) n;
       exit 1
 
 let entry name prog args =
