@@ -15,8 +15,8 @@ CHAOS_DIGEST := 5eeba0661c190ff27d10f0b0154ef27c
 T45_DIGEST := 8da7f56177c9c5c4908222de5c262ccd
 
 .PHONY: check build build-flags test smoke pipeline-smoke fault-smoke \
-  fault-stress json-smoke t45-pin bench-pipeline bench-host bench-host-full \
-  clean
+  fault-stress json-smoke t45-pin golden-full bench-pipeline bench-host \
+  bench-host-full clean
 
 check: build-flags build test smoke pipeline-smoke fault-smoke json-smoke \
   t45-pin bench-host
@@ -102,6 +102,16 @@ t45-pin: build
 	  grep -q '^$(T45_DIGEST) ' || \
 	  { echo "FAIL: t4 t5 rendering drifted from $(T45_DIGEST)"; exit 1; }
 	@echo "t45 pin OK"
+
+# The full-horizon renderings against their manifest, test/golden_full.txt:
+# every artifact's text rendering without --quick, every JSON rendering
+# and openloop's --shedding one (test/golden.ml --full). A moved output
+# fails with a diff naming each entry that moved; `dune promote`
+# rewrites the manifest. Not part of `check` (the full horizons take a
+# while); tier-1 pins the --quick renderings (test/golden.txt).
+golden-full:
+	dune build @test/golden-full
+	@echo "golden-full OK"
 
 # The chaos soak at its stress tier: ~10x the smoke call count, same
 # invariants and replay check. Not part of `check` (takes a while).

@@ -6,8 +6,6 @@ exception Not_in_thread
 
 type state = Embryo | Ready | Running | Blocked | Spinning | Done | Failed
 
-(* The continuation slot folds the old [cont option] into one variant so
-   parking a continuation costs a single [K] block, not [Some (K _)]. *)
 type thread = {
   tid : int;
   name : string;
@@ -16,8 +14,12 @@ type thread = {
   mutable cpu : int; (* index, -1 when not on a processor *)
   mutable last_cpu : int;
   home : int; (* preferred processor, -1 for any *)
-  mutable cont : cont;
-  mutable body : (unit -> unit) option;
+  mutable cont : (unit, unit) Effect.Deep.continuation;
+      (* the parked fiber, [no_cont] when there is none *)
+  mutable body : unit -> unit;
+      (* what the thread runs on a fresh fiber at its next resumption: its
+         body before its first instruction, or the continuation of a
+         [rest_until]; [no_body] otherwise *)
   mutable pending_exn : exn option;
   mutable spin_start : Time.t;
   mutable rq_seq : int;
@@ -28,15 +30,14 @@ type thread = {
          in at most one queue, so queues are lists linked through the
          threads and enqueue, pop and steal allocate nothing *)
   mutable sleep_seq : int;
-      (* timer-heap sequence of the wake entry of the [sleep_until] this
-         thread is in, -1 outside one; an entry whose sequence disagrees
-         belongs to a sleep already left and is ignored *)
+      (* timer-heap sequence of the wake entry of the [sleep_until] or
+         [rest_until] this thread is in, -1 outside one; an entry whose
+         sequence disagrees belongs to a sleep already left and is
+         ignored *)
   some : thread option;
       (* preallocated [Some self]: [current], [running] and the run-queue
          scans never allocate one *)
 }
-
-and cont = No_cont | K : (unit, unit) Effect.Deep.continuation -> cont
 
 and timer = { t_fn : unit -> unit; mutable t_cancelled : bool }
 
@@ -121,6 +122,9 @@ type t = {
   mutable fn_spin : thread -> unit;
   mutable fn_handoff : thread -> unit;
   mutable fn_yield_to : thread -> unit;
+  mutable handler : (unit, unit) Effect.Deep.handler;
+      (* every thread's fiber runs under this one handler, which finds
+         its thread in [current] *)
   c_steals : Metrics.counter;
   c_steals_tagged : Metrics.counter;
   c_steals_near : Metrics.counter;
@@ -150,6 +154,33 @@ type t = {
 
 type _ Effect.t += Delay : unit Effect.t | Suspend : unit Effect.t
 
+(* Raised by [rest_until] to end the resting thread's fiber. *)
+exception Rest
+
+(* The empty continuation slot: the continuation of a fiber suspended
+   here once and resumed at once, so its fiber is gone and resuming it
+   again raises. A parked continuation is stored bare and told from
+   this one by address. *)
+let no_cont : (unit, unit) Effect.Deep.continuation =
+  let parked : (unit, unit) Effect.Deep.continuation option ref = ref None in
+  Effect.Deep.match_with Effect.perform Suspend
+    {
+      retc = ignore;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Suspend ->
+              Some (fun (k : (a, unit) Effect.Deep.continuation) -> parked := Some k)
+          | _ -> None);
+    };
+  let k = Option.get !parked in
+  Effect.Deep.continue k ();
+  k
+
+(* The empty body slot, told from a body by address. *)
+let no_body () = ()
+
 (* The end marker of the run-queue links and the empty steal candidate. *)
 let rec nil =
   {
@@ -160,8 +191,8 @@ let rec nil =
     cpu = -1;
     last_cpu = -1;
     home = -1;
-    cont = No_cont;
-    body = None;
+    cont = no_cont;
+    body = no_body;
     pending_exn = None;
     spin_start = Time.zero;
     rq_seq = -1;
@@ -263,6 +294,7 @@ let create ?(processors = 1) ?(domains = 1) cm =
       fn_spin = ignore;
       fn_handoff = ignore;
       fn_yield_to = ignore;
+      handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
       c_steals =
         Metrics.counter metrics_ ~labels:[ ("kind", "retag") ] "sim.steals";
       c_steals_tagged =
@@ -787,8 +819,8 @@ let spawn ?(name = "thread") ?(home = -1) t ~domain body =
       cpu = -1;
       last_cpu = -1;
       home;
-      cont = No_cont;
-      body = Some body;
+      cont = no_cont;
+      body;
       pending_exn = None;
       spin_start = Time.zero;
       rq_seq = -1;
@@ -827,17 +859,16 @@ let finish t th fail =
   (match fail with
   | Some e -> t.failures_ <- (th, e) :: t.failures_
   | None -> ());
-  th.cont <- No_cont;
-  th.body <- None;
+  th.cont <- no_cont;
+  th.body <- no_body;
   free_cpu_of t th;
   try_dispatch t
 
 let take_cont th =
-  match th.cont with
-  | K k ->
-      th.cont <- No_cont;
-      k
-  | No_cont -> assert false
+  let k = th.cont in
+  assert (k != no_cont);
+  th.cont <- no_cont;
+  k
 
 (* Bus dilation of a delay: [1 + bus_alpha * (executing - 1)]. Alone on
    the bus (or no bus model) the factor is exactly 1.0 and
@@ -866,52 +897,28 @@ let handle_delay t th k =
   th.cont <- k;
   push_run t (Time.add t.now_ d) th
 
-(* The effects carry no payload and the handler's results are built
-   once per thread, so a suspension allocates only the runtime's
-   continuation and its [K] cell. *)
-let start t th body =
-  let on_delay = Some (fun k -> handle_delay t th (K k)) in
-  let on_suspend =
-    Some
-      (fun k ->
-        th.cont <- K k;
-        t.s_fn th)
-  in
-  Effect.Deep.match_with body ()
-    {
-      retc = (fun () -> finish t th None);
-      exnc =
-        (fun e ->
-          match e with
-          | Thread_killed -> finish t th None
-          | e -> finish t th (Some e));
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, unit) Effect.Deep.continuation -> unit) option ->
-          match eff with
-          | Delay -> on_delay
-          | Suspend -> on_suspend
-          | _ -> None);
-    }
-
 let exec t th =
   t.resumes <- t.resumes + 1;
   t.current <- th.some;
   (match th.pending_exn with
-  | Some e when th.body <> None ->
-      (* Killed before first instruction. *)
+  | Some e when th.body != no_body ->
+      (* Killed before its first instruction, or while resting. *)
       th.pending_exn <- None;
-      th.body <- None;
+      th.body <- no_body;
+      th.sleep_seq <- -1;
       finish t th (match e with Thread_killed -> None | e -> Some e)
   | Some e ->
       th.pending_exn <- None;
       Effect.Deep.discontinue (take_cont th) e
-  | None -> (
-      match th.body with
-      | Some body ->
-          th.body <- None;
-          start t th body
-      | None -> Effect.Deep.continue (take_cont th) ()));
+  | None ->
+      let body = th.body in
+      if body == no_body then Effect.Deep.continue (take_cont th) ()
+      else begin
+        (* A start on a fresh fiber: the first, or the end of a rest. *)
+        th.body <- no_body;
+        th.sleep_seq <- -1;
+        Effect.Deep.match_with body () t.handler
+      end);
   t.current <- None
 
 (* The resumption of a delay with a tail has popped (see [delay_tail]):
@@ -1087,19 +1094,34 @@ let yield_to t ~to_ =
   t.s_peer <- to_.some;
   suspend t t.fn_yield_to
 
-(* The wake entry is pushed before the suspension, where [at] would
-   push its timer, so it takes the sequence [at] then [block] would. *)
-let sleep_until t time =
+(* Queue the current thread's wake entry for [time]. It is pushed
+   before the thread blocks, where [at] would push its timer, so it
+   takes the sequence [at] then [block] would. *)
+let push_wake t time =
   let th = self t in
   (* Never schedule into the past: the heap would rewind [now_]. *)
   let time = if Time.compare time t.now_ < 0 then t.now_ else time in
   th.sleep_seq <- Heap.next_seq t.timer_heap;
   push_timer t time (wake_code th.tid);
+  th
+
+let sleep_until t time =
+  let th = push_wake t time in
   match suspend t t.fn_block with
   | () -> th.sleep_seq <- -1
   | exception e ->
       th.sleep_seq <- -1;
       raise e
+
+(* A sleep whose fiber ends at once: the thread blocks as [sleep_until]
+   blocks it, here rather than in the handler, and its fiber unwinds to
+   the handler, which lets it end. [exec] starts [k] on a fresh fiber
+   at the wake, or ends the thread when an interrupt is pending there. *)
+let rest_until t time k =
+  let th = push_wake t time in
+  th.body <- k;
+  t.fn_block th;
+  raise_notrace Rest
 
 let touch t pages =
   let th = self t in
@@ -1240,6 +1262,31 @@ let cancel_timer _t tmr = tmr.t_cancelled <- true
 (* --- engine-closure binding (must follow the operations they close over) *)
 
 let bind_fns t =
+  let on_delay = Some (fun k -> handle_delay t (self t) k) in
+  let on_suspend =
+    Some
+      (fun k ->
+        let th = self t in
+        th.cont <- k;
+        t.s_fn th)
+  in
+  t.handler <-
+    {
+      retc = (fun () -> finish t (self t) None);
+      exnc =
+        (fun e ->
+          match e with
+          | Rest -> ()
+          | Thread_killed -> finish t (self t) None
+          | e -> finish t (self t) (Some e));
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Delay -> on_delay
+          | Suspend -> on_suspend
+          | _ -> None);
+    };
   t.fn_block <-
     (fun th ->
       if tracing t then

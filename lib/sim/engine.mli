@@ -34,19 +34,28 @@
     independent simulations side by side (the [--jobs] artifact
     fan-out). See DESIGN.md "One event loop".
 
+    Every thread's fiber runs under one effect handler, built once per
+    engine, whose closures find their thread as the one executing. A
+    suspended thread's continuation is stored bare on the thread, and
+    the empty slot holds a sentinel continuation, one already resumed,
+    so a suspension allocates nothing besides the runtime's
+    continuation. A thread that rests ({!rest_until}) holds no fiber at
+    all until its wake.
+
     The loop drains two {!Heap}s, whose payloads are ints. The run heap
     holds thread resumptions (a dispatch, the end of a {!delay}, a
     spinner's wake) by thread id; a thread with one queued is on a
     processor, so it never holds more entries than there are
     processors. The timer heap holds {!at} timers, by their slot in a
-    slab of timers, and {!sleep_until} wake entries, by the code
-    [-1 - tid], which may be thousands. A slot is cleared and freed when
-    its entry pops. Both heaps draw their insertion sequences from one
-    counter, and each step pops the earlier top by (time, sequence): the
-    same total order a single heap would give, so the split changes
-    host cost only. A push at or after the newest time already in a
-    heap's append-only lane costs O(1) ({!Heap}); on a machine whose
-    processors run the same loop in lockstep, that is every push.
+    slab of timers, and the wake entries of {!sleep_until} and
+    {!rest_until}, by the code [-1 - tid], which may be thousands. A
+    slot is cleared and freed when its entry pops. Both heaps draw
+    their insertion sequences from one counter, and each step pops the
+    earlier top by (time, sequence): the same total order a single heap
+    would give, so the split changes host cost only. A push at or after
+    the newest time already in a heap's append-only lane costs O(1)
+    ({!Heap}); on a machine whose processors run the same loop in
+    lockstep, that is every push.
 
     A delay may carry a tail ({!delay_then}, {!switch_then_touch}): a
     second charge that follows with no instruction of the thread
@@ -129,13 +138,14 @@ val run_pushes : t -> int
 
 val resumptions : t -> int
 (** Times since creation that the engine handed a processor back to a
-    thread: its first instruction, the end of a suspension, or an
-    interrupt's delivery. A popped resumption that only charges a
-    pending tail (see {!delay_then}) and queues again is not one. *)
+    thread: its first instruction, the end of a suspension or of a
+    rest, or an interrupt's delivery. A popped resumption that only
+    charges a pending tail (see {!delay_then}) and queues again is not
+    one. *)
 
 val timer_pushes : t -> int
-(** Timers and sleep wake entries pushed on the timer heap since
-    creation. *)
+(** Timers and the wake entries of sleeps and rests pushed on the
+    timer heap since creation. *)
 
 (** {1 Thread inspection (engine level)} *)
 
@@ -208,6 +218,20 @@ val sleep_until : t -> Time.t -> unit
     place in the event order. Unlike that timer, the entry is ignored
     unless the thread is still in this sleep, so a sleep left early (by
     {!wake} or {!interrupt}) never wakes a later wait. *)
+
+val rest_until : t -> Time.t -> (unit -> unit) -> 'a
+(** [rest_until t time k] is [sleep_until t time; k ()], observably,
+    when no exception handler lies between the thread's body and this
+    call: the same wake entry, block, events, sequences, pushes and
+    resumptions. It never returns: the thread's fiber ends here, by a
+    private exception that unwinds it, and at the wake the engine
+    starts [k] as the thread's body on a fresh fiber, so a resting
+    thread holds no stack. An interrupt delivered at the wake ends the
+    thread as it ends a sleeper with no handler ({!Thread_killed} as a
+    normal end, any other exception as a failure), and [k] never runs.
+    A handler around the call that catches every exception would catch
+    the unwinding and leave the thread running while blocked: call it
+    where nothing does. *)
 
 val yield : t -> unit
 (** Go to the back of the ready queue. *)
@@ -305,8 +329,9 @@ val at : t -> Time.t -> (unit -> unit) -> timer
     firing order against other events at the same instant is the
     deterministic (time, sequence) order. Used for call deadlines,
     packet deliveries and fault-plan crash schedules; a thread that only
-    waits for a time uses {!sleep_until}. When the timer's entry pops,
-    fired or cancelled, the engine keeps no reference to [fn]. *)
+    waits for a time uses {!sleep_until} or {!rest_until}. When the
+    timer's entry pops, fired or cancelled, the engine keeps no
+    reference to [fn]. *)
 
 val cancel_timer : t -> timer -> unit
 (** Disarm a timer; harmless when it already fired. *)

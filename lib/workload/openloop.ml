@@ -25,27 +25,31 @@ type config = {
    for the MMPP. Gaps are generated by inverting the accumulated
    hazard: draw a unit-mean exponential "amount of hazard" and advance
    time through phases until it is spent. All state is in float
-   microseconds. *)
-type stream = {
-  rng : Prng.t;
+   microseconds, in a record of floats only, whose fields hold their
+   floats unboxed: storing the phase's time left allocates nothing. *)
+type phase = {
   burst_rate : float; (* arrivals per us while bursting *)
   idle_rate : float; (* arrivals per us while idle *)
   mean_burst_us : float; (* 0 for Poisson: never leaves the phase *)
   mean_idle_us : float;
-  mutable in_burst : bool;
-  mutable phase_left_us : float;
+  mutable left_us : float;
 }
+
+type stream = { rng : Prng.t; mutable in_burst : bool; ph : phase }
 
 let stream_of_process rng ~rate_per_us = function
   | Poisson ->
       {
         rng;
-        burst_rate = rate_per_us;
-        idle_rate = rate_per_us;
-        mean_burst_us = 0.0;
-        mean_idle_us = 0.0;
         in_burst = true;
-        phase_left_us = infinity;
+        ph =
+          {
+            burst_rate = rate_per_us;
+            idle_rate = rate_per_us;
+            mean_burst_us = 0.0;
+            mean_idle_us = 0.0;
+            left_us = infinity;
+          };
       }
   | Bursty { burst_mult; mean_burst; mean_idle } ->
       if burst_mult < 1.0 then
@@ -73,17 +77,20 @@ let stream_of_process rng ~rate_per_us = function
          tb / cycle; the residual phase time is exponential again by
          memorylessness. *)
       let in_burst = Prng.bernoulli rng ~p:(tb /. cycle) in
-      let phase_left_us =
+      let left_us =
         Prng.exponential rng ~mean:(if in_burst then tb else ti)
       in
       {
         rng;
-        burst_rate = !burst_rate;
-        idle_rate;
-        mean_burst_us = tb;
-        mean_idle_us = ti;
         in_burst;
-        phase_left_us;
+        ph =
+          {
+            burst_rate = !burst_rate;
+            idle_rate;
+            mean_burst_us = tb;
+            mean_idle_us = ti;
+            left_us;
+          };
       }
 
 let streams cfg =
@@ -100,25 +107,26 @@ let streams cfg =
       stream_of_process (Prng.split master) ~rate_per_us cfg.ol_process)
 
 let next_gap s =
+  let ph = s.ph in
   let gap = ref 0.0 in
   let need = ref (Prng.exponential s.rng ~mean:1.0) in
   let fin = ref false in
   while not !fin do
-    let rate = if s.in_burst then s.burst_rate else s.idle_rate in
-    if rate > 0.0 && !need <= s.phase_left_us *. rate then begin
+    let rate = if s.in_burst then ph.burst_rate else ph.idle_rate in
+    if rate > 0.0 && !need <= ph.left_us *. rate then begin
       let dt = !need /. rate in
-      s.phase_left_us <- s.phase_left_us -. dt;
+      ph.left_us <- ph.left_us -. dt;
       gap := !gap +. dt;
       fin := true
     end
     else begin
       (* Spend the rest of this phase and roll into the next. *)
-      if rate > 0.0 then need := !need -. (s.phase_left_us *. rate);
-      gap := !gap +. s.phase_left_us;
+      if rate > 0.0 then need := !need -. (ph.left_us *. rate);
+      gap := !gap +. ph.left_us;
       s.in_burst <- not s.in_burst;
-      s.phase_left_us <-
+      ph.left_us <-
         Prng.exponential s.rng
-          ~mean:(if s.in_burst then s.mean_burst_us else s.mean_idle_us)
+          ~mean:(if s.in_burst then ph.mean_burst_us else ph.mean_idle_us)
     end
   done;
   !gap
@@ -133,6 +141,10 @@ type report = {
   ol_sketch : Qsketch.t;
 }
 
+(* A session's next scheduled arrival, in microseconds: the one field
+   of a float-only record, so storing it allocates nothing. *)
+type arrival = { mutable at_us : float }
+
 let run cfg ~engine ~spawn ~call =
   let ss = streams cfg in
   let horizon_us = Time.to_us cfg.ol_horizon in
@@ -141,45 +153,52 @@ let run cfg ~engine ~spawn ~call =
     invalid_arg "Openloop: horizon must be past warmup";
   let issued = ref 0 and completed = ref 0 and shed = ref 0 in
   let sketch = Qsketch.create () in
+  (* A session is a chain of arrival steps, built once per session:
+     [step] draws the next arrival and rests until it, so a session
+     holds no fiber between arrivals, and [arrive] makes the call due
+     and steps on. *)
   let session i =
     let stream = ss.(i) in
-    let next = ref 0.0 in
-    let fin = ref false in
-    while not !fin do
-      next := !next +. next_gap stream;
-      if !next > horizon_us then fin := true
+    let next = { at_us = 0.0 } in
+    let rec step () =
+      next.at_us <- next.at_us +. next_gap stream;
+      if next.at_us > horizon_us then ()
       else begin
-        let target = Time.us_f !next in
+        let target = Time.us_f next.at_us in
         (* Past-due arrivals (the session fell behind) fire
            immediately — that backlog is the open-loop signal. *)
         if Time.compare target (Engine.now engine) > 0 then
-          (* Sleep without occupying a simulated processor: sessions
+          (* Rest without occupying a simulated processor: sessions
              waiting for their next arrival must not look like load. *)
-          Engine.sleep_until engine target;
-        incr issued;
-        (* How far past its scheduled arrival this call is starting:
-           run-queue wait after the wake, plus the session's own
-           backlog. This is the part of a call's deadline budget that
-           is already spent before the stub is even entered — the
-           system under test can refuse a too-stale call at the door
-           instead of doing work whose deadline has already passed. *)
-        let lateness_us =
-          Float.max 0.0 (Time.to_us (Engine.now engine) -. !next)
-        in
-        (* A shed arrival is goodput lost, not latency observed: it is
-           counted, but neither completed nor measured — the admitted
-           calls' quantiles are the "bounded p99" the shedding ablation
-           is about. *)
-        (match call ~session:i ~lateness_us with
-        | `Ok ->
-            incr completed;
-            if !next >= warmup_us then begin
-              let lat_us = Time.to_us (Engine.now engine) -. !next in
-              Qsketch.add sketch (int_of_float (Float.round lat_us))
-            end
-        | `Shed -> incr shed)
+          Engine.rest_until engine target arrive
+        else arrive ()
       end
-    done
+    and arrive () =
+      incr issued;
+      (* How far past its scheduled arrival this call is starting:
+         run-queue wait after the wake, plus the session's own backlog.
+         This is the part of a call's deadline budget that is already
+         spent before the stub is even entered — the system under test
+         can refuse a too-stale call at the door instead of doing work
+         whose deadline has already passed. *)
+      let lateness_us =
+        Float.max 0.0 (Time.to_us (Engine.now engine) -. next.at_us)
+      in
+      (* A shed arrival is goodput lost, not latency observed: it is
+         counted, but neither completed nor measured — the admitted
+         calls' quantiles are the "bounded p99" the shedding ablation
+         is about. *)
+      (match call ~session:i ~lateness_us with
+      | `Ok ->
+          incr completed;
+          if next.at_us >= warmup_us then begin
+            let lat_us = Time.to_us (Engine.now engine) -. next.at_us in
+            Qsketch.add sketch (int_of_float (Float.round lat_us))
+          end
+      | `Shed -> incr shed);
+      step ()
+    in
+    step ()
   in
   for i = 0 to cfg.ol_sessions - 1 do
     spawn ~session:i (fun () -> session i)

@@ -63,7 +63,9 @@ val streams : config -> stream array
 (** One stream per session, split from [ol_seed] in session order. *)
 
 val next_gap : stream -> float
-(** Next interarrival gap in microseconds, advancing the stream. *)
+(** Next interarrival gap in microseconds, advancing the stream.
+    Allocates nothing in the default build, which inlines the float
+    arithmetic across modules. *)
 
 (** {1 Driving a system under test} *)
 
@@ -93,9 +95,12 @@ val run :
 (** Spawn one thread per session via [spawn] (which places the body in
     the session's protection domain), run the engine to the horizon,
     and return the merged latency report. Each session body loops:
-    advance the scheduled arrival time by {!next_gap}, sleep (without
-    occupying a simulated processor) until it, then invoke [call] and —
-    when it returns [`Ok] — record [completion - scheduled]. [call]
+    advance the scheduled arrival time by {!next_gap}, rest until it
+    ({!Lrpc_sim.Engine.rest_until}: without occupying a simulated
+    processor, and without holding a fiber), then invoke [call] and —
+    when it returns [`Ok] — record [completion - scheduled]. [spawn]
+    must run the body with no exception handler around it, as a rest
+    requires. [call]
     receives [lateness_us], how far past its scheduled arrival the call
     is starting (run-queue wait plus the session's own backlog): the
     part of any per-call deadline budget already spent before the stub

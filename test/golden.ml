@@ -8,6 +8,14 @@
    every example, and prints the manifest on stdout. test/dune diffs it
    against golden.txt, so a moved output fails `dune runtest` with the
    line of each entry that moved; `dune promote` rewrites golden.txt.
+
+   Run as [golden.exe --full EXPERIMENTS], it prints the manifest of the
+   full-horizon renderings instead: every artifact's text rendering
+   without --quick, every JSON rendering and openloop's --shedding one.
+   They take a few seconds each, so test/dune diffs them against
+   golden_full.txt under the alias golden-full (`make golden-full`),
+   not under runtest.
+
    A command that exits non-zero fails the run, naming the command. *)
 
 module Suite = Lrpc_experiments.Suite
@@ -27,14 +35,20 @@ let entry name prog args =
     (Digest.to_hex (Digest.string (output_of prog args)))
     name
 
+let rendering experiments args =
+  entry
+    ("lrpc_experiments " ^ String.concat " " args)
+    experiments (args @ [ "--jobs"; "1" ])
+
 let () =
   match Array.to_list Sys.argv with
+  | [ _; "--full"; experiments ] ->
+      let run = rendering experiments in
+      List.iter (fun n -> run [ n ]) Suite.names;
+      List.iter (fun n -> run [ n; "--json" ]) Suite.json_names;
+      run [ "openloop"; "--json"; "--shedding" ]
   | _ :: experiments :: trace :: examples ->
-      let run args =
-        entry
-          ("lrpc_experiments " ^ String.concat " " args)
-          experiments (args @ [ "--jobs"; "1" ])
-      in
+      let run = rendering experiments in
       List.iter (fun n -> run [ n; "--quick" ]) Suite.names;
       List.iter (fun n -> run [ n; "--quick"; "--json" ]) Suite.json_names;
       run [ "openloop"; "--quick"; "--json"; "--shedding" ];
@@ -47,5 +61,7 @@ let () =
           entry ("example " ^ Filename.(remove_extension (basename ex))) ex [])
         examples
   | _ ->
-      prerr_endline "usage: golden.exe EXPERIMENTS TRACE EXAMPLE...";
+      prerr_endline
+        "usage: golden.exe EXPERIMENTS TRACE EXAMPLE...\n\
+        \       golden.exe --full EXPERIMENTS";
       exit 2

@@ -1355,6 +1355,109 @@ let test_sleep_left_early_never_wakes_later_wait () =
   check_time "woken by the signal" (Time.us 300) !woke_at;
   Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
 
+(* A rest is a sleep whose fiber ends: the continuation runs on a fresh
+   fiber at the wake, as the thread's own instruction. *)
+let test_rest_until_wakes_on_time () =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let log = ref [] in
+  let th =
+    Engine.spawn e ~domain:0 (fun () ->
+        Engine.rest_until e (Time.us 40) (fun () ->
+            log := Engine.now e :: !log;
+            (* A time already past wakes at once, like a clamped [at]. *)
+            Engine.rest_until e (Time.us 10) (fun () ->
+                log := Engine.now e :: !log)))
+  in
+  Engine.run e;
+  Alcotest.(check (list int)) "woke at" [ Time.us 40; Time.us 40 ] (List.rev !log);
+  Alcotest.(check int) "one timer push per rest" 2 (Engine.timer_pushes e);
+  Alcotest.(check int) "started, then started again at each wake" 3
+    (Engine.resumptions e);
+  Alcotest.(check bool) "the thread ended" false (Engine.alive th);
+  Alcotest.(check (list pass)) "nothing stuck" [] (Engine.stuck_threads e)
+
+(* A rest left early by a wake leaves its wake entry queued, and the
+   thread starts its continuation, where it blocks on a wait queue; the
+   entry must be ignored when it comes due, not wake that wait. *)
+let test_rest_left_early_never_wakes_later_wait () =
+  let e = Engine.create ~processors:2 cm_no_bus in
+  let q = Waitq.create e in
+  let woke_at = ref (-1) in
+  let rester =
+    Engine.spawn e ~domain:0 ~home:0 ~name:"rester" (fun () ->
+        Engine.rest_until e (Time.us 100) (fun () ->
+            Waitq.wait q;
+            woke_at := Engine.now e))
+  in
+  ignore
+    (Engine.spawn e ~domain:0 ~home:1 ~name:"poker" (fun () ->
+         Engine.delay e (Time.us 10);
+         Engine.wake e rester;
+         Engine.sleep_until e (Time.us 300);
+         ignore (Waitq.signal q)));
+  Engine.run ~until:(Time.us 200) e;
+  Alcotest.(check int) "still waiting past the old wake time" (-1) !woke_at;
+  Engine.run e;
+  check_time "woken by the signal" (Time.us 300) !woke_at;
+  Alcotest.(check (list pass)) "no failures" [] (Engine.failures e)
+
+(* A kill or an uncaught interrupt delivered while a thread rests ends
+   it as it ends a sleeper with no handler: the continuation never runs,
+   and the trace (its Finish event included), the failures, the
+   resumptions and the clock are the sleeper's. *)
+let nap_shot ~rests shot =
+  let e = Engine.create ~processors:1 cm_no_bus in
+  let tr = Trace.create ~capacity:256 () in
+  Engine.set_tracer e (Some tr);
+  let after = ref false in
+  let th =
+    Engine.spawn e ~domain:0 ~name:"napper" (fun () ->
+        Engine.delay e (Time.us 5);
+        if rests then Engine.rest_until e (Time.us 100) (fun () -> after := true)
+        else begin
+          Engine.sleep_until e (Time.us 100);
+          after := true
+        end)
+  in
+  ignore (Engine.at e (Time.us 40) (fun () -> shot e th));
+  Engine.run e;
+  let finishes = ref [] in
+  Trace.iter tr (fun ev ->
+      match ev.Trace.kind with
+      | Lrpc_obs.Event.Finish { error; _ } -> finishes := error :: !finishes
+      | _ -> ());
+  ( !after,
+    !finishes,
+    String.concat "|"
+      [
+        Trace.dump tr;
+        String.concat ","
+          (List.map
+             (fun (th, exn) -> Engine.thread_name th ^ ":" ^ Printexc.to_string exn)
+             (Engine.failures e));
+        string_of_int (Engine.resumptions e);
+        string_of_int (Engine.timer_pushes e);
+        string_of_int (Engine.now e);
+        string_of_int (List.length (Engine.stuck_threads e));
+      ] )
+
+let test_rest_shot () =
+  List.iter
+    (fun (what, shot, error) ->
+      let after, finishes, rested = nap_shot ~rests:true shot in
+      let slept_after, _, slept = nap_shot ~rests:false shot in
+      Alcotest.(check bool) (what ^ ": the continuation never ran") false after;
+      Alcotest.(check bool) (what ^ ": nor the sleeper's") false slept_after;
+      Alcotest.(check (list (option string)))
+        (what ^ ": one Finish event") [ error ] finishes;
+      Alcotest.(check string) (what ^ ": observed as the sleeper") slept rested)
+    [
+      ("kill", (fun e th -> Engine.kill e th), None);
+      ( "uncaught interrupt",
+        (fun e th -> Engine.interrupt e th Exit),
+        Some (Printexc.to_string Exit) );
+    ]
+
 (* --- Timers ----------------------------------------------------------------
 
    The timer heap holds ints: an [at] timer's slot in the engine's slab,
@@ -2010,12 +2113,17 @@ let prop_engine_deterministic =
       let within, stepped = run_program ~cpus ~step:k prog in
       within && String.equal once stepped)
 
-(* --- Tail charges ------------------------------------------------------------
+(* --- Tail charges and rests ---------------------------------------------------
 
    [Engine.delay_then] and [Engine.switch_then_touch] charge a second
    segment without resuming the thread between the two. Random worlds
    run one script twice, once with the tail forms and once with the two
-   calls each stands for, and must agree on everything observable. *)
+   calls each stands for, and must agree on everything observable.
+
+   [Engine.rest_until] is a sleep whose fiber ends, with the rest of the
+   script as the thread's next body. The same worlds run once sleeping
+   and once resting, each nap outside any handler, and must agree on
+   everything observable, resumptions included. *)
 
 type shot = Caught | Uncaught | Killed
 
@@ -2027,6 +2135,7 @@ type tail_op =
   | Unpark of int  (** wake a thread *)
   | Shoot of int * int * shot
       (** in this many us, interrupt or kill a thread *)
+  | Nap of int  (** sleep this many us, outside any handler *)
 
 type tail_world = {
   tw_cpus : int;
@@ -2058,6 +2167,7 @@ let gen_tail_world =
               (fun k j shot -> Shoot (k, j, shot))
               (int_bound 25) (int_bound (n - 1))
               (frequencyl [ (3, Caught); (1, Uncaught); (1, Killed) ]) );
+          (3, map (fun d -> Nap d) (int_bound 30));
         ]
     in
     let* tw_scripts = array_repeat n (list_size (int_range 2 10) op) in
@@ -2080,6 +2190,7 @@ let print_tail_world w =
         Printf.sprintf "%s %d in %d"
           (match s with Caught -> "interrupt" | Uncaught -> "fail" | Killed -> "kill")
           j k
+    | Nap d -> Printf.sprintf "nap %d" d
   in
   Printf.sprintf "cpus=%d alpha=%g step=%s homes=[%s]\n%s" w.tw_cpus w.tw_alpha
     (match w.tw_step with Some k -> string_of_int k | None -> "-")
@@ -2091,8 +2202,10 @@ let print_tail_world w =
              w.tw_scripts)))
 
 (* Run [w] with the tail forms ([tails]) or with the two calls each
-   stands for, and return everything the run observed. *)
-let run_tail_world ~tails w =
+   stands for, its naps resting ([rests]) or sleeping, and return
+   whether every step stayed within its limit, everything else the run
+   observed, and its resumptions. *)
+let run_tail_world ~tails ~rests w =
   let e =
     Engine.create ~processors:w.tw_cpus
       { cm with Cost_model.bus_alpha = w.tw_alpha }
@@ -2142,15 +2255,31 @@ let run_tail_world ~tails w =
                | Caught -> Engine.interrupt e !ths.(j) (Failure "shot")
                | Uncaught -> Engine.interrupt e !ths.(j) Exit
                | Killed -> Engine.kill e !ths.(j)))
+    | Nap _ -> assert false
+  in
+  let rec script i = function
+    | [] -> ()
+    | Nap d :: ops ->
+        note i 's';
+        let time = Time.add (Engine.now e) (Time.us d) in
+        if rests then
+          Engine.rest_until e time (fun () ->
+              note i 'z';
+              script i ops)
+        else begin
+          Engine.sleep_until e time;
+          note i 'z';
+          script i ops
+        end
+    | op :: ops ->
+        (try step i op with Failure _ -> note i 'x');
+        script i ops
   in
   ths :=
     Array.mapi
       (fun i ops ->
         Engine.spawn e ~domain:(i mod 3) ~home:w.tw_homes.(i)
-          ~name:(string_of_int i) (fun () ->
-            List.iter
-              (fun op -> try step i op with Failure _ -> note i 'x')
-              ops))
+          ~name:(string_of_int i) (fun () -> script i ops))
       w.tw_scripts;
   let within = ref true in
   (match w.tw_step with
@@ -2183,18 +2312,30 @@ let run_tail_world ~tails w =
              (fun (th, exn) -> Engine.thread_name th ^ ":" ^ Printexc.to_string exn)
              (Engine.failures e));
         string_of_int (List.length (Engine.stuck_threads e));
-      ] )
+      ],
+    Engine.resumptions e )
 
 let tails_agree w =
-  let within, tailed = run_tail_world ~tails:true w in
-  let _, split = run_tail_world ~tails:false w in
+  let within, tailed, _ = run_tail_world ~tails:true ~rests:false w in
+  let _, split, _ = run_tail_world ~tails:false ~rests:false w in
   within && String.equal tailed split
+
+let rests_agree w =
+  let within, rested, rested_resumptions =
+    run_tail_world ~tails:true ~rests:true w
+  in
+  let _, slept, slept_resumptions = run_tail_world ~tails:true ~rests:false w in
+  within && String.equal rested slept && rested_resumptions = slept_resumptions
 
 let arb_tail_world = QCheck.make ~print:print_tail_world gen_tail_world
 
 let prop_tails_are_two_delays =
   QCheck.Test.make ~name:"tail charges observe as two delays" ~count:300
     arb_tail_world (fun w -> tails_agree w)
+
+let prop_rests_are_sleeps =
+  QCheck.Test.make ~name:"rests observe as sleeps" ~count:300 arb_tail_world
+    (fun w -> rests_agree w)
 
 (* A timer queued inside the first segment makes it suspend. The
    interrupt it leaves pending is delivered when the first segment's
@@ -2286,6 +2427,7 @@ let () =
         prop_mult_by_cluster;
         prop_engine_deterministic;
         prop_tails_are_two_delays;
+        prop_rests_are_sleeps;
       ]
   in
   Alcotest.run "lrpc_sim"
@@ -2363,6 +2505,11 @@ let () =
           Alcotest.test_case "sleep until" `Quick test_sleep_until_wakes_on_time;
           Alcotest.test_case "sleep left early" `Quick
             test_sleep_left_early_never_wakes_later_wait;
+          Alcotest.test_case "rest until" `Quick test_rest_until_wakes_on_time;
+          Alcotest.test_case "rest left early" `Quick
+            test_rest_left_early_never_wakes_later_wait;
+          Alcotest.test_case "kill or interrupt while resting" `Quick
+            test_rest_shot;
           Alcotest.test_case "fired timers collectable" `Quick
             (timers_collectable ~cancel:false);
           Alcotest.test_case "cancelled timers collectable" `Quick
